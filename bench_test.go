@@ -87,11 +87,6 @@ func filterWorld(b *testing.B, subs int, complexFrac float64) (*filter.Filter, [
 
 func benchFilterMode(b *testing.B, subs int, mode filter.Mode) {
 	f, docs := filterWorld(b, subs, 0.3)
-	// Warm up: the first match triggers the lazy AES/YFilter rebuild
-	// (the offline adjustment path), which is not the steady state.
-	if _, err := f.MatchMode(docs[0], mode); err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := f.MatchMode(docs[i%len(docs)], mode); err != nil {
@@ -118,24 +113,64 @@ func BenchmarkFilterYFilterOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkFilterSerializedFastPath measures the first-tag-only path: no
-// complex subscriptions, bodies never parsed.
-func BenchmarkFilterSerializedFastPath(b *testing.B) {
+// serializedWorld is filterWorld for MatchSerialized: the subscriptions
+// (also returned, for churn) in a filter, and serialized documents.
+func serializedWorld(b *testing.B, subs int, complexFrac float64) (*filter.Filter, []filter.Subscription, []string) {
+	b.Helper()
 	cfg := workload.DefaultFilterGen()
-	cfg.ComplexFraction = 0
+	cfg.ComplexFraction = complexFrac
 	gen := workload.NewFilterGen(cfg)
 	f := filter.New()
-	for _, s := range gen.Subscriptions(10000) {
+	all := gen.Subscriptions(subs)
+	for _, s := range all {
 		if err := f.Add(s); err != nil {
 			b.Fatal(err)
 		}
 	}
-	raws := gen.SerializedDocuments(256)
-	if _, err := f.MatchSerialized(raws[0]); err != nil { // warm rebuild
-		b.Fatal(err)
-	}
+	return f, all, gen.SerializedDocuments(256)
+}
+
+// BenchmarkFilterSerializedFastPath measures the first-tag-only path: no
+// complex subscriptions, bodies never parsed.
+func BenchmarkFilterSerializedFastPath(b *testing.B) {
+	f, _, raws := serializedWorld(b, 10000, 0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if _, err := f.MatchSerialized(raws[i%len(raws)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFilterSerialized is the whole hot path on serialized input
+// with complex subscriptions active: first tag, preFilter, AES, and for
+// most documents the parse and the YFilter stage.
+func BenchmarkFilterSerialized(b *testing.B) {
+	b.Run("subs=10000", func(b *testing.B) {
+		f, _, raws := serializedWorld(b, 10000, 0.3)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := f.MatchSerialized(raws[i%len(raws)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkFilterChurn is one subscription change beside matching at 10k
+// subscriptions: Remove, Add, and the match that follows.
+func BenchmarkFilterChurn(b *testing.B) {
+	f, subs, raws := serializedWorld(b, 10000, 0.3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := subs[i%len(subs)]
+		f.Remove(s.ID)
+		if err := f.Add(s); err != nil {
+			b.Fatal(err)
+		}
 		if _, err := f.MatchSerialized(raws[i%len(raws)]); err != nil {
 			b.Fatal(err)
 		}

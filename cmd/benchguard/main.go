@@ -4,6 +4,13 @@
 // compares the result against a committed baseline, failing when any
 // guarded hot-path benchmark regressed beyond the threshold.
 //
+// Benchmarks that report memory (b.ReportAllocs or -benchmem) are also
+// gated on allocs/op. Allocation counts are exact and machine-
+// independent, so they are compared as they stand — no normalization —
+// and any increase beyond 5% of the baseline count fails. B/op is
+// recorded in the snapshots for the trajectory but not gated: it moves
+// with allocator size classes across Go versions.
+//
 // The comparison is median-normalized by default: the median ns/op
 // shift across all guarded benchmarks is treated as the machine-speed
 // factor (a different runner class, CPU throttling, a busy host) and
@@ -40,7 +47,13 @@ import (
 	"strconv"
 )
 
-// Snapshot is the persisted form: benchmark name → best ns/op.
+// allocTolerance is the increase in allocs/op the gate lets through: 5%
+// of an exact count, so a benchmark at 20 allocs/op or fewer may not gain
+// a single one.
+const allocTolerance = 0.05
+
+// Snapshot is the persisted form: benchmark name → best ns/op, plus
+// allocs/op and B/op for the benchmarks that report them.
 type Snapshot struct {
 	// Note documents provenance (host class, flags); informational.
 	Note string `json:"note,omitempty"`
@@ -49,11 +62,21 @@ type Snapshot struct {
 	// Benchmarks maps the benchmark name (GOMAXPROCS suffix stripped)
 	// to its minimum observed ns/op.
 	Benchmarks map[string]float64 `json:"benchmarks"`
+	// Allocs and Bytes map the same names to the minimum observed
+	// allocs/op and B/op.
+	Allocs map[string]float64 `json:"allocs,omitempty"`
+	Bytes  map[string]float64 `json:"bytes,omitempty"`
 }
 
 // benchLine matches one `go test -bench` result line, e.g.
 // "BenchmarkXMLParse-8   	     100	    123456 ns/op	..."
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+
+// memFields match the -benchmem columns that may follow on the line.
+var (
+	bytesField  = regexp.MustCompile(`\s([0-9.]+) B/op`)
+	allocsField = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
+)
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -157,14 +180,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  %-9s %-40s base %12s  now %12s  (%+.1f%% normalized)\n",
 			status, name, fmtNs(baseNs), fmtNs(curNs), (ratio-1)*100)
 	}
+	for _, name := range sortedNames(base.Allocs) {
+		baseN := base.Allocs[name]
+		curN, ok := cur.Allocs[name]
+		if !ok {
+			continue // not in this run, or run without memory stats: reported above
+		}
+		status := "ok"
+		if curN > baseN*(1+allocTolerance) {
+			status = "REGRESSED"
+			regressions++
+		}
+		fmt.Fprintf(stdout, "  %-9s %-40s base %7.0f allocs/op  now %7.0f allocs/op\n", status, name, baseN, curN)
+	}
 	for _, name := range sortedNames(cur.Benchmarks) {
 		if _, ok := base.Benchmarks[name]; !ok {
 			fmt.Fprintf(stdout, "  new   %-40s %12s (no baseline yet)\n", name, fmtNs(cur.Benchmarks[name]))
 		}
 	}
 	if regressions > 0 {
-		fmt.Fprintf(stderr, "benchguard: %d benchmark(s) regressed more than %.0f%% vs %s\n",
-			regressions, *threshold*100, *baseline)
+		fmt.Fprintf(stderr, "benchguard: %d row(s) regressed vs %s (ns/op beyond %.0f%%, allocs/op beyond %.0f%%)\n",
+			regressions, *baseline, *threshold*100, allocTolerance*100)
 		return 1
 	}
 	// A run sharing nothing with the baseline compared nothing: renamed
@@ -184,14 +220,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// parseBench extracts min-ns/op per benchmark from `go test -bench`
-// output (multiple -count repetitions collapse to their minimum).
+// parseBench extracts min ns/op — and, where reported, min allocs/op and
+// B/op — per benchmark from `go test -bench` output (multiple -count
+// repetitions collapse to their minimum).
 func parseBench(r io.Reader) (*Snapshot, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	snap := &Snapshot{Benchmarks: map[string]float64{}}
+	snap := &Snapshot{Benchmarks: map[string]float64{}, Allocs: map[string]float64{}, Bytes: map[string]float64{}}
 	start := 0
 	for i := 0; i <= len(data); i++ {
 		if i != len(data) && data[i] != '\n' {
@@ -203,15 +240,28 @@ func parseBench(r io.Reader) (*Snapshot, error) {
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
+		keepMin(snap.Benchmarks, m[1], m[2])
+		if fm := bytesField.FindStringSubmatch(line); fm != nil {
+			keepMin(snap.Bytes, m[1], fm[1])
 		}
-		if old, ok := snap.Benchmarks[m[1]]; !ok || ns < old {
-			snap.Benchmarks[m[1]] = ns
+		if fm := allocsField.FindStringSubmatch(line); fm != nil {
+			keepMin(snap.Allocs, m[1], fm[1])
 		}
 	}
 	return snap, nil
+}
+
+// keepMin records a parsed column under name unless a smaller value is
+// already there; text the regexps let through but ParseFloat rejects
+// (such as "1.2.3") is skipped.
+func keepMin(m map[string]float64, name, text string) {
+	v, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return
+	}
+	if old, ok := m[name]; !ok || v < old {
+		m[name] = v
+	}
 }
 
 func readSnapshot(path string) (*Snapshot, error) {

@@ -42,6 +42,42 @@ func TestParseBenchTakesMinAcrossCounts(t *testing.T) {
 	if got := snap.Benchmarks["BenchmarkJoinIndexed"]; got != 7500 {
 		t.Errorf("JoinIndexed min = %v, want 7500", got)
 	}
+	if a, b := snap.Allocs["BenchmarkXMLParse"], snap.Bytes["BenchmarkXMLParse"]; a != 150 || b != 12000 {
+		t.Errorf("XMLParse allocs/op = %v, B/op = %v, want 150 and 12000", a, b)
+	}
+	if _, ok := snap.Allocs["BenchmarkJoinIndexed"]; ok {
+		t.Error("JoinIndexed reports no memory stats but got an allocs/op row")
+	}
+}
+
+// TestAllocRegressionFailsTheGate: allocation counts are exact, so the
+// gate compares them unnormalized and fails on any increase beyond 5% —
+// even when every timing holds still — while a decrease, a rise within
+// the tolerance, and a run without memory stats all pass.
+func TestAllocRegressionFailsTheGate(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.json")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-in", writeInput(t, dir, sampleBench), "-baseline", base, "-update"}, &out, &errb); code != 0 {
+		t.Fatal("baseline write failed")
+	}
+	for _, tc := range []struct {
+		allocs string
+		want   int
+	}{{"150", 0}, {"90", 0}, {"157", 0}, {"158", 1}, {"", 0}} {
+		repl := tc.allocs + " allocs/op"
+		if tc.allocs == "" {
+			repl = ""
+		}
+		in := writeInput(t, t.TempDir(), strings.ReplaceAll(sampleBench, "150 allocs/op", repl))
+		out.Reset()
+		if code := run([]string{"-in", in, "-baseline", base}, &out, &errb); code != tc.want {
+			t.Errorf("%q allocs/op against a baseline of 150: exit %d, want %d\n%s", tc.allocs, code, tc.want, out.String())
+		}
+		if tc.want == 1 && !strings.Contains(out.String(), "REGRESSED BenchmarkXMLParse") {
+			t.Errorf("alloc regression not named:\n%s", out.String())
+		}
+	}
 }
 
 func TestUpdateThenCleanPass(t *testing.T) {

@@ -147,7 +147,7 @@ func runF5(s Scale) (*Result, error) {
 	table.AddRow(st.Docs, st.PreFilterEvals, st.AESProbes, st.YFilterRuns, st.YFilterSkips, st.BodiesParsed, st.BodiesSkipped)
 	res.Tables = append(res.Tables, table)
 	// Offline adjustment: the dotted arrows — subscriptions change, the
-	// structures rebuild, matching continues.
+	// structures are adjusted in place, matching continues.
 	f.Remove("sub-00000")
 	if err := f.Add(filter.Subscription{ID: "late", Simple: []filter.Cond{{Attr: "a00", Op: xpath.OpEq, Value: "v00"}}}); err != nil {
 		return nil, err
@@ -155,7 +155,7 @@ func runF5(s Scale) (*Result, error) {
 	if _, err := f.MatchSerialized(`<envelope a00="v00"/>`); err != nil {
 		return nil, err
 	}
-	res.Notes = append(res.Notes, "subscription add/remove at runtime rebuilt the AES and YFilter (offline adjustment path)")
+	res.Notes = append(res.Notes, "subscription add/remove at runtime adjusted the condition index, AES and YFilter in place (offline adjustment path)")
 	res.Holds = st.YFilterSkips > 0 && st.BodiesSkipped > 0
 	return res, nil
 }

@@ -192,7 +192,7 @@ func runC3(s Scale) (*Result, error) {
 		Claim: `"As shown in [15], this organization scales with the number of subscriptions" (§4, AESFilter)`,
 	}
 	table := stats.NewTable("AES probes vs linear scan",
-		"subs", "distinct conds", "AES probes/doc", "linear checks/doc", "ratio")
+		"subs", "preFilter probes/doc", "AES probes/doc", "linear checks/doc", "ratio")
 	nDocs := 100
 	if s == Quick {
 		nDocs = 30

@@ -20,8 +20,8 @@ import (
 // satisfied list is reported — in time that depends on the satisfied
 // conditions, not on the total number of subscriptions.
 type AES struct {
-	root    *aesNode
-	inserts int
+	root *aesNode
+	size int
 }
 
 type aesNode struct {
@@ -67,39 +67,91 @@ func (a *AES) Insert(seq []int, subHandle int) error {
 		}
 		node = e.child
 	}
-	a.inserts++
+	a.size++
 	return nil
+}
+
+// Delete undoes Insert(seq, subHandle): it removes the marking and prunes
+// every cell and table the removal leaves empty, so the tree is the one a
+// fresh build of the remaining subscriptions would produce. It reports
+// whether the marking was there.
+func (a *AES) Delete(seq []int, subHandle int) bool {
+	// path[i] is the table probed for seq[i] on the way down.
+	path := make([]*aesNode, 0, len(seq))
+	node := a.root
+	for _, c := range seq {
+		if node == nil {
+			return false
+		}
+		e := node.entries[c]
+		if e == nil {
+			return false
+		}
+		path = append(path, node)
+		node = e.child
+	}
+	if len(path) == 0 {
+		return false
+	}
+	last := path[len(path)-1].entries[seq[len(seq)-1]]
+	n := len(last.markings)
+	if last.markings = without(last.markings, subHandle); len(last.markings) == n {
+		return false
+	}
+	for i := len(path) - 1; i >= 0; i-- {
+		e := path[i].entries[seq[i]]
+		if e.child != nil && len(e.child.entries) == 0 {
+			e.child = nil
+		}
+		if len(e.markings) > 0 || e.child != nil {
+			break
+		}
+		delete(path[i].entries, seq[i])
+	}
+	a.size--
+	return true
 }
 
 // Match feeds the ordered satisfied-condition list through the hash-tree
 // and returns the handles of all matched subscriptions (those whose whole
-// simple-condition sequence is satisfied), plus the number of hash probes
-// performed (for the C3 benchmark).
+// simple-condition sequence is satisfied), ascending, plus the number of
+// hash probes performed (for the C3 benchmark).
 func (a *AES) Match(satisfied []int) (handles []int, probes int) {
-	frontier := []*aesNode{a.root}
+	sc := getScratch()
+	defer putScratch(sc)
+	handles, probes = a.match(satisfied, &sc.frontier, nil)
+	sort.Ints(handles)
+	return handles, probes
+}
+
+// match is Match over caller-owned scratch: the frontier is rebuilt in
+// *frontier and the handles are appended to handles[:0], unordered.
+func (a *AES) match(satisfied []int, frontier *[]*aesNode, handles []int) (_ []int, probes int) {
+	fr := append((*frontier)[:0], a.root)
+	handles = handles[:0]
 	for _, c := range satisfied {
 		// Snapshot: tables activated by this same condition hold only
 		// conditions strictly greater than c, so probing them for c is
 		// pointless.
-		n := len(frontier)
+		n := len(fr)
 		for i := 0; i < n; i++ {
 			probes++
-			e := frontier[i].entries[c]
+			e := fr[i].entries[c]
 			if e == nil {
 				continue
 			}
 			handles = append(handles, e.markings...)
 			if e.child != nil {
-				frontier = append(frontier, e.child)
+				fr = append(fr, e.child)
 			}
 		}
 	}
-	sort.Ints(handles)
+	*frontier = fr
 	return handles, probes
 }
 
-// Size returns the number of inserted subscriptions.
-func (a *AES) Size() int { return a.inserts }
+// Size returns the number of subscriptions in the tree.
+func (a *AES) Size() int { return a.size }
 
 // Dump renders the tree structure for Figure 6 style inspection: each line
 // is "prefix -> {cond: markings...}". Intended for tests and the explain

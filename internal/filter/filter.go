@@ -61,7 +61,7 @@ type Materializer func(*xmltree.Node) (int, error)
 // Stats are cumulative counters over all matched documents.
 type Stats struct {
 	Docs            uint64 // documents processed
-	PreFilterEvals  uint64 // simple-condition evaluations
+	PreFilterEvals  uint64 // preFilter index probes plus scanned conditions
 	AESProbes       uint64 // hash-tree probes
 	YFilterRuns     uint64 // documents that reached the YFilter stage
 	YFilterSkips    uint64 // documents rejected before the YFilter stage
@@ -70,13 +70,14 @@ type Stats struct {
 	BodiesParsed    uint64 // MatchSerialized: documents fully parsed
 	BodiesSkipped   uint64 // MatchSerialized: first-tag-only documents
 	MatchesReported uint64 // total subscription matches emitted
+	Compactions     uint64 // times Add/Remove garbage was reclaimed
 }
 
 type sub struct {
 	Subscription
-	handle  int   // index in rebuilt order
+	handle  int   // registration rank: matches are reported in handle order
 	seq     []int // ascending simple-condition IDs
-	pathIDs []int // YFilter query IDs (parallel to Complex) or nil
+	pathIDs []int // YFilter query IDs of the linear complex queries
 	direct  []*xpath.Path
 }
 
@@ -90,40 +91,48 @@ const directEvalThreshold = 16
 
 // Filter is the multi-subscription stream filter of Section 4 (Figure 5):
 // preFilter → AESFilter → YFilterσ, with lazy ActiveXML materialization.
-// Subscriptions can be added and removed at run time; structural rebuilds
-// happen lazily (the "offline adjustment" dotted path of Figure 5).
+// Subscriptions can be added and removed at run time. Add and Remove
+// adjust the three structures in place, beside matching (the "offline
+// adjustment" dotted path of Figure 5), at a cost set by the subscription
+// they touch; what they retire — handles, condition IDs, NFA state and
+// query IDs — is reclaimed by compact once it outweighs what is live.
 type Filter struct {
-	mu    sync.RWMutex
-	subs  map[string]*Subscription
-	order []string // insertion order, drives deterministic condition IDs
-	dirty bool
+	mu   sync.RWMutex
+	subs map[string]*sub
 
-	// Built structures (valid when !dirty):
 	reg          *condRegistry
 	aes          *AES
 	yf           *YFilter
-	built        []*sub
-	byHandle     []*sub
-	alwaysActive []*sub // complex subscriptions with no simple conditions
-	pathOwner    []pathRef
-	pathByQID    []*xpath.Path
+	byHandle     []*sub        // nil where the subscription left
+	alwaysActive []*sub        // complex subscriptions with no simple conditions
+	pathByQID    []*xpath.Path // nil where the query left
+	retired      int           // subscriptions removed or replaced since the last compaction
 
 	materializer Materializer
 
 	stats struct {
 		docs, preEvals, aesProbes, yfRuns, yfSkips atomic.Uint64
 		nfaTrans, svcCalls, parsed, skipped, outs  atomic.Uint64
+		compactions                                atomic.Uint64
 	}
-}
-
-type pathRef struct {
-	subHandle int
-	pathIdx   int
 }
 
 // New returns an empty filter.
 func New() *Filter {
-	return &Filter{subs: make(map[string]*Subscription)}
+	f := &Filter{subs: make(map[string]*sub)}
+	f.reset()
+	return f
+}
+
+// reset empties the matching structures. Callers hold f.mu.
+func (f *Filter) reset() {
+	f.reg = newCondRegistry()
+	f.aes = NewAES()
+	f.yf = NewYFilter()
+	f.byHandle = nil
+	f.alwaysActive = nil
+	f.pathByQID = nil
+	f.retired = 0
 }
 
 // SetMaterializer installs the ActiveXML materialization hook.
@@ -134,7 +143,7 @@ func (f *Filter) SetMaterializer(m Materializer) {
 }
 
 // Add registers a subscription. Adding an ID that already exists replaces
-// the previous definition.
+// the previous definition, which keeps its place in the reporting order.
 func (f *Filter) Add(s Subscription) error {
 	if s.ID == "" {
 		return fmt.Errorf("filter: subscription needs an ID")
@@ -152,16 +161,19 @@ func (f *Filter) Add(s Subscription) error {
 			return fmt.Errorf("filter: subscription %s has an empty complex query", s.ID)
 		}
 	}
+	s.Simple = append([]Cond(nil), s.Simple...)
+	s.Complex = append([]*xpath.Path(nil), s.Complex...)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, exists := f.subs[s.ID]; !exists {
-		f.order = append(f.order, s.ID)
+	handle := len(f.byHandle)
+	if old := f.subs[s.ID]; old != nil {
+		handle = old.handle
+		f.unlink(old)
+	} else {
+		f.byHandle = append(f.byHandle, nil)
 	}
-	cp := s
-	cp.Simple = append([]Cond(nil), s.Simple...)
-	cp.Complex = append([]*xpath.Path(nil), s.Complex...)
-	f.subs[s.ID] = &cp
-	f.dirty = true
+	f.link(s, handle)
+	f.compactIfDue()
 	return nil
 }
 
@@ -169,17 +181,13 @@ func (f *Filter) Add(s Subscription) error {
 func (f *Filter) Remove(id string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.subs[id]; !ok {
+	s := f.subs[id]
+	if s == nil {
 		return
 	}
+	f.unlink(s)
 	delete(f.subs, id)
-	for i, x := range f.order {
-		if x == id {
-			f.order = append(f.order[:i], f.order[i+1:]...)
-			break
-		}
-	}
-	f.dirty = true
+	f.compactIfDue()
 }
 
 // Len returns the number of registered subscriptions.
@@ -189,67 +197,73 @@ func (f *Filter) Len() int {
 	return len(f.subs)
 }
 
-// rebuild reconstructs the condition registry, AES hash-tree and YFilter
-// automaton from the current subscription set. Callers hold f.mu.
-func (f *Filter) rebuild() {
-	f.reg = newCondRegistry()
-	f.aes = NewAES()
-	f.yf = NewYFilter()
-	f.built = f.built[:0]
-	f.alwaysActive = f.alwaysActive[:0]
-	f.pathOwner = f.pathOwner[:0]
-	f.pathByQID = f.pathByQID[:0]
-	f.byHandle = f.byHandle[:0]
-	for _, id := range f.order {
-		src := f.subs[id]
-		s := &sub{Subscription: *src, handle: len(f.byHandle)}
-		s.seq = f.reg.normalizeSimple(src.Simple)
-		for i, p := range src.Complex {
-			if p.IsLinear() {
-				qid := len(f.pathOwner)
-				f.pathOwner = append(f.pathOwner, pathRef{subHandle: s.handle, pathIdx: i})
-				if err := f.yf.Add(qid, p); err == nil {
-					s.pathIDs = append(s.pathIDs, qid)
-					f.pathByQID = append(f.pathByQID, p)
-					continue
-				}
-				f.pathOwner = f.pathOwner[:qid]
+// link enters a validated subscription under the given free handle: its
+// simple conditions into the registry and the AES, its complex queries
+// into the YFilter. It is the only way structures are built — compaction
+// replays it. Callers hold f.mu.
+func (f *Filter) link(src Subscription, handle int) {
+	s := &sub{Subscription: src, handle: handle}
+	s.seq = f.reg.acquire(src.Simple)
+	for _, p := range src.Complex {
+		if p.IsLinear() {
+			qid := len(f.pathByQID)
+			if err := f.yf.Add(qid, p); err == nil {
+				s.pathIDs = append(s.pathIDs, qid)
+				f.pathByQID = append(f.pathByQID, p)
+				continue
 			}
-			// Non-linear tree patterns are evaluated directly per active
-			// document; rare in practice, but supported.
-			s.direct = append(s.direct, p)
 		}
-		if len(s.seq) > 0 {
-			if err := f.aes.Insert(s.seq, s.handle); err != nil {
-				// normalizeSimple produces strictly ascending non-empty
-				// sequences; an error here is a programming bug.
-				panic(err)
-			}
-		} else {
-			f.alwaysActive = append(f.alwaysActive, s)
-		}
-		f.built = append(f.built, s)
-		f.byHandle = append(f.byHandle, s)
+		// Non-linear tree patterns are evaluated directly per active
+		// document; rare in practice, but supported.
+		s.direct = append(s.direct, p)
 	}
-	f.dirty = false
+	if len(s.seq) > 0 {
+		if err := f.aes.Insert(s.seq, handle); err != nil {
+			// acquire produces strictly ascending non-empty sequences; an
+			// error here is a programming bug.
+			panic(err)
+		}
+	} else {
+		f.alwaysActive = append(f.alwaysActive, s)
+	}
+	f.byHandle[handle] = s
+	f.subs[s.ID] = s
 }
 
-// snapshot returns the built structures, rebuilding first if needed.
-func (f *Filter) snapshot() *Filter {
-	f.mu.RLock()
-	if !f.dirty {
-		defer f.mu.RUnlock()
-		return f
+// unlink takes a subscription out of the matching structures, leaving
+// its handle slot empty. Callers hold f.mu.
+func (f *Filter) unlink(s *sub) {
+	if len(s.seq) > 0 {
+		f.aes.Delete(s.seq, s.handle)
+		f.reg.release(s.seq)
+	} else {
+		f.alwaysActive = without(f.alwaysActive, s)
 	}
-	f.mu.RUnlock()
-	f.mu.Lock()
-	if f.dirty {
-		f.rebuild()
+	for _, qid := range s.pathIDs {
+		f.yf.Remove(qid, f.pathByQID[qid])
+		f.pathByQID[qid] = nil
 	}
-	f.mu.Unlock()
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f
+	f.byHandle[s.handle] = nil
+	f.retired++
+}
+
+// compactIfDue bounds what Add and Remove leave behind. Every retired
+// subscription strands at most its own handle, condition IDs and query
+// and state IDs, so once more subscriptions were retired than are live
+// the structures are rebuilt by linking the live ones again, in
+// registration order. The cost, proportional to the live set, is paid at
+// most once per that many changes. Callers hold f.mu.
+func (f *Filter) compactIfDue() {
+	if f.retired <= len(f.subs) {
+		return
+	}
+	live := f.live(make([]*sub, 0, len(f.subs)))
+	f.reset()
+	f.byHandle = make([]*sub, len(live))
+	for h, s := range live {
+		f.link(s.Subscription, h)
+	}
+	f.stats.compactions.Add(1)
 }
 
 // Match runs the full two-stage pipeline on a parsed document and returns
@@ -263,143 +277,172 @@ func (f *Filter) MatchMode(doc *xmltree.Node, mode Mode) ([]string, error) {
 	if doc == nil {
 		return nil, fmt.Errorf("filter: nil document")
 	}
-	f.snapshot()
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	f.stats.docs.Add(1)
+	sc := getScratch()
+	defer putScratch(sc)
 	switch mode {
 	case ModeTwoStage:
-		return f.matchTwoStage(doc)
+		return f.matchTwoStage(sc, doc.Attrs, doc, "")
 	case ModeYFilterOnly:
-		return f.matchYFilterOnly(doc)
+		return f.matchYFilterOnly(sc, doc)
 	case ModeNaive:
-		return f.matchNaive(doc)
+		return f.matchNaive(sc, doc)
 	}
 	return nil, fmt.Errorf("filter: unknown mode %v", mode)
 }
 
-func (f *Filter) matchTwoStage(doc *xmltree.Node) ([]string, error) {
-	satisfied, evals := f.reg.preFilter(doc.Attrs)
-	f.stats.preEvals.Add(uint64(evals))
-	handles, probes := f.aes.Match(satisfied)
-	f.stats.aesProbes.Add(uint64(probes))
-
-	var out []*sub
-	// Active complex subscriptions: AES survivors with a complex part,
-	// plus subscriptions that have no simple conditions at all.
-	var activeComplex []*sub
-	for _, h := range handles {
-		s := f.byHandle[h]
-		if s.IsSimple() {
-			out = append(out, s)
-		} else {
-			activeComplex = append(activeComplex, s)
-		}
-	}
-	activeComplex = append(activeComplex, f.alwaysActive...)
-	if len(activeComplex) == 0 {
-		f.stats.yfSkips.Add(1)
-		return f.report(out), nil
-	}
-	matched, err := f.runComplex(doc, activeComplex)
+// MatchSerialized filters a document from its serialized form. When the
+// simple-condition stages already determine the outcome (no complex
+// subscription remains active), the document body is never parsed — only
+// its first tag is read, which is the paper's "on the fly" fast path.
+func (f *Filter) MatchSerialized(raw string) ([]string, error) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	f.stats.docs.Add(1)
+	_, attrs, err := xmltree.ReadFirstTag(raw)
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, matched...)
-	return f.report(out), nil
+	sc := getScratch()
+	defer putScratch(sc)
+	return f.matchTwoStage(sc, attrs, nil, raw)
+}
+
+// matchTwoStage is the paper's pipeline: preFilter and AES over the root
+// attributes, then the complex stage over the subscriptions still active.
+// A document that arrives serialized (doc nil) is parsed from raw only
+// when that last stage runs.
+func (f *Filter) matchTwoStage(sc *scratch, attrs []xmltree.Attr, doc *xmltree.Node, raw string) ([]string, error) {
+	var evals, probes int
+	sc.satisfied, evals = f.reg.preFilter(attrs, sc.satisfied)
+	f.stats.preEvals.Add(uint64(evals))
+	sc.handles, probes = f.aes.match(sc.satisfied, &sc.frontier, sc.handles)
+	f.stats.aesProbes.Add(uint64(probes))
+
+	// Active complex subscriptions: AES survivors with a complex part,
+	// plus subscriptions that have no simple conditions at all.
+	sc.out, sc.active = sc.out[:0], sc.active[:0]
+	for _, h := range sc.handles {
+		if s := f.byHandle[h]; s.IsSimple() {
+			sc.out = append(sc.out, h)
+		} else {
+			sc.active = append(sc.active, s)
+		}
+	}
+	sc.active = append(sc.active, f.alwaysActive...)
+	if len(sc.active) == 0 {
+		f.stats.yfSkips.Add(1)
+		if doc == nil {
+			f.stats.skipped.Add(1)
+		}
+		return f.report(sc), nil
+	}
+	if doc == nil {
+		var err error
+		if doc, err = xmltree.Parse(raw); err != nil {
+			return nil, err
+		}
+		f.stats.parsed.Add(1)
+	}
+	if err := f.runComplex(sc, doc); err != nil {
+		return nil, err
+	}
+	return f.report(sc), nil
 }
 
 // runComplex materializes service calls if needed and evaluates the
-// complex parts of the given active subscriptions via YFilterσ (plus
-// direct evaluation for non-linear patterns).
-func (f *Filter) runComplex(doc *xmltree.Node, active []*sub) ([]*sub, error) {
+// complex parts of the active subscriptions, sc.active, via YFilterσ
+// (plus direct evaluation for non-linear patterns), appending the
+// handles of those that hold to sc.out.
+func (f *Filter) runComplex(sc *scratch, doc *xmltree.Node) error {
 	if f.materializer != nil {
 		calls, err := f.materializer(doc)
 		f.stats.svcCalls.Add(uint64(calls))
 		if err != nil {
-			return nil, fmt.Errorf("filter: materialization failed: %w", err)
+			return fmt.Errorf("filter: materialization failed: %w", err)
 		}
 	}
 	f.stats.yfRuns.Add(1)
-	activeQ := make(map[int]bool)
-	for _, s := range active {
-		for _, qid := range s.pathIDs {
-			activeQ[qid] = true
-		}
+	// Every linked query has its own ID, so the active ones are distinct.
+	sc.qids = sc.qids[:0]
+	for _, s := range sc.active {
+		sc.qids = append(sc.qids, s.pathIDs...)
 	}
-	var matchedQ map[int]bool
-	switch {
-	case len(activeQ) == 0:
-	case len(activeQ) <= directEvalThreshold && len(activeQ)*8 <= f.yf.Queries():
+	switch n := len(sc.qids); {
+	case n == 0:
+	case n <= directEvalThreshold && n*8 <= f.yf.Queries():
 		// Virtually pruned automaton: with only a handful of active
 		// queries, evaluating them directly beats traversing the shared
-		// NFA built for the full workload.
-		matchedQ = make(map[int]bool, len(activeQ))
-		for qid := range activeQ {
-			if matchRooted(f.pathByQID[qid], doc) {
-				matchedQ[qid] = true
+		// NFA built for the full workload. MatchesDocument reads a path
+		// as YFilter does: /a tests the root element, //a any element.
+		sc.matchedQ.reset(len(f.pathByQID))
+		for _, qid := range sc.qids {
+			if f.pathByQID[qid].MatchesDocument(doc, nil) {
+				sc.matchedQ.add(qid)
 			}
 		}
 	default:
-		res := f.yf.MatchActive(doc, activeQ)
-		f.stats.nfaTrans.Add(uint64(res.Transitions))
-		matchedQ = make(map[int]bool, len(res.Matched))
-		for _, q := range res.Matched {
-			matchedQ[q] = true
+		sc.activeQ.reset(len(f.pathByQID))
+		for _, qid := range sc.qids {
+			sc.activeQ.add(qid)
 		}
+		f.stats.nfaTrans.Add(uint64(f.yf.run(sc, doc, false)))
 	}
-	var out []*sub
-	for _, s := range active {
+	for _, s := range sc.active {
 		ok := true
 		for _, qid := range s.pathIDs {
-			if !matchedQ[qid] {
+			if !sc.matchedQ.has(qid) {
 				ok = false
 				break
 			}
 		}
 		if ok {
 			for _, p := range s.direct {
-				if !matchRooted(p, doc) {
+				if !p.MatchesDocument(doc, nil) {
 					ok = false
 					break
 				}
 			}
 		}
 		if ok {
-			out = append(out, s)
+			sc.out = append(sc.out, s.handle)
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// matchRooted evaluates a tree pattern the way the filter defines it:
-// rooted at a virtual document node above the item, so /a tests the root
-// element and //a any element — identical to YFilter's semantics.
-func matchRooted(p *xpath.Path, doc *xmltree.Node) bool {
-	if p.Rooted {
-		return p.Matches(doc, nil)
+// live appends the registered subscriptions to dst[:0] in registration
+// order.
+func (f *Filter) live(dst []*sub) []*sub {
+	dst = dst[:0]
+	for _, s := range f.byHandle {
+		if s != nil {
+			dst = append(dst, s)
+		}
 	}
-	wrap := xmltree.Elem("#doc", doc)
-	return p.Matches(wrap, nil)
+	return dst
 }
 
-func (f *Filter) matchYFilterOnly(doc *xmltree.Node) ([]string, error) {
+func (f *Filter) matchYFilterOnly(sc *scratch, doc *xmltree.Node) ([]string, error) {
 	// Every complex query is active; simple conditions are evaluated per
 	// candidate afterwards — no preFilter, no AES.
-	matched, err := f.runComplex(doc, f.built)
-	if err != nil {
+	sc.out, sc.active = sc.out[:0], f.live(sc.active)
+	if err := f.runComplex(sc, doc); err != nil {
 		return nil, err
 	}
-	var out []*sub
-	for _, s := range matched {
-		if f.simpleHold(s, doc) {
-			out = append(out, s)
+	matched := sc.out
+	sc.out = sc.out[:0] // filtered in place: writes trail reads
+	for _, h := range matched {
+		if f.simpleHold(f.byHandle[h], doc) {
+			sc.out = append(sc.out, h)
 		}
 	}
-	return f.report(out), nil
+	return f.report(sc), nil
 }
 
-func (f *Filter) matchNaive(doc *xmltree.Node) ([]string, error) {
+func (f *Filter) matchNaive(sc *scratch, doc *xmltree.Node) ([]string, error) {
 	if f.materializer != nil {
 		calls, err := f.materializer(doc)
 		f.stats.svcCalls.Add(uint64(calls))
@@ -407,23 +450,23 @@ func (f *Filter) matchNaive(doc *xmltree.Node) ([]string, error) {
 			return nil, err
 		}
 	}
-	var out []*sub
-	for _, s := range f.built {
+	sc.out, sc.active = sc.out[:0], f.live(sc.active)
+	for _, s := range sc.active {
 		if !f.simpleHold(s, doc) {
 			continue
 		}
 		ok := true
 		for _, p := range s.Complex {
-			if !matchRooted(p, doc) {
+			if !p.MatchesDocument(doc, nil) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			out = append(out, s)
+			sc.out = append(sc.out, s.handle)
 		}
 	}
-	return f.report(out), nil
+	return f.report(sc), nil
 }
 
 func (f *Filter) simpleHold(s *sub, doc *xmltree.Node) bool {
@@ -437,67 +480,17 @@ func (f *Filter) simpleHold(s *sub, doc *xmltree.Node) bool {
 	return true
 }
 
-func (f *Filter) report(matched []*sub) []string {
-	sort.Slice(matched, func(i, j int) bool { return matched[i].handle < matched[j].handle })
-	out := make([]string, 0, len(matched))
-	var last string
-	for _, s := range matched {
-		if s.ID == last {
-			continue
-		}
-		out = append(out, s.ID)
-		last = s.ID
+// report turns the matched handles in sc.out into subscription IDs, in
+// registration order, each once.
+func (f *Filter) report(sc *scratch) []string {
+	sort.Ints(sc.out)
+	sc.out = dedupSorted(sc.out)
+	ids := make([]string, len(sc.out))
+	for i, h := range sc.out {
+		ids[i] = f.byHandle[h].ID
 	}
-	f.stats.outs.Add(uint64(len(out)))
-	return out
-}
-
-// MatchSerialized filters a document from its serialized form. When the
-// simple-condition stages already determine the outcome (no complex
-// subscription remains active), the document body is never parsed — only
-// its first tag is read, which is the paper's "on the fly" fast path.
-func (f *Filter) MatchSerialized(raw string) ([]string, error) {
-	f.snapshot()
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	f.stats.docs.Add(1)
-
-	_, attrs, err := xmltree.ReadFirstTag(raw)
-	if err != nil {
-		return nil, err
-	}
-	satisfied, evals := f.reg.preFilter(attrs)
-	f.stats.preEvals.Add(uint64(evals))
-	handles, probes := f.aes.Match(satisfied)
-	f.stats.aesProbes.Add(uint64(probes))
-
-	var out []*sub
-	var activeComplex []*sub
-	for _, h := range handles {
-		s := f.byHandle[h]
-		if s.IsSimple() {
-			out = append(out, s)
-		} else {
-			activeComplex = append(activeComplex, s)
-		}
-	}
-	activeComplex = append(activeComplex, f.alwaysActive...)
-	if len(activeComplex) == 0 {
-		f.stats.yfSkips.Add(1)
-		f.stats.skipped.Add(1)
-		return f.report(out), nil
-	}
-	doc, err := xmltree.Parse(raw)
-	if err != nil {
-		return nil, err
-	}
-	f.stats.parsed.Add(1)
-	matched, err := f.runComplex(doc, activeComplex)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, matched...)
-	return f.report(out), nil
+	f.stats.outs.Add(uint64(len(ids)))
+	return ids
 }
 
 // Stats returns a snapshot of the cumulative counters.
@@ -513,12 +506,12 @@ func (f *Filter) Stats() Stats {
 		BodiesParsed:    f.stats.parsed.Load(),
 		BodiesSkipped:   f.stats.skipped.Load(),
 		MatchesReported: f.stats.outs.Load(),
+		Compactions:     f.stats.compactions.Load(),
 	}
 }
 
 // DumpAES renders the AES hash-tree (Figure 6 style) for inspection.
 func (f *Filter) DumpAES() string {
-	f.snapshot()
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.aes.Dump(func(id int) string { return f.reg.conds[id].String() })
@@ -526,7 +519,6 @@ func (f *Filter) DumpAES() string {
 
 // YFilterStates exposes the NFA size for the scaling experiments.
 func (f *Filter) YFilterStates() int {
-	f.snapshot()
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.yf.States()

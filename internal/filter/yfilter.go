@@ -2,8 +2,8 @@ package filter
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"p2pm/internal/xmltree"
 	"p2pm/internal/xpath"
@@ -21,13 +21,16 @@ import (
 // document to MatchActive.
 type YFilter struct {
 	start   *yfState
-	nstates int
+	nstates int // live states
+	nextID  int // state IDs handed out so far; IDs of pruned states stay retired
 	queries int
-	pool    sync.Pool // *matcher scratch, reused across documents
+	qidEnd  int // one past the largest query ID ever added
 }
 
 type yfState struct {
 	id       int
+	parent   *yfState // nil for the start state
+	label    string   // key in parent.children; "" for wildcard and dslash states
 	children map[string]*yfState
 	wildcard *yfState
 	dslash   *yfState // descendant-axis helper state, self-looping
@@ -45,12 +48,13 @@ type yfAccept struct {
 // NewYFilter returns an empty automaton.
 func NewYFilter() *YFilter {
 	y := &YFilter{}
-	y.start = y.newState()
+	y.start = y.newState(nil, "")
 	return y
 }
 
-func (y *YFilter) newState() *yfState {
-	s := &yfState{id: y.nstates, children: make(map[string]*yfState)}
+func (y *YFilter) newState(parent *yfState, label string) *yfState {
+	s := &yfState{id: y.nextID, parent: parent, label: label, children: make(map[string]*yfState)}
+	y.nextID++
 	y.nstates++
 	return s
 }
@@ -63,51 +67,44 @@ func (y *YFilter) States() int { return y.nstates }
 // Queries returns the number of registered queries.
 func (y *YFilter) Queries() int { return y.queries }
 
-// Add compiles a linear path query into the automaton under the given
-// query ID. Paths are evaluated rooted at the document: the first step
-// tests the document's root element. Non-linear paths are rejected; the
-// caller (Filter) falls back to direct tree-pattern evaluation for those.
-func (y *YFilter) Add(qid int, p *xpath.Path) error {
-	if len(p.Steps) == 0 {
-		return fmt.Errorf("filter: empty path")
-	}
-	if !p.IsLinear() {
-		return fmt.Errorf("filter: path %s is not linear", p)
-	}
+// walk follows p's element steps from the start state to the state that
+// accepts it, creating missing states when create is set and returning a
+// nil state otherwise. acc carries what the accepting state must check.
+func (y *YFilter) walk(p *xpath.Path, create bool) (*yfState, yfAccept) {
 	cur := y.start
-	acc := yfAccept{qid: qid}
-	for i, step := range p.Steps {
+	var acc yfAccept
+	for _, step := range p.Steps {
 		switch step.Kind {
 		case xpath.AttrKind:
-			if i == 0 {
-				return fmt.Errorf("filter: attribute-only path %s", p)
-			}
 			acc.termAttr = step.Label
 			continue
 		case xpath.TextKind:
-			if i == 0 {
-				return fmt.Errorf("filter: text-only path %s", p)
-			}
 			acc.termText = true
 			continue
 		}
 		if step.Axis == xpath.Descendant {
 			if cur.dslash == nil {
-				cur.dslash = y.newState()
+				if !create {
+					return nil, acc
+				}
+				cur.dslash = y.newState(cur, "")
 				cur.dslash.selfLoop = true
 			}
 			cur = cur.dslash
 		}
-		var next *yfState
+		next := cur.children[step.Label]
 		if step.Label == "*" {
-			if cur.wildcard == nil {
-				cur.wildcard = y.newState()
-			}
 			next = cur.wildcard
-		} else {
-			next = cur.children[step.Label]
-			if next == nil {
-				next = y.newState()
+		}
+		if next == nil {
+			if !create {
+				return nil, acc
+			}
+			if step.Label == "*" {
+				next = y.newState(cur, "")
+				cur.wildcard = next
+			} else {
+				next = y.newState(cur, step.Label)
 				cur.children[step.Label] = next
 			}
 		}
@@ -116,9 +113,68 @@ func (y *YFilter) Add(qid int, p *xpath.Path) error {
 		// step, so collecting them unconditionally is safe.
 		acc.preds = append(acc.preds, step.Preds...)
 	}
-	cur.accepts = append(cur.accepts, acc)
+	return cur, acc
+}
+
+// Add compiles a linear path query into the automaton under the given
+// query ID. Paths are evaluated rooted at the document: the first step
+// tests the document's root element. Non-linear paths are rejected; the
+// caller (Filter) falls back to direct tree-pattern evaluation for those.
+func (y *YFilter) Add(qid int, p *xpath.Path) error {
+	if qid < 0 {
+		return fmt.Errorf("filter: negative query ID %d", qid)
+	}
+	if len(p.Steps) == 0 {
+		return fmt.Errorf("filter: empty path")
+	}
+	if !p.IsLinear() {
+		return fmt.Errorf("filter: path %s is not linear", p)
+	}
+	switch p.Steps[0].Kind {
+	case xpath.AttrKind:
+		return fmt.Errorf("filter: attribute-only path %s", p)
+	case xpath.TextKind:
+		return fmt.Errorf("filter: text-only path %s", p)
+	}
+	s, acc := y.walk(p, true)
+	acc.qid = qid
+	s.accepts = append(s.accepts, acc)
 	y.queries++
+	y.qidEnd = max(y.qidEnd, qid+1)
 	return nil
+}
+
+// Remove undoes Add(qid, p) and prunes the states only that query kept
+// alive, so the automaton is the one a fresh build of the remaining
+// queries would produce. It reports whether the query was there.
+func (y *YFilter) Remove(qid int, p *xpath.Path) bool {
+	s, _ := y.walk(p, false)
+	if s == nil {
+		return false
+	}
+	i := 0
+	for i < len(s.accepts) && s.accepts[i].qid != qid {
+		i++
+	}
+	if i == len(s.accepts) {
+		return false
+	}
+	s.accepts = append(s.accepts[:i], s.accepts[i+1:]...)
+	y.queries--
+	for s.parent != nil && len(s.accepts) == 0 && len(s.children) == 0 && s.wildcard == nil && s.dslash == nil {
+		up := s.parent
+		switch s {
+		case up.dslash:
+			up.dslash = nil
+		case up.wildcard:
+			up.wildcard = nil
+		default:
+			delete(up.children, s.label)
+		}
+		y.nstates--
+		s = up
+	}
+	return true
 }
 
 // MatchResult reports which queries matched and how much work the run did.
@@ -127,50 +183,9 @@ type MatchResult struct {
 	Transitions int   // NFA transitions taken (work measure for C4)
 }
 
-// matcher holds per-run scratch space: an epoch-stamped visited array for
-// deduplicating NFA state sets (self-looping descendant states would
-// otherwise multiply).
-type matcher struct {
-	seen  []uint32
-	epoch uint32
-}
-
-func (y *YFilter) getMatcher() *matcher {
-	m, _ := y.pool.Get().(*matcher)
-	if m == nil {
-		m = &matcher{}
-	}
-	if len(m.seen) < y.nstates {
-		m.seen = make([]uint32, y.nstates)
-		m.epoch = 0
-	}
-	// Guard against epoch wrap-around on very long-lived matchers: a wrap
-	// could alias stale stamps and drop states silently.
-	if m.epoch > ^uint32(0)-1<<16 {
-		clear(m.seen)
-		m.epoch = 0
-	}
-	return m
-}
-
-// add appends s (and its dslash closure) to dst, deduplicating within the
-// current epoch.
-func (m *matcher) add(dst []*yfState, s *yfState) []*yfState {
-	for {
-		if m.seen[s.id] != m.epoch {
-			m.seen[s.id] = m.epoch
-			dst = append(dst, s)
-		}
-		if s.dslash == nil {
-			return dst
-		}
-		s = s.dslash
-	}
-}
-
 // MatchAll matches every registered query against the document.
 func (y *YFilter) MatchAll(doc *xmltree.Node) MatchResult {
-	return y.match(doc, nil)
+	return y.MatchActive(doc, nil)
 }
 
 // MatchActive matches only the queries in the active set (YFilterσ).
@@ -179,73 +194,94 @@ func (y *YFilter) MatchActive(doc *xmltree.Node, active map[int]bool) MatchResul
 	if active != nil && len(active) == 0 {
 		return MatchResult{}
 	}
-	return y.match(doc, active)
-}
-
-func (y *YFilter) match(doc *xmltree.Node, active map[int]bool) MatchResult {
-	var res MatchResult
-	m := y.getMatcher()
-	defer y.pool.Put(m)
-	matched := make(map[int]bool)
-
-	// The start set is the closure of the start state: the virtual
-	// document node sits "above" the root element, so /a tests the root
-	// element and //a tests any element.
-	m.epoch++
-	var startSet []*yfState
-	startSet = m.add(startSet, y.start)
-
-	var visit func(n *xmltree.Node, activeStates []*yfState)
-	visit = func(n *xmltree.Node, activeStates []*yfState) {
-		if n.IsText() {
-			return
-		}
-		m.epoch++
-		var next []*yfState
-		for _, s := range activeStates {
-			if t := s.children[n.Label]; t != nil {
-				res.Transitions++
-				next = m.add(next, t)
-			}
-			if s.wildcard != nil {
-				res.Transitions++
-				next = m.add(next, s.wildcard)
-			}
-			if s.selfLoop {
-				next = m.add(next, s)
-			}
-		}
-		for _, s := range next {
-			for _, acc := range s.accepts {
-				if active != nil && !active[acc.qid] {
-					continue
-				}
-				if matched[acc.qid] {
-					continue
-				}
-				if acceptHolds(acc, n) {
-					matched[acc.qid] = true
-				}
-			}
-		}
-		if len(next) == 0 {
-			return // no state can progress below this element
-		}
-		for _, c := range n.Children {
-			visit(c, next)
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.activeQ.reset(y.qidEnd)
+	for q, on := range active {
+		if on && q >= 0 && q < y.qidEnd {
+			sc.activeQ.add(q)
 		}
 	}
-	visit(doc, startSet)
-
-	res.Matched = make([]int, 0, len(matched))
-	for q := range matched {
-		res.Matched = append(res.Matched, q)
-	}
+	res := MatchResult{Transitions: y.run(sc, doc, active == nil)}
+	res.Matched = slices.Clone(sc.matched)
 	sort.Ints(res.Matched)
 	return res
 }
 
-func acceptHolds(acc yfAccept, n *xmltree.Node) bool {
+// run traverses doc once. Every query that accepts — among those in
+// sc.activeQ, or among all of them — is added to sc.matchedQ and its ID
+// appended to sc.matched[:0]. It returns the NFA transitions taken.
+func (y *YFilter) run(sc *scratch, doc *xmltree.Node, all bool) int {
+	sc.matchedQ.reset(y.qidEnd)
+	sc.matched = sc.matched[:0]
+	sc.all = all
+	sc.transitions = 0
+	// The start set is the closure of the start state: the virtual
+	// document node sits "above" the root element, so /a tests the root
+	// element and //a tests any element.
+	sc.seen.reset(y.nextID)
+	sc.stack = sc.stack[:0]
+	sc.push(y.start)
+	sc.visit(doc, 0, len(sc.stack))
+	return sc.transitions
+}
+
+// push adds s and its dslash closure to the state set being built on top
+// of the stack, once each.
+func (sc *scratch) push(s *yfState) {
+	for ; s != nil; s = s.dslash {
+		if sc.seen.add(s.id) {
+			sc.stack = append(sc.stack, s)
+		}
+	}
+}
+
+// visit advances the states sc.stack[lo:hi], active at n's parent, over
+// element n and recurses into n's children. State sets live on one stack,
+// addressed by index because pushing may move it.
+func (sc *scratch) visit(n *xmltree.Node, lo, hi int) {
+	if n.IsText() {
+		return
+	}
+	// Self-looping descendant states would otherwise multiply.
+	sc.seen.clear()
+	for i := lo; i < hi; i++ {
+		s := sc.stack[i]
+		if t := s.children[n.Label]; t != nil {
+			sc.transitions++
+			sc.push(t)
+		}
+		if s.wildcard != nil {
+			sc.transitions++
+			sc.push(s.wildcard)
+		}
+		if s.selfLoop {
+			sc.push(s)
+		}
+	}
+	top := len(sc.stack)
+	for i := hi; i < top; i++ {
+		accepts := sc.stack[i].accepts
+		for j := range accepts {
+			acc := &accepts[j]
+			if !sc.all && !sc.activeQ.has(acc.qid) || sc.matchedQ.has(acc.qid) {
+				continue
+			}
+			if acceptHolds(acc, n) {
+				sc.matchedQ.add(acc.qid)
+				sc.matched = append(sc.matched, acc.qid)
+			}
+		}
+	}
+	if top > hi { // else no state can progress below this element
+		for _, c := range n.Children {
+			sc.visit(c, hi, top)
+		}
+	}
+	sc.stack = sc.stack[:hi]
+}
+
+func acceptHolds(acc *yfAccept, n *xmltree.Node) bool {
 	if acc.termAttr != "" {
 		if _, ok := n.Attr(acc.termAttr); !ok {
 			return false

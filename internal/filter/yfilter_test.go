@@ -174,7 +174,7 @@ func TestQuickYFilterAgreesWithXPath(t *testing.T) {
 			matched[q] = true
 		}
 		for i, p := range paths {
-			want := matchRooted(p, tree)
+			want := p.MatchesDocument(tree, nil)
 			if matched[i] != want {
 				t.Logf("seed=%d query=%s yfilter=%v xpath=%v tree=%s",
 					seed, queries[i], matched[i], want, tree)

@@ -3,7 +3,6 @@ package p2pml
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"p2pm/internal/xmltree"
 	"p2pm/internal/xpath"
@@ -21,7 +20,7 @@ type Value struct {
 // StringValue builds a string Value, auto-detecting numerics so that
 // attribute timestamps participate in arithmetic.
 func StringValue(s string) Value {
-	if n, err := strconv.ParseFloat(strings.TrimSpace(s), 64); err == nil {
+	if n, ok := xpath.ParseNumber(s); ok {
 		return Value{Str: s, Num: n, IsNum: true}
 	}
 	return Value{Str: s}

@@ -25,6 +25,14 @@ func runScenario(t *testing.T, backend string, cfg NodeConfig, opts TCPOptions) 
 		t.Fatalf("unknown backend %q", backend)
 	}
 	waitCluster(t, nodes, 30*time.Second)
+	// Node.Wait returns once the root has emitted every window, but the
+	// root's mirror CkptPut is fire-and-forget: over sockets the last
+	// writes can still be in flight. Give the mirror a bounded time to
+	// hold one checkpoint per window before reading it (docs/TRANSPORT.md,
+	// "Un-acked mirror writes").
+	for deadline := time.Now().Add(5 * time.Second); len(nodes["n2"].MirrorCkpts()) < cfg.Windows && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	return nodes["n1"].Results(), nodes["n2"].MirrorCkpts()
 }
 

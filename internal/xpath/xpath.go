@@ -191,12 +191,56 @@ func (p *Path) IsLinear() bool {
 
 // Matches reports whether the query selects at least one node under root.
 func (p *Path) Matches(root *xmltree.Node, binds Bindings) bool {
-	found := false
-	p.eval(root, binds, func(*xmltree.Node, string) bool {
-		found = true
-		return false // stop at first match
-	})
-	return found
+	if p.Rooted {
+		return p.MatchesDocument(root, binds)
+	}
+	if root == nil || len(p.Steps) == 0 {
+		return false
+	}
+	return p.exists(root, root.Children, 0, binds)
+}
+
+// MatchesDocument reports whether the query selects at least one node
+// when evaluated from the virtual document node above root, whether or
+// not it was written rooted: /a and a test the root element, //a any
+// element. This is how the stream filter reads its tree patterns.
+func (p *Path) MatchesDocument(root *xmltree.Node, binds Bindings) bool {
+	if root == nil || len(p.Steps) == 0 {
+		return false
+	}
+	top := [1]*xmltree.Node{root}
+	return p.exists(nil, top[:], 0, binds)
+}
+
+// exists reports whether Steps[i:] select anything from a context node
+// with the given children; ctx is nil for the virtual document node. It
+// decides what eval decides by emitting, without building the wrapper
+// node and callbacks that enumeration needs.
+func (p *Path) exists(ctx *xmltree.Node, children []*xmltree.Node, i int, binds Bindings) bool {
+	step := &p.Steps[i]
+	switch step.Kind {
+	case AttrKind:
+		if ctx == nil {
+			return false
+		}
+		_, ok := ctx.Attr(step.Label)
+		return ok
+	case TextKind:
+		return true
+	}
+	for _, c := range children {
+		if c.IsText() {
+			continue
+		}
+		if (step.Label == "*" || c.Label == step.Label) && PredsHold(c, step.Preds, binds) &&
+			(i == len(p.Steps)-1 || p.exists(c, c.Children, i+1, binds)) {
+			return true
+		}
+		if step.Axis == Descendant && p.exists(c, c.Children, i, binds) {
+			return true
+		}
+	}
+	return false
 }
 
 // SelectNodes returns the element nodes selected by the query, in document
@@ -317,6 +361,12 @@ func predHolds(n *xmltree.Node, pr Pred, binds Bindings) bool {
 	if !ok {
 		return false
 	}
+	// [@attr op value], the shape nearly every predicate has, reads the
+	// one attribute instead of collecting a value list.
+	if p := pr.Path; !p.Rooted && len(p.Steps) == 1 && p.Steps[0].Kind == AttrKind {
+		got, ok := n.Attr(p.Steps[0].Label)
+		return ok && Compare(got, pr.Op, want)
+	}
 	vals := pr.Path.Values(n, binds)
 	for _, got := range vals {
 		if Compare(got, pr.Op, want) {
@@ -337,43 +387,58 @@ func (v Value) resolve(binds Bindings) (string, bool) {
 	return v.Literal, true
 }
 
-// Compare applies op between two string values, numerically when both
-// parse as numbers (the paper's conditions mix integers and strings).
-func Compare(got string, op CmpOp, want string) bool {
-	gn, gerr := strconv.ParseFloat(strings.TrimSpace(got), 64)
-	wn, werr := strconv.ParseFloat(strings.TrimSpace(want), 64)
-	if gerr == nil && werr == nil {
-		switch op {
-		case OpEq:
-			return gn == wn
-		case OpNe:
-			return gn != wn
-		case OpLt:
-			return gn < wn
-		case OpLe:
-			return gn <= wn
-		case OpGt:
-			return gn > wn
-		case OpGe:
-			return gn >= wn
-		}
-		return false
+// ParseNumber reports the numeric reading of s under the condition
+// language: surrounding blanks trimmed, then anything strconv.ParseFloat
+// accepts without error ("1e3", ".5", "+5", "Inf", "NaN"; not "0x10",
+// not an out-of-range "1e999"). It is the one numeric detector of the
+// system. Values that cannot be numbers — nearly every attribute a
+// monitor sees — are rejected on their first byte, before ParseFloat
+// would build an error for them.
+func ParseNumber(s string) (float64, bool) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return 0, false
 	}
+	switch c := s[0]; {
+	case c >= '0' && c <= '9', c == '+', c == '-', c == '.':
+	case c == 'i', c == 'I', c == 'n', c == 'N': // Inf, Infinity, NaN
+	default:
+		return 0, false
+	}
+	n, err := strconv.ParseFloat(s, 64)
+	return n, err == nil
+}
+
+// Holds applies op between two operands of one kind. Floats compare with
+// the IEEE operators, so NaN equals nothing and orders with nothing.
+func Holds[T float64 | string](a T, op CmpOp, b T) bool {
 	switch op {
 	case OpEq:
-		return got == want
+		return a == b
 	case OpNe:
-		return got != want
+		return a != b
 	case OpLt:
-		return got < want
+		return a < b
 	case OpLe:
-		return got <= want
+		return a <= b
 	case OpGt:
-		return got > want
+		return a > b
 	case OpGe:
-		return got >= want
+		return a >= b
 	}
 	return false
+}
+
+// Compare applies op between two string values, numerically when both
+// parse as numbers (the paper's conditions mix integers and strings) and
+// on the raw strings otherwise.
+func Compare(got string, op CmpOp, want string) bool {
+	if gn, ok := ParseNumber(got); ok {
+		if wn, ok := ParseNumber(want); ok {
+			return Holds(gn, op, wn)
+		}
+	}
+	return Holds(got, op, want)
 }
 
 // ParseOp parses a comparison operator token.

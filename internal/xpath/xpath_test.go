@@ -317,7 +317,9 @@ func TestDocumentOrderSelection(t *testing.T) {
 	}
 }
 
-// Property: Matches is consistent with len(SelectNodes) > 0.
+// Property: Matches, which decides existence without enumerating, is
+// consistent with len(SelectNodes) > 0; and MatchesDocument reads a query
+// as Matches does from a document node placed above the tree.
 func TestQuickMatchesConsistent(t *testing.T) {
 	queries := []*Path{
 		MustCompile(`//a`),
@@ -325,11 +327,27 @@ func TestQuickMatchesConsistent(t *testing.T) {
 		MustCompile(`a//b`),
 		MustCompile(`//b[@k0 = "v0"]`),
 		MustCompile(`*/*`),
+		MustCompile(`/a/b`),
+		MustCompile(`/*`),
+		MustCompile(`//a/@k1`),
+		MustCompile(`/a//c/text()`),
+		MustCompile(`//a[b/c]//d`),
+		MustCompile(`b/@k2`),
 	}
 	f := func(seed int64) bool {
 		tree := genTree(newRand(seed), 4)
+		above := xmltree.Elem("#doc", tree)
 		for _, q := range queries {
 			if q.Matches(tree, nil) != (len(q.SelectNodes(tree, nil)) > 0) {
+				t.Logf("seed=%d query=%s tree=%s", seed, q, tree)
+				return false
+			}
+			want := q.Matches(tree, nil)
+			if !q.Rooted {
+				want = len(q.SelectNodes(above, nil)) > 0
+			}
+			if q.MatchesDocument(tree, nil) != want {
+				t.Logf("seed=%d query=%s as document, tree=%s", seed, q, tree)
 				return false
 			}
 		}
