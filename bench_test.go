@@ -1,4 +1,4 @@
-// Benchmarks backing the experiment tables (DESIGN.md index, C1–C11).
+// Benchmarks backing the experiment tables (`benchrun -list` index, C1–C11).
 // Each bench isolates the hot loop of one experiment; `go run
 // ./cmd/benchrun` regenerates the full comparison tables around them.
 package p2pm_test
@@ -516,7 +516,7 @@ func BenchmarkAggTreeRepair(b *testing.B) {
 
 // --- multi-tenant aggregate sharing (PR 7) ---
 
-// shareBenchPlan builds the ShareLab-shaped windowed group-by-count plan
+// shareBenchPlan builds the share-scenario-shaped windowed group-by-count plan
 // over source range [lo, hi).
 func shareBenchPlan(lo, hi int, channel string) *algebra.Node {
 	var branches []*algebra.Node

@@ -1,8 +1,8 @@
 // Command benchrun regenerates the repository's experiment tables: the
 // paper's Figures 1–7 as runnable scenarios (F1–F7), every prose
 // performance claim as a measured comparison (C1–C11), and the
-// extensions (X*). See DESIGN.md for the experiment index and
-// EXPERIMENTS.md for recorded results.
+// extensions (X*). `benchrun -list` prints the experiment index; the
+// README's "Experiments" section summarizes the extensions.
 //
 // Usage:
 //

@@ -29,9 +29,6 @@
 //	       -peers n1=127.0.0.1:7101,n2=127.0.0.1:7102,n3=127.0.0.1:7103  # one real-TCP cluster process
 //	p2pmon meteo -sub custom.p2pml   # custom subscription text
 //
-// The legacy spelling `p2pmon -scenario <name> [flags]` keeps working
-// and routes to the same per-scenario flag sets.
-//
 // The net scenario prints only the root's window results on stdout
 // (status goes to stderr), so a multi-process TCP run is byte-
 // comparable to the single-process simnet run of the same scenario —
@@ -44,8 +41,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
-	"time"
 
 	"p2pm/internal/peer"
 	"p2pm/internal/workload"
@@ -128,60 +125,28 @@ func main() {
 	}
 }
 
-// run dispatches to a scenario runner (separated from main for
-// testing). Two spellings are accepted: the subcommand form
-// `p2pmon <scenario> [flags]` and the legacy `-scenario <name>` flag,
-// which is extracted here and routed identically.
+// run dispatches `p2pmon <scenario> [flags]` to the scenario's runner
+// (separated from main for testing). Without arguments it runs meteo.
 func run(args []string, out io.Writer) error {
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		sc := lookupScenario(args[0])
-		if sc == nil {
-			return fmt.Errorf("p2pmon: unknown scenario %q (have: %s)", args[0], scenarioNames())
-		}
-		return sc.run(args[1:], out)
+	if len(args) == 0 {
+		args = []string{"meteo"}
 	}
-	if len(args) > 0 && (args[0] == "-h" || args[0] == "-help" || args[0] == "--help") {
-		fmt.Fprintf(os.Stderr, "usage: p2pmon <scenario> [flags]   (or legacy: p2pmon -scenario <name> [flags])\nscenarios:\n")
+	switch name := args[0]; {
+	case name == "-h" || name == "-help" || name == "--help":
+		fmt.Fprintf(os.Stderr, "usage: p2pmon <scenario> [flags]\nscenarios:\n")
 		for _, sc := range scenarios {
 			fmt.Fprintf(os.Stderr, "  %-8s %s\n", sc.name, sc.synopsis)
 		}
 		fmt.Fprintf(os.Stderr, "`p2pmon <scenario> -h` lists that scenario's flags.\n")
 		return flag.ErrHelp
+	case strings.HasPrefix(name, "-"):
+		return fmt.Errorf("p2pmon: %s: scenarios are subcommands — write `p2pmon x [flags]`, not `p2pmon -scenario x [flags]` (have: %s)", name, scenarioNames())
 	}
-	name, rest, err := extractScenario(args)
-	if err != nil {
-		return err
-	}
-	if name == "" {
-		name = "meteo"
-	}
-	sc := lookupScenario(name)
+	sc := lookupScenario(args[0])
 	if sc == nil {
-		return fmt.Errorf("p2pmon: unknown scenario %q (have: %s)", name, scenarioNames())
+		return fmt.Errorf("p2pmon: unknown scenario %q (have: %s)", args[0], scenarioNames())
 	}
-	return sc.run(rest, out)
-}
-
-// extractScenario strips a legacy -scenario flag (either spelling,
-// space- or =-separated) from the argument list.
-func extractScenario(args []string) (name string, rest []string, err error) {
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		trimmed := strings.TrimPrefix(strings.TrimPrefix(a, "-"), "-")
-		switch {
-		case trimmed == "scenario":
-			if i+1 >= len(args) {
-				return "", nil, fmt.Errorf("p2pmon: -scenario needs a value")
-			}
-			name = args[i+1]
-			i++
-		case strings.HasPrefix(trimmed, "scenario="):
-			name = strings.TrimPrefix(trimmed, "scenario=")
-		default:
-			rest = append(rest, a)
-		}
-	}
-	return name, rest, nil
+	return sc.run(args[1:], out)
 }
 
 // runQuery runs one of the P2PML query scenarios: set up the monitored
@@ -280,64 +245,94 @@ return $r by publish as channel "feedChanges"`
 	return nil
 }
 
-// runChurnScenario parses the churn lab's flags and runs it.
+// labFlags declares the flags that map onto workload.Common — once, for
+// every lab subcommand — and returns the function that applies the
+// parsed values to c. take lists the flags this subcommand accepts;
+// target names its crash/leave victim in the usage text.
+func labFlags(fs *flag.FlagSet, c *workload.Common, target string, take ...string) func() error {
+	has := func(name string) bool { return slices.Contains(take, name) }
+	replay, detector := new(bool), new(string)
+	events, leaveEvery, grow, joinEvery := new(int), new(int), new(int), new(int)
+	crashEvery := new(int)
+	*crashEvery = -1
+	if has("replay") {
+		fs.BoolVar(replay, "replay", false, "enable replay buffers + operator checkpointing (lossless failover; the share scenario has it on already)")
+	}
+	if has("detector") {
+		fs.StringVar(detector, "detector", "", "failure detection mode, home | gossip (see docs/DETECTOR.md)")
+	}
+	if has("events") {
+		fs.IntVar(events, "events", 0, "events to drive (0 = scenario default)")
+	}
+	if has("crash-every") {
+		fs.IntVar(crashEvery, "crash-every", -1, "crash "+target+" every N events (0 = never, -1 = scenario default)")
+	}
+	if has("leave-every") {
+		fs.IntVar(leaveEvery, "leave-every", 0, target+" gracefully leaves every N events, rejoining after MTTR (0 = never)")
+	}
+	if has("grow") {
+		fs.IntVar(grow, "grow", 0, fmt.Sprintf("grow the worker pool from %d to N at runtime via the membership join protocol (0 = static pool, see docs/MEMBERSHIP.md)", c.Workers))
+	}
+	if has("join-every") {
+		fs.IntVar(joinEvery, "join-every", 0, "admit one pending worker every N driven events (0 = spread the joins evenly; needs -grow)")
+	}
+	return func() error {
+		c.Replay = c.Replay || *replay
+		if *detector != "" {
+			c.Detector = *detector
+		}
+		if *events > 0 {
+			c.Events = *events
+		}
+		if *crashEvery >= 0 {
+			c.CrashEvery = *crashEvery
+		}
+		c.LeaveEvery = *leaveEvery
+		switch {
+		case *grow > 0 && *grow <= c.Workers:
+			return fmt.Errorf("p2pmon: -grow %d must exceed the starting pool of %d workers", *grow, c.Workers)
+		case *grow > 0:
+			c.GrowFrom, c.Workers, c.JoinEvery = c.Workers, *grow, *joinEvery
+		case *joinEvery > 0:
+			return fmt.Errorf("p2pmon: -join-every needs -grow (there is nothing to admit)")
+		}
+		return nil
+	}
+}
+
+// runChurnScenario parses the churn scenario's flags and runs it.
 func runChurnScenario(args []string, out io.Writer) error {
 	fs := newFlagSet("churn")
-	replay := fs.Bool("replay", false, "enable replay buffers + operator checkpointing (lossless failover)")
-	detector := fs.String("detector", "", "failure detection mode, home | gossip (see docs/DETECTOR.md)")
-	nEvents := fs.Int("events", 0, "events to drive (0 = scenario default)")
-	crashEvery := fs.Int("crash-every", -1, "crash the relay host every N events (0 = never, -1 = scenario default)")
-	leaveEvery := fs.Int("leave-every", 0, "the relay host gracefully leaves every N events, rejoining after MTTR (0 = never)")
-	partitionHome := fs.Int("partition-home", 0, "isolate the monitor peer after N events (0 = never) — the detector survivability case")
-	grow := fs.Int("grow", 0, "grow the worker pool from 4 to N at runtime via the membership join protocol (0 = static pool, see docs/MEMBERSHIP.md)")
-	joinEvery := fs.Int("join-every", 0, "admit one pending worker every N driven events (0 = spread the joins evenly; needs -grow)")
-	spread := fs.Bool("spread", false, "enable DHT virtual-node + bounded-load checkpoint spreading")
+	cfg := workload.DefaultChurn()
+	apply := labFlags(fs, &cfg.Common, "the relay host",
+		"replay", "detector", "events", "crash-every", "leave-every", "grow", "join-every")
+	fs.IntVar(&cfg.PartitionHomeAfter, "partition-home", 0, "isolate the monitor peer after N events (0 = never) — the detector survivability case")
+	fs.BoolVar(&cfg.Spread, "spread", false, "enable DHT virtual-node + bounded-load checkpoint spreading")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := workload.DefaultChurn()
-	cfg.Replay = *replay
-	if *detector != "" {
-		cfg.Detector = *detector
+	if err := apply(); err != nil {
+		return err
 	}
-	if *nEvents > 0 {
-		cfg.Events = *nEvents
-	}
-	if *crashEvery >= 0 {
-		cfg.CrashEvery = *crashEvery
-	}
-	cfg.LeaveEvery = *leaveEvery
-	cfg.PartitionHomeAfter = *partitionHome
-	if *grow > 0 {
-		if *grow <= cfg.Workers {
-			return fmt.Errorf("p2pmon: -grow %d must exceed the starting pool of %d workers", *grow, cfg.Workers)
-		}
-		cfg.GrowFrom = cfg.Workers
-		cfg.Workers = *grow
-		cfg.JoinEvery = *joinEvery
-	} else if *joinEvery > 0 {
-		return fmt.Errorf("p2pmon: -join-every needs -grow (there is nothing to admit)")
-	}
-	cfg.Spread = *spread
 	return runChurn(out, cfg)
 }
 
-// runAggScenario parses the aggregation lab's flags and runs it.
+// runAggScenario parses the aggregation scenario's flags and runs it.
 func runAggScenario(args []string, out io.Writer) error {
 	fs := newFlagSet("agg")
+	cfg := workload.DefaultAgg()
+	apply := labFlags(fs, &cfg.Common, "the aggregation host",
+		"replay", "detector", "events", "crash-every", "leave-every")
 	aggMode := fs.String("agg", "", "aggregation deployment, tree | flat (see docs/AGGREGATION.md; default tree)")
 	aggDegree := fs.Int("agg-degree", 0, "aggregation-tree fan-in bound (0 = default 3)")
-	aggFn := fs.String("agg-fn", "", "aggregate function, count | sum | min | max | avg | set | distinct | freq (default count; see docs/AGGREGATION.md)")
-	users := fs.Int("users", 0, "distinct-value universe for value-consuming aggregate functions (0 = default 24)")
-	replay := fs.Bool("replay", false, "enable replay buffers + operator checkpointing (lossless failover)")
-	detector := fs.String("detector", "", "failure detection mode, home | gossip (see docs/DETECTOR.md)")
-	nEvents := fs.Int("events", 0, "events to drive (0 = scenario default)")
-	crashEvery := fs.Int("crash-every", -1, "crash the aggregation host every N events (0 = never, -1 = scenario default)")
-	leaveEvery := fs.Int("leave-every", 0, "the aggregation host gracefully leaves every N events, rejoining after MTTR (0 = never)")
+	fs.StringVar(&cfg.Fn, "agg-fn", "", "aggregate function, count | sum | min | max | avg | set | distinct | freq (default count; see docs/AGGREGATION.md)")
+	fs.IntVar(&cfg.Users, "users", 0, "distinct-value universe for value-consuming aggregate functions (0 = default 24)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := workload.DefaultAgg()
+	if err := apply(); err != nil {
+		return err
+	}
 	if *aggMode != "" {
 		cfg.Mode = *aggMode
 	}
@@ -347,62 +342,24 @@ func runAggScenario(args []string, out io.Writer) error {
 		}
 		cfg.Degree = *aggDegree
 	}
-	cfg.Fn = *aggFn
-	cfg.Users = *users
-	cfg.Replay = *replay
-	if *detector != "" {
-		cfg.Detector = *detector
-	}
-	if *nEvents > 0 {
-		cfg.Events = *nEvents
-	}
-	if *crashEvery >= 0 {
-		cfg.CrashEvery = *crashEvery
-	}
-	cfg.LeaveEvery = *leaveEvery
 	return runAgg(out, cfg)
 }
 
-// runShareScenario parses the sharing lab's flags and runs it.
+// runShareScenario parses the sharing scenario's flags and runs it.
 func runShareScenario(args []string, out io.Writer) error {
 	fs := newFlagSet("share")
-	replay := fs.Bool("replay", false, "replay buffers + checkpointing (on by default in this scenario; the flag restates it)")
-	detector := fs.String("detector", "", "failure detection mode, home | gossip (see docs/DETECTOR.md)")
-	nEvents := fs.Int("events", 0, "events to drive (0 = scenario default)")
-	crashEvery := fs.Int("crash-every", -1, "crash an aggregation host every N events (0 = never, -1 = scenario default)")
-	leaveEvery := fs.Int("leave-every", 0, "an aggregation host gracefully leaves every N events, rejoining after MTTR (0 = never)")
+	cfg := workload.DefaultShare()
+	apply := labFlags(fs, &cfg.Common, "the shared-interior host",
+		"replay", "detector", "events", "crash-every", "leave-every", "grow", "join-every")
 	subs := fs.Int("subs", 0, "number of overlapping subscriptions (0 = default 12)")
-	grow := fs.Int("grow", 0, "grow the worker pool to N at runtime via the membership join protocol (0 = static pool)")
-	joinEvery := fs.Int("join-every", 0, "admit one pending worker every N driven events (needs -grow)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := workload.DefaultShare()
-	// Replay is on in DefaultShare (byte-identity through churn needs
-	// it); -replay stays legal as an explicit statement of the default.
-	cfg.Replay = cfg.Replay || *replay
-	if *detector != "" {
-		cfg.Detector = *detector
+	if err := apply(); err != nil {
+		return err
 	}
-	if *nEvents > 0 {
-		cfg.Events = *nEvents
-	}
-	if *crashEvery >= 0 {
-		cfg.CrashEvery = *crashEvery
-	}
-	cfg.LeaveEvery = *leaveEvery
 	if *subs > 0 {
 		cfg.Subs = *subs
-	}
-	if *grow > 0 {
-		if *grow <= cfg.Workers {
-			return fmt.Errorf("p2pmon: -grow %d must exceed the starting pool of %d workers", *grow, cfg.Workers)
-		}
-		cfg.GrowFrom = cfg.Workers
-		cfg.Workers = *grow
-		cfg.JoinEvery = *joinEvery
-	} else if *joinEvery > 0 {
-		return fmt.Errorf("p2pmon: -join-every needs -grow (there is nothing to admit)")
 	}
 	return runShare(out, cfg)
 }
@@ -426,18 +383,19 @@ func runNetScenario(args []string, out io.Writer) error {
 	return runNet(out, cfg)
 }
 
-// runAdaptScenario parses the self-adaptation lab's flags and runs it.
+// runAdaptScenario parses the self-adaptation scenario's flags and runs it.
 func runAdaptScenario(args []string, out io.Writer) error {
 	fs := newFlagSet("adapt")
+	cfg := workload.DefaultAdapt()
+	// The fault schedule scales with -events.
+	apply := labFlags(fs, &cfg.Common, "", "events")
 	mode := fs.String("mode", "compare", "flat | static | adaptive | compare (compare runs all three and gates adaptive against static)")
-	nEvents := fs.Int("events", 0, "protocol periods to drive (0 = scenario default; the fault schedule scales with it)")
 	seed := fs.Int64("seed", 0, "deterministic seed (0 = scenario default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := workload.DefaultAdapt()
-	if *nEvents > 0 {
-		cfg.Events = *nEvents
+	if err := apply(); err != nil {
+		return err
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
@@ -455,11 +413,7 @@ func runAdapt(out io.Writer, cfg workload.AdaptConfig, mode string) error {
 	runOne := func(m string) (*workload.AdaptReport, error) {
 		c := cfg
 		c.Mode = m
-		lab, err := workload.SetupAdapt(c)
-		if err != nil {
-			return nil, err
-		}
-		return lab.Run()
+		return workload.Run(&c)
 	}
 	fmt.Fprintf(out, "== scenario adapt ==\nevents: %d, window %v, degree %d, slow phase: +%v / %.0f%% loss, probe timeout %v, suspicion %v\n",
 		cfg.Events, cfg.Window, cfg.Degree, cfg.SlowDelay, cfg.SlowDrop*100, cfg.ProbeTimeout, cfg.Suspicion)
@@ -527,21 +481,13 @@ func runAdapt(out io.Writer, cfg workload.AdaptConfig, mode string) error {
 // scores every windowed count against the deterministic expectation of
 // the drive schedule.
 func runAgg(out io.Writer, cfg workload.AggConfig) error {
-	lab, err := workload.SetupAgg(cfg)
+	lab, err := workload.New(&cfg)
 	if err != nil {
 		return err
 	}
-	det := cfg.Detector
-	if det == "" {
-		det = "gossip"
-	}
-	fn := cfg.Fn
-	if fn == "" {
-		fn = "count"
-	}
 	fmt.Fprintf(out, "== scenario agg ==\nmode %s (degree %d), fn %s, sources: %d, workers: %d, events: %d, window %v, crash every %d, leave every %d, replay %v, detector %s\n",
-		cfg.Mode, cfg.Degree, fn, cfg.Sources, cfg.Workers, cfg.Events, cfg.Window, cfg.CrashEvery, cfg.LeaveEvery, cfg.Replay, det)
-	fmt.Fprintf(out, "deployed plan:\n%s\n", lab.Task.Plan.Tree())
+		cfg.Mode, cfg.Degree, cfg.Fn, cfg.Sources, cfg.Workers, cfg.Events, cfg.Window, cfg.CrashEvery, cfg.LeaveEvery, cfg.Replay, cfg.Detector)
+	fmt.Fprintf(out, "deployed plan:\n%s\n", lab.Tasks[0].Plan.Tree())
 	rep, err := lab.Run()
 	if err != nil {
 		return err
@@ -557,7 +503,7 @@ func runAgg(out io.Writer, cfg workload.AggConfig) error {
 		rep.IngestMax, rep.IngestMean, rep.IngestRatio())
 	fmt.Fprintf(out, "crashes: %d, leaves: %d, joins: %d, detected: %d, repaired: %d, replayed: %d\n",
 		rep.Crashes, rep.Leaves, rep.Joins, rep.Deaths, rep.Repairs, rep.Replayed)
-	fmt.Fprintf(out, "aggregation host ended at %s\n", lab.AggHost())
+	fmt.Fprintf(out, "aggregation host ended at %s\n", lab.Victim())
 	fmt.Fprintf(out, "\nnetwork: %d messages, %d bytes, %d dropped over %d links\n",
 		rep.Traffic.Messages, rep.Traffic.Bytes, rep.Traffic.Dropped, rep.Traffic.Links)
 	return nil
@@ -569,30 +515,20 @@ func runAgg(out io.Writer, cfg workload.AggConfig) error {
 // reports both against the same ground truth, so the sharing shows up as
 // pure deployment and ingest savings, never as an answer change.
 func runShare(out io.Writer, cfg workload.ShareConfig) error {
-	det := cfg.Detector
-	if det == "" {
-		det = "gossip"
-	}
-	win := cfg.Window
-	if win <= 0 {
-		step := cfg.Step
-		if step <= 0 {
-			step = time.Second
-		}
-		win = 8 * step // SetupShare's default
-	}
-	fmt.Fprintf(out, "== scenario share ==\nsources: %d, workers: %d, subscriptions: %d, events: %d, window %v, crash every %d, leave every %d, replay %v, detector %s\n",
-		cfg.Sources, cfg.Workers, cfg.Subs, cfg.Events, win, cfg.CrashEvery, cfg.LeaveEvery, cfg.Replay, det)
-	if cfg.GrowFrom > 0 {
-		fmt.Fprintf(out, "elastic pool: growing from %d to %d workers via the join protocol\n", cfg.GrowFrom, cfg.Workers)
-	}
 	reps := make(map[string]*workload.ShareReport, 2)
 	for _, mode := range []string{"shared", "unshared"} {
 		c := cfg
 		c.Mode = mode
-		lab, err := workload.SetupShare(c)
+		lab, err := workload.New(&c)
 		if err != nil {
 			return err
+		}
+		if mode == "shared" {
+			fmt.Fprintf(out, "== scenario share ==\nsources: %d, workers: %d, subscriptions: %d, events: %d, window %v, crash every %d, leave every %d, replay %v, detector %s\n",
+				c.Sources, c.Workers, c.Subs, c.Events, c.Window, c.CrashEvery, c.LeaveEvery, c.Replay, c.Detector)
+			if c.GrowFrom > 0 {
+				fmt.Fprintf(out, "elastic pool: growing from %d to %d workers via the join protocol\n", c.GrowFrom, c.Workers)
+			}
 		}
 		rep, err := lab.Run()
 		if err != nil {
@@ -625,16 +561,12 @@ func runShare(out io.Writer, cfg workload.ShareConfig) error {
 // detector-mode and partition knobs select the failure-detection axis
 // (home heartbeats vs SWIM gossip) and the survivability case.
 func runChurn(out io.Writer, cfg workload.ChurnConfig) error {
-	lab, err := workload.SetupChurn(cfg)
+	lab, err := workload.New(&cfg)
 	if err != nil {
 		return err
 	}
-	det := cfg.Detector
-	if det == "" {
-		det = "home"
-	}
 	fmt.Fprintf(out, "== scenario churn ==\nrelay workers: %d, events: %d, crash every %d events, MTTR %v, replay %v, detector %s\n",
-		cfg.Workers, cfg.Events, cfg.CrashEvery, cfg.MTTR, cfg.Replay, det)
+		cfg.Workers, cfg.Events, cfg.CrashEvery, cfg.MTTR, cfg.Replay, cfg.Detector)
 	if cfg.GrowFrom > 0 {
 		fmt.Fprintf(out, "elastic pool: growing from %d to %d workers via the join protocol\n", cfg.GrowFrom, cfg.Workers)
 	}
@@ -644,7 +576,7 @@ func runChurn(out io.Writer, cfg workload.ChurnConfig) error {
 	if cfg.PartitionHomeAfter > 0 {
 		fmt.Fprintf(out, "monitor peer partitioned away after %d events\n", cfg.PartitionHomeAfter)
 	}
-	fmt.Fprintf(out, "deployed plan:\n%s\n", lab.Task.Plan.Tree())
+	fmt.Fprintf(out, "deployed plan:\n%s\n", lab.Tasks[0].Plan.Tree())
 	rep, err := lab.Run()
 	if err != nil {
 		return err
@@ -660,7 +592,7 @@ func runChurn(out io.Writer, cfg workload.ChurnConfig) error {
 		fmt.Fprintf(out, "leaves: %d graceful departures (%d handoff migrations, zero detection latency)\n",
 			rep.Leaves, rep.LeaveRepairs)
 	}
-	fmt.Fprintf(out, "relay ended at %s\n", lab.RelayHost())
+	fmt.Fprintf(out, "relay ended at %s\n", lab.Victim())
 	fmt.Fprintf(out, "\nnetwork: %d messages, %d bytes, %d dropped over %d links\n",
 		rep.Traffic.Messages, rep.Traffic.Bytes, rep.Traffic.Dropped, rep.Traffic.Links)
 	return nil

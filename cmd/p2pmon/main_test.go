@@ -12,7 +12,7 @@ import (
 
 func TestRSSScenario(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-scenario", "rss"}, &out); err != nil {
+	if err := run([]string{"rss"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -23,7 +23,7 @@ func TestRSSScenario(t *testing.T) {
 
 func TestChurnScenario(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-scenario", "churn"}, &out); err != nil {
+	if err := run([]string{"churn"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -34,7 +34,7 @@ func TestChurnScenario(t *testing.T) {
 
 func TestChurnReplayScenario(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-scenario", "churn", "-replay"}, &out); err != nil {
+	if err := run([]string{"churn", "-replay"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -44,14 +44,14 @@ func TestChurnReplayScenario(t *testing.T) {
 }
 
 func TestReplayFlagOutsideChurnRejected(t *testing.T) {
-	if err := run([]string{"-scenario", "rss", "-replay"}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{"rss", "-replay"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("-replay accepted outside the churn scenario")
 	}
 }
 
 func TestChurnLeaveScenario(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-scenario", "churn", "-replay", "-crash-every", "0", "-leave-every", "15"}, &out); err != nil {
+	if err := run([]string{"churn", "-replay", "-crash-every", "0", "-leave-every", "15"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -63,7 +63,7 @@ func TestChurnLeaveScenario(t *testing.T) {
 func TestAggScenarioTreeAndFlat(t *testing.T) {
 	for _, mode := range []string{"tree", "flat"} {
 		var out bytes.Buffer
-		if err := run([]string{"-scenario", "agg", "-agg", mode, "-events", "48"}, &out); err != nil {
+		if err := run([]string{"agg", "-agg", mode, "-events", "48"}, &out); err != nil {
 			t.Fatal(err)
 		}
 		s := out.String()
@@ -81,7 +81,7 @@ func TestAggScenarioTreeAndFlat(t *testing.T) {
 
 func TestAggSketchScenario(t *testing.T) {
 	var out bytes.Buffer
-	args := []string{"-scenario", "agg", "-agg", "tree", "-agg-fn", "distinct", "-users", "50", "-events", "48"}
+	args := []string{"agg", "-agg", "tree", "-agg-fn", "distinct", "-users", "50", "-events", "48"}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -92,17 +92,17 @@ func TestAggSketchScenario(t *testing.T) {
 	if !strings.Contains(s, "sketch accuracy: max rel err") {
 		t.Errorf("sketch run missing the accuracy line:\n%s", s)
 	}
-	if err := run([]string{"-scenario", "agg", "-agg-fn", "median"}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{"agg", "-agg-fn", "median"}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown -agg-fn accepted")
 	}
-	if err := run([]string{"-scenario", "churn", "-agg-fn", "distinct"}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{"churn", "-agg-fn", "distinct"}, &bytes.Buffer{}); err == nil {
 		t.Error("-agg-fn accepted outside the agg scenario")
 	}
 }
 
 func TestAggChurnScenario(t *testing.T) {
 	var out bytes.Buffer
-	args := []string{"-scenario", "agg", "-agg", "tree", "-agg-degree", "3", "-replay", "-crash-every", "20", "-leave-every", "17"}
+	args := []string{"agg", "-agg", "tree", "-agg-degree", "3", "-replay", "-crash-every", "20", "-leave-every", "17"}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -114,15 +114,15 @@ func TestAggChurnScenario(t *testing.T) {
 
 func TestAggFlagValidation(t *testing.T) {
 	bad := [][]string{
-		{"-scenario", "agg", "-agg", "pyramid"},
-		{"-scenario", "agg", "-agg-degree", "1"},
-		{"-scenario", "agg", "-agg-degree", "-2"},
-		{"-scenario", "agg", "-partition-home", "5"},
-		{"-scenario", "agg", "-spread"},
-		{"-scenario", "churn", "-agg", "tree"},
-		{"-scenario", "churn", "-agg-degree", "4"},
-		{"-scenario", "rss", "-agg", "tree"},
-		{"-scenario", "rss", "-leave-every", "5"},
+		{"agg", "-agg", "pyramid"},
+		{"agg", "-agg-degree", "1"},
+		{"agg", "-agg-degree", "-2"},
+		{"agg", "-partition-home", "5"},
+		{"agg", "-spread"},
+		{"churn", "-agg", "tree"},
+		{"churn", "-agg-degree", "4"},
+		{"rss", "-agg", "tree"},
+		{"rss", "-leave-every", "5"},
 	}
 	for _, args := range bad {
 		if err := run(args, &bytes.Buffer{}); err == nil {
@@ -132,7 +132,7 @@ func TestAggFlagValidation(t *testing.T) {
 }
 
 func TestUnknownScenario(t *testing.T) {
-	if err := run([]string{"-scenario", "nope"}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{"nope"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 }
@@ -144,13 +144,13 @@ func TestCustomSubscriptionFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run([]string{"-scenario", "rss", "-sub", path}, &out); err != nil {
+	if err := run([]string{"rss", "-sub", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), `channel "mine"`) {
 		t.Errorf("custom subscription not used:\n%s", out.String())
 	}
-	if err := run([]string{"-scenario", "rss", "-sub", "/nonexistent"}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{"rss", "-sub", "/nonexistent"}, &bytes.Buffer{}); err == nil {
 		t.Error("missing sub file accepted")
 	}
 }
@@ -161,8 +161,8 @@ func TestBadFlagRejected(t *testing.T) {
 	}
 }
 
-// TestSubcommandForm: `p2pmon <scenario> [flags]` routes to the same
-// runner as the legacy -scenario spelling.
+// TestSubcommandForm: `p2pmon <scenario> [flags]` routes to the
+// scenario's runner and flag set.
 func TestSubcommandForm(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"rss"}, &out); err != nil {
@@ -179,17 +179,18 @@ func TestSubcommandForm(t *testing.T) {
 	}
 }
 
-// TestLegacyScenarioEquals: the -scenario=name spelling still works.
+// TestLegacyScenarioEquals: the removed -scenario flag (any spelling) is
+// rejected with a hint naming the subcommand form.
 func TestLegacyScenarioEquals(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-scenario=rss"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "feedChanges@manager") {
-		t.Errorf("unexpected report:\n%s", out.String())
-	}
-	if err := run([]string{"-scenario"}, &bytes.Buffer{}); err == nil {
-		t.Error("-scenario without a value accepted")
+	for _, args := range [][]string{{"-scenario=rss"}, {"-scenario", "rss"}, {"--scenario", "churn", "-replay"}, {"-scenario"}} {
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "p2pmon x [flags]") {
+			t.Errorf("%v: err = %v, want a rejection naming the subcommand form", args, err)
+		}
+		if strings.Contains(err.Error(), "\n") || out.Len() != 0 {
+			t.Errorf("%v: want a one-line hint and no report, got %q / %q", args, err, out.String())
+		}
 	}
 }
 
@@ -234,7 +235,7 @@ func TestAdaptScenario(t *testing.T) {
 
 func TestChurnGossipScenario(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-scenario", "churn", "-replay", "-detector", "gossip"}, &out); err != nil {
+	if err := run([]string{"churn", "-replay", "-detector", "gossip"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -245,7 +246,7 @@ func TestChurnGossipScenario(t *testing.T) {
 
 func TestChurnPartitionHomeScenario(t *testing.T) {
 	var out bytes.Buffer
-	args := []string{"-scenario", "churn", "-replay", "-detector", "gossip",
+	args := []string{"churn", "-replay", "-detector", "gossip",
 		"-events", "40", "-crash-every", "12", "-partition-home", "5"}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
@@ -258,20 +259,20 @@ func TestChurnPartitionHomeScenario(t *testing.T) {
 }
 
 func TestChurnBadDetectorRejected(t *testing.T) {
-	if err := run([]string{"-scenario", "churn", "-detector", "psychic"}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{"churn", "-detector", "psychic"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown detector mode accepted")
 	}
 }
 
 func TestDetectorFlagOutsideChurnRejected(t *testing.T) {
-	if err := run([]string{"-scenario", "rss", "-detector", "gossip"}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{"rss", "-detector", "gossip"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("-detector accepted outside the churn scenario")
 	}
 }
 
 func TestChurnElasticGrowScenario(t *testing.T) {
 	var out bytes.Buffer
-	args := []string{"-scenario", "churn", "-replay", "-detector", "gossip",
+	args := []string{"churn", "-replay", "-detector", "gossip",
 		"-grow", "8", "-join-every", "10", "-events", "60", "-spread"}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
@@ -291,7 +292,7 @@ func TestChurnElasticGrowScenario(t *testing.T) {
 
 func TestShareScenario(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-scenario", "share", "-subs", "8", "-leave-every", "24"}, &out); err != nil {
+	if err := run([]string{"share", "-subs", "8", "-leave-every", "24"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -310,13 +311,14 @@ func TestShareScenario(t *testing.T) {
 
 func TestShareFlagValidation(t *testing.T) {
 	bad := [][]string{
-		{"-scenario", "agg", "-subs", "8"},
-		{"-scenario", "share", "-agg", "tree"},
-		{"-scenario", "share", "-spread"},
-		{"-scenario", "share", "-partition-home", "5"},
-		{"-scenario", "share", "-no-reuse"},
-		{"-scenario", "share", "-join-every", "5"},
-		{"-scenario", "share", "-grow", "2"},
+		{"agg", "-subs", "8"},
+		{"share", "-agg", "tree"},
+		{"share", "-spread"},
+		{"share", "-partition-home", "5"},
+		{"share", "-no-reuse"},
+		{"share", "-join-every", "5"},
+		{"share", "-grow", "2"},
+		{"share", "-grow", "6", "-join-every", "100"}, // 2 joins x 100 events do not fit the 48-event run
 	}
 	for _, args := range bad {
 		if err := run(args, &bytes.Buffer{}); err == nil {
@@ -326,16 +328,16 @@ func TestShareFlagValidation(t *testing.T) {
 }
 
 func TestGrowFlagValidation(t *testing.T) {
-	if err := run([]string{"-scenario", "churn", "-grow", "3"}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{"churn", "-grow", "3"}, &bytes.Buffer{}); err == nil {
 		t.Error("-grow below the starting pool accepted")
 	}
-	if err := run([]string{"-scenario", "churn", "-join-every", "5"}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{"churn", "-join-every", "5"}, &bytes.Buffer{}); err == nil {
 		t.Error("-join-every without -grow accepted")
 	}
-	if err := run([]string{"-scenario", "rss", "-grow", "8"}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{"rss", "-grow", "8"}, &bytes.Buffer{}); err == nil {
 		t.Error("-grow accepted outside the churn scenario")
 	}
-	if err := run([]string{"-scenario", "rss", "-spread"}, &bytes.Buffer{}); err == nil {
+	if err := run([]string{"rss", "-spread"}, &bytes.Buffer{}); err == nil {
 		t.Error("-spread accepted outside the churn scenario")
 	}
 }

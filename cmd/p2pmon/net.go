@@ -13,7 +13,7 @@ import (
 	"p2pm/internal/transport"
 )
 
-// netConfig is the -scenario net parameter set.
+// netConfig is the net scenario's parameter set.
 type netConfig struct {
 	Fn      string // aggregate function (default count)
 	Users   int    // value universe for value-consuming aggregates

@@ -11,7 +11,7 @@ import (
 
 func TestNetScenarioSimnet(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-scenario", "net"}, &out); err != nil {
+	if err := run([]string{"net"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
@@ -27,7 +27,7 @@ func TestNetScenarioSimnet(t *testing.T) {
 }
 
 func TestNetScenarioDeterministic(t *testing.T) {
-	args := []string{"-scenario", "net", "-nodes", "4", "-windows", "3", "-agg-fn", "distinct"}
+	args := []string{"net", "-nodes", "4", "-windows", "3", "-agg-fn", "distinct"}
 	var a, b bytes.Buffer
 	if err := run(args, &a); err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestNetScenarioTCPMatchesSimnet(t *testing.T) {
 		t.Skip("real-socket cluster skipped in -short")
 	}
 	var want bytes.Buffer
-	if err := run([]string{"-scenario", "net", "-windows", "3"}, &want); err != nil {
+	if err := run([]string{"net", "-windows", "3"}, &want); err != nil {
 		t.Fatal(err)
 	}
 	// Reserve three loopback ports.
@@ -77,7 +77,7 @@ func TestNetScenarioTCPMatchesSimnet(t *testing.T) {
 		wg.Add(1)
 		go func(name string, out *bytes.Buffer) {
 			defer wg.Done()
-			err := run([]string{"-scenario", "net", "-windows", "3",
+			err := run([]string{"net", "-windows", "3",
 				"-listen", addrs[name], "-name", name, "-peers", peers}, out)
 			mu.Lock()
 			errs[name] = err
@@ -100,19 +100,19 @@ func TestNetScenarioTCPMatchesSimnet(t *testing.T) {
 
 func TestNetFlagValidation(t *testing.T) {
 	bad := [][]string{
-		{"-scenario", "net", "-nodes", "1"},
-		{"-scenario", "net", "-name", "n1"},                                                  // -name without -listen
-		{"-scenario", "net", "-peers", "n1=127.0.0.1:1"},                                     // -peers without -listen
-		{"-scenario", "net", "-listen", "127.0.0.1:0"},                                       // -listen without -name/-peers
-		{"-scenario", "net", "-listen", "127.0.0.1:0", "-name", "n9", "-peers", "n1=a,n2=b"}, // self not in map
-		{"-scenario", "net", "-listen", "127.0.0.1:0", "-name", "n1", "-peers", "garbage"},   // bad map entry
-		{"-scenario", "net", "-agg-fn", "median"},                                            // unknown aggregate
-		{"-scenario", "net", "-replay"},                                                      // lab flag from another scenario
-		{"-scenario", "net", "-events", "10"},                                                // ditto
-		{"-scenario", "net", "-no-reuse"},                                                    // optimizer knob
-		{"-scenario", "churn", "-windows", "4"},                                              // net flag elsewhere
-		{"-scenario", "agg", "-nodes", "3"},                                                  // ditto
-		{"-scenario", "meteo", "-listen", "127.0.0.1:0"},
+		{"net", "-nodes", "1"},
+		{"net", "-name", "n1"},              // -name without -listen
+		{"net", "-peers", "n1=127.0.0.1:1"}, // -peers without -listen
+		{"net", "-listen", "127.0.0.1:0"},   // -listen without -name/-peers
+		{"net", "-listen", "127.0.0.1:0", "-name", "n9", "-peers", "n1=a,n2=b"}, // self not in map
+		{"net", "-listen", "127.0.0.1:0", "-name", "n1", "-peers", "garbage"},   // bad map entry
+		{"net", "-agg-fn", "median"},                                            // unknown aggregate
+		{"net", "-replay"},                                                      // lab flag from another scenario
+		{"net", "-events", "10"},                                                // ditto
+		{"net", "-no-reuse"},                                                    // optimizer knob
+		{"churn", "-windows", "4"},                                              // net flag elsewhere
+		{"agg", "-nodes", "3"},                                                  // ditto
+		{"meteo", "-listen", "127.0.0.1:0"},
 	}
 	for _, args := range bad {
 		if err := run(args, &bytes.Buffer{}); err == nil {

@@ -22,8 +22,8 @@
 //
 // The ring's state lives in one process — the routing *metric* (hops,
 // per-node key placement) is simulated faithfully while transport is
-// in-memory, consistent with the simnet substitution documented in
-// DESIGN.md.
+// in-memory, consistent with the simnet substitution documented in the
+// README.
 package dht
 
 import (

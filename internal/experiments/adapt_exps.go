@@ -37,11 +37,7 @@ func runX6(s Scale) (*Result, error) {
 	run := func(mode string) (*workload.AdaptReport, error) {
 		c := cfg
 		c.Mode = mode
-		lab, err := workload.SetupAdapt(c)
-		if err != nil {
-			return nil, err
-		}
-		return lab.Run()
+		return workload.Run(&c)
 	}
 	flat, err := run("flat")
 	if err != nil {

@@ -56,11 +56,7 @@ func runX4(s Scale) (*Result, error) {
 		return cfg
 	}
 	run := func(cfg workload.AggConfig) (*workload.AggReport, error) {
-		lab, err := workload.SetupAgg(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return lab.Run()
+		return workload.Run(&cfg)
 	}
 
 	// Per-peer ingest: flat hotspot vs tree, no churn (clean counters).

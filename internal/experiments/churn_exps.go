@@ -54,11 +54,7 @@ func runX2(s Scale) (*Result, error) {
 			cfg.CrashEvery = k
 			cfg.Replay = m.replay
 			cfg.Detector = m.detector
-			lab, err := workload.SetupChurn(cfg)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := lab.Run()
+			rep, err := workload.Run(&cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -115,11 +111,7 @@ func runX2(s Scale) (*Result, error) {
 		cfg.Replay = true
 		cfg.Detector = det
 		cfg.PartitionHomeAfter = events / 8
-		lab, err := workload.SetupChurn(cfg)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := lab.Run()
+		rep, err := workload.Run(&cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -57,11 +57,7 @@ func runX3(s Scale) (*Result, error) {
 			cfg.CrashEvery = 15
 			cfg.Replay = true
 			cfg.Detector = det
-			lab, err := workload.SetupChurn(cfg)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := lab.Run()
+			rep, err := workload.Run(&cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -104,7 +100,7 @@ func runX3(s Scale) (*Result, error) {
 		cfg.Detector = "gossip"
 		cfg.Pipelines = pipelines
 		cfg.Spread = spread
-		lab, err := workload.SetupChurn(cfg)
+		lab, err := workload.New(&cfg)
 		if err != nil {
 			return nil, err
 		}

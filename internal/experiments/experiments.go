@@ -2,8 +2,9 @@
 // paper (a workshop paper) publishes no numeric tables — Figures 1–7 are
 // architectural — so the reproduction regenerates (a) every figure as a
 // runnable scenario and (b) every performance claim made in prose as a
-// measured table. EXPERIMENTS.md records claim-vs-measured for each; the
-// experiment identifiers (F1–F7, C1–C11) are indexed in DESIGN.md.
+// measured table. Each Result carries its claim next to the measured
+// tables; `benchrun -list` indexes the experiment identifiers (F1–F7,
+// C1–C11, X1–X6).
 package experiments
 
 import (
@@ -18,7 +19,7 @@ import (
 type Scale int
 
 // Quick finishes each experiment in well under a second (CI); Full uses
-// the sizes reported in EXPERIMENTS.md.
+// the sizes the README reports.
 const (
 	Quick Scale = iota
 	Full

@@ -125,7 +125,7 @@ func runF4(Scale) (*Result, error) {
 	res.Tables = append(res.Tables, table)
 	res.Holds = got == want
 	res.Notes = append(res.Notes,
-		"the paper additionally filters in-calls (σF'@meteo.com); our compiler keeps conditions exactly where the subscription states them — see EXPERIMENTS.md")
+		"the paper additionally filters in-calls (σF'@meteo.com); our compiler keeps conditions exactly where the subscription states them")
 	return res, nil
 }
 

@@ -166,7 +166,7 @@ func runC2(s Scale) (*Result, error) {
 		// share the CPU with concurrent test packages). Which *ablation*
 		// is worse varies with the mix: naive short-circuits on simple
 		// conditions, so it can beat an unpruned YFilter at high complex
-		// fractions — an honest secondary finding in EXPERIMENTS.md.
+		// fractions — an honest secondary finding (the C3 table shows it).
 		tol := 1.3
 		if s == Quick {
 			tol = 3.0

@@ -65,11 +65,7 @@ func runX5(s Scale) (*Result, error) {
 		return cfg
 	}
 	run := func(cfg workload.ShareConfig) (*workload.ShareReport, error) {
-		lab, err := workload.SetupShare(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return lab.Run()
+		return workload.Run(&cfg)
 	}
 
 	holds := true

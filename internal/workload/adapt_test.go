@@ -10,7 +10,7 @@ func runAdapt(t *testing.T, mode string) *AdaptReport {
 	t.Helper()
 	cfg := DefaultAdapt()
 	cfg.Mode = mode
-	lab, err := SetupAdapt(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatalf("%s setup: %v", mode, err)
 	}
@@ -101,17 +101,17 @@ func TestAdaptAdaptiveKillsNobodyFalsely(t *testing.T) {
 func TestAdaptSetupRejectsBadConfigs(t *testing.T) {
 	bad := DefaultAdapt()
 	bad.Mode = "chaotic"
-	if _, err := SetupAdapt(bad); err == nil {
+	if _, err := New(&bad); err == nil {
 		t.Error("unknown mode accepted")
 	}
 	bad = DefaultAdapt()
 	bad.Degree = 3
-	if _, err := SetupAdapt(bad); err == nil {
+	if _, err := New(&bad); err == nil {
 		t.Error("degree below the split minimum accepted")
 	}
 	bad = DefaultAdapt()
 	bad.Workers = 1
-	if _, err := SetupAdapt(bad); err == nil {
+	if _, err := New(&bad); err == nil {
 		t.Error("single-worker config accepted (no distinct flapper)")
 	}
 }

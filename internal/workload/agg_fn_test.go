@@ -20,7 +20,7 @@ func TestAggFnFlatVsTreeByteIdentical(t *testing.T) {
 				cfg.Mode = mode
 				cfg.Events = 48
 				cfg.Fn = fn
-				lab, err := SetupAgg(cfg)
+				lab, err := New(&cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,7 +59,7 @@ func TestAggSketchChurnLossless(t *testing.T) {
 			cfg.GrowFrom = 2
 			cfg.JoinEvery = 20
 			cfg.Replay = true
-			lab, err := SetupAgg(cfg)
+			lab, err := New(&cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestAggSketchChurnLossless(t *testing.T) {
 func TestAggCountByteCompatible(t *testing.T) {
 	cfg := DefaultAgg()
 	cfg.Events = 32
-	lab, err := SetupAgg(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestAggCountByteCompatible(t *testing.T) {
 func TestAggFnValidation(t *testing.T) {
 	cfg := DefaultAgg()
 	cfg.Fn = "median"
-	if _, err := SetupAgg(cfg); err == nil {
+	if _, err := New(&cfg); err == nil {
 		t.Error("accepted unknown aggregate fn")
 	}
 }

@@ -13,7 +13,7 @@ func TestAggFlatVsTreeByteIdentical(t *testing.T) {
 		cfg := DefaultAgg()
 		cfg.Mode = mode
 		cfg.Events = 64
-		lab, err := SetupAgg(cfg)
+		lab, err := New(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestAggTreeChurnLossless(t *testing.T) {
 	cfg.GrowFrom = 2
 	cfg.JoinEvery = 20
 	cfg.Replay = true
-	lab, err := SetupAgg(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAggTreeCrashWithoutReplayLoses(t *testing.T) {
 	cfg.Events = 64
 	cfg.CrashEvery = 20
 	cfg.Replay = false
-	lab, err := SetupAgg(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +98,14 @@ func TestAggTreeCrashWithoutReplayLoses(t *testing.T) {
 // TestAggConfigValidation rejects nonsense configurations.
 func TestAggConfigValidation(t *testing.T) {
 	bad := []AggConfig{
-		{Sources: 1, Workers: 2, Events: 10, Mode: "tree"},
-		{Sources: 4, Workers: 0, Events: 10, Mode: "tree"},
-		{Sources: 4, Workers: 2, Events: 10, Mode: "pyramid"},
-		{Sources: 4, Workers: 2, Events: 10, Mode: "tree", GrowFrom: 2},
+		{Common: Common{Sources: 1, Workers: 2, Events: 10}, Mode: "tree"},
+		{Common: Common{Sources: 4, Workers: 0, Events: 10}, Mode: "tree"},
+		{Common: Common{Sources: 4, Workers: 2, Events: 10}, Mode: "pyramid"},
+		{Common: Common{Sources: 4, Workers: 2, Events: 10, GrowFrom: 2}, Mode: "tree"},
 		func() AggConfig { c := DefaultAgg(); c.Detector = "psychic"; return c }(),
 	}
 	for i, cfg := range bad {
-		if _, err := SetupAgg(cfg); err == nil {
+		if _, err := New(&cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}

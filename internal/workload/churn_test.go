@@ -9,7 +9,7 @@ func TestChurnBaselineIsComplete(t *testing.T) {
 	cfg := DefaultChurn()
 	cfg.Events = 20
 	cfg.CrashEvery = 0 // no churn
-	lab, err := SetupChurn(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +30,11 @@ func TestChurnMigratesRelayAndSurvives(t *testing.T) {
 	cfg.Events = 40
 	cfg.CrashEvery = 12
 	cfg.MTTR = 8 * time.Second
-	lab, err := SetupChurn(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := lab.RelayHost()
+	start := lab.Victim()
 	if start != "w0" {
 		t.Fatalf("relay starts at %q, want w0", start)
 	}
@@ -48,7 +48,7 @@ func TestChurnMigratesRelayAndSurvives(t *testing.T) {
 	if rep.Repairs < rep.Crashes {
 		t.Errorf("repairs=%d < crashes=%d", rep.Repairs, rep.Crashes)
 	}
-	if lab.RelayHost() == start {
+	if lab.Victim() == start {
 		t.Errorf("relay never migrated off %s", start)
 	}
 	// Events driven during outage windows are lost; everything else must
@@ -73,7 +73,7 @@ func TestChurnMigratesRelayAndSurvives(t *testing.T) {
 func TestChurnConfigValidation(t *testing.T) {
 	cfg := DefaultChurn()
 	cfg.Workers = 1
-	if _, err := SetupChurn(cfg); err == nil {
+	if _, err := New(&cfg); err == nil {
 		t.Error("single-worker pool accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestChurnGossipDetectorLossless(t *testing.T) {
 	cfg.CrashEvery = 12
 	cfg.Replay = true
 	cfg.Detector = "gossip"
-	lab, err := SetupChurn(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestChurnHomePartitionSurvivability(t *testing.T) {
 		cfg.Replay = true
 		cfg.Detector = detector
 		cfg.PartitionHomeAfter = 5
-		lab, err := SetupChurn(cfg)
+		lab, err := New(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func TestChurnGrowsLosslessly(t *testing.T) {
 	cfg.CrashEvery = 15
 	cfg.Replay = true
 	cfg.Detector = "gossip"
-	lab, err := SetupChurn(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestChurnFlapMixStaysLossless(t *testing.T) {
 	cfg.MTTR = 8 * cfg.Step
 	cfg.Replay = true
 	cfg.Detector = "gossip"
-	lab, err := SetupChurn(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestChurnJoinTimelineDeterministic(t *testing.T) {
 		cfg.CrashEvery = 12
 		cfg.Replay = true
 		cfg.Detector = "gossip"
-		lab, err := SetupChurn(cfg)
+		lab, err := New(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestChurnJoinDuringHomePartition(t *testing.T) {
 	cfg.Replay = true
 	cfg.Detector = "gossip"
 	cfg.PartitionHomeAfter = 5
-	lab, err := SetupChurn(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestChurnSpreadBoundsCheckpointLoad(t *testing.T) {
 		cfg.Detector = "gossip"
 		cfg.Pipelines = 12
 		cfg.Spread = spread
-		lab, err := SetupChurn(cfg)
+		lab, err := New(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestChurnJoinScheduleValidation(t *testing.T) {
 	cfg.GrowFrom = 4
 	cfg.JoinEvery = 30 // 4 joins x 30 events > 60-event run
 	cfg.Events = 60
-	if _, err := SetupChurn(cfg); err == nil {
+	if _, err := New(&cfg); err == nil {
 		t.Error("a join schedule that strands pending workers was accepted")
 	}
 }

@@ -18,7 +18,7 @@ func TestChurnGracefulLeaves(t *testing.T) {
 			cfg.CrashEvery = 0
 			cfg.LeaveEvery = 15
 			cfg.Events = 60
-			lab, err := SetupChurn(cfg)
+			lab, err := New(&cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestChurnLeaveCrashMix(t *testing.T) {
 	cfg.CrashEvery = 20
 	cfg.LeaveEvery = 13
 	cfg.Events = 80
-	lab, err := SetupChurn(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

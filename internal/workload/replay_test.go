@@ -15,7 +15,7 @@ func TestChurnReplayIsLossless(t *testing.T) {
 	cfg.Events = 60
 	cfg.CrashEvery = 12
 	cfg.Replay = true
-	lab, err := SetupChurn(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestChurnReplayBoundedBufferStillHelps(t *testing.T) {
 	cfg.CrashEvery = 15
 	cfg.Replay = true
 	cfg.ReplayBuffer = 16 // ≫ suspicion window (2s ≈ 2 events), ≪ run length
-	lab, err := SetupChurn(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestChurnDeterministicUnderSeed(t *testing.T) {
 		cfg.CrashEvery = 10
 		cfg.MTTR = 6 * time.Second
 		cfg.Replay = true
-		lab, err := SetupChurn(cfg)
+		lab, err := New(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

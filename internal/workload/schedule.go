@@ -8,14 +8,13 @@ import (
 	"p2pm/internal/peer"
 )
 
-// schedRunner is the shared churn-schedule engine behind ChurnLab and
-// AggLab: the per-event loop that drives workload, settles the pipeline,
-// advances virtual time, admits pending joiners, recovers/rejoins
-// departed peers, and injects the graceful-leave and crash schedules
-// under the one-outstanding-failure rule. The labs differ only in what
-// they drive, whom they target and how they score — those arrive as
-// schedule hooks — so scheduling fixes land here once instead of
-// drifting between per-lab reimplementations.
+// schedRunner is the lab's one event loop: it drives the workload,
+// settles the pipeline, advances virtual time, admits pending joiners,
+// recovers/rejoins departed peers, and injects the graceful-leave and
+// crash schedules under the one-outstanding-failure rule. The scenarios
+// differ only in what they drive, whom they target and what else they
+// inject — those arrive as schedule hooks — so scheduling fixes land
+// here once.
 type schedRunner struct {
 	sys *peer.System
 	sup *peer.Supervisor
@@ -33,9 +32,8 @@ type schedRunner struct {
 
 	driven, crashes, leaves, joins, leaveRepairs int
 
-	crashLog []CrashEvent
-	joinLog  []JoinEvent
-	leaveLog []LeaveEvent
+	crashLog []MemberEvent
+	joinLog  []MemberEvent
 }
 
 func newSchedRunner(sys *peer.System) *schedRunner {
@@ -66,68 +64,35 @@ func (r *schedRunner) note(format string, args ...any) {
 	r.timeline = append(r.timeline, fmt.Sprintf(format, args...))
 }
 
-// pendingSuspects returns the detector's confirmed-dead set minus the
-// peers whose absence is deliberate: ignored suspects and gracefully
-// departed workers awaiting their rejoin — neither is an outstanding
-// crash, so neither may block the schedule's one-outstanding-failure
-// rule.
-func (r *schedRunner) pendingSuspects() []string {
-	sus := r.sup.Detector().Suspects()
-	out := sus[:0]
-	for _, s := range sus {
-		if r.ignoreSuspect != nil && r.ignoreSuspect(s) {
-			continue
+// healthy reports whether no crash is outstanding: the detector's
+// confirmed-dead set holds only peers whose absence is deliberate —
+// ignored suspects and gracefully departed workers awaiting their rejoin
+// — which may not block the one-outstanding-failure rule.
+func (r *schedRunner) healthy() bool {
+	for _, s := range r.sup.Detector().Suspects() {
+		if !r.away[s] && (r.ignoreSuspect == nil || !r.ignoreSuspect(s)) {
+			return false
 		}
-		if r.away[s] {
-			continue
-		}
-		out = append(out, s)
 	}
-	return out
+	return true
 }
 
-// joinEvery resolves the admission cadence: the configured one, or an
-// even spread of the pending joins across the run.
-func (r *schedRunner) joinEvery(configured, events int) int {
-	if configured > 0 {
-		return configured
-	}
-	if len(r.pending) == 0 {
-		return 0
-	}
-	every := events / (len(r.pending) + 1)
-	if every < 1 {
-		every = 1
-	}
-	return every
-}
-
-// schedule parameterizes one run of the shared event loop.
+// schedule is one run of the event loop: the cadences (from the
+// normalized Common config) plus the scenario's hooks.
 type schedule struct {
-	Events     int
-	Step       time.Duration
-	MTTR       time.Duration
-	CrashEvery int
-	LeaveEvery int
-	JoinEvery  int
-	// SettleBeforeStep settles the pipeline after every driven event
-	// (before the clock advances), so checkpoints taken on the Step
-	// cadence describe processed state.
-	SettleBeforeStep bool
+	c *Common
 
-	// Drive issues event i. An error aborts the run; a lab that
-	// tolerates drive faults (the home-partition scenario) absorbs them
-	// in its closure.
+	// Drive issues event i. An error aborts the run; a scenario that
+	// tolerates drive faults (the home-partition case) absorbs them in
+	// its closure.
 	Drive func(i int) error
-	// Settle drains the pipeline (also called before each injected
-	// leave/crash so the measured loss is the outage window itself).
+	// Settle drains the pipeline: after every driven event, before the
+	// clock advances, so checkpoints taken on the Step cadence describe
+	// processed state; and before each injected leave/crash, so the
+	// measured loss is the outage window itself.
 	Settle func()
 	// Victim names the current leave/crash target.
 	Victim func() string
-	// VictimOK, when set, further restricts eligible victims (e.g. only
-	// worker-pool peers); liveness and the one-outstanding-failure rule
-	// are checked by the runner itself.
-	VictimOK func(string) bool
 	// AfterStep runs right after each clock advance (the home-partition
 	// injection point).
 	AfterStep func(driven int, now time.Duration)
@@ -149,38 +114,37 @@ func sortedDue(m map[string]time.Duration, now time.Duration) []string {
 	return due
 }
 
-func (r *schedRunner) victimOK(s schedule, v string) bool {
-	if s.VictimOK != nil && !s.VictimOK(v) {
-		return false
-	}
-	return r.sys.Net.Alive(v) && len(r.pendingSuspects()) == 0
+// victimOK: only live workers crash or leave (an operator that fell back
+// onto a load-biased peer would take its alerter down with it), only
+// while no other failure is outstanding, and never in an undisturbed run
+// (no supervisor to repair the damage).
+func (r *schedRunner) victimOK(v string) bool {
+	return r.sup != nil && isWorker(v) && r.sys.Net.Alive(v) && r.healthy()
 }
 
 // run drives the event loop: one workload event per iteration with the
 // membership schedules interleaved at their configured cadences.
 func (r *schedRunner) run(s schedule) error {
-	joinEvery := r.joinEvery(s.JoinEvery, s.Events)
-	for i := 0; i < s.Events; i++ {
+	c := s.c
+	for i := 0; i < c.Events; i++ {
 		if err := s.Drive(i); err != nil {
 			return err
 		}
 		r.driven++
-		if s.SettleBeforeStep {
-			s.Settle()
-		}
-		r.sys.Step(s.Step)
+		s.Settle()
+		r.sys.Step(c.Step)
 		now := r.sys.Net.Clock().Now()
 		if s.AfterStep != nil {
 			s.AfterStep(r.driven, now)
 		}
-		if joinEvery > 0 && len(r.pending) > 0 && r.driven%joinEvery == 0 {
+		if len(r.pending) > 0 && r.driven%c.JoinEvery == 0 {
 			name := r.pending[0]
 			r.pending = r.pending[1:]
 			if _, err := r.sys.JoinPeer(name, "mgr"); err != nil {
 				return fmt.Errorf("workload: admitting %s: %w", name, err)
 			}
 			r.joins++
-			r.joinLog = append(r.joinLog, JoinEvent{Peer: name, At: now})
+			r.joinLog = append(r.joinLog, MemberEvent{Peer: name, At: now})
 			r.note("t=%v join %s", now, name)
 			if s.OnJoin != nil {
 				s.OnJoin(name, now, len(r.pending))
@@ -198,11 +162,11 @@ func (r *schedRunner) run(s schedule) error {
 			r.away[peerName] = false
 			r.note("t=%v rejoin %s", now, peerName)
 		}
-		if s.LeaveEvery > 0 && r.driven%s.LeaveEvery == 0 {
+		if c.LeaveEvery > 0 && r.driven%c.LeaveEvery == 0 {
 			leaver := s.Victim()
 			// Like the crash schedule: one departure at a time, and only
 			// while the pool is otherwise healthy.
-			if r.victimOK(s, leaver) && len(r.rejoinAt) == 0 {
+			if r.victimOK(leaver) && len(r.rejoinAt) == 0 {
 				s.Settle()
 				evs, err := r.sys.LeavePeer(leaver)
 				if err != nil {
@@ -214,26 +178,25 @@ func (r *schedRunner) run(s schedule) error {
 					}
 				}
 				r.leaves++
-				r.leaveLog = append(r.leaveLog, LeaveEvent{Peer: leaver, At: now})
 				r.note("t=%v leave %s", now, leaver)
 				r.away[leaver] = true
-				r.rejoinAt[leaver] = now + s.MTTR
+				r.rejoinAt[leaver] = now + c.MTTR
 			}
 		}
-		if s.CrashEvery > 0 && r.driven%s.CrashEvery == 0 {
+		if c.CrashEvery > 0 && r.driven%c.CrashEvery == 0 {
 			victim := s.Victim()
 			// Only one outstanding crash: skip if the pool is still
 			// healing from the last one. Let the pipeline drain first:
 			// virtual time between events means earlier events are long
 			// delivered when the crash strikes, so the measured loss is
 			// the outage window itself, not a scheduling artifact.
-			if r.victimOK(s, victim) {
+			if r.victimOK(victim) {
 				s.Settle()
 				r.sys.Net.Crash(victim) //nolint:errcheck // known node
 				r.crashes++
-				r.crashLog = append(r.crashLog, CrashEvent{Victim: victim, At: now})
+				r.crashLog = append(r.crashLog, MemberEvent{Peer: victim, At: now})
 				r.note("t=%v crash %s", now, victim)
-				r.recoverAt[victim] = now + s.MTTR
+				r.recoverAt[victim] = now + c.MTTR
 			}
 		}
 	}

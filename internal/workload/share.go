@@ -3,14 +3,12 @@ package workload
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
-	"p2pm/internal/aggtree"
 	"p2pm/internal/algebra"
+	"p2pm/internal/monoid"
 	"p2pm/internal/peer"
-	"p2pm/internal/simnet"
-	"p2pm/internal/xmltree"
+	"p2pm/internal/stream"
 )
 
 // ShareConfig parameterizes the multi-tenant aggregation scenario: many
@@ -21,63 +19,43 @@ import (
 // and contained ones graft onto its partial streams). Each subscription
 // is scored for byte-identity against the deterministic expectation
 // replayed from the drive schedule, so sharing is measured as pure
-// deployment savings, never as an answer change.
+// deployment savings, never as an answer change. The churn victim is the
+// host of the seed task's first DHT-routed interior — the shared
+// infrastructure every other subscription depends on; runtime joiners
+// re-parent those interiors under every subscriber's feet.
 type ShareConfig struct {
-	Seed    int64
-	Sources int // monitored source peers s0..sS-1
-	Workers int // merge-host pool w0..wW-1
+	Common
+	GroupBy
 	// Subs is the number of subscriptions. Subscription 0 spans every
 	// source; later ones cover sliding sub-ranges, so the population
 	// mixes exact duplicates, contained subsets and partial overlaps.
-	Subs   int
-	Events int // client calls, driven round-robin across the sources
-	// Degree is the tree fan-in bound (default 3).
-	Degree int
+	Subs int
 	// Mode is "shared" (deploy through the reuse pass) or "unshared".
 	Mode string
-	// Window is the tumbling window; 0 defaults to 8×Step.
-	Window time.Duration
-	// Step is the virtual time between driven events.
-	Step time.Duration
-	// CrashEvery crashes the current shared-interior host every k events;
-	// LeaveEvery makes it gracefully leave (rejoining after MTTR).
-	CrashEvery int
-	LeaveEvery int
-	MTTR       time.Duration
-	// HeartbeatInterval / Suspicion configure the failure detector.
-	HeartbeatInterval time.Duration
-	Suspicion         time.Duration
-	// Replay enables the lossless layer; on by default in DefaultShare —
-	// byte-identity through churn needs it.
-	Replay             bool
-	ReplayBuffer       int
-	CheckpointInterval time.Duration
-	// Detector is "home" or "gossip" (default gossip).
-	Detector string
-	// GrowFrom, when in [1, Workers), starts with that many workers; the
-	// rest join at runtime, re-parenting shared interiors onto the new
-	// DHT owners under every subscriber's feet.
-	GrowFrom int
-	// JoinEvery admits one pending worker every N events (0 with
-	// GrowFrom set spreads the joins evenly).
-	JoinEvery int
 }
 
-// DefaultShare returns a moderate sharing scenario.
+// DefaultShare returns a moderate sharing scenario. Replay is on:
+// byte-identity through churn needs it.
 func DefaultShare() ShareConfig {
 	return ShareConfig{
-		Seed: 1, Sources: 6, Workers: 4, Subs: 12, Events: 48, Degree: 3,
-		Mode: "shared", Step: time.Second, MTTR: 10 * time.Second,
-		HeartbeatInterval: time.Second, Suspicion: 2 * time.Second,
-		Replay: true, Detector: "gossip",
+		Common: Common{
+			Seed: 1, Sources: 6, Workers: 4, Events: 48,
+			Step: time.Second, MTTR: 10 * time.Second,
+			HeartbeatInterval: time.Second, Suspicion: 2 * time.Second,
+			Replay: true,
+		},
+		GroupBy: GroupBy{Degree: 3},
+		Subs:    12, Mode: "shared",
 	}
 }
 
-// ShareReport summarizes one multi-tenant aggregation run.
+// ShareReport summarizes one multi-tenant aggregation run. Sharing shows
+// up in the embedded ingest stats as a lower max: partial streams fan
+// out once, not once per subscription.
 type ShareReport struct {
-	Mode   string
-	Subs   int
-	Driven int
+	RunStats
+	Mode string
+	Subs int
 	// Operators sums every task's deployed operator count — the sharing
 	// headline: unshared grows linearly in Subs × Sources, shared
 	// sublinearly (later subscriptions deploy a root, or nothing).
@@ -98,21 +76,6 @@ type ShareReport struct {
 	ByteIdenticalSubs int
 	// Mismatches describes each non-identical subscription (diagnostics).
 	Mismatches []string
-	Crashes           int
-	Leaves            int
-	Joins             int
-	Deaths            int
-	Repairs           int
-	LeaveRepairs      int
-	Replayed          uint64
-	// Ingest is the per-peer operator ingest over sources and workers —
-	// sharing shows up as a lower max (partial streams fan out once, not
-	// once per subscription).
-	Ingest     map[string]uint64
-	IngestMax  uint64
-	IngestMean float64
-	Timeline   []string
-	Traffic    simnet.Totals
 }
 
 // Completeness is the fraction of expected windowed groups that arrived
@@ -122,14 +85,6 @@ func (r *ShareReport) Completeness() float64 {
 		return 1
 	}
 	return float64(r.CorrectGroups) / float64(r.ExpectedGroups)
-}
-
-// IngestRatio is max/mean per-peer ingest — the hotspot factor.
-func (r *ShareReport) IngestRatio() float64 {
-	if r.IngestMean == 0 {
-		return 0
-	}
-	return float64(r.IngestMax) / r.IngestMean
 }
 
 // OpsPerSub is the mean operator count one subscription cost to deploy.
@@ -156,370 +111,91 @@ func shareRange(j, sources int) subRange {
 	return subRange{start, start + length}
 }
 
-// ShareLab is one assembled multi-tenant aggregation scenario.
-type ShareLab struct {
-	Sys   *peer.System
-	Tasks []*peer.Task
-	Sup   *peer.Supervisor
-	cfg   ShareConfig
-	sched *schedRunner
-}
-
-// SetupShare builds the scenario and deploys every subscription — before
-// any event is driven, because windowed aggregation is watermark-based:
-// a subscriber arriving after a window closed can never see it, so
-// byte-identity is only a fair gate for subscriptions that watched the
-// whole run.
-func SetupShare(cfg ShareConfig) (*ShareLab, error) {
-	if cfg.Sources < 2 || cfg.Workers < 1 || cfg.Subs < 1 {
-		return nil, fmt.Errorf("workload: share needs >= 2 sources, >= 1 worker, >= 1 sub (got %d/%d/%d)", cfg.Sources, cfg.Workers, cfg.Subs)
+// setup deploys every subscription before any event is driven, because
+// windowed aggregation is watermark-based: a subscriber arriving after a
+// window closed can never see it, so byte-identity is only a fair gate
+// for subscriptions that watched the whole run. The seed task deploys
+// (and is torn down) first: closing its alerter channels floods EOS
+// through every sharing consumer, so trailing windows flush before any
+// consumer detaches.
+func (cfg *ShareConfig) setup() (*scenarioSpec[*ShareReport], error) {
+	if err := cfg.normalize("share", 2, 1, "gossip"); err != nil {
+		return nil, err
 	}
-	switch cfg.Mode {
-	case "shared", "unshared":
-	default:
+	if cfg.Subs < 1 {
+		return nil, fmt.Errorf("workload: share needs >= 1 subscription (got %d)", cfg.Subs)
+	}
+	if cfg.Mode != "shared" && cfg.Mode != "unshared" {
 		return nil, fmt.Errorf("workload: unknown share mode %q (want shared or unshared)", cfg.Mode)
 	}
-	if cfg.Degree <= 1 {
-		cfg.Degree = 3
-	}
-	if cfg.Step <= 0 {
-		cfg.Step = time.Second
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 8 * cfg.Step
-	}
-	startWorkers := cfg.Workers
-	if cfg.GrowFrom > 0 {
-		if cfg.GrowFrom >= cfg.Workers {
-			return nil, fmt.Errorf("workload: GrowFrom %d out of range [1, %d)", cfg.GrowFrom, cfg.Workers)
-		}
-		startWorkers = cfg.GrowFrom
-	}
-
-	pc := peer.DefaultConfig()
-	pc.Seed = cfg.Seed
-	pc.Agg.Degree = cfg.Degree
-	if cfg.Replay {
-		pc.Replay.Buffer = cfg.ReplayBuffer
-		if pc.Replay.Buffer <= 0 {
-			pc.Replay.Buffer = 4096
-		}
-		pc.Replay.CheckpointInterval = cfg.CheckpointInterval
-		if pc.Replay.CheckpointInterval <= 0 {
-			pc.Replay.CheckpointInterval = 2 * cfg.HeartbeatInterval
-		}
-		if pc.Replay.CheckpointInterval <= 0 {
-			pc.Replay.CheckpointInterval = 2 * time.Second
-		}
-	}
-	sys, err := peer.NewSystem(pc)
-	if err != nil {
-		return nil, err
-	}
-	mgr, err := sys.AddPeer("mgr")
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range []string{"c.com", "mon"} {
-		if _, err := sys.AddPeer(name); err != nil {
-			return nil, err
-		}
-	}
-	echo := func(*xmltree.Node) (*xmltree.Node, error) {
-		return xmltree.Elem("ok"), nil
-	}
-	for i := 0; i < cfg.Sources; i++ {
-		sp, err := sys.AddPeer(fmt.Sprintf("s%d", i))
-		if err != nil {
-			return nil, err
-		}
-		sp.Endpoint().Register("Q", echo, nil)
-	}
-	for i := 0; i < startWorkers; i++ {
-		if _, err := sys.AddPeer(fmt.Sprintf("w%d", i)); err != nil {
-			return nil, err
-		}
-	}
-	for _, busy := range []string{"mgr", "c.com", "mon"} {
-		sys.Net.AddLoad(busy, 1000)
-	}
-	for i := 0; i < cfg.Sources; i++ {
-		sys.Net.AddLoad(fmt.Sprintf("s%d", i), 1000)
-	}
-	sys.SetAggHosts(func(name string) bool { return strings.HasPrefix(name, "w") })
-
-	lab := &ShareLab{Sys: sys, cfg: cfg, sched: newSchedRunner(sys)}
-	for i := startWorkers; i < cfg.Workers; i++ {
-		lab.sched.pending = append(lab.sched.pending, fmt.Sprintf("w%d", i))
-	}
-	for j := 0; j < cfg.Subs; j++ {
-		rng := shareRange(j, cfg.Sources)
-		var branches []*algebra.Node
-		for i := rng.start; i < rng.end; i++ {
-			branches = append(branches, algebra.NewAlerter("inCOM", "ws-in", fmt.Sprintf("s%d", i), "e", nil))
-		}
-		// Roots spread over the peers present at deploy time; runtime
-		// joiners host re-parented interiors instead.
-		host := fmt.Sprintf("w%d", j%startWorkers)
-		union := &algebra.Node{Op: algebra.OpUnion, Peer: host, Inputs: branches, Schema: []string{"e"}}
-		group := &algebra.Node{
-			Op: algebra.OpGroup, Peer: host, Inputs: []*algebra.Node{union},
-			Schema: []string{"e"},
-			Group:  &algebra.GroupSpec{KeyAttr: "callee", Window: cfg.Window.String()},
-		}
-		plan := &algebra.Node{
-			Op: algebra.OpPublish, Peer: "mgr", Inputs: []*algebra.Node{group},
-			Schema: []string{"e"}, Publish: &algebra.PublishSpec{ChannelID: fmt.Sprintf("share-%04d", j)},
-		}
-		var task *peer.Task
-		if cfg.Mode == "shared" {
-			task, err = mgr.DeployPlanShared(plan)
-		} else {
-			task, err = mgr.DeployPlan(plan)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("workload: deploying subscription %d: %w", j, err)
-		}
-		lab.Tasks = append(lab.Tasks, task)
-	}
-
-	switch cfg.Detector {
-	case "", "gossip":
-		lab.Sup = sys.StartGossipSupervisor(peer.GossipOptions{
-			Seed: cfg.Seed, ProbeInterval: cfg.HeartbeatInterval, Suspicion: cfg.Suspicion,
-		})
-	case "home":
-		lab.Sup = sys.StartSupervisor("mon", peer.DetectorOptions{
-			Interval: cfg.HeartbeatInterval, Suspicion: cfg.Suspicion,
-		})
-	default:
-		return nil, fmt.Errorf("workload: unknown detector mode %q (want home or gossip)", cfg.Detector)
-	}
-	lab.sched.attach(lab.Sup)
-	return lab, nil
-}
-
-// ShareHost returns the churn target: the host of the seed task's first
-// DHT-routed interior (the shared infrastructure every other
-// subscription depends on), falling back to its merge root.
-func (l *ShareLab) ShareHost() string {
-	seed := l.Tasks[0]
-	if ins := aggtree.Interiors(seed.Plan); len(ins) > 0 {
-		return ins[0].Peer
-	}
-	host := ""
-	seed.Plan.Walk(func(n *algebra.Node) {
-		switch n.Op {
-		case algebra.OpGroup, algebra.OpMergeAgg:
-			host = n.Peer
-		}
-	})
-	return host
-}
-
-// settle waits (bounded) until all tasks' operators stop consuming.
-func (l *ShareLab) settle() {
-	sum := func() uint64 {
-		var n uint64
-		for _, t := range l.Tasks {
-			n += t.ItemsProcessed()
-		}
-		return n
-	}
-	last, stable := uint64(0), 0
-	for i := 0; i < 2000 && stable < 3; i++ {
-		cur := sum()
-		if cur == last {
-			stable++
-		} else {
-			stable, last = 0, cur
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-// expected replays the drive schedule through subscription j's source
-// interval: per (window|key) the exact <group> record a lossless run
-// emits.
-func (l *ShareLab) expected(rng subRange) map[string]string {
-	counts := make(map[string]int)
-	windows := make(map[string]int64)
-	keys := make(map[string]string)
-	for i := 0; i < l.cfg.Events; i++ {
-		src := i % l.cfg.Sources
-		if src < rng.start || src >= rng.end {
-			continue
-		}
-		w := int64(time.Duration(i) * l.cfg.Step / l.cfg.Window)
-		key := fmt.Sprintf("http://s%d", src)
-		gk := fmt.Sprintf("%d|%s", w, key)
-		counts[gk]++
-		windows[gk], keys[gk] = w, key
-	}
-	recs := make(map[string]string, len(counts))
-	for gk, c := range counts {
-		n := xmltree.Elem("group")
-		n.SetAttr("key", keys[gk])
-		n.SetAttr("count", fmt.Sprint(c))
-		n.SetAttr("window", fmt.Sprint(windows[gk]))
-		recs[gk] = n.String()
-	}
-	return recs
-}
-
-// Run drives the events while injecting the churn schedules, settles,
-// tears the tasks down in dependency order (the seed task first: closing
-// its alerter channels floods EOS through every sharing consumer, so
-// trailing windows flush before any consumer detaches), and scores every
-// subscription byte-exactly.
-func (l *ShareLab) Run() (*ShareReport, error) {
-	cfg := l.cfg
-	sys, client := l.Sys, l.Sys.Peer("c.com")
-	rep := &ShareReport{Mode: cfg.Mode, Subs: cfg.Subs}
-	r := l.sched
-
-	err := r.run(schedule{
-		Events: cfg.Events, Step: cfg.Step, MTTR: cfg.MTTR,
-		CrashEvery: cfg.CrashEvery, LeaveEvery: cfg.LeaveEvery, JoinEvery: cfg.JoinEvery,
-		SettleBeforeStep: true,
-		Drive: func(i int) error {
-			target := fmt.Sprintf("s%d", i%cfg.Sources)
-			if _, err := client.Endpoint().Invoke(target, "Q", nil); err != nil {
-				return fmt.Errorf("workload: driving event %d: %w", i, err)
+	cfg.GroupBy.defaults(cfg.Step)
+	sources := sourceNames(cfg.Sources)
+	return &scenarioSpec[*ShareReport]{
+		common:  &cfg.Common,
+		sources: sources,
+		tune:    func(pc *peer.Config) { pc.Agg.Degree = cfg.Degree },
+		deploy: func(l *Lab[*ShareReport], mgr *peer.Peer) ([]*peer.Task, error) {
+			deploy := mgr.DeployPlan
+			if cfg.Mode == "shared" {
+				deploy = mgr.DeployPlanShared
 			}
-			return nil
-		},
-		Settle:   l.settle,
-		Victim:   l.ShareHost,
-		VictimOK: func(v string) bool { return strings.HasPrefix(v, "w") },
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Driven = r.driven
-	rep.Crashes = r.crashes
-	rep.Leaves = r.leaves
-	rep.Joins = r.joins
-	rep.LeaveRepairs = r.leaveRepairs
-
-	for i := 0; i < 64 && len(r.pendingSuspects()) > 0; i++ {
-		sys.Step(cfg.Step)
-	}
-	for i := 0; i < 8; i++ {
-		l.settle()
-		sys.Step(cfg.Step)
-	}
-	l.settle()
-
-	// Deployment accounting and the ingest snapshot, before teardown —
-	// ingest comes from the System.AggLoad stats surface (shared with
-	// the re-chunking controller), folded over this lab's tasks.
-	byPeer := make(map[string]uint64)
-	mine := make(map[string]bool, len(l.Tasks))
-	for _, t := range l.Tasks {
-		rep.Operators += t.OperatorsDeployed()
-		mine[t.ID] = true
-		if t.Reuse != nil {
-			rep.ReusedOps += t.Reuse.ReusedOps
-			rep.NewOps += t.Reuse.NewOps
-			rep.Lookups += t.Reuse.Lookups
-			rep.FailedLookups += t.Reuse.FailedLookups
-		}
-	}
-	for _, e := range sys.AggLoad() {
-		if mine[e.Task] {
-			byPeer[e.Peer] += e.Items
-		}
-	}
-	rep.Ingest = make(map[string]uint64)
-	var total uint64
-	hosts := 0
-	addHost := func(name string) {
-		rep.Ingest[name] = byPeer[name]
-		total += byPeer[name]
-		if byPeer[name] > rep.IngestMax {
-			rep.IngestMax = byPeer[name]
-		}
-		hosts++
-	}
-	for i := 0; i < cfg.Sources; i++ {
-		addHost(fmt.Sprintf("s%d", i))
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		addHost(fmt.Sprintf("w%d", i))
-	}
-	if hosts > 0 {
-		rep.IngestMean = float64(total) / float64(hosts)
-	}
-
-	// Teardown in deployment order: earlier tasks never consume later
-	// ones' streams, so stopping the seed first propagates EOS to every
-	// dependent before its own Stop detaches it.
-	l.Tasks[0].Stop()
-	l.settle()
-	for _, t := range l.Tasks[1:] {
-		t.Stop()
-	}
-	l.settle()
-
-	for j, t := range l.Tasks {
-		exp := l.expected(shareRange(j, cfg.Sources))
-		rep.ExpectedGroups += len(exp)
-		got := make(map[string][]string)
-		extra := 0
-		for _, it := range t.Results().Drain() {
-			if it.Tree.Label != "group" {
-				continue
-			}
-			gk := it.Tree.AttrOr("window", "?") + "|" + it.Tree.AttrOr("key", "?")
-			got[gk] = append(got[gk], it.Tree.String())
-			if _, ok := exp[gk]; !ok {
-				extra++
-			}
-		}
-		identical := extra == 0
-		var missing, wrong []string
-		for gk, want := range exp {
-			rs := got[gk]
-			if len(rs) == 1 && rs[0] == want {
-				rep.CorrectGroups++
-			} else {
-				identical = false
-				if len(rs) == 0 {
-					missing = append(missing, gk)
-				} else {
-					wrong = append(wrong, fmt.Sprintf("%s(n=%d)", gk, len(rs)))
+			var tasks []*peer.Task
+			for j := 0; j < cfg.Subs; j++ {
+				rng := shareRange(j, cfg.Sources)
+				// Roots spread over the peers present at deploy time;
+				// runtime joiners host re-parented interiors instead.
+				host := fmt.Sprintf("w%d", j%l.startWorkers())
+				task, err := deploy(groupPlan(sources[rng.start:rng.end], host, fmt.Sprintf("share-%04d", j),
+					&algebra.GroupSpec{KeyAttr: "callee", Window: cfg.Window.String()}))
+				if err != nil {
+					return nil, fmt.Errorf("workload: deploying subscription %d: %w", j, err)
 				}
+				tasks = append(tasks, task)
 			}
-		}
-		if identical {
-			rep.ByteIdenticalSubs++
-		} else {
-			sort.Strings(missing)
-			sort.Strings(wrong)
-			rng := shareRange(j, cfg.Sources)
-			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf(
-				"sub %d [%d,%d): missing=%v wrong=%v extra=%d", j, rng.start, rng.end, missing, wrong, extra))
-		}
-	}
-	rep.Deaths = len(l.Sup.Deaths())
-	for _, ev := range l.Sup.Events() {
-		if ev.Repaired() {
-			rep.Repairs++
-		}
-	}
-	rep.Replayed = sys.ReplayedItems()
-	rep.Timeline = append([]string(nil), r.timeline...)
-	rep.Traffic = sys.Net.Totals()
-	return rep, nil
-}
-
-// sortedKeys is a test helper shared with the experiment printer.
-func sortedKeys(m map[string]uint64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+			return tasks, nil
+		},
+		score: func(l *Lab[*ShareReport], st RunStats, results [][]stream.Item) *ShareReport {
+			rep := &ShareReport{RunStats: st, Mode: cfg.Mode, Subs: cfg.Subs}
+			count, _ := monoid.Lookup("count")
+			for j, t := range l.Tasks {
+				rep.Operators += t.OperatorsDeployed()
+				if t.Reuse != nil {
+					rep.ReusedOps += t.Reuse.ReusedOps
+					rep.NewOps += t.Reuse.NewOps
+					rep.Lookups += t.Reuse.Lookups
+					rep.FailedLookups += t.Reuse.FailedLookups
+				}
+				rng := shareRange(j, cfg.Sources)
+				exp, _ := cfg.groupOracle(cfg.Window, count, nil, rng.start, rng.end)
+				rep.ExpectedGroups += len(exp)
+				got := groupRecords(results[j])
+				extra := 0
+				for gk, rs := range got {
+					if exp[gk] == nil {
+						extra += len(rs)
+					}
+				}
+				var missing, wrong []string
+				for gk, want := range exp {
+					switch rs := got[gk]; {
+					case len(rs) == 1 && rs[0].String() == want.String():
+						rep.CorrectGroups++
+					case len(rs) == 0:
+						missing = append(missing, gk)
+					default:
+						wrong = append(wrong, fmt.Sprintf("%s(n=%d)", gk, len(rs)))
+					}
+				}
+				if extra == 0 && len(missing) == 0 && len(wrong) == 0 {
+					rep.ByteIdenticalSubs++
+					continue
+				}
+				sort.Strings(missing)
+				sort.Strings(wrong)
+				rep.Mismatches = append(rep.Mismatches, fmt.Sprintf(
+					"sub %d [%d,%d): missing=%v wrong=%v extra=%d", j, rng.start, rng.end, missing, wrong, extra))
+			}
+			return rep
+		},
+	}, nil
 }

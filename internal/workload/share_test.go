@@ -12,9 +12,9 @@ func shareCfg(mode string) ShareConfig {
 
 func runShare(t *testing.T, cfg ShareConfig) *ShareReport {
 	t.Helper()
-	lab, err := SetupShare(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
-		t.Fatalf("SetupShare: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	rep, err := lab.Run()
 	if err != nil {
@@ -53,9 +53,9 @@ func TestShareExactDuplicateDeploysNothing(t *testing.T) {
 	cfg := shareCfg("shared")
 	cfg.Subs = 2
 	cfg.Sources = 6 // sub 1 = range [0,2): contained, not duplicate
-	lab, err := SetupShare(cfg)
+	lab, err := New(&cfg)
 	if err != nil {
-		t.Fatalf("SetupShare: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	defer func() {
 		for _, task := range lab.Tasks {

@@ -56,7 +56,7 @@ P1="${PORTS[0]}"; P2="${PORTS[1]}"; P3="${PORTS[2]}"; PM="${PORTS[3]}"
 PEERS="n1=127.0.0.1:$P1,n2=127.0.0.1:$P2,n3=127.0.0.1:$P3"
 
 echo "== netsmoke: reference run (simnet backend, single process) =="
-"$WORK/p2pmon" -scenario net -windows "$WINDOWS" -agg-fn "$FN" \
+"$WORK/p2pmon" net -windows "$WINDOWS" -agg-fn "$FN" \
   >"$WORK/simnet.out" 2>"$WORK/simnet.err"
 
 echo "== netsmoke: 3-process cluster over real TCP ($PEERS) =="
@@ -64,7 +64,7 @@ for n in n1 n2 n3; do
   addr_var="P${n#n}"
   metrics=()
   if [ "$n" = n1 ]; then metrics=(-metrics-addr "127.0.0.1:$PM"); fi
-  "$WORK/p2pmon" -scenario net -windows "$WINDOWS" -agg-fn "$FN" \
+  "$WORK/p2pmon" net -windows "$WINDOWS" -agg-fn "$FN" \
     -listen "127.0.0.1:${!addr_var}" -name "$n" -peers "$PEERS" \
     "${metrics[@]}" >"$WORK/$n.out" 2>"$WORK/$n.err" &
   PIDS+=("$!")
