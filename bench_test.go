@@ -17,6 +17,7 @@ import (
 	"p2pm/internal/p2pml"
 	"p2pm/internal/peer"
 	"p2pm/internal/reuse"
+	"p2pm/internal/simnet"
 	"p2pm/internal/stream"
 	"p2pm/internal/telemetry"
 	"p2pm/internal/wire"
@@ -45,6 +46,39 @@ func BenchmarkXMLSerialize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = doc.String()
+	}
+}
+
+func BenchmarkSerializedSize(b *testing.B) {
+	gen := workload.NewFilterGen(workload.DefaultFilterGen())
+	doc := gen.Document()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = doc.SerializedSize()
+	}
+}
+
+var benchSink int
+
+// BenchmarkStreamPublish is one channel hop of the data path: publish to
+// one in-memory subscriber and one subscriber across a simnet link, each
+// popping what it was sent.
+func BenchmarkStreamPublish(b *testing.B) {
+	gen := workload.NewFilterGen(workload.DefaultFilterGen())
+	doc := gen.Document()
+	nw := simnet.New(simnet.DefaultOptions())
+	nw.AddNode("a")
+	nw.AddNode("b")
+	ch := stream.NewChannel("a", "s")
+	local := ch.Subscribe("local", nil)
+	remote := ch.Subscribe("remote", nw.DeliverHook("a", "b"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.Publish(stream.Item{Tree: doc})
+		local.Queue.TryPop()
+		remote.Queue.TryPop()
 	}
 }
 

@@ -134,6 +134,7 @@ func (w *WS) Hook() soap.Hook {
 
 func (w *WS) alert(x soap.Exchange) *xmltree.Node {
 	n := xmltree.Elem("alert")
+	n.Attrs = make([]xmltree.Attr, 0, 8) // type … responseTimestamp, fault
 	if w.dir == Inbound {
 		n.SetAttr("type", "ws-in")
 	} else {

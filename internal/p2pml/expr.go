@@ -47,9 +47,10 @@ type Env struct {
 	Vals  map[string]Value
 }
 
-// NewEnv returns an empty environment.
+// NewEnv returns an empty environment. Vals is made by the first LET
+// binding: most subscriptions have none.
 func NewEnv() *Env {
-	return &Env{Trees: make(map[string]*xmltree.Node), Vals: make(map[string]Value)}
+	return &Env{Trees: make(map[string]*xmltree.Node)}
 }
 
 // Bind sets a stream variable.
@@ -273,6 +274,9 @@ func EvalLets(lets []LetBinding, env *Env) error {
 				continue
 			}
 			return err
+		}
+		if env.Vals == nil {
+			env.Vals = make(map[string]Value)
 		}
 		env.Vals[l.Var] = v
 	}

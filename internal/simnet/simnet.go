@@ -252,7 +252,7 @@ func (nw *Network) CountTransfer(from, to string, bytes int) {
 // use Deliver for fault-aware transport.
 func (nw *Network) Send(from, to string, it stream.Item) stream.Item {
 	if !it.EOS() {
-		nw.CountTransfer(from, to, it.Tree.SerializedSize())
+		nw.CountTransfer(from, to, it.Bytes())
 	}
 	it.Time += nw.Latency(from, to)
 	return it

@@ -12,10 +12,15 @@ import (
 // (Section 3.2). A Channel is also how deployed plan fragments on
 // different peers are stitched together (channels X, Y, M of Figure 4).
 type Channel struct {
-	ref Ref
+	ref  Ref
+	name string // ref.String(), the Source stamped on every item
 
-	mu        sync.Mutex
-	subs      map[int]*subscriber
+	mu sync.Mutex
+	// subs is ordered by subscription id. Subscribing appends, removing
+	// builds a new slice: the elements of a slice read under mu never
+	// change, so publish multicasts over it without copying, in the same
+	// order every run.
+	subs      []*subscriber
 	nextSub   int
 	seq       uint64
 	closed    bool
@@ -55,10 +60,8 @@ type Subscription struct {
 
 // NewChannel creates a channel identified by (peerID, streamID).
 func NewChannel(peerID, streamID string) *Channel {
-	return &Channel{
-		ref:  Ref{StreamID: streamID, PeerID: peerID},
-		subs: make(map[int]*subscriber),
-	}
+	ref := Ref{StreamID: streamID, PeerID: peerID}
+	return &Channel{ref: ref, name: ref.String()}
 }
 
 // Ref returns the channel's (streamID, peerID) identity.
@@ -76,6 +79,12 @@ func (c *Channel) Publish(it Item) { c.publish(it, false) }
 func (c *Channel) PublishPreserved(it Item) { c.publish(it, true) }
 
 func (c *Channel) publish(it Item, preserveSeq bool) {
+	// Count before taking the lock: a published tree is immutable, and
+	// the walk is the only part of publish whose cost follows the item.
+	it.Source = c.name
+	if !it.EOS() {
+		it.sized, it.size = it.Tree, it.Tree.SerializedSize()
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -93,16 +102,12 @@ func (c *Channel) publish(it Item, preserveSeq bool) {
 			it.Seq = c.seq
 		}
 		c.published++
-		c.bytes += uint64(it.Tree.SerializedSize())
+		c.bytes += uint64(it.size)
 		if c.replay != nil {
-			c.replay.add(Item{Tree: it.Tree, Seq: it.Seq, Source: c.ref.String(), Time: it.Time})
+			c.replay.add(it)
 		}
 	}
-	it.Source = c.ref.String()
-	targets := make([]*subscriber, 0, len(c.subs))
-	for _, s := range c.subs {
-		targets = append(targets, s)
-	}
+	targets := c.subs
 	c.mu.Unlock()
 	// Deliver outside the lock: deliver hooks may simulate latency.
 	for _, s := range targets {
@@ -118,7 +123,7 @@ func (c *Channel) publish(it Item, preserveSeq bool) {
 }
 
 // Close publishes eos.
-func (c *Channel) Close() { c.Publish(EOSItem(c.ref.String())) }
+func (c *Channel) Close() { c.Publish(EOSItem(c.name)) }
 
 // Closed reports whether the channel has seen eos.
 func (c *Channel) Closed() bool {
@@ -159,8 +164,27 @@ func (c *Channel) subscribeLocked(name string, deliver func(Item, *Queue)) *Subs
 	}
 	id := c.nextSub
 	c.nextSub++
-	c.subs[id] = &subscriber{id: id, name: name, queue: q, deliver: deliver}
+	// Appending in place is safe beside a publish in flight: it writes
+	// only beyond the length of the slice that publish read.
+	c.subs = append(c.subs, &subscriber{id: id, name: name, queue: q, deliver: deliver})
 	return &Subscription{ch: c, id: id, Name: name, Queue: q, StartSeq: c.seq}
+}
+
+// remove drops the subscriber with the given id, if still attached.
+func (c *Channel) remove(id int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.removeLocked(id)
+}
+
+func (c *Channel) removeLocked(id int) {
+	for i, s := range c.subs {
+		if s.id == id {
+			subs := make([]*subscriber, 0, len(c.subs)-1)
+			c.subs = append(append(subs, c.subs[:i]...), c.subs[i+1:]...)
+			return
+		}
+	}
 }
 
 // EnableReplay makes the channel retain its last capacity published
@@ -173,7 +197,7 @@ func (c *Channel) EnableReplay(capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.replay == nil {
-		c.replay = newReplayBuffer(capacity)
+		c.replay = newReplayBuffer(capacity, c.name)
 	}
 }
 
@@ -219,7 +243,7 @@ func (c *Channel) SeedBuffer(items []Item) {
 		if it.Seq == 0 || it.Tree == nil {
 			continue
 		}
-		c.replay.add(Item{Tree: it.Tree, Seq: it.Seq, Source: c.ref.String(), Time: it.Time})
+		c.replay.add(it)
 	}
 }
 
@@ -262,10 +286,7 @@ func (c *Channel) ReplayLen() int {
 // channel's subscriber queues.
 func (c *Channel) QueueDepth() int {
 	c.mu.Lock()
-	subs := make([]*subscriber, 0, len(c.subs))
-	for _, s := range c.subs {
-		subs = append(subs, s)
-	}
+	subs := c.subs
 	c.mu.Unlock()
 	depth := 0
 	for _, s := range subs {
@@ -301,20 +322,18 @@ func (c *Channel) SubscribeFrom(name string, fromSeq uint64, deliver func(Item, 
 	if len(items) > 0 {
 		sub.ReplayFrom = first
 	}
-	s := c.subs[sub.id]
 	for _, it := range items {
-		if s != nil && s.deliver != nil {
-			s.deliver(it, sub.Queue)
+		if deliver != nil {
+			deliver(it, sub.Queue)
 		} else {
 			sub.Queue.Push(it)
 		}
 	}
 	if wasClosed {
-		eos := Item{Source: c.ref.String()}
-		if s != nil && s.deliver != nil {
-			s.deliver(eos, sub.Queue)
+		if deliver != nil {
+			deliver(EOSItem(c.name), sub.Queue)
 		}
-		delete(c.subs, sub.id)
+		c.removeLocked(sub.id)
 		sub.Queue.Close()
 	}
 	return sub
@@ -322,9 +341,7 @@ func (c *Channel) SubscribeFrom(name string, fromSeq uint64, deliver func(Item, 
 
 // Unsubscribe removes the subscription and closes its queue.
 func (s *Subscription) Unsubscribe() {
-	s.ch.mu.Lock()
-	delete(s.ch.subs, s.id)
-	s.ch.mu.Unlock()
+	s.ch.remove(s.id)
 	s.Queue.Close()
 }
 
@@ -332,11 +349,7 @@ func (s *Subscription) Unsubscribe() {
 // queue. Failure handling uses it to re-bind a consumer's input queue to
 // a replacement producer: the old producer stops feeding the queue, the
 // new subscription takes over, and the consumer never observes the swap.
-func (s *Subscription) Detach() {
-	s.ch.mu.Lock()
-	delete(s.ch.subs, s.id)
-	s.ch.mu.Unlock()
-}
+func (s *Subscription) Detach() { s.ch.remove(s.id) }
 
 // Subscribers returns the current subscriber names, sorted.
 func (c *Channel) Subscribers() []string {

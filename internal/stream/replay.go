@@ -1,5 +1,11 @@
 package stream
 
+import (
+	"time"
+
+	"p2pm/internal/xmltree"
+)
+
 // replayBuffer retains the tail of a channel's published items, indexed
 // by sequence number, so consumers that re-bind after a producer
 // migration (or lose items to link faults) can ask for a retransmission
@@ -11,13 +17,24 @@ package stream
 // All methods are called with the owning Channel's lock held.
 type replayBuffer struct {
 	capacity int
-	slots    []Item
+	source   string // the owning channel's name, the Source of every retained item
+	slots    []retained
 	lo, hi   uint64 // retained contiguous seq range; lo == 0 means empty
 	trimmed  uint64
 }
 
-func newReplayBuffer(capacity int) *replayBuffer {
-	return &replayBuffer{capacity: capacity, slots: make([]Item, capacity)}
+// retained is what a slot keeps of an Item: the sequence number is the
+// slot's position, the source is the buffer's, and size is the count the
+// channel stamped at publish. The ring is allocated whole per channel, so
+// the slot is kept small.
+type retained struct {
+	tree *xmltree.Node
+	time time.Duration
+	size int
+}
+
+func newReplayBuffer(capacity int, source string) *replayBuffer {
+	return &replayBuffer{capacity: capacity, source: source, slots: make([]retained, capacity)}
 }
 
 func (b *replayBuffer) slot(seq uint64) int { return int(seq % uint64(b.capacity)) }
@@ -46,7 +63,7 @@ func (b *replayBuffer) add(it Item) {
 	default: // discontinuous jump forward: restart the window
 		b.lo, b.hi = seq, seq
 	}
-	b.slots[b.slot(seq)] = it
+	b.slots[b.slot(seq)] = retained{tree: it.Tree, time: it.Time, size: it.Bytes()}
 }
 
 // slice returns copies of the retained items with sequence numbers in
@@ -69,7 +86,8 @@ func (b *replayBuffer) slice(from, to uint64) ([]Item, uint64) {
 	}
 	out := make([]Item, 0, to-first+1)
 	for seq := first; seq <= to; seq++ {
-		out = append(out, b.slots[b.slot(seq)])
+		r := b.slots[b.slot(seq)]
+		out = append(out, Item{Tree: r.tree, Seq: seq, Source: b.source, Time: r.time, sized: r.tree, size: r.size})
 	}
 	return out, first
 }

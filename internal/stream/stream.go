@@ -22,10 +22,28 @@ type Item struct {
 	Source string
 	// Time is the virtual timestamp at which the item was produced.
 	Time time.Duration
+	// size is the serialized size of sized, stamped by the publishing
+	// channel so every later hop reads the count instead of repeating it.
+	// The stamp names its tree: an item whose Tree was replaced since is
+	// counted afresh.
+	sized *xmltree.Node
+	size  int
 }
 
 // EOS reports whether the item is the end-of-stream symbol.
 func (it Item) EOS() bool { return it.Tree == nil }
+
+// Bytes returns the serialized size of the item's tree (0 for eos): the
+// publishing channel's stamp when the item carries one, a count otherwise.
+func (it Item) Bytes() int {
+	switch it.Tree {
+	case nil:
+		return 0
+	case it.sized:
+		return it.size
+	}
+	return it.Tree.SerializedSize()
+}
 
 // EOSItem returns an eos item attributed to the given source.
 func EOSItem(source string) Item { return Item{Source: source} }
@@ -58,9 +76,13 @@ func ParseRef(s string) (Ref, error) {
 // deadlocks a fan-out; the high-water mark is tracked so experiments can
 // report buffer pressure.
 type Queue struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	items     []Item
+	mu   sync.Mutex
+	cond *sync.Cond
+	// ring holds n items starting at head; its length is zero or a power
+	// of two. It grows by doubling and never shrinks, so a queue in steady
+	// state allocates nothing.
+	ring      []Item
+	head, n   int
 	closed    bool
 	highWater int
 	pushed    uint64
@@ -81,10 +103,16 @@ func (q *Queue) Push(it Item) {
 	if q.closed {
 		return
 	}
-	q.items = append(q.items, it)
+	if q.n == len(q.ring) {
+		ring := make([]Item, max(8, 2*len(q.ring)))
+		copy(ring[copy(ring, q.ring[q.head:]):], q.ring[:q.head])
+		q.ring, q.head = ring, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = it
+	q.n++
 	q.pushed++
-	if len(q.items) > q.highWater {
-		q.highWater = len(q.items)
+	if q.n > q.highWater {
+		q.highWater = q.n
 	}
 	q.cond.Signal()
 }
@@ -94,15 +122,10 @@ func (q *Queue) Push(it Item) {
 func (q *Queue) Pop() (Item, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.n == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
-		return Item{}, false
-	}
-	it := q.items[0]
-	q.items = q.items[1:]
-	return it, true
+	return q.popLocked()
 }
 
 // TryPop is a non-blocking Pop; ok is false when the queue is empty or
@@ -110,11 +133,19 @@ func (q *Queue) Pop() (Item, bool) {
 func (q *Queue) TryPop() (Item, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.items) == 0 {
+	return q.popLocked()
+}
+
+// popLocked takes the head item and zeroes its slot, so the queue does
+// not keep a consumed tree reachable.
+func (q *Queue) popLocked() (Item, bool) {
+	if q.n == 0 {
 		return Item{}, false
 	}
-	it := q.items[0]
-	q.items = q.items[1:]
+	it := q.ring[q.head]
+	q.ring[q.head] = Item{}
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
 	return it, true
 }
 
@@ -140,7 +171,7 @@ func (q *Queue) Closed() bool {
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return q.n
 }
 
 // HighWater returns the maximum number of items ever buffered.

@@ -240,14 +240,9 @@ func canonical(n *Node, b *strings.Builder) {
 // String returns the serialized XML form of the tree.
 func (n *Node) String() string {
 	var b strings.Builder
+	b.Grow(n.SerializedSize())
 	serialize(n, &b)
 	return b.String()
-}
-
-// SerializedSize returns the byte size of the serialized form. simnet uses
-// this as the transfer cost of shipping a tree between peers.
-func (n *Node) SerializedSize() int {
-	return len(n.String())
 }
 
 // GoString implements fmt.GoStringer for debugging output in tests.
