@@ -20,6 +20,7 @@ import (
 	"p2pm/internal/simnet"
 	"p2pm/internal/stream"
 	"p2pm/internal/telemetry"
+	"p2pm/internal/transport"
 	"p2pm/internal/wire"
 	"p2pm/internal/workload"
 	"p2pm/internal/xmltree"
@@ -831,14 +832,7 @@ func BenchmarkSketchMerge(b *testing.B) {
 // adds only the 4-byte length prefix), so a codec regression taxes all
 // inter-peer traffic at once.
 func BenchmarkWireEncodeDecode(b *testing.B) {
-	msgs := map[string]wire.Message{
-		"item":    &wire.Item{Stream: "s3@relay", Seq: 412, TimeNS: 9_500_000_000, XML: `<call id="7" method="Reserve" to="airline"/>`},
-		"partial": &wire.Partial{Fn: "avg", Window: 6, Key: "eu-west", Source: "n3", Count: 1800, State: "1800|45210"},
-		"probe": &wire.Probe{Seq: 12, Updates: []wire.GossipUpdate{
-			{Peer: "n4", Status: wire.StatusSuspect, Inc: 3},
-			{Peer: "n7", Status: wire.StatusAlive, Inc: 9},
-		}},
-	}
+	msgs := wireBenchMessages()
 	for _, name := range []string{"item", "partial", "probe"} {
 		b.Run(name, func(b *testing.B) {
 			m := msgs[name]
@@ -849,6 +843,87 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// wireBenchMessages are the frames that dominate cluster traffic.
+func wireBenchMessages() map[string]wire.Message {
+	return map[string]wire.Message{
+		"item":    &wire.Item{Stream: "s3@relay", Seq: 412, TimeNS: 9_500_000_000, XML: `<call id="7" method="Reserve" to="airline"/>`},
+		"partial": &wire.Partial{Fn: "avg", Window: 6, Key: "eu-west", Source: "n3", Count: 1800, State: "1800|45210"},
+		"probe": &wire.Probe{Seq: 12, Updates: []wire.GossipUpdate{
+			{Peer: "n4", Status: wire.StatusSuspect, Inc: 3},
+			{Peer: "n7", Status: wire.StatusAlive, Inc: 9},
+		}},
+	}
+}
+
+// BenchmarkWireAppendEncode measures what the tcp backend's Send pays
+// per message (PR 17): the encoding appended in place to a buffer that
+// already has room. Pinned at 0 allocs/op.
+func BenchmarkWireAppendEncode(b *testing.B) {
+	msgs := wireBenchMessages()
+	for _, name := range []string{"item", "partial", "probe"} {
+		b.Run(name, func(b *testing.B) {
+			m := msgs[name]
+			buf := make([]byte, 0, 4096)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = wire.AppendEncode(buf[:0], m)
+			}
+		})
+	}
+}
+
+// BenchmarkTCPLoopback measures one item and its ack across two
+// ListenTCP endpoints on loopback with 64 items in flight — encode into
+// the link buffer, batched socket write, buffered frame read, decode,
+// handler, and the same again for the ack (PR 17). allocs/op is what
+// both directions allocate per item, the handlers' Ack included.
+func BenchmarkTCPLoopback(b *testing.B) {
+	src, err := transport.ListenTCP("src", "127.0.0.1:0", transport.TCPOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	dst, err := transport.ListenTCP("dst", "127.0.0.1:0", transport.TCPOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dst.Close()
+	src.AddPeer("dst", dst.Addr())
+	dst.AddPeer("src", src.Addr())
+	dst.Handle(func(from string, m wire.Message) {
+		dst.Send(from, &wire.Ack{Seq: m.(*wire.Item).Seq}) //nolint:errcheck // src is registered
+	})
+	slots := make(chan struct{}, 64) // items in flight; an ack frees one
+	src.Handle(func(string, wire.Message) { <-slots })
+	item := wireBenchMessages()["item"].(*wire.Item)
+	send := func() {
+		slots <- struct{}{}
+		if err := src.Send("dst", item); err != nil {
+			b.Fatal(err)
+		}
+	}
+	drain := func() { // every slot free again: every item acked
+		for i := 0; i < cap(slots); i++ {
+			slots <- struct{}{}
+		}
+		for i := 0; i < cap(slots); i++ {
+			<-slots
+		}
+	}
+	send() // dial both ways before the clock starts
+	drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+	drain()
+	b.StopTimer()
+	if st := src.Stats(); st.Dropped != 0 || st.Received != uint64(b.N)+1 {
+		b.Fatalf("src stats %+v after %d items", st, b.N)
 	}
 }
 

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -23,25 +25,28 @@ type TCPOptions struct {
 	Cluster string
 	// DialTimeout bounds one outbound connection attempt. Default 2s.
 	DialTimeout time.Duration
-	// ReadTimeout is the per-frame read deadline on inbound
-	// connections: a link idle longer than this is closed and the
+	// ReadTimeout is the deadline of one socket read on an inbound
+	// connection: a link idle longer than this is closed and the
 	// sender reconnects. Keep it above the protocol's heartbeat
 	// period. Default 30s.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds one frame write. Default 5s.
+	// WriteTimeout bounds one socket write: a run of whole frames of
+	// at most 64 KiB, or one larger frame. Default 5s.
 	WriteTimeout time.Duration
 	// BackoffMin/BackoffMax bound the exponential reconnect backoff
 	// after a failed dial or a broken connection. Defaults 50ms / 2s.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
 	// QueueDepth is the per-peer outbound queue capacity, in
-	// messages. A full queue drops the newest message into
-	// Stats().Dropped — the transport never blocks the caller on a
-	// dead peer; resend-until-ack above recovers. Default 512.
+	// messages not yet handed to a socket whole. A full queue drops
+	// the newest message into Stats().Dropped — the transport never
+	// blocks the caller on a dead peer; resend-until-ack above
+	// recovers. Default 512.
 	QueueDepth int
 	// MaxFrame bounds one frame's payload; an inbound length header
 	// beyond it closes the connection (framing is assumed lost).
-	// Default 4 MiB.
+	// A connection that has not yet said Hello is held to the 64 KiB
+	// read buffer instead. Default 4 MiB.
 	MaxFrame int
 	// Telemetry, when non-nil, registers the endpoint's traffic
 	// counters (transport_*_total, wire_*_total; labels backend="tcp",
@@ -80,13 +85,15 @@ func (o TCPOptions) withDefaults() TCPOptions {
 
 // TCP is the socket transport backend: wire messages in length-
 // prefixed frames (uint32 big-endian payload length, then the message
-// bytes) over one pooled outbound connection per peer. Each peer link
-// has its own outbound queue drained by a writer goroutine that dials
-// lazily, re-dials with exponential backoff when the peer is away, and
-// requeues the frame it was carrying when a write fails — so a
-// connection reset loses at most nothing from the queue, and ordering
-// within the link is preserved. Inbound connections authenticate with
-// a Hello frame naming the dialing peer, then stream frames to the
+// bytes) over one pooled outbound connection per peer. Send encodes
+// straight into the link's pending buffer; a writer goroutine per link
+// swaps that buffer for its spare and hands the whole run of frames to
+// the socket in one write, dials lazily, re-dials with exponential
+// backoff when the peer is away, and after a failed write resumes at
+// the first frame the write cut short — so a connection reset loses
+// nothing from the queue, and ordering within the link is preserved.
+// Inbound connections authenticate with a Hello frame naming the
+// dialing peer, then stream frames out of a buffered reader to the
 // handler on the connection's read goroutine.
 type TCP struct {
 	self string
@@ -113,10 +120,53 @@ type TCP struct {
 type tcpPeer struct {
 	name string
 	addr string
-	q    chan []byte
+	wake chan struct{} // 1 slot: pending went from empty to not
+
+	qmu     sync.Mutex // never held across I/O, so Send never waits on the network
+	pending []byte     // frames (length prefix + message) the writer has not taken yet
+	queued  int        // messages in pending plus those in the writer's hands not yet written whole
 
 	mu   sync.Mutex
 	conn net.Conn
+
+	backoff time.Duration // the writer's current reconnect delay
+}
+
+const (
+	// flushCap bounds the run of whole frames handed to one socket
+	// write, so WriteTimeout bounds a fixed amount of work however long
+	// the backlog; a single frame larger than this still goes out in one
+	// write.
+	flushCap = 64 << 10
+	// readBufSize is an inbound connection's frame buffer: frames up to
+	// this size are decoded in place, and nothing larger is accepted
+	// before Hello.
+	readBufSize = 64 << 10
+	// keepBuf is the largest link buffer the writer keeps for reuse;
+	// one that a burst of large frames grew beyond it is released.
+	keepBuf = 1 << 20
+)
+
+// appendFrame appends one length-prefixed frame carrying m.
+func appendFrame(dst []byte, m wire.Message) []byte {
+	off := len(dst)
+	dst = wire.AppendEncode(append(dst, 0, 0, 0, 0), m)
+	binary.BigEndian.PutUint32(dst[off:], uint32(len(dst)-off-4))
+	return dst
+}
+
+// wholeFrames walks the frames at the head of b and returns the end
+// offset and count of those lying entirely within the first limit
+// bytes.
+func wholeFrames(b []byte, limit int) (end, n int) {
+	for len(b)-end >= 4 {
+		next := end + 4 + int(binary.BigEndian.Uint32(b[end:]))
+		if next > limit || next > len(b) {
+			break
+		}
+		end, n = next, n+1
+	}
+	return end, n
 }
 
 var _ Transport = (*TCP)(nil)
@@ -165,7 +215,7 @@ func (t *TCP) AddPeer(name, addr string) {
 	if _, ok := t.peers[name]; ok {
 		return
 	}
-	p := &tcpPeer{name: name, addr: addr, q: make(chan []byte, t.opts.QueueDepth)}
+	p := &tcpPeer{name: name, addr: addr, wake: make(chan struct{}, 1), backoff: t.opts.BackoffMin}
 	t.peers[name] = p
 	t.wg.Add(1)
 	go t.writeLoop(p)
@@ -183,7 +233,7 @@ func (t *TCP) Peers() []string {
 	return names
 }
 
-// Send enqueues one message on the peer's outbound queue. It never
+// Send encodes one message into the peer's outbound buffer. It never
 // blocks on the network: a full queue (peer dead longer than the
 // queue absorbs) drops the message into Stats().Dropped.
 func (t *TCP) Send(to string, m wire.Message) error {
@@ -197,17 +247,28 @@ func (t *TCP) Send(to string, m wire.Message) error {
 	if p == nil {
 		return fmt.Errorf("transport: unknown peer %q", to)
 	}
-	b := wire.Encode(m)
-	select {
-	case p.q <- b:
-		t.sent.Add(1)
-		t.sentBytes.Add(uint64(len(b)))
-		if t.tele != nil {
-			t.tele.sent.Inc()
-			t.tele.sentBytes.Add(uint64(len(b)))
-		}
-	default:
+	p.qmu.Lock()
+	if p.queued >= t.opts.QueueDepth {
+		p.qmu.Unlock()
 		t.countDrop()
+		return nil
+	}
+	before := len(p.pending)
+	p.pending = appendFrame(p.pending, m)
+	n := uint64(len(p.pending) - before - 4)
+	p.queued++
+	p.qmu.Unlock()
+	if before == 0 {
+		select {
+		case p.wake <- struct{}{}:
+		default: // a wake-up is already waiting for the writer
+		}
+	}
+	t.sent.Add(1)
+	t.sentBytes.Add(n)
+	if t.tele != nil {
+		t.tele.sent.Inc()
+		t.tele.sentBytes.Add(n)
 	}
 	return nil
 }
@@ -272,9 +333,6 @@ func (t *TCP) Close() error {
 		conns = append(conns, c)
 	}
 	t.mu.Unlock()
-	// The queue channels are never closed: a Send that read closed=false
-	// just before this point may still be enqueueing, and closing under
-	// it would be a send-on-closed-channel panic. Writers exit via done.
 	close(t.done)
 	t.ln.Close()
 	for _, p := range peers {
@@ -310,62 +368,87 @@ func (t *TCP) isClosed() bool {
 // ---------------------------------------------------------------------
 // Outbound
 
-// writeLoop drains one peer's queue: dial (with backoff) when no
-// connection is up, write the frame, and on a write error reconnect
-// and retry the same frame so the link never loses what it already
-// dequeued.
+// writeLoop drains one peer's buffer: swap pending for the spare and
+// flush the frames taken, or sleep until Send wakes it. On Close,
+// whatever is still queued is counted dropped.
 func (t *TCP) writeLoop(p *tcpPeer) {
 	defer t.wg.Done()
-	backoff := t.opts.BackoffMin
+	defer t.dropQueued(p)
+	var batch []byte // the writer's buffer; after a swap, the frames to write
 	for {
-		var b []byte
-		select {
-		case <-t.done:
-			// Count whatever is still queued as dropped, then exit.
-			for {
-				select {
-				case <-p.q:
-					t.countDrop()
-				default:
-					return
-				}
-			}
-		case b = <-p.q:
+		if cap(batch) > keepBuf {
+			batch = nil
 		}
-		for {
-			conn, fresh := t.ensureConn(p)
-			if conn == nil {
-				if t.isClosed() {
-					t.countDrop()
-					break
-				}
-				select {
-				case <-t.done:
-					// Loop around: ensureConn now fails and the
-					// isClosed branch above drops this frame.
-				case <-time.After(backoff):
-				}
-				backoff *= 2
-				if backoff > t.opts.BackoffMax {
-					backoff = t.opts.BackoffMax
-				}
+		p.qmu.Lock()
+		batch, p.pending = p.pending, batch[:0]
+		p.qmu.Unlock()
+		if len(batch) == 0 {
+			select {
+			case <-t.done:
+				return
+			case <-p.wake:
 				continue
 			}
-			if fresh {
-				backoff = t.opts.BackoffMin
-			}
-			if err := t.writeFrame(conn, b); err != nil {
-				p.mu.Lock()
-				if p.conn == conn {
-					p.conn = nil
-				}
-				p.mu.Unlock()
-				conn.Close()
-				continue // retry the same frame on a fresh connection
-			}
-			break
+		}
+		if !t.flush(p, batch) {
+			return
 		}
 	}
+}
+
+// flush hands the socket a batch of whole frames, one bounded run per
+// write, dialing (with backoff) when no connection is up. After a
+// failed write it reconnects and resumes at the first frame that write
+// cut short: frames that went out whole are not resent, and the link
+// never loses what it took. It reports false if the endpoint closed
+// first.
+func (t *TCP) flush(p *tcpPeer, batch []byte) bool {
+	for len(batch) > 0 {
+		conn, fresh := t.ensureConn(p)
+		if conn == nil {
+			if t.isClosed() {
+				return false
+			}
+			select {
+			case <-t.done:
+			case <-time.After(p.backoff):
+			}
+			p.backoff = min(p.backoff*2, t.opts.BackoffMax)
+			continue
+		}
+		if fresh {
+			p.backoff = t.opts.BackoffMin
+		}
+		end, frames := wholeFrames(batch, flushCap)
+		if end == 0 { // one frame larger than flushCap
+			end, frames = 4+int(binary.BigEndian.Uint32(batch)), 1
+		}
+		n, err := t.writeTimed(conn, batch[:end])
+		if err != nil {
+			p.mu.Lock()
+			if p.conn == conn {
+				p.conn = nil
+			}
+			p.mu.Unlock()
+			conn.Close()
+			end, frames = wholeFrames(batch[:end], n)
+		}
+		batch = batch[end:]
+		p.qmu.Lock()
+		p.queued -= frames
+		p.qmu.Unlock()
+	}
+	return true
+}
+
+// dropQueued empties the link's queue into the dropped count.
+func (t *TCP) dropQueued(p *tcpPeer) {
+	p.qmu.Lock()
+	defer p.qmu.Unlock()
+	for ; p.queued > 0; p.queued-- {
+		t.countDrop()
+	}
+	p.pending = nil
 }
 
 // ensureConn returns the peer's live connection, dialing one (and
@@ -383,8 +466,8 @@ func (t *TCP) ensureConn(p *tcpPeer) (net.Conn, bool) {
 	if err != nil {
 		return nil, false
 	}
-	hello := wire.Encode(&wire.Hello{Peer: t.self, Proto: wire.ProtoVersion, Cluster: t.opts.Cluster})
-	if err := t.writeFrame(conn, hello); err != nil {
+	hello := appendFrame(nil, &wire.Hello{Peer: t.self, Proto: wire.ProtoVersion, Cluster: t.opts.Cluster})
+	if _, err := t.writeTimed(conn, hello); err != nil {
 		conn.Close()
 		return nil, false
 	}
@@ -396,19 +479,13 @@ func (t *TCP) ensureConn(p *tcpPeer) (net.Conn, bool) {
 	return conn, true
 }
 
-// writeFrame writes one length-prefixed frame under the write
-// deadline.
-func (t *TCP) writeFrame(conn net.Conn, b []byte) error {
+// writeTimed hands b to the socket under one write deadline and
+// reports how many bytes the socket took.
+func (t *TCP) writeTimed(conn net.Conn, b []byte) (int, error) {
 	if err := conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout)); err != nil {
-		return err
+		return 0, err
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := conn.Write(b)
-	return err
+	return conn.Write(b)
 }
 
 // ---------------------------------------------------------------------
@@ -448,9 +525,13 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	from := ""
+	fr := newFrameReader(deadlineReader{conn, t.opts.ReadTimeout}, readBufSize, t.opts.MaxFrame)
 	for {
-		b, err := t.readFrame(conn)
+		b, err := fr.next(from != "")
 		if err != nil {
+			if errors.Is(err, errFrameTooBig) {
+				t.countDrop()
+			}
 			return
 		}
 		m, err := t.decode.Decode(b)
@@ -482,23 +563,64 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}
 }
 
-// readFrame reads one length-prefixed frame under the read deadline.
-func (t *TCP) readFrame(conn net.Conn) ([]byte, error) {
-	if err := conn.SetReadDeadline(time.Now().Add(t.opts.ReadTimeout)); err != nil {
+// deadlineReader refreshes the read deadline each time the frame
+// reader goes to the socket, so ReadTimeout bounds how long a link may
+// stay silent, not how long a buffered frame may wait its turn.
+type deadlineReader struct {
+	conn    net.Conn
+	timeout time.Duration
+}
+
+func (r deadlineReader) Read(b []byte) (int, error) {
+	if err := r.conn.SetReadDeadline(time.Now().Add(r.timeout)); err != nil {
+		return 0, err
+	}
+	return r.conn.Read(b)
+}
+
+var errFrameTooBig = errors.New("transport: frame exceeds the size bound")
+
+// frameReader splits a byte stream into length-prefixed frames over a
+// fixed buffer. A frame that fits the buffer is returned in place; a
+// larger one is assembled in a scratch slice the reader keeps.
+type frameReader struct {
+	br       *bufio.Reader
+	maxFrame int
+	consumed int    // bytes of the buffer the last returned frame occupies
+	big      []byte // scratch for frames larger than the buffer
+}
+
+func newFrameReader(r io.Reader, bufSize, maxFrame int) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, bufSize), maxFrame: maxFrame}
+}
+
+// next returns the next frame's payload, valid until the following
+// call. Frames beyond MaxFrame — or, while the connection is not yet
+// trusted, beyond the buffer — fail with errFrameTooBig.
+func (r *frameReader) next(trusted bool) ([]byte, error) {
+	r.br.Discard(r.consumed) //nolint:errcheck // bytes already buffered
+	r.consumed = 0
+	hdr, err := r.br.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, err
+	n := uint64(binary.BigEndian.Uint32(hdr))
+	inBuf := 4+n <= uint64(r.br.Size())
+	if n > uint64(r.maxFrame) || !(trusted || inBuf) {
+		return nil, errFrameTooBig
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if int(n) > t.opts.MaxFrame {
-		t.countDrop()
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds MaxFrame %d", n, t.opts.MaxFrame)
+	if inBuf {
+		b, err := r.br.Peek(4 + int(n))
+		if err != nil {
+			return nil, err
+		}
+		r.consumed = len(b)
+		return b[4:], nil
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(conn, b); err != nil {
-		return nil, err
+	r.br.Discard(4) //nolint:errcheck // the header just peeked
+	if uint64(cap(r.big)) < n {
+		r.big = make([]byte, n)
 	}
-	return b, nil
+	_, err = io.ReadFull(r.br, r.big[:n])
+	return r.big[:n], err
 }

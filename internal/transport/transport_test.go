@@ -232,8 +232,10 @@ func TestTCPQueueOverflowDropsNotBlocks(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Send blocked on a dead peer")
 	}
-	if st := a.Stats(); st.Dropped == 0 {
-		t.Errorf("expected queue-overflow drops, stats %+v", st)
+	// The bound counts messages: at most QueueDepth wait in the link,
+	// and nothing was written, so all but that many were dropped.
+	if st := a.Stats(); st.Dropped < 100-2*4 {
+		t.Errorf("dropped = %d of 100 with QueueDepth 4, want >= %d; stats %+v", st.Dropped, 100-2*4, st)
 	}
 }
 

@@ -48,3 +48,23 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEncodeMatchesReference: whatever message the fuzzer can make
+// Decode produce, Encode renders it byte for byte as the pre-PR-17
+// reference encoder (wire_test.go) does, Size agrees with the length,
+// and appending after a prefix leaves the prefix alone.
+func FuzzEncodeMatchesReference(f *testing.F) {
+	for _, m := range every() {
+		f.Add(Encode(m))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(data)
+		if err != nil {
+			return
+		}
+		checkAgainstReference(t, m)
+		if got := AppendEncode([]byte{0xaa}, m); got[0] != 0xaa || !bytes.Equal(got[1:], refEncode(m)) {
+			t.Fatalf("%s: AppendEncode after a prefix differs from the reference", m.Kind())
+		}
+	})
+}

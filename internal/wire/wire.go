@@ -21,6 +21,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"p2pm/internal/telemetry"
@@ -318,100 +319,147 @@ func (s *Stats) Decode(b []byte) (Message, error) {
 // ---------------------------------------------------------------------
 // Encoding
 
-func appendField(dst []byte, tag uint64, val []byte) []byte {
-	dst = binary.AppendUvarint(dst, tag)
-	dst = binary.AppendUvarint(dst, uint64(len(val)))
-	return append(dst, val...)
+// enc is the sink of the one field walk (fields): it either appends
+// the encoding to b or, when count is set, only adds its length to n —
+// so Size and AppendEncode cannot disagree about a field.
+type enc struct {
+	b     []byte
+	n     int
+	count bool
 }
 
-func appendUintField(dst []byte, tag, v uint64) []byte {
-	return appendField(dst, tag, binary.AppendUvarint(nil, v))
-}
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-func appendStrField(dst []byte, tag uint64, s string) []byte {
-	return appendField(dst, tag, []byte(s))
-}
-
-func appendUpdates(dst []byte, tag uint64, ups []GossipUpdate) []byte {
-	for _, u := range ups {
-		var v []byte
-		v = appendStrField(v, 1, u.Peer)
-		v = appendUintField(v, 2, uint64(u.Status))
-		v = appendUintField(v, 3, u.Inc)
-		dst = appendField(dst, tag, v)
+// field writes the tag and length of a field whose value takes n
+// bytes; the caller appends the value. Counting, it adds all three.
+func (e *enc) field(tag uint64, n int) {
+	if e.count {
+		e.n += uvarintLen(tag) + uvarintLen(uint64(n)) + n
+		return
 	}
-	return dst
+	e.b = binary.AppendUvarint(e.b, tag)
+	e.b = binary.AppendUvarint(e.b, uint64(n))
 }
 
-// Encode renders a message. The encoding is deterministic: equal
-// messages encode to equal bytes (fields in fixed tag order, lists in
-// caller order, no maps).
-func Encode(m Message) []byte {
-	b := []byte{magic0, magic1, ProtoVersion, byte(m.Kind())}
+func (e *enc) uint(tag, v uint64) {
+	e.field(tag, uvarintLen(v))
+	if !e.count {
+		e.b = binary.AppendUvarint(e.b, v)
+	}
+}
+
+func (e *enc) str(tag uint64, s string) {
+	e.field(tag, len(s))
+	if !e.count {
+		e.b = append(e.b, s...)
+	}
+}
+
+func (e *enc) flag(tag uint64, set bool) {
+	if set {
+		e.uint(tag, 1)
+	}
+}
+
+func (e *enc) strs(tag uint64, vals []string) {
+	for _, v := range vals {
+		e.str(tag, v)
+	}
+}
+
+func (e *enc) update(u GossipUpdate) {
+	e.str(1, u.Peer)
+	e.uint(2, uint64(u.Status))
+	e.uint(3, u.Inc)
+}
+
+// updates writes each update as one nested field, its length counted
+// by the same walk that then writes it.
+func (e *enc) updates(tag uint64, ups []GossipUpdate) {
+	for _, u := range ups {
+		inner := enc{count: true}
+		inner.update(u)
+		e.field(tag, inner.n)
+		if !e.count {
+			e.update(u)
+		}
+	}
+}
+
+// fields walks a message's fields in tag order.
+func (e *enc) fields(m Message) {
 	switch t := m.(type) {
 	case *Hello:
-		b = appendStrField(b, 1, t.Peer)
-		b = appendUintField(b, 2, t.Proto)
-		b = appendStrField(b, 3, t.Cluster)
+		e.str(1, t.Peer)
+		e.uint(2, t.Proto)
+		e.str(3, t.Cluster)
 	case *Item:
-		b = appendStrField(b, 1, t.Stream)
-		b = appendUintField(b, 2, t.Seq)
-		b = appendUintField(b, 3, t.TimeNS)
-		b = appendStrField(b, 4, t.XML)
-		if t.EOS {
-			b = appendUintField(b, 5, 1)
-		}
+		e.str(1, t.Stream)
+		e.uint(2, t.Seq)
+		e.uint(3, t.TimeNS)
+		e.str(4, t.XML)
+		e.flag(5, t.EOS)
 	case *Partial:
-		b = appendStrField(b, 1, t.Fn)
-		b = appendUintField(b, 2, t.Window)
-		b = appendStrField(b, 3, t.Key)
-		b = appendStrField(b, 4, t.Source)
-		b = appendUintField(b, 5, t.Count)
-		b = appendStrField(b, 6, t.State)
+		e.str(1, t.Fn)
+		e.uint(2, t.Window)
+		e.str(3, t.Key)
+		e.str(4, t.Source)
+		e.uint(5, t.Count)
+		e.str(6, t.State)
 	case *Probe:
-		b = appendUintField(b, 1, t.Seq)
-		b = appendUpdates(b, 2, t.Updates)
+		e.uint(1, t.Seq)
+		e.updates(2, t.Updates)
 	case *Ack:
-		b = appendUintField(b, 1, t.Seq)
-		b = appendUpdates(b, 2, t.Updates)
-		b = appendStrField(b, 3, t.Stream)
-		b = appendUintField(b, 4, t.Window)
+		e.uint(1, t.Seq)
+		e.updates(2, t.Updates)
+		e.str(3, t.Stream)
+		e.uint(4, t.Window)
 	case *Gossip:
-		b = appendUpdates(b, 1, t.Updates)
+		e.updates(1, t.Updates)
 	case *CkptPut:
-		b = appendStrField(b, 1, t.Key)
-		b = appendStrField(b, 2, t.Value)
+		e.str(1, t.Key)
+		e.str(2, t.Value)
 	case *CkptGet:
-		b = appendUintField(b, 1, t.ReqID)
-		b = appendStrField(b, 2, t.Key)
+		e.uint(1, t.ReqID)
+		e.str(2, t.Key)
 	case *CkptResp:
-		b = appendUintField(b, 1, t.ReqID)
-		b = appendStrField(b, 2, t.Key)
-		if t.Found {
-			b = appendUintField(b, 3, 1)
-		}
-		for _, v := range t.Values {
-			b = appendStrField(b, 4, v)
-		}
+		e.uint(1, t.ReqID)
+		e.str(2, t.Key)
+		e.flag(3, t.Found)
+		e.strs(4, t.Values)
 	case *Publish:
-		b = appendStrField(b, 1, t.Def)
+		e.str(1, t.Def)
 	case *Lookup:
-		b = appendUintField(b, 1, t.ReqID)
-		b = appendStrField(b, 2, t.Query)
+		e.uint(1, t.ReqID)
+		e.str(2, t.Query)
 	case *LookupResp:
-		b = appendUintField(b, 1, t.ReqID)
-		for _, v := range t.Values {
-			b = appendStrField(b, 2, v)
-		}
+		e.uint(1, t.ReqID)
+		e.strs(2, t.Values)
 	default:
-		panic(fmt.Sprintf("wire: Encode of unknown message type %T", m))
+		panic(fmt.Sprintf("wire: encoding unknown message type %T", m))
 	}
-	return b
 }
 
+// AppendEncode appends a message's encoding to dst and returns the
+// extended slice. The encoding is deterministic: equal messages encode
+// to equal bytes (fields in fixed tag order, lists in caller order, no
+// maps). Appending into a buffer with room allocates nothing.
+func AppendEncode(dst []byte, m Message) []byte {
+	e := enc{b: append(dst, magic0, magic1, ProtoVersion, byte(m.Kind()))}
+	e.fields(m)
+	return e.b
+}
+
+// Encode renders a message into a fresh slice of exactly its size.
+func Encode(m Message) []byte { return AppendEncode(make([]byte, 0, Size(m)), m) }
+
 // Size returns the encoded length of a message — what a transport
-// charges against its byte counters.
-func Size(m Message) int { return len(Encode(m)) }
+// charges against its byte counters — without building the encoding.
+func Size(m Message) int {
+	e := enc{n: headerLen, count: true}
+	e.fields(m)
+	return e.n
+}
 
 // ---------------------------------------------------------------------
 // Decoding

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -188,13 +189,232 @@ func TestStatsCountsSuccesses(t *testing.T) {
 	}
 }
 
+// ---------------------------------------------------------------------
+// Reference encoder: the pre-PR-17 implementation, kept verbatim. It
+// builds every value in a temporary slice, which is what AppendEncode
+// replaced; Encode must still produce these bytes exactly.
+
+func appendField(dst []byte, tag uint64, val []byte) []byte {
+	dst = binary.AppendUvarint(dst, tag)
+	dst = binary.AppendUvarint(dst, uint64(len(val)))
+	return append(dst, val...)
+}
+
+func appendUintField(dst []byte, tag, v uint64) []byte {
+	return appendField(dst, tag, binary.AppendUvarint(nil, v))
+}
+
+func appendStrField(dst []byte, tag uint64, s string) []byte {
+	return appendField(dst, tag, []byte(s))
+}
+
+func appendUpdates(dst []byte, tag uint64, ups []GossipUpdate) []byte {
+	for _, u := range ups {
+		var v []byte
+		v = appendStrField(v, 1, u.Peer)
+		v = appendUintField(v, 2, uint64(u.Status))
+		v = appendUintField(v, 3, u.Inc)
+		dst = appendField(dst, tag, v)
+	}
+	return dst
+}
+
+func refEncode(m Message) []byte {
+	b := []byte{magic0, magic1, ProtoVersion, byte(m.Kind())}
+	switch t := m.(type) {
+	case *Hello:
+		b = appendStrField(b, 1, t.Peer)
+		b = appendUintField(b, 2, t.Proto)
+		b = appendStrField(b, 3, t.Cluster)
+	case *Item:
+		b = appendStrField(b, 1, t.Stream)
+		b = appendUintField(b, 2, t.Seq)
+		b = appendUintField(b, 3, t.TimeNS)
+		b = appendStrField(b, 4, t.XML)
+		if t.EOS {
+			b = appendUintField(b, 5, 1)
+		}
+	case *Partial:
+		b = appendStrField(b, 1, t.Fn)
+		b = appendUintField(b, 2, t.Window)
+		b = appendStrField(b, 3, t.Key)
+		b = appendStrField(b, 4, t.Source)
+		b = appendUintField(b, 5, t.Count)
+		b = appendStrField(b, 6, t.State)
+	case *Probe:
+		b = appendUintField(b, 1, t.Seq)
+		b = appendUpdates(b, 2, t.Updates)
+	case *Ack:
+		b = appendUintField(b, 1, t.Seq)
+		b = appendUpdates(b, 2, t.Updates)
+		b = appendStrField(b, 3, t.Stream)
+		b = appendUintField(b, 4, t.Window)
+	case *Gossip:
+		b = appendUpdates(b, 1, t.Updates)
+	case *CkptPut:
+		b = appendStrField(b, 1, t.Key)
+		b = appendStrField(b, 2, t.Value)
+	case *CkptGet:
+		b = appendUintField(b, 1, t.ReqID)
+		b = appendStrField(b, 2, t.Key)
+	case *CkptResp:
+		b = appendUintField(b, 1, t.ReqID)
+		b = appendStrField(b, 2, t.Key)
+		if t.Found {
+			b = appendUintField(b, 3, 1)
+		}
+		for _, v := range t.Values {
+			b = appendStrField(b, 4, v)
+		}
+	case *Publish:
+		b = appendStrField(b, 1, t.Def)
+	case *Lookup:
+		b = appendUintField(b, 1, t.ReqID)
+		b = appendStrField(b, 2, t.Query)
+	case *LookupResp:
+		b = appendUintField(b, 1, t.ReqID)
+		for _, v := range t.Values {
+			b = appendStrField(b, 2, v)
+		}
+	default:
+		panic(fmt.Sprintf("wire: refEncode of unknown message type %T", m))
+	}
+	return b
+}
+
+// randomMessages draws one message of every kind: strings of 0–300
+// arbitrary bytes (a quarter of them empty), uvarints on and around
+// every 7-bit length boundary, 0–3 gossip updates, 0–3 list values.
+func randomMessages(rng *rand.Rand) []Message {
+	str := func() string {
+		if rng.Intn(4) == 0 {
+			return ""
+		}
+		b := make([]byte, rng.Intn(301))
+		rng.Read(b)
+		return string(b)
+	}
+	num := func() uint64 {
+		edge := uint64(1) << (7 * uint(rng.Intn(10))) // 1, 1<<7, …, 1<<63
+		switch rng.Intn(4) {
+		case 0:
+			return edge - 1
+		case 1:
+			return edge
+		case 2:
+			return ^uint64(0)
+		}
+		return rng.Uint64() >> uint(rng.Intn(64))
+	}
+	ups := func() []GossipUpdate {
+		var out []GossipUpdate
+		for n := rng.Intn(4); n > 0; n-- {
+			out = append(out, GossipUpdate{Peer: str(), Status: Status(rng.Intn(4)), Inc: num()})
+		}
+		return out
+	}
+	strs := func() []string {
+		var out []string
+		for n := rng.Intn(4); n > 0; n-- {
+			out = append(out, str())
+		}
+		return out
+	}
+	flag := func() bool { return rng.Intn(2) == 0 }
+	return []Message{
+		&Hello{Peer: str(), Proto: num(), Cluster: str()},
+		&Item{Stream: str(), Seq: num(), TimeNS: num(), XML: str(), EOS: flag()},
+		&Partial{Fn: str(), Window: num(), Key: str(), Source: str(), Count: num(), State: str()},
+		&Probe{Seq: num(), Updates: ups()},
+		&Ack{Seq: num(), Updates: ups(), Stream: str(), Window: num()},
+		&Gossip{Updates: ups()},
+		&CkptPut{Key: str(), Value: str()},
+		&CkptGet{ReqID: num(), Key: str()},
+		&CkptResp{ReqID: num(), Key: str(), Found: flag(), Values: strs()},
+		&Publish{Def: str()},
+		&Lookup{ReqID: num(), Query: str()},
+		&LookupResp{ReqID: num(), Values: strs()},
+	}
+}
+
+// checkAgainstReference is the byte-identity gate: Encode equals the
+// reference encoder, and Size equals the encoded length.
+func checkAgainstReference(t *testing.T, m Message) {
+	t.Helper()
+	got, want := Encode(m), refEncode(m)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: Encode differs from the reference encoder\n got %x\nwant %x\n msg %#v", m.Kind(), got, want, m)
+	}
+	if Size(m) != len(want) {
+		t.Fatalf("%s: Size=%d, len(Encode)=%d\n msg %#v", m.Kind(), Size(m), len(want), m)
+	}
+}
+
 // TestSizeMatchesEncoding pins Size to the actual encoded length —
-// transports charge byte counters from it.
+// transports charge byte counters from it — and Encode to the bytes the
+// reference encoder produces, over every() and a seeded property run of
+// all 12 kinds. Size counts; it must not allocate.
 func TestSizeMatchesEncoding(t *testing.T) {
 	for _, m := range every() {
-		if Size(m) != len(Encode(m)) {
-			t.Errorf("%s: Size=%d, len(Encode)=%d", m.Kind(), Size(m), len(Encode(m)))
+		checkAgainstReference(t, m)
+	}
+	rng := rand.New(rand.NewSource(17))
+	seen := map[Kind]bool{}
+	for i := 0; i < 2000; i++ {
+		for _, m := range randomMessages(rng) {
+			seen[m.Kind()] = true
+			checkAgainstReference(t, m)
 		}
+	}
+	for k := KindHello; k <= KindLookupResp; k++ {
+		if !seen[k] {
+			t.Errorf("randomMessages draws no %s", k)
+		}
+	}
+	for _, m := range every() {
+		if n := testing.AllocsPerRun(100, func() { Size(m) }); n != 0 {
+			t.Errorf("%s: Size allocates %v times, want 0", m.Kind(), n)
+		}
+	}
+}
+
+// TestAppendEncodeAppends: the prefix already in dst is preserved, and
+// the appended bytes do not depend on how much spare capacity dst had.
+func TestAppendEncodeAppends(t *testing.T) {
+	prefix := []byte("\x00\x00\x00\x2aprefix")
+	for _, m := range every() {
+		want := append(append([]byte(nil), prefix...), refEncode(m)...)
+		for _, spare := range []int{0, 1, len(want), 4096} {
+			dst := make([]byte, len(prefix), len(prefix)+spare)
+			copy(dst, prefix)
+			if got := AppendEncode(dst, m); !bytes.Equal(got, want) {
+				t.Errorf("%s, spare %d:\n got %x\nwant %x", m.Kind(), spare, got, want)
+			}
+		}
+	}
+}
+
+// TestCodecAllocs pins the allocation budget the tcp hot path is built
+// on: encoding into a warm buffer is free, and decoding an item costs
+// the struct and its two strings — Decode copies every string out of
+// its input, which is what lets the tcp reader reuse its buffer while
+// handlers retain messages.
+func TestCodecAllocs(t *testing.T) {
+	msgs := map[string]Message{
+		"item":    &Item{Stream: "s3@relay", Seq: 412, TimeNS: 9_500_000_000, XML: `<call id="7" method="Reserve" to="airline"/>`},
+		"partial": &Partial{Fn: "avg", Window: 6, Key: "eu-west", Source: "n3", Count: 1800, State: "1800|45210"},
+		"probe": &Probe{Seq: 12, Updates: []GossipUpdate{
+			{Peer: "n4", Status: StatusSuspect, Inc: 3}, {Peer: "n7", Status: StatusAlive, Inc: 9}}},
+	}
+	buf := make([]byte, 0, 4096)
+	for name, m := range msgs {
+		if n := testing.AllocsPerRun(200, func() { buf = AppendEncode(buf[:0], m) }); n != 0 {
+			t.Errorf("AppendEncode(%s) into a warm buffer allocates %v times, want 0", name, n)
+		}
+	}
+	enc := Encode(msgs["item"])
+	if n := testing.AllocsPerRun(200, func() { Decode(enc) }); n != 3 { //nolint:errcheck // a valid frame
+		t.Errorf("Decode(item) allocates %v times, want 3 (struct + Stream + XML)", n)
 	}
 }
 
