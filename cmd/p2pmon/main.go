@@ -10,10 +10,9 @@
 //	p2pmon rss                  # feed monitoring
 //	p2pmon churn                # self-healing under relay crashes
 //	p2pmon churn -replay                  # lossless failover (replay + checkpoints)
-//	p2pmon churn -detector gossip         # SWIM-style decentralized detection
-//	p2pmon churn -replay -detector gossip -events 600 -crash-every 8   # soak
-//	p2pmon churn -replay -detector gossip -partition-home 10           # survivability
-//	p2pmon churn -replay -detector gossip -grow 10 -join-every 12      # elastic growth
+//	p2pmon churn -replay -events 600 -crash-every 8                    # soak
+//	p2pmon churn -replay -partition-home 10                            # survivability
+//	p2pmon churn -replay -grow 10 -join-every 12                       # elastic growth
 //	p2pmon churn -replay -grow 10 -spread                              # + DHT checkpoint spreading
 //	p2pmon churn -replay -leave-every 15                               # graceful leave/rejoin cycles
 //	p2pmon agg -agg tree -agg-degree 3                                 # in-network aggregation tree
@@ -251,15 +250,12 @@ return $r by publish as channel "feedChanges"`
 // target names its crash/leave victim in the usage text.
 func labFlags(fs *flag.FlagSet, c *workload.Common, target string, take ...string) func() error {
 	has := func(name string) bool { return slices.Contains(take, name) }
-	replay, detector := new(bool), new(string)
+	replay := new(bool)
 	events, leaveEvery, grow, joinEvery := new(int), new(int), new(int), new(int)
 	crashEvery := new(int)
 	*crashEvery = -1
 	if has("replay") {
 		fs.BoolVar(replay, "replay", false, "enable replay buffers + operator checkpointing (lossless failover; the share scenario has it on already)")
-	}
-	if has("detector") {
-		fs.StringVar(detector, "detector", "", "failure detection mode, home | gossip (see docs/DETECTOR.md)")
 	}
 	if has("events") {
 		fs.IntVar(events, "events", 0, "events to drive (0 = scenario default)")
@@ -278,9 +274,6 @@ func labFlags(fs *flag.FlagSet, c *workload.Common, target string, take ...strin
 	}
 	return func() error {
 		c.Replay = c.Replay || *replay
-		if *detector != "" {
-			c.Detector = *detector
-		}
 		if *events > 0 {
 			c.Events = *events
 		}
@@ -305,7 +298,7 @@ func runChurnScenario(args []string, out io.Writer) error {
 	fs := newFlagSet("churn")
 	cfg := workload.DefaultChurn()
 	apply := labFlags(fs, &cfg.Common, "the relay host",
-		"replay", "detector", "events", "crash-every", "leave-every", "grow", "join-every")
+		"replay", "events", "crash-every", "leave-every", "grow", "join-every")
 	fs.IntVar(&cfg.PartitionHomeAfter, "partition-home", 0, "isolate the monitor peer after N events (0 = never) — the detector survivability case")
 	fs.BoolVar(&cfg.Spread, "spread", false, "enable DHT virtual-node + bounded-load checkpoint spreading")
 	if err := fs.Parse(args); err != nil {
@@ -322,7 +315,7 @@ func runAggScenario(args []string, out io.Writer) error {
 	fs := newFlagSet("agg")
 	cfg := workload.DefaultAgg()
 	apply := labFlags(fs, &cfg.Common, "the aggregation host",
-		"replay", "detector", "events", "crash-every", "leave-every")
+		"replay", "events", "crash-every", "leave-every")
 	aggMode := fs.String("agg", "", "aggregation deployment, tree | flat (see docs/AGGREGATION.md; default tree)")
 	aggDegree := fs.Int("agg-degree", 0, "aggregation-tree fan-in bound (0 = default 3)")
 	fs.StringVar(&cfg.Fn, "agg-fn", "", "aggregate function, count | sum | min | max | avg | set | distinct | freq (default count; see docs/AGGREGATION.md)")
@@ -350,7 +343,7 @@ func runShareScenario(args []string, out io.Writer) error {
 	fs := newFlagSet("share")
 	cfg := workload.DefaultShare()
 	apply := labFlags(fs, &cfg.Common, "the shared-interior host",
-		"replay", "detector", "events", "crash-every", "leave-every", "grow", "join-every")
+		"replay", "events", "crash-every", "leave-every", "grow", "join-every")
 	subs := fs.Int("subs", 0, "number of overlapping subscriptions (0 = default 12)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -485,8 +478,8 @@ func runAgg(out io.Writer, cfg workload.AggConfig) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "== scenario agg ==\nmode %s (degree %d), fn %s, sources: %d, workers: %d, events: %d, window %v, crash every %d, leave every %d, replay %v, detector %s\n",
-		cfg.Mode, cfg.Degree, cfg.Fn, cfg.Sources, cfg.Workers, cfg.Events, cfg.Window, cfg.CrashEvery, cfg.LeaveEvery, cfg.Replay, cfg.Detector)
+	fmt.Fprintf(out, "== scenario agg ==\nmode %s (degree %d), fn %s, sources: %d, workers: %d, events: %d, window %v, crash every %d, leave every %d, replay %v\n",
+		cfg.Mode, cfg.Degree, cfg.Fn, cfg.Sources, cfg.Workers, cfg.Events, cfg.Window, cfg.CrashEvery, cfg.LeaveEvery, cfg.Replay)
 	fmt.Fprintf(out, "deployed plan:\n%s\n", lab.Tasks[0].Plan.Tree())
 	rep, err := lab.Run()
 	if err != nil {
@@ -524,8 +517,8 @@ func runShare(out io.Writer, cfg workload.ShareConfig) error {
 			return err
 		}
 		if mode == "shared" {
-			fmt.Fprintf(out, "== scenario share ==\nsources: %d, workers: %d, subscriptions: %d, events: %d, window %v, crash every %d, leave every %d, replay %v, detector %s\n",
-				c.Sources, c.Workers, c.Subs, c.Events, c.Window, c.CrashEvery, c.LeaveEvery, c.Replay, c.Detector)
+			fmt.Fprintf(out, "== scenario share ==\nsources: %d, workers: %d, subscriptions: %d, events: %d, window %v, crash every %d, leave every %d, replay %v\n",
+				c.Sources, c.Workers, c.Subs, c.Events, c.Window, c.CrashEvery, c.LeaveEvery, c.Replay)
 			if c.GrowFrom > 0 {
 				fmt.Fprintf(out, "elastic pool: growing from %d to %d workers via the join protocol\n", c.GrowFrom, c.Workers)
 			}
@@ -558,15 +551,14 @@ func runShare(out io.Writer, cfg workload.ShareConfig) error {
 // subscription is killed repeatedly while events flow; the supervisor
 // migrates it and the report shows what the churn cost. With replay on,
 // outage windows are retransmitted and the run ends lossless. The
-// detector-mode and partition knobs select the failure-detection axis
-// (home heartbeats vs SWIM gossip) and the survivability case.
+// partition knob selects the detector survivability case.
 func runChurn(out io.Writer, cfg workload.ChurnConfig) error {
 	lab, err := workload.New(&cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "== scenario churn ==\nrelay workers: %d, events: %d, crash every %d events, MTTR %v, replay %v, detector %s\n",
-		cfg.Workers, cfg.Events, cfg.CrashEvery, cfg.MTTR, cfg.Replay, cfg.Detector)
+	fmt.Fprintf(out, "== scenario churn ==\nrelay workers: %d, events: %d, crash every %d events, MTTR %v, replay %v\n",
+		cfg.Workers, cfg.Events, cfg.CrashEvery, cfg.MTTR, cfg.Replay)
 	if cfg.GrowFrom > 0 {
 		fmt.Fprintf(out, "elastic pool: growing from %d to %d workers via the join protocol\n", cfg.GrowFrom, cfg.Workers)
 	}

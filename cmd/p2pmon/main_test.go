@@ -235,19 +235,18 @@ func TestAdaptScenario(t *testing.T) {
 
 func TestChurnGossipScenario(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"churn", "-replay", "-detector", "gossip"}, &out); err != nil {
+	if err := run([]string{"churn", "-replay"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
-	if !strings.Contains(s, "detector gossip") || !strings.Contains(s, "completeness 100%") {
+	if !strings.Contains(s, "completeness 100%") {
 		t.Errorf("gossip churn report not lossless:\n%s", s)
 	}
 }
 
 func TestChurnPartitionHomeScenario(t *testing.T) {
 	var out bytes.Buffer
-	args := []string{"churn", "-replay", "-detector", "gossip",
-		"-events", "40", "-crash-every", "12", "-partition-home", "5"}
+	args := []string{"churn", "-replay", "-events", "40", "-crash-every", "12", "-partition-home", "5"}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -258,9 +257,12 @@ func TestChurnPartitionHomeScenario(t *testing.T) {
 	}
 }
 
+// The detector axis is gone: gossip is the only detector, so -detector is
+// an unknown flag in every scenario.
 func TestChurnBadDetectorRejected(t *testing.T) {
-	if err := run([]string{"churn", "-detector", "psychic"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("unknown detector mode accepted")
+	err := run([]string{"churn", "-detector", "gossip"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("churn -detector gossip: err = %v, want an unknown-flag rejection", err)
 	}
 }
 
@@ -272,8 +274,7 @@ func TestDetectorFlagOutsideChurnRejected(t *testing.T) {
 
 func TestChurnElasticGrowScenario(t *testing.T) {
 	var out bytes.Buffer
-	args := []string{"churn", "-replay", "-detector", "gossip",
-		"-grow", "8", "-join-every", "10", "-events", "60", "-spread"}
+	args := []string{"churn", "-replay", "-grow", "8", "-join-every", "10", "-events", "60", "-spread"}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 //
 // Subscribe with `for $e in axmlCOM(<p>HOST</p>) return $e by ...` to
 // receive them; SysmonQuery builds that text.
-func Sysmon(det peer.FailureDetector, host *peer.Peer) {
+func Sysmon(det *peer.GossipDetector, host *peer.Peer) {
 	repo := host.Repo()
 	seq := 0
 	put := func(kind, p string, at time.Duration) {

@@ -16,7 +16,7 @@ func init() {
 //
 // Ingest table: the same windowed group-by-count query deployed flat
 // (one Group operator ingesting every monitored stream — the O(n)
-// hotspot, exactly analogous to the home-detector and checkpoint-owner
+// hotspot, exactly analogous to the heartbeat-home and checkpoint-owner
 // hotspots PRs 3–4 eliminated) versus as a DHT-routed partial/merge
 // tree: leaves pre-aggregate next to each source, interiors ingest at
 // most degree partial streams each. The table reports per-peer operator

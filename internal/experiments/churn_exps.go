@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register("X2", "self-healing under churn — completeness and failover latency vs crash rate, by replay and detector mode, plus detector survivability under a partitioned home (extension)", runX2)
+	register("X2", "self-healing under churn — completeness and failover latency vs crash rate, by replay mode, plus detector survivability with the monitor peer partitioned away (extension)", runX2)
 }
 
 // runX2 measures the churn extension: a subscription whose relay
@@ -16,22 +16,19 @@ func init() {
 // detect each death, migrate the operator (ACME-style: the monitor
 // tolerates the failures it observes), and keep delivering results.
 //
-// Two axes. Replay: off is PR 1's lossy fail-stop (outage windows are
-// the completeness loss), on retransmits every loss after migration.
-// Detector: "home" is one heartbeat detector at a single peer, "gossip"
-// is PR 3's SWIM-style decentralized detection with a quorum-confirmed
-// membership view — it must match home mode's lossless completeness at
-// every churn rate while spreading the detection load.
+// One axis, replay: off is lossy fail-stop (outage windows are the
+// completeness loss), on retransmits every loss after migration.
+// Detection is SWIM-style gossip with a quorum-confirmed membership view
+// (docs/DETECTOR.md); the "detector" column names it.
 //
-// The survivability table is the reason gossip exists: the peer a home
-// detector lives on is partitioned away, then the relay actually
-// crashes. Gossip detection keeps working (completeness stays 100%
-// with replay); the home detector goes blind, its silence-is-death
-// rule kills the healthy peers, and the run demonstrably loses data.
+// The survivability table is the reason detection is decentralized: the
+// monitor peer — where a single-home detector would live — is
+// partitioned away, then the relay actually crashes. Gossip detection
+// keeps working: completeness stays 100% with replay.
 func runX2(s Scale) (*Result, error) {
 	res := &Result{
 		ID:    "X2",
-		Claim: `"P2P systems are characterized by their dynamicity: peers join and leave" (§1) — extension: the monitor self-heals under that dynamicity; with replay the healing is lossless at every crash rate in BOTH detector modes, and only decentralized (gossip) detection survives the loss of the detector's own host`,
+		Claim: `"P2P systems are characterized by their dynamicity: peers join and leave" (§1) — extension: the monitor self-heals under that dynamicity; with replay the healing is lossless at every crash rate, and decentralized (gossip) detection survives the loss of any single host`,
 	}
 	events := 120
 	rates := []int{0, 30, 15, 8}
@@ -42,18 +39,12 @@ func runX2(s Scale) (*Result, error) {
 	table := stats.NewTable("churn rate vs result completeness and failover latency",
 		"crash every", "replay", "detector", "crashes", "repairs", "completeness", "replayed", "mean detect (s)", "msgs", "dropped")
 	holds := true
-	type mode struct {
-		replay   bool
-		detector string
-	}
-	modes := []mode{{false, "home"}, {true, "home"}, {true, "gossip"}}
 	for _, k := range rates {
-		for _, m := range modes {
+		for _, replay := range []bool{false, true} {
 			cfg := workload.DefaultChurn()
 			cfg.Events = events
 			cfg.CrashEvery = k
-			cfg.Replay = m.replay
-			cfg.Detector = m.detector
+			cfg.Replay = replay
 			rep, err := workload.Run(&cfg)
 			if err != nil {
 				return nil, err
@@ -63,10 +54,10 @@ func runX2(s Scale) (*Result, error) {
 				label = fmt.Sprintf("%d events", k)
 			}
 			onOff := "off"
-			if m.replay {
+			if replay {
 				onOff = "on"
 			}
-			table.AddRow(label, onOff, m.detector, rep.Crashes, rep.Repairs,
+			table.AddRow(label, onOff, "gossip", rep.Crashes, rep.Repairs,
 				fmt.Sprintf("%.0f%%", rep.Completeness()*100),
 				rep.Replayed,
 				fmt.Sprintf("%.1f", rep.DetectionLatency.Mean()),
@@ -76,9 +67,9 @@ func runX2(s Scale) (*Result, error) {
 				// The baseline must be perfect in every mode: no churn, no
 				// loss, no deaths invented by the detector.
 				holds = holds && rep.Completeness() == 1 && rep.Crashes == 0 && rep.Deaths == 0
-			case m.replay:
-				// The goal line, identical for home and gossip: under
-				// churn, replay recovers every outage window — completeness
+			case replay:
+				// The goal line: under churn, replay recovers every
+				// outage window — completeness
 				// is exactly 100% and the recovery is genuine
 				// retransmission, not luck.
 				holds = holds && rep.Crashes > 0 &&
@@ -98,47 +89,36 @@ func runX2(s Scale) (*Result, error) {
 	}
 	res.Tables = append(res.Tables, table)
 
-	// Detector survivability: the old home peer is partitioned away
-	// early in the run; the relay crash schedule continues. Replay is on
-	// in both rows — any loss is a detection failure, not a transport
-	// one.
+	// Detector survivability: the monitor peer is partitioned away early
+	// in the run; the relay crash schedule continues. Replay is on — any
+	// loss is a detection failure, not a transport one.
 	surv := stats.NewTable("detector survivability — home peer partitioned mid-run (replay on)",
 		"detector", "crashes", "repairs", "completeness", "mean detect (s)", "deaths declared")
-	for _, det := range []string{"home", "gossip"} {
-		cfg := workload.DefaultChurn()
-		cfg.Events = events
-		cfg.CrashEvery = partRate
-		cfg.Replay = true
-		cfg.Detector = det
-		cfg.PartitionHomeAfter = events / 8
-		rep, err := workload.Run(&cfg)
-		if err != nil {
-			return nil, err
-		}
-		surv.AddRow(det, rep.Crashes, rep.Repairs,
-			fmt.Sprintf("%.0f%%", rep.Completeness()*100),
-			fmt.Sprintf("%.1f", rep.DetectionLatency.Mean()),
-			rep.Deaths)
-		if det == "gossip" {
-			// Gossip must still inject, detect and repair relay crashes
-			// with the old home cut off, ending lossless.
-			holds = holds && rep.Crashes > 0 &&
-				rep.Repairs >= rep.Crashes &&
-				rep.Completeness() == 1
-		} else {
-			// The home detector demonstrably fails this case: blinded by
-			// the partition, it mass-false-positives the healthy peers and
-			// the run loses data.
-			holds = holds && rep.Completeness() < 1
-		}
+	cfg := workload.DefaultChurn()
+	cfg.Events = events
+	cfg.CrashEvery = partRate
+	cfg.Replay = true
+	cfg.PartitionHomeAfter = events / 8
+	rep, err := workload.Run(&cfg)
+	if err != nil {
+		return nil, err
 	}
+	surv.AddRow("gossip", rep.Crashes, rep.Repairs,
+		fmt.Sprintf("%.0f%%", rep.Completeness()*100),
+		fmt.Sprintf("%.1f", rep.DetectionLatency.Mean()),
+		rep.Deaths)
+	// Gossip must still inject, detect and repair relay crashes with the
+	// monitor cut off, ending lossless.
+	holds = holds && rep.Crashes > 0 &&
+		rep.Repairs >= rep.Crashes &&
+		rep.Completeness() == 1
 	res.Tables = append(res.Tables, surv)
 
 	res.Notes = append(res.Notes,
 		"replay off: loss per crash is bounded by the outage window (suspicion timeout × event rate); results driven while the relay is healthy always arrive",
 		"replay on: the relay's input replays from the upstream retention buffer at re-deploy (resuming from the replicated checkpoint) and consumer cursors deduplicate the overlap — completeness 100% with bounded buffers",
-		"gossip detection: each peer probes a random Fanout-sized subset per period (O(1)/peer vs O(n) at the home hotspot), escalates through k proxies, and the supervisor acts on a quorum-confirmed view — same lossless completeness, no single point of blindness",
-		"survivability: with the home peer partitioned, home mode's silence-is-death rule kills healthy peers while gossip keeps detecting real crashes (docs/DETECTOR.md)",
+		"gossip detection: each peer probes a random Fanout-sized subset per period (O(1)/peer, no hotspot), escalates through k proxies, and the supervisor acts on a quorum-confirmed view — no single point of blindness",
+		"survivability: with the monitor peer partitioned away, gossip keeps detecting real crashes; the single-home heartbeat detector this replaced went blind there and killed the healthy peers (12% completeness at full scale when PR 18 removed it; docs/DETECTOR.md)",
 		"failover prefers peers that announced a replica of the affected stream (Section 5's InChannel records)")
 	res.Holds = holds
 	return res, nil

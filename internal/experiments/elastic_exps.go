@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register("X3", "elastic membership — grow-from-k-to-n completeness vs join rate by detector, and per-peer checkpoint load with vs without virtual-node spreading (extension)", runX3)
+	register("X3", "elastic membership — grow-from-k-to-n completeness vs join rate, and per-peer checkpoint load with vs without virtual-node spreading (extension)", runX3)
 }
 
 // runX3 measures the elastic-membership extension, closing the two PR 3
@@ -16,10 +16,10 @@ func init() {
 //
 // Growth table: the worker pool starts at 4 and grows to full scale
 // through the runtime join protocol (gossip dissemination with
-// incarnation numbers — no Watch pre-registration) while the crash
-// schedule keeps killing the relay. With replay on, both detector modes
-// must stay lossless at every join rate: joining is supposed to be
-// invisible to the consumers.
+// incarnation numbers — no pre-registration) while the crash schedule
+// keeps killing the relay. With replay on the run must stay lossless at
+// every join rate: joining is supposed to be invisible to the
+// consumers.
 //
 // Spread table: many parallel pipelines mean many operator checkpoint
 // keys. Classic single-token placement concentrates their write traffic
@@ -48,37 +48,33 @@ func runX3(s Scale) (*Result, error) {
 		"join every", "detector", "joins", "crashes", "repairs", "completeness", "replayed", "mean detect (s)")
 	holds := true
 	for _, rate := range joinRates {
-		for _, det := range []string{"home", "gossip"} {
-			cfg := workload.DefaultChurn()
-			cfg.Workers = workers
-			cfg.GrowFrom = growFrom
-			cfg.JoinEvery = rate
-			cfg.Events = events
-			cfg.CrashEvery = 15
-			cfg.Replay = true
-			cfg.Detector = det
-			rep, err := workload.Run(&cfg)
-			if err != nil {
-				return nil, err
-			}
-			label := "spread evenly"
-			if rate > 0 {
-				label = fmt.Sprintf("%d events", rate)
-			}
-			growth.AddRow(label, det, rep.Joins, rep.Crashes, rep.Repairs,
-				fmt.Sprintf("%.0f%%", rep.Completeness()*100),
-				rep.Replayed,
-				fmt.Sprintf("%.1f", rep.DetectionLatency.Mean()))
-			// The pool must actually reach full scale, every crash must be
-			// detected and repaired, and the growth must be invisible to
-			// the consumers: exactly 100% completeness via genuine
-			// retransmission.
-			holds = holds && rep.Joins == workers-growFrom &&
-				rep.Crashes > 0 &&
-				rep.Repairs >= rep.Crashes &&
-				rep.Completeness() == 1 &&
-				rep.Replayed > 0
+		cfg := workload.DefaultChurn()
+		cfg.Workers = workers
+		cfg.GrowFrom = growFrom
+		cfg.JoinEvery = rate
+		cfg.Events = events
+		cfg.CrashEvery = 15
+		cfg.Replay = true
+		rep, err := workload.Run(&cfg)
+		if err != nil {
+			return nil, err
 		}
+		label := "spread evenly"
+		if rate > 0 {
+			label = fmt.Sprintf("%d events", rate)
+		}
+		growth.AddRow(label, "gossip", rep.Joins, rep.Crashes, rep.Repairs,
+			fmt.Sprintf("%.0f%%", rep.Completeness()*100),
+			rep.Replayed,
+			fmt.Sprintf("%.1f", rep.DetectionLatency.Mean()))
+		// The pool must actually reach full scale, every crash must be
+		// detected and repaired, and the growth must be invisible to the
+		// consumers: exactly 100% completeness via genuine retransmission.
+		holds = holds && rep.Joins == workers-growFrom &&
+			rep.Crashes > 0 &&
+			rep.Repairs >= rep.Crashes &&
+			rep.Completeness() == 1 &&
+			rep.Replayed > 0
 	}
 	res.Tables = append(res.Tables, growth)
 
@@ -97,7 +93,6 @@ func runX3(s Scale) (*Result, error) {
 		cfg.Events = loadEvents
 		cfg.CrashEvery = 0
 		cfg.Replay = true
-		cfg.Detector = "gossip"
 		cfg.Pipelines = pipelines
 		cfg.Spread = spread
 		lab, err := workload.New(&cfg)

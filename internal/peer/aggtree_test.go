@@ -21,33 +21,39 @@ func aggWorld(t *testing.T, opts Config, sources, workers int) (*System, *Task) 
 	sys := MustSystem(opts)
 	mgr := sys.MustAddPeer("mgr")
 	sys.MustAddPeer("client")
-	var branches []*algebra.Node
 	for i := 0; i < sources; i++ {
-		name := fmt.Sprintf("s%d", i)
-		sp := sys.MustAddPeer(name)
+		sp := sys.MustAddPeer(fmt.Sprintf("s%d", i))
 		sp.Endpoint().Register("Q", func(*xmltree.Node) (*xmltree.Node, error) {
 			return xmltree.Elem("ok"), nil
 		}, nil)
-		branches = append(branches, algebra.NewAlerter("inCOM", "ws-in", name, "e", nil))
 	}
 	for i := 0; i < workers; i++ {
 		sys.MustAddPeer(fmt.Sprintf("w%d", i))
 	}
 	sys.SetAggHosts(func(name string) bool { return name[0] == 'w' })
+	task, err := mgr.DeployPlan(countPlan(sources, "agg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, task
+}
+
+// countPlan is the flat windowed count-per-callee over sources
+// s0..s(n-1): Group(Union(alerters)) at w0, published at mgr.
+func countPlan(n int, channel string) *algebra.Node {
+	var branches []*algebra.Node
+	for i := 0; i < n; i++ {
+		branches = append(branches, algebra.NewAlerter("inCOM", "ws-in", fmt.Sprintf("s%d", i), "e", nil))
+	}
 	union := &algebra.Node{Op: algebra.OpUnion, Peer: "w0", Inputs: branches, Schema: []string{"e"}}
 	group := &algebra.Node{
 		Op: algebra.OpGroup, Peer: "w0", Inputs: []*algebra.Node{union},
 		Schema: []string{"e"}, Group: &algebra.GroupSpec{KeyAttr: "callee", Window: "10s"},
 	}
-	plan := &algebra.Node{
+	return &algebra.Node{
 		Op: algebra.OpPublish, Peer: "mgr", Inputs: []*algebra.Node{group},
-		Schema: []string{"e"}, Publish: &algebra.PublishSpec{ChannelID: "agg"},
+		Schema: []string{"e"}, Publish: &algebra.PublishSpec{ChannelID: channel},
 	}
-	task, err := mgr.DeployPlan(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys, task
 }
 
 // settleTask waits (bounded) until the task's operators stop consuming —
@@ -357,9 +363,11 @@ func TestAggTreeRebalanceOnRejoin(t *testing.T) {
 			sys.Net.Crash(victim) //nolint:errcheck // known node
 		case repairAt:
 			sys.FailPeer(victim, sys.Net.Clock().Now())
+			assertNoStaleBindings(t, sys)
 		case rejoinAt:
 			sys.Net.Recover(victim) //nolint:errcheck // known node
 			sys.RejoinPeer(victim)
+			assertNoStaleBindings(t, sys)
 			// The recovered host owns part of the keyspace again; the
 			// deployed interiors must follow immediately.
 			desired := sys.AggPlacements(task.Plan)

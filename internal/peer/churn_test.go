@@ -55,116 +55,11 @@ func relayHost(task *Task) string {
 	return host
 }
 
-// TestDetectorSuspicionThresholds drives outages of varying length
-// against varying suspicion thresholds.
-func TestDetectorSuspicionThresholds(t *testing.T) {
-	cases := []struct {
-		name      string
-		suspicion time.Duration
-		downFor   time.Duration
-		wantDead  bool
-	}{
-		{"outage shorter than suspicion", 5 * time.Second, 2 * time.Second, false},
-		{"outage beyond suspicion", 3 * time.Second, 10 * time.Second, true},
-		{"tight threshold catches short outage", 1500 * time.Millisecond, 3 * time.Second, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			sys := MustSystem(DefaultConfig())
-			sys.MustAddPeer("w")
-			sys.MustAddPeer("mon")
-			det := sys.StartDetector("mon", DetectorOptions{Interval: time.Second, Suspicion: c.suspicion})
-			died, recovered := 0, 0
-			det.OnDeath(func(string, time.Duration) { died++ })
-			det.OnRecover(func(string, time.Duration) { recovered++ })
-
-			step := 500 * time.Millisecond
-			for i := 0; i < 10; i++ { // healthy warm-up
-				sys.Step(step)
-			}
-			if died != 0 {
-				t.Fatal("false positive on a healthy peer")
-			}
-			sys.Net.Crash("w")
-			for el := time.Duration(0); el < c.downFor; el += step {
-				sys.Step(step)
-			}
-			sys.Net.Recover("w")
-			for i := 0; i < 30; i++ {
-				sys.Step(step)
-			}
-			if (died > 0) != c.wantDead {
-				t.Errorf("death declared = %v, want %v", died > 0, c.wantDead)
-			}
-			if died != recovered {
-				t.Errorf("death/recovery not symmetric after the peer returned: died=%d recovered=%d", died, recovered)
-			}
-			if len(det.Suspects()) != 0 {
-				t.Errorf("suspects after recovery = %v", det.Suspects())
-			}
-		})
-	}
-}
-
-// TestDetectorSlowButAlivePeer checks the false-positive tradeoff: a
-// slow link only fools a detector whose suspicion threshold is below the
-// link's delay.
-func TestDetectorSlowButAlivePeer(t *testing.T) {
-	cases := []struct {
-		name              string
-		suspicion         time.Duration
-		wantFalsePositive bool
-	}{
-		{"generous threshold tolerates the slow link", 4 * time.Second, false},
-		{"threshold below link delay false-positives", 2 * time.Second, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			sys := MustSystem(DefaultConfig())
-			sys.MustAddPeer("w")
-			sys.MustAddPeer("mon")
-			sys.Net.SetExtraDelay("w", "mon", 2500*time.Millisecond)
-			det := sys.StartDetector("mon", DetectorOptions{Interval: time.Second, Suspicion: c.suspicion})
-			died, recovered := 0, 0
-			det.OnDeath(func(string, time.Duration) { died++ })
-			det.OnRecover(func(string, time.Duration) { recovered++ })
-			for i := 0; i < 40; i++ {
-				sys.Step(500 * time.Millisecond)
-			}
-			if (died > 0) != c.wantFalsePositive {
-				t.Errorf("false positive = %v, want %v (died=%d)", died > 0, c.wantFalsePositive, died)
-			}
-			if c.wantFalsePositive && recovered == 0 {
-				t.Error("late heartbeats should eventually clear the false positive")
-			}
-		})
-	}
-}
-
-// TestDetectorPartition: a partition separating a peer from the detector
-// is indistinguishable from a crash until it heals.
-func TestDetectorPartition(t *testing.T) {
-	sys := MustSystem(DefaultConfig())
-	sys.MustAddPeer("w")
-	sys.MustAddPeer("mon")
-	det := sys.StartDetector("mon", DetectorOptions{Interval: time.Second, Suspicion: 3 * time.Second})
-	for i := 0; i < 4; i++ {
-		sys.Step(time.Second)
-	}
-	sys.Net.Partition([]string{"w"}, []string{"mon"})
-	for i := 0; i < 8; i++ {
-		sys.Step(time.Second)
-	}
-	if got := det.Suspects(); len(got) != 1 || got[0] != "w" {
-		t.Fatalf("suspects during partition = %v, want [w]", got)
-	}
-	sys.Net.Heal()
-	for i := 0; i < 8; i++ {
-		sys.Step(time.Second)
-	}
-	if got := det.Suspects(); len(got) != 0 {
-		t.Errorf("suspects after heal = %v", got)
-	}
+// startTestSupervisor starts the supervisor the failover tests run
+// under: gossip detection on a 1 s probe period. They test repair, not
+// detection — they wait for the death event rather than count seconds.
+func startTestSupervisor(sys *System, suspicion time.Duration) *Supervisor {
+	return sys.StartGossipSupervisor(GossipOptions{Seed: 11, ProbeInterval: time.Second, Suspicion: suspicion})
 }
 
 // TestFailoverEndToEnd is the acceptance scenario: killing the peer
@@ -190,7 +85,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := sys.StartSupervisor("mon", DetectorOptions{Interval: time.Second, Suspicion: 3 * time.Second})
+	sup := startTestSupervisor(sys, 3*time.Second)
 
 	for i := 0; i < 3; i++ {
 		if _, err := client.Endpoint().Invoke("src.com", "Q", nil); err != nil {
@@ -278,7 +173,7 @@ func TestFailoverPrefersAnnouncedReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := sys.StartSupervisor("mon", DetectorOptions{Interval: time.Second, Suspicion: 3 * time.Second})
+	sup := startTestSupervisor(sys, 3*time.Second)
 
 	for i := 0; i < 2; i++ {
 		client.Endpoint().Invoke("src.com", "Q", nil)
@@ -451,7 +346,7 @@ func TestChurnSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := sys.StartSupervisor("mon", DetectorOptions{Interval: time.Second, Suspicion: 3 * time.Second})
+	sup := startTestSupervisor(sys, 3*time.Second)
 	rng := rand.New(rand.NewSource(11))
 
 	driven := 0

@@ -358,15 +358,9 @@ func (t Tuning) Quarantined() []string {
 	return out
 }
 
-// gossipDetectors snapshots the registered gossip detectors.
+// gossipDetectors snapshots the registered detectors.
 func (s *System) gossipDetectors() []*GossipDetector {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []*GossipDetector
-	for _, det := range s.detectors {
-		if g, ok := det.(*GossipDetector); ok {
-			out = append(out, g)
-		}
-	}
-	return out
+	return append([]*GossipDetector(nil), s.detectors...)
 }

@@ -98,9 +98,7 @@ func (p *Peer) deploy(task *Task) error {
 			if err != nil {
 				return nil, err
 			}
-			h := operators.Run(proc, queues, operators.ChannelPublish(out))
-			task.handles = append(task.handles, h)
-			task.procs[n] = &procInstance{proc: proc, handle: h}
+			p.runProc(task, n, proc, queues, out)
 		}
 		return out, nil
 	}

@@ -88,44 +88,28 @@ func aliveOnly(s *System, inner reuse.Chooser) reuse.Chooser {
 	}
 }
 
-// Supervisor couples a failure detector with self-healing: a declared
-// death triggers FailPeer (crash the substrate links, re-replicate DHT
-// keys, migrate the dead peer's operators), a recovery rejoins the peer.
-// The detector may be the single-home heartbeat Detector or the
-// decentralized GossipDetector — the supervisor only sees the
-// FailureDetector events.
+// Supervisor couples the gossip failure detector with self-healing: a
+// quorum-confirmed death triggers FailPeer (crash the substrate links,
+// re-replicate DHT keys, migrate the dead peer's operators), a recovery
+// rejoins the peer.
 type Supervisor struct {
-	sys *System
-	det FailureDetector
+	det *GossipDetector
 
 	mu     sync.Mutex
 	events []FailoverEvent
 	deaths []string
 }
 
-// StartSupervisor starts a heartbeat failure detector hosted at home
-// (watching all currently registered peers) and wires self-healing to
-// it. Tick it via System.Step.
-func (s *System) StartSupervisor(home string, opts DetectorOptions) *Supervisor {
-	return s.superviseDetector(s.StartDetector(home, opts))
-}
-
 // StartGossipSupervisor wires self-healing to a SWIM-style gossip
-// failure detector spanning every registered peer. Unlike
-// StartSupervisor there is no home: detection is hosted everywhere, and
-// the supervisor acts on the quorum-confirmed membership view, so it
-// keeps working when any individual peer — including whichever peer a
-// home detector would have lived on — crashes or is partitioned away.
+// failure detector spanning every registered peer. Detection is hosted
+// everywhere and the supervisor acts on the quorum-confirmed membership
+// view, so it keeps working when any individual peer crashes or is
+// partitioned away. Tick it via System.Step.
 func (s *System) StartGossipSupervisor(opts GossipOptions) *Supervisor {
 	if opts.Seed == 0 {
 		opts.Seed = s.Config().Seed
 	}
-	return s.superviseDetector(s.StartGossipDetector(opts))
-}
-
-// superviseDetector is the shared supervisor wiring over any detector.
-func (s *System) superviseDetector(det FailureDetector) *Supervisor {
-	sup := &Supervisor{sys: s, det: det}
+	sup := &Supervisor{det: s.StartGossipDetector(opts)}
 	sup.det.OnDeath(func(peer string, at time.Duration) {
 		evs := s.FailPeer(peer, at)
 		sup.mu.Lock()
@@ -142,9 +126,9 @@ func (s *System) superviseDetector(det FailureDetector) *Supervisor {
 	return sup
 }
 
-// Detector exposes the underlying failure detector (e.g. to Watch peers
-// added after the supervisor started).
-func (sup *Supervisor) Detector() FailureDetector { return sup.det }
+// Detector exposes the underlying failure detector (death/recovery
+// callbacks, the confirmed-dead set, per-view introspection).
+func (sup *Supervisor) Detector() *GossipDetector { return sup.det }
 
 // Events returns all failover actions taken so far.
 func (sup *Supervisor) Events() []FailoverEvent {
@@ -206,11 +190,8 @@ func (s *System) LeavePeer(name string) ([]FailoverEvent, error) {
 	}
 	// The departure announcement: one control message on the wire, every
 	// detector unlearns the peer with no suspicion window.
-	s.mu.Lock()
-	dets := append([]FailureDetector(nil), s.detectors...)
-	s.mu.Unlock()
-	for _, det := range dets {
-		det.Leave(name)
+	for _, g := range s.gossipDetectors() {
+		g.Leave(name)
 	}
 	if tgt := s.leastLoadedLive(name); tgt != "" {
 		s.link.CountTransfer(name, tgt, ctrlMsgBytes)
@@ -367,14 +348,13 @@ func (s *System) RejoinPeer(name string) []FailoverEvent {
 // RebalanceAggTrees re-places aggregation-tree interior operators whose
 // DHT-derived host changed with ring membership: each interior's routing
 // key is resolved against the current ring, and nodes whose owner moved
-// migrate there through the ordinary operator re-deployment path —
-// downstream consumers re-bind, inputs re-subscribe from their cursors,
-// and with replay on the move restores the latest checkpoint and
-// deduplicates the overlap (exactly-once, like any failover). The old
-// host is alive during a planned move; it is passed as the "departed"
-// peer only to scope the re-deployment. Returns the migrations taken.
-// System.JoinPeer and LeavePeer invoke this when AggDegree is on; tests
-// and harnesses may call it directly.
+// migrate there through the move transaction — every consumer, in this
+// task or another sharing the interior, re-binds, inputs re-subscribe
+// from their cursors, and with replay on the move restores the latest
+// checkpoint and deduplicates the overlap (exactly-once, like any
+// failover). Returns the migrations taken. System.JoinPeer and LeavePeer
+// invoke this when AggDegree is on; tests and harnesses may call it
+// directly.
 func (s *System) RebalanceAggTrees(at time.Duration) []FailoverEvent {
 	var events []FailoverEvent
 	for _, p := range s.livePeers() {
@@ -388,61 +368,14 @@ func (s *System) RebalanceAggTrees(at time.Duration) []FailoverEvent {
 				if want == "" || want == n.Peer {
 					return
 				}
-				ev, err := p.redeployOperator(t, n, n.Peer, at)
-				if err != nil {
-					// A failed planned move is not a loss: the operator
-					// keeps running where it is and the next membership
-					// change retries.
-					return
-				}
-				events = append(events, ev)
-			})
-		}
-	}
-	if len(events) > 0 {
-		// A migrated interior may feed *other* tasks (shared aggregation
-		// trees): redeployOperator re-binds only its own task's consumers,
-		// so sweep every task for subscriptions left on now-stale channels.
-		events = append(events, s.repairStaleChannelIns(at)...)
-	}
-	return events
-}
-
-// repairStaleChannelIns re-binds channel subscriptions whose provider
-// migrated away in a *planned* move. The crash path (repairChannelIns)
-// only considers channels hosted on the departed peer; after a
-// rebalance the old host is alive but the channel lost its producer —
-// consumers of a shared interior from other tasks would starve on it
-// silently. Each stale subscription follows the replica chain to the
-// stream's live provider, resuming from its cursor.
-func (s *System) repairStaleChannelIns(at time.Duration) []FailoverEvent {
-	var events []FailoverEvent
-	for _, p := range s.livePeers() {
-		for _, t := range sortedTasks(p) {
-			postorder(t.Plan, func(n *algebra.Node) {
-				if n.Op != algebra.OpChannelIn || s.usable(n.Channel) {
-					return
-				}
-				origin := n.Origin
-				if origin == (stream.Ref{}) {
-					origin = n.Channel
-				}
-				from := n.Channel.PeerID
-				repl, viaReplica := s.liveProvider(p.name, origin, "")
-				if repl == nil || repl.Ref() == n.Channel {
-					return
-				}
-				for _, b := range t.bindings {
-					if b.child == n {
-						p.rebind(t, b, repl)
-						s.link.CountTransfer(b.consumerPeer, repl.Ref().PeerID, ctrlMsgBytes)
+				// A failed planned move is not a loss: relocate checks
+				// before it mutates, so the operator keeps running where
+				// it is and the next membership change retries.
+				if mv, err := p.processorMove(t, n, want, nil); err == nil {
+					if ev, err := p.migrate(t, n, mv, at); err == nil {
+						events = append(events, ev)
 					}
 				}
-				n.Channel = repl.Ref()
-				events = append(events, FailoverEvent{
-					TaskID: t.ID, Operator: "∈" + origin.String(), From: from,
-					To: repl.Ref().PeerID, ViaReplica: viaReplica, At: at,
-				})
 			})
 		}
 	}
@@ -478,22 +411,25 @@ func sortedTasks(p *Peer) []*Task {
 // Children are visited before parents so a parent re-deployed in the
 // same pass subscribes to its child's replacement channel.
 func (p *Peer) repairOperators(t *Task, dead string, at time.Duration) []FailoverEvent {
+	s := p.sys
 	var events []FailoverEvent
 	postorder(t.Plan, func(n *algebra.Node) {
-		if n.Peer != dead {
-			return
+		if n.Peer != dead || n.Op == algebra.OpChannelIn {
+			return // consumed channels are re-bound in phase 2
 		}
+		lost := func(why string) {
+			t.degraded = append(t.degraded, n.Label()+why)
+			events = append(events, FailoverEvent{TaskID: t.ID, Operator: n.Label(), From: dead, At: at})
+		}
+		var mv move
+		var err error
 		switch n.Op {
-		case algebra.OpChannelIn:
-			// Consumed channels are re-bound in phase 2.
 		case algebra.OpAlerter:
 			// The event source itself died: its events originate at the
 			// dead peer, so no live peer can produce them. The task is
 			// degraded until the peer returns.
-			t.degraded = append(t.degraded, n.Label())
-			events = append(events, FailoverEvent{
-				TaskID: t.ID, Operator: n.Label(), From: dead, At: at,
-			})
+			lost("")
+			return
 		case algebra.OpDynAlerter:
 			// The *manager* of the dynamic alerter set died, not the
 			// monitored peers: a new manager elsewhere replays the
@@ -501,418 +437,163 @@ func (p *Peer) repairOperators(t *Task, dead string, at time.Duration) []Failove
 			// re-attaches the hooks. Without the replay layer there is no
 			// membership history to reconstruct from — reporting a repair
 			// while silently dropping every already-joined peer would be
-			// worse than PR 1's visible degradation.
-			if !p.sys.replayOn() {
-				t.degraded = append(t.degraded, n.Label())
-				events = append(events, FailoverEvent{
-					TaskID: t.ID, Operator: n.Label(), From: dead, At: at,
-				})
+			// worse than visible degradation.
+			if !s.replayOn() {
+				lost("")
 				return
 			}
-			ev, err := p.redeployDynAlerter(t, n, dead, at)
-			if err != nil {
-				t.degraded = append(t.degraded, n.Label()+": "+err.Error())
-				ev = FailoverEvent{TaskID: t.ID, Operator: n.Label(), From: dead, At: at}
-			}
-			events = append(events, ev)
+			mv = p.dynAlerterMove(t, n, s.leastLoadedLive(dead))
 		case algebra.OpPublish:
 			// The publisher's sinks (mailbox, file, feed) are task-level
 			// state at the live manager, so the fan-out itself can move:
 			// a new named channel opens at a live host and external
 			// consumers find it through a replica record.
-			ev, err := p.redeployPublisher(t, n, dead, at)
-			if err != nil {
-				t.degraded = append(t.degraded, n.Label()+": "+err.Error())
-				ev = FailoverEvent{TaskID: t.ID, Operator: n.Label(), From: dead, At: at}
-			}
-			events = append(events, ev)
+			mv = p.publisherMove(t, n, s.leastLoadedLive(dead))
 		default:
-			ev, err := p.redeployOperator(t, n, dead, at)
-			if err != nil {
-				t.degraded = append(t.degraded, n.Label()+": "+err.Error())
-				ev = FailoverEvent{TaskID: t.ID, Operator: n.Label(), From: dead, At: at}
-			}
-			events = append(events, ev)
+			host, adopt := p.failoverHost(t, n, dead)
+			mv, err = p.processorMove(t, n, host, adopt)
 		}
+		var ev FailoverEvent
+		if err == nil {
+			ev, err = p.migrate(t, n, mv, at)
+		}
+		if err != nil {
+			lost(": " + err.Error())
+			return
+		}
+		events = append(events, ev)
 	})
 	return events
 }
 
-// redeployOperator moves one processor from the dead peer to a live one:
-// a host is chosen (preferring one that announced a replica of the
-// operator's output stream, whose channel then simply continues), the
-// operator restarts there and every downstream consumer is re-bound to
-// the replacement channel while keeping its queue.
-//
-// Without the replay layer, the operator restarts cold with fresh
-// subscriptions from "now": state accumulated at the dead peer and
-// events published during the outage are lost — the price of fail-stop
-// crashes. With it, the operator restores the latest replicated
-// checkpoint (state + input cursors + output sequence), resumes its
-// inputs from the checkpointed positions via the upstream replay
-// buffers, and re-emits its post-checkpoint suffix under the original
-// sequence numbers, which downstream cursors deduplicate — exactly-once
-// from the consumer's point of view.
-func (p *Peer) redeployOperator(t *Task, n *algebra.Node, dead string, at time.Duration) (FailoverEvent, error) {
-	s := p.sys
-	oldRef := t.refs[n]
-	origRef, hasOrig := t.origRefs[n]
-	if !hasOrig {
-		origRef = oldRef
+// migrate runs one move and reports it.
+func (p *Peer) migrate(t *Task, n *algebra.Node, mv move, at time.Duration) (FailoverEvent, error) {
+	from := n.Peer
+	if err := p.relocate(t, n, mv); err != nil {
+		return FailoverEvent{}, err
 	}
+	return FailoverEvent{
+		TaskID: t.ID, Operator: n.Label(), From: from, To: mv.host,
+		ViaReplica: mv.adopt != nil, At: at,
+	}, nil
+}
 
-	newPeer := ""
-	var out *stream.Channel
-	viaReplica := false
-	// Aggregation-tree interiors are placed by bounded DHT key routing,
-	// and repair keeps that invariant: the replacement host is re-derived
-	// from the plan's routing keys against the *current* ring (the dead
-	// peer already left it), so the tree shape keeps tracking membership
-	// across any number of migrations.
+// failoverHost picks where a processor of a departed peer restarts.
+// Aggregation-tree interiors are placed by bounded DHT key routing, and
+// repair keeps that invariant: the host is re-derived from the plan's
+// routing keys against the *current* ring (the dead peer already left
+// it), so the tree shape keeps tracking membership across any number of
+// migrations. Otherwise a live peer that announced a replica of the
+// stream is preferred: it is already receiving the data and republishing
+// it under a channel other consumers may already use (replica records
+// chain to the original identity, so that is where they are looked up).
+// Failing both, the least-loaded live peer; "" when none is left.
+func (p *Peer) failoverHost(t *Task, n *algebra.Node, dead string) (string, *stream.Channel) {
+	s := p.sys
 	if n.AggKey != "" {
 		if cand := s.AggPlacements(t.Plan)[n.AggKey]; cand != "" && cand != dead {
-			newPeer = cand
-			out = s.allocChannel(t, newPeer, s.nextStreamID(newPeer))
+			return cand, nil
 		}
 	}
-	// Otherwise prefer a live peer that announced a replica of this
-	// stream: it is already receiving the data and republishing it under
-	// a channel other consumers may already use. Replica records chain
-	// to the original identity, so look them up there.
-	if newPeer == "" {
-		replicas, _, _ := s.DB.Replicas(p.name, origRef)
-		for _, r := range replicas {
-			if r.PeerID == dead || !s.usable(r) {
-				continue
-			}
-			if ch, ok := s.Channel(r); ok {
-				newPeer, out, viaReplica = r.PeerID, ch, true
-				// The task's operator now produces this channel, so the
-				// task owns its lifecycle: it closes when the operator's
-				// inputs end.
-				t.channels = append(t.channels, ch)
-				break
-			}
+	_, origRef := t.outputRefs(n)
+	replicas, _, _ := s.DB.Replicas(p.name, origRef)
+	for _, r := range replicas {
+		if r.PeerID == dead || !s.usable(r) {
+			continue
+		}
+		if ch, ok := s.Channel(r); ok {
+			return r.PeerID, ch
 		}
 	}
-	if newPeer == "" {
-		newPeer = s.leastLoadedLive(dead)
-		if newPeer == "" {
-			return FailoverEvent{}, fmt.Errorf("no live peer to host %s", n.Label())
-		}
-		out = s.allocChannel(t, newPeer, s.nextStreamID(newPeer))
-	}
+	return s.leastLoadedLive(dead), nil
+}
 
-	// The replicated checkpoint, if one survives, pins where to resume:
-	// output numbering continues from OutSeq and each input replays from
-	// its checkpointed cursor. Without one (or with replay off), the
-	// inputs replay their full retained history (replay on) or attach at
-	// "now" (replay off).
-	var ck *ckptRec
-	if s.replayOn() {
-		ck = s.loadCheckpoint(p.name, t, n)
-		if ck != nil && len(ck.In) != len(n.Inputs) {
-			ck = nil
-		}
-		if ck != nil {
-			out.SeedSeq(ck.OutSeq)
-			// Restore the undelivered output tail into the replacement
-			// buffer: consumers the crash caught mid-partition (or
-			// mid-drop) can still fetch what the dead producer had
-			// published but not delivered.
-			out.SeedBuffer(ck.Tail)
-		} else {
-			// Cold restart: the re-emission either reproduces the
-			// original numbering from 1 (full history retained — an
-			// adopted replica channel rewinds from its mirrored
-			// high-water mark so nothing reappears under fresh numbers)
-			// or, with trimmed inputs, continues above the old numbering.
-			var oldSeq uint64
-			if old, ok := s.Channel(oldRef); ok {
-				oldSeq = old.Seq()
-			}
-			s.coldSeed(t, n, out, oldSeq)
-		}
-	}
-
-	// Re-bind downstream consumers first, so the old channel's teardown
-	// can no longer reach them. A shared interior feeds consumers in
-	// *other* tasks too (grafted aggregation trees, reused streams):
-	// every binding still reading the old channel is re-bound now, not
-	// left to a later sweep — the moment the old instance's input queues
-	// close it flushes and publishes EOS, and an EOS that reaches a
-	// consumer's queue terminates that input permanently (re-binding the
-	// queue afterwards feeds items nobody reads).
-	for _, b := range t.bindings {
-		if b.child == n {
-			p.rebind(t, b, out)
-		}
-	}
-	for _, cp := range s.livePeers() {
-		for _, ct := range sortedTasks(cp) {
-			if ct == t {
-				continue
-			}
-			for _, b := range ct.bindings {
-				if b.src == nil || b.src.Ref() != oldRef {
-					continue
-				}
-				cp.rebind(ct, b, out)
-				if b.child != nil && b.child.Op == algebra.OpChannelIn && b.child.Channel == oldRef {
-					b.child.Channel = out.Ref()
-				}
-				s.link.CountTransfer(b.consumerPeer, newPeer, ctrlMsgBytes)
-			}
-		}
-	}
-	// Replica forwarders fed from the old channel must not relay its
-	// terminal EOS into their replica channels (closing them under any
-	// consumer — including, when the replacement adopted one, the very
-	// channel the new instance is about to publish into). Detach them;
-	// markStale below propagates to the non-adopted ones and the stale
-	// sweep re-binds their consumers.
-	s.severForwardersFrom(oldRef)
-
-	// Re-subscribe the inputs; the dead operator's old input queues are
-	// closed so its goroutine terminates instead of waiting on starved
-	// queues forever. Items buffered there die with the crashed peer —
-	// with replay on they are retransmitted from the producers' buffers.
-	myBindings := t.bindingsOf(n)
-	if len(myBindings) != len(n.Inputs) {
-		return FailoverEvent{}, fmt.Errorf("bindings out of sync for %s", n.Label())
-	}
-	queues := make([]*stream.Queue, len(n.Inputs))
-	for i, in := range n.Inputs {
-		ch, ok := s.nodeChannel(t, in)
-		if !ok {
-			return FailoverEvent{}, fmt.Errorf("input channel of %s not found", n.Label())
-		}
-		var fromSeq uint64
-		if s.replayOn() {
-			fromSeq = 1
-			if ck != nil {
-				fromSeq = ck.In[i] + 1
-			}
-		}
-		queues[i] = p.resubscribeInput(t, myBindings[i], ch, newPeer, fromSeq)
-	}
-
+// processorMove prepares the move of one stream processor to host.
+//
+// Without the replay layer, the operator restarts cold with fresh
+// subscriptions from "now": state accumulated at the old host and events
+// published during the outage are lost — the price of fail-stop crashes.
+// With it, the operator restores the latest replicated checkpoint (state
+// + input cursors + output sequence), resumes its inputs from the
+// checkpointed positions via the upstream replay buffers, and re-emits
+// its post-checkpoint suffix under the original sequence numbers, which
+// downstream cursors deduplicate — exactly-once from the consumer's
+// point of view.
+func (p *Peer) processorMove(t *Task, n *algebra.Node, host string, adopt *stream.Channel) (move, error) {
+	ck := p.sys.loadCheckpoint(p.name, t, n)
 	proc, err := p.makeProc(n)
 	if err != nil {
-		return FailoverEvent{}, err
+		return move{}, err
 	}
 	if ck != nil && ck.State != nil {
-		if sn, ok := proc.(operators.Snapshotter); ok {
-			if err := sn.Restore(ck.State); err != nil {
-				// A corrupt snapshot degrades to a cold restart; the
-				// input replay still reconstructs what the buffers hold.
-				proc, _ = p.makeProc(n)
+		if sn, ok := proc.(operators.Snapshotter); ok && sn.Restore(ck.State) != nil {
+			// A corrupt snapshot degrades to a cold restart; the input
+			// replay still reconstructs what the buffers hold.
+			proc, _ = p.makeProc(n)
+		}
+	}
+	return move{host: host, adopt: adopt, resume: ck,
+		start: func(queues []*stream.Queue, out *stream.Channel) (*operators.Handle, error) {
+			return p.runProc(t, n, proc, queues, out), nil
+		}}, nil
+}
+
+// publisherMove prepares the move of a task's publisher fan-out. The
+// task's manager is live by the time this runs — either it was never the
+// dead peer, or repair phase 0 already re-homed the management role
+// (rehomeTask) — but the publisher may have sat on the dead peer either
+// way. A new named channel with the same ChannelID opens at host, the
+// sink fan-out is rebuilt over the task-level sink state, and the
+// manager's result subscription re-binds to it.
+func (p *Peer) publisherMove(t *Task, n *algebra.Node, host string) move {
+	return move{host: host, resume: p.sys.loadCheckpoint(p.name, t, n),
+		start: func(queues []*stream.Queue, named *stream.Channel) (*operators.Handle, error) {
+			if err := p.runPublisher(t, n, queues[0], named); err != nil {
+				return nil, err
 			}
-		}
-	}
-	h := operators.Run(proc, queues, operators.ChannelPublish(out))
-	if ck != nil {
-		// The restored instance has logically consumed everything up to
-		// the checkpoint — a checkpoint sweep racing the replayed suffix
-		// must not record its cursors as 0.
-		for i, seq := range ck.In {
-			h.SeedConsumed(i, seq)
-		}
-	}
-	t.handles = append(t.handles, h)
-	t.procs[n] = &procInstance{proc: proc, handle: h}
-
-	n.Peer = newPeer
-	t.refs[n] = out.Ref()
-	// The abandoned channel has no producer anymore: never offer it (or
-	// forwarders fed from it, other than the adopted one) as a provider
-	// again, even after its host recovers.
-	s.markStale(oldRef, out.Ref())
-	// Announce the replacement as a provider under the stream's original
-	// identity (consumers' ChannelIn Origin and published descriptors
-	// both name it), so phase 2 and future subscriptions find it across
-	// any number of migrations.
-	s.DB.PublishReplica(origRef, out.Ref()) //nolint:errcheck // ring is non-empty here
-	if oldRef != origRef {
-		s.DB.PublishReplica(oldRef, out.Ref()) //nolint:errcheck // same ring
-	}
-	s.link.CountTransfer(t.Manager, newPeer, ctrlMsgBytes)
-
-	return FailoverEvent{
-		TaskID: t.ID, Operator: n.Label(), From: dead, To: newPeer,
-		ViaReplica: viaReplica, At: at,
-	}, nil
+			// The manager keeps reading the same Results() queue: its
+			// subscription re-binds to the new named channel and the
+			// result cursor drops the re-published overlap.
+			var resumeFrom uint64
+			if t.resultCur != nil && named.ReplayEnabled() {
+				resumeFrom = t.resultCur.Next()
+			}
+			if t.resultSub != nil {
+				t.resultSub.Detach()
+			}
+			p.bindResults(t, named, resumeFrom)
+			if t.resultCh == t.namedCh {
+				t.resultCh = named
+			}
+			t.namedCh = named
+			return t.procs[n].handle, nil
+		}}
 }
 
-// redeployPublisher moves a task's publisher fan-out off a dead host.
-// The task's manager is live by the time this runs — either it was
-// never the dead peer, or FailPeer phase 0 already re-homed the
-// management role (rehomeTask) — but the publisher may have sat on the
-// dead peer either way. A new named channel with the same ChannelID
-// opens at a live peer, the sink fan-out is rebuilt over the task-level
-// sink state, the manager's result subscription re-binds to it, and a
-// replica record chains the old channel identity to the new one so
-// external consumers re-bound in phase 2 (or subscribing later) find it.
-func (p *Peer) redeployPublisher(t *Task, n *algebra.Node, dead string, at time.Duration) (FailoverEvent, error) {
-	s := p.sys
-	newPeer := s.leastLoadedLive(dead)
-	if newPeer == "" {
-		return FailoverEvent{}, fmt.Errorf("no live peer to host %s", n.Label())
-	}
-	var ck *ckptRec
-	if s.replayOn() {
-		ck = s.loadCheckpoint(p.name, t, n)
-		if ck != nil && len(ck.In) != 1 {
-			ck = nil
-		}
-	}
-	oldNamed := t.namedCh
-	named := s.allocChannel(t, newPeer, n.Publish.ChannelID)
-	switch {
-	case ck != nil:
-		named.SeedSeq(ck.OutSeq)
-		named.SeedBuffer(ck.Tail) // undelivered results survive the host
-	case s.replayOn():
-		// Cold restart: re-emit under the original numbering when the
-		// input history is complete, else continue above the old results.
-		var oldSeq uint64
-		if oldNamed != nil {
-			oldSeq = oldNamed.Seq()
-		}
-		s.coldSeed(t, n, named, oldSeq)
-	case oldNamed != nil:
-		// Replay off: nothing is re-emitted, so continue the result
-		// numbering from the stream's last known sequence (in a real
-		// deployment, the published stream statistics; here, the
-		// abandoned channel object) to keep it monotonic.
-		named.SeedSeq(oldNamed.Seq())
-	}
-
-	// Re-subscribe the publisher's input, resuming from the checkpoint.
-	myBindings := t.bindingsOf(n)
-	if len(myBindings) != 1 {
-		return FailoverEvent{}, fmt.Errorf("bindings out of sync for %s", n.Label())
-	}
-	ch, ok := s.nodeChannel(t, n.Inputs[0])
-	if !ok {
-		return FailoverEvent{}, fmt.Errorf("input channel of %s not found", n.Label())
-	}
-	var fromSeq uint64
-	if s.replayOn() {
-		fromSeq = 1
-		if ck != nil {
-			fromSeq = ck.In[0] + 1
-		}
-	}
-	q := p.resubscribeInput(t, myBindings[0], ch, newPeer, fromSeq)
-
-	if err := p.runPublisher(t, n, q, named); err != nil {
-		return FailoverEvent{}, err
-	}
-	if ck != nil {
-		t.procs[n].handle.SeedConsumed(0, ck.In[0])
-	}
-
-	// The manager keeps reading the same Results() queue: its
-	// subscription re-binds to the new named channel and the result
-	// cursor drops the re-published overlap.
-	var resumeFrom uint64
-	if t.resultCur != nil && named.ReplayEnabled() {
-		resumeFrom = t.resultCur.Next()
-	}
-	if t.resultSub != nil {
-		t.resultSub.Detach()
-	}
-	p.bindResults(t, named, resumeFrom)
-
-	t.namedCh = named
-	if t.resultCh == oldNamed {
-		t.resultCh = named
-	}
-	n.Peer = newPeer
-	if oldNamed != nil {
-		s.markStale(oldNamed.Ref(), named.Ref())
-		s.DB.PublishReplica(oldNamed.Ref(), named.Ref()) //nolint:errcheck // ring is non-empty here
-	}
-	s.link.CountTransfer(t.Manager, newPeer, ctrlMsgBytes)
-	return FailoverEvent{
-		TaskID: t.ID, Operator: n.Label(), From: dead, To: newPeer, At: at,
-	}, nil
-}
-
-// redeployDynAlerter moves the manager of an inCOM($j)-style dynamic
-// alerter set off a dead host. The monitored peers (where the hooks
-// attach) are unaffected — only the coordination loop died. A fresh
-// manager at a live peer replays the full membership stream from the
-// driver channel's retention buffer, reconstructing the active alerter
-// set; its output channel continues the logical stream's numbering so
-// downstream cursors stay valid. Events the monitored peers emitted
-// during the outage are not recoverable (they originate live at the
-// substrate), matching the alerter semantics.
-func (p *Peer) redeployDynAlerter(t *Task, n *algebra.Node, dead string, at time.Duration) (FailoverEvent, error) {
-	s := p.sys
-	oldRef := t.refs[n]
-	origRef, hasOrig := t.origRefs[n]
-	if !hasOrig {
-		origRef = oldRef
-	}
-	newPeer := s.leastLoadedLive(dead)
-	if newPeer == "" {
-		return FailoverEvent{}, fmt.Errorf("no live peer to host %s", n.Label())
-	}
-	out := s.allocChannel(t, newPeer, s.nextStreamID(newPeer))
-	if old, ok := s.Channel(oldRef); ok {
-		// Continue the logical numbering past everything the old manager
-		// published; live alert streams cannot replay, so there is no
-		// overlap to re-emit.
-		out.SeedSeq(old.Seq())
-	}
-
-	for _, b := range t.bindings {
-		if b.child == n {
-			p.rebind(t, b, out)
-		}
-	}
-
-	// Re-subscribe the membership driver from the beginning of its
-	// retained history: p-join/p-leave events replayed in order rebuild
-	// the active set (a fresh manager deduplicates joins by construction).
-	myBindings := t.bindingsOf(n)
-	if len(myBindings) != 1 {
-		return FailoverEvent{}, fmt.Errorf("bindings out of sync for %s", n.Label())
-	}
-	ch, ok := s.nodeChannel(t, n.Inputs[0])
-	if !ok {
-		return FailoverEvent{}, fmt.Errorf("driver channel of %s not found", n.Label())
-	}
-	var fromSeq uint64
-	if s.replayOn() {
-		fromSeq = 1
-	}
-	// Closing the old binding queue makes the old manager loop exit,
-	// deactivate its alerters and close its stale channel.
-	q := p.resubscribeInput(t, myBindings[0], ch, newPeer, fromSeq)
-
-	p.runDynAlerter(t, n, q, out)
-	if ch.ReplayTrimmed() > 0 {
-		// Part of the membership history was evicted from the driver's
-		// bounded buffer: the reconstructed active set may be missing
-		// peers that joined early. Report it — silently narrowing the
-		// monitored set would defeat the point of re-deploying at all.
-		t.degraded = append(t.degraded, n.Label()+": membership history truncated, active set may be partial")
-	}
-
-	n.Peer = newPeer
-	t.refs[n] = out.Ref()
-	s.markStale(oldRef, out.Ref())
-	s.DB.PublishReplica(origRef, out.Ref()) //nolint:errcheck // ring is non-empty here
-	if oldRef != origRef {
-		s.DB.PublishReplica(oldRef, out.Ref()) //nolint:errcheck // same ring
-	}
-	s.link.CountTransfer(t.Manager, newPeer, ctrlMsgBytes)
-	return FailoverEvent{
-		TaskID: t.ID, Operator: n.Label(), From: dead, To: newPeer, At: at,
-	}, nil
+// dynAlerterMove prepares the move of the manager of an inCOM($j)-style
+// dynamic alerter set. The monitored peers (where the hooks attach) are
+// unaffected — only the coordination loop died. A fresh manager at host
+// replays the full membership stream from the driver channel's retention
+// buffer (a cold start: p-join/p-leave events replayed in order rebuild
+// the active set, deduplicating joins by construction); its output
+// channel continues the logical stream's numbering so downstream cursors
+// stay valid. Events the monitored peers emitted during the outage are
+// not recoverable (they originate live at the substrate), matching the
+// alerter semantics.
+func (p *Peer) dynAlerterMove(t *Task, n *algebra.Node, host string) move {
+	return move{host: host,
+		start: func(queues []*stream.Queue, out *stream.Channel) (*operators.Handle, error) {
+			p.runDynAlerter(t, n, queues[0], out)
+			if ch, ok := p.sys.nodeChannel(t, n.Inputs[0]); ok && ch.ReplayTrimmed() > 0 {
+				// Part of the membership history was evicted from the
+				// driver's bounded buffer: the reconstructed active set
+				// may be missing peers that joined early. Report it —
+				// silently narrowing the monitored set would defeat the
+				// point of re-deploying at all.
+				t.degraded = append(t.degraded, n.Label()+": membership history truncated, active set may be partial")
+			}
+			return nil, nil
+		}}
 }
 
 // repairChannelIns re-binds the task's subscriptions to channels that
@@ -953,8 +634,8 @@ func (p *Peer) repairChannelIns(t *Task, dead string, at time.Duration) []Failov
 
 // liveProvider finds a live channel carrying the stream origin: the
 // original channel if its host is up and it still has its producer,
-// else any usable announced replica (including re-deployments
-// registered by redeployOperator, which chain to the origin).
+// else any usable announced replica (including the replacements a move
+// commits, which chain to the origin).
 func (s *System) liveProvider(from string, origin stream.Ref, dead string) (*stream.Channel, bool) {
 	if origin.PeerID != dead && s.usable(origin) {
 		if ch, ok := s.Channel(origin); ok {

@@ -5,15 +5,13 @@
 // incarnation numbers on the probe traffic. A suspected peer that is
 // still alive learns of the suspicion from the gossip and refutes it by
 // bumping its incarnation. The supervisor consumes a quorum-confirmed
-// aggregate of the per-peer views, so no single peer's blindness — the
-// home detector's failure mode — can declare a death (or survive one
-// undetected): detection keeps working when any individual peer,
-// including the former detector home, crashes or is partitioned away.
+// aggregate of the per-peer views, so no single peer's blindness can
+// declare a death (or survive one undetected): detection keeps working
+// when any individual peer crashes or is partitioned away.
 //
 // Detection traffic is O(1) per peer per period (one probe round trip
-// plus at most k indirect relays, each carrying a bounded piggyback),
-// instead of the home detector's O(n) heartbeats converging on one
-// hotspot.
+// plus at most k indirect relays, each carrying a bounded piggyback);
+// nothing converges on one hotspot.
 package peer
 
 import (
@@ -181,8 +179,7 @@ type gossipView struct {
 // GossipDetector runs the protocol for every member on the shared
 // virtual clock: System.Step ticks it, one probe round per member per
 // ProbeInterval, deterministically (sorted member order, seeded RNG).
-// It implements FailureDetector; the supervisor sees only the
-// quorum-confirmed aggregate.
+// The supervisor sees only the quorum-confirmed aggregate.
 type GossipDetector struct {
 	sys  *System
 	opts GossipOptions
@@ -205,7 +202,7 @@ type GossipDetector struct {
 }
 
 // StartGossipDetector starts the gossip protocol over every currently
-// registered peer. It is ticked by System.Step like any detector.
+// registered peer. It is ticked by System.Step.
 // Zero option fields fall back to the system Config's Gossip section
 // before the protocol defaults apply, so tuning set at construction
 // reaches detectors started later without repeating it per call.
@@ -241,17 +238,6 @@ func (s *System) StartGossipDetector(opts GossipOptions) *GossipDetector {
 	s.detectors = append(s.detectors, g)
 	s.mu.Unlock()
 	return g
-}
-
-// Watch adds a peer to the member set by omniscient pre-registration:
-// every view learns about it instantly and it gets a view of its own.
-// This is the static-membership setup path; peers arriving at runtime
-// go through Join, which disseminates the arrival over the gossip
-// traffic instead.
-func (g *GossipDetector) Watch(peer string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.addMember(peer)
 }
 
 // joinPrecheck validates a join without changing any state: the seed
@@ -375,8 +361,10 @@ func (g *GossipDetector) Leave(name string) {
 	g.confirmed[name] = true
 }
 
-// addMember registers a member (caller holds no lock at start time, the
-// lock during Watch; both are single-threaded setup paths).
+// addMember pre-registers a start-time member: every view learns about
+// it instantly and it gets a view of its own. Peers arriving at runtime
+// go through Join, which disseminates the arrival over the gossip
+// traffic instead.
 func (g *GossipDetector) addMember(name string) {
 	if _, ok := g.views[name]; ok {
 		return

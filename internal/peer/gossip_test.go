@@ -1,8 +1,8 @@
 package peer
 
 import (
-	"strings"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -21,7 +21,7 @@ func gossipLab(t *testing.T, nPeers int, opts GossipOptions) (*System, *GossipDe
 // timeline records detector events for comparison.
 type timeline []string
 
-func recordTimeline(det FailureDetector, tl *timeline) {
+func recordTimeline(det *GossipDetector, tl *timeline) {
 	det.OnDeath(func(peer string, at time.Duration) {
 		*tl = append(*tl, fmt.Sprintf("dead %s @%v", peer, at))
 	})
@@ -141,119 +141,77 @@ func TestGossipRefutesFalseSuspicion(t *testing.T) {
 }
 
 // TestGossipSupervisorSurvivesHomePartition is the acceptance scenario
-// for decentralizing detection: the peer that used to host the home
-// detector is partitioned away, the relay host crashes afterwards, and
-// the gossip supervisor still detects the crash and migrates the
-// operator. The home-detector supervisor, run over the identical
-// schedule, is blind: it never detects the relay crash (and its own
-// silence-is-death rule mass-false-positives the healthy peers).
+// for decentralized detection: the monitor peer — where a single-home
+// detector would live — is partitioned away, the relay host crashes
+// afterwards, and the gossip supervisor still detects the crash and
+// migrates the operator without declaring any healthy peer dead.
 func TestGossipSupervisorSurvivesHomePartition(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: two full survivability scenarios; covered by the matrix job")
+	sys := MustSystem(DefaultConfig())
+	mgr := sys.MustAddPeer("mgr")
+	src := sys.MustAddPeer("src.com")
+	registerService(src)
+	client := sys.MustAddPeer("c.com")
+	sys.MustAddPeer("w1")
+	sys.MustAddPeer("w2")
+	sys.MustAddPeer("mon")
+	for _, busy := range []string{"src.com", "c.com", "mon", "mgr"} {
+		sys.Net.AddLoad(busy, 10)
 	}
-	type outcome struct {
-		relayDeaths    int
-		falsePositives int // deaths declared for peers that never crashed
-		migratedTo     string
-		results        int
+	task, err := mgr.DeployPlan(relayPlan("src.com", "w1", "mgr", "survive"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	runMode := func(gossip bool) outcome {
-		sys := MustSystem(DefaultConfig())
-		mgr := sys.MustAddPeer("mgr")
-		src := sys.MustAddPeer("src.com")
-		registerService(src)
-		client := sys.MustAddPeer("c.com")
-		sys.MustAddPeer("w1")
-		sys.MustAddPeer("w2")
-		sys.MustAddPeer("mon")
-		for _, busy := range []string{"src.com", "c.com", "mon", "mgr"} {
-			sys.Net.AddLoad(busy, 10)
-		}
-		task, err := mgr.DeployPlan(relayPlan("src.com", "w1", "mgr", "survive"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sup *Supervisor
-		if gossip {
-			sup = sys.StartGossipSupervisor(GossipOptions{Seed: 11, ProbeInterval: time.Second, Suspicion: 2 * time.Second})
-		} else {
-			sup = sys.StartSupervisor("mon", DetectorOptions{Interval: time.Second, Suspicion: 2 * time.Second})
-		}
+	sup := startTestSupervisor(sys, 2*time.Second)
 
-		drive := func(n int) {
-			for i := 0; i < n; i++ {
-				if _, err := client.Endpoint().Invoke("src.com", "Q", nil); err == nil {
-					sys.Step(time.Second)
-				}
+	drive := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := client.Endpoint().Invoke("src.com", "Q", nil); err != nil {
+				t.Fatal(err)
 			}
-		}
-		drive(3)
-		waitResults(t, task, 3)
-
-		// The old detector home is cut off from everyone else.
-		sys.Net.Partition([]string{"mon"}, []string{"mgr", "src.com", "c.com", "w1", "w2"})
-		for i := 0; i < 12; i++ {
 			sys.Step(time.Second)
 		}
-		// Now the relay host actually dies.
-		sys.Net.Crash("w1")
-		for i := 0; i < 25; i++ {
-			sys.Step(time.Second)
-		}
-		drive(3)
+	}
+	drive(3)
+	waitResults(t, task, 3)
 
-		var out outcome
-		for _, d := range sup.Deaths() {
-			switch d {
-			case "w1":
-				out.relayDeaths++
-			case "mon":
-				// The isolated peer being treated as dead is correct in
-				// either mode, not a false positive.
-			default:
-				out.falsePositives++
-			}
-		}
-		for _, ev := range sup.Events() {
-			if ev.From == "w1" && ev.Repaired() {
-				out.migratedTo = ev.To
-			}
-		}
-		// Bounded settle: count what arrived without stopping the task
-		// first (a wrecked home-mode system may never deliver).
-		deadline := time.Now().Add(2 * time.Second)
-		for task.Results().Len() < 6 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		out.results = task.Results().Len()
-		task.Stop()
-		return out
+	// The monitor is cut off from everyone else.
+	sys.Net.Partition([]string{"mon"}, []string{"mgr", "src.com", "c.com", "w1", "w2"})
+	for i := 0; i < 12; i++ {
+		sys.Step(time.Second)
 	}
+	// Now the relay host actually dies.
+	sys.Net.Crash("w1")
+	for i := 0; i < 25; i++ {
+		sys.Step(time.Second)
+	}
+	drive(3)
 
-	g := runMode(true)
-	if g.relayDeaths != 1 {
-		t.Errorf("gossip: relay deaths = %d, want 1", g.relayDeaths)
+	relayDeaths := 0
+	for _, d := range sup.Deaths() {
+		switch d {
+		case "w1":
+			relayDeaths++
+		case "mon":
+			// The isolated peer being treated as dead is correct, not a
+			// false positive.
+		default:
+			t.Errorf("healthy peer %s declared dead — the quorum view must shield it", d)
+		}
 	}
-	if g.falsePositives != 0 {
-		t.Errorf("gossip: %d healthy peers declared dead — the quorum view must shield them", g.falsePositives)
+	if relayDeaths != 1 {
+		t.Errorf("relay deaths = %d, want 1", relayDeaths)
 	}
-	if g.migratedTo != "w2" {
-		t.Errorf("gossip: relay migrated to %q, want w2", g.migratedTo)
+	migratedTo := ""
+	for _, ev := range sup.Events() {
+		if ev.From == "w1" && ev.Repaired() {
+			migratedTo = ev.To
+		}
 	}
-	if g.results < 6 {
-		t.Errorf("gossip: results = %d, want >= 6 (pre-partition 3 + post-migration 3)", g.results)
+	if migratedTo != "w2" {
+		t.Errorf("relay migrated to %q, want w2", migratedTo)
 	}
-
-	// Home mode fails in the characteristic way: the blind detector's
-	// silence-is-death rule declares the healthy peers dead (crashing
-	// them via the supervisor), and the post-crash traffic is lost.
-	h := runMode(false)
-	if h.falsePositives == 0 {
-		t.Error("home: a partitioned home detector should have mass-false-positived the healthy peers")
-	}
-	if h.results >= 6 {
-		t.Errorf("home: results = %d; a blind detector should have lost the post-crash traffic", h.results)
-	}
+	waitResults(t, task, 6) // pre-partition 3 + post-migration 3
+	task.Stop()
 }
 
 // TestGossipQuorumShieldsAgainstLonePeer: while partitioned, the

@@ -32,7 +32,7 @@ func TestManagerDeathRehomesTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := sys.StartSupervisor("mon", DetectorOptions{Interval: time.Second, Suspicion: 2 * time.Second})
+	sup := startTestSupervisor(sys, 2*time.Second)
 
 	drive := func(n int) {
 		for i := 0; i < n; i++ {
@@ -115,7 +115,7 @@ func TestManagerDeathRehomesLossy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := sys.StartSupervisor("mon", DetectorOptions{Interval: time.Second, Suspicion: 2 * time.Second})
+	sup := startTestSupervisor(sys, 2*time.Second)
 
 	drive := func(n int) {
 		for i := 0; i < n; i++ {

@@ -230,22 +230,27 @@ func (s *System) refill(from, to string, ch *stream.Channel, cur *stream.Cursor)
 // coldSeed positions a replacement output channel for a checkpoint-less
 // restart. With the full input history still retained upstream, the
 // re-emission reproduces the original numbering exactly — rewind to 0 so
-// downstream cursors deduplicate the overlap. Once any input has trimmed
-// its buffer, that alignment is impossible (re-emission would renumber
-// and collide with sequences consumers already hold, silently swallowing
-// new data): continue above the old channel's high-water mark instead,
-// trading bounded content duplicates (the retained window re-emitted
-// under fresh numbers) for zero silent loss.
+// downstream cursors deduplicate the overlap. When nothing re-emits — the
+// replay layer is off, the stream is live alerts (a dynamic alerter's
+// output cannot be replayed), or an input has trimmed its buffer, so
+// re-emission would renumber and collide with sequences consumers
+// already hold, silently swallowing new data — continue above the old
+// channel's high-water mark instead (the stream statistics a real
+// deployment publishes; here, the abandoned channel object), trading
+// bounded content duplicates (a retained window re-emitted under fresh
+// numbers) for monotonic numbering and zero silent loss.
 func (s *System) coldSeed(t *Task, n *algebra.Node, out *stream.Channel, oldSeq uint64) {
+	reemits := s.replayOn() && n.Op != algebra.OpDynAlerter
 	for _, in := range n.Inputs {
 		if ch, ok := s.nodeChannel(t, in); ok && ch.ReplayTrimmed() > 0 {
-			if oldSeq > out.Seq() {
-				out.SeedSeq(oldSeq)
-			}
-			return
+			reemits = false
 		}
 	}
-	out.SeedSeq(0)
+	if reemits {
+		out.SeedSeq(0)
+	} else if oldSeq > out.Seq() {
+		out.SeedSeq(oldSeq)
+	}
 }
 
 // ckptRec is one operator checkpoint: the output stream position, the
@@ -454,8 +459,12 @@ func (p *Peer) checkpointTask(t *Task) {
 }
 
 // loadCheckpoint fetches the latest surviving checkpoint for one plan
-// operator, or nil for a cold restart.
+// operator, or nil for a cold restart: the replay layer is off, nothing
+// survives, or the record predates a re-chunk of the operator's inputs.
 func (s *System) loadCheckpoint(from string, t *Task, n *algebra.Node) *ckptRec {
+	if !s.replayOn() {
+		return nil
+	}
 	raw, ok, err := s.DB.Checkpoint(from, t.ID, ckptOpID(t, n))
 	if err != nil || !ok {
 		return nil
@@ -464,5 +473,8 @@ func (s *System) loadCheckpoint(from string, t *Task, n *algebra.Node) *ckptRec 
 	if err != nil {
 		return nil
 	}
-	return parseCkpt(doc)
+	if ck := parseCkpt(doc); ck != nil && len(ck.In) == len(n.Inputs) {
+		return ck
+	}
+	return nil
 }

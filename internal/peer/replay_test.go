@@ -52,7 +52,7 @@ func newRelayRig(t *testing.T, opts Config) *relayRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := sys.StartSupervisor("mon", DetectorOptions{Interval: time.Second, Suspicion: 2 * time.Second})
+	sup := startTestSupervisor(sys, 2*time.Second)
 	return &relayRig{sys: sys, srcCh: srcCh, task: task, sup: sup}
 }
 
@@ -464,8 +464,11 @@ func TestPublisherRedeploysOnHostDeath(t *testing.T) {
 		emit(i)
 		sys.Step(time.Second)
 	}
+	// Every sink must have settled before teardown — the subscribe
+	// target's inbox too: its forwarder is its own goroutine.
+	inbox := sys.Peer("far").Incoming("inbox")
 	deadline := time.Now().Add(5 * time.Second)
-	for (task.Results().Len() < 6 || t2.Results().Len() < 6) && time.Now().Before(deadline) {
+	for (task.Results().Len() < 6 || t2.Results().Len() < 6 || inbox.Len() < 6) && time.Now().Before(deadline) {
 		sys.Step(time.Second)
 		time.Sleep(time.Millisecond)
 	}
@@ -479,7 +482,6 @@ func TestPublisherRedeploysOnHostDeath(t *testing.T) {
 	// The BySubscribe target's incoming queue is gated by its own
 	// cursor: the rebuilt fan-out's re-emissions must not duplicate what
 	// the target already received.
-	inbox := sys.Peer("far").Incoming("inbox")
 	counts := make(map[string]int)
 	for {
 		it, ok := inbox.TryPop()

@@ -9,7 +9,7 @@ import (
 	"p2pm/internal/algebra"
 )
 
-// splitConfig arms the replay layer the split transaction requires on
+// splitConfig arms the replay layer a split requires on
 // top of an aggregation tree of the given degree.
 func splitConfig(degree int) Config {
 	opts := DefaultConfig()
@@ -73,6 +73,7 @@ func TestSplitInteriorMatchesFlat(t *testing.T) {
 			if err != nil {
 				t.Fatalf("split: %v", err)
 			}
+			assertNoStaleBindings(t, sys)
 			if len(n.Inputs) != 2 || len(ev.Keys) != 2 {
 				t.Fatalf("fan-in %d after splitting %d-ary interior, events %v", len(n.Inputs), fanIn, ev)
 			}
@@ -128,10 +129,12 @@ func TestSplitThenCrashExactlyOnce(t *testing.T) {
 			if _, err := sys.SplitInterior(task, n.AggKey); err != nil {
 				t.Fatalf("split: %v", err)
 			}
+			assertNoStaleBindings(t, sys)
 			victim = n.Peer
 			sys.Net.Crash(victim)
 		case events/2 + 3:
 			evs := sys.FailPeer(victim, sys.Net.Clock().Now())
+			assertNoStaleBindings(t, sys)
 			repaired := 0
 			for _, ev := range evs {
 				if ev.Repaired() {
@@ -278,7 +281,7 @@ func TestTuningMidRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestSplitGuards: the transaction refuses the Final root, unknown keys,
+// TestSplitGuards: a split refuses the Final root, unknown keys,
 // dead hosts and systems without the replay layer.
 func TestSplitGuards(t *testing.T) {
 	sys, task := aggWorld(t, splitConfig(4), 8, 3)
@@ -349,6 +352,7 @@ func TestSplitRebalancesTreeWide(t *testing.T) {
 			}
 			sys.Net.Crash(victim)
 			sys.FailPeer(victim, sys.Net.Clock().Now())
+			assertNoStaleBindings(t, sys)
 		case events/3 + 3:
 			// Recovery alone rebalances nothing: the derived placement
 			// now includes the recovered worker again, so the tree is off
@@ -372,6 +376,7 @@ func TestSplitRebalancesTreeWide(t *testing.T) {
 			if _, err := sys.SplitInterior(task, n.AggKey); err != nil {
 				t.Fatalf("split: %v", err)
 			}
+			assertNoStaleBindings(t, sys)
 			// The invariant: every live interior sits on its DHT-derived
 			// home immediately after the split returns.
 			desired := sys.AggPlacements(task.Plan)

@@ -45,12 +45,16 @@ type System struct {
 	Ring   *dht.Ring
 	DB     *kadop.DB
 
+	// admitMu serializes AddPeer: two concurrent admissions of one name
+	// must resolve to one node, one ring member and one Peer.
+	admitMu sync.Mutex
+
 	mu         sync.Mutex
 	peers      map[string]*Peer
 	channels   map[stream.Ref]*stream.Channel
 	sidSeq     map[string]int
 	taskSeq    int
-	detectors  []FailureDetector
+	detectors  []*GossipDetector
 	forwarders []*replicaForwarder
 	// aggHosts, when set, restricts DHT-routed aggregation-tree interior
 	// placement to matching peers (e.g. a worker pool, keeping merge
@@ -154,6 +158,8 @@ func MustSystem(cfg Config) *System {
 // position in the DHT ring backing the stream-definition database.
 // Adding an existing name returns the existing peer.
 func (s *System) AddPeer(name string) (*Peer, error) {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
 	s.mu.Lock()
 	if p, ok := s.peers[name]; ok {
 		s.mu.Unlock()
@@ -183,13 +189,12 @@ func (s *System) AddPeer(name string) (*Peer, error) {
 // pre-run registration anywhere: the peer's network node comes up, it
 // takes its positions on the stream-definition DHT ring (the keys it
 // now owns hand off to it), and every running failure detector learns
-// of it — gossip detectors through the join protocol (seed contact,
-// bootstrap, piggybacked dissemination with incarnation numbers), home
-// heartbeat detectors through direct registration at the home. The
-// peer is immediately eligible for operator placement and failover
-// targeting. Re-joining a dead peer revives it: its links come up, it
-// re-enters the ring, and its gossip incarnation is bumped above every
-// death rumor so the stale declarations cannot kill it again.
+// of it through the gossip join protocol (seed contact, bootstrap,
+// piggybacked dissemination with incarnation numbers). The peer is
+// immediately eligible for operator placement and failover targeting.
+// Re-joining a dead peer revives it: its links come up, it re-enters
+// the ring, and its gossip incarnation is bumped above every death
+// rumor so the stale declarations cannot kill it again.
 func (s *System) JoinPeer(name, seed string) (*Peer, error) {
 	if name == seed {
 		return nil, fmt.Errorf("peer: %s cannot seed its own join", name)
@@ -200,18 +205,14 @@ func (s *System) JoinPeer(name, seed string) (*Peer, error) {
 	if !s.Net.Alive(seed) {
 		return nil, fmt.Errorf("peer: join seed %q is down", seed)
 	}
-	s.mu.Lock()
-	dets := append([]FailureDetector(nil), s.detectors...)
-	s.mu.Unlock()
-	// Validate the join against every gossip detector BEFORE touching
-	// any state: a rejected join (unknown seed view, joiner partitioned
-	// from the seed) must not leave a half-admitted peer owning DHT
-	// keys that no detector watches.
-	for _, det := range dets {
-		if g, ok := det.(*GossipDetector); ok {
-			if err := g.joinPrecheck(name, seed); err != nil {
-				return nil, err
-			}
+	dets := s.gossipDetectors()
+	// Validate the join against every detector BEFORE touching any
+	// state: a rejected join (unknown seed view, joiner partitioned from
+	// the seed) must not leave a half-admitted peer owning DHT keys that
+	// no detector watches.
+	for _, g := range dets {
+		if err := g.joinPrecheck(name, seed); err != nil {
+			return nil, err
 		}
 	}
 	rejoining := s.Peer(name) != nil
@@ -223,25 +224,18 @@ func (s *System) JoinPeer(name, seed string) (*Peer, error) {
 		s.Net.Recover(name) //nolint:errcheck // known node
 		s.Ring.Join(name)   //nolint:errcheck // already-joined is fine
 	}
-	gossiped := false
-	for _, det := range dets {
-		if g, ok := det.(*GossipDetector); ok {
-			if err := g.Join(name, seed); err != nil {
-				// Unreachable given the precheck above (no state changed
-				// between the two under this harness's single-threaded
-				// membership control); surface it rather than hide it.
-				return p, err
-			}
-			gossiped = true
-		} else {
-			det.Watch(name)
+	for _, g := range dets {
+		if err := g.Join(name, seed); err != nil {
+			// Unreachable given the precheck above (no state changed
+			// between the two under this harness's single-threaded
+			// membership control); surface it rather than hide it.
+			return p, err
 		}
 	}
-	if !gossiped {
-		// Home-mode registration: the join contact is one control
-		// message on the joiner→seed link. (Gossip mode accounted the
-		// contact and bootstrap transfer inside Join — don't double-
-		// charge the same link.)
+	if len(dets) == 0 {
+		// No detector accounted the seed contact and bootstrap transfer
+		// (Join does): the join is one control message on the
+		// joiner→seed link.
 		s.link.CountTransfer(name, seed, ctrlMsgBytes)
 	}
 	if s.aggDegree() > 1 {
@@ -586,11 +580,8 @@ func (s *System) Step(d time.Duration) {
 		defer s.observeStep(time.Now())
 	}
 	s.Net.Clock().Advance(d)
-	s.mu.Lock()
-	dets := append([]FailureDetector(nil), s.detectors...)
-	s.mu.Unlock()
-	for _, det := range dets {
-		det.Tick()
+	for _, g := range s.gossipDetectors() {
+		g.Tick()
 	}
 	if s.replayOn() {
 		s.syncReplicas()

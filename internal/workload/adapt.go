@@ -188,13 +188,10 @@ func (cfg *AdaptConfig) setup() (*scenarioSpec[*AdaptReport], error) {
 	}
 	// One interior's worth of sources per half; two workers so the
 	// flapper is distinct from the slow peer.
-	if err := cfg.normalize("adapt", cfg.Degree, 2, "gossip"); err != nil {
+	if err := cfg.normalize("adapt", cfg.Degree, 2); err != nil {
 		return nil, err
 	}
 	cfg.GroupBy.defaults(cfg.Step)
-	if cfg.Detector != "gossip" {
-		return nil, fmt.Errorf("workload: adapt runs the gossip detector (its cluster has no monitor peer)")
-	}
 	rep := &AdaptReport{Mode: cfg.Mode}
 	crashed := map[string]bool{}
 	var snap, final map[string]uint64
@@ -257,7 +254,7 @@ func (cfg *AdaptConfig) setup() (*scenarioSpec[*AdaptReport], error) {
 			for i := cfg.Workers - 1; i >= 0 && rep.Flapper == rep.SlowPeer; i-- {
 				rep.Flapper = fmt.Sprintf("w%d", i)
 			}
-			det := l.Sup.Detector().(*peer.GossipDetector)
+			det := l.Sup.Detector()
 			det.OnDeath(func(p string, at time.Duration) {
 				if crashed[p] {
 					rep.TrueKills++

@@ -89,7 +89,7 @@ func (r *AggReport) Completeness() float64 {
 // is the default detector — the decentralized detection the tree's
 // decentralized aggregation pairs with.
 func (cfg *AggConfig) setup() (*scenarioSpec[*AggReport], error) {
-	if err := cfg.normalize("agg", 2, 1, "gossip"); err != nil {
+	if err := cfg.normalize("agg", 2, 1); err != nil {
 		return nil, err
 	}
 	if cfg.Mode != "flat" && cfg.Mode != "tree" {

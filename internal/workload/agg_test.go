@@ -102,7 +102,6 @@ func TestAggConfigValidation(t *testing.T) {
 		{Common: Common{Sources: 4, Workers: 0, Events: 10}, Mode: "tree"},
 		{Common: Common{Sources: 4, Workers: 2, Events: 10}, Mode: "pyramid"},
 		{Common: Common{Sources: 4, Workers: 2, Events: 10, GrowFrom: 2}, Mode: "tree"},
-		func() AggConfig { c := DefaultAgg(); c.Detector = "psychic"; return c }(),
 	}
 	for i, cfg := range bad {
 		if _, err := New(&cfg); err == nil {

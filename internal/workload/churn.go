@@ -20,12 +20,12 @@ import (
 // membership protocol, with no pre-registration anywhere.
 type ChurnConfig struct {
 	Common
-	// PartitionHomeAfter, when > 0, isolates the monitor peer ("mon" —
-	// the home a heartbeat detector would live on) from the rest of
-	// the network after that many driven events. This is the detector
-	// survivability scenario: gossip detection keeps working, a home
-	// detector goes blind and its silence-is-death rule kills the
-	// healthy peers.
+	// PartitionHomeAfter, when > 0, isolates the monitor peer ("mon")
+	// from the rest of the network after that many driven events. This
+	// is the detector survivability gate: no single peer hosts
+	// detection, so with one member cut off the quorum view still
+	// confirms every real relay crash (and the isolated monitor itself),
+	// repairs keep landing and a replay-on run ends at completeness 100%.
 	PartitionHomeAfter int
 	// Spread enables the DHT elasticity machinery: virtual-node tokens
 	// (ownership rebalances incrementally on join/leave) plus
@@ -84,7 +84,7 @@ func (r *ChurnReport) Completeness() float64 {
 // start on the initial worker pool, the publisher runs at mgr.
 func (cfg *ChurnConfig) setup() (*scenarioSpec[*ChurnReport], error) {
 	cfg.Sources = 1
-	if err := cfg.normalize("churn", 1, 2, "home"); err != nil {
+	if err := cfg.normalize("churn", 1, 2); err != nil {
 		return nil, err
 	}
 	if cfg.Pipelines < 1 {
@@ -142,24 +142,14 @@ func (cfg *ChurnConfig) setup() (*scenarioSpec[*ChurnReport], error) {
 			return tasks, nil
 		},
 		hooks: func(l *Lab[*ChurnReport]) (schedule, error) {
-			// The partitioned home stays declared dead for the rest of
+			// The partitioned monitor stays declared dead for the rest of
 			// the run; its absence is deliberate and must not block the
 			// one-outstanding-crash rule.
 			l.sched.ignoreSuspect = func(s string) bool {
 				return cfg.PartitionHomeAfter > 0 && s == "mon"
 			}
 			return schedule{
-				Drive: func(i int) error {
-					// Only the home-partition scenario may wreck the
-					// deployment (the blind detector crashes the source
-					// fabric); there the event counts as driven-and-lost
-					// — that loss IS the measurement. Everywhere else a
-					// failed Invoke is a broken setup and must surface.
-					if err := l.invoke(i, "src.com", "Q"); err != nil && cfg.PartitionHomeAfter <= 0 {
-						return err
-					}
-					return nil
-				},
+				Drive: func(i int) error { return l.invoke(i, "src.com", "Q") },
 				Victim: func() string {
 					return hostOf(l.Tasks[0].Plan, func(n *algebra.Node) bool { return n.Op == algebra.OpUnion })
 				},
@@ -201,7 +191,7 @@ func (cfg *ChurnConfig) setup() (*scenarioSpec[*ChurnReport], error) {
 			// joins are in play: a joined-then-crashed-then-recovered
 			// worker can be a victim twice, and both crashes must pair
 			// with their own detection. Deaths the supervisor declares
-			// for other reasons (the partitioned home) never enter the
+			// for other reasons (the partitioned monitor) never enter the
 			// sample.
 			events := l.Sup.Events()
 			used := make([]bool, len(events))

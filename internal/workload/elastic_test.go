@@ -18,7 +18,6 @@ func TestChurnGrowsLosslessly(t *testing.T) {
 	cfg.Events = 60
 	cfg.CrashEvery = 15
 	cfg.Replay = true
-	cfg.Detector = "gossip"
 	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +65,6 @@ func TestChurnFlapMixStaysLossless(t *testing.T) {
 	cfg.CrashEvery = 9
 	cfg.MTTR = 8 * cfg.Step
 	cfg.Replay = true
-	cfg.Detector = "gossip"
 	lab, err := New(&cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +102,6 @@ func TestChurnJoinTimelineDeterministic(t *testing.T) {
 		cfg.Events = 56
 		cfg.CrashEvery = 12
 		cfg.Replay = true
-		cfg.Detector = "gossip"
 		lab, err := New(&cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +133,6 @@ func TestChurnJoinDuringHomePartition(t *testing.T) {
 	cfg.Events = 50
 	cfg.CrashEvery = 12
 	cfg.Replay = true
-	cfg.Detector = "gossip"
 	cfg.PartitionHomeAfter = 5
 	lab, err := New(&cfg)
 	if err != nil {
@@ -181,7 +177,6 @@ func TestChurnSpreadBoundsCheckpointLoad(t *testing.T) {
 		cfg.Events = 60
 		cfg.CrashEvery = 0
 		cfg.Replay = true
-		cfg.Detector = "gossip"
 		cfg.Pipelines = 12
 		cfg.Spread = spread
 		lab, err := New(&cfg)

@@ -50,7 +50,8 @@ type Common struct {
 	// the joins evenly across the run. Every pending worker must fit in
 	// the run: a stranded one would silently skew every full-scale claim.
 	JoinEvery int
-	// HeartbeatInterval / Suspicion configure the failure detector.
+	// HeartbeatInterval / Suspicion configure the gossip failure detector
+	// (its probe period and suspicion window).
 	HeartbeatInterval time.Duration
 	Suspicion         time.Duration
 	// Replay enables the lossless-failover layer: upstream replay buffers,
@@ -62,10 +63,6 @@ type Common struct {
 	// CheckpointInterval is the operator checkpoint cadence when Replay
 	// is on (default two heartbeat intervals).
 	CheckpointInterval time.Duration
-	// Detector is "home" (one heartbeat detector hosted at mon) or
-	// "gossip" (SWIM-style decentralized detection, docs/DETECTOR.md);
-	// empty picks the scenario's default.
-	Detector string
 }
 
 // defaultReplayBuffer covers every schedule the experiments and soaks
@@ -92,21 +89,14 @@ func (g *GroupBy) defaults(step time.Duration) {
 }
 
 // normalize is the one validation and defaulting pass over the shared
-// config; the scenario supplies its name, its minimum cluster and its
-// default detector.
-func (c *Common) normalize(name string, minSources, minWorkers int, detector string) error {
+// config; the scenario supplies its name and its minimum cluster.
+func (c *Common) normalize(name string, minSources, minWorkers int) error {
 	if c.Sources < minSources || c.Workers < minWorkers {
 		return fmt.Errorf("workload: %s needs >= %d sources and >= %d workers (got %d/%d)",
 			name, minSources, minWorkers, c.Sources, c.Workers)
 	}
 	if c.Step <= 0 {
 		c.Step = time.Second
-	}
-	if c.Detector == "" {
-		c.Detector = detector
-	}
-	if c.Detector != "home" && c.Detector != "gossip" {
-		return fmt.Errorf("workload: unknown detector mode %q (want home or gossip)", c.Detector)
 	}
 	if c.GrowFrom > 0 {
 		if c.GrowFrom < minWorkers || c.GrowFrom >= c.Workers {
@@ -199,8 +189,9 @@ type scenarioSpec[R any] struct {
 	// the ws-in alert carries it in callMethod without new plumbing).
 	sources []string
 	values  int
-	// bare leaves out the "mon" peer a home detector lives on and the
-	// load bias that keeps failover inside the worker pool.
+	// bare leaves out the "mon" peer (a monitor that hosts no operator —
+	// the one the churn scenario's survivability run partitions away) and
+	// the load bias that keeps failover inside the worker pool.
 	bare bool
 	// aggHosts scopes DHT-routed interior placement (default: workers).
 	aggHosts func(name string) bool
@@ -318,7 +309,9 @@ func New[R any](sc Scenario[R]) (*Lab[R], error) {
 		return nil, err
 	}
 	if !sp.undisturbed {
-		l.Sup = l.startSupervisor()
+		l.Sup = sys.StartGossipSupervisor(peer.GossipOptions{
+			Seed: c.Seed, ProbeInterval: c.HeartbeatInterval, Suspicion: c.Suspicion,
+		})
 		l.sched.attach(l.Sup)
 	}
 	if sp.hooks != nil {
@@ -334,18 +327,6 @@ func New[R any](sc Scenario[R]) (*Lab[R], error) {
 	}
 	l.hooks.c, l.hooks.Settle = c, l.settle
 	return l, nil
-}
-
-func (l *Lab[R]) startSupervisor() *peer.Supervisor {
-	c := l.spec.common
-	if c.Detector == "home" {
-		return l.Sys.StartSupervisor("mon", peer.DetectorOptions{
-			Interval: c.HeartbeatInterval, Suspicion: c.Suspicion,
-		})
-	}
-	return l.Sys.StartGossipSupervisor(peer.GossipOptions{
-		Seed: c.Seed, ProbeInterval: c.HeartbeatInterval, Suspicion: c.Suspicion,
-	})
 }
 
 // startWorkers is the size of the worker pool at deploy time.
@@ -426,7 +407,7 @@ func (l *Lab[R]) settle() {
 // yet. Deaths are matched against the crash log as a multiset: a worker
 // that joined, crashed, recovered and crashed again counts once per
 // injected crash, while deaths declared for other reasons — the
-// partitioned home, a join-flap false positive — are not injected
+// partitioned monitor, a join-flap false positive — are not injected
 // crashes and must not satisfy (or overshoot) the wait.
 func (l *Lab[R]) undetected() int {
 	quota := map[string]int{}
@@ -450,9 +431,9 @@ func (l *Lab[R]) undetected() int {
 // as needed: with replay every driven event is recoverable, so it
 // continues until the last result lands. That bound is generous (on a
 // loaded machine the operator goroutines may need many settle rounds),
-// but a run whose substrate was destroyed (the home-partition case) stops
-// making progress, so it bails once the count stalls; without replay what
-// is lost stays lost and there is nothing to wait for.
+// so a run that stops making progress bails once the count stalls;
+// without replay what is lost stays lost and there is nothing to wait
+// for.
 func (l *Lab[R]) drain() {
 	step := l.spec.common.Step
 	for i := 0; i < 64 && l.Sup != nil && l.undetected() > 0; i++ {

@@ -119,7 +119,7 @@ func shareRange(j, sources int) subRange {
 // through every sharing consumer, so trailing windows flush before any
 // consumer detaches.
 func (cfg *ShareConfig) setup() (*scenarioSpec[*ShareReport], error) {
-	if err := cfg.normalize("share", 2, 1, "gossip"); err != nil {
+	if err := cfg.normalize("share", 2, 1); err != nil {
 		return nil, err
 	}
 	if cfg.Subs < 1 {

@@ -16,12 +16,13 @@
 //
 // The monitor tolerates the churn that defines the P2P systems it
 // watches: the simulated substrate can crash, partition and lose
-// messages (simnet fault injection); a heartbeat failure detector on the
-// virtual clock declares silent peers dead; and a supervisor migrates a
-// dead peer's operators onto live peers — preferring hosts that
-// announced a replica of the affected stream — re-binding every consumer
-// end-to-end while the DHT re-replicates the stream definitions the
-// crashed node held. See docs/CHURN.md and the X2 experiment.
+// messages (simnet fault injection); a SWIM-style gossip failure
+// detector on the virtual clock declares silent peers dead; and a
+// supervisor migrates a dead peer's operators onto live peers —
+// preferring hosts that announced a replica of the affected stream —
+// re-binding every consumer end-to-end while the DHT re-replicates the
+// stream definitions the crashed node held. See docs/CHURN.md and the X2
+// experiment.
 //
 // Quick start:
 //
@@ -70,7 +71,7 @@ type AggConfig = peer.AggConfig
 // ReplayConfig groups the lossless-failover layer.
 type ReplayConfig = peer.ReplayConfig
 
-// GossipConfig supplies system-level gossip-detector defaults.
+// GossipConfig supplies system-level defaults for the gossip detector.
 type GossipConfig = peer.GossipConfig
 
 // Tuning is the runtime-mutable control surface of a running System.
@@ -88,24 +89,15 @@ type Item = stream.Item
 // Ref names a stream as (StreamID, PeerID) — the paper's s@p notation.
 type Ref = stream.Ref
 
-// DetectorOptions configures the heartbeat failure detector (interval,
-// suspicion threshold, accounted heartbeat size).
-type DetectorOptions = peer.DetectorOptions
-
 // GossipOptions configures the SWIM-style gossip failure detector
 // (probe interval/fanout/timeout, indirect proxies, suspicion window,
 // death quorum); see docs/DETECTOR.md.
 type GossipOptions = peer.GossipOptions
 
-// FailureDetector is the detector interface a Supervisor consumes —
-// implemented by both the heartbeat Detector and the GossipDetector,
-// and returned by Supervisor.Detector().
-type FailureDetector = peer.FailureDetector
-
-// Supervisor couples a failure detector with self-healing task
-// migration; start one with System.StartSupervisor (single-home
-// heartbeats) or System.StartGossipSupervisor (decentralized, survives
-// the loss of any individual peer) and drive it with System.Step.
+// Supervisor couples the gossip failure detector with self-healing task
+// migration; start one with System.StartGossipSupervisor (detection is
+// decentralized and survives the loss of any individual peer) and drive
+// it with System.Step.
 type Supervisor = peer.Supervisor
 
 // FailoverEvent records one repair action taken when a peer died.
