@@ -371,6 +371,14 @@ func BenchmarkKadopDiscovery(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			// Steady state: every descriptor has been decoded once (the
+			// first decode of a record is benchrun C9's cold lookup).
+			for i := 0; i < peers; i++ {
+				if _, _, err := db.FindAlerters("peer-0", fmt.Sprintf("peer-%d", i), "inCOM"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := db.FindAlerters(fmt.Sprintf("peer-%d", i%peers),
@@ -398,6 +406,7 @@ func BenchmarkP2PMLParse(b *testing.B) {
 // BenchmarkSubsumptionSubscribe measures subscribing the k-th task of a
 // nested-condition chain (X1): discovery + residual deployment cost.
 func BenchmarkSubsumptionSubscribe(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sys := peer.MustSystem(peer.DefaultConfig())
 		m := sys.MustAddPeer("m.com")
@@ -439,6 +448,7 @@ func BenchmarkGroupAccept(b *testing.B) {
 }
 
 func BenchmarkSubscribeDeployStop(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sys := peer.MustSystem(peer.DefaultConfig())
 		mgr := sys.MustAddPeer("p")

@@ -132,9 +132,9 @@ type GroupSpec struct {
 // "fn(value):key/window" otherwise.
 func (g *GroupSpec) desc() string {
 	if g.Fn == "" || g.Fn == "count" {
-		return fmt.Sprintf("%s/%s", g.KeyAttr, g.Window)
+		return g.KeyAttr + "/" + g.Window
 	}
-	return fmt.Sprintf("%s(%s):%s/%s", g.Fn, g.ValueAttr, g.KeyAttr, g.Window)
+	return g.Fn + "(" + g.ValueAttr + "):" + g.KeyAttr + "/" + g.Window
 }
 
 // Ident renders the aggregate's identity — function, value, key and
@@ -341,22 +341,25 @@ func (n *Node) signature(b *strings.Builder) {
 // condition order within σ and ⋈ residuals, and input order of ∪, do not
 // affect a stream's identity.
 func (n *Node) SignatureWith(inputSigs []string) string {
-	var b strings.Builder
 	switch n.Op {
 	case OpAlerter:
 		// Alerters are bound to their monitored peer: the peer is part of
 		// the identity of the source stream.
-		fmt.Fprintf(&b, "%s(%s)", n.Alerter.Func, n.Alerter.Peer)
-		return b.String()
+		return n.Alerter.Func + "(" + n.Alerter.Peer + ")"
 	case OpChannelIn:
-		fmt.Fprintf(&b, "chan(%s)", n.Channel.String())
-		return b.String()
+		return "chan(" + n.Channel.String() + ")"
 	case OpUnion:
 		// ∪ is commutative: sort the input signatures so reordered unions
 		// are detected as the same stream.
 		inputSigs = append([]string(nil), inputSigs...)
 		sort.Strings(inputSigs)
 	}
+	size := 32 // the operator's own description, typically
+	for _, sig := range inputSigs {
+		size += len(sig) + 1
+	}
+	var b strings.Builder
+	b.Grow(size)
 	b.WriteString(n.Op.String())
 	b.WriteString("{")
 	switch n.Op {

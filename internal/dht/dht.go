@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"sync"
@@ -56,10 +57,6 @@ func vnodeID(name string, i int) ID {
 	}
 	return HashID(name + "#" + strconv.Itoa(i))
 }
-
-// fingerBits is the identifier-space width: fingers are successors of
-// n + 2^i for i < fingerBits.
-const fingerBits = 64
 
 // MembershipHook observes peers joining and leaving the ring.
 type MembershipHook interface {
@@ -949,21 +946,27 @@ func (r *Ring) routeLocked(start *node, target ID) int {
 // closestPrecedingLocked returns the token index closest to (but
 // preceding) target reachable from cur's fingers: the largest jump cur
 // can make without overshooting.
+//
+// Finger i is the first token at clockwise distance ≥ 2^i from cur, so
+// fingers are monotone in i, and finger i lies inside (cur, target)
+// exactly when some token there is at distance ≥ 2^i — when 2^i ≤ reach,
+// the distance of the last token before target. The answer is therefore
+// finger ⌊log2 reach⌋: two searches instead of one per bit.
 func (r *Ring) closestPrecedingLocked(cur int, target ID) int {
 	curID := r.vnodes[cur].id
-	for i := fingerBits - 1; i >= 0; i-- {
-		fingerStart := curID + (ID(1) << uint(i))
-		idx := r.insertionPoint(fingerStart)
-		if idx == len(r.vnodes) {
-			idx = 0
-		}
-		// The finger must lie strictly within (cur, target) to make
-		// progress.
-		if id := r.vnodes[idx].id; id != curID && inOpen(id, curID, target) {
-			return idx
-		}
+	last := r.insertionPoint(target) - 1
+	if last < 0 {
+		last = len(r.vnodes) - 1
 	}
-	return cur
+	reach := uint64(r.vnodes[last].id - curID)
+	if reach == 0 {
+		return cur // no token inside (cur, target)
+	}
+	idx := r.insertionPoint(curID + ID(1)<<(bits.Len64(reach)-1))
+	if idx == len(r.vnodes) {
+		idx = 0
+	}
+	return idx
 }
 
 // inHalfOpen reports x ∈ (a, b] on the ring.
@@ -975,17 +978,6 @@ func inHalfOpen(x, a, b ID) bool {
 		return x > a || x <= b
 	}
 	return true // a == b: single token owns everything
-}
-
-// inOpen reports x ∈ (a, b) on the ring.
-func inOpen(x, a, b ID) bool {
-	if a < b {
-		return x > a && x < b
-	}
-	if a > b {
-		return x > a || x < b
-	}
-	return x != a
 }
 
 // Successors returns up to max distinct member names starting at the

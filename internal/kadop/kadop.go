@@ -13,9 +13,11 @@ package kadop
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"p2pm/internal/dht"
 	"p2pm/internal/stream"
@@ -125,7 +127,7 @@ func ParseDef(n *xmltree.Node) (*StreamDef, error) {
 		return nil, fmt.Errorf("kadop: descriptor missing stream identity")
 	}
 	op := n.Child("Operator")
-	if op == nil || len(op.Children) == 0 {
+	if op == nil || len(op.Children) == 0 || op.Children[0].IsText() {
 		return nil, fmt.Errorf("kadop: descriptor missing operator")
 	}
 	d.Operator = op.Children[0].Label
@@ -157,14 +159,29 @@ func ParseDef(n *xmltree.Node) (*StreamDef, error) {
 // the set Operands is empty ... it is produced by an alerter").
 func (d *StreamDef) IsSource() bool { return len(d.Operands) == 0 }
 
-// DB is the stream definition database.
+// DB is the stream definition database. The descriptors its Find
+// queries return are shared between callers and must not be modified.
 type DB struct {
 	ring *dht.Ring
+
+	mu   sync.Mutex
 	defs uint64
+	// memo maps a record's text to its decoding. Records are immutable
+	// and the key is the content itself, so an entry can never be stale;
+	// it holds at most one entry per distinct descriptor ever published.
+	// Only a successful decode fills it, so a corrupt record fails every
+	// lookup that meets it.
+	memo map[string]decoded
+}
+
+// decoded is one memoized descriptor with its "s@p" sort key.
+type decoded struct {
+	def *StreamDef
+	key string
 }
 
 // New builds a database over a DHT ring.
-func New(ring *dht.Ring) *DB { return &DB{ring: ring} }
+func New(ring *dht.Ring) *DB { return &DB{ring: ring, memo: make(map[string]decoded)} }
 
 // Index keys. Each descriptor is stored under several keys so every
 // discovery query of Section 5 is a single DHT lookup.
@@ -177,11 +194,18 @@ func refKey(ref stream.Ref) string              { return "def|" + ref.String() }
 
 // Publish indexes a stream descriptor.
 func (db *DB) Publish(def *StreamDef) error {
+	_, err := db.publish(def)
+	return err
+}
+
+// publish stores the descriptor under its index keys and returns the
+// record text it stored.
+func (db *DB) publish(def *StreamDef) (string, error) {
 	if def.Ref.PeerID == "" || def.Ref.StreamID == "" {
-		return fmt.Errorf("kadop: descriptor needs a stream identity")
+		return "", fmt.Errorf("kadop: descriptor needs a stream identity")
 	}
 	if def.Operator == "" {
-		return fmt.Errorf("kadop: descriptor needs an operator")
+		return "", fmt.Errorf("kadop: descriptor needs an operator")
 	}
 	xml := def.ToXML().String()
 	keys := []string{refKey(def.Ref)}
@@ -199,39 +223,69 @@ func (db *DB) Publish(def *StreamDef) error {
 	}
 	for _, k := range keys {
 		if err := db.ring.Put(k, xml); err != nil {
-			return err
+			return "", err
 		}
 	}
+	db.mu.Lock()
 	db.defs++
-	return nil
+	db.mu.Unlock()
+	return xml, nil
 }
 
 // Defs returns the number of descriptors published.
-func (db *DB) Defs() uint64 { return db.defs }
+func (db *DB) Defs() uint64 {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.defs
+}
 
+// lookup returns the descriptors stored under key, ordered by their
+// "StreamID@PeerID" string, the first record stored winning among
+// several for one stream. The descriptors are shared between calls:
+// callers must not modify them.
 func (db *DB) lookup(from, key string) ([]*StreamDef, int, error) {
 	vals, hops, err := db.ring.Get(from, key)
+	if err != nil || len(vals) == 0 {
+		return nil, hops, err
+	}
+	recs := make([]decoded, len(vals))
+	db.mu.Lock()
+	for i, v := range vals {
+		if recs[i], err = db.decodeLocked(v); err != nil {
+			break
+		}
+	}
+	db.mu.Unlock()
 	if err != nil {
 		return nil, hops, err
 	}
-	seen := make(map[string]bool)
-	var out []*StreamDef
-	for _, v := range vals {
-		n, err := xmltree.Parse(v)
-		if err != nil {
-			return nil, hops, fmt.Errorf("kadop: corrupt descriptor: %w", err)
-		}
-		d, err := ParseDef(n)
-		if err != nil {
-			return nil, hops, err
-		}
-		if !seen[d.Ref.String()] {
-			seen[d.Ref.String()] = true
-			out = append(out, d)
+	slices.SortStableFunc(recs, func(a, b decoded) int { return strings.Compare(a.key, b.key) })
+	out := make([]*StreamDef, 0, len(recs))
+	for i, rec := range recs {
+		if i == 0 || rec.key != recs[i-1].key {
+			out = append(out, rec.def)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ref.String() < out[j].Ref.String() })
 	return out, hops, nil
+}
+
+// decodeLocked returns the decoding of one record, from the memo when
+// the same text was decoded before.
+func (db *DB) decodeLocked(text string) (decoded, error) {
+	if rec, ok := db.memo[text]; ok {
+		return rec, nil
+	}
+	n, err := xmltree.Parse(text)
+	if err != nil {
+		return decoded{}, fmt.Errorf("kadop: corrupt descriptor: %w", err)
+	}
+	d, err := ParseDef(n)
+	if err != nil {
+		return decoded{}, err
+	}
+	rec := decoded{def: d, key: d.Ref.String()}
+	db.memo[text] = rec
+	return rec, nil
 }
 
 // FindAlerters answers "is there a communication alerter for p1?" —
@@ -416,10 +470,11 @@ const identityIndexKey = "kadop|all"
 // The identity index is a convenience for diagnostics and small
 // deployments; large deployments use only the semantic keys.
 func (db *DB) PublishIndexed(def *StreamDef) error {
-	if err := db.Publish(def); err != nil {
+	xml, err := db.publish(def)
+	if err != nil {
 		return err
 	}
-	return db.ring.Put(identityIndexKey, def.ToXML().String())
+	return db.ring.Put(identityIndexKey, xml)
 }
 
 // QueryXPath evaluates a rooted XPath query (e.g. the three queries of
