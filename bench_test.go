@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"p2pm/internal/alerters"
 	"p2pm/internal/algebra"
 	"p2pm/internal/dht"
 	"p2pm/internal/filter"
@@ -18,6 +19,7 @@ import (
 	"p2pm/internal/peer"
 	"p2pm/internal/reuse"
 	"p2pm/internal/simnet"
+	"p2pm/internal/soap"
 	"p2pm/internal/stream"
 	"p2pm/internal/telemetry"
 	"p2pm/internal/transport"
@@ -286,6 +288,7 @@ func BenchmarkYFilterIndependentBaseline(b *testing.B) {
 // --- C5/C7: whole-system (per-op: one full scenario) ---
 
 func benchMeteoScenario(b *testing.B, pushdown, reuseOn bool, managers int) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opts := peer.DefaultConfig()
 		opts.Pushdown = pushdown
@@ -320,6 +323,36 @@ func BenchmarkScenarioPushdown(b *testing.B)   { benchMeteoScenario(b, true, fal
 func BenchmarkScenarioNoPushdown(b *testing.B) { benchMeteoScenario(b, false, false, 1) }
 func BenchmarkScenarioReuse4(b *testing.B)     { benchMeteoScenario(b, true, true, 4) }
 func BenchmarkScenarioNoReuse4(b *testing.B)   { benchMeteoScenario(b, true, false, 4) }
+
+// BenchmarkWSAlertFanout is one monitored call observed by N alerters
+// attached to the endpoint's tap (no-op emits): the alert is built once
+// per exchange, so allocs/op is the same for every N and ns/op grows
+// only by N sequence-number stamps.
+func BenchmarkWSAlertFanout(b *testing.B) {
+	for _, subs := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
+			nw := simnet.New(simnet.DefaultOptions())
+			fabric := soap.NewFabric(nw)
+			srv := fabric.Endpoint("srv")
+			srv.Register("temp", func(*xmltree.Node) (*xmltree.Node, error) {
+				return xmltree.ElemText("temp", "21"), nil
+			}, nil)
+			tap := alerters.NewTap("srv", alerters.Inbound, nw.Clock().Now)
+			srv.OnInbound(tap.Hook())
+			for i := 0; i < subs; i++ {
+				tap.Attach("inCOM@srv", true, func(stream.Item) {})
+			}
+			client, params := fabric.Endpoint("client"), xmltree.ElemText("city", "paris")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := client.Invoke("srv", "temp", params); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // --- C8/C10: Join ---
 
@@ -485,6 +518,7 @@ func BenchmarkAggTreeIngest(b *testing.B) {
 		n.SetAttr("k", fmt.Sprintf("key-%d", i%8))
 		items[i] = stream.Item{Tree: n, Time: time.Duration(i) * time.Second}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it := items[i%len(items)]
@@ -664,6 +698,7 @@ func BenchmarkSharedAggIngest(b *testing.B) {
 		n.SetAttr("k", fmt.Sprintf("key-%d", i%8))
 		items[i] = stream.Item{Tree: n, Time: time.Duration(i) * time.Second}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it := items[i%len(items)]

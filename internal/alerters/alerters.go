@@ -4,6 +4,12 @@
 // generic information that simple conditions test (call identifiers,
 // timestamps, identities), while subtrees carry payloads such as SOAP
 // envelopes — matching the two-part stream-item structure of Section 2.
+//
+// The WS alerter is one interception point per monitored endpoint and
+// direction (the paper's one Axis handler per peer): a Tap is the single
+// soap.Hook, it builds each exchange's alert once and hands the same
+// immutable tree to every WS attached to it, so what a monitored call
+// costs at its source does not grow with the subscriptions watching it.
 package alerters
 
 import (
@@ -11,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2pm/internal/rss"
@@ -22,13 +29,14 @@ import (
 // Emit receives produced alerts.
 type Emit func(stream.Item)
 
-// Base carries the plumbing shared by all alerters.
+// Base carries the plumbing shared by all alerters. Name, clock and emit
+// are fixed at construction; the sequence number is the only state, so
+// numbering an alert is one atomic add.
 type Base struct {
-	mu    sync.Mutex
 	name  string
 	clock func() time.Duration
 	emit  Emit
-	seq   uint64
+	seq   atomic.Uint64
 }
 
 // NewBase wires an alerter core. clock may be nil (alerts are then
@@ -41,44 +49,56 @@ func NewBase(name string, clock func() time.Duration, emit Emit) Base {
 func (b *Base) Name() string { return b.name }
 
 // Produced returns the number of alerts emitted.
-func (b *Base) Produced() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seq
-}
+func (b *Base) Produced() uint64 { return b.seq.Load() }
 
 // Emit stamps and emits one alert tree.
 func (b *Base) Emit(tree *xmltree.Node) {
-	b.mu.Lock()
-	b.seq++
-	seq := b.seq
 	var now time.Duration
 	if b.clock != nil {
 		now = b.clock()
 	}
-	emit := b.emit
-	b.mu.Unlock()
-	if emit != nil {
-		emit(stream.Item{Tree: tree, Seq: seq, Source: b.name, Time: now})
+	b.emitAt(tree, now)
+}
+
+// emitAt numbers and emits one alert detected at now.
+func (b *Base) emitAt(tree *xmltree.Node, now time.Duration) {
+	seq := b.seq.Add(1)
+	if b.emit != nil {
+		b.emit(stream.Item{Tree: tree, Seq: seq, Source: b.name, Time: now})
 	}
 }
 
 // Close emits eos downstream.
 func (b *Base) Close() {
-	b.mu.Lock()
-	emit := b.emit
-	name := b.name
-	b.mu.Unlock()
-	if emit != nil {
-		emit(stream.EOSItem(name))
+	if b.emit != nil {
+		b.emit(stream.EOSItem(b.name))
 	}
 }
 
 // seconds renders a duration as a decimal-seconds attribute value so that
 // P2PML arithmetic like "$c1.responseTimestamp - $c1.callTimestamp" works
-// numerically.
+// numerically. The bytes are those of
+// strconv.FormatFloat(d.Seconds(), 'f', 3, 64), computed with integer
+// arithmetic: below 2^53 ns the float64 that Seconds returns lies within
+// 1 ns of the true value (one rounding of a fraction below 1, one of a
+// sum below 2^24 whose ulp is 2^-29 s), so unless the sub-millisecond
+// remainder is within 1 µs of the half-millisecond tie both round to the
+// same millisecond. Ties, negatives and larger values take FormatFloat.
 func seconds(d time.Duration) string {
-	return strconv.FormatFloat(d.Seconds(), 'f', 3, 64)
+	const tie, guard = time.Millisecond / 2, time.Microsecond
+	rem := d % time.Millisecond
+	if d < 0 || d >= 1<<53 || (rem >= tie-guard && rem <= tie+guard) {
+		return strconv.FormatFloat(d.Seconds(), 'f', 3, 64)
+	}
+	ms := uint64(d / time.Millisecond)
+	if rem > tie {
+		ms++
+	}
+	var buf [16]byte // 2^53 ns is 7 integer digits, a point and 3 decimals
+	b := strconv.AppendUint(buf[:0], ms/1000, 10)
+	ms %= 1000
+	b = append(b, '.', byte('0'+ms/100), byte('0'+ms/10%10), byte('0'+ms%10))
+	return string(b)
 }
 
 // endpointURL renders a peer identity as its service endpoint URL.
@@ -106,19 +126,20 @@ func (d Direction) String() string {
 	return "outCOM"
 }
 
-// WS is the Web service alerter: it intercepts inbound or outbound SOAP
-// calls (an Axis handler in the paper) and produces alerts that include
-// the SOAP envelope expanded with annotations — timestamps and
-// caller/callee identifiers.
+// WS is the Web service alerter: it receives the alerts of one Tap —
+// intercepted inbound or outbound SOAP calls (an Axis handler in the
+// paper), each including the SOAP envelope expanded with annotations
+// (timestamps and caller/callee identifiers) — and numbers them on its
+// own stream.
 type WS struct {
 	Base
 	dir             Direction
 	includeEnvelope bool
 }
 
-// NewWS builds a WS alerter. includeEnvelope controls whether the full
-// SOAP envelope is embedded in each alert (it dominates alert size, which
-// matters for the pushdown experiments).
+// NewWS builds a stand-alone WS alerter, a tap of one. includeEnvelope
+// controls whether the full SOAP envelope is embedded in each alert (it
+// dominates alert size, which matters for the pushdown experiments).
 func NewWS(name string, dir Direction, includeEnvelope bool, clock func() time.Duration, emit Emit) *WS {
 	return &WS{Base: NewBase(name, clock, emit), dir: dir, includeEnvelope: includeEnvelope}
 }
@@ -129,13 +150,101 @@ func (w *WS) Direction() Direction { return w.dir }
 // Hook returns the soap.Hook to attach to an endpoint (OnInbound for
 // inCOM, OnOutbound for outCOM).
 func (w *WS) Hook() soap.Hook {
-	return func(x soap.Exchange) { w.Emit(w.alert(x)) }
+	t := NewTap("", w.dir, w.clock)
+	t.attach(w)
+	return t.Hook()
 }
 
-func (w *WS) alert(x soap.Exchange) *xmltree.Node {
+// Tap is the interception point of one endpoint direction. Its hook
+// reads the clock once and builds the exchange's alert once (per envelope
+// flavour in use), then emits that one tree through every attached WS in
+// attach order; published trees are immutable (docs/DATAPATH.md), so the
+// streams share it. The attach list is copy-on-write: the hook loads it
+// without locking, and a hook already past its load may still emit once
+// to an alerter detached meanwhile.
+type Tap struct {
+	dir   Direction
+	peer  string // the tapped endpoint's peer; "" when not known
+	url   string // endpointURL(peer), rendered once
+	clock func() time.Duration
+
+	mu       sync.Mutex // serializes attach and detach
+	attached atomic.Pointer[[]*WS]
+}
+
+// NewTap builds the tap of peer's endpoint in one direction; register
+// its Hook there once. clock may be nil (alerts are stamped zero).
+func NewTap(peer string, dir Direction, clock func() time.Duration) *Tap {
+	return &Tap{dir: dir, peer: peer, url: endpointURL(peer), clock: clock}
+}
+
+// Attach adds a WS alerter reporting to emit and returns its detach,
+// after which the tap holds no reference to it. Detaching does not emit
+// eos: the caller closes its stream once detached.
+func (t *Tap) Attach(name string, includeEnvelope bool, emit Emit) (detach func()) {
+	return t.attach(NewWS(name, t.dir, includeEnvelope, t.clock, emit))
+}
+
+func (t *Tap) attach(w *WS) (detach func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cur := t.list()
+	next := append(cur[:len(cur):len(cur)], w)
+	t.attached.Store(&next)
+	return func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		cur := t.list()
+		for i, a := range cur {
+			if a == w {
+				next := append(cur[:i:i], cur[i+1:]...)
+				t.attached.Store(&next)
+				return
+			}
+		}
+	}
+}
+
+func (t *Tap) list() []*WS {
+	if p := t.attached.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Attached reports how many alerters the tap currently feeds.
+func (t *Tap) Attached() int { return len(t.list()) }
+
+// Hook returns the tap's soap.Hook (OnInbound for inCOM, OnOutbound for
+// outCOM). With nothing attached it builds nothing.
+func (t *Tap) Hook() soap.Hook {
+	return func(x soap.Exchange) {
+		ws := t.list()
+		if len(ws) == 0 {
+			return
+		}
+		var now time.Duration
+		if t.clock != nil {
+			now = t.clock()
+		}
+		var trees [2]*xmltree.Node // without and with the envelope
+		for _, w := range ws {
+			i := 0
+			if w.includeEnvelope {
+				i = 1
+			}
+			if trees[i] == nil {
+				trees[i] = t.alert(x, w.includeEnvelope)
+			}
+			w.emitAt(trees[i], now)
+		}
+	}
+}
+
+func (t *Tap) alert(x soap.Exchange, includeEnvelope bool) *xmltree.Node {
 	n := xmltree.Elem("alert")
 	n.Attrs = make([]xmltree.Attr, 0, 8) // type … responseTimestamp, fault
-	if w.dir == Inbound {
+	if t.dir == Inbound {
 		n.SetAttr("type", "ws-in")
 	} else {
 		n.SetAttr("type", "ws-out")
@@ -145,17 +254,26 @@ func (w *WS) alert(x soap.Exchange) *xmltree.Node {
 	// Caller/callee identities are annotated as endpoint URLs (the Axis
 	// form the paper's conditions compare against, e.g. the Figure 1
 	// condition $c1.callee = "http://meteo.com").
-	n.SetAttr("caller", endpointURL(x.Caller))
-	n.SetAttr("callee", endpointURL(x.Callee))
+	n.SetAttr("caller", t.urlOf(x.Caller))
+	n.SetAttr("callee", t.urlOf(x.Callee))
 	n.SetAttr("callTimestamp", seconds(x.CallTime))
 	n.SetAttr("responseTimestamp", seconds(x.ResponseTime))
 	if x.Fault != "" {
 		n.SetAttr("fault", x.Fault)
 	}
-	if w.includeEnvelope {
+	if includeEnvelope {
 		n.Append(x.Envelope())
 	}
 	return n
+}
+
+// urlOf is endpointURL with the tapped peer's own URL — the callee of
+// every inbound exchange, the caller of every outbound one — reused.
+func (t *Tap) urlOf(peer string) string {
+	if peer == t.peer {
+		return t.url
+	}
+	return endpointURL(peer)
 }
 
 // RSS is the RSS feed alerter: it polls a feed, diffs snapshots, and

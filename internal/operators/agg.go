@@ -14,6 +14,7 @@ package operators
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -58,6 +59,21 @@ func (w windowStates) sortedWindows() []int64 {
 		out = append(out, idx)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// closable returns, in window order, the windows the watermark has
+// passed: those whose end lies a full window behind maxSeen. It runs on
+// every item and almost always finds none, so it allocates (and sorts)
+// only when a window can close.
+func (w windowStates) closable(window, maxSeen time.Duration) []int64 {
+	var out []int64
+	for idx := range w {
+		if time.Duration(idx+2)*window <= maxSeen {
+			out = append(out, idx)
+		}
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -183,10 +199,8 @@ func (p *PartialAgg) Accept(_ int, it stream.Item, emit Emit) {
 		p.maxSeen = it.Time
 	}
 	if p.Window > 0 {
-		for _, w := range p.wins.sortedWindows() {
-			if time.Duration(w+2)*p.Window <= p.maxSeen {
-				p.emitWindow(w, emit)
-			}
+		for _, w := range p.wins.closable(p.Window, p.maxSeen) {
+			p.emitWindow(w, emit)
 		}
 	}
 }

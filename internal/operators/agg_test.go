@@ -195,3 +195,94 @@ func TestAggSnapshotRoundTrip(t *testing.T) {
 		t.Error("MergeAgg.Restore accepted a foreign snapshot")
 	}
 }
+
+// oldPartialAccept is PartialAgg.Accept as it stood before the
+// watermark check stopped allocating: sort every open window on every
+// item, then test each against the watermark. Kept as the reference the
+// table below holds the operator to.
+func oldPartialAccept(p *PartialAgg, it stream.Item, emit Emit) {
+	if p.wins == nil {
+		p.wins = make(windowStates)
+	}
+	var idx int64
+	if p.Window > 0 {
+		idx = int64(it.Time / p.Window)
+	}
+	if !absorb(p.wins, aggOf(p.Agg), idx, p.Key(it.Tree), "") {
+		p.dropped++
+		return
+	}
+	if it.Time > p.maxSeen {
+		p.maxSeen = it.Time
+	}
+	if p.Window > 0 {
+		for _, w := range p.wins.sortedWindows() {
+			if time.Duration(w+2)*p.Window <= p.maxSeen {
+				p.emitWindow(w, emit)
+			}
+		}
+	}
+}
+
+// TestPartialAggWatermarkMatchesOldLoop: the allocation-free watermark
+// check emits the same partials, in the same window order, at the same
+// items, as the sort-everything loop did.
+func TestPartialAggWatermarkMatchesOldLoop(t *testing.T) {
+	const w = time.Minute
+	at := func(min float64) time.Duration { return time.Duration(min * float64(w)) }
+	cases := []struct {
+		name   string
+		window time.Duration
+		times  []float64 // event times in windows, arrival order
+	}{
+		{"in order", w, []float64{0.1, 0.5, 1.2, 1.9, 2.0, 2.5, 3.1, 4.0, 5.5}},
+		{"stragglers", w, []float64{0.1, 2.1, 0.7, 1.5, 3.2, 0.2, 2.9, 5.0, 1.1, 4.4}},
+		{"three windows close on one item", w, []float64{2.5, 0.3, 1.4, 0.9, 4.6, 4.7}},
+		{"reopened window closes again", w, []float64{0.5, 2.0, 0.6, 2.1, 0.7, 3.0}},
+		{"no window", 0, []float64{0.1, 7.0, 3.0, 12.5}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			items := make([]stream.Item, len(c.times))
+			for i, m := range c.times {
+				items[i] = aggItem("k"+strconv.Itoa(i%3), at(m))
+			}
+			type emission struct {
+				after int // index of the item whose Accept emitted it; len(items) for Flush
+				tree  string
+				time  time.Duration
+			}
+			run := func(accept func(*PartialAgg, stream.Item, Emit)) []emission {
+				p := &PartialAgg{Key: keyAttr, Window: c.window}
+				var out []emission
+				i := 0
+				emit := func(it stream.Item) { out = append(out, emission{i, it.Tree.String(), it.Time}) }
+				for ; i < len(items); i++ {
+					accept(p, items[i], emit)
+				}
+				p.Flush(emit)
+				return out
+			}
+			want := run(oldPartialAccept)
+			got := run(func(p *PartialAgg, it stream.Item, emit Emit) { p.Accept(0, it, emit) })
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("emissions diverge:\n got %v\nwant %v", got, want)
+			}
+			if c.window > 0 && len(want) < 3 {
+				t.Fatalf("case emits only %d partials: it does not exercise the watermark", len(want))
+			}
+		})
+	}
+}
+
+// TestPartialAggSteadyStateAllocs: an item that closes no window costs
+// the leaf no allocation.
+func TestPartialAggSteadyStateAllocs(t *testing.T) {
+	p := &PartialAgg{Key: keyAttr, Window: time.Minute}
+	it := aggItem("k", 30*time.Second)
+	sink := func(stream.Item) {}
+	p.Accept(0, it, sink)
+	if got := testing.AllocsPerRun(100, func() { p.Accept(0, it, sink) }); got != 0 {
+		t.Errorf("Accept allocates %.0f per item with no window to close", got)
+	}
+}

@@ -203,10 +203,8 @@ func (g *Group) Accept(_ int, it stream.Item, emit Emit) {
 	if g.EagerEmit && g.Window > 0 {
 		// Watermark: emit windows whose end lies a full window behind the
 		// newest timestamp seen.
-		for _, w := range g.sortedWindows() {
-			if time.Duration(w+2)*g.Window <= g.maxSeen {
-				g.emitWindow(w, emit)
-			}
+		for _, w := range g.wins.closable(g.Window, g.maxSeen) {
+			g.emitWindow(w, emit)
 		}
 	}
 }

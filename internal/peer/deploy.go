@@ -2,7 +2,6 @@ package peer
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"p2pm/internal/aggtree"
@@ -323,14 +322,11 @@ func (p *Peer) deployAlerter(task *Task, n *algebra.Node, out *stream.Channel) e
 		if n.Alerter.Kind == "ws-out" {
 			dir = alerters.Outbound
 		}
-		al := alerters.NewWS(name, dir, p.sys.Config().IncludeEnvelopes, clock, emit)
-		ep := p.sys.Fabric.Endpoint(n.Alerter.Peer)
-		if dir == alerters.Inbound {
-			ep.OnInbound(al.Hook())
-		} else {
-			ep.OnOutbound(al.Hook())
-		}
-		task.closers = append(task.closers, al.Close)
+		detach := p.sys.tap(n.Alerter.Peer, dir).Attach(name, p.sys.Config().IncludeEnvelopes, out.Publish)
+		task.closers = append(task.closers, func() {
+			detach()
+			out.Close()
+		})
 	case "membership":
 		al := alerters.NewMembership(name, clock, emit)
 		p.sys.Ring.OnMembership(al)
@@ -405,15 +401,11 @@ func (p *Peer) runDynAlerter(task *Task, n *algebra.Node, driver *stream.Queue, 
 	if n.Alerter.Func == "outCOM" {
 		dir = alerters.Outbound
 	}
-	clock := p.sys.Net.Clock().Now
 	done := make(chan struct{})
 	task.dynDone = append(task.dynDone, done)
 	go func() {
 		defer close(done)
-		type entry struct {
-			active *atomic.Bool
-		}
-		active := make(map[string]*entry)
+		active := make(map[string]func()) // monitored peer → detach
 		for {
 			it, ok := driver.Pop()
 			if !ok || it.EOS() {
@@ -425,39 +417,51 @@ func (p *Peer) runDynAlerter(task *Task, n *algebra.Node, driver *stream.Queue, 
 				if _, dup := active[peerName]; dup {
 					continue
 				}
-				flag := &atomic.Bool{}
-				flag.Store(true)
-				al := alerters.NewWS(n.Alerter.Func+"@"+peerName, dir, p.sys.Config().IncludeEnvelopes, clock,
-					func(item stream.Item) {
-						if flag.Load() && !item.EOS() {
-							out.Publish(item)
-						}
-					})
-				ep := p.sys.Fabric.Endpoint(peerName)
-				if dir == alerters.Inbound {
-					ep.OnInbound(al.Hook())
-				} else {
-					ep.OnOutbound(al.Hook())
-				}
-				active[peerName] = &entry{active: flag}
+				active[peerName] = p.sys.tap(peerName, dir).Attach(n.Alerter.Func+"@"+peerName,
+					p.sys.Config().IncludeEnvelopes, out.Publish)
 			case "p-leave":
 				// "inCOM removes peers from the collection of monitored
 				// peers" (Section 2).
-				if e, ok := active[it.Tree.InnerText()]; ok {
-					e.active.Store(false)
+				if detach, ok := active[it.Tree.InnerText()]; ok {
+					detach()
 					delete(active, it.Tree.InnerText())
 				}
 			}
 			task.dynEvents.Add(1)
 		}
-		// Deactivate every attached alerter before closing: the fabric
-		// has no hook-removal API, so the leaked closures must become
-		// no-ops (their flag check short-circuits before any work).
-		for _, e := range active {
-			e.active.Store(false)
+		for _, detach := range active {
+			detach()
 		}
 		out.Close()
 	}()
+}
+
+// tapKey names one interception point: a monitored peer's endpoint and
+// the direction of the calls observed there.
+type tapKey struct {
+	peer string
+	dir  alerters.Direction
+}
+
+// tap returns the WS tap of one endpoint direction, registering its hook
+// on the endpoint the first time anything monitors it. Every WS alerter
+// of every task attaches here and detaches when it stops, so the
+// endpoint carries one hook however many subscriptions come and go.
+func (s *System) tap(peer string, dir alerters.Direction) *alerters.Tap {
+	s.tapMu.Lock()
+	defer s.tapMu.Unlock()
+	k := tapKey{peer, dir}
+	t := s.taps[k]
+	if t == nil {
+		t = alerters.NewTap(peer, dir, s.Net.Clock().Now)
+		if ep := s.Fabric.Endpoint(peer); dir == alerters.Inbound {
+			ep.OnInbound(t.Hook())
+		} else {
+			ep.OnOutbound(t.Hook())
+		}
+		s.taps[k] = t
+	}
+	return t
 }
 
 // deployPublisher wires the BY-clause targets: the named result channel,

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"p2pm/internal/alerters"
 	"p2pm/internal/algebra"
 	"p2pm/internal/dht"
 	"p2pm/internal/kadop"
@@ -44,6 +45,11 @@ type System struct {
 	Fabric *soap.Fabric
 	Ring   *dht.Ring
 	DB     *kadop.DB
+
+	// taps holds the one WS alerter tap per monitored endpoint direction
+	// (System.tap).
+	tapMu sync.Mutex
+	taps  map[tapKey]*alerters.Tap
 
 	// admitMu serializes AddPeer: two concurrent admissions of one name
 	// must resolve to one node, one ring member and one Peer.
@@ -134,6 +140,7 @@ func NewSystem(cfg Config) (*System, error) {
 		channels: make(map[stream.Ref]*stream.Channel),
 		stale:    make(map[stream.Ref]bool),
 		sidSeq:   make(map[string]int),
+		taps:     make(map[tapKey]*alerters.Tap),
 	}
 	if cfg.Agg.SplitRatio > 0 {
 		s.startRechunkController()

@@ -3,11 +3,15 @@
 // intercept inbound/outbound calls and annotate the SOAP envelope with
 // call identifiers, caller/callee identities and timestamps; here an
 // Endpoint plays the role of the Axis stack on one peer, and hooks play
-// the role of handlers.
+// the role of handlers. Hook lists only grow, so Invoke — once per
+// monitored call — reads the slice header under the read lock and never
+// copies the list; what comes and goes with subscriptions is the attach
+// list of the alerters.Tap behind a hook, not the hook.
 package soap
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,7 +100,8 @@ func (f *Fabric) lookup(peer string) *Endpoint {
 }
 
 func (f *Fabric) nextCallID() string {
-	return fmt.Sprintf("call-%d", f.callID.Add(1))
+	var buf [len("call-") + 20]byte // a uint64 has at most 20 digits
+	return string(strconv.AppendUint(append(buf[:0], "call-"...), f.callID.Add(1), 10))
 }
 
 // Endpoint is one peer's SOAP stack: it hosts services and issues calls.
@@ -106,6 +111,9 @@ type Endpoint struct {
 
 	mu       sync.RWMutex
 	services map[string]*service
+	// Append-only: Invoke iterates the slice header it read after
+	// releasing the lock, and an append beside it writes only beyond
+	// that header's length.
 	inHooks  []Hook
 	outHooks []Hook
 }
@@ -198,14 +206,14 @@ func (e *Endpoint) Invoke(callee, method string, params *xmltree.Node) (*xmltree
 	// Fire hooks: the callee sees an in-call, the caller an out-call.
 	if target != nil {
 		target.mu.RLock()
-		hooks := append([]Hook(nil), target.inHooks...)
+		hooks := target.inHooks
 		target.mu.RUnlock()
 		for _, h := range hooks {
 			h(x)
 		}
 	}
 	e.mu.RLock()
-	hooks := append([]Hook(nil), e.outHooks...)
+	hooks := e.outHooks
 	e.mu.RUnlock()
 	for _, h := range hooks {
 		h(x)
