@@ -22,9 +22,6 @@ type Config struct {
 	Reuse bool
 	// Pushdown enables selection pushdown (disable only for baselines).
 	Pushdown bool
-	// IncludeEnvelopes embeds SOAP envelopes in WS alerts. They dominate
-	// alert size, which matters for the communication-savings benches.
-	IncludeEnvelopes bool
 	// JoinWindow, when non-zero, bounds join histories by virtual time —
 	// the garbage-collection mechanism of the paper's future work.
 	JoinWindow time.Duration
@@ -159,12 +156,11 @@ type GossipConfig struct {
 // replication so stream-definition lookups survive churn.
 func DefaultConfig() Config {
 	return Config{
-		Seed:             1,
-		Reuse:            true,
-		Pushdown:         true,
-		IncludeEnvelopes: true,
-		DHT:              DHTConfig{Replication: 2},
-		Net:              simnet.DefaultOptions(),
+		Seed:     1,
+		Reuse:    true,
+		Pushdown: true,
+		DHT:      DHTConfig{Replication: 2},
+		Net:      simnet.DefaultOptions(),
 	}
 }
 

@@ -67,8 +67,7 @@ func (p *Peer) deploy(task *Task) error {
 			if err != nil {
 				return nil, err
 			}
-			b := p.subscribeInput(task, n, n.Inputs[0], child, n.Peer)
-			return p.deployPublisher(task, n, b.queue)
+			return p.deployPublisher(task, n, p.subscribeInput(task, n, n.Inputs[0], child))
 		}
 		out := p.sys.allocChannel(task, n.Peer, refs[n].StreamID)
 
@@ -82,8 +81,7 @@ func (p *Peer) deploy(task *Task) error {
 			if err != nil {
 				return nil, err
 			}
-			b := p.subscribeInput(task, n, n.Inputs[0], driver, n.Peer)
-			p.runDynAlerter(task, n, b.queue, out)
+			p.runDynAlerter(task, n, p.subscribeInput(task, n, n.Inputs[0], driver), out)
 		default:
 			queues := make([]*stream.Queue, len(n.Inputs))
 			for i, in := range n.Inputs {
@@ -91,7 +89,7 @@ func (p *Peer) deploy(task *Task) error {
 				if err != nil {
 					return nil, err
 				}
-				queues[i] = p.subscribeInput(task, n, in, child, n.Peer).queue
+				queues[i] = p.subscribeInput(task, n, in, child)
 			}
 			proc, err := p.makeProc(n)
 			if err != nil {
@@ -106,93 +104,27 @@ func (p *Peer) deploy(task *Task) error {
 		return err
 	}
 	task.resultCh = resultCh
-	p.bindResults(task, resultCh, 0)
+	// The manager reads the task's results through an edge of its own,
+	// always cursor-gated, so a publisher migration or a change of manager
+	// re-binds it without the reader of Results() noticing.
+	e := p.sys.newEdge(task, p.name)
+	e.local = true
+	e.into(stream.NewQueue(), 0, true)
+	e.attach(resultCh, 0)
 	return nil
 }
 
-// bindResults subscribes the manager to the task's result channel,
-// feeding the stable result queue through a dedup cursor so the
-// subscription can be re-bound (publisher migration) without the reader
-// noticing. fromSeq > 0 resumes from retained history.
-func (p *Peer) bindResults(task *Task, ch *stream.Channel, fromSeq uint64) {
-	if task.resultQ == nil {
-		task.resultQ = stream.NewQueue()
-		task.resultCur = stream.NewCursor(0, task.resultQ.Push)
-	}
-	cur, q := task.resultCur, task.resultQ
-	deliver := func(it stream.Item, _ *stream.Queue) {
-		if it.EOS() {
-			cur.Terminate(it)
-			q.Close()
-			return
-		}
-		cur.Offer(it)
-	}
-	// Result reading is manager-local (no simulated link), but the
-	// resume protocol is the shared one.
-	task.resultSub = p.sys.attachResuming(ch, p.name, cur, fromSeq, deliver)
-}
-
-// subscribe wires a consumer at consumerPeer to a channel, routing over
-// the simulated network when the producer lives elsewhere, and records
-// the subscription for teardown. Subscriptions to channels the task does
-// not own (reused streams, repository event channels) are tracked
-// separately: Stop cancels them eagerly because no eos will ever arrive
-// from a shared source.
-func (p *Peer) subscribe(task *Task, ch *stream.Channel, consumerPeer string) *stream.Subscription {
-	var deliver func(stream.Item, *stream.Queue)
-	if ch.Ref().PeerID != consumerPeer {
-		deliver = p.sys.link.DeliverHook(ch.Ref().PeerID, consumerPeer)
-	}
-	sub := ch.Subscribe(consumerPeer, deliver)
-	p.trackSub(task, ch, sub)
-	return sub
-}
-
-// trackSub records a subscription for teardown: subscriptions to shared
-// channels (reused streams, repository event channels) are cancelled
-// eagerly at Stop, owned ones after the operators drained. It reports
-// whether the channel is task-owned.
-func (p *Peer) trackSub(task *Task, ch *stream.Channel, sub *stream.Subscription) bool {
-	owned := false
-	for _, own := range task.channels {
-		if own == ch {
-			owned = true
-			break
-		}
-	}
-	if owned {
-		task.subs = append(task.subs, sub)
-	} else {
-		task.extSubs = append(task.extSubs, sub)
-	}
-	return owned
-}
-
-// subscribeInput is subscribe for a plan-internal input edge: the
-// consumer reads a binding-owned queue fed through a cursor gate
-// (ordering, dedup, resumability), and the binding (consumer operator,
-// producing plan node, queue, cursor) is recorded so failure handling
-// can later re-bind the consumer to a replacement producer.
-func (p *Peer) subscribeInput(task *Task, consumer, child *algebra.Node, ch *stream.Channel, consumerPeer string) *inputBinding {
-	q, cur := p.sys.newBinding(0)
-	sub := p.subscribeOrdered(ch, consumerPeer, cur, q, 0)
-	if !p.trackSub(task, ch, sub) {
-		// Shared source: it will never close on this task's account, so
-		// Stop must close the consumer's queue explicitly.
-		task.extQueues = append(task.extQueues, q)
-	}
-	b := &inputBinding{
-		consumer:     consumer,
-		child:        child,
-		consumerPeer: consumerPeer,
-		queue:        q,
-		sub:          sub,
-		cursor:       cur,
-		src:          ch,
-	}
-	task.bindings = append(task.bindings, b)
-	return b
+// subscribeInput wires one plan-internal input edge: the consumer
+// operator reads the returned queue, fed from ch through a cursor gate
+// when the replay layer is on, and the edge records its place in the plan
+// (consumer operator, producing node) so failure handling can re-bind it
+// to a replacement producer.
+func (p *Peer) subscribeInput(task *Task, consumer, child *algebra.Node, ch *stream.Channel) *stream.Queue {
+	e := p.sys.newEdge(task, consumer.Peer)
+	e.consumer, e.child = consumer, child
+	e.into(stream.NewQueue(), 0, p.sys.replayOn())
+	e.attach(ch, 0)
+	return e.queue
 }
 
 // makeProc compiles a processor node's spec into a runnable operator.
@@ -322,7 +254,7 @@ func (p *Peer) deployAlerter(task *Task, n *algebra.Node, out *stream.Channel) e
 		if n.Alerter.Kind == "ws-out" {
 			dir = alerters.Outbound
 		}
-		detach := p.sys.tap(n.Alerter.Peer, dir).Attach(name, p.sys.Config().IncludeEnvelopes, out.Publish)
+		detach := p.sys.tap(n.Alerter.Peer, dir).Attach(name, includeEnvelopes, out.Publish)
 		task.closers = append(task.closers, func() {
 			detach()
 			out.Close()
@@ -373,8 +305,11 @@ func (p *Peer) deployAlerter(task *Task, n *algebra.Node, out *stream.Channel) e
 			return fmt.Errorf("peer: axmlCOM target %q is not a peer", n.Alerter.Peer)
 		}
 		target.Repo() // ensure the repository event channel exists
-		sub := p.subscribe(task, target.repoCh, n.Peer)
-		h := operators.Run(&operators.Union{}, []*stream.Queue{sub.Queue}, emit)
+		// Repository events are live alerts: the edge is never cursor-gated.
+		e := p.sys.newEdge(task, n.Peer)
+		e.into(stream.NewQueue(), 0, false)
+		e.attach(target.repoCh, 0)
+		h := operators.Run(&operators.Union{}, []*stream.Queue{e.queue}, emit)
 		task.handles = append(task.handles, h)
 	default:
 		return fmt.Errorf("peer: unknown alerter kind %q", n.Alerter.Kind)
@@ -418,7 +353,7 @@ func (p *Peer) runDynAlerter(task *Task, n *algebra.Node, driver *stream.Queue, 
 					continue
 				}
 				active[peerName] = p.sys.tap(peerName, dir).Attach(n.Alerter.Func+"@"+peerName,
-					p.sys.Config().IncludeEnvelopes, out.Publish)
+					includeEnvelopes, out.Publish)
 			case "p-leave":
 				// "inCOM removes peers from the collection of monitored
 				// peers" (Section 2).
@@ -435,6 +370,11 @@ func (p *Peer) runDynAlerter(task *Task, n *algebra.Node, driver *stream.Queue, 
 		out.Close()
 	}()
 }
+
+// includeEnvelopes: the runtime's WS alerts embed the intercepted SOAP
+// envelopes. They dominate alert size (docs/DATAPATH.md hop 2), and no
+// deployment ever ran without them.
+const includeEnvelopes = true
 
 // tapKey names one interception point: a monitored peer's endpoint and
 // the direction of the calls observed there.
@@ -470,9 +410,24 @@ func (s *System) tap(peer string, dir alerters.Direction) *alerters.Tap {
 func (p *Peer) deployPublisher(task *Task, n *algebra.Node, in *stream.Queue) (*stream.Channel, error) {
 	named := p.sys.allocChannel(task, n.Peer, n.Publish.ChannelID)
 	task.namedCh = named
-	if err := p.runPublisher(task, n, in, named); err != nil {
-		return nil, err
+	for _, tgt := range n.Publish.Targets {
+		if tgt.Kind != p2pml.BySubscribe {
+			continue
+		}
+		// subscribe(peer, #id, name): the target peer is enrolled as the
+		// channel's first client, delivery landing in its #id incoming
+		// queue. The edge is task-level state like the other sinks: a
+		// publisher migration re-binds it with every other consumer of the
+		// named channel, resumed from what the target already received.
+		target, err := p.sys.AddPeer(tgt.Peer)
+		if err != nil {
+			return nil, err
+		}
+		e := p.sys.newEdge(task, tgt.Peer)
+		e.into(target.Incoming(tgt.ChannelID), 0, p.sys.replayOn())
+		e.attach(named, 0)
 	}
+	p.runPublisher(task, n, in, named)
 	return named, nil
 }
 
@@ -481,15 +436,14 @@ func (p *Peer) deployPublisher(task *Task, n *algebra.Node, in *stream.Queue) (*
 // sinks reference task-level state (Mailbox, FileOut, RSSOut), so
 // failover can rebuild them at a new host without losing what was
 // already published.
-func (p *Peer) runPublisher(task *Task, n *algebra.Node, in *stream.Queue, named *stream.Channel) error {
-	spec := n.Publish
-
+func (p *Peer) runPublisher(task *Task, n *algebra.Node, in *stream.Queue, named *stream.Channel) {
 	var sinks []operators.Emit
 	sinks = append(sinks, operators.ChannelPublish(named))
-	for _, tgt := range spec.Targets {
+	for _, tgt := range n.Publish.Targets {
 		switch tgt.Kind {
-		case p2pml.ByPublishChannel, p2pml.ByChannel:
-			// The named channel above covers channel publication.
+		case p2pml.ByPublishChannel, p2pml.ByChannel, p2pml.BySubscribe:
+			// The named channel above covers channel publication, and a
+			// subscribe target is one of its consumers (deployPublisher).
 		case p2pml.ByEmail:
 			ep := &operators.EmailPublisher{W: &task.Mailbox, To: tgt.Name}
 			sinks = append(sinks, ep.Emit)
@@ -501,64 +455,15 @@ func (p *Peer) runPublisher(task *Task, n *algebra.Node, in *stream.Queue, named
 				task.RSSOut = &operators.RSSPublisher{Title: tgt.Name, MaxItems: 50}
 			}
 			sinks = append(sinks, task.RSSOut.Emit)
-		case p2pml.BySubscribe:
-			// subscribe(peer, #id, name): the target peer is enrolled as
-			// the channel's first client, delivery landing in its #id
-			// incoming queue.
-			target, err := p.sys.AddPeer(tgt.Peer)
-			if err != nil {
-				return err
-			}
-			dest := target.Incoming(tgt.ChannelID)
-			// The target's incoming queue is task-level state like the
-			// other sinks: its cursor survives publisher migrations, so
-			// the rebuilt fan-out resumes from what the target already
-			// received and re-emissions deduplicate.
-			var cur *stream.Cursor
-			var fromSeq uint64
-			if p.sys.replayOn() {
-				key := tgt.Peer + "#" + tgt.ChannelID
-				if task.subTargets == nil {
-					task.subTargets = make(map[string]*subTarget)
-				}
-				st := task.subTargets[key]
-				if st == nil {
-					st = &subTarget{peer: tgt.Peer, cur: stream.NewCursor(0, dest.Push), dest: dest}
-					task.subTargets[key] = st
-				}
-				cur = st.cur
-				fromSeq = cur.Next()
-			}
-			sub := p.sys.attachResuming(named, tgt.Peer, cur, fromSeq,
-				p.sys.link.DeliverHook(named.Ref().PeerID, tgt.Peer))
-			task.subs = append(task.subs, sub)
-			go func() {
-				for {
-					it, ok := sub.Queue.Pop()
-					if !ok {
-						dest.Close()
-						return
-					}
-					switch {
-					case cur == nil:
-						dest.Push(it)
-					case it.EOS():
-						cur.Terminate(it) // flush parked items before the terminator
-					default:
-						cur.Offer(it)
-					}
-				}
-			}()
 		}
 	}
-	host := named.Ref().PeerID
 	fanout := func(it stream.Item) {
 		// Fail-stop fidelity: a fan-out whose host crashed (or whose
 		// channel was superseded by a migration) emits nothing — its
 		// replacement instance owns the sinks now. Without this guard the
 		// dead instance would keep draining its closed queue into the
 		// shared mailbox/file/feed alongside the replacement.
-		if !p.sys.Net.Alive(host) || p.sys.isStale(named.Ref()) {
+		if !p.sys.usable(named.Ref()) {
 			return
 		}
 		for _, s := range sinks {
@@ -569,5 +474,4 @@ func (p *Peer) runPublisher(task *Task, n *algebra.Node, in *stream.Queue, named
 	h := operators.Run(proc, []*stream.Queue{in}, fanout)
 	task.handles = append(task.handles, h)
 	task.procs[n] = &procInstance{proc: proc, handle: h}
-	return nil
 }

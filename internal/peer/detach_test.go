@@ -49,6 +49,7 @@ func TestStopDetachesAlerter(t *testing.T) {
 	}
 
 	before := testing.AllocsPerRun(200, invoke)
+	var stopped []*Task
 	for i := 0; i < 200; i++ {
 		task, err := mon.DeployPlan(watchPlan("src", fmt.Sprintf("w%d", i)))
 		if err != nil {
@@ -58,7 +59,9 @@ func TestStopDetachesAlerter(t *testing.T) {
 			t.Fatalf("cycle %d: %d alerters attached while deployed, want 1", i, got)
 		}
 		task.Stop()
+		stopped = append(stopped, task)
 	}
+	assertEdges(t, sys, stopped...)
 	if got := attachedAt(sys, "src", alerters.Inbound); got != 0 {
 		t.Fatalf("%d alerters still attached after every task stopped", got)
 	}
@@ -75,6 +78,7 @@ func TestStopDetachesAlerter(t *testing.T) {
 		invoke()
 	}
 	live.Stop()
+	assertEdges(t, sys, append(stopped, live)...)
 	got := live.Results().Drain()
 	if len(got) != calls {
 		t.Fatalf("live subscription saw %d alerts for %d calls", len(got), calls)
@@ -125,6 +129,7 @@ func TestTasksShareOneAlert(t *testing.T) {
 			t.Errorf("task %d received its own copy of the alert", i)
 		}
 	}
+	assertEdges(t, sys, tasks...)
 }
 
 // dynWatch deploys an inCOM($j) dynamic-alerter manager at w1 and waits
@@ -172,6 +177,7 @@ func TestDynAlerterLeaveDetaches(t *testing.T) {
 	if got := attachedAt(sys, "other", alerters.Inbound); got != 0 {
 		t.Fatalf("other: %d attached after Stop, want 0", got)
 	}
+	assertEdges(t, sys, task)
 }
 
 // TestDynAlerterManagerMoveDetaches: re-deploying the manager of a
@@ -189,8 +195,10 @@ func TestDynAlerterManagerMoveDetaches(t *testing.T) {
 	<-task.dynDone[0] // the old manager is gone, and its alerters with it
 	// The new manager replays the membership history, svc's join included.
 	waitFor(t, func() bool { return attachedAt(sys, "svc", alerters.Inbound) == 1 })
+	assertEdges(t, sys)
 	task.Stop()
 	if got := attachedAt(sys, "svc", alerters.Inbound); got != 0 {
 		t.Fatalf("svc: %d attached after Stop, want 0", got)
 	}
+	assertEdges(t, sys, task)
 }

@@ -1,0 +1,352 @@
+// The consumer edge: the paper has one inter-peer primitive — a peer
+// publishes a stream as a channel and another peer subscribes to it — and
+// this file is its one implementation. An operator input, the manager's
+// result reader, a BY subscribe target, an announced replica's forwarder
+// and an outside reader (System.SubscribeChannel) are all an edge: they
+// differ only in where delivered items land. One closure carries items
+// across the link, one sweep refills what the link lost, one index says
+// who consumes a channel. See docs/REPLAY.md "The consumer edge".
+package peer
+
+import (
+	"sort"
+
+	"p2pm/internal/algebra"
+	"p2pm/internal/stream"
+)
+
+// edge is one subscription of a consumer peer to a channel.
+type edge struct {
+	sys *System
+	// id orders the edges of one task by creation, which is also the order
+	// of Task.edges.
+	id uint64
+	// task owns the edge and closes it on Stop; nil for a replica forwarder
+	// and for an outside reader, which belong to no subscription.
+	task *Task
+	// consumer and child place an operator input in the plan: the reading
+	// operator and the node producing the stream it reads. nil otherwise.
+	consumer, child *algebra.Node
+	// peer is where the consumer runs: the subscription's name and the far
+	// end of the link.
+	peer string
+	// local marks the manager's reader of its own task's results, whose
+	// live delivery crosses no link wherever the publisher runs.
+	local bool
+
+	// Where delivered items land: queue for an operator input, the result
+	// reader and a BY subscribe target (the target's Incoming queue), rep
+	// for a replica forwarder; sink pushes into whichever it is. An outside
+	// reader has none of the three: it reads the subscription's own queue.
+	queue *stream.Queue
+	rep   *stream.Channel
+	sink  func(stream.Item)
+	// cur gates deliveries into sink: in sequence order, exactly once,
+	// tracking where a re-bound subscription resumes. nil with the replay
+	// layer off, which is the plain lossy delivery path.
+	cur *stream.Cursor
+
+	// The live subscription, guarded by sys.mu together with the index. src
+	// stays set after detach (the next attach replaces it); sub is nil while
+	// detached.
+	src *stream.Channel
+	sub *stream.Subscription
+	// owned is set when the task owns src: end-of-stream will come down the
+	// edge, so Stop closes it only after the operators drained. An edge on a
+	// shared channel (a reused stream, a repository's event channel) is
+	// closed first — no end-of-stream ever arrives on the task's account.
+	owned bool
+	// ended is set once end-of-stream went through a replica forwarder,
+	// which nobody else closes.
+	ended bool
+}
+
+// newEdge creates a detached edge for a consumer at peer and records it
+// with its task.
+func (s *System) newEdge(t *Task, peer string) *edge {
+	e := &edge{sys: s, id: s.edgeSeq.Add(1), task: t, peer: peer}
+	if t != nil {
+		t.edges = append(t.edges, e)
+	}
+	return e
+}
+
+// into points the edge at a consumer queue. after is the highest sequence
+// the consumer is NOT owed; gated puts a cursor in front of the queue.
+func (e *edge) into(q *stream.Queue, after uint64, gated bool) {
+	e.queue, e.sink, e.cur = q, q.Push, nil
+	if gated {
+		e.cur = stream.NewCursor(after, e.sink)
+	}
+}
+
+// attach subscribes the edge to ch and indexes it under ch's ref. Items
+// cross the simulated link when the producer lives elsewhere (accounting,
+// latency, faults), then the cursor deduplicates and orders them into the
+// sink. fromSeq > 0 resumes from the retained history, counting
+// retransmissions and releasing the cursor past any trimmed prefix;
+// fromSeq 0 attaches at "now" with the cursor floored at the attach point.
+func (e *edge) attach(ch *stream.Channel, fromSeq uint64) {
+	s, cur, sink, q := e.sys, e.cur, e.sink, e.queue
+	from, to := ch.Ref().PeerID, e.peer
+	remote := from != to && !e.local
+	deliver := func(it stream.Item, own *stream.Queue) {
+		if remote {
+			var ok bool
+			if it, ok = s.link.Deliver(from, to, it); !ok {
+				return
+			}
+		}
+		switch {
+		case cur != nil && it.EOS():
+			cur.Terminate(it) // flush parked items before the terminator
+		case cur != nil:
+			cur.Offer(it)
+		case sink != nil:
+			sink(it)
+		default:
+			own.Push(it)
+		}
+		if it.EOS() {
+			if q != nil {
+				q.Close()
+			}
+			if e.rep != nil {
+				s.unindex(e, true)
+			}
+		}
+	}
+	var sub *stream.Subscription
+	if fromSeq > 0 && ch.ReplayEnabled() {
+		sub = ch.SubscribeFrom(to, fromSeq, deliver)
+		if sub.Replayed > 0 {
+			s.replayed.Add(uint64(sub.Replayed))
+		}
+		if cur != nil && sub.ReplayFrom > fromSeq {
+			// The retention buffer already trimmed the prefix: those
+			// sequences are unrecoverable, release anything parked behind
+			// them.
+			cur.SkipTo(sub.ReplayFrom)
+		}
+	} else {
+		sub = ch.Subscribe(to, deliver)
+		if cur != nil {
+			cur.AdvanceTo(sub.StartSeq)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e.src, e.sub = ch, sub
+	e.owned = e.task != nil && e.task.owns(ch)
+	if (e.task != nil || e.rep != nil) && !e.ended {
+		s.edges[ch.Ref()] = append(s.edges[ch.Ref()], e)
+	}
+}
+
+// detach takes the edge off its channel and out of the index without
+// closing the consumer's queue: whoever reads it never observes the swap
+// that follows.
+func (e *edge) detach() {
+	if sub := e.sys.unindex(e, false); sub != nil {
+		sub.Detach()
+	}
+}
+
+// unindex removes the edge from the index and hands back its subscription
+// for the caller to detach. ended records that end-of-stream went through.
+func (s *System) unindex(e *edge, ended bool) *stream.Subscription {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sub := e.sub
+	e.sub, e.ended = nil, e.ended || ended
+	if e.src == nil {
+		return sub
+	}
+	ref := e.src.Ref()
+	es := s.edges[ref]
+	for i, x := range es {
+		if x == e {
+			es = append(es[:i], es[i+1:]...)
+			break
+		}
+	}
+	if s.edges[ref] = es; len(es) == 0 {
+		delete(s.edges, ref)
+	}
+	return sub
+}
+
+// rebind swaps the producer feeding the edge: the consumer keeps its
+// queue and, with the replay layer on, the new subscription resumes from
+// the cursor — replaying what the consumer missed, deduplicating what it
+// already has — instead of attaching at "now".
+func (e *edge) rebind(ch *stream.Channel) {
+	e.detach()
+	var fromSeq uint64
+	if e.cur != nil && ch.ReplayEnabled() {
+		fromSeq = e.cur.Next()
+	}
+	e.attach(ch, fromSeq)
+}
+
+// resume restarts an operator input for a consumer instance re-deployed
+// at peer: the old queue closes, which ends the old instance's reader,
+// and a fresh queue — which resume returns — is fed from fromSeq (0 =
+// attach at "now").
+func (e *edge) resume(ch *stream.Channel, peer string, fromSeq uint64) *stream.Queue {
+	e.close()
+	var after uint64
+	if fromSeq > 0 {
+		after = fromSeq - 1
+	}
+	e.peer = peer
+	e.into(stream.NewQueue(), after, e.sys.replayOn())
+	e.attach(ch, fromSeq)
+	e.sys.link.CountTransfer(e.task.Manager, ch.Ref().PeerID, ctrlMsgBytes)
+	return e.queue
+}
+
+// sever cuts a replica forwarder off an origin whose producer is moving
+// away: the old channel's terminal end-of-stream must not reach the
+// replica's consumers. A replica of a stale stream forwards nothing, so it
+// is stale too — except the one the moved operator adopted as its output.
+func (e *edge) sever(adopted stream.Ref) {
+	e.detach()
+	e.sys.markStale(e.rep.Ref(), adopted)
+}
+
+// close ends a task's edge for good: off the channel, out of the index,
+// the consumer's queue closed.
+func (e *edge) close() {
+	e.detach()
+	e.queue.Close()
+}
+
+// done reports whether the consumer is gone: its queue, or the replica
+// channel, has closed.
+func (e *edge) done() bool {
+	if e.rep != nil {
+		return e.rep.Closed()
+	}
+	return e.queue.Closed()
+}
+
+// deliverable reports whether an item sent now from the edge's channel
+// would reach its consumer: the channel still has its producer, the
+// consumer's host is up and no partition separates the two.
+func (e *edge) deliverable() bool {
+	ref := e.src.Ref()
+	from := ref.PeerID
+	if e.local {
+		from = e.peer
+	}
+	return !e.sys.isStale(ref) && e.sys.Net.Alive(e.peer) && e.sys.Net.Reachable(from, e.peer)
+}
+
+// sync is the anti-entropy sweep over one edge: it retransmits the
+// retained items the cursor is genuinely missing (lost to drop faults or
+// a partition). Sequences the cursor already delivered or holds parked
+// ahead of order are not re-sent — they would only inflate the traffic
+// counters to be dropped as duplicates on arrival. Retransmissions pay the
+// link like any delivery, but reliably: replay stands in for the
+// acknowledged transfer a real deployment would use.
+func (e *edge) sync() {
+	ch, cur := e.src, e.cur
+	if cur == nil || !ch.ReplayEnabled() || e.done() || !e.deliverable() {
+		return
+	}
+	next, hi := cur.Next(), ch.Seq()
+	if next > hi {
+		return
+	}
+	items, first := ch.Replay(next, hi)
+	if first > next {
+		cur.SkipTo(first)
+	}
+	sent := 0
+	for _, it := range items {
+		if cur.Has(it.Seq) {
+			continue
+		}
+		cur.Offer(e.sys.Net.Send(ch.Ref().PeerID, e.peer, it))
+		sent++
+	}
+	if sent > 0 {
+		e.sys.replayed.Add(uint64(sent))
+	}
+}
+
+// edgesOf returns the live edges consuming one channel in a fixed order:
+// replica forwarders as announced, then operator inputs before other
+// readers, each by managing peer, task and creation.
+func (s *System) edgesOf(ref stream.Ref) []*edge {
+	s.mu.Lock()
+	es := append([]*edge(nil), s.edges[ref]...)
+	s.mu.Unlock()
+	key := func(e *edge) (rank int, manager, task string) {
+		switch {
+		case e.task == nil:
+			return 0, "", ""
+		case e.consumer != nil:
+			return 1, e.task.Manager, e.task.ID
+		}
+		return 2, e.task.Manager, e.task.ID
+	}
+	sort.Slice(es, func(i, j int) bool {
+		ri, mi, ti := key(es[i])
+		rj, mj, tj := key(es[j])
+		switch {
+		case ri != rj:
+			return ri < rj
+		case mi != mj:
+			return mi < mj
+		case ti != tj:
+			return ti < tj
+		}
+		return es[i].id < es[j].id
+	})
+	return es
+}
+
+// syncEdges runs the sweep: replica forwarders first, as announced, so a
+// mirror is gap-free before anything reads it, then every edge of every
+// task a live manager holds.
+func (s *System) syncEdges() {
+	s.mu.Lock()
+	var reps []*edge
+	for _, es := range s.edges {
+		for _, e := range es {
+			if e.rep != nil {
+				reps = append(reps, e)
+			}
+		}
+	}
+	s.mu.Unlock()
+	sort.Slice(reps, func(i, j int) bool { return reps[i].id < reps[j].id })
+	for _, e := range reps {
+		e.sync()
+	}
+	for _, p := range s.livePeers() {
+		for _, t := range sortedTasks(p) {
+			for _, e := range t.edges {
+				e.sync()
+			}
+		}
+	}
+}
+
+// lowWater returns the lowest next-undelivered sequence any live consumer
+// of the channel still needs. Items at or above it are not yet stable and
+// belong in a checkpoint's tail.
+func (s *System) lowWater(ref stream.Ref, hi uint64) uint64 {
+	low := hi + 1
+	for _, e := range s.edgesOf(ref) {
+		if e.cur == nil || e.done() {
+			continue
+		}
+		if next := e.cur.Next(); next < low {
+			low = next
+		}
+	}
+	return low
+}

@@ -50,9 +50,9 @@ func (s *System) markStaleLocked(ref, except stream.Ref) {
 		return
 	}
 	s.stale[ref] = true
-	for _, f := range s.forwarders {
-		if f.orig == ref {
-			s.markStaleLocked(f.rep.Ref(), except)
+	for _, e := range s.edges[ref] {
+		if e.rep != nil {
+			s.markStaleLocked(e.rep.Ref(), except)
 		}
 	}
 }
@@ -156,7 +156,6 @@ func (s *System) FailPeer(dead string, at time.Duration) []FailoverEvent {
 	if s.Peer(dead) != nil {
 		s.Ring.Fail(dead) //nolint:errcheck // double-fail is a no-op
 	}
-	s.severForwarders(dead)
 	return s.repairDeparted(dead, at)
 }
 
@@ -200,7 +199,6 @@ func (s *System) LeavePeer(name string) ([]FailoverEvent, error) {
 	// new owners (unlike Fail, where they die with it).
 	s.Ring.Leave(name) //nolint:errcheck // membership was checked above
 	s.Net.Crash(name)  //nolint:errcheck // the peer is gone; links go down
-	s.severForwarders(name)
 	events := s.repairDeparted(name, at)
 	if s.aggDegree() > 1 {
 		// Ring ownership changed: re-parent any aggregation-tree
@@ -208,36 +206,6 @@ func (s *System) LeavePeer(name string) ([]FailoverEvent, error) {
 		events = append(events, s.RebalanceAggTrees(at)...)
 	}
 	return events, nil
-}
-
-// severForwardersFrom detaches replica forwarders fed from one specific
-// channel — the planned-move counterpart of severForwarders: the origin's
-// host stays alive, but the producer is migrating and the old channel's
-// teardown EOS must not cascade into replica channels consumers read.
-func (s *System) severForwardersFrom(ref stream.Ref) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, f := range s.forwarders {
-		if f.orig == ref && !f.severed {
-			f.sub.Detach()
-			f.severed = true
-		}
-	}
-}
-
-// severForwarders detaches replica forwarders fed from a departed peer:
-// the origin's eventual teardown must not close replica channels a
-// re-deployed operator is about to take over, and the anti-entropy sweep
-// must stop pulling from the abandoned origin.
-func (s *System) severForwarders(from string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, f := range s.forwarders {
-		if f.orig.PeerID == from {
-			f.sub.Detach()
-			f.severed = true
-		}
-	}
 }
 
 // repairDeparted runs the repair phases over a peer that is gone —
@@ -295,24 +263,15 @@ func (s *System) rehomeTask(old *Peer, t *Task, newMgr string, at time.Duration)
 	np.mu.Unlock()
 	t.Manager = newMgr
 
-	// Re-bind the result reader at the new manager. When the named
-	// channel itself sat on the dead peer the publisher is about to be
-	// re-deployed (phase 1), which re-binds results as part of the
-	// migration — re-binding to the doomed channel here would replay
-	// from a buffer that died with its host.
-	ch := t.namedCh
-	if ch == nil {
-		ch = t.resultCh
-	}
-	if ch != nil && ch.Ref().PeerID != old.name {
-		if t.resultSub != nil {
-			t.resultSub.Detach()
-		}
-		var resume uint64
-		if t.resultCur != nil && ch.ReplayEnabled() {
-			resume = t.resultCur.Next()
-		}
-		np.bindResults(t, ch, resume)
+	// The result reader moves to the new manager. When the named channel
+	// itself sat on the dead peer the publisher is about to be re-deployed
+	// (phase 1), and that move re-binds the reader with every other
+	// consumer — re-binding to the doomed channel here would replay from
+	// a buffer that died with its host.
+	e := t.resultEdge()
+	e.peer = newMgr
+	if e.src.Ref().PeerID != old.name {
+		e.rebind(e.src)
 	}
 	// The adopting manager pulls the subscription-database record from
 	// its surviving DHT copy (the dead peer's links are already cut, so
@@ -533,8 +492,8 @@ func (p *Peer) processorMove(t *Task, n *algebra.Node, host string, adopt *strea
 		}
 	}
 	return move{host: host, adopt: adopt, resume: ck,
-		start: func(queues []*stream.Queue, out *stream.Channel) (*operators.Handle, error) {
-			return p.runProc(t, n, proc, queues, out), nil
+		start: func(queues []*stream.Queue, out *stream.Channel) *operators.Handle {
+			return p.runProc(t, n, proc, queues, out)
 		}}, nil
 }
 
@@ -542,31 +501,20 @@ func (p *Peer) processorMove(t *Task, n *algebra.Node, host string, adopt *strea
 // task's manager is live by the time this runs — either it was never the
 // dead peer, or repair phase 0 already re-homed the management role
 // (rehomeTask) — but the publisher may have sat on the dead peer either
-// way. A new named channel with the same ChannelID opens at host, the
-// sink fan-out is rebuilt over the task-level sink state, and the
-// manager's result subscription re-binds to it.
+// way. A new named channel with the same ChannelID opens at host and the
+// sink fan-out is rebuilt over the task-level sink state. The move has
+// already re-bound the named channel's consumers by then — the manager
+// keeps reading the same Results() queue, a BY subscribe target the same
+// Incoming queue, and their cursors drop the re-published overlap.
 func (p *Peer) publisherMove(t *Task, n *algebra.Node, host string) move {
 	return move{host: host, resume: p.sys.loadCheckpoint(p.name, t, n),
-		start: func(queues []*stream.Queue, named *stream.Channel) (*operators.Handle, error) {
-			if err := p.runPublisher(t, n, queues[0], named); err != nil {
-				return nil, err
-			}
-			// The manager keeps reading the same Results() queue: its
-			// subscription re-binds to the new named channel and the
-			// result cursor drops the re-published overlap.
-			var resumeFrom uint64
-			if t.resultCur != nil && named.ReplayEnabled() {
-				resumeFrom = t.resultCur.Next()
-			}
-			if t.resultSub != nil {
-				t.resultSub.Detach()
-			}
-			p.bindResults(t, named, resumeFrom)
+		start: func(queues []*stream.Queue, named *stream.Channel) *operators.Handle {
+			p.runPublisher(t, n, queues[0], named)
 			if t.resultCh == t.namedCh {
 				t.resultCh = named
 			}
 			t.namedCh = named
-			return t.procs[n].handle, nil
+			return t.procs[n].handle
 		}}
 }
 
@@ -582,7 +530,7 @@ func (p *Peer) publisherMove(t *Task, n *algebra.Node, host string) move {
 // alerter semantics.
 func (p *Peer) dynAlerterMove(t *Task, n *algebra.Node, host string) move {
 	return move{host: host,
-		start: func(queues []*stream.Queue, out *stream.Channel) (*operators.Handle, error) {
+		start: func(queues []*stream.Queue, out *stream.Channel) *operators.Handle {
 			p.runDynAlerter(t, n, queues[0], out)
 			if ch, ok := p.sys.nodeChannel(t, n.Inputs[0]); ok && ch.ReplayTrimmed() > 0 {
 				// Part of the membership history was evicted from the
@@ -592,7 +540,7 @@ func (p *Peer) dynAlerterMove(t *Task, n *algebra.Node, host string) move {
 				// point of re-deploying at all.
 				t.degraded = append(t.degraded, n.Label()+": membership history truncated, active set may be partial")
 			}
-			return nil, nil
+			return nil
 		}}
 }
 
@@ -617,10 +565,10 @@ func (p *Peer) repairChannelIns(t *Task, dead string, at time.Duration) []Failov
 			})
 			return
 		}
-		for _, b := range t.bindings {
-			if b.child == n {
-				p.rebind(t, b, repl)
-				p.sys.link.CountTransfer(b.consumerPeer, repl.Ref().PeerID, ctrlMsgBytes)
+		for _, e := range t.edges {
+			if e.child == n {
+				e.rebind(repl)
+				p.sys.link.CountTransfer(e.peer, repl.Ref().PeerID, ctrlMsgBytes)
 			}
 		}
 		n.Channel = repl.Ref()
@@ -654,31 +602,6 @@ func (s *System) liveProvider(from string, origin stream.Ref, dead string) (*str
 	return nil, false
 }
 
-// rebind swaps the producer feeding one input binding: the old
-// subscription detaches (without closing the consumer's queue) and a new
-// subscription on ch delivers into the same queue over the simulated
-// network. The consumer operator never notices the swap. With the replay
-// layer on, the new subscription resumes from the binding's cursor —
-// replaying what the consumer missed, deduplicating what it already has
-// — instead of attaching at "now".
-func (p *Peer) rebind(t *Task, b *inputBinding, ch *stream.Channel) {
-	b.sub.Detach()
-	var fromSeq uint64
-	if b.cursor != nil && ch.ReplayEnabled() {
-		fromSeq = b.cursor.Next()
-	}
-	sub := p.subscribeOrdered(ch, b.consumerPeer, b.cursor, b.queue, fromSeq)
-	b.sub = sub
-	b.src = ch
-	if !p.trackSub(t, ch, sub) {
-		// Shared source: it will never close on this task's account, so
-		// Stop must close the consumer's queue explicitly (the eager
-		// cancellation extSubs get closes only the subscription's own,
-		// unused, queue).
-		t.extQueues = append(t.extQueues, b.queue)
-	}
-}
-
 // nodeChannel resolves the channel currently carrying a plan node's
 // output stream.
 func (s *System) nodeChannel(t *Task, n *algebra.Node) (*stream.Channel, bool) {
@@ -690,18 +613,6 @@ func (s *System) nodeChannel(t *Task, n *algebra.Node) (*stream.Channel, bool) {
 		return nil, false
 	}
 	return s.Channel(ref)
-}
-
-// bindingsOf returns the input bindings of one consumer operator in
-// input order (they are recorded in deployment order).
-func (t *Task) bindingsOf(n *algebra.Node) []*inputBinding {
-	var out []*inputBinding
-	for _, b := range t.bindings {
-		if b.consumer == n {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // leastLoadedLive picks the live peer with the lowest operator load

@@ -23,6 +23,29 @@ import (
 	"time"
 )
 
+// The protocol constants nothing in the tree ever tuned (docs/DETECTOR.md
+// "Tuning" says why each value is what it is).
+const (
+	// indirectProxies is k, the number of random proxies asked to probe a
+	// target on the prober's behalf before it is suspected.
+	indirectProxies = 2
+	// deathQuorum is how many independent views must declare a member
+	// dead before the aggregate (what the supervisor acts on) confirms the
+	// death, clamped to the number of members able to vote. A quorum ≥ 2
+	// is what makes one isolated peer's false positives harmless.
+	deathQuorum = 2
+	// probeBytes is the accounted wire size of one probe or ack without
+	// piggyback, piggybackBytes that of one piggybacked membership update.
+	probeBytes     = 48
+	piggybackBytes = 24
+	// maxPiggyback bounds how many updates ride on one message.
+	maxPiggyback = 6
+	// retransmitFactor is λ: each update is piggybacked on at most
+	// λ·⌈log₂(n+1)⌉ outgoing messages per view, the epidemic
+	// dissemination budget.
+	retransmitFactor = 3
+)
+
 // GossipOptions configures the gossip failure detector.
 type GossipOptions struct {
 	// Seed drives probe-target and proxy selection. The protocol is
@@ -43,33 +66,10 @@ type GossipOptions struct {
 	// slower than this look dead, the classic accuracy/latency
 	// trade-off. Default 500ms.
 	ProbeTimeout time.Duration
-	// IndirectProxies is k, the number of random proxies asked to probe
-	// the target on the prober's behalf before it is suspected.
-	// Default 2.
-	IndirectProxies int
 	// Suspicion is how long a member may stay suspected in a view
 	// without an alive refutation before that view declares it dead.
 	// Default 3×ProbeInterval.
 	Suspicion time.Duration
-	// Quorum is how many independent views must declare a member dead
-	// before the aggregate (what the supervisor acts on) confirms the
-	// death. It is clamped to the number of members able to vote. A
-	// quorum ≥ 2 is what makes one isolated peer's false positives
-	// harmless. Default 2.
-	Quorum int
-	// ProbeBytes is the accounted wire size of one probe or ack without
-	// piggyback. Default 48.
-	ProbeBytes int
-	// PiggybackBytes is the accounted size of one piggybacked
-	// membership update. Default 24.
-	PiggybackBytes int
-	// MaxPiggyback bounds how many updates ride on one message.
-	// Default 6.
-	MaxPiggyback int
-	// RetransmitFactor is λ: each update is piggybacked on at most
-	// λ·⌈log₂(n+1)⌉ outgoing messages per view, the epidemic
-	// dissemination budget. Default 3.
-	RetransmitFactor int
 	// Adaptive enables Lifeguard-style local health awareness (Dadgar
 	// et al. 2018): each view keeps a health score in [0, HealthMax],
 	// raised when its own probes of live-believed members fail or when
@@ -99,26 +99,8 @@ func (o GossipOptions) withDefaults() GossipOptions {
 	if o.Fanout <= 0 {
 		o.Fanout = 1
 	}
-	if o.IndirectProxies <= 0 {
-		o.IndirectProxies = 2
-	}
 	if o.Suspicion <= 0 {
 		o.Suspicion = 3 * o.ProbeInterval
-	}
-	if o.Quorum <= 0 {
-		o.Quorum = 2
-	}
-	if o.ProbeBytes <= 0 {
-		o.ProbeBytes = 48
-	}
-	if o.PiggybackBytes <= 0 {
-		o.PiggybackBytes = 24
-	}
-	if o.MaxPiggyback <= 0 {
-		o.MaxPiggyback = 6
-	}
-	if o.RetransmitFactor <= 0 {
-		o.RetransmitFactor = 3
 	}
 	if o.HealthMax <= 0 {
 		o.HealthMax = 8
@@ -297,7 +279,7 @@ func (g *GossipDetector) Join(name, seed string) error {
 	}
 	// The join contact and the bootstrap transfer are accounted like any
 	// protocol message.
-	g.sys.link.CountTransfer(name, seed, g.opts.ProbeBytes+g.opts.MaxPiggyback*g.opts.PiggybackBytes)
+	g.sys.link.CountTransfer(name, seed, probeBytes+maxPiggyback*piggybackBytes)
 	// Outrank every rumor the seed holds about a previous life.
 	if m := sv.members[name]; m != nil && m.inc >= v.inc {
 		v.inc = m.inc + 1
@@ -618,8 +600,8 @@ func (g *GossipDetector) pickProxies(v *gossipView, target string) []string {
 	g.rng.Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
-	if len(candidates) > g.opts.IndirectProxies {
-		candidates = candidates[:g.opts.IndirectProxies]
+	if len(candidates) > indirectProxies {
+		candidates = candidates[:indirectProxies]
 	}
 	sort.Strings(candidates) // deterministic relay order
 	return candidates
@@ -698,7 +680,7 @@ func (g *GossipDetector) relayProbe(v *gossipView, proxy, target string) bool {
 // message survived.
 func (g *GossipDetector) message(from, to *gossipView) (time.Duration, bool) {
 	updates := g.takePiggyback(from)
-	bytes := g.opts.ProbeBytes + len(updates)*g.opts.PiggybackBytes
+	bytes := probeBytes + len(updates)*piggybackBytes
 	lat, ok := g.sys.Net.Ping(from.self, to.self, bytes)
 	if !ok {
 		return 0, false
@@ -726,7 +708,7 @@ func (g *GossipDetector) message(from, to *gossipView) (time.Duration, bool) {
 // of each sent update's epidemic budget; still-budgeted entries requeue
 // behind the ones that waited (round-robin fairness).
 func (g *GossipDetector) takePiggyback(v *gossipView) []gossipUpdate {
-	n := g.opts.MaxPiggyback
+	n := maxPiggyback
 	if n > len(v.queue) {
 		n = len(v.queue)
 	}
@@ -766,7 +748,7 @@ func (g *GossipDetector) budget() int {
 	if n < 1 {
 		n = 1
 	}
-	return g.opts.RetransmitFactor * int(math.Ceil(math.Log2(float64(n+1))))
+	return retransmitFactor * int(math.Ceil(math.Log2(float64(n+1))))
 }
 
 // rank orders statuses at equal incarnation: dead > suspect > alive
@@ -1075,7 +1057,7 @@ func (g *GossipDetector) aggregateLocked(now time.Duration) []gossipEvent {
 				votes++
 			}
 		}
-		q := g.opts.Quorum
+		q := deathQuorum
 		if q > voters {
 			q = voters
 		}

@@ -157,14 +157,14 @@ func TestLeaveThenRejoin(t *testing.T) {
 	if _, err := sys.LeavePeer("w1"); err != nil { // idle worker leaves
 		t.Fatal(err)
 	}
-	assertNoStaleBindings(t, sys)
+	assertEdges(t, sys)
 	if got := sup.Detector().Suspects(); len(got) != 1 || got[0] != "w1" {
 		t.Fatalf("departed peer not reflected in the aggregate: %v", got)
 	}
 	if _, err := sys.JoinPeer("w1", "mgr"); err != nil {
 		t.Fatal(err)
 	}
-	assertNoStaleBindings(t, sys)
+	assertEdges(t, sys)
 	for i := 0; i < 12 && len(sup.Detector().Suspects()) > 0; i++ {
 		sys.Step(time.Second)
 	}

@@ -28,14 +28,13 @@ type move struct {
 	resume *ckptRec
 	// start launches the instance over its input queues, publishing into
 	// out. It returns the instance's handle (nil for a kind that keeps
-	// none). Whatever can fail for a processor is checked before relocate
-	// is called; only a publisher's sink set-up can fail here.
-	start func(queues []*stream.Queue, out *stream.Channel) (*operators.Handle, error)
+	// none). Whatever can fail is checked before relocate is called.
+	start func(queues []*stream.Queue, out *stream.Channel) *operators.Handle
 	// rechunk, set by a split only, replaces the default input step: the
-	// operator's present input bindings (bs, fed by ins, in input order)
-	// move under new sub-interiors and the queues of the operator's new
-	// inputs are returned.
-	rechunk func(bs []*inputBinding, ins []*stream.Channel) ([]*stream.Queue, error)
+	// operator's present input edges (es, fed by ins, in input order) move
+	// under new sub-interiors and the queues of the operator's new inputs
+	// are returned.
+	rechunk func(es []*edge, ins []*stream.Channel) ([]*stream.Queue, error)
 }
 
 // relocate runs one move, the phases in the only safe order.
@@ -44,9 +43,10 @@ type move struct {
 // so a move that cannot complete leaves the operator running where it is
 // with its consumers still attached. (2) The output opens, seeded from
 // the resume point so the logical stream's numbering continues. (3)
-// Every consumer of the old channel — this task's and, for shared
-// interiors and reused streams, other tasks' — swaps to the new one
-// BEFORE any input queue closes: closing them makes the old instance
+// Every edge indexed under the old channel's ref — this task's operator
+// inputs, result reader and BY subscribe targets and, for shared
+// interiors and reused streams, other tasks' inputs — swaps to the new
+// one BEFORE any input queue closes: closing them makes the old instance
 // flush and publish EOS, and an EOS that reaches a consumer's queue ends
 // that input for good (re-binding the queue afterwards feeds items nobody
 // reads). (4) The inputs re-subscribe from the cut and the instance
@@ -60,9 +60,9 @@ func (p *Peer) relocate(t *Task, n *algebra.Node, mv move) error {
 	if mv.host == "" {
 		return fmt.Errorf("no live peer to host %s", n.Label())
 	}
-	bs := t.bindingsOf(n)
-	if len(bs) != len(n.Inputs) {
-		return fmt.Errorf("bindings out of sync for %s", n.Label())
+	es := t.inputsOf(n)
+	if len(es) != len(n.Inputs) {
+		return fmt.Errorf("input edges out of sync for %s", n.Label())
 	}
 	ins := make([]*stream.Channel, len(n.Inputs))
 	for i, in := range n.Inputs {
@@ -98,40 +98,40 @@ func (p *Peer) relocate(t *Task, n *algebra.Node, mv move) error {
 		s.coldSeed(t, n, out, oldSeq)
 	}
 
-	// (3) Swap the consumers, then detach the replica forwarders fed from
-	// the old channel: they must not relay its terminal EOS into replica
-	// channels consumers read (or into the one just adopted).
-	for _, cp := range s.livePeers() {
-		for _, ct := range sortedTasks(cp) {
-			for _, b := range ct.bindings {
-				if b.child != n && (b.src == nil || b.src.Ref() != oldRef) {
-					continue
-				}
-				cp.rebind(ct, b, out)
-				if ct == t {
-					continue
-				}
-				if b.child != nil && b.child.Op == algebra.OpChannelIn && b.child.Channel == oldRef {
-					b.child.Channel = out.Ref()
-				}
-				s.link.CountTransfer(b.consumerPeer, mv.host, ctrlMsgBytes)
+	// (3) Swap the consumers, in the order they would have been visited
+	// peer by peer and task by task. Replica forwarders fed from the old
+	// channel are severed instead: they must not relay its terminal EOS
+	// into replica channels consumers read (or into the one just adopted).
+	// An edge whose task has lost its manager stays where it is — nobody
+	// is there to re-bind it until the task is re-homed.
+	for _, e := range s.edgesOf(oldRef) {
+		switch {
+		case e.rep != nil:
+			e.sever(out.Ref())
+		case s.Net.Alive(e.task.Manager):
+			e.rebind(out)
+			if e.task == t {
+				continue
 			}
+			if e.child != nil && e.child.Op == algebra.OpChannelIn && e.child.Channel == oldRef {
+				e.child.Channel = out.Ref()
+			}
+			s.link.CountTransfer(e.peer, mv.host, ctrlMsgBytes)
 		}
 	}
-	s.severForwardersFrom(oldRef)
 
 	// (4) Re-subscribe the inputs from the cut — with replay on, the
 	// checkpointed positions, or the full retained history for a cold
 	// start; with replay off, "now" — and start the instance. Closing the
-	// old input queues (resubscribeInput) is what ends the old instance.
+	// old input queues (edge.resume) is what ends the old instance.
 	var queues []*stream.Queue
 	if mv.rechunk != nil {
 		var err error
-		if queues, err = mv.rechunk(bs, ins); err != nil {
+		if queues, err = mv.rechunk(es, ins); err != nil {
 			return err
 		}
 	} else {
-		for i, b := range bs {
+		for i, e := range es {
 			var fromSeq uint64
 			if s.replayOn() {
 				fromSeq = 1
@@ -139,13 +139,10 @@ func (p *Peer) relocate(t *Task, n *algebra.Node, mv move) error {
 					fromSeq = mv.resume.In[i] + 1
 				}
 			}
-			queues = append(queues, p.resubscribeInput(t, b, ins[i], mv.host, fromSeq))
+			queues = append(queues, e.resume(ins[i], mv.host, fromSeq))
 		}
 	}
-	h, err := mv.start(queues, out)
-	if err != nil {
-		return err
-	}
+	h := mv.start(queues, out)
 	if mv.resume != nil && mv.rechunk == nil {
 		// The restored instance has logically consumed everything up to
 		// the cut — a checkpoint sweep racing the replayed suffix must not

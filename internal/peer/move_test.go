@@ -12,29 +12,8 @@ import (
 	"p2pm/internal/xmltree"
 )
 
-// assertNoStaleBindings checks the move transaction's invariant: after a
-// relocation no live task reads a channel that lost its producer — every
-// binding's source and every ChannelIn names a usable channel.
-func assertNoStaleBindings(t *testing.T, sys *System) {
-	t.Helper()
-	for _, p := range sys.livePeers() {
-		for _, task := range sortedTasks(p) {
-			for _, b := range task.bindings {
-				if b.src != nil && sys.isStale(b.src.Ref()) {
-					t.Errorf("%s: %s still reads stale channel %s", task.ID, b.consumer.Label(), b.src.Ref())
-				}
-			}
-			task.Plan.Walk(func(n *algebra.Node) {
-				if n.Op == algebra.OpChannelIn && !sys.usable(n.Channel) {
-					t.Errorf("%s: ChannelIn %s is not usable", task.ID, n.Channel)
-				}
-			})
-		}
-	}
-}
-
 // TestRebalanceFailedMoveStrandsNobody: a planned move that cannot
-// complete (here: the task's binding table lost a record) must be
+// complete (here: the task's edge list lost a record) must be
 // refused before anything is touched — no consumer re-bound to a channel
 // that will never have a producer, no channel allocated — so the tree
 // keeps delivering from where it is and the next rebalance retries.
@@ -75,20 +54,20 @@ func TestRebalanceFailedMoveStrandsNobody(t *testing.T) {
 		t.Fatal("the new worker moved no interior's placement; the scenario lost its teeth")
 	}
 	// Corrupt the bookkeeping: every interior that wants to move loses
-	// one input binding record (the subscription itself keeps running).
-	intact := append([]*inputBinding(nil), task.bindings...)
-	task.bindings = nil
+	// one input edge record (the subscription itself keeps running).
+	intact := append([]*edge(nil), task.edges...)
+	task.edges = nil
 	dropped := map[*algebra.Node]bool{}
-	for _, b := range intact {
-		if movers[b.consumer] && !dropped[b.consumer] {
-			dropped[b.consumer] = true
+	for _, e := range intact {
+		if movers[e.consumer] && !dropped[e.consumer] {
+			dropped[e.consumer] = true
 			continue
 		}
-		task.bindings = append(task.bindings, b)
+		task.edges = append(task.edges, e)
 	}
-	srcs := map[*inputBinding]*stream.Channel{}
-	for _, b := range intact {
-		srcs[b] = b.src
+	srcs := map[*edge]*stream.Channel{}
+	for _, e := range intact {
+		srcs[e] = e.src
 	}
 	hosts := map[*algebra.Node]string{}
 	for n := range movers {
@@ -97,11 +76,11 @@ func TestRebalanceFailedMoveStrandsNobody(t *testing.T) {
 	channels := len(task.channels)
 
 	if evs := sys.RebalanceAggTrees(sys.Net.Clock().Now()); len(evs) != 0 {
-		t.Fatalf("moves reported despite out-of-sync bindings: %+v", evs)
+		t.Fatalf("moves reported despite out-of-sync edges: %+v", evs)
 	}
-	for b, src := range srcs {
-		if b.src != src {
-			t.Errorf("binding %s ← %s was re-bound by a move that failed", b.consumer.Label(), b.child.Label())
+	for e, src := range srcs {
+		if e.src != src {
+			t.Errorf("an edge on %s was re-bound by a move that failed", src.Ref())
 		}
 	}
 	if got := len(task.channels); got != channels {
@@ -112,15 +91,15 @@ func TestRebalanceFailedMoveStrandsNobody(t *testing.T) {
 			t.Errorf("interior %s moved %s → %s", n.Label(), host, n.Peer)
 		}
 	}
-	assertNoStaleBindings(t, sys)
+	assertEdges(t, sys)
 	drive(20, 32) // results keep flowing through the un-moved tree
 
 	// With the bookkeeping repaired the next rebalance lands the moves.
-	task.bindings = intact
+	task.edges = intact
 	if evs := sys.RebalanceAggTrees(sys.Net.Clock().Now()); len(evs) == 0 {
 		t.Error("the retry moved nothing")
 	}
-	assertNoStaleBindings(t, sys)
+	assertEdges(t, sys)
 	desired = sys.AggPlacements(task.Plan)
 	for _, n := range aggtree.Interiors(task.Plan) {
 		if desired[n.AggKey] != n.Peer {
@@ -255,7 +234,7 @@ func TestSharedInteriorMoves(t *testing.T) {
 			for k, name := range names {
 				if i == (k+1)*events/(len(names)+1) {
 					moves[name](w)
-					assertNoStaleBindings(t, sys)
+					assertEdges(t, sys)
 				}
 			}
 		}

@@ -1,11 +1,11 @@
 // Replay and recovery: the peer-side half of the lossless-failover
 // subsystem. Channels retain their published tail (internal/stream's
-// replay buffers); this file adds the consumer cursors on every operator
-// input binding, the anti-entropy sweep that refills link-fault losses
-// from those buffers, and periodic operator checkpointing through the
-// stream-definition database's replicated DHT storage — so a migrated
-// operator resumes from its checkpoint and its consumers resume from
-// their cursors, exactly once, instead of restarting at "now".
+// replay buffers) and every consumer edge carries a cursor and is swept
+// for link-fault losses (edge.go); this file adds periodic operator
+// checkpointing through the stream-definition database's replicated DHT
+// storage — so a migrated operator resumes from its checkpoint and its
+// consumers resume from their cursors, exactly once, instead of
+// restarting at "now".
 package peer
 
 import (
@@ -18,214 +18,6 @@ import (
 	"p2pm/internal/stream"
 	"p2pm/internal/xmltree"
 )
-
-// subscribeOrdered attaches a consumer to a channel through a cursor
-// gate: network transport (accounting, latency, faults) applies as
-// usual, then the cursor deduplicates and orders deliveries into q.
-// fromSeq > 0 resumes from the retained history (SubscribeFrom); the
-// cursor may be nil when the replay layer is off, reproducing the plain
-// lossy delivery path. The subscription is not tracked — callers own
-// teardown bookkeeping.
-func (p *Peer) subscribeOrdered(ch *stream.Channel, consumerPeer string, cur *stream.Cursor, q *stream.Queue, fromSeq uint64) *stream.Subscription {
-	s := p.sys
-	from := ch.Ref().PeerID
-	deliver := func(it stream.Item, _ *stream.Queue) {
-		if from != consumerPeer {
-			var ok bool
-			if it, ok = s.link.Deliver(from, consumerPeer, it); !ok {
-				return
-			}
-		}
-		if it.EOS() {
-			if cur != nil {
-				cur.Terminate(it)
-			} else {
-				q.Push(it)
-			}
-			q.Close()
-			return
-		}
-		if cur != nil {
-			cur.Offer(it)
-		} else {
-			q.Push(it)
-		}
-	}
-	return s.attachResuming(ch, consumerPeer, cur, fromSeq, deliver)
-}
-
-// attachResuming is the shared core of the cursor-resume protocol:
-// attach at fromSeq via the retention buffer (counting retransmissions,
-// releasing the cursor past any trimmed prefix) or, with fromSeq 0, at
-// "now" with the cursor floored at the attach point.
-func (s *System) attachResuming(ch *stream.Channel, name string, cur *stream.Cursor, fromSeq uint64, deliver func(stream.Item, *stream.Queue)) *stream.Subscription {
-	if fromSeq > 0 && ch.ReplayEnabled() {
-		sub := ch.SubscribeFrom(name, fromSeq, deliver)
-		if sub.Replayed > 0 {
-			s.replayed.Add(uint64(sub.Replayed))
-		}
-		if cur != nil && sub.ReplayFrom > fromSeq {
-			// The retention buffer already trimmed the prefix: those
-			// sequences are unrecoverable, release anything parked behind
-			// them.
-			cur.SkipTo(sub.ReplayFrom)
-		}
-		return sub
-	}
-	sub := ch.Subscribe(name, deliver)
-	if cur != nil {
-		cur.AdvanceTo(sub.StartSeq)
-	}
-	return sub
-}
-
-// newBinding builds the cursor-gated queue for one operator input edge.
-// after is the highest sequence the consumer is NOT owed (0 = owed
-// everything the subscription delivers).
-func (s *System) newBinding(after uint64) (*stream.Queue, *stream.Cursor) {
-	q := stream.NewQueue()
-	if !s.replayOn() {
-		return q, nil
-	}
-	return q, stream.NewCursor(after, q.Push)
-}
-
-// resubscribeInput replaces one input binding's subscription for a
-// consumer instance re-deployed at newPeer: the old subscription and
-// queue are torn down (terminating the dead instance's reader) and a
-// fresh cursor-gated queue resumes from fromSeq (0 = attach at "now").
-// It returns the new queue feeding the replacement instance.
-func (p *Peer) resubscribeInput(t *Task, b *inputBinding, ch *stream.Channel, newPeer string, fromSeq uint64) *stream.Queue {
-	s := p.sys
-	b.sub.Unsubscribe()
-	// When an earlier repair in the same pass re-bound this input
-	// (chained operators on the dead peer), b.sub's queue is not the old
-	// operator's reader — close that reader explicitly so the dead
-	// instance's goroutine terminates.
-	b.queue.Close()
-	var after uint64
-	if fromSeq > 0 {
-		after = fromSeq - 1
-	}
-	q, cur := s.newBinding(after)
-	sub := p.subscribeOrdered(ch, newPeer, cur, q, fromSeq)
-	if !p.trackSub(t, ch, sub) {
-		// Shared source: Stop must close the replacement queue explicitly.
-		t.extQueues = append(t.extQueues, q)
-	}
-	b.sub, b.queue, b.cursor, b.src, b.consumerPeer = sub, q, cur, ch, newPeer
-	s.link.CountTransfer(t.Manager, ch.Ref().PeerID, ctrlMsgBytes)
-	return q
-}
-
-// syncBindings is the anti-entropy sweep: for every operator input edge
-// whose producing channel retains history, retransmit the sequences the
-// consumer's cursor is still missing (items lost to drop faults or
-// partitions). Retransmissions pay the link like any delivery, but
-// reliably — replay stands in for the acknowledged transfer a real
-// deployment would use.
-func (s *System) syncBindings() {
-	for _, p := range s.livePeers() {
-		for _, t := range sortedTasks(p) {
-			for _, b := range t.bindings {
-				s.syncBinding(b)
-			}
-			for _, st := range t.subTargets {
-				s.syncSubTarget(t, st)
-			}
-			s.syncResults(t)
-		}
-	}
-}
-
-// syncSubTarget refills a BySubscribe target's gaps from the named
-// channel's retention buffer, like any binding.
-func (s *System) syncSubTarget(t *Task, st *subTarget) {
-	ch := t.namedCh
-	if ch == nil || !ch.ReplayEnabled() || st.dest.Closed() {
-		return
-	}
-	ref := ch.Ref()
-	if s.isStale(ref) || !s.Net.Alive(st.peer) || !s.Net.Reachable(ref.PeerID, st.peer) {
-		return
-	}
-	s.refill(ref.PeerID, st.peer, ch, st.cur)
-}
-
-// syncResults refills the manager's result reader (delivery is local, so
-// gaps only appear across publisher migrations with trimmed buffers —
-// repairing them here keeps Results() live instead of parked).
-func (s *System) syncResults(t *Task) {
-	ch := t.namedCh
-	if ch == nil || t.resultCur == nil || !ch.ReplayEnabled() || t.resultQ.Closed() {
-		return
-	}
-	if s.isStale(ch.Ref()) || !s.Net.Alive(t.Manager) {
-		return
-	}
-	s.refill(ch.Ref().PeerID, t.Manager, ch, t.resultCur)
-}
-
-func (s *System) syncBinding(b *inputBinding) {
-	ch, cur := b.src, b.cursor
-	if ch == nil || cur == nil || !ch.ReplayEnabled() || b.queue.Closed() {
-		return
-	}
-	ref := ch.Ref()
-	if s.isStale(ref) || !s.Net.Alive(b.consumerPeer) || !s.Net.Reachable(ref.PeerID, b.consumerPeer) {
-		return
-	}
-	s.refill(ref.PeerID, b.consumerPeer, ch, cur)
-}
-
-// syncReplicas keeps announced-replica mirrors gap-free: a forwarder
-// whose cursor is missing sequences (lost on the origin→replica link)
-// re-pulls them from the origin's retention buffer.
-func (s *System) syncReplicas() {
-	s.mu.Lock()
-	fwds := append([]*replicaForwarder(nil), s.forwarders...)
-	s.mu.Unlock()
-	for _, f := range fwds {
-		if f.cur == nil || f.severed || f.rep.Closed() {
-			continue
-		}
-		ch, ok := s.Channel(f.orig)
-		if !ok || !ch.ReplayEnabled() {
-			continue
-		}
-		to := f.rep.Ref().PeerID
-		if s.isStale(f.orig) || !s.Net.Alive(to) || !s.Net.Reachable(f.orig.PeerID, to) {
-			continue
-		}
-		s.refill(f.orig.PeerID, to, ch, f.cur)
-	}
-}
-
-// refill retransmits the retained items the cursor is genuinely missing:
-// sequences it already delivered or holds parked ahead-of-order are not
-// re-sent (they would only inflate the traffic counters to be dropped as
-// duplicates on arrival).
-func (s *System) refill(from, to string, ch *stream.Channel, cur *stream.Cursor) {
-	next, hi := cur.Next(), ch.Seq()
-	if next > hi {
-		return
-	}
-	items, first := ch.Replay(next, hi)
-	if first > next {
-		cur.SkipTo(first)
-	}
-	sent := 0
-	for _, it := range items {
-		if cur.Has(it.Seq) {
-			continue
-		}
-		cur.Offer(s.Net.Send(from, to, it))
-		sent++
-	}
-	if sent > 0 {
-		s.replayed.Add(uint64(sent))
-	}
-}
 
 // coldSeed positions a replacement output channel for a checkpoint-less
 // restart. With the full input history still retained upstream, the
@@ -337,51 +129,6 @@ func parseCkpt(n *xmltree.Node) *ckptRec {
 		rec.Tail = append(rec.Tail, stream.Item{Tree: tree, Seq: seq, Time: time.Duration(t)})
 	}
 	return rec
-}
-
-// lowWater returns the lowest next-undelivered sequence any live
-// consumer of the channel still needs — binding cursors, replica
-// forwarders and manager result readers alike. Items at or above it are
-// not yet stable and belong in the checkpoint's tail.
-func (s *System) lowWater(ref stream.Ref, hi uint64) uint64 {
-	low := hi + 1
-	consider := func(next uint64) {
-		if next < low {
-			low = next
-		}
-	}
-	s.mu.Lock()
-	peers := make([]*Peer, 0, len(s.peers))
-	for _, p := range s.peers {
-		peers = append(peers, p)
-	}
-	fwds := append([]*replicaForwarder(nil), s.forwarders...)
-	s.mu.Unlock()
-	for _, p := range peers {
-		for _, t := range p.Tasks() {
-			for _, b := range t.bindings {
-				if b.src != nil && b.cursor != nil && b.src.Ref() == ref && !b.queue.Closed() {
-					consider(b.cursor.Next())
-				}
-			}
-			if t.resultCur != nil && t.namedCh != nil && t.namedCh.Ref() == ref && !t.resultQ.Closed() {
-				consider(t.resultCur.Next())
-			}
-			if t.namedCh != nil && t.namedCh.Ref() == ref {
-				for _, st := range t.subTargets {
-					if !st.dest.Closed() {
-						consider(st.cur.Next())
-					}
-				}
-			}
-		}
-	}
-	for _, f := range fwds {
-		if f.cur != nil && !f.severed && f.orig == ref {
-			consider(f.cur.Next())
-		}
-	}
-	return low
 }
 
 // ckptOpID names one plan operator stably across migrations: the

@@ -31,7 +31,7 @@ type relayRig struct {
 	next  int
 }
 
-func newRelayRig(t *testing.T, opts Config) *relayRig {
+func newRelayRig(t testing.TB, opts Config) *relayRig {
 	t.Helper()
 	sys := MustSystem(opts)
 	for _, name := range []string{"src", "mgr", "mon", "w1", "w2"} {
@@ -79,8 +79,15 @@ func (r *relayRig) syncUntil(t *testing.T, want int) {
 // in [1, n] arrived exactly once.
 func assertExactlyOnce(t *testing.T, task *Task, n int) {
 	t.Helper()
+	assertQueueExactlyOnce(t, task.ID+" results", task.Results(), n)
+}
+
+// assertQueueExactlyOnce drains a closed consumer queue and checks each
+// id in [1, n] arrived exactly once.
+func assertQueueExactlyOnce(t *testing.T, what string, q *stream.Queue, n int) {
+	t.Helper()
 	counts := make(map[string]int)
-	for _, it := range task.Results().Drain() {
+	for _, it := range q.Drain() {
 		counts[it.Tree.AttrOr("id", "?")]++
 	}
 	for i := 1; i <= n; i++ {
@@ -88,13 +95,13 @@ func assertExactlyOnce(t *testing.T, task *Task, n int) {
 		switch counts[id] {
 		case 1:
 		case 0:
-			t.Errorf("event %s missing", id)
+			t.Errorf("%s: event %s missing", what, id)
 		default:
-			t.Errorf("event %s delivered %d times", id, counts[id])
+			t.Errorf("%s: event %s delivered %d times", what, id, counts[id])
 		}
 	}
 	if len(counts) != n {
-		t.Errorf("result id set has %d entries, want %d (%v)", len(counts), n, counts)
+		t.Errorf("%s: id set has %d entries, want %d (%v)", what, len(counts), n, counts)
 	}
 }
 
@@ -105,6 +112,12 @@ func assertExactlyOnce(t *testing.T, task *Task, n int) {
 // a migration, and their combination. With replay buffers, cursors and
 // checkpoints on, the subscriber must see every sequence number exactly
 // once: no duplicate, no gap. Run with -race and -shuffle=on.
+//
+// The second table holds every kind of consumer edge to the same contract
+// (kindsWorld, edge_test.go): the link under one kind's edge suffers a
+// drop burst or a partition that heals, or the producer that edge reads
+// crashes and moves — and every reader in the deployment, whatever its
+// kind, must still end with each event exactly once.
 func TestExactlyOnceAcrossFaultMixes(t *testing.T) {
 	const events = 20
 	cases := []struct {
@@ -206,6 +219,93 @@ func TestExactlyOnceAcrossFaultMixes(t *testing.T) {
 			r.task.Stop()
 			assertExactlyOnce(t, r.task, events)
 		})
+	}
+
+	// Each kind's edge, by the link it crosses (producer host → consumer).
+	kinds := []struct{ name, from, to string }{
+		{"operator input", "w1", "pub"},
+		{"result reader", "pub", "mgr"}, // manager-local: the link carries nothing live
+		{"subscribe target", "pub", "far"},
+		{"replica forwarder", "w1", "w3"},
+	}
+	faults := []struct {
+		name string
+		// at is called after event i (1-based) has been driven.
+		at    func(w *kindsWorld, from, to string, i int)
+		lossy bool
+	}{
+		{
+			name: "drop burst",
+			at: func(w *kindsWorld, from, to string, i int) {
+				switch i {
+				case 3:
+					w.sys.Net.SetDrop(from, to, 0.6)
+				case 13:
+					w.sys.Net.SetDrop(from, to, 0)
+				}
+			},
+			lossy: true,
+		},
+		{
+			name: "partition heals",
+			at: func(w *kindsWorld, from, to string, i int) {
+				switch i {
+				case 7:
+					w.sys.Net.Partition([]string{from}, []string{to})
+				case 14:
+					w.sys.Net.Heal()
+				}
+			},
+			lossy: true,
+		},
+		{
+			name: "producer moves",
+			at: func(w *kindsWorld, from, _ string, i int) {
+				if i == 9 {
+					w.sys.Net.Crash(from) //nolint:errcheck // known node
+					w.sys.FailPeer(from, w.sys.Net.Clock().Now())
+				}
+			},
+		},
+	}
+	for _, k := range kinds {
+		for _, f := range faults {
+			t.Run(k.name+"/"+f.name, func(t *testing.T) {
+				w := newKindsWorld(t, replayOptions())
+				for i := 1; i <= events; i++ {
+					w.emit()
+					// The event must have reached the producer end of the
+					// link under test before the schedule moves on, or a
+					// lagging operator goroutine could carry it across
+					// after the fault has cleared.
+					w.awaitPublished(k.from, uint64(i))
+					w.sys.Step(time.Second)
+					f.at(w, k.from, k.to, i)
+				}
+				settled := func() bool {
+					return w.task.Results().Len() >= events && w.mirror.Results().Len() >= events && w.inbox.Len() >= events
+				}
+				for deadline := time.Now().Add(10 * time.Second); !settled() && time.Now().Before(deadline); {
+					w.sys.Step(time.Second)
+					time.Sleep(time.Millisecond)
+				}
+				if f.lossy && k.name != "result reader" && w.sys.ReplayedItems() == 0 {
+					t.Error("the fault should have forced retransmissions")
+				}
+				for _, task := range []*Task{w.task, w.mirror} {
+					if got := task.Degraded(); len(got) != 0 {
+						t.Errorf("%s degraded: %v", task.ID, got)
+					}
+				}
+				assertEdges(t, w.sys)
+				w.task.Stop()
+				w.mirror.Stop()
+				assertEdges(t, w.sys, w.task, w.mirror)
+				assertExactlyOnce(t, w.task, events)
+				assertExactlyOnce(t, w.mirror, events)
+				assertQueueExactlyOnce(t, "far#inbox", w.inbox, events)
+			})
+		}
 	}
 }
 

@@ -116,11 +116,11 @@ func (p *Peer) splitInterior(t *Task, n *algebra.Node, at time.Duration) (SplitE
 
 	ev := SplitEvent{TaskID: t.ID, Operator: n.Label(), Peer: n.Peer, At: at}
 	err = p.relocate(t, n, move{host: n.Peer, resume: rec,
-		rechunk: func(bs []*inputBinding, ins []*stream.Channel) ([]*stream.Queue, error) {
-			return p.rechunk(t, n, rec.In, bs, ins, &ev)
+		rechunk: func(es []*edge, ins []*stream.Channel) ([]*stream.Queue, error) {
+			return p.rechunk(t, n, rec.In, es, ins, &ev)
 		},
-		start: func(queues []*stream.Queue, newOut *stream.Channel) (*operators.Handle, error) {
-			return p.runProc(t, n, proc, queues, newOut), nil
+		start: func(queues []*stream.Queue, newOut *stream.Channel) *operators.Handle {
+			return p.runProc(t, n, proc, queues, newOut)
 		}})
 	if err != nil {
 		return ev, err
@@ -146,7 +146,7 @@ func (p *Peer) splitInterior(t *Task, n *algebra.Node, at time.Duration) (SplitE
 // rechunk is the split's input step (move.rechunk): the plan is re-chunked
 // under a fresh tree identity (unique per split, so the new routing keys
 // collide with nothing placed before), each new sub-interior is pinned to
-// its DHT-derived home and takes over its share of n's input bindings —
+// its DHT-derived home and takes over its share of n's input edges —
 // they change consumer and resume from the cut, closing the old
 // instance's readers as a side effect (once the last closes, the old
 // instance flushes into the now-abandoned old channel and terminates). A
@@ -156,7 +156,7 @@ func (p *Peer) splitInterior(t *Task, n *algebra.Node, at time.Duration) (SplitE
 // the replay cannot record the cursors as 0. n subscribes to each
 // sub-interior's channel before the sub-interior starts, so it misses
 // nothing. The returned queues are n's new inputs.
-func (p *Peer) rechunk(t *Task, n *algebra.Node, cut []uint64, bs []*inputBinding, ins []*stream.Channel, ev *SplitEvent) ([]*stream.Queue, error) {
+func (p *Peer) rechunk(t *Task, n *algebra.Node, cut []uint64, es []*edge, ins []*stream.Channel, ev *SplitEvent) ([]*stream.Queue, error) {
 	s := p.sys
 	s.mu.Lock()
 	s.splitSeq++
@@ -175,18 +175,18 @@ func (p *Peer) rechunk(t *Task, n *algebra.Node, cut []uint64, bs []*inputBindin
 		}
 		mOut := s.allocChannel(t, m.Peer, s.nextStreamID(m.Peer))
 		t.refs[m], t.origRefs[m] = mOut.Ref(), mOut.Ref()
-		queues = append(queues, p.subscribeInput(t, n, m, mOut, n.Peer).queue)
+		queues = append(queues, p.subscribeInput(t, n, m, mOut))
 		k := len(m.Inputs)
 		mq := make([]*stream.Queue, k)
-		for i, b := range bs[:k] {
-			b.consumer = m
-			mq[i] = p.resubscribeInput(t, b, ins[i], m.Peer, cut[i]+1)
+		for i, e := range es[:k] {
+			e.consumer = m
+			mq[i] = e.resume(ins[i], m.Peer, cut[i]+1)
 		}
 		h := p.runProc(t, m, proc, mq, mOut)
 		for i, seq := range cut[:k] {
 			h.SeedConsumed(i, seq)
 		}
-		bs, ins, cut = bs[k:], ins[k:], cut[k:]
+		es, ins, cut = es[k:], ins[k:], cut[k:]
 		ev.Keys = append(ev.Keys, m.AggKey)
 		ev.Hosts = append(ev.Hosts, m.Peer)
 	}

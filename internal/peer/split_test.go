@@ -73,7 +73,7 @@ func TestSplitInteriorMatchesFlat(t *testing.T) {
 			if err != nil {
 				t.Fatalf("split: %v", err)
 			}
-			assertNoStaleBindings(t, sys)
+			assertEdges(t, sys)
 			if len(n.Inputs) != 2 || len(ev.Keys) != 2 {
 				t.Fatalf("fan-in %d after splitting %d-ary interior, events %v", len(n.Inputs), fanIn, ev)
 			}
@@ -129,12 +129,12 @@ func TestSplitThenCrashExactlyOnce(t *testing.T) {
 			if _, err := sys.SplitInterior(task, n.AggKey); err != nil {
 				t.Fatalf("split: %v", err)
 			}
-			assertNoStaleBindings(t, sys)
+			assertEdges(t, sys)
 			victim = n.Peer
 			sys.Net.Crash(victim)
 		case events/2 + 3:
 			evs := sys.FailPeer(victim, sys.Net.Clock().Now())
-			assertNoStaleBindings(t, sys)
+			assertEdges(t, sys)
 			repaired := 0
 			for _, ev := range evs {
 				if ev.Repaired() {
@@ -352,7 +352,7 @@ func TestSplitRebalancesTreeWide(t *testing.T) {
 			}
 			sys.Net.Crash(victim)
 			sys.FailPeer(victim, sys.Net.Clock().Now())
-			assertNoStaleBindings(t, sys)
+			assertEdges(t, sys)
 		case events/3 + 3:
 			// Recovery alone rebalances nothing: the derived placement
 			// now includes the recovered worker again, so the tree is off
@@ -376,7 +376,7 @@ func TestSplitRebalancesTreeWide(t *testing.T) {
 			if _, err := sys.SplitInterior(task, n.AggKey); err != nil {
 				t.Fatalf("split: %v", err)
 			}
-			assertNoStaleBindings(t, sys)
+			assertEdges(t, sys)
 			// The invariant: every live interior sits on its DHT-derived
 			// home immediately after the split returns.
 			desired := sys.AggPlacements(task.Plan)

@@ -55,13 +55,18 @@ type System struct {
 	// must resolve to one node, one ring member and one Peer.
 	admitMu sync.Mutex
 
-	mu         sync.Mutex
-	peers      map[string]*Peer
-	channels   map[stream.Ref]*stream.Channel
-	sidSeq     map[string]int
-	taskSeq    int
-	detectors  []*GossipDetector
-	forwarders []*replicaForwarder
+	mu        sync.Mutex
+	peers     map[string]*Peer
+	channels  map[stream.Ref]*stream.Channel
+	sidSeq    map[string]int
+	taskSeq   int
+	detectors []*GossipDetector
+	// edges indexes the live consumer edges of every channel by its ref
+	// (edge.go): an edge enters when it attaches and leaves when it is
+	// re-bound elsewhere, closed with its task, severed or — a replica
+	// forwarder — ended by its origin. Bounded by the subscriptions that
+	// are running, not by the ones there ever were.
+	edges map[stream.Ref][]*edge
 	// aggHosts, when set, restricts DHT-routed aggregation-tree interior
 	// placement to matching peers (e.g. a worker pool, keeping merge
 	// nodes off monitored sources). nil admits every ring member.
@@ -81,6 +86,7 @@ type System struct {
 
 	lastCkpt time.Duration // virtual time of the last checkpoint sweep
 	replayed atomic.Uint64 // items retransmitted from replay buffers
+	edgeSeq  atomic.Uint64 // edge ids, in creation order
 	splitSeq int           // fresh ids for re-chunked interiors
 	splitLog []SplitEvent  // audit log of completed splits
 
@@ -88,25 +94,6 @@ type System struct {
 	// Config.Telemetry opts in (docs/TELEMETRY.md); nil otherwise.
 	tele    *sysMetrics
 	teleSrv *telemetry.Server
-}
-
-// replicaForwarder records the subscription tying a replica channel to
-// its origin, so failure handling can sever it when the origin's host
-// crashes (a re-deployed operator takes over publishing into the
-// replica; the origin's eventual teardown must not close it).
-type replicaForwarder struct {
-	orig stream.Ref
-	rep  *stream.Channel
-	sub  *stream.Subscription
-	// cur, when the replay layer is on, orders and deduplicates the
-	// forwarded items so the replica mirrors a gap-free prefix of the
-	// original (its replay buffer stays contiguous); the anti-entropy
-	// sweep refills link-fault losses through it.
-	cur *stream.Cursor
-	// severed is set when the origin's host died and a re-deployed
-	// operator adopted the replica: the sweep must stop pulling from the
-	// abandoned origin.
-	severed bool
 }
 
 // NewSystem validates the configuration and builds an empty system.
@@ -138,6 +125,7 @@ func NewSystem(cfg Config) (*System, error) {
 		DB:       kadop.New(ring),
 		peers:    make(map[string]*Peer),
 		channels: make(map[stream.Ref]*stream.Channel),
+		edges:    make(map[stream.Ref][]*edge),
 		stale:    make(map[stream.Ref]bool),
 		sidSeq:   make(map[string]int),
 		taps:     make(map[tapKey]*alerters.Tap),
@@ -476,11 +464,11 @@ func (s *System) SubscribeChannel(ref stream.Ref, consumerPeer string) (*stream.
 	if !ok {
 		return nil, fmt.Errorf("peer: unknown channel %s", ref)
 	}
-	var deliver func(stream.Item, *stream.Queue)
-	if ref.PeerID != consumerPeer {
-		deliver = s.link.DeliverHook(ref.PeerID, consumerPeer)
-	}
-	return ch.Subscribe(consumerPeer, deliver), nil
+	// An outside reader's edge belongs to no task and is not indexed: the
+	// caller holds the subscription and ends it.
+	e := s.newEdge(nil, consumerPeer)
+	e.attach(ch, 0)
+	return e.sub, nil
 }
 
 // AnnounceReplica makes consumerPeer a re-publisher of a channel: it
@@ -501,51 +489,25 @@ func (s *System) AnnounceReplica(orig stream.Ref, consumerPeer string) (stream.R
 	}
 	s.registerChannel(rep)
 	s.Net.AddLoad(consumerPeer, 1)
-	// Forward synchronously from inside the original's delivery fan-out:
-	// an item is re-published by the replica the moment the original
-	// publishes it, so producers tearing down (eos) cannot race ahead of
-	// buffered data. Transport to the replica host still pays the
-	// simulated link (accounting, latency, faults); items lost on a
-	// faulty link simply never reach the replica's subscribers.
-	f := &replicaForwarder{orig: orig, rep: rep}
+	// The forwarder is an edge whose sink publishes into the replica,
+	// synchronously from inside the original's delivery fan-out: an item
+	// is re-published the moment the original publishes it, so producers
+	// tearing down (eos) cannot race ahead of buffered data. Transport to
+	// the replica host still pays the simulated link (accounting, latency,
+	// faults); items lost on a faulty link never reach the replica's
+	// subscribers — unless the replay layer is on. Then the replica
+	// preserves the original's sequence numbering, so a consumer cursor
+	// positioned on the original stream stays valid when failover re-binds
+	// it to the replica (and vice versa), and the forwarder's own cursor
+	// keeps the mirror gap-free: what the link lost is refilled by the
+	// sweep before anything later is mirrored.
+	e := s.newEdge(nil, consumerPeer)
+	e.rep, e.sink = rep, rep.Publish
 	if s.replayOn() {
-		// The replica preserves the original's sequence numbering, so a
-		// consumer cursor positioned on the original stream stays valid
-		// when failover re-binds it to the replica (and vice versa). The
-		// forwarder's own cursor keeps the mirror gap-free: items lost on
-		// the faulty link are refilled by the anti-entropy sweep before
-		// anything later is mirrored.
-		f.cur = stream.NewCursor(0, func(it stream.Item) {
-			if it.EOS() {
-				rep.Close()
-				return
-			}
-			rep.PublishPreserved(it)
-		})
-		f.sub = ch.Subscribe(consumerPeer, func(it stream.Item, _ *stream.Queue) {
-			if it.EOS() {
-				f.cur.Terminate(it)
-				return
-			}
-			if out, ok := s.link.Deliver(orig.PeerID, consumerPeer, it); ok {
-				f.cur.Offer(out)
-			}
-		})
-		f.cur.AdvanceTo(f.sub.StartSeq)
-	} else {
-		f.sub = ch.Subscribe(consumerPeer, func(it stream.Item, _ *stream.Queue) {
-			if it.EOS() {
-				rep.Close()
-				return
-			}
-			if out, ok := s.link.Deliver(orig.PeerID, consumerPeer, it); ok {
-				rep.Publish(out)
-			}
-		})
+		e.sink = rep.PublishPreserved
+		e.cur = stream.NewCursor(0, e.sink)
 	}
-	s.mu.Lock()
-	s.forwarders = append(s.forwarders, f)
-	s.mu.Unlock()
+	e.attach(ch, 0)
 	return rep.Ref(), nil
 }
 
@@ -591,8 +553,7 @@ func (s *System) Step(d time.Duration) {
 		g.Tick()
 	}
 	if s.replayOn() {
-		s.syncReplicas()
-		s.syncBindings()
+		s.syncEdges()
 	}
 	if interval := s.checkpointInterval(); interval > 0 {
 		now := s.Net.Clock().Now()

@@ -21,26 +21,23 @@ type Task struct {
 	Plan    *algebra.Node
 	Reuse   *reuse.Result // nil when reuse was disabled
 
-	refs       map[*algebra.Node]stream.Ref // current stream identity per operator
-	origRefs   map[*algebra.Node]stream.Ref // first-deployment identity (replica records chain to it)
-	channels   []*stream.Channel
-	subs       []*stream.Subscription // subscriptions to channels this task owns
-	extSubs    []*stream.Subscription // subscriptions to shared channels
-	extQueues  []*stream.Queue        // consumer queues re-bound to shared channels
-	bindings   []*inputBinding        // operator-input wiring, for failover re-binding
-	procs      map[*algebra.Node]*procInstance
-	degraded   []string // operators lost without a repair path
-	handles    []*operators.Handle
-	closers    []func()
-	pollers    []func() (int, error)
-	dynDone    []chan struct{}
-	loads      []string
-	resultCh   *stream.Channel
-	namedCh    *stream.Channel
-	resultSub  *stream.Subscription
-	resultQ    *stream.Queue         // stable result queue, survives publisher migration
-	resultCur  *stream.Cursor        // dedup/ordering gate feeding resultQ
-	subTargets map[string]*subTarget // per-BySubscribe-target gates, survive publisher migration
+	refs     map[*algebra.Node]stream.Ref // current stream identity per operator
+	origRefs map[*algebra.Node]stream.Ref // first-deployment identity (replica records chain to it)
+	channels []*stream.Channel
+	// edges is every subscription the task holds, in creation order:
+	// operator inputs, BY subscribe targets, the manager's result reader
+	// (edge.go). They survive moves — failure handling re-binds them — and
+	// Stop closes them.
+	edges    []*edge
+	procs    map[*algebra.Node]*procInstance
+	degraded []string // operators lost without a repair path
+	handles  []*operators.Handle
+	closers  []func()
+	pollers  []func() (int, error)
+	dynDone  []chan struct{}
+	loads    []string
+	resultCh *stream.Channel
+	namedCh  *stream.Channel
 
 	// Human-facing publication sinks (BY email/file/rss).
 	Mailbox SafeBuffer
@@ -49,34 +46,6 @@ type Task struct {
 
 	dynEvents atomic.Uint64
 	stopOnce  sync.Once
-}
-
-// inputBinding records one operator-input edge of the deployed plan: the
-// consumer operator, the plan node producing the stream it reads, and the
-// live subscription feeding its queue. Failure handling re-binds the
-// queue to a replacement producer by detaching sub and re-subscribing —
-// the consumer keeps reading the same queue and never observes the swap.
-type inputBinding struct {
-	consumer     *algebra.Node
-	child        *algebra.Node
-	consumerPeer string
-	queue        *stream.Queue
-	sub          *stream.Subscription
-	// cursor gates deliveries into queue: in sequence order, exactly
-	// once, tracking where a re-bound subscription must resume.
-	cursor *stream.Cursor
-	// src is the channel currently feeding the binding.
-	src *stream.Channel
-}
-
-// subTarget is one BySubscribe delivery destination: the target peer and
-// the cursor gating its incoming queue. Task-level so the gate survives
-// publisher migrations, and registered with the anti-entropy sweep like
-// any binding cursor.
-type subTarget struct {
-	peer string
-	cur  *stream.Cursor
-	dest *stream.Queue
 }
 
 // procInstance tracks one deployed processor (or publisher fan-out): the
@@ -105,11 +74,39 @@ func (t *Task) DynEventsProcessed() uint64 { return t.dynEvents.Load() }
 // (no items are missed between Subscribe and the first read). The queue
 // is stable across publisher migrations: failover re-binds the
 // underlying subscription and the cursor deduplicates the overlap.
-func (t *Task) Results() *stream.Queue {
-	if t.resultQ != nil {
-		return t.resultQ
+func (t *Task) Results() *stream.Queue { return t.resultEdge().queue }
+
+// resultEdge returns the manager's reader of the task's results.
+func (t *Task) resultEdge() *edge {
+	for _, e := range t.edges {
+		if e.local {
+			return e
+		}
 	}
-	return t.resultSub.Queue
+	return nil
+}
+
+// owns reports whether the task created the channel (or adopted it as an
+// operator's output) and so closes it on Stop.
+func (t *Task) owns(ch *stream.Channel) bool {
+	for _, own := range t.channels {
+		if own == ch {
+			return true
+		}
+	}
+	return false
+}
+
+// inputsOf returns the input edges of one consumer operator in input
+// order (they are recorded in deployment order).
+func (t *Task) inputsOf(n *algebra.Node) []*edge {
+	var out []*edge
+	for _, e := range t.edges {
+		if e.consumer == n {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // ResultChannel returns the named channel the task publishes under
@@ -167,24 +164,22 @@ func (t *Task) ItemsProcessed() uint64 {
 }
 
 // Stop tears the task down in two phases. First the task's own alerters
-// emit eos and subscriptions to *shared* channels (reused streams, which
-// will never close on our account) are cancelled; that guarantees every
+// emit eos and edges on *shared* channels (reused streams, which will
+// never close on our account) are closed; that guarantees every
 // operator's inputs terminate, so eos cascades cleanly through the
 // task's own channels without losing buffered items. Then the operator
-// goroutines are awaited and everything remaining is closed.
+// goroutines are awaited and everything remaining is closed: when Stop
+// returns no edge of the task is attached anywhere and every queue it fed
+// — Results(), a BY subscribe target's Incoming queue — is closed.
 func (t *Task) Stop() {
 	t.stopOnce.Do(func() {
 		for _, c := range t.closers {
 			c()
 		}
-		for _, s := range t.extSubs {
-			s.Unsubscribe()
-		}
-		// Queues re-bound to shared channels are not closed by their
-		// subscription's own queue; close them here so their consumers
-		// terminate like any other shared-source reader.
-		for _, q := range t.extQueues {
-			q.Close()
+		for _, e := range t.edges {
+			if !e.owned {
+				e.close()
+			}
 		}
 		for _, h := range t.handles {
 			h.Wait()
@@ -195,11 +190,8 @@ func (t *Task) Stop() {
 		for _, ch := range t.channels {
 			ch.Close()
 		}
-		for _, s := range t.subs {
-			s.Unsubscribe()
-		}
-		if t.resultSub != nil {
-			t.resultSub.Unsubscribe()
+		for _, e := range t.edges {
+			e.close()
 		}
 	})
 }

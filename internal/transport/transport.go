@@ -67,9 +67,6 @@ type Link interface {
 	// Deliver ships an item across the from→to link under the fault
 	// model, returning it latency-stamped and whether it arrived.
 	Deliver(from, to string, it stream.Item) (stream.Item, bool)
-	// DeliverHook returns a channel delivery hook routing items across
-	// the from→to link (accounting, latency, faults).
-	DeliverHook(from, to string) func(stream.Item, *stream.Queue)
 	// CountTransfer accounts one control-plane message on a link.
 	CountTransfer(from, to string, bytes int)
 }
