@@ -149,39 +149,25 @@ type Ring struct {
 	// change invalidates it wholesale — a cached holder is only ever
 	// trusted if it is still a member and still stores the key.
 	readCache map[string]map[string]*node
-	cacheHits uint64
 
-	handoffs uint64
-	lookups  uint64
-	hops     uint64
-
-	tele *ringMetrics // nil unless Instrument was called
+	// The ring's service counters since construction: what Stats,
+	// Handoffs and ReadCacheHits read and Instrument exports.
+	puts, gets, handoffs, cacheHits, lookups, hops telemetry.Counter
 }
 
-// ringMetrics are the ring's telemetry handles, mirroring the internal
-// counters the experiments read.
-type ringMetrics struct {
-	puts, gets, handoffs, cacheHits, lookups, hops *telemetry.Counter
-}
-
-// Instrument registers the ring's service counters (dht_puts_total,
+// Instrument exports the ring's service counters as dht_puts_total,
 // dht_gets_total, dht_handoffs_total, dht_cache_hits_total,
-// dht_lookups_total, dht_hops_total) with the telemetry registry.
-// Idempotent; uninstrumented rings pay nothing.
+// dht_lookups_total and dht_hops_total. Idempotent.
 func (r *Ring) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tele = &ringMetrics{
-		puts:      reg.Counter("dht_puts_total"),
-		gets:      reg.Counter("dht_gets_total"),
-		handoffs:  reg.Counter("dht_handoffs_total"),
-		cacheHits: reg.Counter("dht_cache_hits_total"),
-		lookups:   reg.Counter("dht_lookups_total"),
-		hops:      reg.Counter("dht_hops_total"),
-	}
+	reg.Attach("dht_puts_total", &r.puts)
+	reg.Attach("dht_gets_total", &r.gets)
+	reg.Attach("dht_handoffs_total", &r.handoffs)
+	reg.Attach("dht_cache_hits_total", &r.cacheHits)
+	reg.Attach("dht_lookups_total", &r.lookups)
+	reg.Attach("dht_hops_total", &r.hops)
 }
 
 // New returns an empty ring with no replication (one copy per key), one
@@ -283,11 +269,7 @@ func (r *Ring) EnableReadCache() {
 
 // ReadCacheHits returns how many bounded-load reads the location cache
 // short-circuited.
-func (r *Ring) ReadCacheHits() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.cacheHits
-}
+func (r *Ring) ReadCacheHits() uint64 { return r.cacheHits.Value() }
 
 // invalidateReadCacheLocked drops every cached location (membership or
 // placement changed).
@@ -540,10 +522,7 @@ func (r *Ring) rebalanceLocked(extra map[string][]string) {
 		for _, n := range r.assignLocked(k, r.capacityLocked(classTotal[keyClass(k)])) {
 			n.store[k] = append([]string(nil), merged[k]...)
 			if !prev[k][n] {
-				r.handoffs++
-				if r.tele != nil {
-					r.tele.handoffs.Inc()
-				}
+				r.handoffs.Inc()
 			}
 		}
 	}
@@ -590,10 +569,7 @@ func (r *Ring) neighborhoodRebalanceLocked(idx int, extra map[string][]string) {
 		for _, d := range desired {
 			inDesired[d] = true
 			if _, had := d.store[key]; !had {
-				r.handoffs++
-				if r.tele != nil {
-					r.tele.handoffs.Inc()
-				}
+				r.handoffs.Inc()
 			}
 			d.store[key] = append([]string(nil), vs...)
 		}
@@ -784,9 +760,7 @@ func (r *Ring) Put(key, value string) error {
 		n.store[key] = append(n.store[key], value)
 	}
 	set[0].serve(keyClass(key)).Puts++
-	if r.tele != nil {
-		r.tele.puts.Inc()
-	}
+	r.puts.Inc()
 	return nil
 }
 
@@ -805,9 +779,7 @@ func (r *Ring) Set(key, value string) error {
 		n.store[key] = []string{value}
 	}
 	set[0].serve(keyClass(key)).Puts++
-	if r.tele != nil {
-		r.tele.puts.Inc()
-	}
+	r.puts.Inc()
 	return nil
 }
 
@@ -846,12 +818,8 @@ func (r *Ring) Get(from, key string) ([]string, int, error) {
 		}
 	}
 	hops := r.routeLocked(start, target)
-	r.lookups++
-	r.hops += uint64(hops)
-	if r.tele != nil {
-		r.tele.lookups.Inc()
-		r.tele.hops.Add(uint64(hops))
-	}
+	r.lookups.Inc()
+	r.hops.Add(uint64(hops))
 	var vals []string
 	var serving *node
 	if r.loadBound > 0 {
@@ -860,10 +828,7 @@ func (r *Ring) Get(from, key string) ([]string, int, error) {
 		if n := r.cachedHolderLocked(from, key); n != nil {
 			vals = append([]string(nil), n.store[key]...)
 			serving = n
-			r.cacheHits++
-			if r.tele != nil {
-				r.tele.cacheHits.Inc()
-			}
+			r.cacheHits.Inc()
 		}
 		if serving == nil {
 			for i, n := range r.distinctSuccessorsLocked(target, len(r.nodes)) {
@@ -871,10 +836,7 @@ func (r *Ring) Get(from, key string) ([]string, int, error) {
 					vals = append([]string(nil), n.store[key]...)
 					serving = n
 					hops += i
-					r.hops += uint64(i)
-					if r.tele != nil {
-						r.tele.hops.Add(uint64(i))
-					}
+					r.hops.Add(uint64(i))
 					r.rememberHolderLocked(from, key, n)
 					break
 				}
@@ -895,16 +857,14 @@ func (r *Ring) Get(from, key string) ([]string, int, error) {
 					vals = append(vals, n.store[key]...)
 					serving = n
 					hops++
-					r.hops++
+					r.hops.Inc()
 					break
 				}
 			}
 		}
 	}
 	serving.serve(keyClass(key)).Gets++
-	if r.tele != nil {
-		r.tele.gets.Inc()
-	}
+	r.gets.Inc()
 	return vals, hops, nil
 }
 
@@ -999,17 +959,13 @@ func (r *Ring) Successors(key string, max int) []string {
 func (r *Ring) Stats() (lookups, hops uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.lookups, r.hops
+	return r.lookups.Value(), r.hops.Value()
 }
 
 // Handoffs returns the cumulative number of key copies that moved to a
 // new holder across membership changes — the rebalance cost the
 // virtual-node fragmentation keeps incremental.
-func (r *Ring) Handoffs() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.handoffs
-}
+func (r *Ring) Handoffs() uint64 { return r.handoffs.Value() }
 
 // ServiceLoad returns the per-member primary-copy request counters for
 // one key class (e.g. "ckpt" for operator checkpoints). Every current

@@ -273,12 +273,3 @@ func (s *Subscription) String() string {
 	}
 	return b.String()
 }
-
-// StreamVars returns the FOR-bound variable names in order.
-func (s *Subscription) StreamVars() []string {
-	vars := make([]string, len(s.For))
-	for i, f := range s.For {
-		vars[i] = f.Var
-	}
-	return vars
-}

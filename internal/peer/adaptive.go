@@ -2,9 +2,9 @@
 // itself. Every Step it reads the ingest gauges the operator handles
 // already keep, compares each first-level aggregation-tree interior
 // against its tree's mean ingest rate, and splits an interior that
-// stays hot for SplitObservations consecutive Steps (hysteresis) —
-// SplitInterior then reshapes the running tree exactly-once. All knobs
-// live in AggConfig and are runtime-mutable through Tuning.
+// stays hot for splitObservations consecutive Steps (hysteresis) —
+// SplitInterior then reshapes the running tree exactly-once. The knobs
+// live in AggConfig; SplitRatio is runtime-mutable through Tuning.
 // See docs/ADAPTIVE.md.
 package peer
 
@@ -13,6 +13,17 @@ import (
 	"time"
 
 	"p2pm/internal/algebra"
+)
+
+// The controller constants nothing in the tree ever tuned, like the
+// gossip protocol's (gossip.go); docs/ADAPTIVE.md has the table.
+const (
+	// splitMinFanIn is the smallest interior fan-in the controller will
+	// split (a split must leave every new interior with ≥ 2 children).
+	splitMinFanIn = 4
+	// splitObservations is the hysteresis depth: how many consecutive
+	// over-ratio Steps an interior must accumulate before it is split.
+	splitObservations = 3
 )
 
 // AggLoadEntry is one running operator instance's ingest gauge: items
@@ -179,7 +190,7 @@ func (s *System) rechunkTask(p *Peer, t *Task, st *rechunkState, cfg AggConfig, 
 	for _, c := range cands {
 		over := mean > 0 &&
 			float64(c.delta) > cfg.SplitRatio*mean &&
-			len(c.n.Inputs) >= cfg.SplitMinFanIn &&
+			len(c.n.Inputs) >= splitMinFanIn &&
 			s.Net.Alive(c.n.Peer)
 		if over {
 			st.overCount[c.n.AggKey]++
@@ -193,7 +204,7 @@ func (s *System) rechunkTask(p *Peer, t *Task, st *rechunkState, cfg AggConfig, 
 	var best *cand
 	for i := range cands {
 		c := &cands[i]
-		if st.overCount[c.n.AggKey] < cfg.SplitObservations {
+		if st.overCount[c.n.AggKey] < splitObservations {
 			continue
 		}
 		if best == nil || c.delta > best.delta ||

@@ -11,10 +11,10 @@ import (
 
 // Config configures a System. It groups the former flat Options into
 // functional sub-structs (DHT placement, aggregation trees, the replay/
-// checkpoint layer, gossip detection defaults) and is validated by
-// NewSystem. Fields that stay meaningful after startup are mutable at
-// runtime through System.Tuning — the seam the adaptive controllers
-// (docs/ADAPTIVE.md) actuate through.
+// checkpoint layer) and is validated by NewSystem. Fields that stay
+// meaningful after startup are mutable at runtime through System.Tuning
+// — the seam the adaptive controllers (docs/ADAPTIVE.md) actuate
+// through.
 type Config struct {
 	// Seed drives all simulation randomness.
 	Seed int64
@@ -35,16 +35,12 @@ type Config struct {
 	// Replay configures the lossless-failover layer (replay buffers,
 	// cursors, operator checkpoints).
 	Replay ReplayConfig
-	// Gossip supplies system-level defaults for gossip failure detectors
-	// started without explicit values (StartGossipDetector merges them
-	// into zero fields of its GossipOptions argument).
-	Gossip GossipConfig
 	// Net overrides the simulated-network parameters; zero value uses
 	// simnet defaults seeded from Seed.
 	Net simnet.Options
 	// Telemetry opts the system into the metrics registry
-	// (docs/TELEMETRY.md). The zero value keeps every layer
-	// uninstrumented at zero cost.
+	// (docs/TELEMETRY.md). The zero value exports nothing; the layers
+	// count the same either way.
 	Telemetry TelemetryConfig
 }
 
@@ -101,19 +97,11 @@ type AggConfig struct {
 	// SplitRatio, when > 1, arms the load-driven re-chunking controller:
 	// each Step it compares every first-level interior's ingest rate
 	// against the tree mean, and an interior staying above
-	// SplitRatio×mean for SplitObservations consecutive Steps is split
+	// SplitRatio×mean for splitObservations consecutive Steps is split
 	// in place (its children re-chunked under fresh sub-interiors,
 	// exactly-once across the move). Requires the replay layer. 0
 	// disables re-chunking. Mutable via Tuning.SetAggSplitRatio.
 	SplitRatio float64
-	// SplitMinFanIn is the smallest interior fan-in the controller will
-	// split (a split must leave every new interior with ≥ 2 children).
-	// Default 4.
-	SplitMinFanIn int
-	// SplitObservations is the hysteresis depth: how many consecutive
-	// over-ratio Steps an interior must accumulate before it is split.
-	// Default 3.
-	SplitObservations int
 	// SplitCooldown is the minimum virtual time between two splits in
 	// the same task, bounding how fast the controller can reshape a
 	// tree. Default 0 (no cooldown).
@@ -134,24 +122,6 @@ type ReplayConfig struct {
 	CheckpointInterval time.Duration
 }
 
-// GossipConfig supplies system-level defaults for gossip detectors:
-// StartGossipDetector fills zero fields of its GossipOptions argument
-// from here, so workloads can configure detection once at the System.
-type GossipConfig struct {
-	// ProbeInterval is one protocol period (default 1s).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds a probe round trip (default 500ms).
-	ProbeTimeout time.Duration
-	// Suspicion is the refutation window before a suspect is declared
-	// dead in a view (default 3×ProbeInterval).
-	Suspicion time.Duration
-	// Adaptive enables Lifeguard-style local-health scaling of probe
-	// timeouts and suspicion windows. See docs/ADAPTIVE.md.
-	Adaptive bool
-	// HealthMax caps the health multiplier (default 8).
-	HealthMax int
-}
-
 // DefaultConfig enables the paper's full feature set, plus 2-way DHT
 // replication so stream-definition lookups survive churn.
 func DefaultConfig() Config {
@@ -169,17 +139,6 @@ func (c Config) normalize() Config {
 	if c.Net == (simnet.Options{}) {
 		c.Net = simnet.DefaultOptions()
 		c.Net.Seed = c.Seed
-	}
-	if c.Agg.SplitRatio > 0 {
-		if c.Agg.SplitMinFanIn == 0 {
-			c.Agg.SplitMinFanIn = 4
-		}
-		if c.Agg.SplitObservations == 0 {
-			c.Agg.SplitObservations = 3
-		}
-	}
-	if c.Gossip.HealthMax == 0 {
-		c.Gossip.HealthMax = 8
 	}
 	if c.Telemetry.Addr != "" && c.Telemetry.Registry == nil {
 		c.Telemetry.Registry = telemetry.Default
@@ -214,8 +173,8 @@ func (c Config) validate() error {
 	if c.Agg.SplitRatio > 0 && c.Replay.Buffer <= 0 {
 		return fmt.Errorf("peer: Agg.SplitRatio needs the replay layer (Replay.Buffer > 0) for exactly-once re-chunking")
 	}
-	if c.Agg.SplitMinFanIn < 0 || c.Agg.SplitObservations < 0 || c.Agg.SplitCooldown < 0 {
-		return fmt.Errorf("peer: negative Agg split knob")
+	if c.Agg.SplitCooldown < 0 {
+		return fmt.Errorf("peer: Agg.SplitCooldown %v is negative", c.Agg.SplitCooldown)
 	}
 	if c.Replay.Buffer < 0 {
 		return fmt.Errorf("peer: Replay.Buffer %d is negative", c.Replay.Buffer)
@@ -225,12 +184,6 @@ func (c Config) validate() error {
 	}
 	if c.Replay.CheckpointInterval > 0 && c.Replay.Buffer <= 0 {
 		return fmt.Errorf("peer: Replay.CheckpointInterval needs Replay.Buffer > 0 (checkpoint resume replays from the buffers)")
-	}
-	if c.Gossip.ProbeInterval < 0 || c.Gossip.ProbeTimeout < 0 || c.Gossip.Suspicion < 0 {
-		return fmt.Errorf("peer: negative Gossip duration")
-	}
-	if c.Gossip.HealthMax < 0 {
-		return fmt.Errorf("peer: Gossip.HealthMax %d is negative", c.Gossip.HealthMax)
 	}
 	if c.JoinWindow < 0 || c.DistinctWindow < 0 {
 		return fmt.Errorf("peer: negative operator window")
@@ -281,36 +234,11 @@ func (t Tuning) SetDHTReplication(n int) {
 	t.s.Ring.SetReplication(n)
 }
 
-// SetGossipSuspicion changes the suspicion window of every running
+// SetGossipSuspicion changes the suspicion window of the running
 // gossip detector (the base value; adaptive health still scales it).
 func (t Tuning) SetGossipSuspicion(d time.Duration) {
-	t.s.cfgMu.Lock()
-	t.s.cfg.Gossip.Suspicion = d
-	t.s.cfgMu.Unlock()
-	for _, g := range t.s.gossipDetectors() {
+	if g := t.s.gossipDetector(); g != nil {
 		g.SetSuspicion(d)
-	}
-}
-
-// SetGossipProbeTimeout changes the probe round-trip budget of every
-// running gossip detector.
-func (t Tuning) SetGossipProbeTimeout(d time.Duration) {
-	t.s.cfgMu.Lock()
-	t.s.cfg.Gossip.ProbeTimeout = d
-	t.s.cfgMu.Unlock()
-	for _, g := range t.s.gossipDetectors() {
-		g.SetProbeTimeout(d)
-	}
-}
-
-// SetAdaptiveSuspicion toggles Lifeguard-style health scaling on every
-// running gossip detector.
-func (t Tuning) SetAdaptiveSuspicion(on bool) {
-	t.s.cfgMu.Lock()
-	t.s.cfg.Gossip.Adaptive = on
-	t.s.cfgMu.Unlock()
-	for _, g := range t.s.gossipDetectors() {
-		g.SetAdaptive(on)
 	}
 }
 
@@ -354,9 +282,10 @@ func (t Tuning) Quarantined() []string {
 	return out
 }
 
-// gossipDetectors snapshots the registered detectors.
-func (s *System) gossipDetectors() []*GossipDetector {
+// gossipDetector returns the System's detector, nil before
+// StartGossipDetector.
+func (s *System) gossipDetector() *GossipDetector {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]*GossipDetector(nil), s.detectors...)
+	return s.detector
 }

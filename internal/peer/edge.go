@@ -93,7 +93,7 @@ func (e *edge) attach(ch *stream.Channel, fromSeq uint64) {
 	deliver := func(it stream.Item, own *stream.Queue) {
 		if remote {
 			var ok bool
-			if it, ok = s.link.Deliver(from, to, it); !ok {
+			if it, ok = s.Net.Deliver(from, to, it); !ok {
 				return
 			}
 		}
@@ -202,7 +202,7 @@ func (e *edge) resume(ch *stream.Channel, peer string, fromSeq uint64) *stream.Q
 	e.peer = peer
 	e.into(stream.NewQueue(), after, e.sys.replayOn())
 	e.attach(ch, fromSeq)
-	e.sys.link.CountTransfer(e.task.Manager, ch.Ref().PeerID, ctrlMsgBytes)
+	e.sys.Net.CountTransfer(e.task.Manager, ch.Ref().PeerID, ctrlMsgBytes)
 	return e.queue
 }
 

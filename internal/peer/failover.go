@@ -187,13 +187,13 @@ func (s *System) LeavePeer(name string) ([]FailoverEvent, error) {
 	if s.replayOn() {
 		s.CheckpointNow()
 	}
-	// The departure announcement: one control message on the wire, every
+	// The departure announcement: one control message on the wire, the
 	// detector unlearns the peer with no suspicion window.
-	for _, g := range s.gossipDetectors() {
+	if g := s.gossipDetector(); g != nil {
 		g.Leave(name)
 	}
 	if tgt := s.leastLoadedLive(name); tgt != "" {
-		s.link.CountTransfer(name, tgt, ctrlMsgBytes)
+		s.Net.CountTransfer(name, tgt, ctrlMsgBytes)
 	}
 	// Graceful ring departure: the leaver's stored copies migrate to the
 	// new owners (unlike Fail, where they die with it).
@@ -278,7 +278,7 @@ func (s *System) rehomeTask(old *Peer, t *Task, newMgr string, at time.Duration)
 	// nothing can flow to or from it); the fetch is accounted like any
 	// other repair control message.
 	if owner, err := s.Ring.Owner(t.ID); err == nil {
-		s.link.CountTransfer(owner, newMgr, ctrlMsgBytes)
+		s.Net.CountTransfer(owner, newMgr, ctrlMsgBytes)
 	}
 	return FailoverEvent{TaskID: t.ID, Operator: "manager", From: old.name, To: newMgr, At: at}
 }
@@ -568,7 +568,7 @@ func (p *Peer) repairChannelIns(t *Task, dead string, at time.Duration) []Failov
 		for _, e := range t.edges {
 			if e.child == n {
 				e.rebind(repl)
-				p.sys.link.CountTransfer(e.peer, repl.Ref().PeerID, ctrlMsgBytes)
+				p.sys.Net.CountTransfer(e.peer, repl.Ref().PeerID, ctrlMsgBytes)
 			}
 		}
 		n.Channel = repl.Ref()

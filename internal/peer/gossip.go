@@ -21,6 +21,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"p2pm/internal/telemetry"
 )
 
 // The protocol constants nothing in the tree ever tuned (docs/DETECTOR.md
@@ -174,35 +176,19 @@ type GossipDetector struct {
 	onDeath   []func(peer string, at time.Duration)
 	onRecover []func(peer string, at time.Duration)
 
-	// probes/indirect/piggybacked count protocol activity for the
-	// tuning and traffic experiments.
-	probes      uint64
-	indirect    uint64
-	piggybacked uint64
-
-	tele *gossipMetrics // nil unless the System's telemetry is on
+	// Protocol activity since the detector started: direct probes sent,
+	// indirect relays, suspicions opened and deaths declared per view
+	// (what ProtocolCounters reads and the System's registry exports as
+	// gossip_*_total), and piggybacked updates for the traffic
+	// experiments.
+	probes, indirect, suspicions, deaths telemetry.Counter
+	piggybacked                          uint64
 }
 
 // StartGossipDetector starts the gossip protocol over every currently
-// registered peer. It is ticked by System.Step.
-// Zero option fields fall back to the system Config's Gossip section
-// before the protocol defaults apply, so tuning set at construction
-// reaches detectors started later without repeating it per call.
+// registered peer. It is ticked by System.Step. A System runs one
+// detector — every peer's view lives in it — so a second call panics.
 func (s *System) StartGossipDetector(opts GossipOptions) *GossipDetector {
-	gc := s.Config().Gossip
-	if opts.ProbeInterval <= 0 {
-		opts.ProbeInterval = gc.ProbeInterval
-	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = gc.ProbeTimeout
-	}
-	if opts.Suspicion <= 0 {
-		opts.Suspicion = gc.Suspicion
-	}
-	opts.Adaptive = opts.Adaptive || gc.Adaptive
-	if opts.HealthMax <= 0 {
-		opts.HealthMax = gc.HealthMax
-	}
 	g := &GossipDetector{
 		sys:       s,
 		opts:      opts.withDefaults(),
@@ -210,15 +196,17 @@ func (s *System) StartGossipDetector(opts GossipOptions) *GossipDetector {
 		confirmed: make(map[string]bool),
 	}
 	g.rng = rand.New(rand.NewSource(g.opts.Seed))
-	if s.tele != nil {
-		g.tele = newGossipMetrics(s.tele.reg)
-	}
 	for _, p := range s.Peers() {
 		g.addMember(p)
 	}
 	s.mu.Lock()
-	s.detectors = append(s.detectors, g)
+	if s.detector != nil {
+		s.mu.Unlock()
+		panic("peer: this System already runs a gossip detector")
+	}
+	s.detector = g
 	s.mu.Unlock()
+	s.exportDetector(g)
 	return g
 }
 
@@ -279,7 +267,7 @@ func (g *GossipDetector) Join(name, seed string) error {
 	}
 	// The join contact and the bootstrap transfer are accounted like any
 	// protocol message.
-	g.sys.link.CountTransfer(name, seed, probeBytes+maxPiggyback*piggybackBytes)
+	g.sys.Net.CountTransfer(name, seed, probeBytes+maxPiggyback*piggybackBytes)
 	// Outrank every rumor the seed holds about a previous life.
 	if m := sv.members[name]; m != nil && m.inc >= v.inc {
 		v.inc = m.inc + 1
@@ -431,7 +419,23 @@ func (g *GossipDetector) ViewOf(owner, about string) (string, uint64, bool) {
 func (g *GossipDetector) ProtocolCounters() (probes, indirect, piggybacked uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.probes, g.indirect, g.piggybacked
+	return g.probes.Value(), g.indirect.Value(), g.piggybacked
+}
+
+// levels returns the worst Lifeguard health score and the number of
+// open suspicions across all views — the detector's two level gauges.
+func (g *GossipDetector) levels() (maxHealth, suspects int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, v := range g.views {
+		maxHealth = max(maxHealth, v.health)
+		for _, m := range v.members {
+			if m.status == gossipSuspect {
+				suspects++
+			}
+		}
+	}
+	return maxHealth, suspects
 }
 
 // gossipEvent is one aggregate state change to report.
@@ -479,23 +483,6 @@ func (g *GossipDetector) Tick() {
 	}
 	g.sweepSuspicion(now)
 	events := g.aggregateLocked(now)
-	if g.tele != nil {
-		// Level gauges refresh once per tick: the worst Lifeguard health
-		// score and the number of open suspicions across all views.
-		maxHealth, suspects := 0, 0
-		for _, v := range g.views {
-			if v.health > maxHealth {
-				maxHealth = v.health
-			}
-			for _, m := range v.members {
-				if m.status == gossipSuspect {
-					suspects++
-				}
-			}
-		}
-		g.tele.healthMax.Set(int64(maxHealth))
-		g.tele.suspects.Set(int64(suspects))
-	}
 	deathFns := append([]func(string, time.Duration){}, g.onDeath...)
 	recoverFns := append([]func(string, time.Duration){}, g.onRecover...)
 	g.mu.Unlock()
@@ -539,18 +526,12 @@ func (g *GossipDetector) probeRound(v *gossipView, at time.Duration) {
 // indirect escalation through k random live-believed proxies. Any
 // successful path counts as hearing the target.
 func (g *GossipDetector) probeOnce(v *gossipView, target string) bool {
-	g.probes++
-	if g.tele != nil {
-		g.tele.probes.Inc()
-	}
+	g.probes.Inc()
 	if g.directProbe(v, target) {
 		return true
 	}
 	for _, proxy := range g.pickProxies(v, target) {
-		g.indirect++
-		if g.tele != nil {
-			g.tele.indirect.Inc()
-		}
+		g.indirect.Inc()
 		if g.relayProbe(v, proxy, target) {
 			return true
 		}
@@ -820,9 +801,7 @@ func (g *GossipDetector) suspect(v *gossipView, target string, at time.Duration)
 	m.since = at
 	m.own = true
 	m.spent = false
-	if g.tele != nil {
-		g.tele.suspicions.Inc()
-	}
+	g.suspicions.Inc()
 	g.enqueue(v, gossipUpdate{peer: target, status: gossipSuspect, inc: m.inc})
 }
 
@@ -932,17 +911,6 @@ func (g *GossipDetector) SetSuspicion(d time.Duration) {
 	g.opts.Suspicion = d
 }
 
-// SetProbeTimeout replaces the base probe timeout at runtime.
-// Non-positive values are ignored.
-func (g *GossipDetector) SetProbeTimeout(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.opts.ProbeTimeout = d
-}
-
 // SetAdaptive switches Lifeguard health scaling on or off at runtime.
 // Switching off resets every view's health so the next enable starts
 // from a clean slate.
@@ -1025,9 +993,7 @@ func (g *GossipDetector) sweepSuspicion(now time.Duration) {
 			m.status = gossipDead
 			m.since = now
 			m.own = false
-			if g.tele != nil {
-				g.tele.deaths.Inc()
-			}
+			g.deaths.Inc()
 			g.enqueue(v, gossipUpdate{peer: other, status: gossipDead, inc: m.inc})
 		}
 	}

@@ -18,6 +18,18 @@ func gossipLab(t *testing.T, nPeers int, opts GossipOptions) (*System, *GossipDe
 	return sys, sys.StartGossipDetector(opts)
 }
 
+// TestOneDetectorPerSystem: a System holds one membership view; starting
+// a second detector is a programming error, like a registry kind clash.
+func TestOneDetectorPerSystem(t *testing.T) {
+	sys, _ := gossipLab(t, 3, GossipOptions{Seed: 1})
+	defer func() {
+		if recover() == nil {
+			t.Error("a second StartGossipDetector on one System must panic")
+		}
+	}()
+	sys.StartGossipDetector(GossipOptions{Seed: 2})
+}
+
 // timeline records detector events for comparison.
 type timeline []string
 

@@ -116,7 +116,7 @@ func (p *Peer) relocate(t *Task, n *algebra.Node, mv move) error {
 			if e.child != nil && e.child.Op == algebra.OpChannelIn && e.child.Channel == oldRef {
 				e.child.Channel = out.Ref()
 			}
-			s.link.CountTransfer(e.peer, mv.host, ctrlMsgBytes)
+			s.Net.CountTransfer(e.peer, mv.host, ctrlMsgBytes)
 		}
 	}
 
@@ -167,7 +167,7 @@ func (p *Peer) relocate(t *Task, n *algebra.Node, mv move) error {
 	if oldRef != origRef {
 		s.DB.PublishReplica(oldRef, out.Ref()) //nolint:errcheck // same ring
 	}
-	s.link.CountTransfer(t.Manager, mv.host, ctrlMsgBytes)
+	s.Net.CountTransfer(t.Manager, mv.host, ctrlMsgBytes)
 	return nil
 }
 

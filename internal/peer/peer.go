@@ -148,12 +148,7 @@ func (p *Peer) SubscribeParsed(sub *p2pml.Subscription) (*Task, error) {
 
 	var reuseRes *reuse.Result
 	if cfg.Reuse {
-		ro := reuse.Options{
-			From:     p.name,
-			Consumer: p.name,
-			Choose:   aliveOnly(p.sys, reuse.PreferClose(p.sys.Net.Distance, p.sys.Net.Load)),
-		}
-		reuseRes, err = ro.Apply(plan, p.sys.DB)
+		reuseRes, err = p.reuseOptions().Apply(plan, p.sys.DB)
 		if err != nil {
 			return nil, err
 		}
@@ -163,14 +158,24 @@ func (p *Peer) SubscribeParsed(sub *p2pml.Subscription) (*Task, error) {
 		// the chosen provider, not where the original plan put it).
 		plan = algebra.Optimize(plan, algebra.Options{SubscriberPeer: p.name, Pushdown: false})
 	}
+	return p.start(&Task{Sub: sub, Plan: plan, Reuse: reuseRes})
+}
 
-	task := &Task{
-		ID:      p.sys.nextTaskID(),
-		Manager: p.name,
-		Sub:     sub,
-		Plan:    plan,
-		Reuse:   reuseRes,
+// reuseOptions is this manager's reuse pass: discover from here, consume
+// here, prefer a live provider that is close and unloaded.
+func (p *Peer) reuseOptions() reuse.Options {
+	return reuse.Options{
+		From:     p.name,
+		Consumer: p.name,
+		Choose:   aliveOnly(p.sys, reuse.PreferClose(p.sys.Net.Distance, p.sys.Net.Load)),
 	}
+}
+
+// start is the one way a task comes to run under this manager: it gets
+// its id, its plan is deployed (and torn down again if any part of the
+// deployment fails), and it enters the subscription database.
+func (p *Peer) start(task *Task) (*Task, error) {
+	task.ID, task.Manager = p.sys.nextTaskID(), p.name
 	if err := p.deploy(task); err != nil {
 		task.Stop()
 		return nil, err
@@ -198,19 +203,7 @@ func (p *Peer) DeployPlan(plan *algebra.Node) (*Task, error) {
 	if anyErr != nil {
 		return nil, anyErr
 	}
-	task := &Task{
-		ID:      p.sys.nextTaskID(),
-		Manager: p.name,
-		Plan:    plan.Clone(),
-	}
-	if err := p.deploy(task); err != nil {
-		task.Stop()
-		return nil, err
-	}
-	p.mu.Lock()
-	p.tasks[task.ID] = task
-	p.mu.Unlock()
-	return task, nil
+	return p.start(&Task{Plan: plan.Clone()})
 }
 
 // DeployPlanShared is DeployPlan preceded by the reuse pass: the plan is
@@ -224,30 +217,12 @@ func (p *Peer) DeployPlanShared(plan *algebra.Node) (*Task, error) {
 	if plan == nil || plan.Op != algebra.OpPublish {
 		return nil, fmt.Errorf("peer: plan must be rooted at a Publish node")
 	}
-	ro := reuse.Options{
-		From:     p.name,
-		Consumer: p.name,
-		Choose:   aliveOnly(p.sys, reuse.PreferClose(p.sys.Net.Distance, p.sys.Net.Load)),
-	}
-	res, err := ro.Apply(plan, p.sys.DB)
+	res, err := p.reuseOptions().Apply(plan, p.sys.DB)
 	if err != nil {
 		return nil, err
 	}
 	shared := algebra.Optimize(res.Plan, algebra.Options{SubscriberPeer: p.name, Pushdown: false})
-	task := &Task{
-		ID:      p.sys.nextTaskID(),
-		Manager: p.name,
-		Plan:    shared,
-		Reuse:   res,
-	}
-	if err := p.deploy(task); err != nil {
-		task.Stop()
-		return nil, err
-	}
-	p.mu.Lock()
-	p.tasks[task.ID] = task
-	p.mu.Unlock()
-	return task, nil
+	return p.start(&Task{Plan: shared, Reuse: res})
 }
 
 // Tasks lists the subscription database contents.

@@ -200,7 +200,7 @@ func (p *Peer) checkpointTask(t *Task) {
 		// DHT owner and shows up in the traffic counters like any other
 		// monitoring cost.
 		if owner, err := s.Ring.Owner(kadop.CheckpointKey(t.ID, op)); err == nil {
-			s.link.CountTransfer(n.Peer, owner, len(xml))
+			s.Net.CountTransfer(n.Peer, owner, len(xml))
 		}
 	}
 }

@@ -181,8 +181,6 @@ func TestRechunkControllerSplitsHotInterior(t *testing.T) {
 
 	opts := splitConfig(4)
 	opts.Agg.SplitRatio = 1.5
-	opts.Agg.SplitMinFanIn = 4
-	opts.Agg.SplitObservations = 3
 	opts.Agg.SplitCooldown = 10 * time.Second
 	sys, task := aggWorld(t, opts, sources, workers)
 	client := sys.Peer("client")
@@ -236,8 +234,6 @@ func TestTuningMidRunDeterministic(t *testing.T) {
 		// at construction wires the Step hook, the mid-run setter below
 		// re-arms the deciding ratio.
 		opts.Agg.SplitRatio = 1.5
-		opts.Agg.SplitMinFanIn = 4
-		opts.Agg.SplitObservations = 3
 		opts.Agg.SplitCooldown = 10 * time.Second
 		sys, task := aggWorld(t, opts, sources, workers)
 		tun := sys.Tuning()

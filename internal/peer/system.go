@@ -21,7 +21,6 @@ import (
 	"p2pm/internal/soap"
 	"p2pm/internal/stream"
 	"p2pm/internal/telemetry"
-	"p2pm/internal/transport"
 	"p2pm/internal/xmltree"
 )
 
@@ -35,13 +34,7 @@ type System struct {
 	cfgMu sync.RWMutex
 	cfg   Config
 
-	Net *simnet.Network
-	// link is the fault-aware delivery seam every data-plane transfer
-	// goes through (transport.Link). It is the same object as Net — the
-	// simulated network satisfies the interface — but call sites that
-	// move items or account bytes use this narrow surface, keeping the
-	// operator data plane portable to other transport substrates.
-	link   transport.Link
+	Net    *simnet.Network
 	Fabric *soap.Fabric
 	Ring   *dht.Ring
 	DB     *kadop.DB
@@ -55,12 +48,15 @@ type System struct {
 	// must resolve to one node, one ring member and one Peer.
 	admitMu sync.Mutex
 
-	mu        sync.Mutex
-	peers     map[string]*Peer
-	channels  map[stream.Ref]*stream.Channel
-	sidSeq    map[string]int
-	taskSeq   int
-	detectors []*GossipDetector
+	mu       sync.Mutex
+	peers    map[string]*Peer
+	channels map[stream.Ref]*stream.Channel
+	sidSeq   map[string]int
+	taskSeq  int
+	// detector is the System's one gossip failure detector (nil until
+	// StartGossipDetector): the one membership view Step ticks, joins
+	// and leaves go through, and the Tuning surface adjusts.
+	detector *GossipDetector
 	// edges indexes the live consumer edges of every channel by its ref
 	// (edge.go): an edge enters when it attaches and leaves when it is
 	// re-bound elsewhere, closed with its task, severed or — a replica
@@ -119,7 +115,6 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{
 		cfg:      cfg,
 		Net:      nw,
-		link:     nw,
 		Fabric:   soap.NewFabric(nw),
 		Ring:     ring,
 		DB:       kadop.New(ring),
@@ -183,8 +178,8 @@ func (s *System) AddPeer(name string) (*Peer, error) {
 // JoinPeer admits a peer at runtime through the membership protocol, no
 // pre-run registration anywhere: the peer's network node comes up, it
 // takes its positions on the stream-definition DHT ring (the keys it
-// now owns hand off to it), and every running failure detector learns
-// of it through the gossip join protocol (seed contact, bootstrap,
+// now owns hand off to it), and the failure detector learns of it
+// through the gossip join protocol (seed contact, bootstrap,
 // piggybacked dissemination with incarnation numbers). The peer is
 // immediately eligible for operator placement and failover targeting.
 // Re-joining a dead peer revives it: its links come up, it re-enters
@@ -200,12 +195,12 @@ func (s *System) JoinPeer(name, seed string) (*Peer, error) {
 	if !s.Net.Alive(seed) {
 		return nil, fmt.Errorf("peer: join seed %q is down", seed)
 	}
-	dets := s.gossipDetectors()
-	// Validate the join against every detector BEFORE touching any
-	// state: a rejected join (unknown seed view, joiner partitioned from
-	// the seed) must not leave a half-admitted peer owning DHT keys that
-	// no detector watches.
-	for _, g := range dets {
+	g := s.gossipDetector()
+	// Validate the join against the detector BEFORE touching any state:
+	// a rejected join (unknown seed view, joiner partitioned from the
+	// seed) must not leave a half-admitted peer owning DHT keys that no
+	// detector watches.
+	if g != nil {
 		if err := g.joinPrecheck(name, seed); err != nil {
 			return nil, err
 		}
@@ -219,19 +214,16 @@ func (s *System) JoinPeer(name, seed string) (*Peer, error) {
 		s.Net.Recover(name) //nolint:errcheck // known node
 		s.Ring.Join(name)   //nolint:errcheck // already-joined is fine
 	}
-	for _, g := range dets {
-		if err := g.Join(name, seed); err != nil {
-			// Unreachable given the precheck above (no state changed
-			// between the two under this harness's single-threaded
-			// membership control); surface it rather than hide it.
-			return p, err
-		}
-	}
-	if len(dets) == 0 {
-		// No detector accounted the seed contact and bootstrap transfer
+	if g == nil {
+		// No detector to account the seed contact and bootstrap transfer
 		// (Join does): the join is one control message on the
 		// joiner→seed link.
-		s.link.CountTransfer(name, seed, ctrlMsgBytes)
+		s.Net.CountTransfer(name, seed, ctrlMsgBytes)
+	} else if err := g.Join(name, seed); err != nil {
+		// Unreachable given the precheck above (no state changed between
+		// the two under this harness's single-threaded membership
+		// control); surface it rather than hide it.
+		return p, err
 	}
 	if s.aggDegree() > 1 {
 		// The ring just changed: aggregation-tree interiors whose
@@ -537,8 +529,8 @@ func (s *System) RefreshStreamStats() error {
 	return nil
 }
 
-// Step advances the virtual clock by d and ticks every registered
-// failure detector. Churn harnesses drive the system with repeated small
+// Step advances the virtual clock by d and ticks the failure
+// detector. Churn harnesses drive the system with repeated small
 // Steps; detection latency is quantized to the step size, so use steps
 // no coarser than the heartbeat interval when measuring it. With the
 // replay layer on, each Step also runs the anti-entropy sweep (repairing
@@ -549,7 +541,7 @@ func (s *System) Step(d time.Duration) {
 		defer s.observeStep(time.Now())
 	}
 	s.Net.Clock().Advance(d)
-	for _, g := range s.gossipDetectors() {
+	if g := s.gossipDetector(); g != nil {
 		g.Tick()
 	}
 	if s.replayOn() {

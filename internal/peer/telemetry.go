@@ -7,9 +7,10 @@ import (
 	"p2pm/internal/telemetry"
 )
 
-// sysMetrics are a System's registered telemetry handles. A nil
-// *sysMetrics (telemetry disabled, the default) keeps every seam at
-// its uninstrumented cost.
+// sysMetrics are the registry handles only the System feeds: the Step
+// clock and the pull-style gauges. (What the layers count — simnet, DHT,
+// gossip — is their own fields, exported by Attach.) Nil when telemetry
+// is disabled, the default: Step then reads no wall clock.
 type sysMetrics struct {
 	reg *telemetry.Registry
 
@@ -131,23 +132,22 @@ func (s *System) observeStep(start time.Time) {
 	s.tele.stepNs.Observe(time.Since(start).Nanoseconds())
 }
 
-// gossipMetrics are one detector's registered telemetry handles.
-type gossipMetrics struct {
-	probes     *telemetry.Counter
-	indirect   *telemetry.Counter
-	suspicions *telemetry.Counter
-	deaths     *telemetry.Counter
-	healthMax  *telemetry.Gauge
-	suspects   *telemetry.Gauge
-}
-
-func newGossipMetrics(reg *telemetry.Registry) *gossipMetrics {
-	return &gossipMetrics{
-		probes:     reg.Counter("gossip_probes_total"),
-		indirect:   reg.Counter("gossip_indirect_probes_total"),
-		suspicions: reg.Counter("gossip_suspicions_total"),
-		deaths:     reg.Counter("gossip_deaths_total"),
-		healthMax:  reg.Gauge("gossip_health_max"),
-		suspects:   reg.Gauge("gossip_suspects"),
+// exportDetector exports the detector's protocol counters and, as one
+// more snapshot-time pull, its two level gauges. No-op when telemetry
+// is disabled.
+func (s *System) exportDetector(g *GossipDetector) {
+	if s.tele == nil {
+		return
 	}
+	reg := s.tele.reg
+	reg.Attach("gossip_probes_total", &g.probes)
+	reg.Attach("gossip_indirect_probes_total", &g.indirect)
+	reg.Attach("gossip_suspicions_total", &g.suspicions)
+	reg.Attach("gossip_deaths_total", &g.deaths)
+	healthMax, suspects := reg.Gauge("gossip_health_max"), reg.Gauge("gossip_suspects")
+	reg.OnCollect(func() {
+		h, n := g.levels()
+		healthMax.Set(int64(h))
+		suspects.Set(int64(n))
+	})
 }

@@ -4,12 +4,33 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"p2pm/internal/dht"
 	"p2pm/internal/telemetry"
+	"p2pm/internal/transport"
+	"p2pm/internal/wire"
 )
+
+// seriesShapes lists a snapshot's exported series as sorted, distinct
+// "name kind label-keys" lines.
+func seriesShapes(snap telemetry.Snapshot) []string {
+	var out []string
+	for _, m := range snap.Metrics {
+		keys := make([]string, len(m.Labels))
+		for i, l := range m.Labels {
+			keys[i] = l.Key
+		}
+		out = append(out, strings.TrimSpace(fmt.Sprintf("%s %s %s", m.Name, m.Kind, strings.Join(keys, ","))))
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
 
 // TestTelemetryEndToEnd scrapes a live System's HTTP metrics endpoint:
 // Config.Telemetry.Addr brings up the exporter, Steps and monitored
@@ -57,5 +78,221 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	js := get("/metrics.json")
 	if !strings.Contains(js, `"name":"system_steps_total"`) || !strings.Contains(js, `"value":3`) {
 		t.Errorf("json export missing the step counter:\n%s", js)
+	}
+
+	// The exported series of this run — name, kind, label keys — as a
+	// build of PR 21 (before the registry attached to the layers' own
+	// counters) lists them: a renamed, re-kinded or vanished series fails
+	// here.
+	want := []string{
+		"agg_ingest_items gauge peer",
+		"agg_interior_ingest_max gauge",
+		"agg_interior_ingest_mean_milli gauge",
+		"dht_cache_hits_total counter",
+		"dht_gets_total counter",
+		"dht_handoffs_total counter",
+		"dht_hops_total counter",
+		"dht_lookups_total counter",
+		"dht_puts_total counter",
+		"simnet_bytes_total counter",
+		"simnet_dropped_total counter",
+		"simnet_messages_total counter",
+		"stream_channels gauge",
+		"stream_queue_depth gauge",
+		"stream_replay_buffered gauge",
+		"stream_replay_trimmed gauge",
+		"stream_replayed_items gauge",
+		"system_step_ns histogram",
+		"system_steps_total counter",
+	}
+	if got := seriesShapes(cfg.Telemetry.Registry.Snapshot()); !slices.Equal(got, want) {
+		t.Errorf("exported series changed:\n got %q\nwant %q", got, want)
+	}
+}
+
+// catalogKinds parses the metric catalog table of docs/TELEMETRY.md
+// into series name → kind.
+func catalogKinds(t *testing.T) map[string]string {
+	t.Helper()
+	doc, err := os.ReadFile("../../docs/TELEMETRY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "## Metric catalog")
+	if !ok {
+		t.Fatal("docs/TELEMETRY.md has no metric catalog")
+	}
+	table, _, _ = strings.Cut(table, "\n## ")
+	name := regexp.MustCompile("`([a-z_]+)`")
+	out := map[string]string{}
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 7 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		kinds := strings.Split(cells[2], ",")
+		for i, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			out[m[1]] = strings.TrimSpace(kinds[min(i, len(kinds)-1)])
+		}
+	}
+	return out
+}
+
+// TestRegistryReadsTheLayersOwnCounters drives every layer that keeps
+// counters — transport sends and a frame lost on a crashed link, DHT
+// puts, gets, cache hits and a join's handoffs, gossip probes through
+// to a declared death — and then walks the docs/TELEMETRY.md catalog:
+// every counter a layer owns is exported under its documented name,
+// kind and label keys, and reads exactly what the layer's own accessor
+// reads, because it is the same variable. (The wire_* pair and the tcp
+// backend are compared in internal/transport's test of the same name:
+// an endpoint's decode stats have no accessor outside that package.)
+func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := DefaultConfig()
+	cfg.Telemetry.Registry = reg
+	cfg.DHT.LoadBound, cfg.DHT.ReadCache = 1.25, true
+	sys := MustSystem(cfg)
+	peers := []string{"p0", "p1", "p2", "p3", "p4"}
+	for _, p := range peers {
+		sys.MustAddPeer(p)
+	}
+	det := sys.StartGossipDetector(GossipOptions{Seed: 7, ProbeInterval: time.Second, Suspicion: 2 * time.Second})
+
+	sn := transport.NewSimNet(sys.Net)
+	sn.Instrument(reg)
+	eps := map[string]*transport.SimEndpoint{}
+	for _, p := range peers {
+		eps[p] = sn.Endpoint(p)
+		eps[p].Handle(func(string, wire.Message) {})
+	}
+	send := func(from, to string) {
+		t.Helper()
+		if err := eps[from].Send(to, &wire.Item{Stream: "s1@" + from, Seq: 1, XML: "<r/>"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send("p0", "p1")
+	send("p1", "p0")
+	send("p0", "p2")
+
+	for i := 0; i < 8; i++ {
+		if err := sys.Ring.Put(fmt.Sprintf("k|%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.JoinPeer("late", "p0"); err != nil { // hands keys off
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the repeat is a read-cache hit
+		if _, _, err := sys.Ring.Get("p0", "k|0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sys.Net.Crash("p3")
+	send("p0", "p3") // lost on the link
+	for i := 0; i < 25 && det.deaths.Value() == 0; i++ {
+		sys.Step(time.Second)
+	}
+
+	// What each layer's own accessor says, per exported series.
+	epSum := func(f func(transport.Stats) uint64) func() uint64 {
+		return func() (n uint64) {
+			for _, ep := range eps {
+				n += f(ep.Stats())
+			}
+			return n
+		}
+	}
+	served := func(f func(dht.Load) uint64) func() uint64 {
+		return func() (n uint64) {
+			for _, l := range sys.Ring.ServiceLoad("k") { // the script's only key class
+				n += f(l)
+			}
+			return n
+		}
+	}
+	probes, indirect, _ := det.ProtocolCounters()
+	lookups, hops := sys.Ring.Stats()
+	totals := sys.Net.Totals()
+	owned := map[string]func() uint64{
+		"transport_sent_total":         epSum(func(s transport.Stats) uint64 { return s.Sent }),
+		"transport_sent_bytes_total":   epSum(func(s transport.Stats) uint64 { return s.SentBytes }),
+		"transport_recv_total":         epSum(func(s transport.Stats) uint64 { return s.Received }),
+		"transport_recv_bytes_total":   epSum(func(s transport.Stats) uint64 { return s.ReceivedBytes }),
+		"transport_dropped_total":      epSum(func(s transport.Stats) uint64 { return s.Dropped }),
+		"simnet_messages_total":        func() uint64 { return totals.Messages },
+		"simnet_bytes_total":           func() uint64 { return totals.Bytes },
+		"simnet_dropped_total":         func() uint64 { return totals.Dropped },
+		"dht_puts_total":               served(func(l dht.Load) uint64 { return l.Puts }),
+		"dht_gets_total":               served(func(l dht.Load) uint64 { return l.Gets }),
+		"dht_lookups_total":            func() uint64 { return lookups },
+		"dht_hops_total":               func() uint64 { return hops },
+		"dht_handoffs_total":           sys.Ring.Handoffs,
+		"dht_cache_hits_total":         sys.Ring.ReadCacheHits,
+		"gossip_probes_total":          func() uint64 { return probes },
+		"gossip_indirect_probes_total": func() uint64 { return indirect },
+		"gossip_suspicions_total":      det.suspicions.Value,
+		"gossip_deaths_total":          det.deaths.Value,
+	}
+	snap := reg.Snapshot()
+	perPeer := func(name string) bool {
+		return strings.HasPrefix(name, "transport_") || strings.HasPrefix(name, "wire_")
+	}
+	// get sums a series over the endpoints when it is per-peer.
+	get := func(name string) (v uint64, ok bool) {
+		if !perPeer(name) {
+			m, ok := snap.Get(name)
+			return uint64(m.Value), ok && m.Kind == telemetry.KindCounter
+		}
+		for _, p := range peers {
+			m, ok := snap.Get(name, telemetry.L("backend", "sim"), telemetry.L("peer", p))
+			if !ok || m.Kind != telemetry.KindCounter {
+				return 0, false
+			}
+			v += uint64(m.Value)
+		}
+		return v, true
+	}
+
+	catalog := catalogKinds(t)
+	// Counters the catalog lists that no layer owns a field for: the
+	// registry's own, and the Step counter beside its histogram.
+	registryOwned := map[string]bool{"system_steps_total": true, "telemetry_series_dropped_total": true}
+	for name, kind := range catalog {
+		if kind != "counter" || registryOwned[name] {
+			continue
+		}
+		got, ok := get(name)
+		if !ok {
+			t.Errorf("%s: not exported as a counter with the documented labels", name)
+			continue
+		}
+		want, has := owned[name]
+		switch {
+		case has:
+			if w := want(); got != w || w == 0 {
+				t.Errorf("%s = %d, the layer's accessor reads %d (want equal and non-zero)", name, got, w)
+			}
+		case name == "transport_reconnects_total":
+			if got != 0 {
+				t.Errorf("%s = %d on the sim backend, want 0", name, got)
+			}
+		case strings.HasPrefix(name, "wire_"): // values: internal/transport's test
+		default:
+			t.Errorf("%s is in the catalog but this test knows no accessor for it", name)
+		}
+	}
+	for name := range owned {
+		if catalog[name] != "counter" {
+			t.Errorf("%s is exported but docs/TELEMETRY.md's catalog does not list it as a counter", name)
+		}
+	}
+	// Whatever else this run exports carries the catalog's kind.
+	for _, m := range snap.Metrics {
+		if kind, ok := catalog[m.Name]; !ok || kind != m.Kind.String() {
+			t.Errorf("%s exported as %s, catalog says %q", m.Name, m.Kind, kind)
+		}
 	}
 }

@@ -136,10 +136,12 @@ func (nw *Network) SetExtraDelay(a, b string, d time.Duration) {
 	nw.linkDelay[[2]string{a, b}] = d
 }
 
-// Ping accounts one small control message (a heartbeat) on from→to and
-// returns its one-way latency. ok=false when the fault model loses it:
-// crashed endpoint, partition, or injected drop — lost pings are counted
-// like any dropped message.
+// Ping ships an opaque control-plane payload of the given wire size — a
+// gossip probe, a checkpoint, a partial-aggregation state, any message
+// the simnet transport backend (internal/transport) sends — across
+// from→to and returns its one-way latency. ok=false when the fault model
+// loses it: crashed endpoint, partition, or injected drop. Delivered and
+// lost payloads land in the same per-link accounting as stream items.
 func (nw *Network) Ping(from, to string, bytes int) (time.Duration, bool) {
 	if from == to {
 		return 0, true
@@ -166,9 +168,7 @@ func (nw *Network) countDropped(from, to string) {
 		nw.links[key] = ls
 	}
 	ls.Dropped++
-	if nw.tele != nil {
-		nw.tele.dropped.Inc()
-	}
+	nw.dropped.Inc()
 }
 
 // lose decides whether a message on from→to is lost to injected drop

@@ -95,31 +95,26 @@ type Network struct {
 	latOver   map[[2]string]time.Duration
 	dropProb  map[[2]string]float64
 	linkDelay map[[2]string]time.Duration
-	tele      *netMetrics // nil unless Instrument was called
+
+	// msgs, bytes and dropped are the network-wide totals since
+	// construction (per-link series would explode cardinality on large
+	// meshes — per-link numbers stay available via Link). Instrument
+	// exports them, and Totals reads them less their values at the last
+	// ResetTraffic (reset).
+	msgs, bytes, dropped telemetry.Counter
+	reset                Totals
 }
 
-// netMetrics are the network-wide telemetry handles: totals across all
-// links (per-link series would explode cardinality on large meshes —
-// per-link numbers stay available via LinkStats).
-type netMetrics struct {
-	msgs, bytes, dropped *telemetry.Counter
-}
-
-// Instrument registers the network's aggregate traffic counters
-// (simnet_messages_total, simnet_bytes_total, simnet_dropped_total)
-// with the telemetry registry. Idempotent; uninstrumented networks pay
-// nothing on the accounting paths.
+// Instrument exports the network's aggregate traffic counters as
+// simnet_messages_total, simnet_bytes_total and simnet_dropped_total.
+// They are cumulative: ResetTraffic does not rewind them. Idempotent.
 func (nw *Network) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	nw.tele = &netMetrics{
-		msgs:    reg.Counter("simnet_messages_total"),
-		bytes:   reg.Counter("simnet_bytes_total"),
-		dropped: reg.Counter("simnet_dropped_total"),
-	}
+	reg.Attach("simnet_messages_total", &nw.msgs)
+	reg.Attach("simnet_bytes_total", &nw.bytes)
+	reg.Attach("simnet_dropped_total", &nw.dropped)
 }
 
 // New builds an empty network.
@@ -239,10 +234,8 @@ func (nw *Network) CountTransfer(from, to string, bytes int) {
 	}
 	ls.Messages++
 	ls.Bytes += uint64(bytes)
-	if nw.tele != nil {
-		nw.tele.msgs.Inc()
-		nw.tele.bytes.Add(uint64(bytes))
-	}
+	nw.msgs.Inc()
+	nw.bytes.Add(uint64(bytes))
 }
 
 // Send accounts for shipping an item from one node to another and returns
@@ -272,22 +265,6 @@ func (nw *Network) Deliver(from, to string, it stream.Item) (stream.Item, bool) 
 	return nw.Send(from, to, it), true
 }
 
-// DeliverPayload ships an opaque control-plane payload of the given
-// wire size across the from→to link under the fault model, returning
-// whether it arrived. This is the delivery primitive behind the simnet
-// transport backend (internal/transport): gossip probes, checkpoint
-// traffic and partial-aggregation states all cross links through it,
-// so they obey the same crash/partition/loss faults and land in the
-// same per-link byte accounting as stream items do.
-func (nw *Network) DeliverPayload(from, to string, bytes int) bool {
-	if from != to && (!nw.Reachable(from, to) || nw.lose(from, to)) {
-		nw.countDropped(from, to)
-		return false
-	}
-	nw.CountTransfer(from, to, bytes)
-	return true
-}
-
 // DeliverHook returns a stream.Channel delivery hook that routes items
 // across the from→to link with accounting, latency stamping and fault
 // injection: messages lost to crashes, partitions or injected drop
@@ -308,18 +285,17 @@ type Totals struct {
 	Links    int
 }
 
-// Totals returns aggregate traffic counters.
+// Totals returns aggregate traffic counters since the last
+// ResetTraffic.
 func (nw *Network) Totals() Totals {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	var t Totals
-	for _, ls := range nw.links {
-		t.Messages += ls.Messages
-		t.Bytes += ls.Bytes
-		t.Dropped += ls.Dropped
-		t.Links++
+	return Totals{
+		Messages: nw.msgs.Value() - nw.reset.Messages,
+		Bytes:    nw.bytes.Value() - nw.reset.Bytes,
+		Dropped:  nw.dropped.Value() - nw.reset.Dropped,
+		Links:    len(nw.links),
 	}
-	return t
 }
 
 // Link returns a copy of the stats for the directed link a→b.
@@ -337,6 +313,7 @@ func (nw *Network) ResetTraffic() {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	nw.links = make(map[[2]string]*LinkStats)
+	nw.reset = Totals{Messages: nw.msgs.Value(), Bytes: nw.bytes.Value(), Dropped: nw.dropped.Value()}
 }
 
 // AddLoad adjusts a node's load gauge (number of hosted operators); the

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"p2pm/internal/stream"
+	"p2pm/internal/telemetry"
 	"p2pm/internal/xmltree"
 )
 
@@ -96,6 +97,41 @@ func TestTransferAccounting(t *testing.T) {
 	nw.ResetTraffic()
 	if nw.Totals().Messages != 0 {
 		t.Error("reset failed")
+	}
+}
+
+// TestTotalsResetButExportStaysCumulative: Totals() and the exported
+// simnet_*_total read the same three counters; ResetTraffic rewinds
+// what Totals reports, never what the registry exports.
+func TestTotalsResetButExportStaysCumulative(t *testing.T) {
+	nw := New(DefaultOptions())
+	nw.AddNode("a")
+	nw.AddNode("b")
+	nw.CountTransfer("a", "b", 10) // before Instrument: lifetime totals
+	reg := telemetry.NewRegistry()
+	nw.Instrument(reg)
+	nw.Instrument(reg)
+	nw.Crash("b")
+	if _, ok := nw.Ping("a", "b", 7); ok {
+		t.Fatal("ping to a crashed node arrived")
+	}
+	exported := func() Totals {
+		snap := reg.Snapshot()
+		m, _ := snap.Get("simnet_messages_total")
+		b, _ := snap.Get("simnet_bytes_total")
+		d, _ := snap.Get("simnet_dropped_total")
+		return Totals{Messages: uint64(m.Value), Bytes: uint64(b.Value), Dropped: uint64(d.Value), Links: 1}
+	}
+	if got, want := nw.Totals(), (Totals{Messages: 1, Bytes: 10, Dropped: 1, Links: 1}); got != want || exported() != want {
+		t.Fatalf("totals = %+v, exported = %+v, want both %+v", got, exported(), want)
+	}
+	nw.ResetTraffic()
+	nw.CountTransfer("a", "b", 5)
+	if got, want := nw.Totals(), (Totals{Messages: 1, Bytes: 5, Links: 1}); got != want {
+		t.Errorf("totals after reset = %+v, want %+v", got, want)
+	}
+	if got, want := exported(), (Totals{Messages: 2, Bytes: 15, Dropped: 1, Links: 1}); got != want {
+		t.Errorf("exported after reset = %+v, want the cumulative %+v", got, want)
 	}
 }
 

@@ -22,7 +22,6 @@ type Cursor struct {
 	mu      sync.Mutex
 	next    uint64 // lowest sequence not yet delivered
 	pending map[uint64]Item
-	maxSeen uint64
 	dups    uint64
 	skipped uint64
 	sink    func(Item)
@@ -44,9 +43,6 @@ func (c *Cursor) Offer(it Item) {
 	if seq == 0 {
 		c.sink(it)
 		return
-	}
-	if seq > c.maxSeen {
-		c.maxSeen = seq
 	}
 	if seq < c.next {
 		c.dups++
@@ -157,13 +153,6 @@ func (c *Cursor) Has(seq uint64) bool {
 	}
 	_, ok := c.pending[seq]
 	return ok
-}
-
-// MaxSeen returns the highest sequence number ever offered.
-func (c *Cursor) MaxSeen() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxSeen
 }
 
 // Pending returns the number of parked ahead-of-sequence items.

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,11 +41,14 @@ const DefaultMaxSeries = 256
 // cardinality guard collapse into.
 var overflowLabel = Label{Key: "overflow", Value: "true"}
 
-// series is one registered (name, labels) instrument.
+// series is one registered (name, labels) instrument. A counter series
+// reports the sum of ctrs: the one counter the registry allocated
+// (Registry.Counter) and every counter a layer attached
+// (Registry.Attach).
 type series struct {
 	labels []Label // sorted
 	key    string
-	ctr    *Counter
+	ctrs   []*Counter
 	gauge  *Gauge
 	hist   *Histogram
 }
@@ -100,12 +104,25 @@ func (r *Registry) DroppedSeries() uint64 { return r.dropped.Value() }
 // panics: metric names are a global namespace and a kind clash is a
 // programming error that would corrupt every export.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	return r.register(name, KindCounter, nil, labels).ctr
+	return r.register(name, KindCounter, nil, labels, nil).ctrs[0]
+}
+
+// Attach exports a counter its owner keeps — a field of the layer that
+// increments it — under name+labels: the layer owns the number, the
+// registry reads it. A second counter attached under the same name and
+// labels makes the series their sum (two rings, two detectors or two
+// endpoints of one name on one registry report together, as they did
+// when they shared a handle); attaching the same counter again is a
+// no-op, so instrumenting twice is harmless. The kind clash and the
+// cardinality guard apply as in Counter: counters attached past the
+// guard sum into the overflow series.
+func (r *Registry) Attach(name string, c *Counter, labels ...Label) {
+	r.register(name, KindCounter, nil, labels, c)
 }
 
 // Gauge returns the gauge registered under name+labels.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	return r.register(name, KindGauge, nil, labels).gauge
+	return r.register(name, KindGauge, nil, labels, nil).gauge
 }
 
 // Histogram returns the histogram registered under name+labels with the
@@ -113,10 +130,13 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // first registration of a name fixes the bounds; later ones may pass
 // nil to reuse them.
 func (r *Registry) Histogram(name string, bounds []int64, labels ...Label) *Histogram {
-	return r.register(name, KindHistogram, bounds, labels).hist
+	return r.register(name, KindHistogram, bounds, labels, nil).hist
 }
 
-func (r *Registry) register(name string, kind Kind, bounds []int64, labels []Label) *series {
+// register finds or creates the series. attach, when non-nil, is a
+// layer-owned counter to add to it; a counter series created without
+// one gets a counter of the registry's own.
+func (r *Registry) register(name string, kind Kind, bounds []int64, labels []Label, attach *Counter) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
@@ -142,28 +162,31 @@ func (r *Registry) register(name string, kind Kind, bounds []int64, labels []Lab
 	}
 	sorted := sortLabels(labels)
 	key := labelKey(sorted)
-	if s := f.series[key]; s != nil {
-		return s
-	}
-	if len(f.series) >= r.maxSeries {
+	s := f.series[key]
+	if s == nil && len(f.series) >= r.maxSeries {
 		// Cardinality guard: collapse into the shared overflow series.
 		r.dropped.Inc()
-		okey := labelKey([]Label{overflowLabel})
-		if s := f.series[okey]; s != nil {
-			return s
+		sorted = []Label{overflowLabel}
+		key = labelKey(sorted)
+		s = f.series[key]
+	}
+	if s == nil {
+		s = &series{labels: sorted, key: key}
+		switch kind {
+		case KindCounter:
+			if attach == nil {
+				attach = &Counter{}
+			}
+		case KindGauge:
+			s.gauge = &Gauge{}
+		case KindHistogram:
+			s.hist = &Histogram{bounds: f.bounds, buckets: make([]atomic.Uint64, len(f.bounds)+1)}
 		}
-		sorted, key = []Label{overflowLabel}, okey
+		f.series[key] = s
 	}
-	s := &series{labels: sorted, key: key}
-	switch kind {
-	case KindCounter:
-		s.ctr = &Counter{}
-	case KindGauge:
-		s.gauge = &Gauge{}
-	case KindHistogram:
-		s.hist = &Histogram{bounds: f.bounds, buckets: make([]atomic.Uint64, len(f.bounds)+1)}
+	if attach != nil && !slices.Contains(s.ctrs, attach) {
+		s.ctrs = append(s.ctrs, attach)
 	}
-	f.series[key] = s
 	return s
 }
 
@@ -226,7 +249,9 @@ func (r *Registry) Snapshot() Snapshot {
 			m := Metric{Name: f.name, Kind: f.kind, Labels: s.labels}
 			switch f.kind {
 			case KindCounter:
-				m.Value = int64(s.ctr.Value())
+				for _, c := range s.ctrs {
+					m.Value += int64(c.Value())
+				}
 			case KindGauge:
 				m.Value = s.gauge.Value()
 			case KindHistogram:

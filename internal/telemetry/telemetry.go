@@ -40,8 +40,10 @@ type Label struct {
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // Counter is a monotonically increasing series handle. The zero value
-// is usable standalone (not exported anywhere) — registry-created
-// counters are exported by Snapshot.
+// is usable: a layer keeps its counters as plain struct fields, reads
+// them through its own accessors, and exports them — the same
+// variables — with Registry.Attach. Registry.Counter hands out a
+// counter the registry itself owns.
 type Counter struct {
 	v atomic.Uint64
 }

@@ -180,9 +180,64 @@ func TestCardinalityGuard(t *testing.T) {
 	}
 }
 
+// TestAttachSumsAndIsIdempotent: a layer-owned counter attached to the
+// registry is the series (no copy); two counters under one key report
+// their sum; attaching the same pointer again counts it once; a kind
+// clash still panics.
+func TestAttachSumsAndIsIdempotent(t *testing.T) {
+	reg := NewRegistry()
+	var a, b Counter // zero values, owned by "the layer"
+	a.Add(3)         // lifetime totals: counted before export
+	reg.Attach("ring_puts_total", &a, L("peer", "n1"))
+	reg.Attach("ring_puts_total", &a, L("peer", "n1"))
+	a.Inc()
+	get := func() int64 {
+		m, ok := reg.Snapshot().Get("ring_puts_total", L("peer", "n1"))
+		if !ok || m.Kind != KindCounter {
+			t.Fatalf("ring_puts_total missing or wrong kind: %+v", m)
+		}
+		return m.Value
+	}
+	if got := get(); got != 4 || uint64(got) != a.Value() {
+		t.Errorf("series = %d, accessor = %d, want both 4 (same pointer attached twice counts once)", got, a.Value())
+	}
+	reg.Attach("ring_puts_total", &b, L("peer", "n1"))
+	b.Add(10)
+	if got := get(); got != 14 {
+		t.Errorf("two counters under one key = %d, want their sum 14", got)
+	}
+	// A different label set is a different series.
+	reg.Attach("ring_puts_total", &b, L("peer", "n2"))
+	if m, _ := reg.Snapshot().Get("ring_puts_total", L("peer", "n2")); m.Value != 10 {
+		t.Errorf("n2 series = %d, want 10", m.Value)
+	}
+	// Attach onto a registry-owned counter sums with it, too.
+	own := reg.Counter("mixed_total")
+	own.Add(2)
+	reg.Attach("mixed_total", &a)
+	if m, _ := reg.Snapshot().Get("mixed_total"); m.Value != 6 {
+		t.Errorf("registry-owned + attached = %d, want 6", m.Value)
+	}
+	if reg.Counter("mixed_total") != own {
+		t.Error("Counter must keep returning the registry's own handle")
+	}
+	reg.Gauge("level")
+	defer func() {
+		if recover() == nil {
+			t.Error("attaching a counter under a gauge's name must panic")
+		}
+	}()
+	reg.Attach("level", &a)
+}
+
 func TestZeroAllocHotPath(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("z_total", L("peer", "n1"))
+	var own Counter
+	reg.Attach("z_attached_total", &own, L("peer", "n1"))
+	if n := testing.AllocsPerRun(1000, func() { own.Inc(); own.Add(3) }); n != 0 {
+		t.Errorf("attached Counter hot path allocates %.1f/op", n)
+	}
 	g := reg.Gauge("z")
 	h := reg.Histogram("z_ns", ExpBounds(100, 10, 6))
 	if n := testing.AllocsPerRun(1000, func() { c.Inc(); c.Add(3) }); n != 0 {

@@ -55,7 +55,6 @@ type Node struct {
 	lastSeen  map[string]time.Time                // heartbeat: peer -> last gossip sighting
 	probeSeq  uint64
 	dupes     uint64 // root: duplicate partials discarded by the dedup
-	rejected  uint64 // root: partials rejected (bad state / unknown fn)
 	done      bool
 	stopped   bool
 	stopCh    chan struct{}
@@ -256,14 +255,6 @@ func (n *Node) Dupes() uint64 {
 	return n.dupes
 }
 
-// Rejected returns how many partials the root rejected (unknown fn or
-// a state the monoid refused to decode).
-func (n *Node) Rejected() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rejected
-}
-
 // ---------------------------------------------------------------------
 // Source side
 
@@ -427,17 +418,11 @@ func (n *Node) onMessage(from string, m wire.Message) {
 func (n *Node) onPartial(from string, p *wire.Partial) {
 	fn, ok := monoid.Lookup(p.Fn)
 	if !ok || p.Fn != n.cfg.Fn {
-		n.mu.Lock()
-		n.rejected++
-		n.mu.Unlock()
 		return
 	}
 	if _, err := fn.Decode(p.State); err != nil {
 		// A corrupt state never reaches a window (parsePartial
-		// semantics): count and drop, no ack, the source will resend.
-		n.mu.Lock()
-		n.rejected++
-		n.mu.Unlock()
+		// semantics): drop, no ack, the source will resend.
 		return
 	}
 	n.mu.Lock()

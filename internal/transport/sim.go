@@ -36,10 +36,9 @@ func NewSimNet(nw *simnet.Network) *SimNet {
 // clock, traffic counters).
 func (s *SimNet) Net() *simnet.Network { return s.nw }
 
-// Instrument registers every endpoint's traffic counters (current and
-// future ones) with the telemetry registry, labeled backend="sim" and
-// peer=<name>, and mirrors per-endpoint wire decode stats. Idempotent;
-// uninstrumented SimNets pay nothing.
+// Instrument exports every endpoint's traffic and wire decode counters
+// (current endpoints and future ones) through the telemetry registry,
+// labeled backend="sim" and peer=<name>. Idempotent.
 func (s *SimNet) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -48,7 +47,7 @@ func (s *SimNet) Instrument(reg *telemetry.Registry) {
 	defer s.mu.Unlock()
 	s.reg = reg
 	for _, ep := range s.eps {
-		ep.tele.Store(newEPMetrics(reg, "sim", ep.name, &ep.decode))
+		ep.export(reg, "sim", ep.name)
 	}
 }
 
@@ -62,9 +61,7 @@ func (s *SimNet) Endpoint(name string) *SimEndpoint {
 	}
 	s.nw.AddNode(name)
 	ep := &SimEndpoint{net: s, name: name}
-	if s.reg != nil {
-		ep.tele.Store(newEPMetrics(s.reg, "sim", name, &ep.decode))
-	}
+	ep.export(s.reg, "sim", name)
 	s.eps[name] = ep
 	return ep
 }
@@ -83,9 +80,7 @@ type SimEndpoint struct {
 	handler atomic.Pointer[Handler]
 	closed  atomic.Bool
 
-	sent, sentBytes, recv, recvBytes, dropped atomic.Uint64
-	decode                                    wire.Stats
-	tele                                      atomic.Pointer[epMetrics]
+	counters
 }
 
 var _ Transport = (*SimEndpoint)(nil)
@@ -124,68 +119,41 @@ func (ep *SimEndpoint) Send(to string, m wire.Message) error {
 		return fmt.Errorf("transport: unknown peer %q", to)
 	}
 	b := wire.Encode(m)
-	ep.sent.Add(1)
+	ep.sent.Inc()
 	ep.sentBytes.Add(uint64(len(b)))
-	tele := ep.tele.Load()
-	if tele != nil {
-		tele.sent.Inc()
-		tele.sentBytes.Add(uint64(len(b)))
-	}
-	if !ep.net.nw.DeliverPayload(ep.name, to, len(b)) {
-		ep.dropped.Add(1)
-		if tele != nil {
-			tele.dropped.Inc()
-		}
+	if _, ok := ep.net.nw.Ping(ep.name, to, len(b)); !ok {
+		ep.dropped.Inc()
 		return nil
 	}
 	tgt.deliver(ep.name, b)
 	return nil
 }
 
-// deliver decodes and dispatches one arrived message.
+// deliver decodes and dispatches one arrived message. A frame the link
+// carried to an endpoint that cannot take it — closed, undecodable, no
+// handler — is lost at this endpoint and counts as Dropped here.
 func (ep *SimEndpoint) deliver(from string, b []byte) {
 	if ep.closed.Load() {
+		ep.dropped.Inc()
 		return
 	}
-	tele := ep.tele.Load()
 	m, err := ep.decode.Decode(b)
 	if err != nil {
-		ep.dropped.Add(1)
-		if tele != nil {
-			tele.dropped.Inc()
-		}
+		ep.dropped.Inc()
 		return
 	}
 	h := ep.handler.Load()
 	if h == nil {
-		ep.dropped.Add(1)
-		if tele != nil {
-			tele.dropped.Inc()
-		}
+		ep.dropped.Inc()
 		return
 	}
-	ep.recv.Add(1)
+	ep.recv.Inc()
 	ep.recvBytes.Add(uint64(len(b)))
-	if tele != nil {
-		tele.recv.Inc()
-		tele.recvBytes.Add(uint64(len(b)))
-	}
 	(*h)(from, m)
 }
 
-// Stats snapshots the endpoint's counters.
-func (ep *SimEndpoint) Stats() Stats {
-	return Stats{
-		Sent:          ep.sent.Load(),
-		SentBytes:     ep.sentBytes.Load(),
-		Received:      ep.recv.Load(),
-		ReceivedBytes: ep.recvBytes.Load(),
-		Dropped:       ep.dropped.Load(),
-	}
-}
-
 // Close detaches the endpoint: later Sends error, arrivals are
-// ignored. The node stays in the simulated network (crash it there to
+// dropped (and counted). The node stays in the simulated network (crash it there to
 // model a dead machine).
 func (ep *SimEndpoint) Close() error {
 	ep.closed.Store(true)

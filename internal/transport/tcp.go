@@ -48,10 +48,10 @@ type TCPOptions struct {
 	// A connection that has not yet said Hello is held to the 64 KiB
 	// read buffer instead. Default 4 MiB.
 	MaxFrame int
-	// Telemetry, when non-nil, registers the endpoint's traffic
-	// counters (transport_*_total, wire_*_total; labels backend="tcp",
-	// peer=<self>) with the given registry. Nil keeps the endpoint
-	// uninstrumented at zero cost.
+	// Telemetry, when non-nil, exports the endpoint's traffic counters
+	// (transport_*_total, wire_*_total; labels backend="tcp",
+	// peer=<self>) through the given registry — the same counters
+	// Stats() reads, so the endpoint runs identically without one.
 	Telemetry *telemetry.Registry
 }
 
@@ -110,9 +110,7 @@ type TCP struct {
 
 	wg sync.WaitGroup
 
-	sent, sentBytes, recv, recvBytes, dropped, reconnects atomic.Uint64
-	decode                                                wire.Stats
-	tele                                                  *epMetrics // nil unless TCPOptions.Telemetry set
+	counters
 }
 
 // tcpPeer is one outbound link: address, queue, and the writer's
@@ -189,7 +187,7 @@ func ListenTCP(self, addr string, opts TCPOptions) (*TCP, error) {
 		conns: make(map[net.Conn]struct{}),
 		done:  make(chan struct{}),
 	}
-	t.tele = newEPMetrics(t.opts.Telemetry, "tcp", self, &t.decode)
+	t.export(t.opts.Telemetry, "tcp", self)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -250,7 +248,7 @@ func (t *TCP) Send(to string, m wire.Message) error {
 	p.qmu.Lock()
 	if p.queued >= t.opts.QueueDepth {
 		p.qmu.Unlock()
-		t.countDrop()
+		t.dropped.Inc()
 		return nil
 	}
 	before := len(p.pending)
@@ -264,25 +262,9 @@ func (t *TCP) Send(to string, m wire.Message) error {
 		default: // a wake-up is already waiting for the writer
 		}
 	}
-	t.sent.Add(1)
+	t.sent.Inc()
 	t.sentBytes.Add(n)
-	if t.tele != nil {
-		t.tele.sent.Inc()
-		t.tele.sentBytes.Add(n)
-	}
 	return nil
-}
-
-// Stats snapshots the endpoint's counters.
-func (t *TCP) Stats() Stats {
-	return Stats{
-		Sent:          t.sent.Load(),
-		SentBytes:     t.sentBytes.Load(),
-		Received:      t.recv.Load(),
-		ReceivedBytes: t.recvBytes.Load(),
-		Dropped:       t.dropped.Load(),
-		Reconnects:    t.reconnects.Load(),
-	}
 }
 
 // DropConnections force-closes every live connection, inbound and
@@ -348,15 +330,6 @@ func (t *TCP) Close() error {
 	}
 	t.wg.Wait()
 	return nil
-}
-
-// countDrop counts one lost message in the endpoint stats and, when
-// instrumented, the telemetry registry.
-func (t *TCP) countDrop() {
-	t.dropped.Add(1)
-	if t.tele != nil {
-		t.tele.dropped.Inc()
-	}
 }
 
 func (t *TCP) isClosed() bool {
@@ -445,9 +418,8 @@ func (t *TCP) flush(p *tcpPeer, batch []byte) bool {
 func (t *TCP) dropQueued(p *tcpPeer) {
 	p.qmu.Lock()
 	defer p.qmu.Unlock()
-	for ; p.queued > 0; p.queued-- {
-		t.countDrop()
-	}
+	t.dropped.Add(uint64(p.queued))
+	p.queued = 0
 	p.pending = nil
 }
 
@@ -472,10 +444,7 @@ func (t *TCP) ensureConn(p *tcpPeer) (net.Conn, bool) {
 		return nil, false
 	}
 	p.conn = conn
-	t.reconnects.Add(1)
-	if t.tele != nil {
-		t.tele.reconnects.Inc()
-	}
+	t.reconnects.Inc()
 	return conn, true
 }
 
@@ -530,19 +499,19 @@ func (t *TCP) readLoop(conn net.Conn) {
 		b, err := fr.next(from != "")
 		if err != nil {
 			if errors.Is(err, errFrameTooBig) {
-				t.countDrop()
+				t.dropped.Inc()
 			}
 			return
 		}
 		m, err := t.decode.Decode(b)
 		if err != nil {
-			t.countDrop()
+			t.dropped.Inc()
 			continue
 		}
 		if from == "" {
 			h, ok := m.(*wire.Hello)
 			if !ok || h.Peer == "" || h.Cluster != t.opts.Cluster {
-				t.countDrop()
+				t.dropped.Inc()
 				return // not one of ours: refuse the connection
 			}
 			from = h.Peer
@@ -550,15 +519,11 @@ func (t *TCP) readLoop(conn net.Conn) {
 		}
 		h := t.handler.Load()
 		if h == nil {
-			t.countDrop()
+			t.dropped.Inc()
 			continue
 		}
-		t.recv.Add(1)
+		t.recv.Inc()
 		t.recvBytes.Add(uint64(len(b)))
-		if t.tele != nil {
-			t.tele.recv.Inc()
-			t.tele.recvBytes.Add(uint64(len(b)))
-		}
 		(*h)(from, m)
 	}
 }

@@ -10,7 +10,7 @@
 package transport
 
 import (
-	"p2pm/internal/stream"
+	"p2pm/internal/telemetry"
 	"p2pm/internal/wire"
 )
 
@@ -58,15 +58,43 @@ type Stats struct {
 	Reconnects uint64
 }
 
-// Link is the minimal fault-aware item-delivery surface the in-process
-// control plane (internal/peer) needs from its substrate. The concrete
-// simnet.Network satisfies it; peer.System talks to this seam rather
-// than to simnet directly, which is what keeps the deployed-operator
-// data plane portable to other substrates.
-type Link interface {
-	// Deliver ships an item across the from→to link under the fault
-	// model, returning it latency-stamped and whether it arrived.
-	Deliver(from, to string, it stream.Item) (stream.Item, bool)
-	// CountTransfer accounts one control-plane message on a link.
-	CountTransfer(from, to string, bytes int)
+// counters is one endpoint's traffic, embedded by both backends. Each
+// number lives here and nowhere else: the send and receive paths
+// increment these fields, Stats() reads them, and export hands the
+// same fields to a telemetry registry.
+type counters struct {
+	sent, sentBytes, recv, recvBytes, dropped, reconnects telemetry.Counter
+	decode                                                wire.Stats
+}
+
+// Stats snapshots the endpoint's counters.
+func (c *counters) Stats() Stats {
+	return Stats{
+		Sent:          c.sent.Value(),
+		SentBytes:     c.sentBytes.Value(),
+		Received:      c.recv.Value(),
+		ReceivedBytes: c.recvBytes.Value(),
+		Dropped:       c.dropped.Value(),
+		Reconnects:    c.reconnects.Value(),
+	}
+}
+
+// export attaches the endpoint's counters, and its wire decode stats,
+// to reg as transport_*_total / wire_*_total. Every series carries
+// backend= (sim|tcp) and peer= (the endpoint's own name), so a
+// multi-endpoint process (every simnet test, the p2pmon net root)
+// exports per-peer traffic without colliding. A nil reg exports
+// nothing.
+func (c *counters) export(reg *telemetry.Registry, backend, self string) {
+	if reg == nil {
+		return
+	}
+	ls := []telemetry.Label{telemetry.L("backend", backend), telemetry.L("peer", self)}
+	reg.Attach("transport_sent_total", &c.sent, ls...)
+	reg.Attach("transport_sent_bytes_total", &c.sentBytes, ls...)
+	reg.Attach("transport_recv_total", &c.recv, ls...)
+	reg.Attach("transport_recv_bytes_total", &c.recvBytes, ls...)
+	reg.Attach("transport_dropped_total", &c.dropped, ls...)
+	reg.Attach("transport_reconnects_total", &c.reconnects, ls...)
+	c.decode.Instrument(reg, ls...)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"p2pm/internal/simnet"
+	"p2pm/internal/telemetry"
 	"p2pm/internal/wire"
 )
 
@@ -123,9 +124,107 @@ func TestSimNetUnknownPeerAndClose(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sn.Endpoint("b")
+	b := sn.Endpoint("b")
 	if err := a.Send("b", &wire.Probe{}); err == nil {
 		t.Error("send on closed endpoint should error")
+	}
+	// A frame the link carried to a closed endpoint is lost there: the
+	// sender counts it sent, the receiver counts it dropped, and nobody
+	// counts it received.
+	if err := b.Send("a", &wire.Probe{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := b.Stats(); st.Sent != 1 || st.Dropped != 0 {
+		t.Errorf("sender stats = %+v, want Sent 1, Dropped 0", st)
+	}
+	if st := a.Stats(); st.Received != 0 || st.Dropped != 1 {
+		t.Errorf("closed receiver stats = %+v, want Received 0, Dropped 1", st)
+	}
+}
+
+// TestSimSendAllocsIgnoreRegistry: the send path is the same
+// instructions with and without a registry — exporting an endpoint's
+// counters adds no allocation to Send.
+func TestSimSendAllocsIgnoreRegistry(t *testing.T) {
+	allocs := func(reg *telemetry.Registry) float64 {
+		sn := NewSimNet(simnet.New(simnet.Options{Seed: 1}))
+		sn.Instrument(reg)
+		a, b := sn.Endpoint("a"), sn.Endpoint("b")
+		b.Handle(func(string, wire.Message) {})
+		m := &wire.Item{Stream: "s1@a", Seq: 1, XML: "<r/>"}
+		return testing.AllocsPerRun(200, func() {
+			if err := a.Send("b", m); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain, exported := allocs(nil), allocs(telemetry.NewRegistry())
+	if plain != exported {
+		t.Errorf("Send allocates %.1f/op plain, %.1f/op with a registry", plain, exported)
+	}
+}
+
+// TestRegistryReadsTheLayersOwnCounters: on both backends every
+// transport_* and wire_* series of docs/TELEMETRY.md reads what
+// Stats() and the endpoint's decode stats read — sends, receives, a
+// frame the link lost, a garbage frame — because the registry exports
+// the endpoint's own fields. (internal/peer's test of the same name
+// walks the rest of the catalog.)
+func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	nw := simnet.New(simnet.Options{Seed: 1})
+	sn := NewSimNet(nw)
+	a := sn.Endpoint("a") // exists before Instrument
+	sn.Instrument(reg)
+	sn.Instrument(reg) // idempotent
+	b, c := sn.Endpoint("b"), sn.Endpoint("c")
+	b.Handle(func(string, wire.Message) {})
+	for i := 0; i < 3; i++ {
+		a.Send("b", &wire.Item{Stream: "s1@a", Seq: uint64(i), XML: "<r/>"}) //nolint:errcheck
+	}
+	nw.Crash("c")
+	a.Send("c", &wire.Probe{})                     //nolint:errcheck // lost on the link
+	b.deliver("a", []byte{0xde, 0xad, 0xbe, 0xef}) // garbage past the link
+
+	ta, tb := tcpPair(t, TCPOptions{Telemetry: reg})
+	cb := newCollector()
+	tb.Handle(cb.handle)
+	ta.Send("b", &wire.Probe{Seq: 1}) //nolint:errcheck
+	cb.waitN(t, 1, 5*time.Second)
+
+	snap := reg.Snapshot()
+	check := func(backend, peer string, cs *counters) {
+		t.Helper()
+		st := cs.Stats()
+		for name, want := range map[string]uint64{
+			"transport_sent_total":       st.Sent,
+			"transport_sent_bytes_total": st.SentBytes,
+			"transport_recv_total":       st.Received,
+			"transport_recv_bytes_total": st.ReceivedBytes,
+			"transport_dropped_total":    st.Dropped,
+			"transport_reconnects_total": st.Reconnects,
+			"wire_decoded_total":         cs.decode.Decoded(),
+			"wire_dropped_total":         cs.decode.Dropped(),
+		} {
+			m, ok := snap.Get(name, telemetry.L("backend", backend), telemetry.L("peer", peer))
+			if !ok || m.Kind != telemetry.KindCounter || uint64(m.Value) != want {
+				t.Errorf("%s{backend=%s,peer=%s} = %d (present %v), the endpoint reads %d", name, backend, peer, m.Value, ok, want)
+			}
+		}
+	}
+	check("sim", "a", &a.counters)
+	check("sim", "b", &b.counters)
+	check("sim", "c", &c.counters)
+	check("tcp", "a", &ta.counters)
+	check("tcp", "b", &tb.counters)
+	if st := a.Stats(); st.Sent != 4 || st.Dropped != 1 {
+		t.Errorf("sim a = %+v, want Sent 4, Dropped 1", st)
+	}
+	if st := b.Stats(); st.Received != 3 || st.Dropped != 1 || b.decode.Dropped() != 1 {
+		t.Errorf("sim b = %+v (wire dropped %d), want Received 3, Dropped 1, wire dropped 1", st, b.decode.Dropped())
+	}
+	if ta.Stats().Reconnects != 1 || tb.decode.Decoded() != 2 {
+		t.Errorf("tcp a reconnects = %d, tcp b decoded = %d, want 1 and 2 (hello + probe)", ta.Stats().Reconnects, tb.decode.Decoded())
 	}
 }
 

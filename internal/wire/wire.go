@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"p2pm/internal/telemetry"
 )
@@ -276,43 +275,31 @@ func (*LookupResp) Kind() Kind { return KindLookupResp }
 // Stats counts codec outcomes on one transport. All methods are safe
 // for concurrent use.
 type Stats struct {
-	decoded atomic.Uint64
-	dropped atomic.Uint64
-	// Telemetry mirrors, installed by Mirror; nil when the transport is
-	// not instrumented (the zero-cost default).
-	mDecoded atomic.Pointer[telemetry.Counter]
-	mDropped atomic.Pointer[telemetry.Counter]
+	decoded, dropped telemetry.Counter
 }
 
-// Mirror installs registry counters that track decode outcomes
-// alongside the internal atomics, so instrumented transports export
-// wire_decoded_total / wire_dropped_total without a second code path.
-func (s *Stats) Mirror(decoded, dropped *telemetry.Counter) {
-	s.mDecoded.Store(decoded)
-	s.mDropped.Store(dropped)
+// Instrument exports the two counts as wire_decoded_total /
+// wire_dropped_total under the owning transport's labels.
+func (s *Stats) Instrument(reg *telemetry.Registry, labels ...telemetry.Label) {
+	reg.Attach("wire_decoded_total", &s.decoded, labels...)
+	reg.Attach("wire_dropped_total", &s.dropped, labels...)
 }
 
 // Decoded returns how many messages decoded successfully.
-func (s *Stats) Decoded() uint64 { return s.decoded.Load() }
+func (s *Stats) Decoded() uint64 { return s.decoded.Value() }
 
 // Dropped returns how many inputs were rejected by Decode. A garbage
 // or truncated frame lands here instead of crashing the reader.
-func (s *Stats) Dropped() uint64 { return s.dropped.Load() }
+func (s *Stats) Dropped() uint64 { return s.dropped.Value() }
 
 // Decode decodes counting the outcome into the stats.
 func (s *Stats) Decode(b []byte) (Message, error) {
 	m, err := Decode(b)
 	if err != nil {
-		s.dropped.Add(1)
-		if c := s.mDropped.Load(); c != nil {
-			c.Inc()
-		}
+		s.dropped.Inc()
 		return nil, err
 	}
-	s.decoded.Add(1)
-	if c := s.mDecoded.Load(); c != nil {
-		c.Inc()
-	}
+	s.decoded.Inc()
 	return m, nil
 }
 

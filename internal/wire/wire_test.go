@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"p2pm/internal/telemetry"
 )
 
 // every returns one populated example of every message kind. Tests that
@@ -186,6 +188,33 @@ func TestStatsCountsSuccesses(t *testing.T) {
 	}
 	if st.Dropped() != 0 {
 		t.Errorf("dropped = %d, want 0", st.Dropped())
+	}
+}
+
+// TestStatsInstrumentExportsTheSameCounters: the registry series are the
+// Stats' own two counters — equal to the accessors after any mix of
+// outcomes — and exporting them changes nothing about Decode's cost.
+func TestStatsInstrumentExportsTheSameCounters(t *testing.T) {
+	good, bad := Encode(&Probe{Seq: 1}), []byte{'P', 'W', 0xff}
+	allocs := func(st *Stats) float64 {
+		return testing.AllocsPerRun(200, func() {
+			st.Decode(good) //nolint:errcheck
+			st.Decode(bad)  //nolint:errcheck
+		})
+	}
+	var plain, exported Stats
+	reg := telemetry.NewRegistry()
+	exported.Instrument(reg, telemetry.L("peer", "n1"))
+	exported.Instrument(reg, telemetry.L("peer", "n1")) // idempotent
+	if a, b := allocs(&plain), allocs(&exported); a != b {
+		t.Errorf("Decode allocates %.1f/op plain, %.1f/op exported", a, b)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{"wire_decoded_total": exported.Decoded(), "wire_dropped_total": exported.Dropped()} {
+		m, ok := snap.Get(name, telemetry.L("peer", "n1"))
+		if !ok || uint64(m.Value) != want || want == 0 {
+			t.Errorf("%s = %d (present %v), want the accessor's %d", name, m.Value, ok, want)
+		}
 	}
 }
 

@@ -203,23 +203,19 @@ func (cfg *AdaptConfig) setup() (*scenarioSpec[*AdaptReport], error) {
 		sources:     sources,
 		bare:        true,
 		undisturbed: !faults,
+		gossip: peer.GossipOptions{
+			ProbeTimeout: cfg.ProbeTimeout,
+			Adaptive:     cfg.Mode == "adaptive",
+			HealthMax:    cfg.HealthMax,
+		},
 		tune: func(pc *peer.Config) {
 			if faults {
 				pc.Agg.Degree = cfg.Degree
-				pc.Gossip = peer.GossipConfig{
-					ProbeInterval: cfg.HeartbeatInterval,
-					ProbeTimeout:  cfg.ProbeTimeout,
-					Suspicion:     cfg.Suspicion,
-					Adaptive:      cfg.Mode == "adaptive",
-					HealthMax:     cfg.HealthMax,
-				}
 			}
 			if cfg.Mode == "adaptive" {
 				// The re-chunking controller: split an interior that
 				// ingests 1.5× the mean for three observations.
 				pc.Agg.SplitRatio = 1.5
-				pc.Agg.SplitObservations = 3
-				pc.Agg.SplitMinFanIn = 4
 				pc.Agg.SplitCooldown = 10 * cfg.Step
 			}
 		},

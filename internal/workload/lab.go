@@ -200,6 +200,9 @@ type scenarioSpec[R any] struct {
 	// undisturbed runs without a detector or supervisor (a ground-truth
 	// deployment); the runner then injects no crash or leave.
 	undisturbed bool
+	// gossip is the scenario's detector tuning beyond what Common sets
+	// (Seed, ProbeInterval and Suspicion are overwritten from there).
+	gossip peer.GossipOptions
 	// deploy deploys the scenario's plan(s) from mgr, in dependency order
 	// (Tasks[0] is torn down first).
 	deploy func(l *Lab[R], mgr *peer.Peer) ([]*peer.Task, error)
@@ -309,9 +312,9 @@ func New[R any](sc Scenario[R]) (*Lab[R], error) {
 		return nil, err
 	}
 	if !sp.undisturbed {
-		l.Sup = sys.StartGossipSupervisor(peer.GossipOptions{
-			Seed: c.Seed, ProbeInterval: c.HeartbeatInterval, Suspicion: c.Suspicion,
-		})
+		opts := sp.gossip
+		opts.Seed, opts.ProbeInterval, opts.Suspicion = c.Seed, c.HeartbeatInterval, c.Suspicion
+		l.Sup = sys.StartGossipSupervisor(opts)
 		l.sched.attach(l.Sup)
 	}
 	if sp.hooks != nil {

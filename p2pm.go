@@ -56,8 +56,8 @@ type Peer = peer.Peer
 // Task is a deployed monitoring subscription.
 type Task = peer.Task
 
-// Config configures a System: functional sub-structs (DHT, Agg, Replay,
-// Gossip) validated by NewSystem, runtime-mutable through
+// Config configures a System: functional sub-structs (DHT, Agg,
+// Replay) validated by NewSystem, runtime-mutable through
 // System.Tuning(). See docs/ADAPTIVE.md for the control surface.
 type Config = peer.Config
 
@@ -70,9 +70,6 @@ type AggConfig = peer.AggConfig
 
 // ReplayConfig groups the lossless-failover layer.
 type ReplayConfig = peer.ReplayConfig
-
-// GossipConfig supplies system-level defaults for the gossip detector.
-type GossipConfig = peer.GossipConfig
 
 // Tuning is the runtime-mutable control surface of a running System.
 type Tuning = peer.Tuning

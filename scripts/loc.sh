@@ -1,13 +1,21 @@
 #!/usr/bin/env bash
 # loc.sh — non-test, non-comment, non-blank Go lines per package, and
 # the total: the number the ROADMAP's "lines removed" targets are
-# measured in. Informational (CI prints it on every run so the shrink
-# pass has a trajectory); run from anywhere inside the repository.
+# measured in. CI prints it on every run so the shrink pass has a
+# trajectory, and passes --max so it cannot silently reverse; run from
+# anywhere inside the repository.
 #
 #   scripts/loc.sh                    # every package
 #   scripts/loc.sh internal/workload  # the named directories only
+#   scripts/loc.sh --max 23500        # exit 1 if the total exceeds 23500
 set -euo pipefail
 cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
+
+max=""
+if [ "${1:-}" = "--max" ]; then
+  max="${2:?--max needs a line count}"
+  shift 2
+fi
 
 if [ "$#" -gt 0 ]; then
   dirs=("$@")
@@ -25,3 +33,7 @@ for d in "${dirs[@]}"; do
   total=$((total + n))
 done
 printf '%6d  total\n' "$total"
+if [ -n "$max" ] && [ "$total" -gt "$max" ]; then
+  echo "loc.sh: $total non-test lines exceed the ceiling of $max (raise it in the PR that means to, with a reason)" >&2
+  exit 1
+fi
