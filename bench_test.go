@@ -35,6 +35,7 @@ func BenchmarkXMLParse(b *testing.B) {
 	gen := workload.NewFilterGen(workload.DefaultFilterGen())
 	raw := gen.Document().String()
 	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := xmltree.Parse(raw); err != nil {
@@ -88,9 +89,12 @@ func BenchmarkStreamPublish(b *testing.B) {
 func BenchmarkReadFirstTag(b *testing.B) {
 	gen := workload.NewFilterGen(workload.DefaultFilterGen())
 	raw := gen.Document().String()
+	var attrs []xmltree.Attr // reused, as filter.MatchSerialized reuses its scratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := xmltree.ReadFirstTag(raw); err != nil {
+		var err error
+		if _, attrs, err = xmltree.AppendFirstTag(attrs[:0], raw); err != nil {
 			b.Fatal(err)
 		}
 	}

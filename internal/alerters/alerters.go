@@ -242,8 +242,17 @@ func (t *Tap) Hook() soap.Hook {
 }
 
 func (t *Tap) alert(x soap.Exchange, includeEnvelope bool) *xmltree.Node {
-	n := xmltree.Elem("alert")
-	n.Attrs = make([]xmltree.Attr, 0, 8) // type … responseTimestamp, fault
+	own := 7 // type … responseTimestamp
+	if x.Fault != "" {
+		own++
+	}
+	nodes, attrs, kids := 1, own, 0
+	if includeEnvelope {
+		en, ea := x.EnvelopeSize()
+		nodes, attrs, kids = nodes+en, attrs+ea, 1
+	}
+	b := xmltree.NewBuilder(nodes, attrs) // the whole alert: three allocations
+	n := b.Elem("alert", own, kids)
 	if t.dir == Inbound {
 		n.SetAttr("type", "ws-in")
 	} else {
@@ -262,7 +271,7 @@ func (t *Tap) alert(x soap.Exchange, includeEnvelope bool) *xmltree.Node {
 		n.SetAttr("fault", x.Fault)
 	}
 	if includeEnvelope {
-		n.Append(x.Envelope())
+		n.Append(x.Envelope(&b))
 	}
 	return n
 }

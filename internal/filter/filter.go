@@ -301,13 +301,13 @@ func (f *Filter) MatchSerialized(raw string) ([]string, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	f.stats.docs.Add(1)
-	_, attrs, err := xmltree.ReadFirstTag(raw)
-	if err != nil {
-		return nil, err
-	}
 	sc := getScratch()
 	defer putScratch(sc)
-	return f.matchTwoStage(sc, attrs, nil, raw)
+	var err error
+	if _, sc.attrs, err = xmltree.AppendFirstTag(sc.attrs[:0], raw); err != nil {
+		return nil, err
+	}
+	return f.matchTwoStage(sc, sc.attrs, nil, raw)
 }
 
 // matchTwoStage is the paper's pipeline: preFilter and AES over the root

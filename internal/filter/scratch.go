@@ -1,18 +1,23 @@
 package filter
 
-import "sync"
+import (
+	"sync"
+
+	"p2pm/internal/xmltree"
+)
 
 // scratch is the working memory of one match: everything the stages hand
 // each other, kept between documents so that a match allocates nothing
 // but its result. A match takes one from the pool and owns it until it
 // returns.
 type scratch struct {
-	satisfied []int      // preFilter: satisfied condition IDs
-	frontier  []*aesNode // AES: active tables
-	handles   []int      // AES: matched subscription handles
-	active    []*sub     // subscriptions whose complex part must be evaluated
-	out       []int      // handles of matching subscriptions
-	qids      []int      // query IDs of the active subscriptions
+	attrs     []xmltree.Attr // MatchSerialized: the document's first tag
+	satisfied []int          // preFilter: satisfied condition IDs
+	frontier  []*aesNode     // AES: active tables
+	handles   []int          // AES: matched subscription handles
+	active    []*sub         // subscriptions whose complex part must be evaluated
+	out       []int          // handles of matching subscriptions
+	qids      []int          // query IDs of the active subscriptions
 
 	// YFilter run.
 	activeQ     stamps     // by query ID: queries the run may report

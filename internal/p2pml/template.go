@@ -19,6 +19,8 @@ type Template struct {
 	src  string
 	root *tplNode
 	vars []string
+	// What one instance takes of an xmltree.Builder, spliced trees aside.
+	nodes, attrs int
 }
 
 type tplNode struct {
@@ -55,6 +57,7 @@ func CompileTemplate(src string) (*Template, error) {
 }
 
 func (t *Template) compile(n *xmltree.Node) (*tplNode, error) {
+	t.nodes, t.attrs = t.nodes+1, t.attrs+len(n.Attrs)
 	if n.IsText() {
 		segs, err := parseSegments(n.Text)
 		if err != nil {
@@ -128,17 +131,11 @@ func parseSegments(s string) ([]segment, error) {
 // variable) is spliced as a subtree when it is the only content of a text
 // position; elsewhere its text content is used.
 func (t *Template) Instantiate(env *Env) (*xmltree.Node, error) {
-	nodes, err := instantiate(t.root, env)
-	if err != nil {
-		return nil, err
-	}
-	if len(nodes) != 1 {
-		return nil, fmt.Errorf("p2pml: template must produce exactly one root (got %d)", len(nodes))
-	}
-	return nodes[0], nil
+	b := xmltree.NewBuilder(t.nodes, t.attrs)
+	return instantiate(t.root, env, &b)
 }
 
-func instantiate(n *tplNode, env *Env) ([]*xmltree.Node, error) {
+func instantiate(n *tplNode, env *Env, b *xmltree.Builder) (*xmltree.Node, error) {
 	if n.label == "" {
 		// Text position: single tree-valued expression splices.
 		if len(n.segs) == 1 && n.segs[0].expr != nil {
@@ -147,17 +144,17 @@ func instantiate(n *tplNode, env *Env) ([]*xmltree.Node, error) {
 				return nil, err
 			}
 			if v.Node != nil {
-				return []*xmltree.Node{v.Node.Clone()}, nil
+				return v.Node.Clone(), nil
 			}
-			return []*xmltree.Node{xmltree.Text(v.Text())}, nil
+			return b.Text(v.Text()), nil
 		}
 		s, err := renderSegments(n.segs, env)
 		if err != nil {
 			return nil, err
 		}
-		return []*xmltree.Node{xmltree.Text(s)}, nil
+		return b.Text(s), nil
 	}
-	out := xmltree.Elem(n.label)
+	out := b.Elem(n.label, len(n.attrs), len(n.children))
 	for _, a := range n.attrs {
 		s, err := renderSegments(a.segs, env)
 		if err != nil {
@@ -166,13 +163,13 @@ func instantiate(n *tplNode, env *Env) ([]*xmltree.Node, error) {
 		out.SetAttr(a.name, s)
 	}
 	for _, c := range n.children {
-		nodes, err := instantiate(c, env)
+		node, err := instantiate(c, env, b)
 		if err != nil {
 			return nil, err
 		}
-		out.Append(nodes...)
+		out.Append(node)
 	}
-	return []*xmltree.Node{out}, nil
+	return out, nil
 }
 
 func renderSegments(segs []segment, env *Env) (string, error) {

@@ -39,25 +39,46 @@ type Exchange struct {
 func (x Exchange) Duration() time.Duration { return x.ResponseTime - x.CallTime }
 
 // Envelope renders the exchange as a SOAP-style envelope tree, the payload
-// alerters embed in alerts.
-func (x Exchange) Envelope() *xmltree.Node {
-	body := xmltree.Elem("Body")
-	call := xmltree.Elem(x.Method)
-	if x.Params != nil {
-		call.Append(x.Params.Clone())
-	}
-	body.Append(call)
+// alerters embed in alerts, carved from b; EnvelopeSize is what it takes
+// there.
+func (x Exchange) Envelope(b *xmltree.Builder) *xmltree.Node {
+	// Reservations are exact: EnvelopeSize leaves no slack to over-reserve from.
+	kids := 1
 	if x.Result != nil {
-		res := xmltree.Elem(x.Method + "Response")
-		res.Append(x.Result.Clone())
-		body.Append(res)
+		kids++
 	}
 	if x.Fault != "" {
-		body.Append(xmltree.ElemText("Fault", x.Fault))
+		kids++
 	}
-	env := xmltree.Elem("Envelope", body)
-	env.SetAttr("xmlns", "http://schemas.xmlsoap.org/soap/envelope/")
-	return env
+	body := b.Elem("Body", 0, kids)
+	if x.Params != nil {
+		body.Append(b.Elem(x.Method, 0, 1).Append(b.Clone(x.Params)))
+	} else {
+		body.Append(b.Elem(x.Method, 0, 0))
+	}
+	if x.Result != nil {
+		body.Append(b.Elem(x.Method+"Response", 0, 1).Append(b.Clone(x.Result)))
+	}
+	if x.Fault != "" {
+		body.Append(b.Elem("Fault", 0, 1).Append(b.Text(x.Fault)))
+	}
+	env := b.Elem("Envelope", 1, 1).Append(body)
+	return env.SetAttr("xmlns", "http://schemas.xmlsoap.org/soap/envelope/")
+}
+
+// EnvelopeSize returns the numbers of nodes and attributes of Envelope's
+// tree.
+func (x Exchange) EnvelopeSize() (nodes, attrs int) {
+	pn, pa := x.Params.Count()
+	rn, ra := x.Result.Count()
+	nodes, attrs = 3+pn+rn, 1+pa+ra // Envelope and its xmlns, Body, the call
+	if x.Result != nil {
+		nodes++
+	}
+	if x.Fault != "" {
+		nodes += 2
+	}
+	return nodes, attrs
 }
 
 // Handler implements a service method.

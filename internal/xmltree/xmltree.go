@@ -134,23 +134,28 @@ func (n *Node) innerText(b *strings.Builder) {
 	}
 }
 
-// Clone returns a deep copy of the tree rooted at n.
+// Clone returns a deep copy of the tree rooted at n, carved from chunks
+// of exactly its size.
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
-	cp := &Node{Label: n.Label, Text: n.Text}
-	if len(n.Attrs) > 0 {
-		cp.Attrs = make([]Attr, len(n.Attrs))
-		copy(cp.Attrs, n.Attrs)
+	b := NewBuilder(n.Count())
+	return b.Clone(n)
+}
+
+// Count returns the numbers of nodes (elements and text) and of
+// attributes in the tree: what a Builder holding a copy must be sized to.
+func (n *Node) Count() (nodes, attrs int) {
+	if n == nil {
+		return 0, 0
 	}
-	if len(n.Children) > 0 {
-		cp.Children = make([]*Node, len(n.Children))
-		for i, c := range n.Children {
-			cp.Children[i] = c.Clone()
-		}
+	nodes, attrs = 1, len(n.Attrs)
+	for _, c := range n.Children {
+		cn, ca := c.Count()
+		nodes, attrs = nodes+cn, attrs+ca
 	}
-	return cp
+	return nodes, attrs
 }
 
 // Equal reports deep structural equality, including attribute order.
@@ -191,9 +196,8 @@ func (n *Node) Walk(fn func(*Node) bool) {
 
 // CountNodes returns the number of nodes in the tree (elements and text).
 func (n *Node) CountNodes() int {
-	count := 0
-	n.Walk(func(*Node) bool { count++; return true })
-	return count
+	nodes, _ := n.Count()
+	return nodes
 }
 
 // Canonical returns a canonical serialization of the tree in which
