@@ -7,9 +7,10 @@
 //
 // The WS alerter is one interception point per monitored endpoint and
 // direction (the paper's one Axis handler per peer): a Tap is the single
-// soap.Hook, it builds each exchange's alert once and hands the same
-// immutable tree to every WS attached to it, so what a monitored call
-// costs at its source does not grow with the subscriptions watching it.
+// soap.Hook; each exchange's alert is built once, off the monitored call,
+// and the same immutable tree handed to every WS attached to it, so what
+// a monitored call costs at its source does not grow with the
+// subscriptions watching it.
 package alerters
 
 import (
@@ -20,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"p2pm/internal/operators"
 	"p2pm/internal/rss"
 	"p2pm/internal/soap"
 	"p2pm/internal/stream"
@@ -155,21 +157,42 @@ func (w *WS) Hook() soap.Hook {
 	return t.Hook()
 }
 
-// Tap is the interception point of one endpoint direction. Its hook
-// reads the clock once and builds the exchange's alert once (per envelope
-// flavour in use), then emits that one tree through every attached WS in
-// attach order; published trees are immutable (docs/DATAPATH.md), so the
-// streams share it. The attach list is copy-on-write: the hook loads it
-// without locking, and a hook already past its load may still emit once
-// to an alerter detached meanwhile.
+// Tap is the interception point of one endpoint direction. On the
+// monitored call its hook only captures the exchange and the time into a
+// ring; the tapped peer's event loop fires it: builds the exchange's alert
+// once (per envelope flavour in use) and emits that one tree through every
+// attached WS in attach order — published trees are immutable
+// (docs/DATAPATH.md), so the streams share it. What the call pays is one
+// enqueue, whatever is attached. A tap built without a loop (RunOn) fires
+// on the call itself.
+//
+// Detach is a barrier: it fires everything captured so far before the
+// alerter leaves the attach list, so a call that returned before the
+// detach began is delivered to it and a call made after it returned is
+// not. The list is copy-on-write; Fire loads it without locking.
 type Tap struct {
 	dir   Direction
 	peer  string // the tapped endpoint's peer; "" when not known
 	url   string // endpointURL(peer), rendered once
 	clock func() time.Duration
 
-	mu       sync.Mutex // serializes attach and detach
+	// mu serializes attach, detach and whoever empties the ring: a step of
+	// the loop, or a detach.
+	mu       sync.Mutex
 	attached atomic.Pointer[[]*WS]
+
+	// loop steps the tap on the tapped peer's executor, which the tap
+	// holds while anything is attached; nil for a stand-alone tap.
+	loop   *operators.Task
+	ringMu sync.Mutex
+	ring   stream.Ring[captured]
+}
+
+// captured is one exchange waiting for the loop, with the time its call
+// returned.
+type captured struct {
+	x   soap.Exchange
+	now time.Duration
 }
 
 // NewTap builds the tap of peer's endpoint in one direction; register
@@ -177,6 +200,10 @@ type Tap struct {
 func NewTap(peer string, dir Direction, clock func() time.Duration) *Tap {
 	return &Tap{dir: dir, peer: peer, url: endpointURL(peer), clock: clock}
 }
+
+// RunOn makes ex — the tapped peer's loop — fire what the hook captures.
+// Call it before the hook is registered.
+func (t *Tap) RunOn(ex *operators.Executor) { t.loop = ex.NewTask(t.step) }
 
 // Attach adds a WS alerter reporting to emit and returns its detach,
 // after which the tap holds no reference to it. Detaching does not emit
@@ -189,16 +216,25 @@ func (t *Tap) attach(w *WS) (detach func()) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur := t.list()
+	if len(cur) == 0 && t.loop != nil {
+		t.loop.Hold()
+	}
 	next := append(cur[:len(cur):len(cur)], w)
 	t.attached.Store(&next)
 	return func() {
 		t.mu.Lock()
 		defer t.mu.Unlock()
+		for more := true; more; {
+			_, more = t.drain()
+		}
 		cur := t.list()
 		for i, a := range cur {
 			if a == w {
 				next := append(cur[:i:i], cur[i+1:]...)
 				t.attached.Store(&next)
+				if len(next) == 0 && t.loop != nil {
+					t.loop.Release()
+				}
 				return
 			}
 		}
@@ -216,28 +252,74 @@ func (t *Tap) list() []*WS {
 func (t *Tap) Attached() int { return len(t.list()) }
 
 // Hook returns the tap's soap.Hook (OnInbound for inCOM, OnOutbound for
-// outCOM). With nothing attached it builds nothing.
+// outCOM). With nothing attached it captures nothing.
 func (t *Tap) Hook() soap.Hook {
 	return func(x soap.Exchange) {
-		ws := t.list()
-		if len(ws) == 0 {
+		if len(t.list()) == 0 {
 			return
 		}
 		var now time.Duration
 		if t.clock != nil {
 			now = t.clock()
 		}
-		var trees [2]*xmltree.Node // without and with the envelope
-		for _, w := range ws {
-			i := 0
-			if w.includeEnvelope {
-				i = 1
-			}
-			if trees[i] == nil {
-				trees[i] = t.alert(x, w.includeEnvelope)
-			}
-			w.emitAt(trees[i], now)
+		if t.loop == nil {
+			t.Fire(x, now)
+			return
 		}
+		t.ringMu.Lock()
+		t.ring.Push(captured{x, now})
+		first := t.ring.Len() == 1
+		t.ringMu.Unlock()
+		if first {
+			t.loop.Wake()
+		}
+	}
+}
+
+// step is the tap's turn on the loop.
+func (t *Tap) step() (more bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n, more := t.drain()
+	t.loop.Handled(n)
+	return more
+}
+
+// drain fires up to one step's budget of captured exchanges, oldest first.
+func (t *Tap) drain() (n int, more bool) {
+	for ; n < operators.StepBudget; n++ {
+		t.ringMu.Lock()
+		c, ok := t.ring.Pop()
+		t.ringMu.Unlock()
+		if !ok {
+			return n, false
+		}
+		t.Fire(c.x, c.now)
+	}
+	return n, true
+}
+
+// Ring returns how many captured exchanges wait for the loop, and the
+// most that ever did.
+func (t *Tap) Ring() (depth, highWater int) {
+	t.ringMu.Lock()
+	defer t.ringMu.Unlock()
+	return t.ring.Len(), t.ring.HighWater()
+}
+
+// Fire builds the alert of an exchange whose call returned at now and
+// emits it through every attached alerter.
+func (t *Tap) Fire(x soap.Exchange, now time.Duration) {
+	var trees [2]*xmltree.Node // without and with the envelope
+	for _, w := range t.list() {
+		i := 0
+		if w.includeEnvelope {
+			i = 1
+		}
+		if trees[i] == nil {
+			trees[i] = t.alert(x, w.includeEnvelope)
+		}
+		w.emitAt(trees[i], now)
 	}
 }
 

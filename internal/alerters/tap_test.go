@@ -3,11 +3,13 @@ package alerters
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"p2pm/internal/operators"
 	"p2pm/internal/simnet"
 	"p2pm/internal/soap"
 	"p2pm/internal/stream"
@@ -266,5 +268,46 @@ func TestSecondsMatchesFormatFloat(t *testing.T) {
 		check(-time.Duration(rng.Int63n(1 << 53)))                  // negatives
 		check(time.Duration(1<<53 + rng.Int63n(1<<62)))             // beyond the fast path
 		check(time.Duration(2*rng.Int63n(1<<25)+1) * 62_500_000)    // odd multiples of 1/16 s: true ties
+	}
+}
+
+// TestTapBarrierOnLoop: on a loop the hook only captures. With nothing
+// attached it captures and allocates nothing; with an alerter attached, N
+// exchanges and an immediate detach deliver exactly N alerts — the detach
+// fires what the loop has not — and an exchange after the detach none.
+func TestTapBarrierOnLoop(t *testing.T) {
+	x := soap.Exchange{CallID: "call-7", Method: "temp", Caller: "cli", Callee: "srv",
+		Params: xmltree.ElemText("city", "paris"), Result: xmltree.ElemText("temp", "21")}
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			tap := NewTap("srv", Inbound, nil)
+			tap.RunOn(operators.NewExecutor())
+			hook := tap.Hook()
+			if got := testing.AllocsPerRun(100, func() { hook(x) }); got != 0 {
+				t.Errorf("an idle tap allocates %.0f per exchange", got)
+			}
+			if depth, high := tap.Ring(); depth != 0 || high != 0 {
+				t.Errorf("an idle tap captured: ring depth %d, high-water %d", depth, high)
+			}
+			most := 0
+			for rep := 0; rep < 200; rep++ {
+				got := 0 // written under the tap's mutex, read after detach released it
+				detach := tap.Attach("in@srv", true, func(stream.Item) { got++ })
+				n := 1 + rep%9
+				most = max(most, n)
+				for i := 0; i < n; i++ {
+					hook(x)
+				}
+				detach()
+				hook(x)
+				if got != n {
+					t.Fatalf("rep %d: %d alerts for %d exchanges captured before the detach", rep, got, n)
+				}
+			}
+			if depth, high := tap.Ring(); depth != 0 || high < 1 || high > most {
+				t.Errorf("ring depth %d, high-water %d after bursts of at most %d", depth, high, most)
+			}
+		})
 	}
 }

@@ -1,9 +1,9 @@
 // Package operators implements P2PM's stream processors (Section 3.1):
 // stateless ones — Filter/Select (σ), Restructure (Π), Union (∪) — and
 // stateful ones — Join (⋈), Duplicate-removal, Group. Each processor is a
-// Proc driven by a Runner goroutine that fans in its input queues,
-// serializes processing, and emits into a sink (usually a channel
-// publication on the owning peer).
+// Proc run by its host's Executor: one event loop per peer steps the
+// operators that have input, one at a time, and each emits into a sink
+// (usually a channel publication on the owning peer).
 package operators
 
 import (
@@ -11,14 +11,15 @@ import (
 	"sync/atomic"
 
 	"p2pm/internal/stream"
+	"p2pm/internal/telemetry"
 )
 
 // Emit receives output items from a processor.
 type Emit func(stream.Item)
 
-// Proc is a stream processor. Accept is called serially (the runner
-// fans in all inputs into one loop), so implementations need no locking
-// for per-processor state.
+// Proc is a stream processor. Accept is called serially (one step of the
+// host's loop at a time, under the handle's mutex), so implementations
+// need no locking for per-processor state.
 type Proc interface {
 	// Name identifies the operator kind ("Select", "Join", ...).
 	Name() string
@@ -34,12 +35,22 @@ type Handle struct {
 	done chan struct{}
 	in   atomic.Uint64
 	out  atomic.Uint64
-	ctl  chan func()
 	// consumed[i] is the sequence number of the latest item accepted on
 	// input i. Binding cursors deliver each input in sequence order, so
 	// this is also "every sequence <= consumed[i] has been processed" —
 	// the input-side coordinate of a checkpoint.
 	consumed []atomic.Uint64
+
+	task *Task
+	// mu is held by a step and by Sync: whoever holds it sees the
+	// processor between two items.
+	mu       sync.Mutex
+	p        Proc
+	inputs   []*stream.Queue // nil once the input ended
+	open     int             // inputs that have not ended
+	next     int             // where the next step's round-robin starts
+	emit     Emit            // counts, then sinks
+	finished bool
 }
 
 // Name returns the operator name.
@@ -83,81 +94,227 @@ func (h *Handle) SeedConsumed(idx int, seq uint64) {
 	}
 }
 
-// Sync runs f serialized with the operator's processing loop: no Accept
-// executes concurrently, so f observes a consistent cut of the
-// processor's state, its consumed cursors and its emissions — exactly
-// what a checkpoint must capture atomically. If the operator already
-// finished, f runs inline (the state is final).
+// Sync runs f between two items of the operator: no Accept executes
+// concurrently, so f observes a consistent cut of the processor's state,
+// its consumed cursors and its emissions — exactly what a checkpoint must
+// capture atomically. If the operator already finished, the state is
+// final.
 func (h *Handle) Sync(f func()) {
-	done := make(chan struct{})
-	wrapped := func() { f(); close(done) }
-	select {
-	case h.ctl <- wrapped:
-		<-done
-	case <-h.done:
-		f()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	f()
+}
+
+// StepBudget is how many items one step of a task takes before it goes
+// back to the end of the run-queue: what a backlog on one operator can
+// delay its neighbours on the loop by.
+const StepBudget = 64
+
+// step takes items round-robin across the inputs until all are empty or
+// the budget is spent. Once the last input has ended it flushes and emits
+// the one eos.
+func (h *Handle) step() (more bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.finished {
+		return false
 	}
+	n := 0
+	for quiet := 0; quiet < len(h.inputs) && n < StepBudget; h.next = (h.next + 1) % len(h.inputs) {
+		i := h.next
+		quiet++
+		if h.inputs[i] == nil {
+			continue
+		}
+		it, ok, ended := h.inputs[i].Take()
+		switch {
+		case ok && !it.EOS():
+			quiet = 0
+			n++
+			h.in.Add(1)
+			h.SeedConsumed(i, it.Seq) // monotonic raise
+			h.p.Accept(i, it, h.emit)
+		case ok || ended:
+			h.inputs[i] = nil
+			h.open--
+		}
+	}
+	h.task.Handled(n)
+	if h.open > 0 {
+		return n == StepBudget
+	}
+	h.finished = true
+	h.p.Flush(h.emit)
+	h.emit(stream.EOSItem(h.name))
+	h.task.Release()
+	close(h.done)
+	return false
 }
 
-// tagged is an input item annotated with its input index.
-type tagged struct {
-	idx int
-	it  stream.Item
-}
-
-// Run starts the processor over the given input queues. The sink receives
-// every output item followed by exactly one eos item when all inputs have
-// terminated. Run returns immediately; use the Handle to wait.
+// Run starts the processor over the given input queues on an executor of
+// its own. The sink receives every output item followed by exactly one
+// eos item when all inputs have terminated. Run returns immediately; use
+// the Handle to wait.
 func Run(p Proc, inputs []*stream.Queue, sink Emit) *Handle {
+	return NewExecutor().Run(p, inputs, sink)
+}
+
+// Run starts the processor on the executor: as Run, with the operator
+// stepped by ex's loop.
+func (ex *Executor) Run(p Proc, inputs []*stream.Queue, sink Emit) *Handle {
 	h := &Handle{
 		name:     p.Name(),
 		done:     make(chan struct{}),
-		ctl:      make(chan func()),
 		consumed: make([]atomic.Uint64, len(inputs)),
+		p:        p,
+		inputs:   append([]*stream.Queue(nil), inputs...),
+		open:     len(inputs),
 	}
-	merged := make(chan tagged)
-	var wg sync.WaitGroup
-	for i, q := range inputs {
-		wg.Add(1)
-		go func(idx int, q *stream.Queue) {
-			defer wg.Done()
-			for {
-				it, ok := q.Pop()
-				if !ok || it.EOS() {
-					return
-				}
-				merged <- tagged{idx: idx, it: it}
-			}
-		}(i, q)
+	h.emit = func(it stream.Item) {
+		if !it.EOS() {
+			h.out.Add(1)
+		}
+		sink(it)
 	}
-	go func() {
-		wg.Wait()
-		close(merged)
-	}()
-	go func() {
-		defer close(h.done)
-		emit := func(it stream.Item) {
-			if !it.EOS() {
-				h.out.Add(1)
-			}
-			sink(it)
-		}
-	loop:
-		for {
-			select {
-			case t, ok := <-merged:
-				if !ok {
-					break loop
-				}
-				h.in.Add(1)
-				h.SeedConsumed(t.idx, t.it.Seq) // monotonic raise
-				p.Accept(t.idx, t.it, emit)
-			case f := <-h.ctl:
-				f()
-			}
-		}
-		p.Flush(emit)
-		sink(stream.EOSItem(p.Name()))
-	}()
+	h.task = ex.NewTask(h.step)
+	h.task.Hold()
+	wake := h.task.Wake
+	for _, q := range inputs {
+		q.OnReady(wake)
+	}
+	wake() // what was pushed, or closed, before Run
 	return h
+}
+
+// Executor is one host's event loop: a FIFO run-queue of tasks that have
+// work — operators with input, a tap with captured exchanges — stepped to
+// completion one at a time by a single goroutine. A peer is one machine
+// in the model, so parallelism is across executors, not inside one. The
+// goroutine starts with the first Wake, parks while the run-queue is
+// empty and exits once nothing holds the executor.
+type Executor struct {
+	mu      sync.Mutex
+	wake    *sync.Cond // the loop parks here
+	runq    stream.Ring[*Task]
+	held    int  // running operators and attached taps
+	running bool // the loop goroutine exists
+	parked  bool // ... and waits on wake for a signal nobody sent yet
+
+	steps, items, wakes telemetry.Counter
+}
+
+// NewExecutor returns an idle executor: no goroutine until the first Wake.
+func NewExecutor() *Executor {
+	ex := &Executor{}
+	ex.wake = sync.NewCond(&ex.mu)
+	return ex
+}
+
+// Task is one schedulable unit of an executor.
+type Task struct {
+	ex     *Executor
+	step   func() (more bool)
+	queued bool // in the run-queue; guarded by ex.mu
+}
+
+// NewTask registers step with the executor. Each Wake is followed by at
+// least one call of step on the loop; step reports whether it stopped
+// with work left, which queues it again behind the tasks already waiting.
+func (ex *Executor) NewTask(step func() (more bool)) *Task {
+	return &Task{ex: ex, step: step}
+}
+
+// Handled counts n items a step of the task took.
+func (t *Task) Handled(n int) { t.ex.items.Add(uint64(n)) }
+
+// Wake puts the task on the run-queue unless it is there already.
+func (t *Task) Wake() {
+	ex := t.ex
+	ex.mu.Lock()
+	if !t.queued {
+		ex.enqueue(t)
+		switch {
+		case !ex.running:
+			ex.running = true
+			go ex.loop()
+		case ex.parked:
+			ex.unpark()
+		}
+	}
+	ex.mu.Unlock()
+}
+
+// Hold keeps the loop goroutine parked, not gone, while its run-queue is
+// empty: a running operator and a tap with something attached hold their
+// executor. Release undoes one Hold.
+func (t *Task) Hold() {
+	t.ex.mu.Lock()
+	t.ex.held++
+	t.ex.mu.Unlock()
+}
+
+// Release undoes one Hold.
+func (t *Task) Release() {
+	ex := t.ex
+	ex.mu.Lock()
+	if ex.held--; ex.held == 0 && ex.parked {
+		ex.unpark()
+	}
+	ex.mu.Unlock()
+}
+
+func (ex *Executor) enqueue(t *Task) {
+	ex.runq.Push(t)
+	t.queued = true
+}
+
+func (ex *Executor) unpark() {
+	ex.parked = false
+	ex.wakes.Inc()
+	ex.wake.Signal()
+}
+
+func (ex *Executor) loop() {
+	ex.mu.Lock()
+	for {
+		for ex.runq.Len() == 0 {
+			if ex.held == 0 {
+				ex.running = false
+				ex.mu.Unlock()
+				return
+			}
+			ex.parked = true
+			ex.wake.Wait()
+		}
+		t, _ := ex.runq.Pop()
+		t.queued = false
+		ex.mu.Unlock()
+		ex.steps.Inc()
+		more := t.step()
+		ex.mu.Lock()
+		if more && !t.queued {
+			ex.enqueue(t)
+		}
+	}
+}
+
+// LoopStats is an executor's lifetime counts.
+type LoopStats struct {
+	Steps, Items, Wakes uint64
+	RunQueueHighWater   int
+}
+
+// Stats returns the executor's counts.
+func (ex *Executor) Stats() LoopStats {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	return LoopStats{ex.steps.Value(), ex.items.Value(), ex.wakes.Value(), ex.runq.HighWater()}
+}
+
+// Instrument exports the executor's counters — the same variables Stats
+// reads — on reg with the given labels.
+func (ex *Executor) Instrument(reg *telemetry.Registry, labels ...telemetry.Label) {
+	reg.Attach("loop_steps_total", &ex.steps, labels...)
+	reg.Attach("loop_items_total", &ex.items, labels...)
+	reg.Attach("loop_wakes_total", &ex.wakes, labels...)
 }

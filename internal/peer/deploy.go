@@ -12,6 +12,7 @@ import (
 	"p2pm/internal/p2pml"
 	"p2pm/internal/reuse"
 	"p2pm/internal/stream"
+	"p2pm/internal/telemetry"
 	"p2pm/internal/xmltree"
 )
 
@@ -309,7 +310,7 @@ func (p *Peer) deployAlerter(task *Task, n *algebra.Node, out *stream.Channel) e
 		e := p.sys.newEdge(task, n.Peer)
 		e.into(stream.NewQueue(), 0, false)
 		e.attach(target.repoCh, 0)
-		h := operators.Run(&operators.Union{}, []*stream.Queue{e.queue}, emit)
+		h := p.sys.executor(n.Peer).Run(&operators.Union{}, []*stream.Queue{e.queue}, emit)
 		task.handles = append(task.handles, h)
 	default:
 		return fmt.Errorf("peer: unknown alerter kind %q", n.Alerter.Kind)
@@ -349,11 +350,10 @@ func (p *Peer) runDynAlerter(task *Task, n *algebra.Node, driver *stream.Queue, 
 			switch it.Tree.Label {
 			case "p-join":
 				peerName := it.Tree.InnerText()
-				if _, dup := active[peerName]; dup {
-					continue
+				if _, dup := active[peerName]; !dup {
+					active[peerName] = p.sys.tap(peerName, dir).Attach(n.Alerter.Func+"@"+peerName,
+						includeEnvelopes, out.Publish)
 				}
-				active[peerName] = p.sys.tap(peerName, dir).Attach(n.Alerter.Func+"@"+peerName,
-					includeEnvelopes, out.Publish)
 			case "p-leave":
 				// "inCOM removes peers from the collection of monitored
 				// peers" (Section 2).
@@ -376,6 +376,22 @@ func (p *Peer) runDynAlerter(task *Task, n *algebra.Node, driver *stream.Queue, 
 // deployment ever ran without them.
 const includeEnvelopes = true
 
+// executor returns the event loop of one peer: every operator the peer
+// hosts and its endpoint's taps are stepped there, one at a time.
+func (s *System) executor(peer string) *operators.Executor {
+	s.loopMu.Lock()
+	defer s.loopMu.Unlock()
+	ex := s.loops[peer]
+	if ex == nil {
+		ex = operators.NewExecutor()
+		if s.tele != nil {
+			ex.Instrument(s.tele.reg, telemetry.L("peer", peer))
+		}
+		s.loops[peer] = ex
+	}
+	return ex
+}
+
 // tapKey names one interception point: a monitored peer's endpoint and
 // the direction of the calls observed there.
 type tapKey struct {
@@ -386,14 +402,17 @@ type tapKey struct {
 // tap returns the WS tap of one endpoint direction, registering its hook
 // on the endpoint the first time anything monitors it. Every WS alerter
 // of every task attaches here and detaches when it stops, so the
-// endpoint carries one hook however many subscriptions come and go.
+// endpoint carries one hook however many subscriptions come and go. The
+// tapped peer's loop fires what the hook captures.
 func (s *System) tap(peer string, dir alerters.Direction) *alerters.Tap {
-	s.tapMu.Lock()
-	defer s.tapMu.Unlock()
+	ex := s.executor(peer)
+	s.loopMu.Lock()
+	defer s.loopMu.Unlock()
 	k := tapKey{peer, dir}
 	t := s.taps[k]
 	if t == nil {
 		t = alerters.NewTap(peer, dir, s.Net.Clock().Now)
+		t.RunOn(ex)
 		if ep := s.Fabric.Endpoint(peer); dir == alerters.Inbound {
 			ep.OnInbound(t.Hook())
 		} else {
@@ -471,7 +490,7 @@ func (p *Peer) runPublisher(task *Task, n *algebra.Node, in *stream.Queue, named
 		}
 	}
 	proc := &operators.Union{}
-	h := operators.Run(proc, []*stream.Queue{in}, fanout)
+	h := p.sys.executor(named.Ref().PeerID).Run(proc, []*stream.Queue{in}, fanout)
 	task.handles = append(task.handles, h)
 	task.procs[n] = &procInstance{proc: proc, handle: h}
 }

@@ -12,8 +12,8 @@ import (
 // attachedAt reads the registry: how many alerters the tap of one
 // endpoint direction feeds (0 when nothing ever monitored it).
 func attachedAt(s *System, peer string, dir alerters.Direction) int {
-	s.tapMu.Lock()
-	defer s.tapMu.Unlock()
+	s.loopMu.Lock()
+	defer s.loopMu.Unlock()
 	if t := s.taps[tapKey{peer, dir}]; t != nil {
 		return t.Attached()
 	}

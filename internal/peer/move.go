@@ -186,10 +186,12 @@ func (t *Task) outputRefs(n *algebra.Node) (cur, orig stream.Ref) {
 	return cur, orig
 }
 
-// runProc starts a processor over its input queues publishing into out
-// and records the instance for checkpointing and teardown.
+// runProc starts a processor over its input queues publishing into out,
+// on the loop of out's peer — the instance's host, also while a move has
+// yet to commit it to the plan — and records the instance for
+// checkpointing and teardown.
 func (p *Peer) runProc(t *Task, n *algebra.Node, proc operators.Proc, queues []*stream.Queue, out *stream.Channel) *operators.Handle {
-	h := operators.Run(proc, queues, operators.ChannelPublish(out))
+	h := p.sys.executor(out.Ref().PeerID).Run(proc, queues, operators.ChannelPublish(out))
 	t.handles = append(t.handles, h)
 	t.procs[n] = &procInstance{proc: proc, handle: h}
 	return h

@@ -16,6 +16,7 @@ import (
 	"p2pm/internal/algebra"
 	"p2pm/internal/dht"
 	"p2pm/internal/kadop"
+	"p2pm/internal/operators"
 	"p2pm/internal/rss"
 	"p2pm/internal/simnet"
 	"p2pm/internal/soap"
@@ -39,10 +40,11 @@ type System struct {
 	Ring   *dht.Ring
 	DB     *kadop.DB
 
-	// taps holds the one WS alerter tap per monitored endpoint direction
-	// (System.tap).
-	tapMu sync.Mutex
-	taps  map[tapKey]*alerters.Tap
+	// loops holds the one event loop per peer (System.executor), taps the
+	// one WS alerter tap per monitored endpoint direction (System.tap).
+	loopMu sync.Mutex
+	loops  map[string]*operators.Executor
+	taps   map[tapKey]*alerters.Tap
 
 	// admitMu serializes AddPeer: two concurrent admissions of one name
 	// must resolve to one node, one ring member and one Peer.
@@ -123,6 +125,7 @@ func NewSystem(cfg Config) (*System, error) {
 		edges:    make(map[stream.Ref][]*edge),
 		stale:    make(map[stream.Ref]bool),
 		sidSeq:   make(map[string]int),
+		loops:    make(map[string]*operators.Executor),
 		taps:     make(map[tapKey]*alerters.Tap),
 	}
 	if cfg.Agg.SplitRatio > 0 {

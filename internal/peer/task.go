@@ -167,10 +167,12 @@ func (t *Task) ItemsProcessed() uint64 {
 // emit eos and edges on *shared* channels (reused streams, which will
 // never close on our account) are closed; that guarantees every
 // operator's inputs terminate, so eos cascades cleanly through the
-// task's own channels without losing buffered items. Then the operator
-// goroutines are awaited and everything remaining is closed: when Stop
-// returns no edge of the task is attached anywhere and every queue it fed
-// — Results(), a BY subscribe target's Incoming queue — is closed.
+// task's own channels without losing buffered items. (Detaching a WS
+// alerter is a barrier: every call that returned before Stop is fired
+// first.) Then the operators are awaited and everything remaining is
+// closed: when Stop returns no edge of the task is attached anywhere and
+// every queue it fed — Results(), a BY subscribe target's Incoming queue
+// — is closed.
 func (t *Task) Stop() {
 	t.stopOnce.Do(func() {
 		for _, c := range t.closers {
@@ -196,8 +198,8 @@ func (t *Task) Stop() {
 	})
 }
 
-// Wait blocks until all operator goroutines have finished (after the
-// sources have closed).
+// Wait blocks until all operators have finished (after the sources have
+// closed).
 func (t *Task) Wait() {
 	for _, h := range t.handles {
 		h.Wait()

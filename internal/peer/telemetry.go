@@ -9,8 +9,9 @@ import (
 
 // sysMetrics are the registry handles only the System feeds: the Step
 // clock and the pull-style gauges. (What the layers count — simnet, DHT,
-// gossip — is their own fields, exported by Attach.) Nil when telemetry
-// is disabled, the default: Step then reads no wall clock.
+// gossip, the per-peer loops — is their own fields, exported by Attach.)
+// Nil when telemetry is disabled, the default: Step then reads no wall
+// clock.
 type sysMetrics struct {
 	reg *telemetry.Registry
 
@@ -94,6 +95,20 @@ func (s *System) collectTelemetry() {
 	t.replayBuffered.Set(int64(buffered))
 	t.replayTrimmed.Set(int64(trimmed))
 	t.replayedItems.Set(int64(s.ReplayedItems()))
+
+	// Per-peer loops and per-endpoint taps: the two buffers the data path
+	// grew with the event loops, read where they live.
+	s.loopMu.Lock()
+	for peer, ex := range s.loops {
+		t.reg.Gauge("loop_runq_high_water", telemetry.L("peer", peer)).Set(int64(ex.Stats().RunQueueHighWater))
+	}
+	for k, tap := range s.taps {
+		depth, high := tap.Ring()
+		labels := []telemetry.Label{telemetry.L("peer", k.peer), telemetry.L("dir", k.dir.String())}
+		t.reg.Gauge("tap_ring_depth", labels...).Set(int64(depth))
+		t.reg.Gauge("tap_ring_high_water", labels...).Set(int64(high))
+	}
+	s.loopMu.Unlock()
 
 	load := s.AggLoad()
 	for peer, items := range load.ByPeer() {

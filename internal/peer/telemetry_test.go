@@ -12,9 +12,12 @@ import (
 	"time"
 
 	"p2pm/internal/dht"
+	"p2pm/internal/operators"
+	"p2pm/internal/stream"
 	"p2pm/internal/telemetry"
 	"p2pm/internal/transport"
 	"p2pm/internal/wire"
+	"p2pm/internal/xmltree"
 )
 
 // seriesShapes lists a snapshot's exported series as sorted, distinct
@@ -82,8 +85,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 
 	// The exported series of this run — name, kind, label keys — as a
 	// build of PR 21 (before the registry attached to the layers' own
-	// counters) lists them: a renamed, re-kinded or vanished series fails
-	// here.
+	// counters) lists them, plus the per-peer loop and per-tap ring series
+	// of PR 24: a renamed, re-kinded or vanished series fails here.
 	want := []string{
 		"agg_ingest_items gauge peer",
 		"agg_interior_ingest_max gauge",
@@ -94,6 +97,10 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"dht_hops_total counter",
 		"dht_lookups_total counter",
 		"dht_puts_total counter",
+		"loop_items_total counter peer",
+		"loop_runq_high_water gauge peer",
+		"loop_steps_total counter peer",
+		"loop_wakes_total counter peer",
 		"simnet_bytes_total counter",
 		"simnet_dropped_total counter",
 		"simnet_messages_total counter",
@@ -104,6 +111,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"stream_replayed_items gauge",
 		"system_step_ns histogram",
 		"system_steps_total counter",
+		"tap_ring_depth gauge dir,peer",
+		"tap_ring_high_water gauge dir,peer",
 	}
 	if got := seriesShapes(cfg.Telemetry.Registry.Snapshot()); !slices.Equal(got, want) {
 		t.Errorf("exported series changed:\n got %q\nwant %q", got, want)
@@ -140,8 +149,8 @@ func catalogKinds(t *testing.T) map[string]string {
 
 // TestRegistryReadsTheLayersOwnCounters drives every layer that keeps
 // counters — transport sends and a frame lost on a crashed link, DHT
-// puts, gets, cache hits and a join's handoffs, gossip probes through
-// to a declared death — and then walks the docs/TELEMETRY.md catalog:
+// puts, gets, cache hits and a join's handoffs, an operator stepped
+// and woken on a peer's loop, gossip probes through to a declared death — and then walks the docs/TELEMETRY.md catalog:
 // every counter a layer owns is exported under its documented name,
 // kind and label keys, and reads exactly what the layer's own accessor
 // reads, because it is the same variable. (The wire_* pair and the tcp
@@ -190,6 +199,18 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 		}
 	}
 
+	// An operator on p0's loop, fed one item at a time until its parked
+	// goroutine had to be woken for one.
+	in, out := stream.NewQueue(), make(chan stream.Item)
+	h := sys.executor("p0").Run(&operators.Union{}, []*stream.Queue{in}, func(it stream.Item) { out <- it })
+	for i := 0; i < 1000 && sys.executor("p0").Stats().Wakes == 0; i++ {
+		in.Push(stream.Item{Tree: xmltree.Elem("x")})
+		<-out
+	}
+	in.Close()
+	<-out // eos
+	h.Wait()
+
 	sys.Net.Crash("p3")
 	send("p0", "p3") // lost on the link
 	for i := 0; i < 25 && det.deaths.Value() == 0; i++ {
@@ -213,6 +234,16 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 			return n
 		}
 	}
+	loops := func(f func(operators.LoopStats) uint64) func() uint64 {
+		return func() (n uint64) {
+			sys.loopMu.Lock()
+			defer sys.loopMu.Unlock()
+			for _, ex := range sys.loops {
+				n += f(ex.Stats())
+			}
+			return n
+		}
+	}
 	probes, indirect, _ := det.ProtocolCounters()
 	lookups, hops := sys.Ring.Stats()
 	totals := sys.Net.Totals()
@@ -231,6 +262,9 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 		"dht_hops_total":               func() uint64 { return hops },
 		"dht_handoffs_total":           sys.Ring.Handoffs,
 		"dht_cache_hits_total":         sys.Ring.ReadCacheHits,
+		"loop_steps_total":             loops(func(l operators.LoopStats) uint64 { return l.Steps }),
+		"loop_items_total":             loops(func(l operators.LoopStats) uint64 { return l.Items }),
+		"loop_wakes_total":             loops(func(l operators.LoopStats) uint64 { return l.Wakes }),
 		"gossip_probes_total":          func() uint64 { return probes },
 		"gossip_indirect_probes_total": func() uint64 { return indirect },
 		"gossip_suspicions_total":      det.suspicions.Value,
@@ -240,8 +274,20 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 	perPeer := func(name string) bool {
 		return strings.HasPrefix(name, "transport_") || strings.HasPrefix(name, "wire_")
 	}
-	// get sums a series over the endpoints when it is per-peer.
+	// get sums a series over the endpoints, or the loops, when it is
+	// per-peer.
 	get := func(name string) (v uint64, ok bool) {
+		if strings.HasPrefix(name, "loop_") {
+			for _, m := range snap.Metrics {
+				if m.Name == name {
+					if m.Kind != telemetry.KindCounter || len(m.Labels) != 1 || m.Labels[0].Key != "peer" {
+						return 0, false
+					}
+					v, ok = v+uint64(m.Value), true
+				}
+			}
+			return v, ok
+		}
 		if !perPeer(name) {
 			m, ok := snap.Get(name)
 			return uint64(m.Value), ok && m.Kind == telemetry.KindCounter

@@ -205,7 +205,7 @@ func TestQueueRingMatchesSlice(t *testing.T) {
 				break
 			}
 		}
-		for i, slot := range q.ring {
+		for i, slot := range q.ring.buf {
 			if slot != (Item{}) {
 				t.Fatalf("seed %d: drained ring still holds %v in slot %d", seed, slot, i)
 			}

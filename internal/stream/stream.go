@@ -71,21 +71,59 @@ func ParseRef(s string) (Ref, error) {
 	return Ref{}, fmt.Errorf("stream: invalid ref %q (want streamID@peerID)", s)
 }
 
+// Ring is a FIFO buffer: a power-of-two ring that doubles when full and
+// never shrinks, so in steady state a push and a pop allocate nothing, and
+// that zeroes a slot when it is popped, so it keeps nothing it handed out
+// reachable. Its owner's lock guards it.
+type Ring[T any] struct {
+	buf     []T
+	head, n int
+	high    int
+}
+
+// Push appends v.
+func (r *Ring[T]) Push(v T) {
+	if r.n == len(r.buf) {
+		buf := make([]T, max(8, 2*len(r.buf)))
+		copy(buf[copy(buf, r.buf[r.head:]):], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	if r.n++; r.n > r.high {
+		r.high = r.n
+	}
+}
+
+// Pop removes and returns the oldest element; ok is false when there is
+// none.
+func (r *Ring[T]) Pop() (v T, ok bool) {
+	if r.n == 0 {
+		return v, false
+	}
+	var zero T
+	v, r.buf[r.head] = r.buf[r.head], zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v, true
+}
+
+// Len returns the number of buffered elements.
+func (r *Ring[T]) Len() int { return r.n }
+
+// HighWater returns the most elements the ring ever held.
+func (r *Ring[T]) HighWater() int { return r.high }
+
 // Queue is an unbounded FIFO of items with a blocking Pop. Operators in a
 // deployed plan communicate through queues so a slow consumer never
 // deadlocks a fan-out; the high-water mark is tracked so experiments can
 // report buffer pressure.
 type Queue struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	// ring holds n items starting at head; its length is zero or a power
-	// of two. It grows by doubling and never shrinks, so a queue in steady
-	// state allocates nothing.
-	ring      []Item
-	head, n   int
-	closed    bool
-	highWater int
-	pushed    uint64
+	mu     sync.Mutex
+	cond   *sync.Cond
+	ring   Ring[Item]
+	closed bool
+	pushed uint64
+	ready  func() // see OnReady
 }
 
 // NewQueue returns an empty open queue.
@@ -95,26 +133,36 @@ func NewQueue() *Queue {
 	return q
 }
 
+// OnReady registers the queue's one ready notification: f is called,
+// outside the queue's lock, each time the queue goes from empty to
+// non-empty and when it closes — the edges at which a reader that found
+// it empty (Take) has something to come back for. An event loop reads the
+// queue this way instead of parking a goroutine in Pop.
+func (q *Queue) OnReady(f func()) {
+	q.mu.Lock()
+	q.ready = f
+	q.mu.Unlock()
+}
+
 // Push appends an item. Pushing to a closed queue is a no-op (late
 // publishers lose the race with Unsubscribe, matching channel semantics).
 func (q *Queue) Push(it Item) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.closed {
+		q.mu.Unlock()
 		return
 	}
-	if q.n == len(q.ring) {
-		ring := make([]Item, max(8, 2*len(q.ring)))
-		copy(ring[copy(ring, q.ring[q.head:]):], q.ring[:q.head])
-		q.ring, q.head = ring, 0
-	}
-	q.ring[(q.head+q.n)&(len(q.ring)-1)] = it
-	q.n++
+	q.ring.Push(it)
 	q.pushed++
-	if q.n > q.highWater {
-		q.highWater = q.n
+	var ready func()
+	if q.ring.Len() == 1 {
+		ready = q.ready
 	}
 	q.cond.Signal()
+	q.mu.Unlock()
+	if ready != nil {
+		ready()
+	}
 }
 
 // Pop removes and returns the oldest item, blocking until one is
@@ -122,42 +170,44 @@ func (q *Queue) Push(it Item) {
 func (q *Queue) Pop() (Item, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.n == 0 && !q.closed {
+	for q.ring.Len() == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	return q.popLocked()
+	return q.ring.Pop()
 }
 
 // TryPop is a non-blocking Pop; ok is false when the queue is empty or
 // closed-and-drained.
 func (q *Queue) TryPop() (Item, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.popLocked()
+	it, ok, _ := q.Take()
+	return it, ok
 }
 
-// popLocked takes the head item and zeroes its slot, so the queue does
-// not keep a consumed tree reachable.
-func (q *Queue) popLocked() (Item, bool) {
-	if q.n == 0 {
-		return Item{}, false
-	}
-	it := q.ring[q.head]
-	q.ring[q.head] = Item{}
-	q.head = (q.head + 1) & (len(q.ring) - 1)
-	q.n--
-	return it, true
+// Take is TryPop that tells an empty queue from an ended one: with ok
+// false, ended reports that the queue is closed and drained, so nothing
+// will ever follow.
+func (q *Queue) Take() (it Item, ok, ended bool) {
+	q.mu.Lock()
+	it, ok = q.ring.Pop()
+	ended = !ok && q.closed
+	q.mu.Unlock()
+	return it, ok, ended
 }
 
 // Close marks the queue closed; blocked Pops return.
 func (q *Queue) Close() {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.closed {
+		q.mu.Unlock()
 		return
 	}
 	q.closed = true
+	ready := q.ready
 	q.cond.Broadcast()
+	q.mu.Unlock()
+	if ready != nil {
+		ready()
+	}
 }
 
 // Closed reports whether Close has been called.
@@ -171,14 +221,14 @@ func (q *Queue) Closed() bool {
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.n
+	return q.ring.Len()
 }
 
 // HighWater returns the maximum number of items ever buffered.
 func (q *Queue) HighWater() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.highWater
+	return q.ring.HighWater()
 }
 
 // Pushed returns the total number of items ever pushed.

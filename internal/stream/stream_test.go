@@ -260,3 +260,35 @@ func TestQuickQueueConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQueueReadyAndTake: the ready notice fires on the push that makes the
+// queue non-empty and on Close, not on a push behind a waiting item; Take
+// tells an empty queue from an ended one.
+func TestQueueReadyAndTake(t *testing.T) {
+	q := NewQueue()
+	fired := 0
+	q.OnReady(func() { fired++ })
+	if _, ok, ended := q.Take(); ok || ended {
+		t.Fatalf("Take on an empty open queue = ok %v, ended %v", ok, ended)
+	}
+	q.Push(Item{Tree: xmltree.Elem("a")})
+	q.Push(Item{Tree: xmltree.Elem("b")})
+	if fired != 1 {
+		t.Fatalf("ready fired %d times for two pushes into an empty queue, want 1", fired)
+	}
+	q.TryPop()
+	q.TryPop()
+	q.Push(Item{Tree: xmltree.Elem("c")})
+	q.Close()
+	q.Close()
+	q.Push(Item{Tree: xmltree.Elem("late")}) // dropped
+	if fired != 3 {
+		t.Fatalf("ready fired %d times, want 3 (two fills, one Close)", fired)
+	}
+	if it, ok, ended := q.Take(); !ok || ended || it.Tree.Label != "c" {
+		t.Fatalf("Take = %v, ok %v, ended %v; want c before the end", it.Tree, ok, ended)
+	}
+	if _, ok, ended := q.Take(); ok || !ended {
+		t.Fatalf("Take on a closed, drained queue = ok %v, ended %v", ok, ended)
+	}
+}

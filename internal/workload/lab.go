@@ -433,7 +433,7 @@ func (l *Lab[R]) undetected() int {
 // remaining losses. One that can count its results steps exactly as long
 // as needed: with replay every driven event is recoverable, so it
 // continues until the last result lands. That bound is generous (on a
-// loaded machine the operator goroutines may need many settle rounds),
+// loaded machine the peers' loops may need many settle rounds),
 // so a run that stops making progress bails once the count stalls;
 // without replay what is lost stays lost and there is nothing to wait
 // for.
