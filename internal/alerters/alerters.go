@@ -493,47 +493,6 @@ func pageDelta(old, new *xmltree.Node) *xmltree.Node {
 	return delta
 }
 
-// Crawler drives a collection of WebPage alerters — the paper's
-// "auxiliary Web crawler for the surveillance of collections of Web
-// pages".
-type Crawler struct {
-	mu    sync.Mutex
-	pages map[string]*WebPage
-}
-
-// NewCrawler returns an empty crawler.
-func NewCrawler() *Crawler { return &Crawler{pages: make(map[string]*WebPage)} }
-
-// Watch adds a page alerter under its URL.
-func (c *Crawler) Watch(w *WebPage) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pages[w.url] = w
-}
-
-// PollAll polls every watched page and returns how many changed. The
-// first error is returned but remaining pages are still polled.
-func (c *Crawler) PollAll() (int, error) {
-	c.mu.Lock()
-	pages := make([]*WebPage, 0, len(c.pages))
-	for _, w := range c.pages {
-		pages = append(pages, w)
-	}
-	c.mu.Unlock()
-	changed := 0
-	var firstErr error
-	for _, w := range pages {
-		ok, err := w.Poll()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if ok {
-			changed++
-		}
-	}
-	return changed, firstErr
-}
-
 // Membership is the DHT membership alerter: it exports the stream of
 // peers joining and leaving in exactly the paper's format:
 //

@@ -192,23 +192,6 @@ func TestWebPageAlerter(t *testing.T) {
 	}
 }
 
-func TestCrawlerPollsCollection(t *testing.T) {
-	p1 := xmltree.MustParse(`<html><p>a</p></html>`)
-	p2 := xmltree.MustParse(`<html><p>b</p></html>`)
-	_, emit := sinkQueue()
-	c := NewCrawler()
-	c.Watch(NewWebPage("wp1", "u1", func() (*xmltree.Node, error) { return p1.Clone(), nil }, false, nil, emit))
-	c.Watch(NewWebPage("wp2", "u2", func() (*xmltree.Node, error) { return p2.Clone(), nil }, false, nil, emit))
-	if n, err := c.PollAll(); err != nil || n != 0 {
-		t.Fatalf("baseline n=%d err=%v", n, err)
-	}
-	p1.Children[0] = xmltree.MustParse(`<p>a2</p>`)
-	p2.Children[0] = xmltree.MustParse(`<p>b2</p>`)
-	if n, err := c.PollAll(); err != nil || n != 2 {
-		t.Fatalf("n=%d err=%v", n, err)
-	}
-}
-
 func TestAXMLRepoAlerts(t *testing.T) {
 	q, emit := sinkQueue()
 	repo := NewAXMLRepo("axml@p", true, nil, emit)

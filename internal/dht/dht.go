@@ -31,6 +31,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -330,10 +331,9 @@ func (r *Ring) Nodes() []string {
 }
 
 // Join adds a peer to the ring, migrating the keys it now owns from its
-// successors, and fires join hooks. With virtual nodes or bounded load
-// enabled the handoff is a deterministic full re-placement (sorted key
-// order); the number of copies that actually moved is visible via
-// Handoffs().
+// successors, and fires join hooks. The handoff is a deterministic full
+// re-placement (sorted key order) whatever the placement; the number of
+// copies that actually moved is visible via Handoffs().
 func (r *Ring) Join(name string) error {
 	r.mu.Lock()
 	if _, dup := r.byKey[name]; dup {
@@ -350,16 +350,8 @@ func (r *Ring) Join(name string) error {
 	copy(r.nodes[nidx+1:], r.nodes[nidx:])
 	r.nodes[nidx] = n
 	r.byKey[name] = n
-	baseIdx := r.insertVnodesLocked(n)
-	if r.spreadLocked() {
-		r.rebalanceLocked(nil)
-	} else {
-		// The new node takes over the keys it now owns (and, with
-		// replication, drops out-of-range copies from old replica sets).
-		// Only keys stored in the neighborhood of the insertion point can
-		// be affected, so the rebalance is local, not full-ring.
-		r.neighborhoodRebalanceLocked(baseIdx, nil)
-	}
+	r.insertVnodesLocked(n)
+	r.rebalanceLocked(nil)
 	hooks := append([]MembershipHook(nil), r.hooks...)
 	r.mu.Unlock()
 	for _, h := range hooks {
@@ -393,18 +385,14 @@ func (r *Ring) remove(name string, graceful bool) error {
 	delete(r.byKey, name)
 	idx := sort.Search(len(r.nodes), func(i int) bool { return r.nodes[i].id >= n.id })
 	r.nodes = append(r.nodes[:idx], r.nodes[idx+1:]...)
-	baseIdx := r.removeVnodesLocked(n)
+	r.removeVnodesLocked(n)
 	extra := n.store
 	if !graceful {
-		// A crashed node's copies are lost; surviving replicas in the
-		// neighborhood re-seed the new replica sets.
+		// A crashed node's copies are lost; surviving replicas re-seed the
+		// new replica sets.
 		extra = nil
 	}
-	if r.spreadLocked() {
-		r.rebalanceLocked(extra)
-	} else {
-		r.neighborhoodRebalanceLocked(baseIdx, extra)
-	}
+	r.rebalanceLocked(extra)
 	hooks := append([]MembershipHook(nil), r.hooks...)
 	r.mu.Unlock()
 	for _, h := range hooks {
@@ -412,11 +400,6 @@ func (r *Ring) remove(name string, graceful bool) error {
 	}
 	return nil
 }
-
-// spreadLocked reports whether placement uses the elastic machinery
-// (virtual tokens or bounded load), which rebalances by deterministic
-// full re-placement instead of the classic local neighborhood scan.
-func (r *Ring) spreadLocked() bool { return r.virtual > 1 || r.loadBound > 0 }
 
 // rebuildVnodesLocked regenerates every member's tokens (after a
 // SetVirtual change).
@@ -427,11 +410,11 @@ func (r *Ring) rebuildVnodesLocked() {
 	}
 }
 
-// insertVnodesLocked adds a member's tokens to the sorted token list and
-// returns the final index of its base token. Token-id collisions with
-// already-placed tokens are skipped (FNV collisions across 64 bits are
-// vanishingly rare; dropping a secondary token only costs balance).
-func (r *Ring) insertVnodesLocked(n *node) int {
+// insertVnodesLocked adds a member's tokens to the sorted token list.
+// Token-id collisions with already-placed tokens are skipped (FNV
+// collisions across 64 bits are vanishingly rare; dropping a secondary
+// token only costs balance).
+func (r *Ring) insertVnodesLocked(n *node) {
 	for i := 0; i < r.virtual; i++ {
 		id := vnodeID(n.name, i)
 		idx := sort.Search(len(r.vnodes), func(j int) bool { return r.vnodes[j].id >= id })
@@ -442,13 +425,10 @@ func (r *Ring) insertVnodesLocked(n *node) int {
 		copy(r.vnodes[idx+1:], r.vnodes[idx:])
 		r.vnodes[idx] = vnode{id: id, phys: n}
 	}
-	return sort.Search(len(r.vnodes), func(j int) bool { return r.vnodes[j].id >= n.id })
 }
 
-// removeVnodesLocked drops a member's tokens and returns the index its
-// base token occupied (the neighborhood-rebalance anchor).
-func (r *Ring) removeVnodesLocked(n *node) int {
-	base := sort.Search(len(r.vnodes), func(j int) bool { return r.vnodes[j].id >= n.id })
+// removeVnodesLocked drops a member's tokens.
+func (r *Ring) removeVnodesLocked(n *node) {
 	kept := r.vnodes[:0]
 	for _, v := range r.vnodes {
 		if v.phys != n {
@@ -456,10 +436,6 @@ func (r *Ring) removeVnodesLocked(n *node) int {
 		}
 	}
 	r.vnodes = kept
-	if base > len(r.vnodes) {
-		base = len(r.vnodes)
-	}
-	return base
 }
 
 // capacityLocked is the per-class bounded-load primary cap for a ring
@@ -479,13 +455,14 @@ func (r *Ring) capacityLocked(keys int) int {
 // extra, when non-nil, contributes the store of a gracefully departing
 // node. Keys are placed in sorted order so bounded-load placement (which
 // depends on placement order) is deterministic. Values keep their order
-// (readers rely on "latest wins"); identical values held by multiple
-// replicas merge to one copy. Copies landing on a node that did not hold
-// the key count as handoffs.
+// (readers rely on "latest wins"); the replicas' lists merge into one,
+// identical values once. Copies outside the new replica set are dropped,
+// a copy landing on a node that did not hold the key counts as a handoff,
+// and a holder whose list already matches is left alone.
 func (r *Ring) rebalanceLocked(extra map[string][]string) {
 	r.invalidateReadCacheLocked()
-	r.primary = make(map[string]*node)
-	r.classKeys = make(map[string]int)
+	clear(r.primary)
+	clear(r.classKeys)
 	for _, n := range r.nodes {
 		n.primaries = nil
 	}
@@ -493,21 +470,13 @@ func (r *Ring) rebalanceLocked(extra map[string][]string) {
 		return
 	}
 	merged := make(map[string][]string)
-	prev := make(map[string]map[*node]bool)
 	for _, n := range r.nodes {
 		for k, vs := range n.store {
 			merged[k] = mergeVals(merged[k], vs)
-			if prev[k] == nil {
-				prev[k] = make(map[*node]bool)
-			}
-			prev[k][n] = true
 		}
 	}
 	for k, vs := range extra {
 		merged[k] = mergeVals(merged[k], vs)
-	}
-	for _, n := range r.nodes {
-		n.store = make(map[string][]string)
 	}
 	keys := make([]string, 0, len(merged))
 	for k := range merged {
@@ -518,72 +487,37 @@ func (r *Ring) rebalanceLocked(extra map[string][]string) {
 	for _, k := range keys {
 		classTotal[keyClass(k)]++
 	}
+	sets := make(map[string][]*node, len(keys))
 	for _, k := range keys {
-		for _, n := range r.assignLocked(k, r.capacityLocked(classTotal[keyClass(k)])) {
-			n.store[k] = append([]string(nil), merged[k]...)
-			if !prev[k][n] {
-				r.handoffs.Inc()
+		sets[k] = r.assignLocked(k, r.capacityLocked(classTotal[keyClass(k)]))
+	}
+	for _, n := range r.nodes {
+		for k := range n.store {
+			if !slices.Contains(sets[k], n) {
+				delete(n.store, k)
 			}
 		}
 	}
-}
-
-// neighborhoodRebalanceLocked re-places the keys affected by a
-// membership change at token position idx — the classic (one token per
-// member, unbounded) path. A key's replica set is a contiguous run of
-// successors of its hash, so only keys whose window crosses the change
-// point can gain or lose a holder, and their surviving copies live
-// within replication-1 positions before idx or replication positions
-// after it — the rest of the ring is untouched. extra contributes the
-// store of a gracefully departed node.
-func (r *Ring) neighborhoodRebalanceLocked(idx int, extra map[string][]string) {
-	r.invalidateReadCacheLocked()
-	n := len(r.vnodes)
-	if n == 0 {
-		return
-	}
-	k := r.replication
-	if k > n {
-		k = n
-	}
-	span := 2 * k
-	if span > n {
-		span = n
-	}
-	start := ((idx-(k-1))%n + n) % n
-	merged := make(map[string][]string)
-	scanned := make([]*node, 0, span)
-	for i := 0; i < span; i++ {
-		nd := r.vnodes[(start+i)%n].phys
-		scanned = append(scanned, nd)
-		for key, vs := range nd.store {
-			merged[key] = mergeVals(merged[key], vs)
-		}
-	}
-	for key, vs := range extra {
-		merged[key] = mergeVals(merged[key], vs)
-	}
-	for key, vs := range merged {
-		desired := r.replicaSetLocked(HashID(key))
-		inDesired := make(map[*node]bool, len(desired))
-		for _, d := range desired {
-			inDesired[d] = true
-			if _, had := d.store[key]; !had {
+	for _, k := range keys {
+		for _, n := range sets[k] {
+			old, had := n.store[k]
+			if !had {
 				r.handoffs.Inc()
 			}
-			d.store[key] = append([]string(nil), vs...)
-		}
-		for _, s := range scanned {
-			if !inDesired[s] {
-				delete(s.store, key)
+			if !slices.Equal(old, merged[k]) {
+				n.store[k] = slices.Clone(merged[k])
 			}
 		}
 	}
 }
 
 // mergeVals appends the values of src not already in dst, preserving
-// order.
+// order. Replicas that agree merge without a copy: the result may share
+// src's array, so callers clone before storing it.
 func mergeVals(dst, src []string) []string {
+	if dst == nil || slices.Equal(dst, src) {
+		return slices.Clip(src)
+	}
 	seen := make(map[string]bool, len(dst))
 	for _, v := range dst {
 		seen[v] = true
@@ -636,7 +570,8 @@ func (r *Ring) replicaSetLocked(id ID) []*node {
 // write of a new key): the primary is the first successor below the
 // bounded-load capacity (the plain successor when unbounded, or when
 // every member is at capacity), replicas are the next distinct members
-// after it. Records the primary and its load count.
+// after it. Bounded placement records the primary and its load count
+// (unbounded placement reads neither).
 func (r *Ring) assignLocked(key string, cap int) []*node {
 	// Unbounded placement needs only the replica-set prefix; the full
 	// distinct-member walk is materialized only when the bounded walk
@@ -667,9 +602,11 @@ func (r *Ring) assignLocked(key string, cap int) []*node {
 	for i := 0; i < k; i++ {
 		out = append(out, physes[(pi+i)%len(physes)])
 	}
-	r.primary[key] = out[0]
-	out[0].addPrimary(class)
-	r.classKeys[class]++
+	if r.loadBound > 0 {
+		r.primary[key] = out[0]
+		out[0].addPrimary(class)
+		r.classKeys[class]++
+	}
 	return out
 }
 

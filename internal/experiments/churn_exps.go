@@ -117,7 +117,7 @@ func runX2(s Scale) (*Result, error) {
 	res.Notes = append(res.Notes,
 		"replay off: loss per crash is bounded by the outage window (suspicion timeout × event rate); results driven while the relay is healthy always arrive",
 		"replay on: the relay's input replays from the upstream retention buffer at re-deploy (resuming from the replicated checkpoint) and consumer cursors deduplicate the overlap — completeness 100% with bounded buffers",
-		"gossip detection: each peer probes a random Fanout-sized subset per period (O(1)/peer, no hotspot), escalates through k proxies, and the supervisor acts on a quorum-confirmed view — no single point of blindness",
+		"gossip detection: each peer probes one random member per period (O(1)/peer, no hotspot), escalates through k proxies, and the supervisor acts on a quorum-confirmed view — no single point of blindness",
 		"survivability: with the monitor peer partitioned away, gossip keeps detecting real crashes; the single-home heartbeat detector this replaced went blind there and killed the healthy peers (12% completeness at full scale when PR 18 removed it; docs/DETECTOR.md)",
 		"failover prefers peers that announced a replica of the affected stream (Section 5's InChannel records)")
 	res.Holds = holds

@@ -4,8 +4,7 @@
 // against its tree's mean ingest rate, and splits an interior that
 // stays hot for splitObservations consecutive Steps (hysteresis) —
 // SplitInterior then reshapes the running tree exactly-once. The knobs
-// live in AggConfig; SplitRatio is runtime-mutable through Tuning.
-// See docs/ADAPTIVE.md.
+// live in AggConfig. See docs/ADAPTIVE.md.
 package peer
 
 import (
@@ -125,16 +124,10 @@ type rechunkState struct {
 }
 
 // startRechunkController registers the per-Step observe/decide/actuate
-// loop. NewSystem calls it when Agg.SplitRatio is armed; the ratio knob
-// stays live afterwards (Tuning.SetAggSplitRatio — 0 suspends the loop
-// without unregistering it).
+// loop. NewSystem calls it when Agg.SplitRatio is armed.
 func (s *System) startRechunkController() {
 	states := make(map[string]*rechunkState)
 	s.OnStep(func(now time.Duration) {
-		cfg := s.aggSplit()
-		if cfg.SplitRatio <= 0 {
-			return
-		}
 		for _, p := range s.livePeers() {
 			for _, t := range sortedTasks(p) {
 				st := states[t.ID]
@@ -142,7 +135,7 @@ func (s *System) startRechunkController() {
 					st = &rechunkState{lastItems: map[string]uint64{}, overCount: map[string]int{}}
 					states[t.ID] = st
 				}
-				s.rechunkTask(p, t, st, cfg, now)
+				s.rechunkTask(p, t, st, now)
 			}
 		}
 	})
@@ -156,7 +149,8 @@ func (s *System) startRechunkController() {
 // EOS), so mid-run their gauges carry no signal. At most one split per
 // task per Step, the hottest qualifying interior first (key order
 // breaking ties), with SplitCooldown spacing consecutive reshapes.
-func (s *System) rechunkTask(p *Peer, t *Task, st *rechunkState, cfg AggConfig, now time.Duration) {
+func (s *System) rechunkTask(p *Peer, t *Task, st *rechunkState, now time.Duration) {
+	cfg := s.cfg.Agg
 	type cand struct {
 		n     *algebra.Node
 		delta uint64

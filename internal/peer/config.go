@@ -5,18 +5,20 @@ import (
 	"sort"
 	"time"
 
-	"p2pm/internal/simnet"
 	"p2pm/internal/telemetry"
 )
 
 // Config configures a System. It groups the former flat Options into
 // functional sub-structs (DHT placement, aggregation trees, the replay/
-// checkpoint layer) and is validated by NewSystem. Fields that stay
-// meaningful after startup are mutable at runtime through System.Tuning
-// — the seam the adaptive controllers (docs/ADAPTIVE.md) actuate
-// through.
+// checkpoint layer) and is validated by NewSystem. It is fixed at
+// construction: the adaptive controllers (docs/ADAPTIVE.md) actuate
+// through System.Tuning, which moves placement and replication, not
+// these fields.
 type Config struct {
-	// Seed drives all simulation randomness.
+	// Seed is the System's seed: a gossip supervisor started without one
+	// draws its probe order from it. It does not seed the simulated
+	// network's coordinates — every System's network starts from
+	// simnet.DefaultOptions, seed 1.
 	Seed int64
 	// Reuse enables the Section 5 stream-reuse pass on new subscriptions.
 	Reuse bool
@@ -35,9 +37,6 @@ type Config struct {
 	// Replay configures the lossless-failover layer (replay buffers,
 	// cursors, operator checkpoints).
 	Replay ReplayConfig
-	// Net overrides the simulated-network parameters; zero value uses
-	// simnet defaults seeded from Seed.
-	Net simnet.Options
 	// Telemetry opts the system into the metrics registry
 	// (docs/TELEMETRY.md). The zero value exports nothing; the layers
 	// count the same either way.
@@ -66,9 +65,8 @@ func (t TelemetryConfig) enabled() bool { return t.Registry != nil || t.Addr != 
 type DHTConfig struct {
 	// Replication is the number of copies the stream-definition database
 	// keeps per key (owner + successors). Values > 1 let lookups survive
-	// node crashes; <= 1 keeps a single copy. Mutable at runtime via
-	// Tuning.SetDHTReplication (subsequent puts — including every
-	// checkpoint sweep — pick the new factor up).
+	// node crashes; <= 1 keeps a single copy. The starting value only:
+	// the ring owns the number, and Tuning.SetDHTReplication moves it.
 	Replication int
 	// VirtualNodes gives every peer that many tokens on the ring instead
 	// of one: key ownership fragments into small arcs, so a membership
@@ -77,13 +75,10 @@ type DHTConfig struct {
 	VirtualNodes int
 	// LoadBound, when > 0, enables bounded-load placement: no peer holds
 	// more than ceil(c·K/n) primary keys, capping its share of
-	// checkpoint/descriptor traffic at ~c× the mean. 0 keeps plain
-	// successor placement.
+	// checkpoint/descriptor traffic at ~c× the mean, and the per-reader
+	// cache of resolved primary locations that shaves the successor scan
+	// off repeat reads. 0 keeps plain successor placement.
 	LoadBound float64
-	// ReadCache caches resolved bounded-load primary locations per
-	// reader, invalidated on membership or placement changes. Only
-	// meaningful with LoadBound > 0.
-	ReadCache bool
 }
 
 // AggConfig groups aggregation-tree construction and the adaptive
@@ -100,7 +95,7 @@ type AggConfig struct {
 	// SplitRatio×mean for splitObservations consecutive Steps is split
 	// in place (its children re-chunked under fresh sub-interiors,
 	// exactly-once across the move). Requires the replay layer. 0
-	// disables re-chunking. Mutable via Tuning.SetAggSplitRatio.
+	// disables re-chunking.
 	SplitRatio float64
 	// SplitCooldown is the minimum virtual time between two splits in
 	// the same task, bounding how fast the controller can reshape a
@@ -118,7 +113,7 @@ type ReplayConfig struct {
 	// CheckpointInterval, when > 0, snapshots every stateful operator
 	// each interval of virtual time into the DHT-replicated store;
 	// failover restores operators from their checkpoint instead of
-	// restarting them cold. Mutable via Tuning.SetCheckpointInterval.
+	// restarting them cold.
 	CheckpointInterval time.Duration
 }
 
@@ -130,16 +125,11 @@ func DefaultConfig() Config {
 		Reuse:    true,
 		Pushdown: true,
 		DHT:      DHTConfig{Replication: 2},
-		Net:      simnet.DefaultOptions(),
 	}
 }
 
 // normalize fills derived defaults (after validation).
 func (c Config) normalize() Config {
-	if c.Net == (simnet.Options{}) {
-		c.Net = simnet.DefaultOptions()
-		c.Net.Seed = c.Seed
-	}
 	if c.Telemetry.Addr != "" && c.Telemetry.Registry == nil {
 		c.Telemetry.Registry = telemetry.Default
 	}
@@ -194,66 +184,28 @@ func (c Config) validate() error {
 // ---------------------------------------------------------------------
 // Runtime tuning.
 
-// Tuning is the runtime-mutable control surface of a running System.
-// Every setter is safe to call mid-run — this is the seam the adaptive
-// controllers (and operators doing manual intervention) actuate through.
-// Mutations take effect at well-defined points: the next checkpoint
-// sweep, the next controller observation, the next detector tick.
+// Tuning is the actuation surface of a running System: the replication
+// factor and the aggregation-host quarantine, the two things the stock
+// adapt rules move mid-run (docs/ADAPTIVE.md). Everything else is fixed
+// at construction by Config.
 type Tuning struct{ s *System }
 
 // Tuning returns the runtime control surface.
 func (s *System) Tuning() Tuning { return Tuning{s: s} }
 
-// SetCheckpointInterval changes the operator checkpoint cadence (0
-// disables future sweeps; CheckpointNow still works).
-func (t Tuning) SetCheckpointInterval(d time.Duration) {
-	t.s.cfgMu.Lock()
-	t.s.cfg.Replay.CheckpointInterval = d
-	t.s.cfgMu.Unlock()
-}
-
-// SetAggSplitRatio re-arms (or, with 0, disarms) the load-driven
-// re-chunking controller at a new hot-interior threshold.
-func (t Tuning) SetAggSplitRatio(r float64) {
-	t.s.cfgMu.Lock()
-	t.s.cfg.Agg.SplitRatio = r
-	t.s.cfgMu.Unlock()
-}
-
-// SetDHTReplication changes the stream-definition replication factor.
-// Existing keys re-replicate as they are re-put — operator checkpoints
-// on the next sweep, stats on the next refresh — so raising it for a
-// hot checkpoint class converges within one checkpoint interval.
-func (t Tuning) SetDHTReplication(n int) {
-	if n < 1 {
-		n = 1
-	}
-	t.s.cfgMu.Lock()
-	t.s.cfg.DHT.Replication = n
-	t.s.cfgMu.Unlock()
-	t.s.Ring.SetReplication(n)
-}
-
-// SetGossipSuspicion changes the suspicion window of the running
-// gossip detector (the base value; adaptive health still scales it).
-func (t Tuning) SetGossipSuspicion(d time.Duration) {
-	if g := t.s.gossipDetector(); g != nil {
-		g.SetSuspicion(d)
-	}
-}
+// SetDHTReplication changes the stream-definition replication factor
+// (clamped to >= 1): the ring re-places every key at once.
+func (t Tuning) SetDHTReplication(n int) { t.s.Ring.SetReplication(n) }
 
 // QuarantineAggHost removes a peer from aggregation-tree interior
 // placement (on top of any SetAggHosts filter) and rebalances running
 // trees off it. The control action a flap-monitoring query triggers.
 func (t Tuning) QuarantineAggHost(name string) {
 	t.s.mu.Lock()
-	if t.s.quarantined == nil {
-		t.s.quarantined = make(map[string]bool)
-	}
 	changed := !t.s.quarantined[name]
 	t.s.quarantined[name] = true
 	t.s.mu.Unlock()
-	if changed && t.s.aggDegree() > 1 {
+	if changed && t.s.cfg.Agg.Degree > 1 {
 		t.s.RebalanceAggTrees(t.s.Net.Clock().Now())
 	}
 }
@@ -265,7 +217,7 @@ func (t Tuning) LiftQuarantine(name string) {
 	changed := t.s.quarantined[name]
 	delete(t.s.quarantined, name)
 	t.s.mu.Unlock()
-	if changed && t.s.aggDegree() > 1 {
+	if changed && t.s.cfg.Agg.Degree > 1 {
 		t.s.RebalanceAggTrees(t.s.Net.Clock().Now())
 	}
 }

@@ -38,7 +38,7 @@ func (p *Peer) deploy(task *Task) error {
 	// windowed aggregations decompose into DHT-routed partial/merge
 	// trees before a single channel is allocated. The task's plan IS the
 	// rewritten plan — failover and checkpointing see the tree.
-	if deg := p.sys.aggDegree(); deg > 1 {
+	if deg := p.sys.cfg.Agg.Degree; deg > 1 {
 		plan, _ = aggtree.Rewrite(plan, task.ID, aggtree.Config{Degree: deg, Place: p.sys.newAggPlacer()})
 		task.Plan = plan
 	}
@@ -146,10 +146,10 @@ func (p *Peer) makeProc(n *algebra.Node) (operators.Proc, error) {
 			Residual: algebra.JoinResidual(n.Inputs[0].Schema, n.Inputs[1].Schema, n.Join),
 			Combine:  algebra.JoinCombine(n.Inputs[0].Schema, n.Inputs[1].Schema),
 			UseIndex: true,
-			Window:   p.sys.Config().JoinWindow,
+			Window:   p.sys.cfg.JoinWindow,
 		}, nil
 	case algebra.OpDistinct:
-		return &operators.Distinct{Window: p.sys.Config().DistinctWindow}, nil
+		return &operators.Distinct{Window: p.sys.cfg.DistinctWindow}, nil
 	case algebra.OpGroup:
 		window, err := groupWindow(n)
 		if err != nil {
@@ -329,46 +329,56 @@ func argAttr(n *algebra.Node, elem, attr string) string {
 	return ""
 }
 
-// runDynAlerter manages the dynamic alerter set of an inCOM($j)-style
-// source: membership events attach and detach WS alerters on the joined
-// peers, all publishing into the same output channel.
-func (p *Peer) runDynAlerter(task *Task, n *algebra.Node, driver *stream.Queue, out *stream.Channel) {
-	dir := alerters.Inbound
-	if n.Alerter.Func == "outCOM" {
-		dir = alerters.Outbound
+// runDynAlerter starts the manager of an inCOM($j)-style source's
+// dynamic alerter set on its host's loop, reading membership events from
+// driver. The manager has no checkpoint: its handle is the task's to
+// await, not an instance to snapshot.
+func (p *Peer) runDynAlerter(task *Task, n *algebra.Node, driver *stream.Queue, out *stream.Channel) *operators.Handle {
+	d := &dynAlerter{sys: p.sys, task: task, fn: n.Alerter.Func, dir: alerters.Inbound, out: out, active: make(map[string]func())}
+	if d.fn == "outCOM" {
+		d.dir = alerters.Outbound
 	}
-	done := make(chan struct{})
-	task.dynDone = append(task.dynDone, done)
-	go func() {
-		defer close(done)
-		active := make(map[string]func()) // monitored peer → detach
-		for {
-			it, ok := driver.Pop()
-			if !ok || it.EOS() {
-				break
-			}
-			switch it.Tree.Label {
-			case "p-join":
-				peerName := it.Tree.InnerText()
-				if _, dup := active[peerName]; !dup {
-					active[peerName] = p.sys.tap(peerName, dir).Attach(n.Alerter.Func+"@"+peerName,
-						includeEnvelopes, out.Publish)
-				}
-			case "p-leave":
-				// "inCOM removes peers from the collection of monitored
-				// peers" (Section 2).
-				if detach, ok := active[it.Tree.InnerText()]; ok {
-					detach()
-					delete(active, it.Tree.InnerText())
-				}
-			}
-			task.dynEvents.Add(1)
+	h := p.sys.executor(out.Ref().PeerID).Run(d, []*stream.Queue{driver}, operators.ChannelPublish(out))
+	task.handles = append(task.handles, h)
+	return h
+}
+
+// dynAlerter is that manager: membership events attach and detach WS
+// alerters on the joined peers, all publishing into the same output
+// channel, which the handle's eos closes once Flush detached the rest.
+type dynAlerter struct {
+	sys    *System
+	task   *Task
+	fn     string
+	dir    alerters.Direction
+	out    *stream.Channel
+	active map[string]func() // monitored peer → detach
+}
+
+func (d *dynAlerter) Name() string { return "DynAlerter" }
+
+func (d *dynAlerter) Accept(_ int, it stream.Item, _ operators.Emit) {
+	peerName := it.Tree.InnerText()
+	switch it.Tree.Label {
+	case "p-join":
+		if _, dup := d.active[peerName]; !dup {
+			d.active[peerName] = d.sys.tap(peerName, d.dir).Attach(d.fn+"@"+peerName, includeEnvelopes, d.out.Publish)
 		}
-		for _, detach := range active {
+	case "p-leave":
+		// "inCOM removes peers from the collection of monitored peers"
+		// (Section 2).
+		if detach, ok := d.active[peerName]; ok {
 			detach()
+			delete(d.active, peerName)
 		}
-		out.Close()
-	}()
+	}
+	d.task.dynEvents.Add(1)
+}
+
+func (d *dynAlerter) Flush(operators.Emit) {
+	for _, detach := range d.active {
+		detach()
+	}
 }
 
 // includeEnvelopes: the runtime's WS alerts embed the intercepted SOAP

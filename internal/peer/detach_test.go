@@ -6,6 +6,7 @@ import (
 
 	"p2pm/internal/alerters"
 	"p2pm/internal/algebra"
+	"p2pm/internal/operators"
 	"p2pm/internal/xmltree"
 )
 
@@ -189,10 +190,16 @@ func TestDynAlerterManagerMoveDetaches(t *testing.T) {
 	if got := task.Degraded(); len(got) != 0 {
 		t.Fatalf("task degraded: %v", got)
 	}
-	if len(task.dynDone) != 2 {
-		t.Fatalf("%d managers started, want the original and its replacement", len(task.dynDone))
+	var mgrs []*operators.Handle
+	for _, h := range task.handles {
+		if h.Name() == "DynAlerter" {
+			mgrs = append(mgrs, h)
+		}
 	}
-	<-task.dynDone[0] // the old manager is gone, and its alerters with it
+	if len(mgrs) != 2 {
+		t.Fatalf("%d managers started, want the original and its replacement", len(mgrs))
+	}
+	mgrs[0].Wait() // the old manager is gone, and its alerters with it
 	// The new manager replays the membership history, svc's join included.
 	waitFor(t, func() bool { return attachedAt(sys, "svc", alerters.Inbound) == 1 })
 	assertEdges(t, sys)

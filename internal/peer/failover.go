@@ -107,7 +107,7 @@ type Supervisor struct {
 // partitioned away. Tick it via System.Step.
 func (s *System) StartGossipSupervisor(opts GossipOptions) *Supervisor {
 	if opts.Seed == 0 {
-		opts.Seed = s.Config().Seed
+		opts.Seed = s.cfg.Seed
 	}
 	sup := &Supervisor{det: s.StartGossipDetector(opts)}
 	sup.det.OnDeath(func(peer string, at time.Duration) {
@@ -200,7 +200,7 @@ func (s *System) LeavePeer(name string) ([]FailoverEvent, error) {
 	s.Ring.Leave(name) //nolint:errcheck // membership was checked above
 	s.Net.Crash(name)  //nolint:errcheck // the peer is gone; links go down
 	events := s.repairDeparted(name, at)
-	if s.aggDegree() > 1 {
+	if s.cfg.Agg.Degree > 1 {
 		// Ring ownership changed: re-parent any aggregation-tree
 		// interiors whose DHT-derived host moved with the departure.
 		events = append(events, s.RebalanceAggTrees(at)...)
@@ -298,7 +298,7 @@ func (s *System) RejoinPeer(name string) []FailoverEvent {
 		return nil
 	}
 	s.Ring.Join(name) //nolint:errcheck // already-joined is fine
-	if s.aggDegree() > 1 {
+	if s.cfg.Agg.Degree > 1 {
 		return s.RebalanceAggTrees(s.Net.Clock().Now())
 	}
 	return nil
@@ -531,7 +531,7 @@ func (p *Peer) publisherMove(t *Task, n *algebra.Node, host string) move {
 func (p *Peer) dynAlerterMove(t *Task, n *algebra.Node, host string) move {
 	return move{host: host,
 		start: func(queues []*stream.Queue, out *stream.Channel) *operators.Handle {
-			p.runDynAlerter(t, n, queues[0], out)
+			h := p.runDynAlerter(t, n, queues[0], out)
 			if ch, ok := p.sys.nodeChannel(t, n.Inputs[0]); ok && ch.ReplayTrimmed() > 0 {
 				// Part of the membership history was evicted from the
 				// driver's bounded buffer: the reconstructed active set
@@ -540,7 +540,7 @@ func (p *Peer) dynAlerterMove(t *Task, n *algebra.Node, host string) move {
 				// point of re-deploying at all.
 				t.degraded = append(t.degraded, n.Label()+": membership history truncated, active set may be partial")
 			}
-			return nil
+			return h
 		}}
 }
 

@@ -46,6 +46,9 @@ const (
 	// λ·⌈log₂(n+1)⌉ outgoing messages per view, the epidemic
 	// dissemination budget.
 	retransmitFactor = 3
+	// probeFanout is how many distinct members each view probes per
+	// period: SWIM's classic one.
+	probeFanout = 1
 )
 
 // GossipOptions configures the gossip failure detector.
@@ -55,14 +58,9 @@ type GossipOptions struct {
 	// same membership, same fault schedule ⇒ identical suspect/dead
 	// timelines. Default 1.
 	Seed int64
-	// ProbeInterval is one protocol period: each member probes Fanout
-	// random other members per period. Default 1s.
+	// ProbeInterval is one protocol period: each member probes one
+	// random other member per period. Default 1s.
 	ProbeInterval time.Duration
-	// Fanout is how many distinct members each peer probes per period.
-	// SWIM's classic setting is 1; raising it cuts the tail of the
-	// time-to-first-probe distribution (and so worst-case detection
-	// latency) linearly at linearly more probe traffic. Default 1.
-	Fanout int
 	// ProbeTimeout bounds the round-trip a probe (direct, or one
 	// indirect relay path) may take before it counts as failed; links
 	// slower than this look dead, the classic accuracy/latency
@@ -97,9 +95,6 @@ func (o GossipOptions) withDefaults() GossipOptions {
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 500 * time.Millisecond
-	}
-	if o.Fanout <= 0 {
-		o.Fanout = 1
 	}
 	if o.Suspicion <= 0 {
 		o.Suspicion = 3 * o.ProbeInterval
@@ -501,7 +496,7 @@ func (g *GossipDetector) Tick() {
 }
 
 // probeRound is one SWIM protocol period for one member: probe a
-// random subset of Fanout members directly, escalate each failure
+// random subset of probeFanout members directly, escalate each failure
 // through k random proxies, and suspect a target when every path to it
 // fails.
 func (g *GossipDetector) probeRound(v *gossipView, at time.Duration) {
@@ -559,8 +554,8 @@ func (g *GossipDetector) pickTargets(v *gossipView) []string {
 	g.rng.Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
-	if len(candidates) > g.opts.Fanout {
-		candidates = candidates[:g.opts.Fanout]
+	if len(candidates) > probeFanout {
+		candidates = candidates[:probeFanout]
 	}
 	sort.Strings(candidates) // deterministic probe order within the round
 	return candidates
@@ -897,33 +892,6 @@ func (g *GossipDetector) HealthOf(peer string) int {
 		return v.health
 	}
 	return 0
-}
-
-// SetSuspicion replaces the base suspicion window at runtime. Open
-// suspicions are re-judged against the new window at the next sweep.
-// Non-positive values are ignored.
-func (g *GossipDetector) SetSuspicion(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.opts.Suspicion = d
-}
-
-// SetAdaptive switches Lifeguard health scaling on or off at runtime.
-// Switching off resets every view's health so the next enable starts
-// from a clean slate.
-func (g *GossipDetector) SetAdaptive(on bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.opts.Adaptive = on
-	if !on {
-		for _, v := range g.views {
-			v.health = 0
-			v.fastStreak = 0
-		}
-	}
 }
 
 // sweepSuspicion promotes suspects whose refutation window expired to

@@ -258,39 +258,6 @@ func TestGossipQuorumShieldsAgainstLonePeer(t *testing.T) {
 	}
 }
 
-// TestGossipFanoutCutsDetectionTail: with fanout f, a peer probes f
-// distinct members per period, so a crashed member is discovered in
-// ~1/f the rounds. The test pins behavior, not exact latency: higher
-// fanout must still detect exactly the crashed peer, and the protocol
-// cost (probes per round) must scale with f.
-func TestGossipFanoutCutsDetectionTail(t *testing.T) {
-	detectIn := func(fanout int) (rounds int, probes uint64) {
-		sys, det := gossipLab(t, 8, GossipOptions{
-			Seed: 9, ProbeInterval: time.Second, Suspicion: 2 * time.Second, Fanout: fanout,
-		})
-		for i := 0; i < 3; i++ {
-			sys.Step(time.Second)
-		}
-		sys.Net.Crash("p5")
-		for rounds = 0; rounds < 40 && len(det.Suspects()) == 0; rounds++ {
-			sys.Step(time.Second)
-		}
-		if got := det.Suspects(); len(got) != 1 || got[0] != "p5" {
-			t.Fatalf("fanout %d: suspects = %v, want [p5]", fanout, got)
-		}
-		p, _, _ := det.ProtocolCounters()
-		return rounds, p
-	}
-	r1, p1 := detectIn(1)
-	r3, p3 := detectIn(3)
-	if r1 >= 40 || r3 >= 40 {
-		t.Fatalf("detection never completed (fanout1 %d rounds, fanout3 %d rounds)", r1, r3)
-	}
-	if p3 <= p1 {
-		t.Errorf("fanout 3 sent %d probes vs %d at fanout 1 — the cost should scale with fanout", p3, p1)
-	}
-}
-
 // slowLinks injects extra delay on every link touching victim, both
 // directions — the peer is alive but slow, the classic gossip
 // false-positive trap.
@@ -386,37 +353,5 @@ func TestGossipAdaptiveStillDetectsCrash(t *testing.T) {
 	}
 	if got := det.Suspects(); len(got) != 1 || got[0] != "p2" {
 		t.Fatalf("suspects after crash = %v, want [p2] (timeline %v)", got, tl)
-	}
-}
-
-// TestGossipAdaptiveDisableResetsHealth: turning the mechanism off
-// mid-run clears accumulated health so timeouts snap back to base.
-func TestGossipAdaptiveDisableResetsHealth(t *testing.T) {
-	sys, det := gossipLab(t, 4, GossipOptions{
-		Seed: 5, ProbeInterval: time.Second,
-		ProbeTimeout: 500 * time.Millisecond, Suspicion: time.Second,
-		Adaptive: true,
-	})
-	for i := 0; i < 3; i++ {
-		sys.Step(time.Second)
-	}
-	slowLinks(sys, 4, "p1", 400*time.Millisecond, 0.5)
-	for i := 0; i < 20; i++ {
-		sys.Step(time.Second)
-	}
-	raised := false
-	for i := 0; i < 4; i++ {
-		if det.HealthOf(fmt.Sprintf("p%d", i)) > 0 {
-			raised = true
-		}
-	}
-	if !raised {
-		t.Fatal("no health accumulated under delay — nothing to reset")
-	}
-	det.SetAdaptive(false)
-	for i := 0; i < 4; i++ {
-		if h := det.HealthOf(fmt.Sprintf("p%d", i)); h != 0 {
-			t.Fatalf("p%d health = %d after SetAdaptive(false), want 0", i, h)
-		}
 	}
 }

@@ -89,7 +89,7 @@ func TestDynAlerterCountsDuplicateJoin(t *testing.T) {
 	task := &Task{}
 	driver, out := stream.NewQueue(), stream.NewChannel("mgr", "dyn")
 	n := &algebra.Node{Op: algebra.OpDynAlerter, Peer: "mgr", Alerter: &algebra.AlerterSpec{Func: "inCOM", Kind: "ws-in"}}
-	mgr.runDynAlerter(task, n, driver, out)
+	h := mgr.runDynAlerter(task, n, driver, out)
 	for i, ev := range []string{"p-join", "p-join", "p-leave"} {
 		driver.Push(stream.Item{Tree: xmltree.ElemText(ev, "svc")})
 		waitFor(t, func() bool { return task.DynEventsProcessed() == uint64(i+1) })
@@ -98,13 +98,17 @@ func TestDynAlerterCountsDuplicateJoin(t *testing.T) {
 		}
 	}
 	driver.Close()
-	<-task.dynDone[0]
+	h.Wait()
+	if !out.Closed() {
+		t.Error("the manager finished without closing its output")
+	}
 }
 
 // TestGoroutineCensus: a pipeline-sim-shaped system — 8 sources, 3
 // workers and a manager, one select+restructure subscription and one
-// degree-3 group tree — runs one loop per hosting peer (86 goroutines
-// before the loops), and none once both tasks stopped.
+// degree-3 group tree — plus an inCOM($j) subscription watching a peer
+// that joins, runs one loop per hosting peer (86 goroutines before the
+// loops), and none once the three tasks stopped.
 func TestGoroutineCensus(t *testing.T) {
 	const sources, workers = 8, 3
 	base := runtime.NumGoroutine()
@@ -119,6 +123,12 @@ func TestGoroutineCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	joined, err := sys.Peer("mgr").Subscribe(`for $j in areRegistered(<p>mgr/dht</p>) for $c in inCOM($j) return $c by publish as channel "joined"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.MustAddPeer("late")
+	waitFor(t, func() bool { return attachedAt(sys, "late", alerters.Inbound) == 1 })
 	const calls = 64
 	driveAgg(t, sys, sources, calls, time.Second)
 	for i := 0; i < calls; i++ {
@@ -132,11 +142,15 @@ func TestGoroutineCensus(t *testing.T) {
 	}
 	hits.Stop()
 	agg.Stop()
+	joined.Stop()
+	if n := attachedAt(sys, "late", alerters.Inbound); n != 0 {
+		t.Errorf("%d alerters left on late after Stop", n)
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine() - base; n > 0 {
-		t.Errorf("%d goroutines left after both tasks stopped", n)
+		t.Errorf("%d goroutines left after the tasks stopped", n)
 	}
 }

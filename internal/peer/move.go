@@ -27,8 +27,8 @@ type move struct {
 	// checkpoint, or a split's live capture; nil is a cold start.
 	resume *ckptRec
 	// start launches the instance over its input queues, publishing into
-	// out. It returns the instance's handle (nil for a kind that keeps
-	// none). Whatever can fail is checked before relocate is called.
+	// out, and returns its handle. Whatever can fail is checked before
+	// relocate is called.
 	start func(queues []*stream.Queue, out *stream.Channel) *operators.Handle
 	// rechunk, set by a split only, replaces the default input step: the
 	// operator's present input edges (es, fed by ins, in input order) move

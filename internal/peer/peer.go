@@ -141,13 +141,12 @@ func (p *Peer) SubscribeParsed(sub *p2pml.Subscription) (*Task, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := p.sys.Config()
 	opts := algebra.DefaultOptions(p.name)
-	opts.Pushdown = cfg.Pushdown
+	opts.Pushdown = p.sys.cfg.Pushdown
 	plan = algebra.Optimize(plan, opts)
 
 	var reuseRes *reuse.Result
-	if cfg.Reuse {
+	if p.sys.cfg.Reuse {
 		reuseRes, err = p.reuseOptions().Apply(plan, p.sys.DB)
 		if err != nil {
 			return nil, err

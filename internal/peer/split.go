@@ -162,7 +162,7 @@ func (p *Peer) rechunk(t *Task, n *algebra.Node, cut []uint64, es []*edge, ins [
 	s.splitSeq++
 	id := fmt.Sprintf("%s.s%d", t.ID, s.splitSeq)
 	s.mu.Unlock()
-	created := aggtree.Split(n, id, aggtree.Config{Degree: s.aggDegree()})
+	created := aggtree.Split(n, id, aggtree.Config{Degree: s.cfg.Agg.Degree})
 	desired := s.AggPlacements(t.Plan)
 	var queues []*stream.Queue
 	for _, m := range created {

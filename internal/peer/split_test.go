@@ -2,6 +2,7 @@ package peer
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -204,12 +205,12 @@ func TestRechunkControllerSplitsHotInterior(t *testing.T) {
 	}
 }
 
-// TestTuningMidRunDeterministic is the API-redesign acceptance test:
-// mutating the runtime tuning surface mid-run — arming the split
-// controller via SetAggSplitRatio and widening gossip suspicion via
-// SetGossipSuspicion — preserves seeded determinism (two identical runs
-// produce identical outputs and identical split logs) and exactly-once
-// output (records match the flat baseline).
+// TestTuningMidRunDeterministic: actuating through the tuning surface
+// mid-run — quarantining an interior's host, raising DHT replication,
+// lifting the quarantine — while the split controller and the gossip
+// detector run preserves seeded determinism (two identical runs produce
+// identical records, split logs and interior placements) and
+// exactly-once output (records match the flat baseline).
 func TestTuningMidRunDeterministic(t *testing.T) {
 	const sources, workers, events = 8, 3, 96
 	skewTarget := func(i int) string {
@@ -228,18 +229,27 @@ func TestTuningMidRunDeterministic(t *testing.T) {
 	}
 	want := groupRecords(t, flatTask)
 
-	run := func() ([]string, []SplitEvent) {
+	// placement renders where every interior sits.
+	placement := func(task *Task) string {
+		var out []string
+		task.Plan.Walk(func(n *algebra.Node) {
+			if n.AggKey != "" {
+				out = append(out, n.AggKey+"@"+n.Peer)
+			}
+		})
+		sort.Strings(out)
+		return fmt.Sprint(out)
+	}
+	run := func() ([]string, []SplitEvent, []string) {
 		opts := splitConfig(4)
-		// The controller starts disarmed but registered: SplitRatio > 0
-		// at construction wires the Step hook, the mid-run setter below
-		// re-arms the deciding ratio.
 		opts.Agg.SplitRatio = 1.5
 		opts.Agg.SplitCooldown = 10 * time.Second
 		sys, task := aggWorld(t, opts, sources, workers)
 		tun := sys.Tuning()
-		tun.SetAggSplitRatio(0) // suspend before any traffic
 		sys.StartGossipDetector(GossipOptions{Seed: 11, ProbeInterval: time.Second})
 		client := sys.Peer("client")
+		var host string
+		var trail []string
 		for i := 0; i < events; i++ {
 			if _, err := client.Endpoint().Invoke(skewTarget(i), "Q", nil); err != nil {
 				t.Fatalf("event %d: %v", i, err)
@@ -248,26 +258,40 @@ func TestTuningMidRunDeterministic(t *testing.T) {
 			sys.Step(time.Second)
 			switch i {
 			case events / 3:
-				// Re-arm the controller mid-run; splits may begin.
-				tun.SetAggSplitRatio(1.5)
+				host = firstLevelInterior(task).Peer
+				tun.QuarantineAggHost(host)
+				task.Plan.Walk(func(n *algebra.Node) {
+					if n.AggKey != "" && n.Peer == host {
+						t.Errorf("interior %s still on quarantined %s", n.AggKey, host)
+					}
+				})
+				trail = append(trail, placement(task))
 			case events / 2:
-				tun.SetGossipSuspicion(5 * time.Second)
-				tun.SetCheckpointInterval(time.Second)
+				tun.SetDHTReplication(3)
+				if got := sys.Config().DHT.Replication; got != 3 {
+					t.Errorf("Config reports replication %d after SetDHTReplication(3)", got)
+				}
+			case 2 * events / 3:
+				tun.LiftQuarantine(host)
+				trail = append(trail, placement(task))
 			}
 		}
 		for i := 0; i < 8; i++ {
 			sys.Step(time.Second)
 		}
-		return groupRecords(t, task), sys.SplitEvents()
+		return groupRecords(t, task), sys.SplitEvents(), trail
 	}
 
-	got1, splits1 := run()
-	got2, splits2 := run()
+	got1, splits1, trail1 := run()
+	got2, splits2, trail2 := run()
 	if len(splits1) == 0 {
-		t.Fatal("mid-run SetAggSplitRatio never produced a split — the knob is dead")
+		t.Fatal("the split controller never split — the scenario lost its teeth")
 	}
 	if fmt.Sprint(splits1) != fmt.Sprint(splits2) {
 		t.Fatalf("same seed, different split timelines:\n run1: %v\n run2: %v", splits1, splits2)
+	}
+	if fmt.Sprint(trail1) != fmt.Sprint(trail2) {
+		t.Fatalf("same seed, different placements:\n run1: %v\n run2: %v", trail1, trail2)
 	}
 	if !equalRecords(got1, got2) {
 		t.Fatalf("same seed, different records:\n run1: %v\n run2: %v", got1, got2)

@@ -30,10 +30,8 @@ import (
 // KadoP stream-definition database over its DHT, and the channel
 // registry stitching deployed plan fragments together.
 type System struct {
-	// cfg is the grouped configuration; cfgMu guards it because the
-	// Tuning surface mutates parts of it mid-run.
-	cfgMu sync.RWMutex
-	cfg   Config
+	// cfg is the grouped configuration, fixed at construction.
+	cfg Config
 
 	Net    *simnet.Network
 	Fabric *soap.Fabric
@@ -56,8 +54,8 @@ type System struct {
 	sidSeq   map[string]int
 	taskSeq  int
 	// detector is the System's one gossip failure detector (nil until
-	// StartGossipDetector): the one membership view Step ticks, joins
-	// and leaves go through, and the Tuning surface adjusts.
+	// StartGossipDetector): the one membership view Step ticks and joins
+	// and leaves go through.
 	detector *GossipDetector
 	// edges indexes the live consumer edges of every channel by its ref
 	// (edge.go): an edge enters when it attaches and leaves when it is
@@ -100,7 +98,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	cfg = cfg.normalize()
-	nw := simnet.New(cfg.Net)
+	nw := simnet.New(simnet.DefaultOptions())
 	ring := dht.New()
 	if cfg.DHT.Replication > 1 {
 		ring.SetReplication(cfg.DHT.Replication)
@@ -110,23 +108,22 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	if cfg.DHT.LoadBound > 0 {
 		ring.SetLoadBound(cfg.DHT.LoadBound)
-	}
-	if cfg.DHT.ReadCache {
 		ring.EnableReadCache()
 	}
 	s := &System{
-		cfg:      cfg,
-		Net:      nw,
-		Fabric:   soap.NewFabric(nw),
-		Ring:     ring,
-		DB:       kadop.New(ring),
-		peers:    make(map[string]*Peer),
-		channels: make(map[stream.Ref]*stream.Channel),
-		edges:    make(map[stream.Ref][]*edge),
-		stale:    make(map[stream.Ref]bool),
-		sidSeq:   make(map[string]int),
-		loops:    make(map[string]*operators.Executor),
-		taps:     make(map[tapKey]*alerters.Tap),
+		cfg:         cfg,
+		Net:         nw,
+		Fabric:      soap.NewFabric(nw),
+		Ring:        ring,
+		DB:          kadop.New(ring),
+		peers:       make(map[string]*Peer),
+		channels:    make(map[stream.Ref]*stream.Channel),
+		edges:       make(map[stream.Ref][]*edge),
+		stale:       make(map[stream.Ref]bool),
+		sidSeq:      make(map[string]int),
+		quarantined: make(map[string]bool),
+		loops:       make(map[string]*operators.Executor),
+		taps:        make(map[tapKey]*alerters.Tap),
 	}
 	if cfg.Agg.SplitRatio > 0 {
 		s.startRechunkController()
@@ -228,7 +225,7 @@ func (s *System) JoinPeer(name, seed string) (*Peer, error) {
 		// control); surface it rather than hide it.
 		return p, err
 	}
-	if s.aggDegree() > 1 {
+	if s.cfg.Agg.Degree > 1 {
 		// The ring just changed: aggregation-tree interiors whose
 		// DHT-derived host moved re-parent onto the new owner (children
 		// and consumers re-bind; with replay on the move is exactly-once
@@ -265,40 +262,13 @@ func (s *System) Peers() []string {
 	return names
 }
 
-// Config returns a snapshot of the system configuration (runtime tuning
-// may have diverged from the value NewSystem was given).
+// Config returns the configuration the System was built with, its DHT
+// replication read from the ring, which owns that number
+// (Tuning.SetDHTReplication moves it).
 func (s *System) Config() Config {
-	s.cfgMu.RLock()
-	defer s.cfgMu.RUnlock()
-	return s.cfg
-}
-
-// Targeted config getters for the hot read paths; the full-snapshot
-// Config() is for diagnostics and derived setup, these are for the
-// runtime checks that race with Tuning setters.
-
-func (s *System) aggDegree() int {
-	s.cfgMu.RLock()
-	defer s.cfgMu.RUnlock()
-	return s.cfg.Agg.Degree
-}
-
-func (s *System) aggSplit() AggConfig {
-	s.cfgMu.RLock()
-	defer s.cfgMu.RUnlock()
-	return s.cfg.Agg
-}
-
-func (s *System) replayBuffer() int {
-	s.cfgMu.RLock()
-	defer s.cfgMu.RUnlock()
-	return s.cfg.Replay.Buffer
-}
-
-func (s *System) checkpointInterval() time.Duration {
-	s.cfgMu.RLock()
-	defer s.cfgMu.RUnlock()
-	return s.cfg.Replay.CheckpointInterval
+	cfg := s.cfg
+	cfg.DHT.Replication = s.Ring.Replication()
+	return cfg
 }
 
 // OnStep registers a hook run at the end of every Step, after detector
@@ -420,7 +390,6 @@ func (s *System) allocChannel(t *Task, host, streamID string) *stream.Channel {
 	s.registerChannel(ch)
 	t.channels = append(t.channels, ch)
 	s.Net.AddLoad(host, 1)
-	t.loads = append(t.loads, host)
 	return ch
 }
 
@@ -428,7 +397,7 @@ func (s *System) allocChannel(t *Task, host, streamID string) *stream.Channel {
 // ChannelIn nodes and external subscribers can find it, enabling the
 // configured replay retention before the first publication.
 func (s *System) registerChannel(ch *stream.Channel) {
-	if buf := s.replayBuffer(); buf > 0 {
+	if buf := s.cfg.Replay.Buffer; buf > 0 {
 		ch.EnableReplay(buf)
 	}
 	s.mu.Lock()
@@ -437,7 +406,7 @@ func (s *System) registerChannel(ch *stream.Channel) {
 }
 
 // replayOn reports whether the lossless-failover layer is enabled.
-func (s *System) replayOn() bool { return s.replayBuffer() > 0 }
+func (s *System) replayOn() bool { return s.cfg.Replay.Buffer > 0 }
 
 // ReplayedItems returns the total number of items retransmitted from
 // channel replay buffers (re-bind resumes and anti-entropy repairs).
@@ -550,7 +519,7 @@ func (s *System) Step(d time.Duration) {
 	if s.replayOn() {
 		s.syncEdges()
 	}
-	if interval := s.checkpointInterval(); interval > 0 {
+	if interval := s.cfg.Replay.CheckpointInterval; interval > 0 {
 		now := s.Net.Clock().Now()
 		s.mu.Lock()
 		due := now-s.lastCkpt >= interval

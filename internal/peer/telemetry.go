@@ -83,10 +83,23 @@ func (s *System) collectTelemetry() {
 	for _, c := range s.channels {
 		chans = append(chans, c)
 	}
+	// What waits for a consumer waits in the queue its edge delivers into:
+	// an operator input, a result reader, a BY subscribe target's Incoming
+	// queue (which two edges may share).
+	queues := make(map[*stream.Queue]bool)
+	for _, es := range s.edges {
+		for _, e := range es {
+			if e.queue != nil {
+				queues[e.queue] = true
+			}
+		}
+	}
 	s.mu.Unlock()
 	depth, buffered, trimmed := 0, 0, uint64(0)
+	for q := range queues {
+		depth += q.Len()
+	}
 	for _, c := range chans {
-		depth += c.QueueDepth()
 		buffered += c.ReplayLen()
 		trimmed += c.ReplayTrimmed()
 	}

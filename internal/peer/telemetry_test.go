@@ -160,7 +160,7 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := DefaultConfig()
 	cfg.Telemetry.Registry = reg
-	cfg.DHT.LoadBound, cfg.DHT.ReadCache = 1.25, true
+	cfg.DHT.LoadBound = 1.25
 	sys := MustSystem(cfg)
 	peers := []string{"p0", "p1", "p2", "p3", "p4"}
 	for _, p := range peers {
@@ -340,5 +340,48 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 		if kind, ok := catalog[m.Name]; !ok || kind != m.Kind.String() {
 			t.Errorf("%s exported as %s, catalog says %q", m.Name, m.Kind, kind)
 		}
+	}
+}
+
+// TestQueueDepthCountsEdgeQueues: stream_queue_depth counts what waits in
+// the queues the edges deliver into. Held between two items by Sync, a
+// publisher that has not stepped shows every call pushed to its input;
+// released, the same items wait in the result reader's queue; drained,
+// nothing waits.
+func TestQueueDepthCountsEdgeQueues(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := DefaultConfig()
+	cfg.Telemetry.Registry = reg
+	sys := MustSystem(cfg)
+	mon := sys.MustAddPeer("mon")
+	sys.MustAddPeer("src").Endpoint().Register("ping", pong, nil)
+	caller := sys.MustAddPeer("caller").Endpoint()
+	task, err := mon.DeployPlan(watchPlan("src", "held"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer task.Stop()
+	depth := func() int64 {
+		m, _ := reg.Snapshot().Get("stream_queue_depth")
+		return m.Value
+	}
+	const calls = 5
+	task.procs[task.Plan].handle.Sync(func() {
+		for i := 0; i < calls; i++ {
+			if _, err := caller.Invoke("src", "ping", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, func() bool { return depth() == calls })
+	})
+	waitFor(t, func() bool { return task.Results().Len() == calls })
+	if got := depth(); got != calls {
+		t.Errorf("stream_queue_depth = %d with %d results unread, want %d", got, calls, calls)
+	}
+	for i := 0; i < calls; i++ {
+		task.Results().Pop()
+	}
+	if got := depth(); got != 0 {
+		t.Errorf("stream_queue_depth = %d with nothing waiting, want 0", got)
 	}
 }

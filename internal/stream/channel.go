@@ -282,19 +282,6 @@ func (c *Channel) ReplayLen() int {
 	return int(c.replay.hi - c.replay.lo + 1)
 }
 
-// QueueDepth returns the total number of items waiting in this
-// channel's subscriber queues.
-func (c *Channel) QueueDepth() int {
-	c.mu.Lock()
-	subs := c.subs
-	c.mu.Unlock()
-	depth := 0
-	for _, s := range subs {
-		depth += s.queue.Len()
-	}
-	return depth
-}
-
 // SubscribeFrom registers a subscriber that first receives the retained
 // items from sequence fromSeq onwards and then every future publication,
 // with no gap and no duplicate in between: replayed items are delivered

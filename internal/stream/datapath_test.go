@@ -43,8 +43,12 @@ func TestPublishOrderDeterministic(t *testing.T) {
 				t.Fatalf("run %d publish %d: delivery order %v, want %v", run, i, got, want)
 			}
 		}
-		if d := ch.QueueDepth(); d != 100*len(want) {
-			t.Errorf("QueueDepth = %d, want %d", d, 100*len(want))
+		depth := 0
+		for _, s := range ch.subs {
+			depth += s.queue.Len()
+		}
+		if depth != 100*len(want) {
+			t.Errorf("%d items queued, want %d", depth, 100*len(want))
 		}
 	}
 }

@@ -276,7 +276,7 @@ func (cfg *AdaptConfig) setup() (*scenarioSpec[*AdaptReport], error) {
 				// (quarantine holds to teardown).
 				within := time.Duration(cfg.Events) * cfg.Step / 2
 				quiet := 2 * time.Duration(cfg.Events) * cfg.Step
-				repl := sys.Config().DHT.Replication
+				repl := sys.Ring.Replication()
 				loop = adapt.NewLoop()
 				loop.MustAdd(adapt.QuarantineFlapper(tun, 2, within, quiet))
 				loop.MustAdd(adapt.RaiseReplication(tun, repl, repl+1, 2, within, quiet))

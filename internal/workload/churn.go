@@ -109,13 +109,10 @@ func (cfg *ChurnConfig) setup() (*scenarioSpec[*ChurnReport], error) {
 		sources: []string{"src.com"},
 		tune: func(pc *peer.Config) {
 			if cfg.Spread {
+				// Bounded load brings the per-reader location cache that
+				// shaves the successor-scan hops off checkpoint restores.
 				pc.DHT.VirtualNodes = spreadVirtualNodes
 				pc.DHT.LoadBound = spreadLoadBound
-				// Bounded-load reads pay successor-scan hops; the
-				// per-reader location cache (invalidated on every
-				// membership change) shaves them off the
-				// checkpoint-restore path.
-				pc.DHT.ReadCache = true
 			}
 		},
 		deploy: func(l *Lab[*ChurnReport], mgr *peer.Peer) ([]*peer.Task, error) {

@@ -57,8 +57,9 @@ type Peer = peer.Peer
 type Task = peer.Task
 
 // Config configures a System: functional sub-structs (DHT, Agg,
-// Replay) validated by NewSystem, runtime-mutable through
-// System.Tuning(). See docs/ADAPTIVE.md for the control surface.
+// Replay, Telemetry) validated by NewSystem and fixed from then on.
+// Config.Seed does not seed the simulated network's coordinates. See
+// docs/ADAPTIVE.md for what System.Tuning() still moves.
 type Config = peer.Config
 
 // DHTConfig groups the stream-definition ring knobs.
@@ -71,7 +72,8 @@ type AggConfig = peer.AggConfig
 // ReplayConfig groups the lossless-failover layer.
 type ReplayConfig = peer.ReplayConfig
 
-// Tuning is the runtime-mutable control surface of a running System.
+// Tuning is the actuation surface of a running System: DHT replication
+// and the aggregation-host quarantine.
 type Tuning = peer.Tuning
 
 // Monitor is the high-level facade with explain tooling.
@@ -87,8 +89,8 @@ type Item = stream.Item
 type Ref = stream.Ref
 
 // GossipOptions configures the SWIM-style gossip failure detector
-// (probe interval/fanout/timeout, indirect proxies, suspicion window,
-// death quorum); see docs/DETECTOR.md.
+// (probe interval and timeout, suspicion window, Lifeguard health
+// scaling); see docs/DETECTOR.md.
 type GossipOptions = peer.GossipOptions
 
 // Supervisor couples the gossip failure detector with self-healing task
