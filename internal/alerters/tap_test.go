@@ -282,7 +282,7 @@ func TestTapBarrierOnLoop(t *testing.T) {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			tap := NewTap("srv", Inbound, nil)
-			tap.RunOn(operators.NewExecutor())
+			tap.RunOn(operators.NewExecutor(nil))
 			hook := tap.Hook()
 			if got := testing.AllocsPerRun(100, func() { hook(x) }); got != 0 {
 				t.Errorf("an idle tap allocates %.0f per exchange", got)

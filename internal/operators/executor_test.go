@@ -181,7 +181,7 @@ func TestExecutorSync(t *testing.T) {
 // a 10 000-item backlog on the first delays the second's one item by one
 // step's budget, not by the backlog.
 func TestExecutorBacklogYieldsAfterOneBudget(t *testing.T) {
-	ex := NewExecutor()
+	ex := NewExecutor(nil)
 	busy, quick := stream.NewQueue(), stream.NewQueue()
 	gate := make(chan struct{})
 	hog := &probe{t: t, last: make([]uint64, 1)}
@@ -221,7 +221,7 @@ func TestExecutorBacklogYieldsAfterOneBudget(t *testing.T) {
 // one goroutine, and none once the last handle finished.
 func TestExecutorGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
-	ex := NewExecutor()
+	ex := NewExecutor(nil)
 	var hs []*Handle
 	var qs []*stream.Queue
 	for i := 0; i < 10; i++ {
@@ -250,5 +250,34 @@ func TestExecutorGoroutines(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("%d goroutines left after the last handle finished", n-base)
+	}
+}
+
+// TestLoopsQuiesceIsExact: a step on loop A wakes a task on loop B, which
+// sleeps before it publishes and then needs two more turns. Quiesce returns
+// only once all of B's output exists, and at once when nothing is pending.
+// out is a plain slice on purpose: under -race a Quiesce that returned
+// without ordering itself after B's writes would be reported on it.
+func TestLoopsQuiesceIsExact(t *testing.T) {
+	loops := NewLoops()
+	loops.Quiesce() // nothing pending: returns at once
+
+	a, b := NewExecutor(loops), NewExecutor(loops)
+	var out []int
+	turns := 0
+	tb := b.NewTask(func() bool {
+		if turns++; turns%3 == 1 {
+			time.Sleep(20 * time.Millisecond)
+		}
+		out = append(out, turns)
+		return turns%3 != 0 // re-queued twice per wake
+	})
+	ta := a.NewTask(func() bool { tb.Wake(); return false })
+	for round := 1; round <= 3; round++ {
+		ta.Wake()
+		loops.Quiesce()
+		if len(out) != 3*round {
+			t.Fatalf("round %d: Quiesce returned with %d of %d outputs", round, len(out), 3*round)
+		}
 	}
 }

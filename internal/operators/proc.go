@@ -156,7 +156,7 @@ func (h *Handle) step() (more bool) {
 // eos item when all inputs have terminated. Run returns immediately; use
 // the Handle to wait.
 func Run(p Proc, inputs []*stream.Queue, sink Emit) *Handle {
-	return NewExecutor().Run(p, inputs, sink)
+	return NewExecutor(nil).Run(p, inputs, sink)
 }
 
 // Run starts the processor on the executor: as Run, with the operator
@@ -196,18 +196,61 @@ type Executor struct {
 	mu      sync.Mutex
 	wake    *sync.Cond // the loop parks here
 	runq    stream.Ring[*Task]
-	held    int  // running operators and attached taps
-	running bool // the loop goroutine exists
-	parked  bool // ... and waits on wake for a signal nobody sent yet
+	held    int    // running operators and attached taps
+	running bool   // the loop goroutine exists
+	parked  bool   // ... and waits on wake for a signal nobody sent yet
+	loops   *Loops // counts this loop's work with its siblings'; nil alone
 
 	steps, items, wakes telemetry.Counter
 }
 
-// NewExecutor returns an idle executor: no goroutine until the first Wake.
-func NewExecutor() *Executor {
-	ex := &Executor{}
+// NewExecutor returns an idle executor whose work loops counts — nil for
+// one on its own. No goroutine runs until the first Wake.
+func NewExecutor(loops *Loops) *Executor {
+	ex := &Executor{loops: loops}
 	ex.wake = sync.NewCond(&ex.mu)
 	return ex
+}
+
+// Loops is the executors of one deployment sharing one pending count:
+// tasks queued plus steps running, across all of them. Every hand-off
+// between loops — an item pushed into another loop's queue, an exchange
+// captured for a tap — wakes its target inside the sender's step, so the
+// count cannot reach zero while work is in flight: zero means every one
+// of the loops is idle and stays so until something outside wakes one.
+type Loops struct {
+	mu      sync.Mutex
+	idle    *sync.Cond
+	pending int
+}
+
+// NewLoops returns a set of loops with nothing pending.
+func NewLoops() *Loops {
+	l := &Loops{}
+	l.idle = sync.NewCond(&l.mu)
+	return l
+}
+
+// Quiesce blocks until no task of l's executors is queued or running. It
+// is exact and has no timeout. Never call it from a step of one of l's
+// executors: that step is itself pending, so it would wait for its own end.
+func (l *Loops) Quiesce() {
+	l.mu.Lock()
+	for l.pending > 0 {
+		l.idle.Wait()
+	}
+	l.mu.Unlock()
+}
+
+// add moves the pending count by n; a stand-alone executor has no Loops.
+func (l *Loops) add(n int) {
+	if l != nil {
+		l.mu.Lock()
+		if l.pending += n; l.pending == 0 {
+			l.idle.Broadcast()
+		}
+		l.mu.Unlock()
+	}
 }
 
 // Task is one schedulable unit of an executor.
@@ -266,6 +309,7 @@ func (t *Task) Release() {
 func (ex *Executor) enqueue(t *Task) {
 	ex.runq.Push(t)
 	t.queued = true
+	ex.loops.add(1)
 }
 
 func (ex *Executor) unpark() {
@@ -295,6 +339,7 @@ func (ex *Executor) loop() {
 		if more && !t.queued {
 			ex.enqueue(t)
 		}
+		ex.loops.add(-1) // the step ended; a re-queue above counted anew
 	}
 }
 

@@ -255,7 +255,8 @@ func TestHandleSyncAndConsumed(t *testing.T) {
 	var out []stream.Item
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
-	h := Run(&Union{}, []*stream.Queue{q}, func(it stream.Item) {
+	loops := NewLoops()
+	h := NewExecutor(loops).Run(&Union{}, []*stream.Queue{q}, func(it stream.Item) {
 		<-mu
 		if !it.EOS() {
 			out = append(out, it)
@@ -267,11 +268,7 @@ func TestHandleSyncAndConsumed(t *testing.T) {
 		it.Seq = uint64(i)
 		q.Push(it)
 	}
-	// Wait (via Sync) until the loop has drained what we pushed.
-	deadline := time.Now().Add(5 * time.Second)
-	for h.ItemsIn() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	loops.Quiesce() // the loop has drained what we pushed
 	var consumed uint64
 	h.Sync(func() { consumed = h.Consumed(0) })
 	if consumed != 3 {

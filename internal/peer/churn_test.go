@@ -30,16 +30,14 @@ func registerService(p *Peer) {
 	}, nil)
 }
 
-// waitResults blocks until the task's result queue holds at least want
-// items. Churn tests quiesce like this before killing a peer: items
-// still in flight inside an operator at crash time are legitimately lost
-// (fail-stop), so completeness is only promised for settled results.
-func waitResults(t *testing.T, task *Task, want int) {
+// waitResults quiesces the peers' loops and checks that the task's result
+// queue holds at least want items. Churn tests quiesce like this before
+// killing a peer: items still in flight inside an operator at crash time
+// are legitimately lost (fail-stop), so completeness is only promised for
+// settled results.
+func waitResults(t *testing.T, sys *System, task *Task, want int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for task.Results().Len() < want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	sys.Quiesce()
 	if got := task.Results().Len(); got < want {
 		t.Fatalf("only %d results settled, want %d", got, want)
 	}
@@ -93,7 +91,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 		}
 		sys.Step(time.Second)
 	}
-	waitResults(t, task, 3)
+	waitResults(t, sys, task, 3)
 	if sys.Net.Link("src.com", "w1").Messages == 0 {
 		t.Fatal("pre-crash data did not flow through the relay")
 	}
@@ -179,7 +177,7 @@ func TestFailoverPrefersAnnouncedReplica(t *testing.T) {
 		client.Endpoint().Invoke("src.com", "Q", nil)
 		sys.Step(time.Second)
 	}
-	waitResults(t, task, 2)
+	waitResults(t, sys, task, 2)
 	sys.Net.Crash("w1")
 	for i := 0; i < 20 && len(sup.Deaths()) == 0; i++ {
 		sys.Step(time.Second)
@@ -266,7 +264,7 @@ func TestFailoverChainAfterRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		waitResults(t, t2, settled)
+		waitResults(t, sys, t2, settled)
 	}
 	drive(2, 2)
 
@@ -366,7 +364,7 @@ func TestChurnSoak(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		// Quiesce: results of the stable period must settle before the
 		// next crash — items in flight at the relay die with it.
-		waitResults(t, task, driven)
+		waitResults(t, sys, task, driven)
 		victim := relayHost(task)
 		if victim == "" {
 			t.Fatal("no relay host")
@@ -453,7 +451,7 @@ return <hit id="{$e.callId}"/> by publish as channel "hits"`)
 	if _, err := c.Endpoint().Invoke("m.com", "Q", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitResults(t, t2, 1)
+	waitResults(t, sys, t2, 1)
 	// m.com dies: task 1 loses both its alerter (unrepairable — the
 	// source is gone) and the σ; task 2's ChannelIn must be re-bound to
 	// wherever the σ re-deployed.

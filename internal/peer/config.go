@@ -24,11 +24,6 @@ type Config struct {
 	Reuse bool
 	// Pushdown enables selection pushdown (disable only for baselines).
 	Pushdown bool
-	// JoinWindow, when non-zero, bounds join histories by virtual time —
-	// the garbage-collection mechanism of the paper's future work.
-	JoinWindow time.Duration
-	// DistinctWindow likewise bounds duplicate-removal memory.
-	DistinctWindow time.Duration
 	// DHT configures the stream-definition database's ring placement.
 	DHT DHTConfig
 	// Agg configures aggregation-tree decomposition and the load-driven
@@ -174,9 +169,6 @@ func (c Config) validate() error {
 	}
 	if c.Replay.CheckpointInterval > 0 && c.Replay.Buffer <= 0 {
 		return fmt.Errorf("peer: Replay.CheckpointInterval needs Replay.Buffer > 0 (checkpoint resume replays from the buffers)")
-	}
-	if c.JoinWindow < 0 || c.DistinctWindow < 0 {
-		return fmt.Errorf("peer: negative operator window")
 	}
 	return nil
 }

@@ -146,10 +146,9 @@ func (p *Peer) makeProc(n *algebra.Node) (operators.Proc, error) {
 			Residual: algebra.JoinResidual(n.Inputs[0].Schema, n.Inputs[1].Schema, n.Join),
 			Combine:  algebra.JoinCombine(n.Inputs[0].Schema, n.Inputs[1].Schema),
 			UseIndex: true,
-			Window:   p.sys.cfg.JoinWindow,
 		}, nil
 	case algebra.OpDistinct:
-		return &operators.Distinct{Window: p.sys.cfg.DistinctWindow}, nil
+		return &operators.Distinct{}, nil
 	case algebra.OpGroup:
 		window, err := groupWindow(n)
 		if err != nil {
@@ -393,7 +392,7 @@ func (s *System) executor(peer string) *operators.Executor {
 	defer s.loopMu.Unlock()
 	ex := s.loops[peer]
 	if ex == nil {
-		ex = operators.NewExecutor()
+		ex = operators.NewExecutor(s.idle)
 		if s.tele != nil {
 			ex.Instrument(s.tele.reg, telemetry.L("peer", peer))
 		}

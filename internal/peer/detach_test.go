@@ -157,7 +157,7 @@ func dynWatch(t *testing.T, cfg Config) (*System, *Task) {
 		t.Fatal(err)
 	}
 	sys.MustAddPeer("svc")
-	waitFor(t, func() bool { return attachedAt(sys, "svc", alerters.Inbound) == 1 })
+	waitFor(t, sys, func() bool { return attachedAt(sys, "svc", alerters.Inbound) == 1 })
 	return sys, task
 }
 
@@ -166,11 +166,11 @@ func dynWatch(t *testing.T, cfg Config) (*System, *Task) {
 func TestDynAlerterLeaveDetaches(t *testing.T) {
 	sys, task := dynWatch(t, DefaultConfig())
 	sys.MustAddPeer("other")
-	waitFor(t, func() bool { return attachedAt(sys, "other", alerters.Inbound) == 1 })
+	waitFor(t, sys, func() bool { return attachedAt(sys, "other", alerters.Inbound) == 1 })
 	if err := sys.Ring.Leave("svc"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return attachedAt(sys, "svc", alerters.Inbound) == 0 })
+	waitFor(t, sys, func() bool { return attachedAt(sys, "svc", alerters.Inbound) == 0 })
 	if got := attachedAt(sys, "other", alerters.Inbound); got != 1 {
 		t.Fatalf("other: %d attached after svc left, want 1", got)
 	}
@@ -201,7 +201,7 @@ func TestDynAlerterManagerMoveDetaches(t *testing.T) {
 	}
 	mgrs[0].Wait() // the old manager is gone, and its alerters with it
 	// The new manager replays the membership history, svc's join included.
-	waitFor(t, func() bool { return attachedAt(sys, "svc", alerters.Inbound) == 1 })
+	waitFor(t, sys, func() bool { return attachedAt(sys, "svc", alerters.Inbound) == 1 })
 	assertEdges(t, sys)
 	task.Stop()
 	if got := attachedAt(sys, "svc", alerters.Inbound); got != 0 {

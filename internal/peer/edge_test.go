@@ -162,26 +162,6 @@ func (w *kindsWorld) emit() {
 	w.srcCh.Publish(stream.Item{Tree: tree, Time: w.sys.Net.Clock().Now()})
 }
 
-// awaitPublished waits until the channel produced at host — the relay's
-// stream at w1 (or wherever a move took it), else the named channel —
-// has published its seq-th item. Events map one to one onto sequence
-// numbers all the way down the pipeline.
-func (w *kindsWorld) awaitPublished(host string, seq uint64) {
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
-		ch := w.task.namedCh
-		if host == "w1" {
-			for n, ref := range w.task.StreamRefs() {
-				if n.Op == algebra.OpUnion {
-					ch, _ = w.sys.Channel(ref)
-				}
-			}
-		}
-		if ch.Seq() >= seq {
-			return
-		}
-	}
-}
-
 // TestEdgeStopClosesEverything: Stop returns only once every consumer the
 // task fed has been shut — a BY subscribe target's Incoming queue
 // included, which an un-awaited pump goroutine used to close some time
@@ -196,7 +176,7 @@ func TestEdgeStopClosesEverything(t *testing.T) {
 			for i := 0; i < events; i++ {
 				w.emit()
 			}
-			waitResults(t, w.task, events)
+			waitResults(t, w.sys, w.task, events)
 			w.task.Stop()
 			if !w.inbox.Closed() {
 				t.Error("the BY subscribe target's Incoming queue is still open when Stop returns")
@@ -211,7 +191,7 @@ func TestEdgeStopClosesEverything(t *testing.T) {
 			assertEdges(t, w.sys, w.task, w.mirror)
 			// A goroutine that has signalled its exit may still be counted
 			// for an instant; one that was never told to stop stays.
-			waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
+			pollFor(t, func() bool { return runtime.NumGoroutine() <= before })
 		})
 	}
 }
@@ -249,8 +229,8 @@ func TestEdgeIndexHoldsLiveEdgesOnly(t *testing.T) {
 		w.emit()
 		sys.Step(time.Second)
 	}
-	waitResults(t, w.task, 5)
-	waitResults(t, w.mirror, 5)
+	waitResults(t, w.sys, w.task, 5)
+	waitResults(t, w.sys, w.mirror, 5)
 
 	sys.Net.Crash("w1") //nolint:errcheck // known node
 	events := sys.FailPeer("w1", sys.Net.Clock().Now())
@@ -268,8 +248,8 @@ func TestEdgeIndexHoldsLiveEdgesOnly(t *testing.T) {
 		w.emit()
 		sys.Step(time.Second)
 	}
-	waitResults(t, w.task, 10)
-	waitResults(t, w.mirror, 10)
+	waitResults(t, w.sys, w.task, 10)
+	waitResults(t, w.sys, w.mirror, 10)
 
 	// A fresh forwarder on the adopted channel ends with it: nobody closes
 	// a replica edge, end-of-stream does.

@@ -3,7 +3,6 @@ package peer
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"p2pm/internal/algebra"
 	"p2pm/internal/xmltree"
@@ -74,59 +73,6 @@ return <fromX id="{$e.callId}"/> by publish as channel "xQ"`)
 		if it.Tree.Label != "fromX" {
 			t.Errorf("item = %s", it.Tree)
 		}
-	}
-}
-
-// TestJoinWindowOptionBoundsState: the Section 7 GC extension is
-// reachable through system options and does not lose in-window matches.
-func TestJoinWindowOptionBoundsState(t *testing.T) {
-	opts := DefaultConfig()
-	opts.JoinWindow = 2 * time.Minute
-	sys, p := meteoWorld(t, opts, func(int) bool { return true }) // all slow
-	task, err := p.Subscribe(figure1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := sys.Peer("a.com").Endpoint()
-	const rounds = 6
-	for i := 0; i < rounds; i++ {
-		if _, err := a.Invoke("meteo.com", "GetTemperature", nil); err != nil {
-			t.Fatal(err)
-		}
-		// Advance well past the window: histories are collected between
-		// rounds, but each out/in pair arrives together and still joins.
-		sys.Net.Clock().Advance(10 * time.Minute)
-	}
-	task.Stop()
-	if got := len(task.Results().Drain()); got != rounds {
-		t.Errorf("incidents = %d, want %d", got, rounds)
-	}
-}
-
-// TestDistinctWindowOption: duplicate suppression forgets old items.
-func TestDistinctWindowOption(t *testing.T) {
-	opts := DefaultConfig()
-	opts.DistinctWindow = time.Minute
-	sys := MustSystem(opts)
-	mon := sys.MustAddPeer("mon")
-	m := sys.MustAddPeer("m.com")
-	m.Endpoint().Register("Q", func(*xmltree.Node) (*xmltree.Node, error) {
-		return xmltree.Elem("ok"), nil
-	}, nil)
-	c := sys.MustAddPeer("c.com")
-	task, err := mon.Subscribe(`for $e in inCOM(<p>m.com</p>)
-return distinct <caller>{$e.caller}</caller> by publish as channel "callers"`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two bursts of identical callers separated by more than the window.
-	c.Endpoint().Invoke("m.com", "Q", nil)
-	c.Endpoint().Invoke("m.com", "Q", nil)
-	sys.Net.Clock().Advance(10 * time.Minute)
-	c.Endpoint().Invoke("m.com", "Q", nil)
-	task.Stop()
-	if got := len(task.Results().Drain()); got != 2 {
-		t.Errorf("distinct results = %d, want 2 (window expiry re-admits)", got)
 	}
 }
 

@@ -31,10 +31,7 @@ func realCheckpoints(tb testing.TB) []string {
 			relay = n
 		}
 	})
-	relayCh, _ := r.sys.Channel(r.task.refs[relay])
-	for deadline := time.Now().Add(5 * time.Second); relayCh.Seq() < 6 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
+	r.sys.Quiesce()
 	r.sys.CheckpointNow()
 	var out []string
 	for _, n := range []*algebra.Node{relay, r.task.Plan} {

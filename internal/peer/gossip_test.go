@@ -184,7 +184,7 @@ func TestGossipSupervisorSurvivesHomePartition(t *testing.T) {
 		}
 	}
 	drive(3)
-	waitResults(t, task, 3)
+	waitResults(t, sys, task, 3)
 
 	// The monitor is cut off from everyone else.
 	sys.Net.Partition([]string{"mon"}, []string{"mgr", "src.com", "c.com", "w1", "w2"})
@@ -222,7 +222,7 @@ func TestGossipSupervisorSurvivesHomePartition(t *testing.T) {
 	if migratedTo != "w2" {
 		t.Errorf("relay migrated to %q, want w2", migratedTo)
 	}
-	waitResults(t, task, 6) // pre-partition 3 + post-migration 3
+	waitResults(t, sys, task, 6) // pre-partition 3 + post-migration 3
 	task.Stop()
 }
 

@@ -92,7 +92,7 @@ func TestGroupCheckpointRestoreMidWindow(t *testing.T) {
 		if _, err := client.Endpoint().Invoke(target, "Q", nil); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		settleTask(task)
+		sys.Quiesce()
 		sys.Step(time.Second)
 		if i == 25 { // mid-window: 25s into 10s windows
 			victim := groupHost()

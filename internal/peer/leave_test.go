@@ -59,7 +59,7 @@ func TestLeavePeerGracefulHandoff(t *testing.T) {
 			if _, err := client.Endpoint().Invoke("src", "Q", nil); err != nil {
 				t.Fatal(err)
 			}
-			settleTask(task)
+			sys.Quiesce()
 			sys.Step(time.Second)
 		}
 	}

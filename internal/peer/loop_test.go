@@ -61,7 +61,7 @@ func TestTapBarrierLeave(t *testing.T) {
 	if err := sys.Ring.Leave("svc"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return attachedAt(sys, "svc", alerters.Inbound) == 0 })
+	waitFor(t, sys, func() bool { return attachedAt(sys, "svc", alerters.Inbound) == 0 })
 	for i := 0; i < after; i++ {
 		if _, err := caller.Invoke("svc", "ping", nil); err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestDynAlerterCountsDuplicateJoin(t *testing.T) {
 	h := mgr.runDynAlerter(task, n, driver, out)
 	for i, ev := range []string{"p-join", "p-join", "p-leave"} {
 		driver.Push(stream.Item{Tree: xmltree.ElemText(ev, "svc")})
-		waitFor(t, func() bool { return task.DynEventsProcessed() == uint64(i+1) })
+		waitFor(t, sys, func() bool { return task.DynEventsProcessed() == uint64(i+1) })
 		if got, want := attachedAt(sys, "svc", alerters.Inbound), map[string]int{"p-join": 1}[ev]; got != want {
 			t.Fatalf("after event %d (%s): %d alerters attached to svc, want %d", i+1, ev, got, want)
 		}
@@ -128,7 +128,7 @@ func TestGoroutineCensus(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.MustAddPeer("late")
-	waitFor(t, func() bool { return attachedAt(sys, "late", alerters.Inbound) == 1 })
+	waitFor(t, sys, func() bool { return attachedAt(sys, "late", alerters.Inbound) == 1 })
 	const calls = 64
 	driveAgg(t, sys, sources, calls, time.Second)
 	for i := 0; i < calls; i++ {

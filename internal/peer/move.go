@@ -151,6 +151,11 @@ func (p *Peer) relocate(t *Task, n *algebra.Node, mv move) error {
 			h.SeedConsumed(i, seq)
 		}
 	}
+	// The instance works off its replayed input before anything reads a
+	// consumer cursor again — the next move's swap, the anti-entropy sweep —
+	// so what it republishes, and what crosses a link, is a function of the
+	// schedule, not of when its loop ran.
+	s.Quiesce()
 
 	// (5) Commit. The abandoned channel has no producer anymore: never
 	// offer it (or forwarders fed from it, other than an adopted one) as

@@ -34,7 +34,7 @@ func TestRebalanceFailedMoveStrandsNobody(t *testing.T) {
 			if _, err := client.Endpoint().Invoke(fmt.Sprintf("s%d", i%sources), "Q", nil); err != nil {
 				t.Fatalf("event %d: %v", i, err)
 			}
-			settleTask(task)
+			sys.Quiesce()
 			sys.Step(time.Second)
 		}
 	}
@@ -228,8 +228,7 @@ func TestSharedInteriorMoves(t *testing.T) {
 			if _, err := client.Endpoint().Invoke(fmt.Sprintf("s%d", i%sources), "Q", nil); err != nil {
 				t.Fatalf("event %d: %v", i, err)
 			}
-			settleTask(wt)
-			settleTask(nt)
+			sys.Quiesce()
 			sys.Step(time.Second)
 			for k, name := range names {
 				if i == (k+1)*events/(len(names)+1) {
@@ -244,7 +243,7 @@ func TestSharedInteriorMoves(t *testing.T) {
 		// wide feeds narrow: stopping it first flushes narrow's trailing
 		// window through the shared interior's EOS.
 		wide = groupRecords(t, wt)
-		settleTask(nt)
+		sys.Quiesce()
 		return wide, groupRecords(t, nt)
 	}
 	wantWide, wantNarrow := run(t)

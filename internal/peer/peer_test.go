@@ -326,7 +326,7 @@ by publish as channel "watch"`)
 		return xmltree.Elem("pong"), nil
 	}, nil)
 	caller := sys.MustAddPeer("caller")
-	waitFor(t, func() bool { return task.DynEventsProcessed() >= 2 }) // srv1 + caller joins
+	waitFor(t, sys, func() bool { return task.DynEventsProcessed() >= 2 }) // srv1 + caller joins
 	if _, err := caller.Endpoint().Invoke("srv1", "ping", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ by publish as channel "watch"`)
 	if err := sys.Ring.Leave("srv1"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return task.DynEventsProcessed() >= 3 })
+	waitFor(t, sys, func() bool { return task.DynEventsProcessed() >= 3 })
 	if _, err := caller.Endpoint().Invoke("srv1", "ping", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,18 @@ by publish as channel "watch"`)
 	}
 }
 
-func waitFor(t *testing.T, cond func() bool) {
+// waitFor quiesces the peers' loops and checks cond on what they left.
+func waitFor(t *testing.T, sys *System, cond func() bool) {
+	t.Helper()
+	sys.Quiesce()
+	if !cond() {
+		t.Fatal("condition not reached once the loops were idle")
+	}
+}
+
+// pollFor polls cond for what no Quiesce covers: goroutine exits, or loop
+// work the test itself holds back.
+func pollFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -454,7 +465,6 @@ func TestTaskStopIdempotent(t *testing.T) {
 	}
 	task.Stop()
 	task.Stop() // must not panic or deadlock
-	task.Wait()
 }
 
 func TestSubscriptionDatabase(t *testing.T) {

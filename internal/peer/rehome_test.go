@@ -43,7 +43,7 @@ func TestManagerDeathRehomesTask(t *testing.T) {
 		}
 	}
 	drive(3)
-	waitResults(t, task, 3)
+	waitResults(t, sys, task, 3)
 
 	// The manager (which also hosts the publisher) dies mid-run.
 	sys.Net.Crash("mgr")
@@ -86,7 +86,7 @@ func TestManagerDeathRehomesTask(t *testing.T) {
 
 	drive(3)
 	// 3 pre-crash + 2 outage (replayed) + 3 post-repair, exactly once.
-	waitResults(t, task, 8)
+	waitResults(t, sys, task, 8)
 	task.Stop()
 	if got := len(task.Results().Drain()); got != 8 {
 		t.Fatalf("results = %d, want exactly 8 (exactly-once across the manager migration)", got)
@@ -126,7 +126,7 @@ func TestManagerDeathRehomesLossy(t *testing.T) {
 		}
 	}
 	drive(3)
-	waitResults(t, task, 3)
+	waitResults(t, sys, task, 3)
 	sys.Net.Crash("mgr")
 	for i := 0; i < 20 && len(sup.Deaths()) == 0; i++ {
 		sys.Step(time.Second)
@@ -135,7 +135,7 @@ func TestManagerDeathRehomesLossy(t *testing.T) {
 		t.Fatal("task was not re-homed")
 	}
 	drive(3)
-	waitResults(t, task, 6)
+	waitResults(t, sys, task, 6)
 	task.Stop()
 	if got := len(task.Results().Drain()); got < 6 {
 		t.Fatalf("results = %d, want >= 6 (post-repair events must flow)", got)

@@ -68,10 +68,17 @@ func (r *relayRig) emit() {
 // detections run) until the task has settled at least want results.
 func (r *relayRig) syncUntil(t *testing.T, want int) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for r.task.Results().Len() < want && time.Now().Before(deadline) {
-		r.sys.Step(time.Second)
-		time.Sleep(time.Millisecond)
+	stepUntil(r.sys, func() bool { return r.task.Results().Len() >= want })
+}
+
+// stepUntil quiesces the peers' loops, then steps the system a virtual
+// second at a time, at most 100 times, until cond holds on processed
+// state.
+func stepUntil(sys *System, cond func() bool) {
+	sys.Quiesce()
+	for i := 0; i < 100 && !cond(); i++ {
+		sys.Step(time.Second)
+		sys.Quiesce()
 	}
 }
 
@@ -276,19 +283,16 @@ func TestExactlyOnceAcrossFaultMixes(t *testing.T) {
 					w.emit()
 					// The event must have reached the producer end of the
 					// link under test before the schedule moves on, or a
-					// lagging operator goroutine could carry it across
-					// after the fault has cleared.
-					w.awaitPublished(k.from, uint64(i))
+					// lagging loop could carry it across after the fault
+					// has cleared.
+					w.sys.Quiesce()
 					w.sys.Step(time.Second)
 					f.at(w, k.from, k.to, i)
 				}
 				settled := func() bool {
 					return w.task.Results().Len() >= events && w.mirror.Results().Len() >= events && w.inbox.Len() >= events
 				}
-				for deadline := time.Now().Add(10 * time.Second); !settled() && time.Now().Before(deadline); {
-					w.sys.Step(time.Second)
-					time.Sleep(time.Millisecond)
-				}
+				stepUntil(w.sys, settled)
 				if f.lossy && k.name != "result reader" && w.sys.ReplayedItems() == 0 {
 					t.Error("the fault should have forced retransmissions")
 				}
@@ -340,10 +344,7 @@ func TestCheckpointTailSurvivesPartitionedCrash(t *testing.T) {
 	// crash (input replay resumes after them, and the producer's buffer
 	// dies with the host).
 	relayCh, _ := r.sys.Channel(relayRef)
-	deadline := time.Now().Add(5 * time.Second)
-	for relayCh.Seq() < 9 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	r.sys.Quiesce()
 	if relayCh.Seq() < 9 {
 		t.Fatalf("relay only published %d/9 before the crash", relayCh.Seq())
 	}
@@ -392,7 +393,7 @@ func TestColdAdoptionDoesNotDuplicate(t *testing.T) {
 	// Quiesce so the replica has mirrored the full pre-crash output: the
 	// cold restart's re-emission then maximally overlaps what downstream
 	// cursors already saw — the worst case for duplication.
-	waitResults(t, r.task, 7)
+	waitResults(t, r.sys, r.task, 7)
 	r.sys.Net.Crash("w1") //nolint:errcheck // known node
 	for i := 8; i <= events; i++ {
 		r.emit()
@@ -451,7 +452,7 @@ func TestCheckpointRestoresDistinctState(t *testing.T) {
 		emit(i)
 		sys.Step(time.Second)
 	}
-	waitResults(t, task, 6)
+	waitResults(t, sys, task, 6)
 	sys.Step(time.Second) // a checkpoint capturing the full Distinct memory
 	sys.Step(time.Second)
 
@@ -471,11 +472,7 @@ func TestCheckpointRestoresDistinctState(t *testing.T) {
 		emit(id)
 		sys.Step(time.Second)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for task.Results().Len() < 8 && time.Now().Before(deadline) {
-		sys.Step(time.Second)
-		time.Sleep(time.Millisecond)
-	}
+	stepUntil(sys, func() bool { return task.Results().Len() >= 8 })
 	task.Stop()
 	assertExactlyOnce(t, task, 8)
 }
@@ -540,8 +537,8 @@ func TestPublisherRedeploysOnHostDeath(t *testing.T) {
 		emit(i)
 		sys.Step(time.Second)
 	}
-	waitResults(t, task, 3)
-	waitResults(t, t2, 3)
+	waitResults(t, sys, task, 3)
+	waitResults(t, sys, t2, 3)
 
 	events := sys.FailPeer("pub", 0)
 	repaired := 0
@@ -565,13 +562,9 @@ func TestPublisherRedeploysOnHostDeath(t *testing.T) {
 		sys.Step(time.Second)
 	}
 	// Every sink must have settled before teardown — the subscribe
-	// target's inbox too: its forwarder is its own goroutine.
+	// target's inbox too.
 	inbox := sys.Peer("far").Incoming("inbox")
-	deadline := time.Now().Add(5 * time.Second)
-	for (task.Results().Len() < 6 || t2.Results().Len() < 6 || inbox.Len() < 6) && time.Now().Before(deadline) {
-		sys.Step(time.Second)
-		time.Sleep(time.Millisecond)
-	}
+	stepUntil(sys, func() bool { return task.Results().Len() >= 6 && t2.Results().Len() >= 6 && inbox.Len() >= 6 })
 	task.Stop()
 	t2.Stop()
 	assertExactlyOnce(t, task, 6)
@@ -666,11 +659,11 @@ func TestDynAlerterManagerRedeploysOnHostDeath(t *testing.T) {
 		return xmltree.Elem("pong"), nil
 	}, nil)
 	caller := sys.MustAddPeer("caller")
-	waitFor(t, func() bool { return task.DynEventsProcessed() >= 2 }) // svc + caller joins
+	waitFor(t, sys, func() bool { return task.DynEventsProcessed() >= 2 }) // svc + caller joins
 	if _, err := caller.Endpoint().Invoke("svc", "ping", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitResults(t, task, 1)
+	waitResults(t, sys, task, 1)
 
 	before := task.DynEventsProcessed()
 	events := sys.FailPeer("w1", 0)
@@ -697,11 +690,11 @@ func TestDynAlerterManagerRedeploysOnHostDeath(t *testing.T) {
 	}
 	// The replayed membership history (svc join, caller join, w1's own
 	// departure) rebuilds the active set before new traffic flows.
-	waitFor(t, func() bool { return task.DynEventsProcessed() >= before+3 })
+	waitFor(t, sys, func() bool { return task.DynEventsProcessed() >= before+3 })
 	if _, err := caller.Endpoint().Invoke("svc", "ping", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitResults(t, task, 2)
+	waitResults(t, sys, task, 2)
 	task.Stop()
 	if got := len(task.Results().Drain()); got != 2 {
 		t.Fatalf("results = %d, want 2 (one call per epoch, no duplicates)", got)

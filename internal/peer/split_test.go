@@ -59,7 +59,7 @@ func TestSplitInteriorMatchesFlat(t *testing.T) {
 		if _, err := client.Endpoint().Invoke(target, "Q", nil); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		settleTask(task)
+		sys.Quiesce()
 		sys.Step(time.Second)
 		if i == events/2 {
 			// Mid-window, mid-stream: the interior holds merged state
@@ -119,7 +119,7 @@ func TestSplitThenCrashExactlyOnce(t *testing.T) {
 		if _, err := client.Endpoint().Invoke(target, "Q", nil); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		settleTask(task)
+		sys.Quiesce()
 		sys.Step(time.Second)
 		switch i {
 		case events / 2:
@@ -189,7 +189,7 @@ func TestRechunkControllerSplitsHotInterior(t *testing.T) {
 		if _, err := client.Endpoint().Invoke(skewTarget(i), "Q", nil); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		settleTask(task)
+		sys.Quiesce()
 		sys.Step(time.Second)
 	}
 	evs := sys.SplitEvents()
@@ -254,7 +254,7 @@ func TestTuningMidRunDeterministic(t *testing.T) {
 			if _, err := client.Endpoint().Invoke(skewTarget(i), "Q", nil); err != nil {
 				t.Fatalf("event %d: %v", i, err)
 			}
-			settleTask(task)
+			sys.Quiesce()
 			sys.Step(time.Second)
 			switch i {
 			case events / 3:
@@ -356,7 +356,7 @@ func TestSplitRebalancesTreeWide(t *testing.T) {
 		if _, err := client.Endpoint().Invoke(target, "Q", nil); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		settleTask(task)
+		sys.Quiesce()
 		sys.Step(time.Second)
 		switch i {
 		case events / 3:

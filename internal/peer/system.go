@@ -39,10 +39,12 @@ type System struct {
 	DB     *kadop.DB
 
 	// loops holds the one event loop per peer (System.executor), taps the
-	// one WS alerter tap per monitored endpoint direction (System.tap).
+	// one WS alerter tap per monitored endpoint direction (System.tap);
+	// idle counts the loops' pending work (System.Quiesce).
 	loopMu sync.Mutex
 	loops  map[string]*operators.Executor
 	taps   map[tapKey]*alerters.Tap
+	idle   *operators.Loops
 
 	// admitMu serializes AddPeer: two concurrent admissions of one name
 	// must resolve to one node, one ring member and one Peer.
@@ -124,6 +126,7 @@ func NewSystem(cfg Config) (*System, error) {
 		quarantined: make(map[string]bool),
 		loops:       make(map[string]*operators.Executor),
 		taps:        make(map[tapKey]*alerters.Tap),
+		idle:        operators.NewLoops(),
 	}
 	if cfg.Agg.SplitRatio > 0 {
 		s.startRechunkController()
@@ -506,8 +509,10 @@ func (s *System) RefreshStreamStats() error {
 // Steps; detection latency is quantized to the step size, so use steps
 // no coarser than the heartbeat interval when measuring it. With the
 // replay layer on, each Step also runs the anti-entropy sweep (repairing
-// link-fault losses from the upstream replay buffers) and, every
-// CheckpointInterval, the operator checkpoint sweep.
+// link-fault losses from the upstream replay buffers), waits for the
+// peers' loops to process what it re-sent (Quiesce) and, every
+// CheckpointInterval, runs the operator checkpoint sweep; the checkpoints
+// and the OnStep hooks see processed state.
 func (s *System) Step(d time.Duration) {
 	if s.tele != nil {
 		defer s.observeStep(time.Now())
@@ -518,6 +523,7 @@ func (s *System) Step(d time.Duration) {
 	}
 	if s.replayOn() {
 		s.syncEdges()
+		s.Quiesce()
 	}
 	if interval := s.cfg.Replay.CheckpointInterval; interval > 0 {
 		now := s.Net.Clock().Now()
@@ -539,6 +545,14 @@ func (s *System) Step(d time.Duration) {
 		f(now)
 	}
 }
+
+// Quiesce blocks until every peer's event loop is idle: no operator or
+// tap step queued or running anywhere in the System. It is exact — a
+// hand-off between peers wakes the target's loop inside the sender's
+// step — and has no timeout. Harnesses call it between driven events and
+// before they inspect results; never call it from a step of a peer's loop
+// (an operator, a sink, a tap), which would wait for its own end.
+func (s *System) Quiesce() { s.idle.Quiesce() }
 
 // Poll drives every polling alerter (RSS, Web page) across all running
 // tasks once, returning the number of alerts produced. Simulation

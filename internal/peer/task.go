@@ -193,14 +193,6 @@ func (t *Task) Stop() {
 	})
 }
 
-// Wait blocks until all operators have finished (after the sources have
-// closed).
-func (t *Task) Wait() {
-	for _, h := range t.handles {
-		h.Wait()
-	}
-}
-
 // SafeBuffer is a mutex-guarded bytes.Buffer usable as an io.Writer sink
 // by publisher operators while tests read it concurrently.
 type SafeBuffer struct {

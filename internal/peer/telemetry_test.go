@@ -372,9 +372,9 @@ func TestQueueDepthCountsEdgeQueues(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		waitFor(t, func() bool { return depth() == calls })
+		pollFor(t, func() bool { return depth() == calls })
 	})
-	waitFor(t, func() bool { return task.Results().Len() == calls })
+	waitFor(t, sys, func() bool { return task.Results().Len() == calls })
 	if got := depth(); got != calls {
 		t.Errorf("stream_queue_depth = %d with %d results unread, want %d", got, calls, calls)
 	}

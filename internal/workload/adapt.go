@@ -331,7 +331,7 @@ func (cfg *AdaptConfig) setup() (*scenarioSpec[*AdaptReport], error) {
 						rep.HealthPeak = max(rep.HealthPeak, det.HealthOf(n))
 					}
 					if driven-1 == 3*cfg.Events/4 {
-						l.settle()
+						l.Sys.Quiesce()
 						snap = interiorGauges(sys, l.Tasks[0])
 					}
 				},

@@ -328,7 +328,7 @@ func New[R any](sc Scenario[R]) (*Lab[R], error) {
 	if l.hooks.Victim == nil {
 		l.hooks.Victim = func() string { return aggHost(l.Tasks[0].Plan) }
 	}
-	l.hooks.c, l.hooks.Settle = c, l.settle
+	l.hooks.c = c
 	return l, nil
 }
 
@@ -387,25 +387,6 @@ func (l *Lab[R]) invoke(i int, target, method string) error {
 	return nil
 }
 
-// settle waits (bounded) until the tasks' operators stop consuming — the
-// in-memory stand-in for the virtual time that separates events in the
-// modeled deployment — so each virtual Step sees processed state.
-func (l *Lab[R]) settle() {
-	last, stable := uint64(0), 0
-	for i := 0; i < 2000 && stable < 3; i++ {
-		var cur uint64
-		for _, t := range l.Tasks {
-			cur += t.ItemsProcessed()
-		}
-		if cur == last {
-			stable++
-		} else {
-			stable, last = 0, cur
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // undetected counts injected crashes the supervisor has not declared
 // yet. Deaths are matched against the crash log as a multiset: a worker
 // that joined, crashed, recovered and crashed again counts once per
@@ -432,40 +413,30 @@ func (l *Lab[R]) undetected() int {
 // groups) then gives the anti-entropy sweep a fixed few rounds to refill
 // remaining losses. One that can count its results steps exactly as long
 // as needed: with replay every driven event is recoverable, so it
-// continues until the last result lands. That bound is generous (on a
-// loaded machine the peers' loops may need many settle rounds),
-// so a run that stops making progress bails once the count stalls;
-// without replay what is lost stays lost and there is nothing to wait
-// for.
+// continues until the last result lands (bounded); without replay what is
+// lost stays lost and there is nothing to wait for.
 func (l *Lab[R]) drain() {
 	step := l.spec.common.Step
 	for i := 0; i < 64 && l.Sup != nil && l.undetected() > 0; i++ {
 		l.Sys.Step(step)
 	}
-	l.settle()
+	l.Sys.Quiesce()
 	if l.spec.landed == nil {
 		for i := 0; i < 8; i++ {
 			l.Sys.Step(step)
-			l.settle()
+			l.Sys.Quiesce()
 		}
 		return
 	}
 	if !l.spec.common.Replay {
 		return
 	}
-	last, stalled := -1, 0
-	for i := 0; i < 1000 && stalled < 50; i++ {
-		got, want := l.spec.landed(l)
-		if got >= want {
+	for i := 0; i < 64; i++ {
+		if got, want := l.spec.landed(l); got >= want {
 			return
 		}
-		if got == last {
-			stalled++
-		} else {
-			last, stalled = got, 0
-		}
 		l.Sys.Step(step)
-		l.settle()
+		l.Sys.Quiesce()
 	}
 }
 
@@ -521,11 +492,11 @@ func (l *Lab[R]) Run() (R, error) {
 	// dependent — trailing windows flush — before its own Stop detaches
 	// it.
 	l.Tasks[0].Stop()
-	l.settle()
+	l.Sys.Quiesce()
 	for _, t := range l.Tasks[1:] {
 		t.Stop()
 	}
-	l.settle()
+	l.Sys.Quiesce()
 	results := make([][]stream.Item, len(l.Tasks))
 	for i, t := range l.Tasks {
 		results[i] = t.Results().Drain()

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -102,5 +103,62 @@ func TestChurnDeterministicUnderSeed(t *testing.T) {
 	}
 	if a.Completeness() != 1 {
 		t.Errorf("deterministic runs should also be lossless: completeness = %.3f", a.Completeness())
+	}
+}
+
+// TestLabDeterministicUnderSeed: a lab run is a function of its seed. The
+// aggregation tree under crashes and graceful leaves, the flat aggregator
+// under crashes and the shared multi-tenant trees are each run twice, and
+// every RunStats field — the retransmission count and the network totals
+// included — must match. Run with -race, at GOMAXPROCS 1 and 2.
+func TestLabDeterministicUnderSeed(t *testing.T) {
+	agg := func(mode string, leaveEvery int) func() (RunStats, error) {
+		return func() (RunStats, error) {
+			cfg := DefaultAgg()
+			cfg.Mode, cfg.Replay = mode, true
+			cfg.Events, cfg.CrashEvery, cfg.LeaveEvery = 160, 16, leaveEvery
+			rep, err := Run(&cfg)
+			if err != nil {
+				return RunStats{}, err
+			}
+			return rep.RunStats, nil
+		}
+	}
+	cases := []struct {
+		name string
+		run  func() (RunStats, error)
+	}{
+		{"agg tree crash+leave", agg("tree", 13)},
+		{"agg flat crash", agg("flat", 0)},
+		{"share crash+leave", func() (RunStats, error) {
+			cfg := DefaultShare()
+			cfg.Events, cfg.CrashEvery, cfg.LeaveEvery = 96, 28, 24
+			rep, err := Run(&cfg)
+			if err != nil {
+				return RunStats{}, err
+			}
+			return rep.RunStats, nil
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Crashes == 0 || a.Replayed == 0 {
+				t.Fatalf("crashes %d, replayed %d: the schedule must exercise failover and replay", a.Crashes, a.Replayed)
+			}
+			va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+			for i := 0; i < va.NumField(); i++ {
+				if fa, fb := va.Field(i).Interface(), vb.Field(i).Interface(); !reflect.DeepEqual(fa, fb) {
+					t.Errorf("%s diverged:\n  %v\n  %v", va.Type().Field(i).Name, fa, fb)
+				}
+			}
+		})
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // schedRunner is the lab's one event loop: it drives the workload,
-// settles the pipeline, advances virtual time, admits pending joiners,
+// quiesces the peers' loops, advances virtual time, admits pending joiners,
 // recovers/rejoins departed peers, and injects the graceful-leave and
 // crash schedules under the one-outstanding-failure rule. The scenarios
 // differ only in what they drive, whom they target and what else they
@@ -86,11 +86,6 @@ type schedule struct {
 	// tolerates drive faults (the home-partition case) absorbs them in
 	// its closure.
 	Drive func(i int) error
-	// Settle drains the pipeline: after every driven event, before the
-	// clock advances, so checkpoints taken on the Step cadence describe
-	// processed state; and before each injected leave/crash, so the
-	// measured loss is the outage window itself.
-	Settle func()
 	// Victim names the current leave/crash target.
 	Victim func() string
 	// AfterStep runs right after each clock advance (the home-partition
@@ -131,7 +126,9 @@ func (r *schedRunner) run(s schedule) error {
 			return err
 		}
 		r.driven++
-		s.Settle()
+		// The event is processed before the clock advances, so checkpoints
+		// taken on the Step cadence describe it.
+		r.sys.Quiesce()
 		r.sys.Step(c.Step)
 		now := r.sys.Net.Clock().Now()
 		if s.AfterStep != nil {
@@ -167,7 +164,7 @@ func (r *schedRunner) run(s schedule) error {
 			// Like the crash schedule: one departure at a time, and only
 			// while the pool is otherwise healthy.
 			if r.victimOK(leaver) && len(r.rejoinAt) == 0 {
-				s.Settle()
+				r.sys.Quiesce()
 				evs, err := r.sys.LeavePeer(leaver)
 				if err != nil {
 					return fmt.Errorf("workload: %s leaving gracefully: %w", leaver, err)
@@ -191,7 +188,7 @@ func (r *schedRunner) run(s schedule) error {
 			// delivered when the crash strikes, so the measured loss is
 			// the outage window itself, not a scheduling artifact.
 			if r.victimOK(victim) {
-				s.Settle()
+				r.sys.Quiesce()
 				r.sys.Net.Crash(victim) //nolint:errcheck // known node
 				r.crashes++
 				r.crashLog = append(r.crashLog, MemberEvent{Peer: victim, At: now})

@@ -136,9 +136,9 @@ by publish as channel "lateJoiners"`)
 	late.Endpoint().Register("Late", func(*xmltree.Node) (*xmltree.Node, error) {
 		return xmltree.Elem("ok"), nil
 	}, nil)
-	deadline := time.Now().Add(2 * time.Second)
-	for membership.DynEventsProcessed() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	sys.Quiesce()
+	if membership.DynEventsProcessed() < 1 {
+		t.Fatal("the membership manager has not applied late.com's join")
 	}
 	if _, err := a.Invoke("late.com", "Late", nil); err != nil {
 		t.Fatal(err)
