@@ -77,38 +77,36 @@ func (b *Base) Close() {
 	}
 }
 
-// seconds renders a duration as a decimal-seconds attribute value so that
-// P2PML arithmetic like "$c1.responseTimestamp - $c1.callTimestamp" works
-// numerically. The bytes are those of
+// appendSeconds appends a duration as a decimal-seconds attribute value so
+// that P2PML arithmetic like "$c1.responseTimestamp - $c1.callTimestamp"
+// works numerically. The bytes are those of
 // strconv.FormatFloat(d.Seconds(), 'f', 3, 64), computed with integer
 // arithmetic: below 2^53 ns the float64 that Seconds returns lies within
 // 1 ns of the true value (one rounding of a fraction below 1, one of a
 // sum below 2^24 whose ulp is 2^-29 s), so unless the sub-millisecond
 // remainder is within 1 µs of the half-millisecond tie both round to the
-// same millisecond. Ties, negatives and larger values take FormatFloat.
-func seconds(d time.Duration) string {
+// same millisecond. Ties, negatives and larger values take AppendFloat.
+func appendSeconds(dst []byte, d time.Duration) []byte {
 	const tie, guard = time.Millisecond / 2, time.Microsecond
 	rem := d % time.Millisecond
 	if d < 0 || d >= 1<<53 || (rem >= tie-guard && rem <= tie+guard) {
-		return strconv.FormatFloat(d.Seconds(), 'f', 3, 64)
+		return strconv.AppendFloat(dst, d.Seconds(), 'f', 3, 64)
 	}
 	ms := uint64(d / time.Millisecond)
 	if rem > tie {
 		ms++
 	}
-	var buf [16]byte // 2^53 ns is 7 integer digits, a point and 3 decimals
-	b := strconv.AppendUint(buf[:0], ms/1000, 10)
+	dst = strconv.AppendUint(dst, ms/1000, 10)
 	ms %= 1000
-	b = append(b, '.', byte('0'+ms/100), byte('0'+ms/10%10), byte('0'+ms%10))
-	return string(b)
+	return append(dst, '.', byte('0'+ms/100), byte('0'+ms/10%10), byte('0'+ms%10))
 }
 
-// endpointURL renders a peer identity as its service endpoint URL.
-func endpointURL(peer string) string {
-	if strings.HasPrefix(peer, "http://") || strings.HasPrefix(peer, "https://") {
-		return peer
+// appendURL appends a peer identity as its service endpoint URL.
+func appendURL(dst []byte, peer string) []byte {
+	if !strings.HasPrefix(peer, "http://") && !strings.HasPrefix(peer, "https://") {
+		dst = append(dst, "http://"...)
 	}
-	return "http://" + peer
+	return append(dst, peer...)
 }
 
 // Direction selects which side of a Web service call a WS alerter
@@ -173,7 +171,7 @@ func (w *WS) Hook() soap.Hook {
 type Tap struct {
 	dir   Direction
 	peer  string // the tapped endpoint's peer; "" when not known
-	url   string // endpointURL(peer), rendered once
+	url   string // appendURL(peer), rendered once
 	clock func() time.Duration
 
 	// mu serializes attach, detach and whoever empties the ring: a step of
@@ -198,7 +196,7 @@ type captured struct {
 // NewTap builds the tap of peer's endpoint in one direction; register
 // its Hook there once. clock may be nil (alerts are stamped zero).
 func NewTap(peer string, dir Direction, clock func() time.Duration) *Tap {
-	return &Tap{dir: dir, peer: peer, url: endpointURL(peer), clock: clock}
+	return &Tap{dir: dir, peer: peer, url: string(appendURL(nil, peer)), clock: clock}
 }
 
 // RunOn makes ex — the tapped peer's loop — fire what the hook captures.
@@ -333,7 +331,24 @@ func (t *Tap) alert(x soap.Exchange, includeEnvelope bool) *xmltree.Node {
 		en, ea := x.EnvelopeSize()
 		nodes, attrs, kids = nodes+en, attrs+ea, 1
 	}
-	b := xmltree.NewBuilder(nodes, attrs) // the whole alert: three allocations
+	// The strings the alert renders — the other side's URL, both
+	// timestamps, the result's label — are appended to one buffer and cut
+	// from one string: with the builder's chunks, four allocations.
+	var raw [128]byte
+	buf := t.appendOther(raw[:0], x.Caller)
+	callee := len(buf)
+	buf = t.appendOther(buf, x.Callee)
+	called := len(buf)
+	buf = appendSeconds(buf, x.CallTime)
+	responded := len(buf)
+	buf = appendSeconds(buf, x.ResponseTime)
+	label := len(buf)
+	if includeEnvelope && x.Result != nil {
+		buf = append(append(buf, x.Method...), "Response"...)
+	}
+	str := string(buf)
+
+	b := xmltree.NewBuilder(nodes, attrs)
 	n := b.Elem("alert", own, kids)
 	if t.dir == Inbound {
 		n.SetAttr("type", "ws-in")
@@ -345,26 +360,35 @@ func (t *Tap) alert(x soap.Exchange, includeEnvelope bool) *xmltree.Node {
 	// Caller/callee identities are annotated as endpoint URLs (the Axis
 	// form the paper's conditions compare against, e.g. the Figure 1
 	// condition $c1.callee = "http://meteo.com").
-	n.SetAttr("caller", t.urlOf(x.Caller))
-	n.SetAttr("callee", t.urlOf(x.Callee))
-	n.SetAttr("callTimestamp", seconds(x.CallTime))
-	n.SetAttr("responseTimestamp", seconds(x.ResponseTime))
+	n.SetAttr("caller", t.ownOr(str[:callee]))
+	n.SetAttr("callee", t.ownOr(str[callee:called]))
+	n.SetAttr("callTimestamp", str[called:responded])
+	n.SetAttr("responseTimestamp", str[responded:label])
 	if x.Fault != "" {
 		n.SetAttr("fault", x.Fault)
 	}
 	if includeEnvelope {
-		n.Append(x.Envelope(&b))
+		n.Append(x.Envelope(&b, str[label:]))
 	}
 	return n
 }
 
-// urlOf is endpointURL with the tapped peer's own URL — the callee of
-// every inbound exchange, the caller of every outbound one — reused.
-func (t *Tap) urlOf(peer string) string {
+// appendOther appends a peer's URL unless it is the tapped peer — the
+// callee of every inbound exchange, the caller of every outbound one —
+// whose URL the tap rendered once.
+func (t *Tap) appendOther(dst []byte, peer string) []byte {
 	if peer == t.peer {
+		return dst
+	}
+	return appendURL(dst, peer)
+}
+
+// ownOr is the URL appendOther rendered, or the tap's own for none.
+func (t *Tap) ownOr(url string) string {
+	if url == "" {
 		return t.url
 	}
-	return endpointURL(peer)
+	return url
 }
 
 // RSS is the RSS feed alerter: it polls a feed, diffs snapshots, and

@@ -268,35 +268,35 @@ func TestTupleRoundTrip(t *testing.T) {
 	c1 := xmltree.MustParse(`<alert callId="7" caller="a.com"/>`)
 	c2 := xmltree.MustParse(`<alert callId="7" callTimestamp="9.5"/>`)
 	tuple := BuildTuple([]string{"c1", "c2"}, []*xmltree.Node{c1, c2})
-	env, err := ExtractEnv([]string{"c1", "c2"}, tuple)
+	env, err := extractEnv([]string{"c1", "c2"}, tuple)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Trees["c1"].AttrOr("caller", "") != "a.com" {
+	if envTree(env, "c1").AttrOr("caller", "") != "a.com" {
 		t.Error("c1 binding lost")
 	}
-	if env.Trees["c2"].AttrOr("callTimestamp", "") != "9.5" {
+	if envTree(env, "c2").AttrOr("callTimestamp", "") != "9.5" {
 		t.Error("c2 binding lost")
 	}
 }
 
 func TestExtractEnvBareTree(t *testing.T) {
 	tree := xmltree.MustParse(`<alert x="1"/>`)
-	env, err := ExtractEnv([]string{"e"}, tree)
+	env, err := extractEnv([]string{"e"}, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Trees["e"] != tree {
+	if envTree(env, "e") != tree {
 		t.Error("bare tree should bind directly")
 	}
 }
 
 func TestExtractEnvErrors(t *testing.T) {
-	if _, err := ExtractEnv([]string{"a", "b"}, xmltree.Elem("notuple")); err == nil {
+	if _, err := extractEnv([]string{"a", "b"}, xmltree.Elem("notuple")); err == nil {
 		t.Error("non-tuple for multi-var schema accepted")
 	}
 	tuple := BuildTuple([]string{"a"}, []*xmltree.Node{xmltree.Elem("x")})
-	if _, err := ExtractEnv([]string{"a", "b"}, tuple); err == nil {
+	if _, err := extractEnv([]string{"a", "b"}, tuple); err == nil {
 		t.Error("missing variable accepted")
 	}
 }
@@ -305,11 +305,11 @@ func TestMergeTuplesMixed(t *testing.T) {
 	l := xmltree.MustParse(`<alert id="1"/>`)
 	rTuple := BuildTuple([]string{"b", "c"}, []*xmltree.Node{xmltree.Elem("x"), xmltree.Elem("y")})
 	merged := MergeTuples([]string{"a"}, l, []string{"b", "c"}, rTuple)
-	env, err := ExtractEnv([]string{"a", "b", "c"}, merged)
+	env, err := extractEnv([]string{"a", "b", "c"}, merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Trees["a"].AttrOr("id", "") != "1" || env.Trees["c"].Label != "y" {
+	if envTree(env, "a").AttrOr("id", "") != "1" || envTree(env, "c").Label != "y" {
 		t.Errorf("merged = %s", merged)
 	}
 }
@@ -363,11 +363,11 @@ func TestJoinKeysAndCombine(t *testing.T) {
 		t.Error("missing key attr should report !ok")
 	}
 	combined := JoinCombine(join.Inputs[0].Schema, join.Inputs[1].Schema)(l, r)
-	env, err := ExtractEnv(join.Schema, combined)
+	env, err := extractEnv(join.Schema, combined)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Trees["c1"].AttrOr("caller", "") != "a.com" {
+	if envTree(env, "c1").AttrOr("caller", "") != "a.com" {
 		t.Errorf("combined = %s", combined)
 	}
 }
@@ -457,4 +457,15 @@ func TestCrossJoinWithoutEquiKey(t *testing.T) {
 	if !res(l, r) || res(r, l) {
 		t.Error("residual evaluation wrong")
 	}
+}
+
+// extractEnv binds an item into a fresh frame.
+func extractEnv(schema []string, item *xmltree.Node) (*p2pml.Env, error) {
+	env := p2pml.NewEnv()
+	return env, bindItem(env, schema, item)
+}
+
+func envTree(env *p2pml.Env, v string) *xmltree.Node {
+	tree, _ := env.Tree(v)
+	return tree
 }

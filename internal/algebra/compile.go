@@ -50,44 +50,19 @@ func (c *compiler) streamVarsOf(vars []string) []string {
 	return out
 }
 
-// letsFor returns the LET bindings (in declaration order) needed to
-// evaluate expressions over the given variables.
-func (c *compiler) letsFor(conds []p2pml.Condition, exprs ...p2pml.Expr) []p2pml.LetBinding {
-	needed := make(map[string]bool)
-	mark := func(vars []string) {
-		for _, v := range vars {
-			if _, isLet := c.letByVar[v]; isLet {
-				needed[v] = true
-			}
-		}
-	}
+// letsFor returns the LET bindings (in declaration order) that conditions
+// and expressions need, transitively.
+func (c *compiler) letsFor(conds []p2pml.Condition, uses ...interface{ Vars() []string }) []p2pml.LetBinding {
+	var vars []string
 	for _, cond := range conds {
-		mark(cond.Vars())
+		vars = append(vars, cond.Vars()...)
 	}
-	for _, e := range exprs {
-		if e != nil {
-			mark(e.Vars())
+	for _, u := range uses {
+		if u != nil {
+			vars = append(vars, u.Vars()...)
 		}
 	}
-	// Include transitive let-on-let dependencies.
-	for changed := true; changed; {
-		changed = false
-		for v := range needed {
-			for _, dep := range c.letByVar[v].Expr.Vars() {
-				if _, isLet := c.letByVar[dep]; isLet && !needed[dep] {
-					needed[dep] = true
-					changed = true
-				}
-			}
-		}
-	}
-	var out []p2pml.LetBinding
-	for _, l := range c.sub.Let {
-		if needed[l.Var] {
-			out = append(out, l)
-		}
-	}
-	return out
+	return letsUsedBy(c.sub.Let, vars)
 }
 
 func (c *compiler) compile() (*Node, error) {
@@ -198,7 +173,7 @@ func (c *compiler) compile() (*Node, error) {
 	plan = &Node{
 		Op: OpRestruct, Peer: AnyPeer,
 		Inputs:   []*Node{plan},
-		Restruct: &RestructSpec{Template: ret.Template, Expr: ret.Expr, Lets: c.letsFor(nil, ret.Expr, templateExpr(ret))},
+		Restruct: &RestructSpec{Template: ret.Template, Expr: ret.Expr, Lets: c.letsFor(nil, ret.Expr, ret.Template)},
 	}
 	if ret.Distinct {
 		plan = &Node{Op: OpDistinct, Peer: AnyPeer, Inputs: []*Node{plan}}
@@ -218,22 +193,6 @@ func (c *compiler) compile() (*Node, error) {
 	plan = &Node{Op: OpPublish, Peer: AnyPeer, Inputs: []*Node{plan}, Publish: pub}
 	return plan, nil
 }
-
-// templateExpr lets letsFor see through template variable references.
-func templateExpr(ret *p2pml.ReturnClause) p2pml.Expr {
-	if ret.Template == nil {
-		return nil
-	}
-	return templateVarsExpr{ret.Template}
-}
-
-type templateVarsExpr struct{ t *p2pml.Template }
-
-func (e templateVarsExpr) Eval(*p2pml.Env) (p2pml.Value, error) {
-	return p2pml.Value{}, fmt.Errorf("algebra: templateVarsExpr is not evaluable")
-}
-func (e templateVarsExpr) String() string { return "template" }
-func (e templateVarsExpr) Vars() []string { return e.t.Vars() }
 
 func (c *compiler) channelID() string {
 	for _, t := range c.sub.By {

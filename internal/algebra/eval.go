@@ -12,14 +12,20 @@ import (
 // the operators package executes. The declarative side (specs, signatures)
 // is what gets published to the stream-definition database; the closures
 // are what actually runs on a peer.
+//
+// Each closure binds its items into one p2pml.Env frame of its own, reset
+// per item, so evaluating a tuple allocates only what the operator emits.
+// A closure is therefore not safe for concurrent use: it belongs to one
+// operator instance, which its peer's loop steps one item at a time.
 
 // SelectPred compiles a σ spec into an item predicate. Evaluation errors
 // (beyond benign missing attributes, which the expression layer already
 // maps to false) drop the item.
 func SelectPred(inputSchema []string, spec *SelectSpec) func(*xmltree.Node) bool {
+	env := p2pml.NewEnv()
 	return func(item *xmltree.Node) bool {
-		env, err := ExtractEnv(inputSchema, item)
-		if err != nil {
+		env.Reset()
+		if err := bindItem(env, inputSchema, item); err != nil {
 			return false
 		}
 		if err := p2pml.EvalLets(spec.Lets, env); err != nil {
@@ -46,9 +52,10 @@ func JoinKeys(leftSchema, rightSchema []string, spec *JoinSpec) (operators.KeyFu
 			return func(*xmltree.Node) (string, bool) { return "", true }
 		}
 		lets := letsUsedBy(spec.Lets, key.Vars())
+		env := p2pml.NewEnv()
 		return func(item *xmltree.Node) (string, bool) {
-			env, err := ExtractEnv(schema, item)
-			if err != nil {
+			env.Reset()
+			if err := bindItem(env, schema, item); err != nil {
 				return "", false
 			}
 			if err := p2pml.EvalLets(lets, env); err != nil {
@@ -99,9 +106,10 @@ func JoinResidual(leftSchema, rightSchema []string, spec *JoinSpec) func(l, r *x
 	if len(spec.Residual) == 0 {
 		return nil
 	}
+	env := p2pml.NewEnv()
 	return func(l, r *xmltree.Node) bool {
-		env, err := pairEnv(leftSchema, l, rightSchema, r)
-		if err != nil {
+		env.Reset()
+		if bindItem(env, leftSchema, l) != nil || bindItem(env, rightSchema, r) != nil {
 			return false
 		}
 		if err := p2pml.EvalLets(spec.Lets, env); err != nil {
@@ -117,21 +125,6 @@ func JoinResidual(leftSchema, rightSchema []string, spec *JoinSpec) func(l, r *x
 	}
 }
 
-func pairEnv(leftSchema []string, l *xmltree.Node, rightSchema []string, r *xmltree.Node) (*p2pml.Env, error) {
-	envL, err := ExtractEnv(leftSchema, l)
-	if err != nil {
-		return nil, err
-	}
-	envR, err := ExtractEnv(rightSchema, r)
-	if err != nil {
-		return nil, err
-	}
-	for v, t := range envR.Trees {
-		envL.Trees[v] = t
-	}
-	return envL, nil
-}
-
 // JoinCombine builds the tuple-merging combiner for a join node.
 func JoinCombine(leftSchema, rightSchema []string) operators.Combine {
 	return func(l, r *xmltree.Node) *xmltree.Node {
@@ -141,9 +134,10 @@ func JoinCombine(leftSchema, rightSchema []string) operators.Combine {
 
 // RestructApply compiles a Π spec into the per-item transformation.
 func RestructApply(inputSchema []string, spec *RestructSpec) func(*xmltree.Node) (*xmltree.Node, error) {
+	env := p2pml.NewEnv()
 	return func(item *xmltree.Node) (*xmltree.Node, error) {
-		env, err := ExtractEnv(inputSchema, item)
-		if err != nil {
+		env.Reset()
+		if err := bindItem(env, inputSchema, item); err != nil {
 			return nil, err
 		}
 		if err := p2pml.EvalLets(spec.Lets, env); err != nil {

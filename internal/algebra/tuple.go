@@ -49,16 +49,16 @@ func appendBinds(t *xmltree.Node, schema []string, item *xmltree.Node) {
 	}
 }
 
-// ExtractEnv builds the evaluation environment for an item with the given
-// schema.
-func ExtractEnv(schema []string, item *xmltree.Node) (*p2pml.Env, error) {
-	env := p2pml.NewEnv()
+// bindItem binds the variables of an item with the given schema into
+// env: a bare tree to the schema's one variable, a tuple's <bind>
+// children to theirs.
+func bindItem(env *p2pml.Env, schema []string, item *xmltree.Node) error {
 	if len(schema) == 1 && item.Label != TupleLabel {
 		env.Bind(schema[0], item)
-		return env, nil
+		return nil
 	}
 	if item.Label != TupleLabel {
-		return nil, fmt.Errorf("algebra: expected tuple item for schema %v, got <%s>", schema, item.Label)
+		return fmt.Errorf("algebra: expected tuple item for schema %v, got <%s>", schema, item.Label)
 	}
 	for _, c := range item.Children {
 		if c.Label != "bind" {
@@ -66,14 +66,14 @@ func ExtractEnv(schema []string, item *xmltree.Node) (*p2pml.Env, error) {
 		}
 		v, ok := c.Attr("var")
 		if !ok || len(c.Children) == 0 {
-			return nil, fmt.Errorf("algebra: malformed bind in tuple")
+			return fmt.Errorf("algebra: malformed bind in tuple")
 		}
 		env.Bind(v, c.Children[0])
 	}
 	for _, v := range schema {
-		if _, ok := env.Trees[v]; !ok {
-			return nil, fmt.Errorf("algebra: tuple missing variable $%s", v)
+		if _, ok := env.Tree(v); !ok {
+			return fmt.Errorf("algebra: tuple missing variable $%s", v)
 		}
 	}
-	return env, nil
+	return nil
 }

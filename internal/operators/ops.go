@@ -13,7 +13,6 @@ import (
 // predicate. The predicate is compiled by the algebra layer (typically
 // from a filter.Subscription plus derived-value conditions).
 type Select struct {
-	Desc string
 	Pred func(*xmltree.Node) bool
 }
 
@@ -34,7 +33,6 @@ func (s *Select) Flush(Emit) {}
 // template-application function (the RETURN clause of a subscription).
 // A nil result drops the item.
 type Restructure struct {
-	Desc  string
 	Apply func(*xmltree.Node) (*xmltree.Node, error)
 	errs  int
 }

@@ -9,7 +9,9 @@ import (
 )
 
 // Value is the result of evaluating an expression: a string, a number, or
-// a whole XML tree (for bare variable references like "return $e").
+// a whole XML tree (for bare variable references like "return $e"). A
+// number computed by arithmetic has no Str: Text renders it, so a number
+// that is only compared is never formatted.
 type Value struct {
 	Str   string
 	Num   float64
@@ -26,35 +28,65 @@ func StringValue(s string) Value {
 	return Value{Str: s}
 }
 
-// NumValue builds a numeric Value.
-func NumValue(n float64) Value {
-	return Value{Str: strconv.FormatFloat(n, 'g', -1, 64), Num: n, IsNum: true}
-}
-
 // Text renders the value for template substitution.
 func (v Value) Text() string {
-	if v.Node != nil {
+	switch {
+	case v.Node != nil:
 		return v.Node.InnerText()
+	case v.IsNum && v.Str == "":
+		var buf [32]byte // what FormatFloat takes, without its scratch allocation
+		return string(strconv.AppendFloat(buf[:0], v.Num, 'g', -1, 64))
 	}
 	return v.Str
 }
 
-// Env holds the variable bindings during evaluation of one candidate
-// tuple: stream variables bind to trees, LET variables to computed
-// values.
+// Env is the frame one candidate tuple is evaluated in: stream variables
+// bound to trees, LET variables to computed values. A subscription has a
+// handful of variables, so a frame is one short list searched in order.
+// A compiled σ, Π or join key keeps one frame for its operator and
+// Resets it per item, so binding an item allocates nothing once the list
+// has grown to the tuple's width. Nothing evaluated in a frame refers to
+// it: values are strings, numbers and the bound trees themselves.
 type Env struct {
-	Trees map[string]*xmltree.Node
-	Vals  map[string]Value
+	binds []binding
 }
 
-// NewEnv returns an empty environment. Vals is made by the first LET
-// binding: most subscriptions have none.
-func NewEnv() *Env {
-	return &Env{Trees: make(map[string]*xmltree.Node)}
+type binding struct {
+	v      string
+	val    Value // a stream variable's is its tree
+	stream bool
 }
 
-// Bind sets a stream variable.
-func (e *Env) Bind(v string, tree *xmltree.Node) { e.Trees[v] = tree }
+// NewEnv returns an empty frame.
+func NewEnv() *Env { return &Env{} }
+
+// Reset unbinds every variable and keeps the frame's storage. It clears
+// the old bindings, so a reused frame holds at most one item's trees.
+func (e *Env) Reset() {
+	clear(e.binds)
+	e.binds = e.binds[:0]
+}
+
+// Bind binds a stream variable. Variable names are unique in a
+// subscription, so a frame binds each at most once between Resets.
+func (e *Env) Bind(v string, tree *xmltree.Node) {
+	e.binds = append(e.binds, binding{v, Value{Node: tree}, true})
+}
+
+func (e *Env) lookup(v string) (binding, bool) {
+	for _, b := range e.binds {
+		if b.v == v {
+			return b, true
+		}
+	}
+	return binding{}, false
+}
+
+// Tree returns the tree bound to a stream variable.
+func (e *Env) Tree(v string) (*xmltree.Node, bool) {
+	b, ok := e.lookup(v)
+	return b.val.Node, ok && b.stream
+}
 
 // Expr is an evaluable P2PML expression.
 type Expr interface {
@@ -74,7 +106,7 @@ type AttrRef struct {
 
 // Eval implements Expr.
 func (a *AttrRef) Eval(env *Env) (Value, error) {
-	tree, ok := env.Trees[a.Var]
+	tree, ok := env.Tree(a.Var)
 	if !ok {
 		return Value{}, fmt.Errorf("p2pml: unbound variable $%s", a.Var)
 	}
@@ -111,7 +143,7 @@ type PathRef struct {
 
 // Eval implements Expr.
 func (p *PathRef) Eval(env *Env) (Value, error) {
-	tree, ok := env.Trees[p.Var]
+	tree, ok := env.Tree(p.Var)
 	if !ok {
 		return Value{}, fmt.Errorf("p2pml: unbound variable $%s", p.Var)
 	}
@@ -133,15 +165,6 @@ func evalPathRooted(p *xpath.Path, tree *xmltree.Node) (string, bool) {
 	return p.First(wrap, nil)
 }
 
-// matchPathRooted is the boolean form of evalPathRooted.
-func matchPathRooted(p *xpath.Path, tree *xmltree.Node) bool {
-	if p.Rooted {
-		return p.Matches(tree, nil)
-	}
-	wrap := xmltree.Elem("#item", tree)
-	return p.Matches(wrap, nil)
-}
-
 func (p *PathRef) String() string { return "$" + p.Var + pathSuffix(p.Path) }
 
 // Vars implements Expr.
@@ -155,11 +178,8 @@ type VarRef struct {
 
 // Eval implements Expr.
 func (v *VarRef) Eval(env *Env) (Value, error) {
-	if val, ok := env.Vals[v.Var]; ok {
-		return val, nil
-	}
-	if tree, ok := env.Trees[v.Var]; ok {
-		return Value{Node: tree}, nil
+	if b, ok := env.lookup(v.Var); ok {
+		return b.val, nil
 	}
 	return Value{}, fmt.Errorf("p2pml: unbound variable $%s", v.Var)
 }
@@ -204,22 +224,25 @@ func (b *Binary) Eval(env *Env) (Value, error) {
 		return Value{}, err
 	}
 	if !l.IsNum || !r.IsNum {
-		return Value{}, fmt.Errorf("p2pml: arithmetic %q needs numeric operands (got %q, %q)", string(b.Op), l.Str, r.Str)
+		return Value{}, fmt.Errorf("p2pml: arithmetic %q needs numeric operands (got %q, %q)", string(b.Op), l.Text(), r.Text())
 	}
+	var n float64
 	switch b.Op {
 	case '+':
-		return NumValue(l.Num + r.Num), nil
+		n = l.Num + r.Num
 	case '-':
-		return NumValue(l.Num - r.Num), nil
+		n = l.Num - r.Num
 	case '*':
-		return NumValue(l.Num * r.Num), nil
+		n = l.Num * r.Num
 	case '/':
 		if r.Num == 0 {
 			return Value{}, fmt.Errorf("p2pml: division by zero")
 		}
-		return NumValue(l.Num / r.Num), nil
+		n = l.Num / r.Num
+	default:
+		return Value{}, fmt.Errorf("p2pml: unknown operator %q", string(b.Op))
 	}
-	return Value{}, fmt.Errorf("p2pml: unknown operator %q", string(b.Op))
+	return Value{Num: n, IsNum: true}, nil
 }
 
 func (b *Binary) String() string {
@@ -234,11 +257,13 @@ func (b *Binary) Vars() []string { return append(b.L.Vars(), b.R.Vars()...) }
 func EvalCondition(c Condition, env *Env) (bool, error) {
 	switch cond := c.(type) {
 	case *PathCond:
-		tree, ok := env.Trees[cond.Var]
+		tree, ok := env.Tree(cond.Var)
 		if !ok {
 			return false, fmt.Errorf("p2pml: unbound variable $%s", cond.Var)
 		}
-		return matchPathRooted(cond.Path, tree), nil
+		// The boolean form of evalPathRooted: the item's root is the
+		// document's only child either way.
+		return cond.Path.MatchesDocument(tree, nil), nil
 	case *CmpCond:
 		l, err := cond.Left.Eval(env)
 		if err != nil {
@@ -255,7 +280,7 @@ func EvalCondition(c Condition, env *Env) (bool, error) {
 			return false, err
 		}
 		if l.IsNum && r.IsNum {
-			return xpath.Compare(l.Str, cond.Op, r.Str), nil
+			return xpath.Holds(l.Num, cond.Op, r.Num), nil
 		}
 		return xpath.Compare(l.Text(), cond.Op, r.Text()), nil
 	}
@@ -275,10 +300,7 @@ func EvalLets(lets []LetBinding, env *Env) error {
 			}
 			return err
 		}
-		if env.Vals == nil {
-			env.Vals = make(map[string]Value)
-		}
-		env.Vals[l.Var] = v
+		env.binds = append(env.binds, binding{l.Var, v, false})
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package p2pml
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"p2pm/internal/xmltree"
 	"p2pm/internal/xpath"
@@ -389,6 +390,41 @@ func TestTemplateMixedTextSegments(t *testing.T) {
 	}
 }
 
+// TestTemplateOneExpressionPositionShares: an attribute or text position
+// that is one expression takes the evaluated string itself — for an
+// attribute reference, the input tree's own bytes — and one that is one
+// literal takes the template's; only a mix of segments builds a string.
+// Computed numbers render as FormatFloat's shortest form when emitted.
+func TestTemplateOneExpressionPositionShares(t *testing.T) {
+	tpl, err := CompileTemplate(`<hit id="{$x.k}" kind="slow" at="t={$x.k}" d="{$x.b - $x.a}">{$x.k}</hit>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := xmltree.Elem("t")
+	tr.SetAttr("k", "call-42")
+	tr.SetAttr("a", "1.5")
+	tr.SetAttr("b", "1.75")
+	env := NewEnv()
+	env.Bind("x", tr)
+	out, err := tpl.Instantiate(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != `<hit id="call-42" kind="slow" at="t=call-42" d="0.25">call-42</hit>` {
+		t.Fatalf("out = %s", got)
+	}
+	k := unsafe.StringData(tr.AttrOr("k", ""))
+	if unsafe.StringData(out.AttrOr("id", "")) != k || unsafe.StringData(out.InnerText()) != k {
+		t.Error("a one-expression position copied the input's string")
+	}
+	if unsafe.StringData(out.AttrOr("at", "")) == k {
+		t.Error("a mixed position aliases the input")
+	}
+	if a := testing.AllocsPerRun(100, func() { tpl.Instantiate(env) }); a != 5 { //nolint:errcheck // bound above
+		t.Errorf("Instantiate allocates %.0f, want 5 (three chunks, the mixed string, the number)", a)
+	}
+}
+
 func TestTemplateErrors(t *testing.T) {
 	if _, err := CompileTemplate(`<a>{$x`); err == nil {
 		t.Error("unbalanced template accepted")
@@ -442,7 +478,7 @@ return $x by file "f"`)
 	if err := EvalLets(sub.Let, env); err != nil {
 		t.Fatalf("missing attr in LET should not error: %v", err)
 	}
-	if _, bound := env.Vals["d"]; bound {
+	if _, bound := env.lookup("d"); bound {
 		t.Error("d should stay unbound")
 	}
 	// The WHERE over the unbound LET var then errors (caller drops tuple).

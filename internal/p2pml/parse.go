@@ -510,7 +510,7 @@ func (p *parser) parseFactor() (Expr, error) {
 		if err != nil {
 			return nil, p.errf("bad number %q", p.src[start:p.pos])
 		}
-		return &Lit{Val: NumValue(n)}, nil
+		return &Lit{Val: Value{Str: strconv.FormatFloat(n, 'g', -1, 64), Num: n, IsNum: true}}, nil
 	}
 	return nil, p.errf("expected expression")
 }

@@ -93,8 +93,14 @@ func (t *Template) collectVars(segs []segment) {
 	}
 }
 
-// Vars returns the variables referenced anywhere in the template.
-func (t *Template) Vars() []string { return t.vars }
+// Vars returns the variables referenced anywhere in the template; a nil
+// template references none.
+func (t *Template) Vars() []string {
+	if t == nil {
+		return nil
+	}
+	return t.vars
+}
 
 // String returns the template source.
 func (t *Template) String() string { return t.src }
@@ -172,18 +178,26 @@ func instantiate(n *tplNode, env *Env, b *xmltree.Builder) (*xmltree.Node, error
 	return out, nil
 }
 
+// renderSegments renders a text or attribute position. A position that
+// is one literal or one expression shares that string — for an attribute
+// copied from the input, the input's own bytes — and only a mix of
+// segments builds a new one (in one allocation, up to 64 bytes).
 func renderSegments(segs []segment, env *Env) (string, error) {
-	var b strings.Builder
+	var buf [64]byte
+	out := buf[:0]
 	for _, s := range segs {
-		if s.expr == nil {
-			b.WriteString(s.lit)
-			continue
+		text := s.lit
+		if s.expr != nil {
+			v, err := s.expr.Eval(env)
+			if err != nil {
+				return "", err
+			}
+			text = v.Text()
 		}
-		v, err := s.expr.Eval(env)
-		if err != nil {
-			return "", err
+		if len(segs) == 1 {
+			return text, nil
 		}
-		b.WriteString(v.Text())
+		out = append(out, text...)
 	}
-	return b.String(), nil
+	return string(out), nil
 }

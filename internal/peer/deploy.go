@@ -132,10 +132,7 @@ func (p *Peer) subscribeInput(task *Task, consumer, child *algebra.Node, ch *str
 func (p *Peer) makeProc(n *algebra.Node) (operators.Proc, error) {
 	switch n.Op {
 	case algebra.OpSelect:
-		return &operators.Select{
-			Desc: n.Label(),
-			Pred: algebra.SelectPred(n.Inputs[0].Schema, n.Select),
-		}, nil
+		return &operators.Select{Pred: algebra.SelectPred(n.Inputs[0].Schema, n.Select)}, nil
 	case algebra.OpUnion:
 		return &operators.Union{}, nil
 	case algebra.OpJoin:
@@ -190,10 +187,7 @@ func (p *Peer) makeProc(n *algebra.Node) (operators.Proc, error) {
 		}
 		return &operators.MergeAgg{Final: n.Group.Final, Agg: agg}, nil
 	case algebra.OpRestruct:
-		return &operators.Restructure{
-			Desc:  n.Label(),
-			Apply: algebra.RestructApply(n.Inputs[0].Schema, n.Restruct),
-		}, nil
+		return &operators.Restructure{Apply: algebra.RestructApply(n.Inputs[0].Schema, n.Restruct)}, nil
 	}
 	return nil, fmt.Errorf("peer: cannot deploy operator %v", n.Op)
 }

@@ -40,8 +40,10 @@ func (x Exchange) Duration() time.Duration { return x.ResponseTime - x.CallTime 
 
 // Envelope renders the exchange as a SOAP-style envelope tree, the payload
 // alerters embed in alerts, carved from b; EnvelopeSize is what it takes
-// there.
-func (x Exchange) Envelope(b *xmltree.Builder) *xmltree.Node {
+// there. response labels the result's element, x.Method+"Response": the
+// caller renders it, so that it can share an allocation with the other
+// strings of what it builds.
+func (x Exchange) Envelope(b *xmltree.Builder, response string) *xmltree.Node {
 	// Reservations are exact: EnvelopeSize leaves no slack to over-reserve from.
 	kids := 1
 	if x.Result != nil {
@@ -57,7 +59,7 @@ func (x Exchange) Envelope(b *xmltree.Builder) *xmltree.Node {
 		body.Append(b.Elem(x.Method, 0, 0))
 	}
 	if x.Result != nil {
-		body.Append(b.Elem(x.Method+"Response", 0, 1).Append(b.Clone(x.Result)))
+		body.Append(b.Elem(response, 0, 1).Append(b.Clone(x.Result)))
 	}
 	if x.Fault != "" {
 		body.Append(b.Elem("Fault", 0, 1).Append(b.Text(x.Fault)))

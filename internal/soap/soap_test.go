@@ -137,7 +137,7 @@ func TestEnvelopeShape(t *testing.T) {
 		Params: xmltree.ElemText("city", "paris"),
 		Result: xmltree.ElemText("temp", "21"),
 	}
-	env := x.Envelope(new(xmltree.Builder))
+	env := x.Envelope(new(xmltree.Builder), x.Method+"Response")
 	if env.Label != "Envelope" {
 		t.Fatalf("label = %s", env.Label)
 	}
@@ -147,7 +147,7 @@ func TestEnvelopeShape(t *testing.T) {
 	}
 	// Fault rendering.
 	x.Fault = "oops"
-	if x.Envelope(new(xmltree.Builder)).Child("Body").Child("Fault") == nil {
+	if x.Envelope(new(xmltree.Builder), x.Method+"Response").Child("Body").Child("Fault") == nil {
 		t.Error("fault missing from envelope")
 	}
 }

@@ -117,8 +117,15 @@ func (n *Node) ChildrenByLabel(label string) []*Node {
 }
 
 // InnerText returns the concatenation of all text beneath n, in document
-// order.
+// order. Text held by one node — n itself, or n's only child — is that
+// node's string, shared rather than copied.
 func (n *Node) InnerText() string {
+	switch {
+	case n.IsText():
+		return n.Text
+	case len(n.Children) == 1 && n.Children[0].IsText():
+		return n.Children[0].Text
+	}
 	var b strings.Builder
 	n.innerText(&b)
 	return b.String()
