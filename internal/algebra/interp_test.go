@@ -148,6 +148,11 @@ func TestQuickOptimizationPreservesSemantics(t *testing.T) {
 		 where $a.callId = $b.callId and $lag > 5
 		 return <lagged id="{$a.callId}" lag="{$lag}"/>
 		 by publish as channel "q5"`,
+		// A template over a union: Π runs in every branch once optimized.
+		`for $e in outCOM(<p>a.com</p><p>b.com</p><p>c.com</p>)
+		 where $e.callMethod = "Ping"
+		 return <hit id="{$e.callId}" to="{$e.callee}"/>
+		 by publish as channel "q6"`,
 	}
 	plans := make([][2]*Node, 0, len(subs))
 	for _, src := range subs {

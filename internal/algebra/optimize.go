@@ -11,8 +11,9 @@ type Options struct {
 	SubscriberPeer string
 	// Pushdown enables selection pushdown toward the sources (the paper's
 	// "selections were pushed as much as possible to the proximity of the
-	// sources to save on communications"). Disabled only for the C5
-	// baseline measurement.
+	// sources to save on communications"), then Π pushdown through
+	// unions. Disabled only for the C5 baseline measurement and for
+	// re-placement after the reuse pass.
 	Pushdown bool
 }
 
@@ -22,15 +23,53 @@ func DefaultOptions(subscriber string) Options {
 }
 
 // Optimize rewrites the plan in place using algebraic rewrite rules
-// (selection pushdown, σ-merging) and the placement heuristics of
-// Section 3.4, and returns it. After Optimize every operator is concrete:
-// no peer is left @any.
+// (selection pushdown, σ-merging, Π through ∪) and the placement
+// heuristics of Section 3.4, and returns it. After Optimize every operator
+// is concrete: no peer is left @any.
 func Optimize(plan *Node, opts Options) *Node {
 	if opts.Pushdown {
-		plan = pushdown(plan)
+		plan = pushProjections(pushdown(plan))
 	}
 	place(plan, opts.SubscriberPeer)
 	return plan
+}
+
+// pushProjections moves every Π that sits directly over a ∪ into the
+// union's branches: Π works item by item, so Π(∪(b₁, …, bₙ)) =
+// ∪(Π(b₁), …, Π(bₙ)), and placement then runs each copy on its branch's
+// peer, where the item it cuts down is produced. Two Π stay put, because
+// their output is no smaller than their input: the identity (return $v)
+// and a template that splices a whole input tree (<x>{$e}</x>). It runs
+// after σ pushdown, so the conditions are already inside the branches.
+func pushProjections(n *Node) *Node {
+	for i := range n.Inputs {
+		n.Inputs[i] = pushProjections(n.Inputs[i])
+	}
+	if !pushesThroughUnion(n) {
+		return n
+	}
+	u := n.Inputs[0]
+	for i, b := range u.Inputs {
+		u.Inputs[i] = pushProjections(&Node{
+			Op: OpRestruct, Peer: AnyPeer, Inputs: []*Node{b},
+			Schema: append([]string(nil), n.Schema...), Restruct: n.Restruct,
+		})
+	}
+	u.Schema = n.Schema
+	return u
+}
+
+// pushesThroughUnion reports whether n is a Π directly over a ∪ that
+// Optimize moves into the union's branches.
+func pushesThroughUnion(n *Node) bool {
+	if n.Op != OpRestruct || len(n.Inputs) != 1 || n.Inputs[0].Op != OpUnion {
+		return false
+	}
+	if r := n.Restruct; r.Expr != nil {
+		_, identity := r.Expr.(*p2pml.VarRef)
+		return !identity
+	}
+	return n.Restruct.Template != nil && !n.Restruct.Template.SplicesVar()
 }
 
 // pushdown pushes each σ condition as close to its source as the schemas

@@ -63,9 +63,17 @@ type StreamDef struct {
 	Stats map[string]string
 }
 
-// ToXML renders the descriptor in the paper's schema.
+// ToXML renders the descriptor in the paper's schema, as one tree carved
+// from a Builder sized for it.
 func (d *StreamDef) ToXML() *xmltree.Node {
-	n := xmltree.Elem("Stream")
+	kids := 3 // Operator, Operands, Stats
+	if len(d.Sources) > 0 {
+		kids++
+	}
+	b := xmltree.NewBuilder(
+		1+kids+1+2*len(d.Conds)+2*len(d.Sources)+len(d.Operands),
+		5+2*len(d.Operands)+len(d.Stats))
+	n := b.Elem("Stream", 5, kids)
 	n.SetAttr("PeerId", d.Ref.PeerID)
 	n.SetAttr("StreamId", d.Ref.StreamID)
 	n.SetAttr("isAChannel", strconv.FormatBool(d.IsChannel))
@@ -75,27 +83,29 @@ func (d *StreamDef) ToXML() *xmltree.Node {
 	if d.Group != "" {
 		n.SetAttr("group", d.Group)
 	}
-	opInner := xmltree.Elem(d.Operator)
+	opInner := b.Elem(d.Operator, 0, len(d.Conds))
 	for _, c := range d.Conds {
-		opInner.Append(xmltree.ElemText("Cond", c))
+		opInner.Append(textElem(&b, "Cond", c))
 	}
-	n.Append(xmltree.Elem("Operator", opInner))
+	op := b.Elem("Operator", 0, 1)
+	op.Append(opInner)
+	n.Append(op)
 	if len(d.Sources) > 0 {
-		srcs := xmltree.Elem("Sources")
+		srcs := b.Elem("Sources", 0, len(d.Sources))
 		for _, s := range d.Sources {
-			srcs.Append(xmltree.ElemText("Src", s))
+			srcs.Append(textElem(&b, "Src", s))
 		}
 		n.Append(srcs)
 	}
-	operands := xmltree.Elem("Operands")
+	operands := b.Elem("Operands", 0, len(d.Operands))
 	for _, o := range d.Operands {
-		oe := xmltree.Elem("Operand")
+		oe := b.Elem("Operand", 2, 0)
 		oe.SetAttr("OPeerId", o.PeerID)
 		oe.SetAttr("OStreamId", o.StreamID)
 		operands.Append(oe)
 	}
 	n.Append(operands)
-	stats := xmltree.Elem("Stats")
+	stats := b.Elem("Stats", len(d.Stats), 0)
 	keys := make([]string, 0, len(d.Stats))
 	for k := range d.Stats {
 		keys = append(keys, k)
@@ -106,6 +116,13 @@ func (d *StreamDef) ToXML() *xmltree.Node {
 	}
 	n.Append(stats)
 	return n
+}
+
+// textElem is xmltree.ElemText carved from b.
+func textElem(b *xmltree.Builder, label, text string) *xmltree.Node {
+	e := b.Elem(label, 0, 1)
+	e.Append(b.Text(text))
+	return e
 }
 
 // ParseDef reads a descriptor back from XML.

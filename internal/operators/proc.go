@@ -18,8 +18,8 @@ import (
 type Emit func(stream.Item)
 
 // Proc is a stream processor. Accept is called serially (one step of the
-// host's loop at a time, under the handle's mutex), so implementations
-// need no locking for per-processor state.
+// host's loop, or one direct delivery, at a time, under the handle's
+// mutex), so implementations need no locking for per-processor state.
 type Proc interface {
 	// Name identifies the operator kind ("Select", "Join", ...).
 	Name() string
@@ -42,8 +42,19 @@ type Handle struct {
 	consumed []atomic.Uint64
 
 	task *Task
-	// mu is held by a step and by Sync: whoever holds it sees the
-	// processor between two items.
+	// mu is held by a step, a direct delivery and Sync: whoever holds it
+	// sees the processor between two items.
+	//
+	// Lock order: producer → consumer. A direct delivery (Direct) runs in
+	// its producer's turn — a step of the producing operator, or the tap's
+	// step or detach — which holds the producer's lock (a handle's mu, the
+	// tap's mu) while it takes the consumer's mu; the consumer's own
+	// emissions may take the mu of the next consumer down the plan. Plans
+	// are trees, so the order is acyclic. A queue's lock is taken and
+	// released without anything else taken under it, and a channel's lock
+	// is never held across a delivery that reaches Direct: publish
+	// multicasts after releasing it, and the replay gate that delivers
+	// under it (Channel.SubscribeFrom) feeds a cursor, which pushes.
 	mu       sync.Mutex
 	p        Proc
 	inputs   []*stream.Queue // nil once the input ended
@@ -131,9 +142,7 @@ func (h *Handle) step() (more bool) {
 		case ok && !it.EOS():
 			quiet = 0
 			n++
-			h.in.Add(1)
-			h.SeedConsumed(i, it.Seq) // monotonic raise
-			h.p.Accept(i, it, h.emit)
+			h.accept(i, it)
 		case ok || ended:
 			h.inputs[i] = nil
 			h.open--
@@ -148,6 +157,29 @@ func (h *Handle) step() (more bool) {
 	h.emit(stream.EOSItem(h.name))
 	h.task.Release()
 	close(h.done)
+	return false
+}
+
+func (h *Handle) accept(i int, it stream.Item) {
+	h.in.Add(1)
+	h.SeedConsumed(i, it.Seq) // monotonic raise
+	h.p.Accept(i, it, h.emit)
+}
+
+// Direct implements stream.Reader: an item offered to an empty input
+// queue q is accepted on the producer's goroutine, inside the producer's
+// turn, instead of a push, a wake and a step of its own. It reports false
+// once q's input has ended.
+func (h *Handle) Direct(q *stream.Queue, it stream.Item) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i, in := range h.inputs {
+		if in == q {
+			h.accept(i, it)
+			h.task.Handled(1)
+			return true
+		}
+	}
 	return false
 }
 
@@ -180,7 +212,7 @@ func (ex *Executor) Run(p Proc, inputs []*stream.Queue, sink Emit) *Handle {
 	h.task.Hold()
 	wake := h.task.Wake
 	for _, q := range inputs {
-		q.OnReady(wake)
+		q.OnReady(wake, h)
 	}
 	wake() // what was pushed, or closed, before Run
 	return h

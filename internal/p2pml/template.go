@@ -105,6 +105,27 @@ func (t *Template) Vars() []string {
 // String returns the template source.
 func (t *Template) String() string { return t.src }
 
+// SplicesVar reports whether some text position is exactly one bare
+// variable ({$e}), which splices that variable's whole tree into every
+// instance: the output is then no smaller than the input it copies.
+func (t *Template) SplicesVar() bool { return t.root.splicesVar() }
+
+func (n *tplNode) splicesVar() bool {
+	if n.label == "" {
+		if len(n.segs) != 1 {
+			return false
+		}
+		_, bare := n.segs[0].expr.(*VarRef)
+		return bare
+	}
+	for _, c := range n.children {
+		if c.splicesVar() {
+			return true
+		}
+	}
+	return false
+}
+
 // parseSegments splits "ab{expr}cd" into literal and expression segments.
 func parseSegments(s string) ([]segment, error) {
 	var segs []segment

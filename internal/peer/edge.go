@@ -83,13 +83,15 @@ func (e *edge) into(q *stream.Queue, after uint64, gated bool) {
 // attach subscribes the edge to ch and indexes it under ch's ref. Items
 // cross the simulated link when the producer lives elsewhere (accounting,
 // latency, faults), then the cursor deduplicates and orders them into the
-// sink. fromSeq > 0 resumes from the retained history, counting
+// sink; a consumer that takes them as calls (direct) is offered them
+// instead. fromSeq > 0 resumes from the retained history, counting
 // retransmissions and releasing the cursor past any trimmed prefix;
 // fromSeq 0 attaches at "now" with the cursor floored at the attach point.
 func (e *edge) attach(ch *stream.Channel, fromSeq uint64) {
 	s, cur, sink, q := e.sys, e.cur, e.sink, e.queue
 	from, to := ch.Ref().PeerID, e.peer
 	remote := from != to && !e.local
+	direct := from == to && cur == nil && e.direct()
 	deliver := func(it stream.Item, own *stream.Queue) {
 		if remote {
 			var ok bool
@@ -102,6 +104,8 @@ func (e *edge) attach(ch *stream.Channel, fromSeq uint64) {
 			cur.Terminate(it) // flush parked items before the terminator
 		case cur != nil:
 			cur.Offer(it)
+		case direct:
+			q.Offer(it)
 		case sink != nil:
 			sink(it)
 		default:
@@ -141,6 +145,34 @@ func (e *edge) attach(ch *stream.Channel, fromSeq uint64) {
 	if (e.task != nil || e.rep != nil) && !e.ended {
 		s.edges[ch.Ref()] = append(s.edges[ch.Ref()], e)
 	}
+}
+
+// direct reports whether the edge hands items to its consumer as a call
+// inside the producer's turn (stream.Queue.Offer) when it is attached to a
+// producer on the consumer's own peer without a cursor gate: the consumer
+// is a stateless σ, Π or ∪, and the producer is known to be stepped by
+// that peer's loop — an operator of the plan, or a static WS alerter,
+// which the peer's tap fires. Everything else keeps the queue: windows,
+// joins and the publisher; a dynamic alerter's output, published from the
+// tapped peers' loops; polled and repository alerters; and a reused
+// channel, whose producer — another task's operator, a replica forwarder,
+// a dynamic alerter — the edge does not know.
+func (e *edge) direct() bool {
+	if e.consumer == nil {
+		return false
+	}
+	switch e.consumer.Op {
+	case algebra.OpSelect, algebra.OpRestruct, algebra.OpUnion:
+	default:
+		return false
+	}
+	switch e.child.Op {
+	case algebra.OpChannelIn, algebra.OpDynAlerter:
+		return false
+	case algebra.OpAlerter:
+		return e.child.Alerter.Kind == "ws-in" || e.child.Alerter.Kind == "ws-out"
+	}
+	return true
 }
 
 // detach takes the edge off its channel and out of the index without

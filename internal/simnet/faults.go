@@ -93,11 +93,15 @@ func (nw *Network) Partitioned(a, b string) bool {
 // endpoints alive and not separated by a partition. Local delivery always
 // succeeds.
 func (nw *Network) Reachable(a, b string) bool {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	return nw.reachableLocked(a, b)
+}
+
+func (nw *Network) reachableLocked(a, b string) bool {
 	if a == b {
 		return true
 	}
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	na, nb := nw.nodes[a], nw.nodes[b]
 	if na != nil && na.down {
 		return false
@@ -105,10 +109,7 @@ func (nw *Network) Reachable(a, b string) bool {
 	if nb != nil && nb.down {
 		return false
 	}
-	if na != nil && nb != nil && na.part != 0 && nb.part != 0 && na.part != nb.part {
-		return false
-	}
-	return true
+	return na == nil || nb == nil || na.part == 0 || nb.part == 0 || na.part == nb.part
 }
 
 // SetDrop injects message loss on the directed link a→b: each message is
@@ -146,36 +147,12 @@ func (nw *Network) Ping(from, to string, bytes int) (time.Duration, bool) {
 	if from == to {
 		return 0, true
 	}
-	if !nw.Reachable(from, to) || nw.lose(from, to) {
-		nw.countDropped(from, to)
-		return 0, false
-	}
-	nw.CountTransfer(from, to, bytes)
-	return nw.Latency(from, to), true
+	return nw.transfer(from, to, bytes)
 }
 
-// countDropped records a lost message on link from→to.
-func (nw *Network) countDropped(from, to string) {
-	if from == to {
-		return
-	}
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	key := [2]string{from, to}
-	ls := nw.links[key]
-	if ls == nil {
-		ls = &LinkStats{}
-		nw.links[key] = ls
-	}
-	ls.Dropped++
-	nw.dropped.Inc()
-}
-
-// lose decides whether a message on from→to is lost to injected drop
-// probability (seeded rng; unrelated links are unaffected).
-func (nw *Network) lose(from, to string) bool {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
+// loseLocked decides whether a message on from→to is lost to injected
+// drop probability (seeded rng; unrelated links are unaffected).
+func (nw *Network) loseLocked(from, to string) bool {
 	p, ok := nw.dropProb[[2]string{from, to}]
 	return ok && nw.rng.Float64() < p
 }

@@ -190,6 +190,10 @@ func (nw *Network) Latency(a, b string) time.Duration {
 	}
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
+	return nw.latencyLocked(a, b)
+}
+
+func (nw *Network) latencyLocked(a, b string) time.Duration {
 	extra := nw.linkDelay[[2]string{a, b}]
 	if d, ok := nw.latOver[[2]string{a, b}]; ok {
 		return d + extra
@@ -226,16 +230,26 @@ func (nw *Network) CountTransfer(from, to string, bytes int) {
 	}
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
+	nw.countLocked(from, to, bytes)
+}
+
+func (nw *Network) countLocked(from, to string, bytes int) {
+	ls := nw.linkLocked(from, to)
+	ls.Messages++
+	ls.Bytes += uint64(bytes)
+	nw.msgs.Inc()
+	nw.bytes.Add(uint64(bytes))
+}
+
+// linkLocked returns the stats of link from→to, creating them.
+func (nw *Network) linkLocked(from, to string) *LinkStats {
 	key := [2]string{from, to}
 	ls := nw.links[key]
 	if ls == nil {
 		ls = &LinkStats{}
 		nw.links[key] = ls
 	}
-	ls.Messages++
-	ls.Bytes += uint64(bytes)
-	nw.msgs.Inc()
-	nw.bytes.Add(uint64(bytes))
+	return ls
 }
 
 // Send accounts for shipping an item from one node to another and returns
@@ -258,11 +272,35 @@ func (nw *Network) Send(from, to string, it stream.Item) stream.Item {
 // Send. The eos symbol is never dropped — a crashed producer's stream is
 // torn down by the failure handling layer, not by losing its terminator.
 func (nw *Network) Deliver(from, to string, it stream.Item) (stream.Item, bool) {
-	if !it.EOS() && (!nw.Reachable(from, to) || nw.lose(from, to)) {
-		nw.countDropped(from, to)
-		return it, false
+	if it.EOS() {
+		it.Time += nw.Latency(from, to)
+		return it, true
 	}
-	return nw.Send(from, to, it), true
+	lat, ok := nw.transfer(from, to, it.Bytes())
+	it.Time += lat
+	return it, ok
+}
+
+// transfer is one message of the given size on from→to under the fault
+// model, in one critical section: reachability, then injected loss (an
+// rng draw only on a link with a drop probability), then the drop or the
+// transfer counted. It returns the link's latency and whether the message
+// arrived.
+func (nw *Network) transfer(from, to string, bytes int) (time.Duration, bool) {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	if !nw.reachableLocked(from, to) || nw.loseLocked(from, to) {
+		if from != to {
+			nw.linkLocked(from, to).Dropped++
+			nw.dropped.Inc()
+		}
+		return 0, false
+	}
+	if from == to {
+		return 0, true
+	}
+	nw.countLocked(from, to, bytes)
+	return nw.latencyLocked(from, to), true
 }
 
 // DeliverHook returns a stream.Channel delivery hook that routes items

@@ -124,6 +124,16 @@ type Queue struct {
 	closed bool
 	pushed uint64
 	ready  func() // see OnReady
+	reader Reader // see OnReady
+}
+
+// A Reader can take an item its queue is offered (Offer) on the
+// producer's goroutine, instead of the item waiting in the queue.
+type Reader interface {
+	// Direct processes it as q's next item, after every item already
+	// taken off q, and reports whether it did; false leaves the item to be
+	// pushed. Offer calls it only while q holds nothing.
+	Direct(q *Queue, it Item) bool
 }
 
 // NewQueue returns an empty open queue.
@@ -133,15 +143,34 @@ func NewQueue() *Queue {
 	return q
 }
 
-// OnReady registers the queue's one ready notification: f is called,
-// outside the queue's lock, each time the queue goes from empty to
+// OnReady registers the queue's reader. f is its one ready notification,
+// called outside the queue's lock each time the queue goes from empty to
 // non-empty and when it closes — the edges at which a reader that found
 // it empty (Take) has something to come back for. An event loop reads the
-// queue this way instead of parking a goroutine in Pop.
-func (q *Queue) OnReady(f func()) {
+// queue this way instead of parking a goroutine in Pop. r, when not nil,
+// is handed what the queue is offered.
+func (q *Queue) OnReady(f func(), r Reader) {
 	q.mu.Lock()
-	q.ready = f
+	q.ready, q.reader = f, r
 	q.mu.Unlock()
+}
+
+// Offer hands it to the queue's reader when the queue is open and empty
+// and the reader takes it (Direct), and pushes it otherwise: behind what
+// is queued, so the reader still sees the queue's order, and always for
+// eos, which the reader takes off the queue like any end of input. The
+// caller must be the queue's only producer, so that nothing is pushed
+// between the emptiness check and Direct.
+func (q *Queue) Offer(it Item) {
+	q.mu.Lock()
+	r := q.reader
+	if q.ring.Len() > 0 || q.closed || it.EOS() {
+		r = nil
+	}
+	q.mu.Unlock()
+	if r == nil || !r.Direct(q, it) {
+		q.Push(it)
+	}
 }
 
 // Push appends an item. Pushing to a closed queue is a no-op (late

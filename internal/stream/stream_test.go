@@ -267,7 +267,7 @@ func TestQuickQueueConservation(t *testing.T) {
 func TestQueueReadyAndTake(t *testing.T) {
 	q := NewQueue()
 	fired := 0
-	q.OnReady(func() { fired++ })
+	q.OnReady(func() { fired++ }, nil)
 	if _, ok, ended := q.Take(); ok || ended {
 		t.Fatalf("Take on an empty open queue = ok %v, ended %v", ok, ended)
 	}
@@ -290,5 +290,42 @@ func TestQueueReadyAndTake(t *testing.T) {
 	}
 	if _, ok, ended := q.Take(); ok || !ended {
 		t.Fatalf("Take on a closed, drained queue = ok %v, ended %v", ok, ended)
+	}
+}
+
+// recorder is a Reader that takes every item it is handed and records it.
+type recorder struct{ took []string }
+
+func (r *recorder) Direct(_ *Queue, it Item) bool {
+	r.took = append(r.took, it.Tree.Label)
+	return true
+}
+
+// TestQueueOffer: Offer pushes without a reader, behind queued items and
+// for eos; otherwise the reader takes the item and it never enters the
+// queue.
+func TestQueueOffer(t *testing.T) {
+	q := NewQueue()
+	q.Offer(Item{Tree: xmltree.Elem("a")}) // no reader yet: queued
+	r := &recorder{}
+	q.OnReady(func() {}, r)
+	q.Offer(Item{Tree: xmltree.Elem("b")}) // behind a: queued
+	q.TryPop()
+	q.TryPop()
+	q.Offer(Item{Tree: xmltree.Elem("c")}) // empty: taken directly
+	q.Offer(EOSItem("src"))
+	if len(r.took) != 1 || r.took[0] != "c" {
+		t.Fatalf("reader took %v, want [c]", r.took)
+	}
+	if it, ok := q.TryPop(); !ok || !it.EOS() || q.Len() != 0 {
+		t.Fatalf("queue after the offers: %v, ok %v, len %d; want only eos", it, ok, q.Len())
+	}
+	if q.Pushed() != 3 {
+		t.Fatalf("pushed %d, want 3 (a, b, eos)", q.Pushed())
+	}
+	q.Close()
+	q.Offer(Item{Tree: xmltree.Elem("d")}) // closed: the reader is not handed it
+	if len(r.took) != 1 {
+		t.Fatalf("reader took %v from a closed queue", r.took)
 	}
 }
