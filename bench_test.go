@@ -1,6 +1,9 @@
 // Benchmarks backing the experiment tables (`benchrun -list` index, C1–C11).
 // Each bench isolates the hot loop of one experiment; `go run
 // ./cmd/benchrun` regenerates the full comparison tables around them.
+// They are developer tools with no baseline: speed is judged end to end
+// by `go run ./bench`, and the allocation counts of the hot paths are
+// tier-1 tests in the packages that own them.
 package p2pm_test
 
 import (
@@ -814,8 +817,8 @@ func BenchmarkDHTBoundedGet(b *testing.B) {
 // BenchmarkSketchIngest measures each sketch monoid's absorb cost
 // against the exact set baseline — the leaf-side work a window of 1024
 // events adds to a distinct-count or heavy-hitter state. One iteration
-// absorbs the whole batch so the number sits at µs scale, where the
-// bench guard's 25ms samples are stable.
+// absorbs the whole batch so the number sits at µs scale, where short
+// samples are stable.
 func BenchmarkSketchIngest(b *testing.B) {
 	for _, name := range []string{"set", "distinct", "freq"} {
 		b.Run(name, func(b *testing.B) {
@@ -909,7 +912,7 @@ func wireBenchMessages() map[string]wire.Message {
 
 // BenchmarkWireAppendEncode measures what the tcp backend's Send pays
 // per message (PR 17): the encoding appended in place to a buffer that
-// already has room. Pinned at 0 allocs/op.
+// already has room; wire.TestCodecAllocs pins it at 0 allocs/op.
 func BenchmarkWireAppendEncode(b *testing.B) {
 	msgs := wireBenchMessages()
 	for _, name := range []string{"item", "partial", "probe"} {
@@ -1054,7 +1057,7 @@ func BenchmarkAdaptiveRechunk(b *testing.B) {
 // pre-registered counter increment, the cost every instrumented seam
 // (transport send, wire decode, DHT get) pays per event. Must stay a
 // single uncontended atomic add — 0 allocs/op, enforced by
-// telemetry.TestZeroAllocHotPath; this bench pins the latency.
+// telemetry.TestZeroAllocHotPath; this bench times it.
 func BenchmarkTelemetryCounter(b *testing.B) {
 	reg := telemetry.NewRegistry()
 	c := reg.Counter("bench_events_total", telemetry.L("peer", "n1"))
@@ -1097,8 +1100,7 @@ func BenchmarkHealthScore(b *testing.B) {
 		sys.MustAddPeer(fmt.Sprintf("p%d", i))
 	}
 	sys.StartGossipDetector(peer.GossipOptions{
-		Seed: 9, ProbeInterval: time.Second,
-		ProbeTimeout: 500 * time.Millisecond, Suspicion: time.Second,
+		Seed: 9, ProbeInterval: time.Second, Suspicion: time.Second,
 		Adaptive: true,
 	})
 	for i := 0; i < 4; i++ {

@@ -409,7 +409,7 @@ func runAdapt(out io.Writer, cfg workload.AdaptConfig, mode string) error {
 		return workload.Run(&c)
 	}
 	fmt.Fprintf(out, "== scenario adapt ==\nevents: %d, window %v, degree %d, slow phase: +%v / %.0f%% loss, probe timeout %v, suspicion %v\n",
-		cfg.Events, cfg.Window, cfg.Degree, cfg.SlowDelay, cfg.SlowDrop*100, cfg.ProbeTimeout, cfg.Suspicion)
+		cfg.Events, cfg.Window, cfg.Degree, cfg.SlowDelay, cfg.SlowDrop*100, peer.ProbeTimeout, cfg.Suspicion)
 	report := func(rep *workload.AdaptReport) {
 		fmt.Fprintf(out, "%-9s records %d, false kills %d, true kills %d, repairs %d, replayed %d\n",
 			rep.Mode+":", len(rep.Records), rep.FalseKills, rep.TrueKills, rep.Repairs, rep.Replayed)

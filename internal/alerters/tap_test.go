@@ -146,6 +146,35 @@ func TestTapCostIndependentOfListeners(t *testing.T) {
 	}
 }
 
+// TestTapCallAllocs pins a whole monitored call as the client pays it —
+// soap.Invoke across simnet with a tap on the server's inbound hook that
+// fires inside the hook: the exchange's 4 allocations with nobody
+// attached, and the alert's 4 on top for 1, 4 and 16 alerters alike.
+func TestTapCallAllocs(t *testing.T) {
+	for subs, want := range map[int]float64{0: 4, 1: 8, 4: 8, 16: 8} {
+		nw := simnet.New(simnet.DefaultOptions())
+		fabric := soap.NewFabric(nw)
+		srv := fabric.Endpoint("srv")
+		srv.Register("temp", func(*xmltree.Node) (*xmltree.Node, error) {
+			return xmltree.ElemText("temp", "21"), nil
+		}, nil)
+		tap := NewTap("srv", Inbound, nw.Clock().Now)
+		srv.OnInbound(tap.Hook())
+		for i := 0; i < subs; i++ {
+			tap.Attach("inCOM@srv", true, func(stream.Item) {})
+		}
+		client, params := fabric.Endpoint("client"), xmltree.ElemText("city", "paris")
+		call := func() {
+			if _, err := client.Invoke("srv", "temp", params); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(200, call); got != want {
+			t.Errorf("%d alerters: %v allocs per call, want %v", subs, got, want)
+		}
+	}
+}
+
 // TestTapDetach: a detached alerter receives nothing further, the others
 // are undisturbed, and detaching twice is harmless.
 func TestTapDetach(t *testing.T) {

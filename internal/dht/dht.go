@@ -222,13 +222,6 @@ func (r *Ring) SetVirtual(v int) {
 	r.rebalanceLocked(nil)
 }
 
-// Virtual returns the tokens per member.
-func (r *Ring) Virtual() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.virtual
-}
-
 // SetLoadBound enables bounded-load placement: a key's primary copy goes
 // to the first successor holding fewer than ceil(c·K/n) primaries, so no
 // member's share of the write/read traffic exceeds ~c× the mean. c <= 0

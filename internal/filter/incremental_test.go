@@ -253,11 +253,11 @@ func TestMatchSerializedAllocs(t *testing.T) {
 	if st := f.Stats(); st.BodiesSkipped-before.BodiesSkipped != 1 || st.BodiesParsed-before.BodiesParsed != 1 {
 		t.Fatalf("test premise wrong: %d bodies skipped, %d parsed, want 1 and 1", st.BodiesSkipped, st.BodiesParsed)
 	}
-	if n := testing.AllocsPerRun(200, func() { f.MatchSerialized(firstTagOnly) }); n > 1 {
-		t.Errorf("first-tag-only match: %v allocs, want <= 1", n)
+	if n := testing.AllocsPerRun(200, func() { f.MatchSerialized(firstTagOnly) }); n != 1 {
+		t.Errorf("first-tag-only match: %v allocs, want 1", n)
 	}
 	parse := testing.AllocsPerRun(200, func() { xmltree.Parse(parsed) })
-	if n := testing.AllocsPerRun(200, func() { f.MatchSerialized(parsed) }); n > parse+1 {
-		t.Errorf("parsed match: %v allocs, want <= parse (%v) + 1", n, parse)
+	if n := testing.AllocsPerRun(200, func() { f.MatchSerialized(parsed) }); n != parse+1 {
+		t.Errorf("parsed match: %v allocs, want parse (%v) + 1", n, parse)
 	}
 }

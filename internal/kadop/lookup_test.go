@@ -6,6 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"p2pm/internal/dht"
+	"p2pm/internal/stream"
 )
 
 // TestCorruptRecordFailsEveryLookup: a record that does not decode makes
@@ -92,3 +95,53 @@ func TestConcurrentPublishLookup(t *testing.T) {
 		t.Errorf("final lookup: %d distinct streams, %v; want %d", len(got), err, want)
 	}
 }
+
+// TestFindAlertersAllocs pins a steady-state discovery lookup, every
+// descriptor already decoded into the memo: over a ring of 100 and of
+// 1 000 peers holding ten descriptors each, 6 and 7 allocations per
+// lookup, the two peer names the loop formats per call included.
+func TestFindAlertersAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a race-instrumented build allocates once more per lookup")
+	}
+	for _, c := range []struct {
+		peers int
+		want  float64
+	}{{100, 6}, {1000, 7}} {
+		ring := dht.New()
+		for i := 0; i < c.peers; i++ {
+			if err := ring.Join(fmt.Sprintf("peer-%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db := New(ring)
+		for i := 0; i < c.peers*10; i++ {
+			if err := db.Publish(&StreamDef{
+				Ref:       stream.Ref{PeerID: fmt.Sprintf("peer-%d", i%c.peers), StreamID: fmt.Sprintf("s%d", i)},
+				Operator:  "inCOM",
+				Signature: fmt.Sprintf("inCOM(peer-%d)#%d", i%c.peers, i),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < c.peers; i++ { // decode every descriptor once
+			if _, _, err := db.FindAlerters("peer-0", fmt.Sprintf("peer-%d", i), "inCOM"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		lookup := func() {
+			if _, _, err := db.FindAlerters(fmt.Sprintf("peer-%d", i%c.peers),
+				fmt.Sprintf("peer-%d", (i*13)%c.peers), "inCOM"); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		if got := testing.AllocsPerRun(2000, lookup); got != c.want {
+			t.Errorf("%d peers: %v allocs per lookup, want %v", c.peers, got, c.want)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in builds with the race detector.
+var raceEnabled bool

@@ -286,3 +286,37 @@ func TestPartialAggSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Accept allocates %.0f per item with no window to close", got)
 	}
 }
+
+// TestAggTreeIngestAllocs pins what an event costs a tree on average,
+// the partials of the windows it closes included: a PartialAgg leaf over
+// 8 keys, a watermark that closes a window every 64 events, feeding one
+// Final MergeAgg — or four tenants' roots at once, which costs no more.
+func TestAggTreeIngestAllocs(t *testing.T) {
+	for _, tenants := range []int{1, 4} {
+		roots := make([]*MergeAgg, tenants)
+		for i := range roots {
+			roots[i] = &MergeAgg{Final: true}
+		}
+		sink := func(stream.Item) {}
+		forward := func(it stream.Item) {
+			for _, r := range roots {
+				r.Accept(0, it, sink)
+			}
+		}
+		leaf := &PartialAgg{Key: keyAttr, Window: time.Minute}
+		items := make([]stream.Item, 64)
+		for i := range items {
+			items[i] = aggItem(fmt.Sprintf("key-%d", i%8), time.Duration(i)*time.Second)
+		}
+		i := 0
+		ingest := func() {
+			it := items[i%len(items)]
+			it.Time += time.Duration(i/len(items)) * 64 * time.Second // advancing watermark
+			leaf.Accept(0, it, forward)
+			i++
+		}
+		if got := testing.AllocsPerRun(64*50, ingest); got != 1 {
+			t.Errorf("%d tenants: %v allocs per event, want 1", tenants, got)
+		}
+	}
+}

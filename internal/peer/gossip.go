@@ -49,6 +49,10 @@ const (
 	// probeFanout is how many distinct members each view probes per
 	// period: SWIM's classic one.
 	probeFanout = 1
+	// ProbeTimeout bounds the round-trip a probe (direct, or one indirect
+	// relay path) may take before it counts as failed; links slower than
+	// this look dead, the classic accuracy/latency trade-off.
+	ProbeTimeout = 500 * time.Millisecond
 )
 
 // GossipOptions configures the gossip failure detector.
@@ -61,11 +65,6 @@ type GossipOptions struct {
 	// ProbeInterval is one protocol period: each member probes one
 	// random other member per period. Default 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds the round-trip a probe (direct, or one
-	// indirect relay path) may take before it counts as failed; links
-	// slower than this look dead, the classic accuracy/latency
-	// trade-off. Default 500ms.
-	ProbeTimeout time.Duration
 	// Suspicion is how long a member may stay suspected in a view
 	// without an alive refutation before that view declares it dead.
 	// Default 3×ProbeInterval.
@@ -92,9 +91,6 @@ func (o GossipOptions) withDefaults() GossipOptions {
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 500 * time.Millisecond
 	}
 	if o.Suspicion <= 0 {
 		o.Suspicion = 3 * o.ProbeInterval
@@ -614,7 +610,7 @@ func (g *GossipDetector) directProbe(v *gossipView, target string) bool {
 		return false
 	}
 	g.observeAlive(v, target, tv.inc)
-	if lat1+lat2 <= g.opts.ProbeTimeout {
+	if lat1+lat2 <= ProbeTimeout {
 		g.healthDecay(v)
 	}
 	return true
@@ -641,7 +637,7 @@ func (g *GossipDetector) relayProbe(v *gossipView, proxy, target string) bool {
 	g.observeAlive(v, target, tv.inc)
 	// The proxy heard the target too.
 	g.observeAlive(pv, target, tv.inc)
-	if total <= g.opts.ProbeTimeout {
+	if total <= ProbeTimeout {
 		g.healthDecay(v)
 	}
 	return true
@@ -804,9 +800,9 @@ func (g *GossipDetector) suspect(v *gossipView, target string, at time.Duration)
 // timeout scaled by (1 + health) in adaptive mode.
 func (g *GossipDetector) probeTimeoutFor(v *gossipView) time.Duration {
 	if !g.opts.Adaptive || v.health <= 0 {
-		return g.opts.ProbeTimeout
+		return ProbeTimeout
 	}
-	return g.opts.ProbeTimeout * time.Duration(1+v.health)
+	return ProbeTimeout * time.Duration(1+v.health)
 }
 
 // suspicionFor is the refutation window one view grants its suspects:

@@ -292,8 +292,7 @@ func deathsOf(tl timeline, peer string) int {
 func TestGossipAdaptiveShieldsSlowPeer(t *testing.T) {
 	run := func(adaptive bool) (timeline, *GossipDetector) {
 		sys, det := gossipLab(t, 5, GossipOptions{
-			Seed: 9, ProbeInterval: time.Second,
-			ProbeTimeout: 500 * time.Millisecond, Suspicion: time.Second,
+			Seed: 9, ProbeInterval: time.Second, Suspicion: time.Second,
 			Adaptive: adaptive,
 		})
 		var tl timeline

@@ -62,3 +62,26 @@ func TestAccountingMatchesSerializedLength(t *testing.T) {
 		t.Errorf("Totals() = %d bytes in %d messages, want %d bytes in 2064", got.Bytes, got.Messages, wantNetBytes)
 	}
 }
+
+// TestDeliverHookAllocs pins the channel hop across a link at zero
+// allocations: publish to an in-memory subscriber and to one behind a
+// DeliverHook, and pop both; the link reads the size the publish
+// stamped.
+func TestDeliverHookAllocs(t *testing.T) {
+	nw := New(DefaultOptions())
+	nw.AddNode("a")
+	nw.AddNode("b")
+	ch := stream.NewChannel("a", "s")
+	local := ch.Subscribe("local", nil)
+	remote := ch.Subscribe("remote", nw.DeliverHook("a", "b"))
+	tree := accountingItem(1).Tree
+	hop := func() {
+		ch.Publish(stream.Item{Tree: tree})
+		local.Queue.TryPop()
+		remote.Queue.TryPop()
+	}
+	hop() // sizes both rings and the link
+	if a := testing.AllocsPerRun(1000, hop); a != 0 {
+		t.Errorf("publish to a local and a simnet subscriber: %v allocs, want 0", a)
+	}
+}

@@ -403,5 +403,55 @@ func TestTCPSendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestTCPLoopbackAllocs pins what one item and its ack allocate across
+// two ListenTCP endpoints with 64 items in flight, every goroutine
+// counted: 5 per item, both directions and the handlers' Ack included.
+// The readers and writers run beside the test, so it allows 5 %.
+func TestTCPLoopbackAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	src, err := ListenTCP("src", "127.0.0.1:0", TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst, err := ListenTCP("dst", "127.0.0.1:0", TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	src.AddPeer("dst", dst.Addr())
+	dst.AddPeer("src", src.Addr())
+	dst.Handle(func(from string, m wire.Message) {
+		dst.Send(from, &wire.Ack{Seq: m.(*wire.Item).Seq}) //nolint:errcheck // src is registered
+	})
+	slots := make(chan struct{}, 64) // items in flight; an ack frees one
+	src.Handle(func(string, wire.Message) { <-slots })
+	item := &wire.Item{Stream: "s3@relay", Seq: 412, TimeNS: 9_500_000_000, XML: `<call id="7" method="Reserve" to="airline"/>`}
+	// One run sends a window of items and waits for every ack.
+	window := func() {
+		for i := 0; i < cap(slots); i++ {
+			slots <- struct{}{}
+			if err := src.Send("dst", item); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < cap(slots); i++ {
+			slots <- struct{}{}
+		}
+		for i := 0; i < cap(slots); i++ {
+			<-slots
+		}
+	}
+	const want = 5
+	if got := testing.AllocsPerRun(100, window) / float64(cap(slots)); got < want*0.95 || got > want*1.05 {
+		t.Errorf("%.2f allocs per item and ack, want %d within 5 %%", got, want)
+	}
+	if st := src.Stats(); st.Dropped != 0 {
+		t.Errorf("src stats %+v: an item was dropped", st)
+	}
+}
+
 // raceEnabled is set by race_test.go in builds with the race detector.
 var raceEnabled bool

@@ -427,7 +427,8 @@ func TestAppendEncodeAppends(t *testing.T) {
 // on: encoding into a warm buffer is free, and decoding an item costs
 // the struct and its two strings — Decode copies every string out of
 // its input, which is what lets the tcp reader reuse its buffer while
-// handlers retain messages.
+// handlers retain messages. A round trip through Encode, which builds
+// its frame, is pinned per message kind: item 4, partial 6, probe 6.
 func TestCodecAllocs(t *testing.T) {
 	msgs := map[string]Message{
 		"item":    &Item{Stream: "s3@relay", Seq: 412, TimeNS: 9_500_000_000, XML: `<call id="7" method="Reserve" to="airline"/>`},
@@ -444,6 +445,12 @@ func TestCodecAllocs(t *testing.T) {
 	enc := Encode(msgs["item"])
 	if n := testing.AllocsPerRun(200, func() { Decode(enc) }); n != 3 { //nolint:errcheck // a valid frame
 		t.Errorf("Decode(item) allocates %v times, want 3 (struct + Stream + XML)", n)
+	}
+	for name, want := range map[string]float64{"item": 4, "partial": 6, "probe": 6} {
+		m := msgs[name]
+		if n := testing.AllocsPerRun(200, func() { Decode(Encode(m)) }); n != want { //nolint:errcheck // a valid frame
+			t.Errorf("Decode(Encode(%s)) allocates %v times, want %v", name, n, want)
+		}
 	}
 }
 

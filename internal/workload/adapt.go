@@ -29,7 +29,8 @@ import (
 
 // AdaptConfig parameterizes the self-adaptation scenario. Of the shared
 // config, HeartbeatInterval is the gossip protocol period and Suspicion
-// the static trap's aggressiveness; Replay follows Mode.
+// the static trap's aggressiveness (peer.ProbeTimeout is its other
+// half); Replay follows Mode.
 type AdaptConfig struct {
 	Common
 	GroupBy
@@ -46,13 +47,11 @@ type AdaptConfig struct {
 	// the two diurnal phases; the worker stays alive throughout.
 	SlowDelay time.Duration
 	SlowDrop  float64
-
-	// ProbeTimeout is the other half of the static trap. HealthMax caps
-	// the adaptive multiplier so a true crash is still confirmed within
-	// the flapper's downtime even at peak health.
-	ProbeTimeout time.Duration
-	HealthMax    int
 }
+
+// adaptHealthMax caps the adaptive multiplier so a true crash is still
+// confirmed within the flapper's downtime even at peak health.
+const adaptHealthMax = 3
 
 // DefaultAdapt returns the scenario the X6 experiment runs.
 func DefaultAdapt() AdaptConfig {
@@ -61,13 +60,11 @@ func DefaultAdapt() AdaptConfig {
 			Seed: 9, Sources: 8, Workers: 3, Events: 96, Step: time.Second,
 			HeartbeatInterval: time.Second, Suspicion: 2 * time.Second,
 		},
-		GroupBy:      GroupBy{Window: 16 * time.Second, Degree: 4},
-		Mode:         "adaptive",
-		HotSpan:      6,
-		SlowDelay:    400 * time.Millisecond,
-		SlowDrop:     0.3,
-		ProbeTimeout: 500 * time.Millisecond,
-		HealthMax:    3,
+		GroupBy:   GroupBy{Window: 16 * time.Second, Degree: 4},
+		Mode:      "adaptive",
+		HotSpan:   6,
+		SlowDelay: 400 * time.Millisecond,
+		SlowDrop:  0.3,
 	}
 }
 
@@ -204,9 +201,8 @@ func (cfg *AdaptConfig) setup() (*scenarioSpec[*AdaptReport], error) {
 		bare:        true,
 		undisturbed: !faults,
 		gossip: peer.GossipOptions{
-			ProbeTimeout: cfg.ProbeTimeout,
-			Adaptive:     cfg.Mode == "adaptive",
-			HealthMax:    cfg.HealthMax,
+			Adaptive:  cfg.Mode == "adaptive",
+			HealthMax: adaptHealthMax,
 		},
 		tune: func(pc *peer.Config) {
 			if faults {

@@ -186,18 +186,18 @@ func allocBytes(fn func()) float64 {
 
 var sinkNode *xmltree.Node
 
-// TestParseAllocs pins where a tree's memory comes from: a few sized
-// chunks per document (71 allocations for benchDoc when every node and
-// every list growth was its own), nothing for a first tag read into a
-// reused slice, and for a two-node literal no more than the two nodes
-// and one pointer it consists of.
+// TestParseAllocs pins where a tree's memory comes from: the Builder's
+// three sized chunks per document (71 allocations for benchDoc when every
+// node and every list growth was its own), nothing for a first tag read
+// into a reused slice, and for a two-node literal no more than the two
+// nodes and one pointer it consists of.
 func TestParseAllocs(t *testing.T) {
-	if a := testing.AllocsPerRun(200, func() { sinkNode, _ = xmltree.Parse(benchDoc) }); a > 12 {
-		t.Errorf("Parse(benchDoc) allocates %v times, want at most 12", a)
+	if a := testing.AllocsPerRun(200, func() { sinkNode, _ = xmltree.Parse(benchDoc) }); a != 3 {
+		t.Errorf("Parse(benchDoc) allocates %v times, want 3", a)
 	}
 	for _, doc := range gen.NewFilter(1).Documents(64) {
-		if a := testing.AllocsPerRun(20, func() { sinkNode, _ = xmltree.Parse(doc) }); a > 12 {
-			t.Errorf("Parse allocates %v times, want at most 12, for %s", a, doc)
+		if a := testing.AllocsPerRun(20, func() { sinkNode, _ = xmltree.Parse(doc) }); a != 3 {
+			t.Errorf("Parse allocates %v times, want 3, for %s", a, doc)
 		}
 	}
 	attrs := make([]xmltree.Attr, 0, 32)
