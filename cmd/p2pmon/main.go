@@ -35,6 +35,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -44,6 +45,7 @@ import (
 	"strings"
 
 	"p2pm/internal/peer"
+	"p2pm/internal/stream"
 	"p2pm/internal/workload"
 )
 
@@ -235,6 +237,11 @@ return $r by publish as channel "feedChanges"`
 	}
 	task.Stop()
 	results := task.Results().Drain()
+	// Branches of a union arrive in scheduling order; print by time, then
+	// by rendering, so the listing is a function of the seed.
+	slices.SortFunc(results, func(a, b stream.Item) int {
+		return cmp.Or(cmp.Compare(a.Time, b.Time), strings.Compare(a.Tree.String(), b.Tree.String()))
+	})
 	fmt.Fprintf(out, "drove %d events; %d results on %s:\n", events, len(results), task.ResultChannel())
 	for _, it := range results {
 		fmt.Fprintf(out, "  t=%-8s %s\n", it.Time, it.Tree)

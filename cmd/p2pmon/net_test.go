@@ -4,41 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 )
-
-func TestNetScenarioSimnet(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"net"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("net scenario emitted %d lines, want 5:\n%s", len(lines), out.String())
-	}
-	for w, l := range lines {
-		want := fmt.Sprintf("window=%d fn=count count=32 events=32 sources=2", w)
-		if l != want {
-			t.Errorf("line %d = %q, want %q", w, l, want)
-		}
-	}
-}
-
-func TestNetScenarioDeterministic(t *testing.T) {
-	args := []string{"net", "-nodes", "4", "-windows", "3", "-agg-fn", "distinct"}
-	var a, b bytes.Buffer
-	if err := run(args, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(args, &b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Errorf("two identical net runs diverged:\n%s\nvs\n%s", a.String(), b.String())
-	}
-}
 
 // TestNetScenarioTCPMatchesSimnet runs a full 3-member TCP cluster
 // in-process (one run() per member, as three OS processes would) and

@@ -1,17 +1,32 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestAllExperimentsQuick runs every registered experiment at Quick scale
-// and requires each paper claim's shape to hold. This is the repository's
-// continuous reproduction check.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/quick.golden from this run")
+
+// hostTimed experiments are not pinned by the golden: their tables time
+// the host (a µs column). Every other experiment's output is a function
+// of the seed.
+var hostTimed = map[string]bool{"C1": true, "C2": true, "C4": true, "C8": true, "C9": true}
+
+var goldenPath = filepath.Join("testdata", "quick.golden")
+
+// TestAllExperimentsQuick runs every registered experiment at Quick scale,
+// requires each paper claim's shape to hold, and compares each rendering
+// byte for byte with its section of testdata/quick.golden (except the
+// hostTimed ones). This is the repository's continuous reproduction check.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: the full reproduction sweep runs in the matrix job")
 	}
+	golden := readGolden(t)
 	seen := map[string]bool{}
 	for _, r := range All() {
 		r := r
@@ -31,10 +46,57 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Errorf("claim shape did not hold:\n%s", res)
 			}
 			out := res.String()
-			if !strings.Contains(out, "paper:") || !strings.Contains(out, "claim shape:") {
-				t.Errorf("rendering incomplete:\n%s", out)
+			switch {
+			case hostTimed[r.ID]: // not pinned
+			case *updateGolden:
+				golden[r.ID] = out
+			case out != golden[r.ID]:
+				t.Errorf("%s: output moved at %s\nto accept it: go test ./internal/experiments -run 'TestAllExperimentsQuick/^%s$' -update-golden",
+					r.ID, firstDiff(out, golden[r.ID]), r.ID)
 			}
 		})
+	}
+	if *updateGolden {
+		var b strings.Builder
+		for _, r := range All() {
+			b.WriteString(golden[r.ID])
+		}
+		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readGolden splits testdata/quick.golden into its experiments' sections,
+// each starting at the "---- ID ----" line that Result.String opens with.
+func readGolden(t *testing.T) map[string]string {
+	b, err := os.ReadFile(goldenPath)
+	if err != nil && !*updateGolden {
+		t.Fatal(err)
+	}
+	sections := map[string]string{}
+	id := ""
+	for _, line := range strings.SplitAfter(string(b), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "----" && f[2] == "----" {
+			if _, ok := Lookup(f[1]); ok {
+				id = f[1]
+			}
+		}
+		sections[id] += line
+	}
+	return sections
+}
+
+// firstDiff names the first line at which got departs from want.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; ; i++ {
+		switch {
+		case i == len(g) || i == len(w):
+			return fmt.Sprintf("line %d: got %d lines, want %d", i+1, len(g), len(w))
+		case g[i] != w[i]:
+			return fmt.Sprintf("line %d\n  got:  %q\n  want: %q", i+1, g[i], w[i])
+		}
 	}
 }
 

@@ -105,7 +105,7 @@ func (j *Join) Accept(idx int, it stream.Item, emit Emit) {
 				continue
 			}
 			j.probes++
-			j.tryEmit(idx, it, e.tree, emit)
+			j.tryEmit(idx, it, e, emit)
 		}
 	} else {
 		for i := range other.entries {
@@ -116,24 +116,26 @@ func (j *Join) Accept(idx int, it stream.Item, emit Emit) {
 			j.probes++
 			k2, ok2 := otherKey(e.tree)
 			if ok2 && k2 == key {
-				j.tryEmit(idx, it, e.tree, emit)
+				j.tryEmit(idx, it, e, emit)
 			}
 		}
 	}
 	mine.add(key, it.Tree, it.Time)
 }
 
-func (j *Join) tryEmit(idx int, it stream.Item, partner *xmltree.Node, emit Emit) {
+// tryEmit stamps a pair with the later partner's time, so the output does
+// not depend on which partner the scheduler delivered last.
+func (j *Join) tryEmit(idx int, it stream.Item, partner *histEntry, emit Emit) {
 	var l, r *xmltree.Node
 	if idx == 0 {
-		l, r = it.Tree, partner
+		l, r = it.Tree, partner.tree
 	} else {
-		l, r = partner, it.Tree
+		l, r = partner.tree, it.Tree
 	}
 	if j.Residual != nil && !j.Residual(l, r) {
 		return
 	}
-	emit(stream.Item{Tree: j.Combine(l, r), Time: it.Time})
+	emit(stream.Item{Tree: j.Combine(l, r), Time: max(it.Time, partner.t)})
 }
 
 // Flush implements Proc.

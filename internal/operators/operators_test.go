@@ -193,6 +193,30 @@ func TestJoinIndexAndScanAgree(t *testing.T) {
 	}
 }
 
+// TestJoinOutputTimeIsLaterPartner: a pair carries the later of its two
+// partners' times whichever of them arrives first.
+func TestJoinOutputTimeIsLaterPartner(t *testing.T) {
+	left := stream.Item{Tree: xmltree.MustParse(`<l k="1"/>`), Time: 5 * time.Second}
+	right := stream.Item{Tree: xmltree.MustParse(`<r k="1"/>`), Time: 3 * time.Second}
+	for _, leftFirst := range []bool{true, false} {
+		j := &Join{LeftKey: AttrKey("k"), RightKey: AttrKey("k"), UseIndex: true}
+		out := stream.NewQueue()
+		sink := QueueSink(out)
+		if leftFirst {
+			j.Accept(0, left, sink)
+			j.Accept(1, right, sink)
+		} else {
+			j.Accept(1, right, sink)
+			j.Accept(0, left, sink)
+		}
+		out.Close()
+		got := out.Drain()
+		if len(got) != 1 || got[0].Time != 5*time.Second {
+			t.Errorf("left first %v: got %v, want one pair at 5s", leftFirst, got)
+		}
+	}
+}
+
 func TestJoinResidualPredicate(t *testing.T) {
 	left, right := stream.NewQueue(), stream.NewQueue()
 	feed(left, `<l k="1" v="10"/>`, `<l k="1" v="30"/>`)

@@ -509,8 +509,9 @@ func (s *System) RefreshStreamStats() error {
 // Steps; detection latency is quantized to the step size, so use steps
 // no coarser than the heartbeat interval when measuring it. With the
 // replay layer on, each Step also runs the anti-entropy sweep (repairing
-// link-fault losses from the upstream replay buffers), waits for the
-// peers' loops to process what it re-sent (Quiesce) and, every
+// link-fault losses from the upstream replay buffers) once the loops have
+// processed what the tick published — an item still on its way is not
+// lost — waits for the peers' loops to process what it re-sent and, every
 // CheckpointInterval, runs the operator checkpoint sweep; the checkpoints
 // and the OnStep hooks see processed state.
 func (s *System) Step(d time.Duration) {
@@ -522,6 +523,7 @@ func (s *System) Step(d time.Duration) {
 		g.Tick()
 	}
 	if s.replayOn() {
+		s.Quiesce()
 		s.syncEdges()
 		s.Quiesce()
 	}
