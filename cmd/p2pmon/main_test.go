@@ -111,6 +111,71 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// The goldens say whether a report moved; the tests below say what a
+// report must claim, so -update-golden cannot accept a wrong one.
+
+func TestRSSScenario(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"rss"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	if !strings.Contains(s, "deployed plan:") || !strings.Contains(s, "results on feedChanges@manager") {
+		t.Errorf("unexpected report:\n%s", s)
+	}
+}
+
+func TestSubcommandForm(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"rss"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "results on feedChanges@manager") {
+		t.Errorf("unexpected report:\n%s", out.String())
+	}
+	if err := run([]string{"nope"}, &bytes.Buffer{}); err == nil {
+		t.Error("unknown subcommand accepted")
+	}
+	if err := run([]string{"churn", "-agg", "tree"}, &bytes.Buffer{}); err == nil {
+		t.Error("foreign flag accepted by the churn subcommand")
+	}
+}
+
+func TestChurnReplayScenario(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"churn", "-replay"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	if !strings.Contains(s, "completeness 100%") || !strings.Contains(s, "replayed:") {
+		t.Errorf("replay churn report not lossless:\n%s", s)
+	}
+}
+
+// TestChurnGossipScenario: gossip, the only detector, finds and repairs
+// every crash, and replay makes the run lossless.
+func TestChurnGossipScenario(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"churn", "-replay"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	if !strings.Contains(s, "completeness 100%") {
+		t.Errorf("gossip churn report not lossless:\n%s", s)
+	}
+	var crashes, detected, repaired int
+	i := strings.Index(s, "crashes: ")
+	if i < 0 {
+		t.Fatalf("no crash line:\n%s", s)
+	}
+	if _, err := fmt.Sscanf(s[i:], "crashes: %d, detected: %d, repaired: %d", &crashes, &detected, &repaired); err != nil {
+		t.Fatalf("crash line: %v\n%s", err, s)
+	}
+	if crashes == 0 || detected != crashes || repaired != crashes {
+		t.Errorf("crashes %d, detected %d, repaired %d: want every crash detected and repaired", crashes, detected, repaired)
+	}
+}
+
 func TestReplayFlagOutsideChurnRejected(t *testing.T) {
 	if err := run([]string{"rss", "-replay"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("-replay accepted outside the churn scenario")

@@ -67,6 +67,29 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 }
 
+// TestGoldenX2X6Quick: X2–X6 are pinned whole. None of them is host
+// timed, and their golden sections hold every column that used to be
+// masked as schedule-dependent. TestAllExperimentsQuick runs and compares
+// them, so they run once per go test.
+func TestGoldenX2X6Quick(t *testing.T) {
+	golden := readGolden(t)
+	var sections strings.Builder
+	for _, id := range []string{"X2", "X3", "X4", "X5", "X6"} {
+		if hostTimed[id] {
+			t.Errorf("%s is exempt from the golden", id)
+		}
+		if !strings.HasPrefix(golden[id], "---- "+id+" ----\n") {
+			t.Errorf("%s has no section in %s", id, goldenPath)
+		}
+		sections.WriteString(golden[id])
+	}
+	for _, col := range []string{"replayed", "msgs", "dropped", "bytes on wire", "repairs"} {
+		if !strings.Contains(sections.String(), col) {
+			t.Errorf("no X2–X6 table in %s has a %q column", goldenPath, col)
+		}
+	}
+}
+
 // readGolden splits testdata/quick.golden into its experiments' sections,
 // each starting at the "---- ID ----" line that Result.String opens with.
 func readGolden(t *testing.T) map[string]string {
