@@ -54,10 +54,11 @@ func (freqMonoid) Decode(enc string) (State, error) {
 			if !ok || !ok2 || err1 != nil || err2 != nil || err3 != nil {
 				return nil, fmt.Errorf("freq: bad sketch cell %q", part)
 			}
-			if r < 0 || r >= cmDepth || c < 0 || c >= cmWidth || v < 1 {
-				return nil, fmt.Errorf("freq: out-of-range sketch cell %q", part)
+			// Encode writes each cell once, so a repeat is corrupt input.
+			if r < 0 || r >= cmDepth || c < 0 || c >= cmWidth || v < 1 || s.cells[r][c] != 0 {
+				return nil, fmt.Errorf("freq: out-of-range or repeated sketch cell %q", part)
 			}
-			s.cells[r][c] += v
+			s.cells[r][c] = v
 		}
 	}
 	if cands != "" {

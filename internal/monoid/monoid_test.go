@@ -146,7 +146,8 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		"max":      {"1x", "--2", "3 "},
 		"set":      {"%zz", "a,%"},
 		"distinct": {"q", "sX:1", "s4096:3", "s1:0", "s1:65", "d1234", "s1:2,", "dzz"},
-		"freq":     {"junk", "9.0:1|", "0.512:1|", "0.1:-3|", "0.1:x|a", "|" + tooManyCandidates()},
+		"freq": {"junk", "9.0:1|", "0.512:1|", "0.1:-3|", "0.1:x|a", "|" + tooManyCandidates(),
+			"0.1:2;0.1:3|", "0.0:9223372036854775807;0.0:1|"},
 	}
 	for name, bads := range cases {
 		m, ok := Lookup(name)

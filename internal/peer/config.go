@@ -197,8 +197,8 @@ func (t Tuning) QuarantineAggHost(name string) {
 	changed := !t.s.quarantined[name]
 	t.s.quarantined[name] = true
 	t.s.mu.Unlock()
-	if changed && t.s.cfg.Agg.Degree > 1 {
-		t.s.RebalanceAggTrees(t.s.Net.Clock().Now())
+	if changed {
+		t.s.RebalanceAggTrees()
 	}
 }
 
@@ -209,8 +209,8 @@ func (t Tuning) LiftQuarantine(name string) {
 	changed := t.s.quarantined[name]
 	delete(t.s.quarantined, name)
 	t.s.mu.Unlock()
-	if changed && t.s.cfg.Agg.Degree > 1 {
-		t.s.RebalanceAggTrees(t.s.Net.Clock().Now())
+	if changed {
+		t.s.RebalanceAggTrees()
 	}
 }
 

@@ -240,7 +240,7 @@ func (p *Peer) deployAlerter(task *Task, n *algebra.Node, out *stream.Channel) e
 		}
 		out.Publish(it)
 	}
-	clock := p.sys.Net.Clock().Now
+	clock := p.sys.clock.Now
 	name := n.Alerter.Func + "@" + n.Alerter.Peer
 	switch n.Alerter.Kind {
 	case "ws-in", "ws-out":
@@ -414,7 +414,7 @@ func (s *System) tap(peer string, dir alerters.Direction) *alerters.Tap {
 	k := tapKey{peer, dir}
 	t := s.taps[k]
 	if t == nil {
-		t = alerters.NewTap(peer, dir, s.Net.Clock().Now)
+		t = alerters.NewTap(peer, dir, s.clock.Now)
 		t.RunOn(ex)
 		if ep := s.Fabric.Endpoint(peer); dir == alerters.Inbound {
 			ep.OnInbound(t.Hook())

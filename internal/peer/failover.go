@@ -180,7 +180,7 @@ func (s *System) LeavePeer(name string) ([]FailoverEvent, error) {
 	if !s.Net.Alive(name) {
 		return nil, fmt.Errorf("peer: %s is down; a crashed peer cannot leave gracefully", name)
 	}
-	at := s.Net.Clock().Now()
+	at := s.clock.Now()
 	// Warm handoff: capture fresh checkpoints while the leaver still
 	// runs, so its operators' replacements restore the present, not the
 	// last periodic sweep.
@@ -200,12 +200,9 @@ func (s *System) LeavePeer(name string) ([]FailoverEvent, error) {
 	s.Ring.Leave(name) //nolint:errcheck // membership was checked above
 	s.Net.Crash(name)  //nolint:errcheck // the peer is gone; links go down
 	events := s.repairDeparted(name, at)
-	if s.cfg.Agg.Degree > 1 {
-		// Ring ownership changed: re-parent any aggregation-tree
-		// interiors whose DHT-derived host moved with the departure.
-		events = append(events, s.RebalanceAggTrees(at)...)
-	}
-	return events, nil
+	// Ring ownership changed: re-parent any aggregation-tree interiors
+	// whose DHT-derived host moved with the departure.
+	return append(events, s.RebalanceAggTrees()...), nil
 }
 
 // repairDeparted runs the repair phases over a peer that is gone —
@@ -298,10 +295,7 @@ func (s *System) RejoinPeer(name string) []FailoverEvent {
 		return nil
 	}
 	s.Ring.Join(name) //nolint:errcheck // already-joined is fine
-	if s.cfg.Agg.Degree > 1 {
-		return s.RebalanceAggTrees(s.Net.Clock().Now())
-	}
-	return nil
+	return s.RebalanceAggTrees()
 }
 
 // RebalanceAggTrees re-places aggregation-tree interior operators whose
@@ -311,10 +305,16 @@ func (s *System) RejoinPeer(name string) []FailoverEvent {
 // task or another sharing the interior, re-binds, inputs re-subscribe
 // from their cursors, and with replay on the move restores the latest
 // checkpoint and deduplicates the overlap (exactly-once, like any
-// failover). Returns the migrations taken. System.JoinPeer and LeavePeer
-// invoke this when AggDegree is on; tests and harnesses may call it
+// failover). Returns the migrations taken, stamped with the current
+// time. It does nothing when aggregation is flat (Agg.Degree <= 1): only
+// aggtree.Rewrite creates the keyed interiors it moves. Every membership
+// change and quarantine calls it; tests and harnesses may call it
 // directly.
-func (s *System) RebalanceAggTrees(at time.Duration) []FailoverEvent {
+func (s *System) RebalanceAggTrees() []FailoverEvent {
+	if s.cfg.Agg.Degree <= 1 {
+		return nil
+	}
+	at := s.clock.Now()
 	var events []FailoverEvent
 	for _, p := range s.livePeers() {
 		for _, t := range sortedTasks(p) {
@@ -615,15 +615,15 @@ func (s *System) nodeChannel(t *Task, n *algebra.Node) (*stream.Channel, bool) {
 	return s.Channel(ref)
 }
 
-// leastLoadedLive picks the live peer with the lowest operator load
-// (name as tie-breaker), excluding the dead peer.
+// leastLoadedLive picks the live peer with the lowest load (name as
+// tie-breaker), excluding the dead peer.
 func (s *System) leastLoadedLive(dead string) string {
 	best, bestLoad := "", 0
 	for _, p := range s.livePeers() {
 		if p.name == dead {
 			continue
 		}
-		l := s.Net.Load(p.name)
+		l := s.load(p.name)
 		if best == "" || l < bestLoad {
 			best, bestLoad = p.name, l
 		}

@@ -239,7 +239,7 @@ func (g *GossipDetector) Join(name, seed string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	sv := g.views[seed]
-	now := g.sys.Net.Clock().Now()
+	now := g.sys.clock.Now()
 	v := g.views[name]
 	if v == nil {
 		v = &gossipView{
@@ -308,7 +308,7 @@ func (g *GossipDetector) Leave(name string) {
 	}
 	v.inc++ // the departure statement outranks every alive rumor about this life
 	v.queue = nil
-	now := g.sys.Net.Clock().Now()
+	now := g.sys.clock.Now()
 	for _, owner := range g.order {
 		if owner == name {
 			continue
@@ -330,7 +330,7 @@ func (g *GossipDetector) addMember(name string) {
 	if _, ok := g.views[name]; ok {
 		return
 	}
-	now := g.sys.Net.Clock().Now()
+	now := g.sys.clock.Now()
 	v := &gossipView{
 		self:      name,
 		members:   make(map[string]*memberInfo),
@@ -442,7 +442,7 @@ type gossipEvent struct {
 // timeouts fire, and the quorum aggregate is recomputed. Death and
 // recovery callbacks fire after the state update, outside the lock.
 func (g *GossipDetector) Tick() {
-	now := g.sys.Net.Clock().Now()
+	now := g.sys.clock.Now()
 	g.mu.Lock()
 	// Run protocol periods round by round across members, not member by
 	// member across rounds, so dissemination within a period reaches
@@ -658,7 +658,7 @@ func (g *GossipDetector) message(from, to *gossipView) (time.Duration, bool) {
 		return 0, false
 	}
 	g.piggybacked += uint64(len(updates))
-	now := g.sys.Net.Clock().Now()
+	now := g.sys.clock.Now()
 	for _, u := range updates {
 		g.applyUpdate(to, u, now)
 	}
@@ -779,7 +779,7 @@ func (g *GossipDetector) applyUpdate(v *gossipView, u gossipUpdate, now time.Dur
 // returns the target's incarnation outranks the rumor and the standard
 // merge applies it.
 func (g *GossipDetector) observeAlive(v *gossipView, target string, inc uint64) {
-	g.applyUpdate(v, gossipUpdate{peer: target, status: gossipAlive, inc: inc}, g.sys.Net.Clock().Now())
+	g.applyUpdate(v, gossipUpdate{peer: target, status: gossipAlive, inc: inc}, g.sys.clock.Now())
 }
 
 // suspect marks the target suspected in v and gossips the suspicion.

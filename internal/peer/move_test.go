@@ -75,7 +75,7 @@ func TestRebalanceFailedMoveStrandsNobody(t *testing.T) {
 	}
 	channels := len(task.channels)
 
-	if evs := sys.RebalanceAggTrees(sys.Net.Clock().Now()); len(evs) != 0 {
+	if evs := sys.RebalanceAggTrees(); len(evs) != 0 {
 		t.Fatalf("moves reported despite out-of-sync edges: %+v", evs)
 	}
 	for e, src := range srcs {
@@ -96,7 +96,7 @@ func TestRebalanceFailedMoveStrandsNobody(t *testing.T) {
 
 	// With the bookkeeping repaired the next rebalance lands the moves.
 	task.edges = intact
-	if evs := sys.RebalanceAggTrees(sys.Net.Clock().Now()); len(evs) == 0 {
+	if evs := sys.RebalanceAggTrees(); len(evs) == 0 {
 		t.Error("the retry moved nothing")
 	}
 	assertEdges(t, sys)

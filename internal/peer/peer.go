@@ -3,6 +3,7 @@ package peer
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"p2pm/internal/alerters"
 	"p2pm/internal/algebra"
@@ -31,6 +32,10 @@ type Peer struct {
 	feeds    map[string]func() (*rss.Feed, error)
 	pages    map[string]func() (*xmltree.Node, error)
 	incoming map[string]*stream.Queue
+
+	// channels counts the channels ever allocated on this peer
+	// (System.load).
+	channels atomic.Int64
 }
 
 // Name returns the peer's identity.
@@ -98,7 +103,7 @@ func (p *Peer) Repo() *alerters.AXMLRepo {
 		ch := stream.NewChannel(p.name, "axml-events")
 		p.sys.registerChannel(ch)
 		p.repoCh = ch
-		p.repo = alerters.NewAXMLRepo("axml@"+p.name, true, p.sys.Net.Clock().Now, func(it stream.Item) {
+		p.repo = alerters.NewAXMLRepo("axml@"+p.name, true, p.sys.clock.Now, func(it stream.Item) {
 			if it.EOS() {
 				ch.Close()
 				return
@@ -166,7 +171,7 @@ func (p *Peer) reuseOptions() reuse.Options {
 	return reuse.Options{
 		From:     p.name,
 		Consumer: p.name,
-		Choose:   aliveOnly(p.sys, reuse.PreferClose(p.sys.Net.Distance, p.sys.Net.Load)),
+		Choose:   aliveOnly(p.sys, reuse.PreferClose(p.sys.Net.Distance, p.sys.load)),
 	}
 }
 

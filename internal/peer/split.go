@@ -53,7 +53,7 @@ func (s *System) SplitInterior(t *Task, aggKey string) (SplitEvent, error) {
 	if target == nil {
 		return SplitEvent{}, fmt.Errorf("peer: no interior %q in task %s", aggKey, t.ID)
 	}
-	return p.splitInterior(t, target, s.Net.Clock().Now())
+	return p.splitInterior(t, target, s.clock.Now())
 }
 
 // splitInterior re-chunks one interior in place: a move to the same host
@@ -139,7 +139,7 @@ func (p *Peer) splitInterior(t *Task, n *algebra.Node, at time.Duration) (SplitE
 	// bounded-load running caps, so other interiors' derived homes may
 	// have shifted; migrate them now instead of leaving the invariant
 	// broken until the next failover.
-	s.RebalanceAggTrees(s.Net.Clock().Now())
+	s.RebalanceAggTrees()
 	return ev, nil
 }
 

@@ -32,6 +32,10 @@ import (
 type System struct {
 	// cfg is the grouped configuration, fixed at construction.
 	cfg Config
+	// clock is the System's time: Step advances it, and every timestamp
+	// the runtime takes reads it. It is the network's own clock, so a
+	// harness that advances the simulated world's time moves this one.
+	clock *simnet.Clock
 
 	Net    *simnet.Network
 	Fabric *soap.Fabric
@@ -114,6 +118,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s := &System{
 		cfg:         cfg,
+		clock:       nw.Clock(),
 		Net:         nw,
 		Fabric:      soap.NewFabric(nw),
 		Ring:        ring,
@@ -228,13 +233,11 @@ func (s *System) JoinPeer(name, seed string) (*Peer, error) {
 		// control); surface it rather than hide it.
 		return p, err
 	}
-	if s.cfg.Agg.Degree > 1 {
-		// The ring just changed: aggregation-tree interiors whose
-		// DHT-derived host moved re-parent onto the new owner (children
-		// and consumers re-bind; with replay on the move is exactly-once
-		// through the checkpoint+cursor machinery).
-		s.RebalanceAggTrees(s.Net.Clock().Now())
-	}
+	// The ring just changed: aggregation-tree interiors whose DHT-derived
+	// host moved re-parent onto the new owner (children and consumers
+	// re-bind; with replay on the move is exactly-once through the
+	// checkpoint+cursor machinery).
+	s.RebalanceAggTrees()
 	return p, nil
 }
 
@@ -386,14 +389,32 @@ func (s *System) nextTaskID() string {
 }
 
 // allocChannel creates and registers a task-owned channel at host,
-// charging the host's load gauge — the shared bookkeeping of every
-// deployment and re-deployment path.
+// charging the host's load — the shared bookkeeping of every deployment
+// and re-deployment path.
 func (s *System) allocChannel(t *Task, host, streamID string) *stream.Channel {
 	ch := stream.NewChannel(host, streamID)
 	s.registerChannel(ch)
 	t.channels = append(t.channels, ch)
-	s.Net.AddLoad(host, 1)
+	s.charge(host)
 	return ch
+}
+
+// charge counts one more channel allocated on a peer. The count never
+// goes down: it is the peer's placement history, not what it runs now.
+func (s *System) charge(name string) {
+	if p := s.Peer(name); p != nil {
+		p.channels.Add(1)
+	}
+}
+
+// load is what placement weighs a peer by: the channels allocated on it
+// plus the load the simulated world imposes on its node.
+func (s *System) load(name string) int {
+	n := s.Net.Load(name)
+	if p := s.Peer(name); p != nil {
+		n += int(p.channels.Load())
+	}
+	return n
 }
 
 // registerChannel enrolls a channel in the system-wide registry so
@@ -455,7 +476,7 @@ func (s *System) AnnounceReplica(orig stream.Ref, consumerPeer string) (stream.R
 		return stream.Ref{}, err
 	}
 	s.registerChannel(rep)
-	s.Net.AddLoad(consumerPeer, 1)
+	s.charge(consumerPeer)
 	// The forwarder is an edge whose sink publishes into the replica,
 	// synchronously from inside the original's delivery fan-out: an item
 	// is re-published the moment the original publishes it, so producers
@@ -518,7 +539,7 @@ func (s *System) Step(d time.Duration) {
 	if s.tele != nil {
 		defer s.observeStep(time.Now())
 	}
-	s.Net.Clock().Advance(d)
+	s.clock.Advance(d)
 	if g := s.gossipDetector(); g != nil {
 		g.Tick()
 	}
@@ -528,7 +549,7 @@ func (s *System) Step(d time.Duration) {
 		s.Quiesce()
 	}
 	if interval := s.cfg.Replay.CheckpointInterval; interval > 0 {
-		now := s.Net.Clock().Now()
+		now := s.clock.Now()
 		s.mu.Lock()
 		due := now-s.lastCkpt >= interval
 		if due {
@@ -539,7 +560,7 @@ func (s *System) Step(d time.Duration) {
 			s.CheckpointNow()
 		}
 	}
-	now := s.Net.Clock().Now()
+	now := s.clock.Now()
 	s.mu.Lock()
 	hooks := append([]func(time.Duration){}, s.onStep...)
 	s.mu.Unlock()

@@ -1,10 +1,11 @@
 // Package simnet simulates the P2P network substrate the paper deploys on
 // (Java/Tomcat/Axis peers exchanging SOAP over HTTP). Peers become nodes
 // in an in-process network with a virtual clock, a latency model derived
-// from 2D coordinates, and per-link accounting of messages and bytes
-// (serialized XML size). The experiments about communication savings
-// (selection pushdown C5, ActiveXML laziness C6, stream reuse C7) read
-// their numbers from these counters.
+// from 2D coordinates, per-link accounting of messages and bytes
+// (serialized XML size), and the load the simulated world imposes on a
+// node. The experiments about communication savings (selection pushdown
+// C5, ActiveXML laziness C6, stream reuse C7) read their numbers from
+// these counters.
 package simnet
 
 import (
@@ -54,15 +55,6 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 	defer c.mu.Unlock()
 	c.now += d
 	return c.now
-}
-
-// Set jumps the clock to t if t is later than now.
-func (c *Clock) Set(t time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
-	}
 }
 
 // Node is one simulated machine.
@@ -354,8 +346,9 @@ func (nw *Network) ResetTraffic() {
 	nw.reset = Totals{Messages: nw.msgs.Value(), Bytes: nw.bytes.Value(), Dropped: nw.dropped.Value()}
 }
 
-// AddLoad adjusts a node's load gauge (number of hosted operators); the
-// reuse optimizer prefers unloaded providers.
+// AddLoad adjusts the load the simulated world imposes on a node. The
+// runtime adds it to the load a peer counts itself when it places
+// operators and picks providers, so harnesses steer placement with it.
 func (nw *Network) AddLoad(name string, delta int) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
@@ -364,7 +357,7 @@ func (nw *Network) AddLoad(name string, delta int) {
 	}
 }
 
-// Load returns a node's current load gauge.
+// Load returns the load the simulated world imposes on a node.
 func (nw *Network) Load(name string) int {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()

@@ -18,14 +18,6 @@ func TestClock(t *testing.T) {
 	if c.Now() != 3*time.Second {
 		t.Errorf("now = %v", c.Now())
 	}
-	c.Set(2 * time.Second) // backwards: ignored
-	if c.Now() != 3*time.Second {
-		t.Errorf("Set moved clock backwards: %v", c.Now())
-	}
-	c.Set(5 * time.Second)
-	if c.Now() != 5*time.Second {
-		t.Errorf("now = %v", c.Now())
-	}
 }
 
 func TestAddNodeIdempotent(t *testing.T) {
