@@ -12,8 +12,8 @@ import (
 
 // This file implements a reference interpreter for monitoring plans over
 // *finite* input sets and uses it for the central semantic property:
-// optimization (selection pushdown + placement) never changes a plan's
-// results.
+// optimization (canonicalization, selection pushdown, placement) never
+// changes a plan's results.
 
 // evalPlan evaluates a plan over fixed per-alerter inputs, ignoring
 // placement. Joins are evaluated as full cross-products filtered by their
@@ -82,6 +82,25 @@ func evalPlan(t *testing.T, n *Node, inputs map[string][]*xmltree.Node) []*xmltr
 				seen[key] = true
 				out = append(out, it)
 			}
+		}
+		return out
+	case OpGroup:
+		// One window over all inputs: a <group key count/> per key, in
+		// first-seen order.
+		counts := map[string]int{}
+		var keys []string
+		for _, it := range evalPlan(t, n.Inputs[0], inputs) {
+			key := it.AttrOr(n.Group.KeyAttr, "")
+			if counts[key] == 0 {
+				keys = append(keys, key)
+			}
+			counts[key]++
+		}
+		out := make([]*xmltree.Node, len(keys))
+		for i, key := range keys {
+			out[i] = xmltree.Elem("group")
+			out[i].SetAttr("key", key)
+			out[i].SetAttr("count", fmt.Sprint(counts[key]))
 		}
 		return out
 	case OpPublish:
@@ -153,6 +172,14 @@ func TestQuickOptimizationPreservesSemantics(t *testing.T) {
 		 where $e.callMethod = "Ping"
 		 return <hit id="{$e.callId}" to="{$e.callee}"/>
 		 by publish as channel "q6"`,
+		// Groups over a union: the identity Π under γ and δ is dropped.
+		`for $e in outCOM(<p>a.com</p><p>b.com</p><p>c.com</p>)
+		 where $e.callMethod = "Ping"
+		 return $e group on "caller" window "10s"
+		 by publish as channel "q7"`,
+		`for $e in outCOM(<p>a.com</p><p>b.com</p><p>c.com</p>)
+		 return distinct $e group on "callee" window "10s"
+		 by publish as channel "q8"`,
 	}
 	plans := make([][2]*Node, 0, len(subs))
 	for _, src := range subs {

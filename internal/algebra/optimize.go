@@ -23,15 +23,47 @@ func DefaultOptions(subscriber string) Options {
 }
 
 // Optimize rewrites the plan in place using algebraic rewrite rules
-// (selection pushdown, σ-merging, Π through ∪) and the placement
-// heuristics of Section 3.4, and returns it. After Optimize every operator
-// is concrete: no peer is left @any.
+// (canonicalization, selection pushdown, σ-merging, Π through ∪) and the
+// placement heuristics of Section 3.4, and returns it. Canonicalization
+// runs on every call, with or without Pushdown. After Optimize every
+// operator is concrete: no peer is left @any.
 func Optimize(plan *Node, opts Options) *Node {
+	plan = canonicalize(plan)
 	if opts.Pushdown {
 		plan = pushProjections(pushdown(plan))
 	}
 	place(plan, opts.SubscriberPeer)
 	return plan
+}
+
+// canonicalize brings a plan to the normal form the later rewrites
+// recognise. It drops an identity Π that sits directly under a γ or a δ:
+// P2PML compiles `return $e group …` to γ(Π[$e](∪(…))), and only γ
+// directly over ∪ becomes an aggregation tree and signs as one
+// (aggtree.Rewrite, FlatGroupSignature). The Π is the identity when it
+// returns its input's one variable with no LET: bindItem binds a
+// single-variable stream's item itself, RestructApply then returns a
+// clone of that tree, and γ and δ only read the tree they are handed.
+func canonicalize(n *Node) *Node {
+	for i := range n.Inputs {
+		n.Inputs[i] = canonicalize(n.Inputs[i])
+		if (n.Op == OpGroup || n.Op == OpDistinct) && isIdentityRestruct(n.Inputs[i]) {
+			n.Inputs[i] = n.Inputs[i].Inputs[0]
+		}
+	}
+	return n
+}
+
+// isIdentityRestruct reports whether n is a Π that returns its input's
+// single variable unchanged: Restruct is a bare $v with no LET, over an
+// input whose schema is exactly [v].
+func isIdentityRestruct(n *Node) bool {
+	if n.Op != OpRestruct || len(n.Inputs) != 1 || len(n.Restruct.Lets) > 0 {
+		return false
+	}
+	ref, ok := n.Restruct.Expr.(*p2pml.VarRef)
+	schema := n.Inputs[0].Schema
+	return ok && len(schema) == 1 && schema[0] == ref.Var
 }
 
 // pushProjections moves every Π that sits directly over a ∪ into the

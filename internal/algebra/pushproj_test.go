@@ -105,9 +105,73 @@ func checkNoPushableProjection(t *testing.T, plan *Node) {
 	})
 }
 
+// TestOptimizeDropsIdentityUnderAggregate: canonicalization removes a Π
+// that returns its input's one variable from under a γ or a δ, with or
+// without pushdown, so a P2PML group is γ directly over ∪; every other Π
+// stays where it is.
+func TestOptimizeDropsIdentityUnderAggregate(t *testing.T) {
+	cases := []struct {
+		name, sub, want string
+	}{
+		{"group",
+			`for $e in ` + inPeers(3) + ` return $e group on "callee" window "10s" by channel G`,
+			"publisher@mgr(γ@s2(∪@s2(in@s0, in@s1, in@s2)))"},
+		{"distinct group",
+			`for $e in ` + inPeers(3) + ` return distinct $e group on "callee" window "10s" by channel G`,
+			"publisher@mgr(γ@s2(δ@s2(∪@s2(in@s0, in@s1, in@s2))))"},
+		{"distinct",
+			`for $e in ` + inPeers(2) + ` return distinct $e by channel D`,
+			"publisher@mgr(δ@s1(∪@s1(in@s0, in@s1)))"},
+		{"identity under the publisher stays",
+			`for $e in ` + inPeers(2) + ` return $e by channel X`,
+			"publisher@mgr(Π@s1(∪@s1(in@s0, in@s1)))"},
+		{"a variable of a join tuple stays",
+			`for $a in inCOM(<p>s0</p>), $b in inCOM(<p>s1</p>) where $a.callId = $b.callId return $a group on "callee" window "10s" by channel G`,
+			"publisher@mgr(γ@s1(Π@s1(⋈@s1(in@s0, in@s1))))"},
+		{"a spliced tree stays",
+			`for $e in ` + inPeers(2) + ` return <x>{$e}</x> group on "callee" window "10s" by channel G`,
+			"publisher@mgr(γ@s1(Π@s1(∪@s1(in@s0, in@s1))))"},
+		{"a LET variable stays",
+			`for $e in ` + inPeers(2) + ` let $x := $e return $x group on "callee" window "10s" by channel G`,
+			"publisher@mgr(γ@s1(Π@s1(∪@s1(in@s0, in@s1))))"},
+	}
+	for _, tc := range cases {
+		for _, pushdown := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/pushdown=%t", tc.name, pushdown), func(t *testing.T) {
+				plan, err := Compile(p2pml.MustParse(tc.sub))
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan = Optimize(plan, Options{SubscriberPeer: "mgr", Pushdown: pushdown})
+				if got := plan.String(); got != tc.want {
+					t.Errorf("plan =\n  %s\nwant\n  %s", got, tc.want)
+				}
+				checkNoIdentityUnderAggregate(t, plan)
+			})
+		}
+	}
+}
+
+// checkNoIdentityUnderAggregate fails when an optimized plan still has an
+// identity Π over a single-variable input directly under a γ or a δ.
+func checkNoIdentityUnderAggregate(t *testing.T, plan *Node) {
+	t.Helper()
+	plan.Walk(func(n *Node) {
+		if n.Op != OpGroup && n.Op != OpDistinct {
+			return
+		}
+		for _, in := range n.Inputs {
+			if isIdentityRestruct(in) {
+				t.Errorf("%s @%s is still directly under %s:\n%s", in.Label(), in.Peer, n.Label(), plan.Tree())
+			}
+		}
+	})
+}
+
 // FuzzSubscription: the subscription front end — Parse, Compile,
 // Optimize — never panics on any text, and a plan it accepts has every
-// Π that can move through a ∪ moved.
+// Π that can move through a ∪ moved and no identity Π left under a γ or
+// a δ.
 func FuzzSubscription(f *testing.F) {
 	for _, src := range []string{
 		figure1,
@@ -118,6 +182,8 @@ func FuzzSubscription(f *testing.F) {
 		`for $j in areRegistered(<p>s.com</p>) for $c in inCOM($j) return $c by channel W`,
 		`for $x in channel("a@p") return distinct <a>{$x.k}</a> by file "f"`,
 		`for $e in outCOM(<p>a</p><p>b</p>) let $d := $e.responseTimestamp - $e.callTimestamp where $d > 1 return <s d="{$d}"/> by email "x"`,
+		`for $e in ` + inPeers(3) + ` return distinct $e group on "callee" window "10s" by channel G`,
+		`for $e in ` + inPeers(2) + ` let $d := $e.responseTimestamp - $e.callTimestamp where $d > 1 return $e group on "callee" window "10s" by channel G`,
 	} {
 		f.Add(src)
 	}
@@ -130,6 +196,8 @@ func FuzzSubscription(f *testing.F) {
 		if err != nil {
 			return
 		}
-		checkNoPushableProjection(t, Optimize(plan, DefaultOptions("mgr")))
+		plan = Optimize(plan, DefaultOptions("mgr"))
+		checkNoPushableProjection(t, plan)
+		checkNoIdentityUnderAggregate(t, plan)
 	})
 }

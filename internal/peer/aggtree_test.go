@@ -3,11 +3,13 @@ package peer
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"p2pm/internal/aggtree"
 	"p2pm/internal/algebra"
+	"p2pm/internal/stream"
 	"p2pm/internal/xmltree"
 )
 
@@ -18,8 +20,18 @@ import (
 // at mgr. With opts.Agg.Degree set, deployment decomposes it into a tree.
 func aggWorld(t *testing.T, opts Config, sources, workers int) (*System, *Task) {
 	t.Helper()
+	sys := aggPeers(opts, sources, workers)
+	task, err := sys.Peer("mgr").DeployPlan(countPlan(sources, "agg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, task
+}
+
+// aggPeers is aggWorld's cluster with nothing deployed.
+func aggPeers(opts Config, sources, workers int) *System {
 	sys := MustSystem(opts)
-	mgr := sys.MustAddPeer("mgr")
+	sys.MustAddPeer("mgr")
 	sys.MustAddPeer("client")
 	for i := 0; i < sources; i++ {
 		sp := sys.MustAddPeer(fmt.Sprintf("s%d", i))
@@ -31,11 +43,7 @@ func aggWorld(t *testing.T, opts Config, sources, workers int) (*System, *Task) 
 		sys.MustAddPeer(fmt.Sprintf("w%d", i))
 	}
 	sys.SetAggHosts(func(name string) bool { return name[0] == 'w' })
-	task, err := mgr.DeployPlan(countPlan(sources, "agg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys, task
+	return sys
 }
 
 // countPlan is the flat windowed count-per-callee over sources
@@ -136,6 +144,102 @@ func TestAggTreeDeployMatchesFlat(t *testing.T) {
 	got := groupRecords(t, treeTask)
 	if !equalRecords(got, want) {
 		t.Errorf("tree records differ from flat:\n tree: %v\n flat: %v", got, want)
+	}
+}
+
+// TestP2PMLGroupBuildsAndSharesTree: a P2PML `return $e group …` over
+// more sources than Agg.Degree deploys as an aggregation tree, a
+// DeployPlanShared group plan over the same sources reuses all of it, a
+// P2PML group over a subset grafts onto its partials, and every
+// subscription's records are byte-identical to the same subscriptions on
+// a flat system — the distinct form, γ(δ(∪)), included.
+func TestP2PMLGroupBuildsAndSharesTree(t *testing.T) {
+	const sources, workers, events = 6, 3, 48
+	group := func(lo, hi int, distinct, channel string) string {
+		var b strings.Builder
+		for i := lo; i < hi; i++ {
+			fmt.Fprintf(&b, "<p>s%d</p>", i)
+		}
+		return fmt.Sprintf(`for $e in inCOM(%s) return %s$e group on "callee" window "10s" by channel %s`,
+			b.String(), distinct, channel)
+	}
+	run := func(t *testing.T, degree int) [][]string {
+		opts := DefaultConfig()
+		opts.Agg.Degree = degree
+		sys := aggPeers(opts, sources, workers)
+		mgr := sys.Peer("mgr")
+		wide, err := mgr.Subscribe(group(0, sources, "", "wide"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := mgr.DeployPlanShared(countPlan(sources, "shared"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		narrow, err := mgr.Subscribe(group(1, 5, "", "narrow"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct, err := mgr.Subscribe(group(0, sources, "distinct ", "distinct"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if degree > 1 {
+			leaves := 0
+			wide.Plan.Walk(func(n *algebra.Node) {
+				if n.Op == algebra.OpPartialAgg {
+					leaves++
+				}
+			})
+			if interiors := len(aggtree.Interiors(wide.Plan)); leaves != sources || interiors != 2 {
+				t.Fatalf("P2PML group: %d γp leaves and %d γm interiors, want %d and 2:\n%s",
+					leaves, interiors, sources, wide.Plan.Tree())
+			}
+			if shared.Reuse.NewOps != 0 {
+				t.Errorf("DeployPlanShared over the same sources deployed %d new operators, want 0:\n%s",
+					shared.Reuse.NewOps, shared.Plan.Tree())
+			}
+			partials := map[stream.Ref]bool{}
+			for n, ref := range wide.refs {
+				if n.Op == algebra.OpPartialAgg || n.Op == algebra.OpMergeAgg && !n.Group.Final {
+					partials[ref] = true
+				}
+			}
+			grafted := 0
+			narrow.Plan.Walk(func(n *algebra.Node) {
+				switch {
+				case n.Op == algebra.OpAlerter:
+					t.Errorf("narrow deployed its own %s instead of grafting", n.Label())
+				case n.Op == algebra.OpChannelIn && partials[n.Channel]:
+					grafted++
+				}
+			})
+			if grafted == 0 {
+				t.Errorf("narrow grafted onto none of wide's partials:\n%s", narrow.Plan.Tree())
+			}
+		}
+		driveAgg(t, sys, sources, events, time.Second)
+		for i := 0; i < 8; i++ {
+			sys.Step(time.Second)
+		}
+		// wide feeds shared and narrow: stopping it first flushes their
+		// trailing windows through the shared streams' EOS.
+		var out [][]string
+		for _, task := range []*Task{wide, shared, narrow, distinct} {
+			out = append(out, groupRecords(t, task))
+			sys.Quiesce()
+		}
+		return out
+	}
+	want := run(t, 0)
+	got := run(t, 3)
+	for i, name := range []string{"wide", "shared", "narrow", "distinct"} {
+		if len(want[i]) == 0 {
+			t.Errorf("%s: flat run produced no records", name)
+		}
+		if !equalRecords(got[i], want[i]) {
+			t.Errorf("%s: tree records differ from flat:\n tree: %v\n flat: %v", name, got[i], want[i])
+		}
 	}
 }
 

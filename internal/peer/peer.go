@@ -192,8 +192,8 @@ func (p *Peer) start(task *Task) (*Task, error) {
 
 // DeployPlan deploys a programmatically built monitoring plan. The plan
 // must be rooted at a Publish node and fully placed (no @any operators) —
-// run algebra.Optimize first for placement. This is the escape hatch for
-// operators P2PML has no syntax for, such as windowed Group aggregation.
+// run algebra.Optimize first for placement. It serves plan shapes P2PML
+// cannot state, such as a Group over a union of Groups.
 func (p *Peer) DeployPlan(plan *algebra.Node) (*Task, error) {
 	if plan == nil || plan.Op != algebra.OpPublish {
 		return nil, fmt.Errorf("peer: plan must be rooted at a Publish node")
@@ -213,10 +213,10 @@ func (p *Peer) DeployPlan(plan *algebra.Node) (*Task, error) {
 // DeployPlanShared is DeployPlan preceded by the reuse pass: the plan is
 // covered with existing streams (exact matches, filter subsumption,
 // aggregate-tree grafting) before deployment, then re-placed so fresh
-// operators follow their reused inputs. It is the sharing variant of the
-// escape hatch: programmatically built windowed-Group plans deployed
-// through it share aggregation trees across subscriptions. The input
-// plan is not modified.
+// operators follow their reused inputs. A built windowed-Group plan
+// deployed through it shares aggregation trees with other such plans and
+// with P2PML group subscriptions over the same sources. The input plan
+// is not modified.
 func (p *Peer) DeployPlanShared(plan *algebra.Node) (*Task, error) {
 	if plan == nil || plan.Op != algebra.OpPublish {
 		return nil, fmt.Errorf("peer: plan must be rooted at a Publish node")
