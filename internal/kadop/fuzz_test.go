@@ -52,6 +52,9 @@ func FuzzParseDef(f *testing.F) {
 	}
 	f.Add(`<Stream PeerId="p" StreamId="s" isAChannel="true"><Operator><inCOM/></Operator><Operands/><Stats avgVolume="1"/></Stream>`)
 	f.Add(`<Stream PeerId="p" StreamId="s" group="k/1s"><Operator><PartialAgg/></Operator><Sources><Src>inCOM(a)</Src></Sources><Operands><Operand OPeerId="a" OStreamId="s1"/></Operands></Stream>`)
+	// A group over a projection: the optimizer drops an identity Π under
+	// γ, so the subscriptions above no longer publish this shape.
+	f.Add(`<Stream PeerId="s1" StreamId="s4" isAChannel="true" signature="Group{callee/24s}(Restructure{$e}(Union{}(inCOM(s0),inCOM(s1))))"><Operator><Group/></Operator><Operands><Operand OPeerId="s1" OStreamId="s3"/></Operands><Stats/></Stream>`)
 	f.Add(`<Stream PeerId="p"`)
 	f.Fuzz(func(t *testing.T, text string) {
 		n, err := xmltree.Parse(text)
