@@ -20,29 +20,42 @@ import (
 )
 
 func main() {
-	expr := flag.String("e", "", "subscription text (instead of a file/stdin)")
-	subscriber := flag.String("subscriber", "p", "peer that manages the subscription")
-	parseOnly := flag.Bool("parse", false, "stop after parsing (print canonical form only)")
-	flag.Parse()
-
-	src, err := input(*expr, flag.Args())
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		if err == flag.ErrHelp {
+			os.Exit(0)
+		}
+		os.Exit(1)
+	}
+}
+
+// run compiles the subscription that args name (or stdin holds) and
+// writes its explanation to out.
+func run(args []string, stdin io.Reader, out io.Writer) error {
+	fs := flag.NewFlagSet("p2pmlc", flag.ContinueOnError)
+	expr := fs.String("e", "", "subscription text (instead of a file/stdin)")
+	subscriber := fs.String("subscriber", "p", "peer that manages the subscription")
+	parseOnly := fs.Bool("parse", false, "stop after parsing (print canonical form only)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	src, err := input(*expr, fs.Args(), stdin)
+	if err != nil {
+		return err
 	}
 	ex, err := core.Explain(src, *subscriber)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	if *parseOnly {
-		fmt.Println(ex.Subscription.String())
-		return
+		_, err = fmt.Fprintln(out, ex.Subscription.String())
+		return err
 	}
-	fmt.Println(ex.String())
+	_, err = fmt.Fprintln(out, ex.String())
+	return err
 }
 
-func input(expr string, args []string) (string, error) {
+func input(expr string, args []string, stdin io.Reader) (string, error) {
 	if expr != "" {
 		return expr, nil
 	}
@@ -56,7 +69,7 @@ func input(expr string, args []string) (string, error) {
 	if len(args) > 1 {
 		return "", fmt.Errorf("p2pmlc: at most one input file")
 	}
-	b, err := io.ReadAll(os.Stdin)
+	b, err := io.ReadAll(stdin)
 	if err != nil {
 		return "", err
 	}
