@@ -16,15 +16,12 @@ import (
 	"io"
 	"os"
 
-	"p2pm/internal/core"
+	"p2pm/internal/peer"
 )
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		if err == flag.ErrHelp {
-			os.Exit(0)
-		}
 		os.Exit(1)
 	}
 }
@@ -43,16 +40,16 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ex, err := core.Explain(src, *subscriber)
+	ex, err := peer.Explain(src, *subscriber)
 	if err != nil {
 		return err
 	}
 	if *parseOnly {
-		_, err = fmt.Fprintln(out, ex.Subscription.String())
-		return err
+		fmt.Fprintln(out, ex.Subscription)
+		return nil
 	}
-	_, err = fmt.Fprintln(out, ex.String())
-	return err
+	fmt.Fprintln(out, ex)
+	return nil
 }
 
 func input(expr string, args []string, stdin io.Reader) (string, error) {

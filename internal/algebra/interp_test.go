@@ -17,37 +17,38 @@ import (
 
 // evalPlan evaluates a plan over fixed per-alerter inputs, ignoring
 // placement. Joins are evaluated as full cross-products filtered by their
-// predicates, so the result is order-insensitive.
-func evalPlan(t *testing.T, n *Node, inputs map[string][]*xmltree.Node) []*xmltree.Node {
-	t.Helper()
+// predicates, so the result is order-insensitive. It fails on an
+// operator it does not evaluate (see evaluable) and on a Π that errs.
+func evalPlan(n *Node, inputs map[string][]*xmltree.Node) ([]*xmltree.Node, error) {
+	var ins [][]*xmltree.Node
+	for _, in := range n.Inputs {
+		items, err := evalPlan(in, inputs)
+		if err != nil {
+			return nil, err
+		}
+		ins = append(ins, items)
+	}
+	var out []*xmltree.Node
 	switch n.Op {
 	case OpAlerter:
-		key := n.Alerter.Func + "@" + n.Alerter.Peer
-		return inputs[key]
+		return inputs[n.Alerter.Func+"@"+n.Alerter.Peer], nil
 	case OpSelect:
 		pred := SelectPred(n.Inputs[0].Schema, n.Select)
-		var out []*xmltree.Node
-		for _, it := range evalPlan(t, n.Inputs[0], inputs) {
+		for _, it := range ins[0] {
 			if pred(it) {
 				out = append(out, it)
 			}
 		}
-		return out
 	case OpUnion:
-		var out []*xmltree.Node
-		for _, in := range n.Inputs {
-			out = append(out, evalPlan(t, in, inputs)...)
+		for _, items := range ins {
+			out = append(out, items...)
 		}
-		return out
 	case OpJoin:
 		lk, rk := JoinKeys(n.Inputs[0].Schema, n.Inputs[1].Schema, n.Join)
 		res := JoinResidual(n.Inputs[0].Schema, n.Inputs[1].Schema, n.Join)
 		combine := JoinCombine(n.Inputs[0].Schema, n.Inputs[1].Schema)
-		left := evalPlan(t, n.Inputs[0], inputs)
-		right := evalPlan(t, n.Inputs[1], inputs)
-		var out []*xmltree.Node
-		for _, l := range left {
-			for _, r := range right {
+		for _, l := range ins[0] {
+			for _, r := range ins[1] {
 				k1, ok1 := lk(l)
 				k2, ok2 := rk(r)
 				if !ok1 || !ok2 || k1 != k2 {
@@ -59,55 +60,63 @@ func evalPlan(t *testing.T, n *Node, inputs map[string][]*xmltree.Node) []*xmltr
 				out = append(out, combine(l, r))
 			}
 		}
-		return out
 	case OpRestruct:
 		apply := RestructApply(n.Inputs[0].Schema, n.Restruct)
-		var out []*xmltree.Node
-		for _, it := range evalPlan(t, n.Inputs[0], inputs) {
+		for _, it := range ins[0] {
 			tree, err := apply(it)
 			if err != nil {
-				t.Fatalf("restructure: %v", err)
+				return nil, fmt.Errorf("restructure: %w", err)
 			}
 			if tree != nil {
 				out = append(out, tree)
 			}
 		}
-		return out
 	case OpDistinct:
 		seen := map[string]bool{}
-		var out []*xmltree.Node
-		for _, it := range evalPlan(t, n.Inputs[0], inputs) {
+		for _, it := range ins[0] {
 			key := it.Canonical()
 			if !seen[key] {
 				seen[key] = true
 				out = append(out, it)
 			}
 		}
-		return out
 	case OpGroup:
 		// One window over all inputs: a <group key count/> per key, in
 		// first-seen order.
 		counts := map[string]int{}
 		var keys []string
-		for _, it := range evalPlan(t, n.Inputs[0], inputs) {
+		for _, it := range ins[0] {
 			key := it.AttrOr(n.Group.KeyAttr, "")
 			if counts[key] == 0 {
 				keys = append(keys, key)
 			}
 			counts[key]++
 		}
-		out := make([]*xmltree.Node, len(keys))
-		for i, key := range keys {
-			out[i] = xmltree.Elem("group")
-			out[i].SetAttr("key", key)
-			out[i].SetAttr("count", fmt.Sprint(counts[key]))
+		for _, key := range keys {
+			g := xmltree.Elem("group")
+			g.SetAttr("key", key)
+			g.SetAttr("count", fmt.Sprint(counts[key]))
+			out = append(out, g)
 		}
-		return out
 	case OpPublish:
-		return evalPlan(t, n.Inputs[0], inputs)
+		return ins[0], nil
+	default:
+		return nil, fmt.Errorf("interpreter: unsupported op %v", n.Op)
 	}
-	t.Fatalf("interpreter: unsupported op %v", n.Op)
-	return nil
+	return out, nil
+}
+
+// evaluable reports whether evalPlan evaluates every operator of plan.
+func evaluable(plan *Node) bool {
+	ok := true
+	plan.Walk(func(n *Node) {
+		switch n.Op {
+		case OpAlerter, OpSelect, OpUnion, OpJoin, OpRestruct, OpDistinct, OpGroup, OpPublish:
+		default:
+			ok = false
+		}
+	})
+	return ok
 }
 
 func canonSet(items []*xmltree.Node) string {
@@ -202,8 +211,15 @@ func TestQuickOptimizationPreservesSemantics(t *testing.T) {
 			}
 		}
 		for i, pair := range plans {
-			got := canonSet(evalPlan(t, pair[1], inputs))
-			want := canonSet(evalPlan(t, pair[0], inputs))
+			optimized, err := evalPlan(pair[1], inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			naive, err := evalPlan(pair[0], inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := canonSet(optimized), canonSet(naive)
 			if got != want {
 				t.Logf("seed=%d sub=%d:\n naive: %s\n optim: %s", seed, i, want, got)
 				return false

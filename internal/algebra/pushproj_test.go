@@ -2,10 +2,13 @@ package algebra
 
 import (
 	"fmt"
+	"hash/fnv"
+	"regexp"
 	"strings"
 	"testing"
 
 	"p2pm/internal/p2pml"
+	"p2pm/internal/xmltree"
 )
 
 // inPeers renders inCOM(<p>s0</p>…<p>s{n-1}</p>).
@@ -171,7 +174,11 @@ func checkNoIdentityUnderAggregate(t *testing.T, plan *Node) {
 // FuzzSubscription: the subscription front end — Parse, Compile,
 // Optimize — never panics on any text, and a plan it accepts has every
 // Π that can move through a ∪ moved and no identity Π left under a γ or
-// a δ.
+// a δ; neither the compiled nor the optimized plan has a ∪ directly
+// under a ∪. Optimize, with and without pushdown, keeps the compiled plan's
+// results on alert traces drawn from the subscription's own constants
+// (checkSameResults), and no Π it put below a ∪ copies its whole input
+// tree (checkPushedProjectionsCut).
 func FuzzSubscription(f *testing.F) {
 	for _, src := range []string{
 		figure1,
@@ -192,12 +199,137 @@ func FuzzSubscription(f *testing.F) {
 		if err != nil {
 			return
 		}
-		plan, err := Compile(sub)
+		naive, err := Compile(sub)
 		if err != nil {
 			return
 		}
-		plan = Optimize(plan, DefaultOptions("mgr"))
+		plan := Optimize(naive.Clone(), DefaultOptions("mgr"))
 		checkNoPushableProjection(t, plan)
 		checkNoIdentityUnderAggregate(t, plan)
+		checkNoNestedUnion(t, naive)
+		checkNoNestedUnion(t, plan)
+		if !evaluable(naive) || naive.Count() > 40 {
+			return
+		}
+		traces := alertTraces(src, naive)
+		checkSameResults(t, naive, plan, traces)
+		checkSameResults(t, naive, Optimize(naive.Clone(), Options{SubscriberPeer: "mgr"}), traces)
+		checkPushedProjectionsCut(t, plan, traces)
+	})
+}
+
+var (
+	comparedConst = regexp.MustCompile(`\$\w+\.(\w+)\s*(?:!=|<=|>=|=|<|>)\s*(?:"([^"]*)"|(-?[0-9]+(?:\.[0-9]+)?))`)
+	numberConst   = regexp.MustCompile(`-?[0-9]+(?:\.[0-9]+)?`)
+	attrName      = regexp.MustCompile(`\$\w+\.(\w+)`)
+)
+
+// alertTraces builds a few seeded inputs for plan's alerters. Every
+// alert carries the WS attributes and every attribute the subscription
+// names. An attribute the subscription compares with constants takes one
+// of them; any other takes "0" or "100", so joins find partners and
+// differences have a sign. Every other trace widens both pools with "x"
+// and the numbers the subscription mentions, so conditions fail too.
+func alertTraces(src string, plan *Node) []map[string][]*xmltree.Node {
+	narrow := []string{"0", "100"}
+	wide := append([]string{"0", "100", "x"}, numberConst.FindAllString(src, -1)...)
+	compared := map[string][]string{}
+	for _, m := range comparedConst.FindAllStringSubmatch(src, -1) {
+		compared[m[1]] = append(compared[m[1]], m[2]+m[3])
+	}
+	attrs := []string{"callId", "callMethod", "callee", "caller", "callTimestamp", "responseTimestamp"}
+	for _, m := range attrName.FindAllStringSubmatch(src, -1) {
+		attrs = append(attrs, m[1])
+	}
+	var sources []string
+	plan.Walk(func(n *Node) {
+		if n.Op == OpAlerter {
+			sources = append(sources, n.Alerter.Func+"@"+n.Alerter.Peer)
+		}
+	})
+	h := fnv.New64a()
+	h.Write([]byte(src))
+	rnd := newRand2(int64(h.Sum64()))
+	traces := make([]map[string][]*xmltree.Node, 4)
+	for i := range traces {
+		traces[i] = map[string][]*xmltree.Node{}
+		for _, key := range sources {
+			for j := rnd.Intn(7); j > 0; j-- {
+				n := xmltree.Elem("alert")
+				for _, a := range attrs {
+					values := narrow
+					if c := compared[a]; len(c) > 0 {
+						values = c
+					}
+					if i%2 == 1 {
+						values = append(values[:len(values):len(values)], wide...)
+					}
+					n.SetAttr(a, values[rnd.Intn(len(values))])
+				}
+				traces[i][key] = append(traces[i][key], n)
+			}
+		}
+	}
+	return traces
+}
+
+// checkNoNestedUnion fails when a ∪ sits directly under a ∪. Compile
+// emits one ∪ per multi-peer alerter source, over alerters only, and a
+// nested for feeds its σ, Π, γ or δ to the outer plan, never a ∪; so
+// the normal form needs no flattening rule while this holds.
+func checkNoNestedUnion(t *testing.T, plan *Node) {
+	t.Helper()
+	plan.Walk(func(n *Node) {
+		for _, in := range n.Inputs {
+			if n.Op == OpUnion && in.Op == OpUnion {
+				t.Fatalf("∪ directly under a ∪:\n%s", plan.Tree())
+			}
+		}
+	})
+}
+
+// checkSameResults fails when optimized and naive disagree on a trace:
+// different result sets, or one of them errs where the other does not.
+func checkSameResults(t *testing.T, naive, optimized *Node, traces []map[string][]*xmltree.Node) {
+	t.Helper()
+	for _, in := range traces {
+		want, werr := evalPlan(naive, in)
+		got, gerr := evalPlan(optimized, in)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("compiled plan errs %v, optimized %v:\n%s", werr, gerr, optimized.Tree())
+		}
+		if w, g := canonSet(want), canonSet(got); w != g {
+			t.Fatalf("optimization changed the results:\n compiled  %s\n optimized %s\n%s", w, g, optimized.Tree())
+		}
+	}
+}
+
+// checkPushedProjectionsCut fails when a Π that sits directly under a ∪
+// emits an item containing the whole item it was given: such a Π ships
+// no fewer bytes from the branch than the raw stream would, which is why
+// Optimize leaves it above the ∪.
+func checkPushedProjectionsCut(t *testing.T, plan *Node, traces []map[string][]*xmltree.Node) {
+	t.Helper()
+	plan.Walk(func(u *Node) {
+		if u.Op != OpUnion {
+			return
+		}
+		for _, b := range u.Inputs {
+			if b.Op != OpRestruct {
+				continue
+			}
+			apply := RestructApply(b.Inputs[0].Schema, b.Restruct)
+			for _, in := range traces {
+				items, err := evalPlan(b.Inputs[0], in)
+				if err != nil {
+					return
+				}
+				for _, it := range items {
+					if out, err := apply(it); err == nil && out != nil && strings.Contains(out.Canonical(), it.Canonical()) {
+						t.Fatalf("%s @%s under a ∪ copies its whole input %s:\n%s", b.Label(), b.Peer, it.Canonical(), plan.Tree())
+					}
+				}
+			}
+		}
 	})
 }

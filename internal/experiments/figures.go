@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"p2pm/internal/algebra"
-	"p2pm/internal/core"
 	"p2pm/internal/dht"
 	"p2pm/internal/filter"
 	"p2pm/internal/kadop"
@@ -92,7 +91,7 @@ func runF3(Scale) (*Result, error) {
 	res := &Result{ID: "F3", Claim: "Figure 3: subscription → compiled plan → optimized plan → deployed task"}
 	cfg := workload.DefaultMeteo()
 	src := workload.MeteoSubscription(cfg.Clients, cfg.Server)
-	ex, err := core.Explain(src, "p")
+	ex, err := peer.Explain(src, "p")
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +112,7 @@ func runF3(Scale) (*Result, error) {
 func runF4(Scale) (*Result, error) {
 	res := &Result{ID: "F4", Claim: "Figure 4: σ at a.com/b.com, ∪ at b.com, ⋈ and Π at meteo.com, publisher at p, fragments linked by channels"}
 	cfg := workload.DefaultMeteo()
-	ex, err := core.Explain(workload.MeteoSubscription(cfg.Clients, cfg.Server), "p")
+	ex, err := peer.Explain(workload.MeteoSubscription(cfg.Clients, cfg.Server), "p")
 	if err != nil {
 		return nil, err
 	}

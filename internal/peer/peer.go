@@ -8,7 +8,6 @@ import (
 	"p2pm/internal/alerters"
 	"p2pm/internal/algebra"
 	"p2pm/internal/p2pml"
-	"p2pm/internal/reuse"
 	"p2pm/internal/rss"
 	"p2pm/internal/soap"
 	"p2pm/internal/stream"
@@ -140,39 +139,15 @@ func (p *Peer) Subscribe(src string) (*Task, error) {
 	return p.SubscribeParsed(sub)
 }
 
-// SubscribeParsed is Subscribe for an already-parsed subscription.
+// SubscribeParsed is Subscribe for an already-parsed subscription. It
+// deploys the last stage of the system's pipeline, which Explain shows.
 func (p *Peer) SubscribeParsed(sub *p2pml.Subscription) (*Task, error) {
-	plan, err := algebra.Compile(sub)
+	ex := Explanation{Subscription: sub}
+	plan, err := p.sys.pipeline(p.name).run(&ex)
 	if err != nil {
 		return nil, err
 	}
-	opts := algebra.DefaultOptions(p.name)
-	opts.Pushdown = p.sys.cfg.Pushdown
-	plan = algebra.Optimize(plan, opts)
-
-	var reuseRes *reuse.Result
-	if p.sys.cfg.Reuse {
-		reuseRes, err = p.reuseOptions().Apply(plan, p.sys.DB)
-		if err != nil {
-			return nil, err
-		}
-		plan = reuseRes.Plan
-		// Re-run placement: operators that now sit above reused channels
-		// should follow their new inputs (e.g. a residual filter runs at
-		// the chosen provider, not where the original plan put it).
-		plan = algebra.Optimize(plan, algebra.Options{SubscriberPeer: p.name, Pushdown: false})
-	}
-	return p.start(&Task{Sub: sub, Plan: plan, Reuse: reuseRes})
-}
-
-// reuseOptions is this manager's reuse pass: discover from here, consume
-// here, prefer a live provider that is close and unloaded.
-func (p *Peer) reuseOptions() reuse.Options {
-	return reuse.Options{
-		From:     p.name,
-		Consumer: p.name,
-		Choose:   aliveOnly(p.sys, reuse.PreferClose(p.sys.Net.Distance, p.sys.load)),
-	}
+	return p.start(&Task{Sub: sub, Plan: plan, Reuse: ex.Reuse})
 }
 
 // start is the one way a task comes to run under this manager: it gets
@@ -210,23 +185,24 @@ func (p *Peer) DeployPlan(plan *algebra.Node) (*Task, error) {
 	return p.start(&Task{Plan: plan.Clone()})
 }
 
-// DeployPlanShared is DeployPlan preceded by the reuse pass: the plan is
-// covered with existing streams (exact matches, filter subsumption,
-// aggregate-tree grafting) before deployment, then re-placed so fresh
-// operators follow their reused inputs. A built windowed-Group plan
-// deployed through it shares aggregation trees with other such plans and
-// with P2PML group subscriptions over the same sources. The input plan
-// is not modified.
+// DeployPlanShared is DeployPlan preceded by the pipeline's reuse
+// stage, which runs whatever Config.Reuse says: the plan is covered with
+// existing streams (exact matches, filter subsumption, aggregate-tree
+// grafting) before deployment, then re-placed so fresh operators follow
+// their reused inputs. It does not optimize first, so a hand-placed γ
+// keeps its peer. A built windowed-Group plan deployed through it shares
+// aggregation trees with other such plans and with P2PML group
+// subscriptions over the same sources. The input plan is not modified.
 func (p *Peer) DeployPlanShared(plan *algebra.Node) (*Task, error) {
 	if plan == nil || plan.Op != algebra.OpPublish {
 		return nil, fmt.Errorf("peer: plan must be rooted at a Publish node")
 	}
-	res, err := p.reuseOptions().Apply(plan, p.sys.DB)
+	ex := Explanation{Optimized: plan}
+	shared, err := pipeline{sys: p.sys, subscriber: p.name, reuse: true}.run(&ex)
 	if err != nil {
 		return nil, err
 	}
-	shared := algebra.Optimize(res.Plan, algebra.Options{SubscriberPeer: p.name, Pushdown: false})
-	return p.start(&Task{Plan: shared, Reuse: res})
+	return p.start(&Task{Plan: shared, Reuse: ex.Reuse})
 }
 
 // Tasks lists the subscription database contents.

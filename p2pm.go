@@ -35,12 +35,19 @@
 //	task.Stop()
 //	for _, item := range task.Results().Drain() { ... }
 //
+// A subscription goes through one chain on its way to deployment
+// (Figure 3): compile, optimize and place, reuse existing streams, and
+// re-place. sys.Explain(src, "monitor") returns those stages without
+// deploying anything, and its last stage is the plan Subscribe would
+// deploy; Explain below renders the chain without a system, so without
+// the reuse stage. Neither shows the aggregation tree that deployment
+// may still build under a wide windowed group.
+//
 // The heavy lifting lives in the internal packages (filter, algebra,
 // p2pml, kadop, reuse, ...); this package re-exports the stable surface.
 package p2pm
 
 import (
-	"p2pm/internal/core"
 	"p2pm/internal/p2pml"
 	"p2pm/internal/peer"
 	"p2pm/internal/stream"
@@ -76,9 +83,6 @@ type ReplayConfig = peer.ReplayConfig
 // and the aggregation-host quarantine.
 type Tuning = peer.Tuning
 
-// Monitor is the high-level facade with explain tooling.
-type Monitor = core.Monitor
-
 // Subscription is a parsed P2PML statement.
 type Subscription = p2pml.Subscription
 
@@ -109,12 +113,6 @@ func NewSystem(cfg Config) (*System, error) { return peer.NewSystem(cfg) }
 // MustSystem is NewSystem that panics on a bad configuration.
 func MustSystem(cfg Config) *System { return peer.MustSystem(cfg) }
 
-// NewMonitor builds a system wrapped in the explain facade.
-func NewMonitor(cfg Config) (*Monitor, error) { return core.New(cfg) }
-
-// MustMonitor is NewMonitor that panics on a bad configuration.
-func MustMonitor(cfg Config) *Monitor { return core.MustNew(cfg) }
-
 // DefaultConfig enables the full feature set (pushdown, reuse, SOAP
 // envelopes in alerts) with 2-way DHT replication.
 func DefaultConfig() Config { return peer.DefaultConfig() }
@@ -123,9 +121,11 @@ func DefaultConfig() Config { return peer.DefaultConfig() }
 func Parse(src string) (*Subscription, error) { return p2pml.Parse(src) }
 
 // Explain renders the Figure 3 processing chain (parse → compile →
-// optimize) for a subscription, managed at the named peer.
+// optimize) for a subscription, managed at the named peer, as
+// peer.Explain runs it: no system, so no reuse stage. System.Explain
+// adds the reuse stage against a running system's streams.
 func Explain(src, subscriber string) (string, error) {
-	ex, err := core.Explain(src, subscriber)
+	ex, err := peer.Explain(src, subscriber)
 	if err != nil {
 		return "", err
 	}

@@ -74,16 +74,16 @@ return <m/> by publish as channel "x"`, "p")
 }
 
 func TestMonitorExplainIncludesReuse(t *testing.T) {
-	mon := p2pm.MustMonitor(p2pm.DefaultConfig())
-	mgr := mon.MustAddPeer("p")
-	mon.MustAddPeer("m.com")
+	sys := p2pm.MustSystem(p2pm.DefaultConfig())
+	mgr := sys.MustAddPeer("p")
+	sys.MustAddPeer("m.com")
 	sub := `for $e in inCOM(<p>m.com</p>) return $e by publish as channel "raw"`
 	task, err := mgr.Subscribe(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer task.Stop()
-	out, err := mon.Explain(sub, "p")
+	out, err := sys.Explain(sub, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
