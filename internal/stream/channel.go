@@ -197,7 +197,7 @@ func (c *Channel) EnableReplay(capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.replay == nil {
-		c.replay = newReplayBuffer(capacity, c.name)
+		c.replay = &replayBuffer{capacity: capacity, source: c.name}
 	}
 }
 
@@ -276,10 +276,10 @@ func (c *Channel) ReplayTrimmed() uint64 {
 func (c *Channel) ReplayLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.replay == nil || c.replay.lo == 0 {
+	if c.replay == nil {
 		return 0
 	}
-	return int(c.replay.hi - c.replay.lo + 1)
+	return c.replay.ring.Len()
 }
 
 // SubscribeFrom registers a subscriber that first receives the retained

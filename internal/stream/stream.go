@@ -107,6 +107,12 @@ func (r *Ring[T]) Pop() (v T, ok bool) {
 	return v, true
 }
 
+// At returns the i-th oldest element, 0 <= i < Len().
+func (r *Ring[T]) At(i int) T { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// Set replaces the i-th oldest element, 0 <= i < Len().
+func (r *Ring[T]) Set(i int, v T) { r.buf[(r.head+i)&(len(r.buf)-1)] = v }
+
 // Len returns the number of buffered elements.
 func (r *Ring[T]) Len() int { return r.n }
 
