@@ -275,36 +275,37 @@ func (e *edge) deliverable() bool {
 	return !e.sys.isStale(ref) && e.sys.Net.Alive(e.peer) && e.sys.Net.Reachable(from, e.peer)
 }
 
-// sync is the anti-entropy sweep over one edge: it retransmits the
-// retained items the cursor is genuinely missing (lost to drop faults or
-// a partition). Sequences the cursor already delivered or holds parked
-// ahead of order are not re-sent — they would only inflate the traffic
-// counters to be dropped as duplicates on arrival. Retransmissions pay the
-// link like any delivery, but reliably: replay stands in for the
-// acknowledged transfer a real deployment would use.
-func (e *edge) sync() {
+// repair is the anti-entropy sweep over one edge. It reads the window
+// of retained items the cursor may be missing (lost to drop faults or a
+// partition) and returns the retransmission, nil when there is nothing
+// to repair. Sequences the cursor already delivered or holds parked ahead
+// of order are not re-sent — they would only inflate the traffic counters
+// to be dropped as duplicates on arrival. Retransmissions pay the link
+// like any delivery, but reliably: replay stands in for the acknowledged
+// transfer a real deployment would use.
+func (e *edge) repair() func() {
 	ch, cur := e.src, e.cur
 	if cur == nil || !ch.ReplayEnabled() || e.done() || !e.deliverable() {
-		return
+		return nil
 	}
 	next, hi := cur.Next(), ch.Seq()
 	if next > hi {
-		return
+		return nil
 	}
 	items, first := ch.Replay(next, hi)
-	if first > next {
+	return func() {
 		cur.SkipTo(first)
-	}
-	sent := 0
-	for _, it := range items {
-		if cur.Has(it.Seq) {
-			continue
+		sent := 0
+		for _, it := range items {
+			if cur.Has(it.Seq) {
+				continue
+			}
+			cur.Offer(e.sys.Net.Send(ch.Ref().PeerID, e.peer, it))
+			sent++
 		}
-		cur.Offer(e.sys.Net.Send(ch.Ref().PeerID, e.peer, it))
-		sent++
-	}
-	if sent > 0 {
-		e.sys.replayed.Add(uint64(sent))
+		if sent > 0 {
+			e.sys.replayed.Add(uint64(sent))
+		}
 	}
 }
 
@@ -342,7 +343,10 @@ func (s *System) edgesOf(ref stream.Ref) []*edge {
 
 // syncEdges runs the sweep: replica forwarders first, as announced, so a
 // mirror is gap-free before anything reads it, then every edge of every
-// task a live manager holds.
+// task a live manager holds. A forwarder re-publishes synchronously, so
+// each is repaired as it is read. The task edges are all read before the
+// first is repaired: a re-send wakes its consumer's loop, whose publishes
+// must not show up in the window of an edge read later in the same pass.
 func (s *System) syncEdges() {
 	s.mu.Lock()
 	var reps []*edge
@@ -356,14 +360,22 @@ func (s *System) syncEdges() {
 	s.mu.Unlock()
 	sort.Slice(reps, func(i, j int) bool { return reps[i].id < reps[j].id })
 	for _, e := range reps {
-		e.sync()
+		if resend := e.repair(); resend != nil {
+			resend()
+		}
 	}
+	var resends []func()
 	for _, p := range s.livePeers() {
 		for _, t := range sortedTasks(p) {
 			for _, e := range t.edges {
-				e.sync()
+				if resend := e.repair(); resend != nil {
+					resends = append(resends, resend)
+				}
 			}
 		}
+	}
+	for _, resend := range resends {
+		resend()
 	}
 }
 

@@ -267,3 +267,72 @@ func TestEdgeIndexHoldsLiveEdgesOnly(t *testing.T) {
 	assertExactlyOnce(t, w.task, 10)
 	assertExactlyOnce(t, w.mirror, 10)
 }
+
+// TestSweepReadsEveryEdgeBeforeSending: the sweep's re-send into an
+// operator wakes its loop, which publishes into channels that edges swept
+// later in the same pass read. Two chained tasks — src → relay@w1 →
+// out1@p1, managed from m1, and out1@p1 → relay@w2 → out2@p2, managed
+// from m2 — lose events on src→w1 to a partition; after the heal, the
+// first sweep re-sends them into the w1 relay while the edge into w2,
+// swept later, reads out1. Were that edge read after the re-send, an
+// item still mid-publish at p1 would be re-sent too, and ReplayedItems
+// would depend on the schedule. It must be the same after every Step of
+// every run.
+func TestSweepReadsEveryEdgeBeforeSending(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const events, lost = 40, 30
+	relay := func(peer string, in *algebra.Node, pub, id string) *algebra.Node {
+		return &algebra.Node{
+			Op: algebra.OpPublish, Peer: pub, Schema: []string{"e"}, Publish: &algebra.PublishSpec{ChannelID: id},
+			Inputs: []*algebra.Node{{Op: algebra.OpUnion, Peer: peer, Inputs: []*algebra.Node{in}, Schema: []string{"e"}}},
+		}
+	}
+	run := func() []uint64 {
+		sys := MustSystem(replayOptions())
+		for _, name := range []string{"src", "m1", "m2", "w1", "w2", "p1", "p2"} {
+			sys.MustAddPeer(name)
+		}
+		srcCh := stream.NewChannel("src", "ev")
+		sys.registerChannel(srcCh)
+		chin := &algebra.Node{Op: algebra.OpChannelIn, Peer: "src", Channel: srcCh.Ref(), Schema: []string{"e"}}
+		first, err := sys.Peer("m1").DeployPlan(relay("w1", chin, "p1", "out1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out1 := &algebra.Node{Op: algebra.OpChannelIn, Peer: "p1", Channel: first.ResultChannel(), Schema: []string{"e"}}
+		second, err := sys.Peer("m2").DeployPlan(relay("w2", out1, "p2", "out2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var replayed []uint64
+		for i := 1; i <= events; i++ {
+			switch i {
+			case 5:
+				sys.Net.Partition([]string{"src"}, []string{"w1"})
+			case 5 + lost:
+				sys.Net.Heal()
+			}
+			tree := xmltree.Elem("e")
+			tree.SetAttr("id", fmt.Sprintf("%d", i))
+			srcCh.Publish(stream.Item{Tree: tree, Time: sys.Net.Clock().Now()})
+			if i < 5 || i >= 5+lost {
+				sys.Step(time.Second)
+				replayed = append(replayed, sys.ReplayedItems())
+			}
+		}
+		stepUntil(sys, func() bool { return second.Results().Len() >= events })
+		first.Stop()
+		second.Stop()
+		assertExactlyOnce(t, second, events)
+		return replayed
+	}
+	want := run()
+	if got := want[len(want)-1]; got != lost {
+		t.Fatalf("ReplayedItems = %d, want the %d events lost to the partition", got, lost)
+	}
+	for i := 1; i < 200 && !t.Failed(); i++ {
+		if got := run(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d: ReplayedItems after each Step = %v, first run %v", i, got, want)
+		}
+	}
+}
