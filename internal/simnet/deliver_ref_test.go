@@ -13,7 +13,7 @@ import (
 // section: Reachable, lose, countDropped and Send, each locking on its
 // own. It is the reference TestDeliverMatchesReference holds Deliver to.
 func (nw *Network) deliverRef(from, to string, it stream.Item) (stream.Item, bool) {
-	if !it.EOS() && (!nw.Reachable(from, to) || nw.loseRef(from, to)) {
+	if !it.EOS() && (!nw.Reachable(from, to) || nw.loseRef(from, to, it.Source)) {
 		nw.countDroppedRef(from, to)
 		return it, false
 	}
@@ -25,7 +25,7 @@ func (nw *Network) pingRef(from, to string, bytes int) (time.Duration, bool) {
 	if from == to {
 		return 0, true
 	}
-	if !nw.Reachable(from, to) || nw.loseRef(from, to) {
+	if !nw.Reachable(from, to) || nw.loseRef(from, to, pingClass) {
 		nw.countDroppedRef(from, to)
 		return 0, false
 	}
@@ -33,11 +33,12 @@ func (nw *Network) pingRef(from, to string, bytes int) (time.Duration, bool) {
 	return nw.Latency(from, to), true
 }
 
-func (nw *Network) loseRef(from, to string) bool {
+// loseRef takes the lock for the loss policy alone. The reference checks
+// the single critical section, not the policy, so both sides share it.
+func (nw *Network) loseRef(from, to, class string) bool {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	p, ok := nw.dropProb[[2]string{from, to}]
-	return ok && nw.rng.Float64() < p
+	return nw.loseLocked(from, to, class)
 }
 
 func (nw *Network) countDroppedRef(from, to string) {
@@ -61,7 +62,7 @@ func (nw *Network) countDroppedRef(from, to string) {
 // delay injections, latency overrides, deliveries (eos and local ones
 // included) and pings — one through Deliver and Ping, the other through
 // the composition they replaced. Every arrival stamp and verdict, every
-// link's stats, the totals and the network's rng position must agree.
+// link's stats and the totals must agree.
 func TestDeliverMatchesReference(t *testing.T) {
 	type faults struct{ crash, partition, drop, delay bool }
 	cases := []struct {
@@ -138,12 +139,34 @@ func TestDeliverMatchesReference(t *testing.T) {
 			if g, w := got.Totals(), ref.Totals(); g != w {
 				t.Errorf("totals %+v, reference %+v", g, w)
 			}
-			if g, w := got.Rand().Int63(), ref.Rand().Int63(); g != w {
-				t.Error("the rng is at a different position: the draws differ")
-			}
 			if tc.f.drop && got.Totals().Dropped == 0 {
 				t.Error("drop injection lost nothing: the schedule does not exercise it")
 			}
 		})
+	}
+}
+
+// TestLossDrawsLeaveCoordinatesAlone: the loss policy reads no shared
+// stream, so a node added after 1 000 deliveries over lossy links sits
+// where it would in a network that carried nothing.
+func TestLossDrawsLeaveCoordinatesAlone(t *testing.T) {
+	busy, idle := New(Options{Seed: 7}), New(Options{Seed: 7})
+	for _, n := range []string{"a", "b"} {
+		busy.AddNode(n)
+		idle.AddNode(n)
+	}
+	busy.SetDrop("a", "b", 0.5)
+	busy.SetDrop("b", "a", 0.5)
+	it := stream.Item{Tree: xmltree.ElemText("x", "payload"), Source: "s@a"}
+	for i := 0; i < 500; i++ {
+		busy.Deliver("a", "b", it)
+		busy.Deliver("b", "a", it)
+	}
+	if busy.Totals().Dropped == 0 {
+		t.Fatal("no delivery was lost: the links are not lossy")
+	}
+	got, want := busy.AddNode("late"), idle.AddNode("late")
+	if got.X != want.X || got.Y != want.Y {
+		t.Errorf("late node at (%v, %v) after lossy traffic, (%v, %v) in an idle network", got.X, got.Y, want.X, want.Y)
 	}
 }

@@ -113,16 +113,16 @@ func (nw *Network) reachableLocked(a, b string) bool {
 }
 
 // SetDrop injects message loss on the directed link a→b: each message is
-// dropped with probability p (seeded by the network's rng). p <= 0 clears
-// the injection.
+// dropped with probability p, decided by loseLocked. Setting p starts
+// the link's counts afresh; p <= 0 clears the injection and the counts.
 func (nw *Network) SetDrop(a, b string, p float64) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	if p <= 0 {
-		delete(nw.dropProb, [2]string{a, b})
+		delete(nw.lossy, [2]string{a, b})
 		return
 	}
-	nw.dropProb[[2]string{a, b}] = p
+	nw.lossy[[2]string{a, b}] = &lossyLink{p: p, sent: make(map[string]uint64)}
 }
 
 // SetExtraDelay injects additional delay on the directed link a→b, added
@@ -147,12 +147,46 @@ func (nw *Network) Ping(from, to string, bytes int) (time.Duration, bool) {
 	if from == to {
 		return 0, true
 	}
-	return nw.transfer(from, to, bytes)
+	return nw.transfer(from, to, pingClass, bytes)
 }
 
-// loseLocked decides whether a message on from→to is lost to injected
-// drop probability (seeded rng; unrelated links are unaffected).
-func (nw *Network) loseLocked(from, to string) bool {
-	p, ok := nw.dropProb[[2]string{from, to}]
-	return ok && nw.rng.Float64() < p
+// pingClass is the loss class of every Ping. A Deliver's class is its
+// item's Source, which a channel never leaves empty.
+const pingClass = ""
+
+// lossyLink is one link's injected loss: the probability and, per
+// class, how many messages have reached the decision.
+type lossyLink struct {
+	p    float64
+	sent map[string]uint64
+}
+
+// loseLocked is the loss policy: whether the next message of class on
+// from→to is lost to injected drop probability. The decision is
+// draw(seed, from, to, class, n) < p, with n the class's count on the
+// link, this message included, so it reads no shared stream and no
+// other link's or class's traffic. A link with no drop set never draws.
+func (nw *Network) loseLocked(from, to, class string) bool {
+	l := nw.lossy[[2]string{from, to}]
+	if l == nil {
+		return false
+	}
+	l.sent[class]++
+	return draw(nw.opts.Seed, from, to, class, l.sent[class]) < l.p
+}
+
+// draw is a number in [0, 1) that is a pure function of its arguments:
+// FNV-1a over the names, each closed by 0xff (a byte no UTF-8 text
+// holds), then the count folded in and mixed by splitmix64's finalizer.
+func draw(seed int64, from, to, class string, n uint64) float64 {
+	h := uint64(seed)
+	for _, s := range [...]string{from, to, class} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * 1099511628211
+		}
+		h = (h ^ 0xff) * 1099511628211
+	}
+	h = (h ^ n) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return float64((h^h>>31)>>11) / (1 << 53)
 }

@@ -22,7 +22,9 @@ import (
 
 // Options configures a simulated network.
 type Options struct {
-	// Seed drives all randomness (coordinates, workload draws).
+	// Seed drives all randomness: node coordinates, drawn in AddNode
+	// order, and the injected-loss decisions, keyed by link, class and
+	// count (SetDrop).
 	Seed int64
 	// BaseLatency is the fixed per-message latency floor.
 	BaseLatency time.Duration
@@ -81,11 +83,11 @@ type Network struct {
 	clock *Clock
 
 	mu        sync.Mutex
-	rng       *rand.Rand
+	rng       *rand.Rand // node coordinates; AddNode is its only reader
 	nodes     map[string]*Node
 	links     map[[2]string]*LinkStats
 	latOver   map[[2]string]time.Duration
-	dropProb  map[[2]string]float64
+	lossy     map[[2]string]*lossyLink
 	linkDelay map[[2]string]time.Duration
 
 	// msgs, bytes and dropped are the network-wide totals since
@@ -122,18 +124,13 @@ func New(opts Options) *Network {
 		nodes:     make(map[string]*Node),
 		links:     make(map[[2]string]*LinkStats),
 		latOver:   make(map[[2]string]time.Duration),
-		dropProb:  make(map[[2]string]float64),
+		lossy:     make(map[[2]string]*lossyLink),
 		linkDelay: make(map[[2]string]time.Duration),
 	}
 }
 
 // Clock returns the network's virtual clock.
 func (nw *Network) Clock() *Clock { return nw.clock }
-
-// Rand returns the network's seeded random source. Callers must not use
-// it concurrently with AddNode (tests and workload generators are
-// single-threaded at setup time).
-func (nw *Network) Rand() *rand.Rand { return nw.rng }
 
 // AddNode registers a node at a random coordinate and returns it.
 // Re-adding an existing name returns the existing node.
@@ -268,20 +265,19 @@ func (nw *Network) Deliver(from, to string, it stream.Item) (stream.Item, bool) 
 		it.Time += nw.Latency(from, to)
 		return it, true
 	}
-	lat, ok := nw.transfer(from, to, it.Bytes())
+	lat, ok := nw.transfer(from, to, it.Source, it.Bytes())
 	it.Time += lat
 	return it, ok
 }
 
-// transfer is one message of the given size on from→to under the fault
-// model, in one critical section: reachability, then injected loss (an
-// rng draw only on a link with a drop probability), then the drop or the
-// transfer counted. It returns the link's latency and whether the message
-// arrived.
-func (nw *Network) transfer(from, to string, bytes int) (time.Duration, bool) {
+// transfer is one message of the given class and size on from→to under
+// the fault model, in one critical section: reachability, then injected
+// loss (loseLocked), then the drop or the transfer counted. It returns
+// the link's latency and whether the message arrived.
+func (nw *Network) transfer(from, to, class string, bytes int) (time.Duration, bool) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if !nw.reachableLocked(from, to) || nw.loseLocked(from, to) {
+	if !nw.reachableLocked(from, to) || nw.loseLocked(from, to, class) {
 		if from != to {
 			nw.linkLocked(from, to).Dropped++
 			nw.dropped.Inc()
