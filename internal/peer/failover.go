@@ -150,8 +150,14 @@ func (sup *Supervisor) Deaths() []string {
 // are re-deployed onto live peers (preferring hosts that announced a
 // replica of the affected stream) and consumers are re-bound end-to-end.
 // It returns the repair actions taken. FailPeer is what the Supervisor
-// calls on detection; tests and harnesses may call it directly.
+// calls on detection; tests and harnesses may call it directly, never
+// from a peer's loop. It quiesces the loops first: an item the dead
+// peer's operators were already handed is then processed before the
+// teardown, not raced by it, so a run does not depend on the goroutine
+// schedule (FuzzFaultSchedule found a death confirmed after the peer's
+// recovery whose teardown raced the revived relay).
 func (s *System) FailPeer(dead string, at time.Duration) []FailoverEvent {
+	s.Quiesce()
 	s.Net.Crash(dead) //nolint:errcheck // unknown nodes have no links to cut
 	if s.Peer(dead) != nil {
 		s.Ring.Fail(dead) //nolint:errcheck // double-fail is a no-op

@@ -93,8 +93,15 @@ func assertExactlyOnce(t *testing.T, task *Task, n int) {
 // id in [1, n] arrived exactly once.
 func assertQueueExactlyOnce(t *testing.T, what string, q *stream.Queue, n int) {
 	t.Helper()
+	assertItemsExactlyOnce(t, what, q.Drain(), n)
+}
+
+// assertItemsExactlyOnce checks each id in [1, n] is in items exactly
+// once.
+func assertItemsExactlyOnce(t *testing.T, what string, items []stream.Item, n int) {
+	t.Helper()
 	counts := make(map[string]int)
-	for _, it := range q.Drain() {
+	for _, it := range items {
 		counts[it.Tree.AttrOr("id", "?")]++
 	}
 	for i := 1; i <= n; i++ {
@@ -113,12 +120,11 @@ func assertQueueExactlyOnce(t *testing.T, what string, q *stream.Queue, n int) {
 }
 
 // TestExactlyOnceAcrossFaultMixes is the end-to-end exactly-once
-// property test: 20 uniquely-numbered events flow through the relay
-// pipeline while the table's fault mix strikes — per-link drop
-// probability, extra delay, a partition that heals, a crash that forces
-// a migration, and their combination. With replay buffers, cursors and
-// checkpoints on, the subscriber must see every sequence number exactly
-// once: no duplicate, no gap. Run with -race and -shuffle=on.
+// property test over hand-picked fault mixes. Its first half runs the
+// relay mixes (faultschedule_test.go) through FuzzFaultSchedule's
+// runner — every sequence number exactly once, no degradation, two runs
+// alike — and holds each to what it is for: a lossy mix must force
+// retransmissions, a crash must be detected and move the relay to w2.
 //
 // The second table holds every kind of consumer edge to the same contract
 // (kindsWorld, edge_test.go): the link under one kind's edge suffers a
@@ -127,104 +133,20 @@ func assertQueueExactlyOnce(t *testing.T, what string, q *stream.Queue, n int) {
 // kind, must still end with each event exactly once.
 func TestExactlyOnceAcrossFaultMixes(t *testing.T) {
 	const events = 20
-	cases := []struct {
-		name string
-		// at is called after event i (1-based) has been driven.
-		at         func(r *relayRig, i int)
-		wantReplay bool
-		migrates   bool
-	}{
-		{name: "no faults"},
-		{
-			name: "lossy links",
-			at: func(r *relayRig, i int) {
-				if i == 1 {
-					r.sys.Net.SetDrop("src", "w1", 0.5)
-					r.sys.Net.SetDrop("w1", "mgr", 0.5)
+	for _, mix := range relayMixes {
+		t.Run(mix.name, func(t *testing.T) {
+			run := checkSchedule(t, mix.schedule)
+			if mix.migrates {
+				if run.Host != "w2" {
+					t.Errorf("relay host = %q, want w2 after migration", run.Host)
 				}
-			},
-			wantReplay: true,
-		},
-		{
-			name: "slow links",
-			at: func(r *relayRig, i int) {
-				if i == 1 {
-					r.sys.Net.SetExtraDelay("src", "w1", 1500*time.Millisecond)
-					r.sys.Net.SetExtraDelay("w1", "mgr", 900*time.Millisecond)
-				}
-			},
-		},
-		{
-			name: "partition heals",
-			at: func(r *relayRig, i int) {
-				// src cannot reach the relay for a third of the run; the
-				// monitor sees both sides, so no migration happens and the
-				// sweep must repair the hole after the heal.
-				if i == 7 {
-					r.sys.Net.Partition([]string{"src"}, []string{"w1"})
-				}
-				if i == 14 {
-					r.sys.Net.Heal()
-				}
-			},
-			wantReplay: true,
-		},
-		{
-			name: "crash and migrate",
-			at: func(r *relayRig, i int) {
-				if i == 7 {
-					r.sys.Net.Crash("w1") //nolint:errcheck // known node
-				}
-				if i == 15 {
-					r.sys.Net.Recover("w1") //nolint:errcheck // known node
-				}
-			},
-			wantReplay: true,
-			migrates:   true,
-		},
-		{
-			name: "lossy links and crash",
-			at: func(r *relayRig, i int) {
-				if i == 1 {
-					for _, link := range [][2]string{{"src", "w1"}, {"w1", "mgr"}, {"src", "w2"}, {"w2", "mgr"}} {
-						r.sys.Net.SetDrop(link[0], link[1], 0.4)
-					}
-				}
-				if i == 7 {
-					r.sys.Net.Crash("w1") //nolint:errcheck // known node
-				}
-			},
-			wantReplay: true,
-			migrates:   true,
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			r := newRelayRig(t, replayOptions())
-			for i := 1; i <= events; i++ {
-				r.emit()
-				r.sys.Step(time.Second)
-				if c.at != nil {
-					c.at(r, i)
-				}
-			}
-			r.syncUntil(t, events)
-			if c.migrates {
-				if got := relayHost(r.task); got != "w2" {
-					t.Errorf("relay host = %q, want w2 after migration", got)
-				}
-				if len(r.sup.Deaths()) == 0 {
+				if len(run.Deaths) == 0 {
 					t.Error("crash never detected")
 				}
 			}
-			if c.wantReplay && r.sys.ReplayedItems() == 0 {
+			if mix.wantReplay && run.Replayed == 0 {
 				t.Error("fault mix should have forced retransmissions")
 			}
-			if got := r.task.Degraded(); len(got) != 0 {
-				t.Errorf("task degraded: %v", got)
-			}
-			r.task.Stop()
-			assertExactlyOnce(t, r.task, events)
 		})
 	}
 
