@@ -53,6 +53,22 @@ type AdaptConfig struct {
 // confirmed within the flapper's downtime even at peak health.
 const adaptHealthMax = 3
 
+// flapperDowntime is how many events of the given step the flapper
+// stays down: long enough that each crash is confirmed while the peer
+// is actually down, in both modes. Detection waits for the first probe,
+// the widest adaptive suspicion window ((1+HealthMax)×Suspicion), the
+// one window extension (Suspicion) and a second view to complete the
+// death quorum, which opens its own window only when the suspicion
+// reaches it. The downtime is twice the widest window: 16 periods at
+// the defaults, against a worst adaptive-mode confirmation of 13 over
+// seeds 1–200.
+// A shorter one lets a crash go unconfirmed, or be confirmed after the
+// recovery as a false kill.
+func flapperDowntime(g peer.GossipOptions, step time.Duration) int {
+	widest := time.Duration(1+g.HealthMax) * g.Suspicion
+	return int((2*widest + step - 1) / step)
+}
+
 // DefaultAdapt returns the scenario the X6 experiment runs.
 func DefaultAdapt() AdaptConfig {
 	return AdaptConfig{
@@ -194,16 +210,15 @@ func (cfg *AdaptConfig) setup() (*scenarioSpec[*AdaptReport], error) {
 	var snap, final map[string]uint64
 	var loop *adapt.Loop
 	sources := sourceNames(cfg.Sources)
+	gossip := peer.GossipOptions{Suspicion: cfg.Suspicion, Adaptive: cfg.Mode == "adaptive", HealthMax: adaptHealthMax}
+	downtime := flapperDowntime(gossip, cfg.Step)
 
 	return &scenarioSpec[*AdaptReport]{
 		common:      &cfg.Common,
 		sources:     sources,
 		bare:        true,
 		undisturbed: !faults,
-		gossip: peer.GossipOptions{
-			Adaptive:  cfg.Mode == "adaptive",
-			HealthMax: adaptHealthMax,
-		},
+		gossip:      gossip,
 		tune: func(pc *peer.Config) {
 			if faults {
 				pc.Agg.Degree = cfg.Degree
@@ -295,10 +310,8 @@ func (cfg *AdaptConfig) setup() (*scenarioSpec[*AdaptReport], error) {
 				}
 			}
 			// The diurnal phases: two slow windows for the hot-interior
-			// host. The flapper's two crash/recover cycles: downtime (12
-			// periods) must outlast the widest adaptive suspicion window
-			// ((1+HealthMax) x Suspicion) so a real crash is confirmed
-			// while the peer is actually down in both modes.
+			// host. The flapper's two crash/recover cycles, each downtime
+			// events long (flapperDowntime).
 			phase := cfg.Events / 6
 			return schedule{
 				Drive: func(i int) error {
@@ -315,7 +328,7 @@ func (cfg *AdaptConfig) setup() (*scenarioSpec[*AdaptReport], error) {
 							sys.Net.Crash(rep.Flapper) //nolint:errcheck // known node
 							crashed[rep.Flapper] = true
 						}
-						if i == start+12 {
+						if i == start+downtime {
 							sys.Net.Recover(rep.Flapper) //nolint:errcheck // known node
 							crashed[rep.Flapper] = false
 						}
