@@ -177,3 +177,37 @@ func TestDeliverHookDropsToQueue(t *testing.T) {
 		t.Errorf("queue has %d items, want only the pre-crash one", q.Len())
 	}
 }
+
+// TestLossIgnoresOtherTraffic: whether the n-th item of one source on a
+// lossy link is lost does not depend on what else the network carries —
+// pings on the same link, items of another source, other lossy links —
+// nor on their order, so loops that send at once cannot trade draws.
+func TestLossIgnoresOtherTraffic(t *testing.T) {
+	mine := stream.Item{Tree: xmltree.ElemText("x", "payload"), Source: "ev@a"}
+	other := stream.Item{Tree: xmltree.ElemText("x", "payload"), Source: "out@c"}
+	verdicts := func(busy bool) []bool {
+		nw := New(Options{Seed: 3})
+		for _, n := range []string{"a", "b", "c", "d"} {
+			nw.AddNode(n)
+		}
+		nw.SetDrop("a", "b", 0.5)
+		nw.SetDrop("c", "d", 0.5)
+		var got []bool
+		for i := 0; i < 200; i++ {
+			if busy {
+				nw.Ping("a", "b", 48)
+				nw.Deliver("a", "b", other)
+				nw.Deliver("c", "d", mine)
+			}
+			_, ok := nw.Deliver("a", "b", mine)
+			got = append(got, ok)
+		}
+		return got
+	}
+	alone, busy := verdicts(false), verdicts(true)
+	for i := range alone {
+		if alone[i] != busy[i] {
+			t.Fatalf("item %d of ev@a on a→b: delivered=%v alone, %v beside other traffic", i, alone[i], busy[i])
+		}
+	}
+}
