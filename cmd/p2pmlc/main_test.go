@@ -17,6 +17,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/<case>.go
 var goldenCases = []struct{ name, args string }{
 	{"meteo", "testdata/meteo.p2pml"},
 	{"group", "testdata/group.p2pml"},
+	{"body", "testdata/body.p2pml"},
 	{"parse", "-parse testdata/meteo.p2pml"},
 	{"subscriber", "-subscriber noc.example testdata/meteo.p2pml"},
 }

@@ -25,6 +25,7 @@ import (
 	"p2pm/internal/rss"
 	"p2pm/internal/soap"
 	"p2pm/internal/stream"
+	"p2pm/internal/telemetry"
 	"p2pm/internal/xmltree"
 )
 
@@ -128,9 +129,9 @@ func (d Direction) String() string {
 
 // WS is the Web service alerter: it receives the alerts of one Tap —
 // intercepted inbound or outbound SOAP calls (an Axis handler in the
-// paper), each including the SOAP envelope expanded with annotations
-// (timestamps and caller/callee identifiers) — and numbers them on its
-// own stream.
+// paper), annotated with timestamps and caller/callee identifiers, each
+// including the SOAP envelope when the alerter was attached with it — and
+// numbers them on its own stream.
 type WS struct {
 	Base
 	dir             Direction
@@ -184,6 +185,9 @@ type Tap struct {
 	loop   *operators.Task
 	ringMu sync.Mutex
 	ring   stream.Ring[captured]
+
+	// built counts the alerts Fire built, bare and with the envelope.
+	built [2]telemetry.Counter
 }
 
 // captured is one exchange waiting for the loop, with the time its call
@@ -305,6 +309,19 @@ func (t *Tap) Ring() (depth, highWater int) {
 	return t.ring.Len(), t.ring.HighWater()
 }
 
+// Built returns how many alerts the tap built without the envelope and
+// with it: one per exchange and flavour in use, however many alerters
+// share it.
+func (t *Tap) Built() (bare, body uint64) { return t.built[0].Value(), t.built[1].Value() }
+
+// Instrument exports the counts Built reads — the same variables — on reg
+// as tap_alerts_total with the given labels, told apart by a body label.
+func (t *Tap) Instrument(reg *telemetry.Registry, labels ...telemetry.Label) {
+	for i, body := range []string{"false", "true"} {
+		reg.Attach("tap_alerts_total", &t.built[i], append(labels[:len(labels):len(labels)], telemetry.L("body", body))...)
+	}
+}
+
 // Fire builds the alert of an exchange whose call returned at now and
 // emits it through every attached alerter.
 func (t *Tap) Fire(x soap.Exchange, now time.Duration) {
@@ -316,6 +333,7 @@ func (t *Tap) Fire(x soap.Exchange, now time.Duration) {
 		}
 		if trees[i] == nil {
 			trees[i] = t.alert(x, w.includeEnvelope)
+			t.built[i].Inc()
 		}
 		w.emitAt(trees[i], now)
 	}

@@ -119,29 +119,41 @@ func TestTapMatchesIndependentAlerters(t *testing.T) {
 // with its envelope is one Builder's three chunks plus one string that
 // everything it renders (two timestamps, the caller's URL, the response
 // label) is cut from — it was 23 allocations when every node and list was
-// its own.
+// its own. A bare alert has no child list, so its Builder takes two
+// chunks. With both flavours attached, each is built once.
 func TestTapCostIndependentOfListeners(t *testing.T) {
 	x := soap.Exchange{CallID: "call-7", Method: "temp", Caller: "cli", Callee: "srv",
 		CallTime: 3 * time.Second, ResponseTime: 3*time.Second + 4*time.Millisecond,
 		Params: xmltree.ElemText("city", "paris"), Result: xmltree.ElemText("temp", "21")}
-	allocs := func(n int) float64 {
+	allocs := func(n int, envelope func(i int) bool) float64 {
 		tap := NewTap("srv", Inbound, nil)
 		for i := 0; i < n; i++ {
-			tap.Attach("in@srv", true, func(stream.Item) {})
+			tap.Attach("in@srv", envelope(i), func(stream.Item) {})
 		}
 		hook := tap.Hook()
 		return testing.AllocsPerRun(100, func() { hook(x) })
 	}
-	if got := allocs(0); got != 0 {
-		t.Errorf("an idle tap allocates %.0f per exchange", got)
-	}
-	one := allocs(1)
-	if one != 4 {
-		t.Errorf("an alert with its envelope takes %.0f allocations, want 4", one)
-	}
-	for _, n := range []int{4, 16} {
-		if got := allocs(n); got != one {
-			t.Errorf("%d listeners: %.0f allocs per exchange, %.0f with one", n, got, one)
+	for _, c := range []struct {
+		flavour  string
+		envelope func(i int) bool
+		fewest   int // listeners that use every flavour of the case
+		want     float64
+	}{
+		{"with its envelope", func(int) bool { return true }, 1, 4},
+		{"bare", func(int) bool { return false }, 1, 3},
+		{"in both flavours", func(i int) bool { return i%2 == 1 }, 2, 7},
+	} {
+		if got := allocs(0, c.envelope); got != 0 {
+			t.Errorf("an idle tap allocates %.0f per exchange", got)
+		}
+		one := allocs(c.fewest, c.envelope)
+		if one != c.want {
+			t.Errorf("an alert %s takes %.0f allocations, want %.0f", c.flavour, one, c.want)
+		}
+		for _, n := range []int{4, 16} {
+			if got := allocs(n, c.envelope); got != one {
+				t.Errorf("%s, %d listeners: %.0f allocs per exchange, %.0f with the fewest", c.flavour, n, got, one)
+			}
 		}
 	}
 }

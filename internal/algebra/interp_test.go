@@ -16,7 +16,9 @@ import (
 // changes a plan's results.
 
 // evalPlan evaluates a plan over fixed per-alerter inputs, ignoring
-// placement. Joins are evaluated as full cross-products filtered by their
+// placement. An alerter MarkBodyReaders called bare emits its inputs
+// without their children, as the tap builds its alerts without the
+// envelope. Joins are evaluated as full cross-products filtered by their
 // predicates, so the result is order-insensitive. It fails on an
 // operator it does not evaluate (see evaluable) and on a Π that errs.
 func evalPlan(n *Node, inputs map[string][]*xmltree.Node) ([]*xmltree.Node, error) {
@@ -31,7 +33,13 @@ func evalPlan(n *Node, inputs map[string][]*xmltree.Node) ([]*xmltree.Node, erro
 	var out []*xmltree.Node
 	switch n.Op {
 	case OpAlerter:
-		return inputs[n.Alerter.Func+"@"+n.Alerter.Peer], nil
+		items := inputs[n.Alerter.Func+"@"+n.Alerter.Peer]
+		if n.Envelope() {
+			return items, nil
+		}
+		for _, it := range items {
+			out = append(out, &xmltree.Node{Label: it.Label, Attrs: it.Attrs})
+		}
 	case OpSelect:
 		pred := SelectPred(n.Inputs[0].Schema, n.Select)
 		for _, it := range ins[0] {

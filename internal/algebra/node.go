@@ -74,6 +74,11 @@ type Node struct {
 	// rebalancing re-derive the host from it, so the tree shape follows
 	// ring ownership instead of sticking to a first placement.
 	AggKey string
+	// Body, for WS alerters (OpAlerter, OpDynAlerter), says whether
+	// their alerts carry the SOAP envelope (MarkBodyReaders). It is part
+	// of the alerter's stream identity: Signature tells a body-carrying
+	// alerter from a bare one.
+	Body BodyMark
 }
 
 // AlerterSpec describes an event source.
@@ -176,9 +181,9 @@ func NewAlerter(fn, kind, peer, variable string, args []*xmltree.Node) *Node {
 func (n *Node) Label() string {
 	switch n.Op {
 	case OpAlerter:
-		return fmt.Sprintf("%s@%s", alerterShort(n.Alerter), n.Alerter.Peer)
+		return fmt.Sprintf("%s%s@%s", alerterShort(n.Alerter), n.bodySuffix(), n.Alerter.Peer)
 	case OpDynAlerter:
-		return fmt.Sprintf("dyn:%s", alerterShort(n.Alerter))
+		return fmt.Sprintf("dyn:%s%s", alerterShort(n.Alerter), n.bodySuffix())
 	case OpChannelIn:
 		return "chan:" + n.Channel.String()
 	case OpSelect:
@@ -253,7 +258,7 @@ func (n *Node) String() string {
 func (n *Node) render(b *strings.Builder) {
 	switch n.Op {
 	case OpAlerter:
-		fmt.Fprintf(b, "%s@%s", alerterShort(n.Alerter), n.Alerter.Peer)
+		fmt.Fprintf(b, "%s%s@%s", alerterShort(n.Alerter), n.bodySuffix(), n.Alerter.Peer)
 		return
 	case OpChannelIn:
 		fmt.Fprintf(b, "chan(%s)", n.Channel.String())
@@ -265,6 +270,9 @@ func (n *Node) render(b *strings.Builder) {
 		OpPartialAgg: "γp", OpMergeAgg: "γm",
 	}[n.Op]
 	b.WriteString(sym)
+	if n.Op == OpDynAlerter {
+		b.WriteString(n.bodySuffix())
+	}
 	b.WriteString("@")
 	b.WriteString(n.Peer)
 	b.WriteString("(")
@@ -344,8 +352,8 @@ func (n *Node) SignatureWith(inputSigs []string) string {
 	switch n.Op {
 	case OpAlerter:
 		// Alerters are bound to their monitored peer: the peer is part of
-		// the identity of the source stream.
-		return n.Alerter.Func + "(" + n.Alerter.Peer + ")"
+		// the identity of the source stream, and so is the envelope.
+		return n.Alerter.Func + n.bodySuffix() + "(" + n.Alerter.Peer + ")"
 	case OpChannelIn:
 		return "chan(" + n.Channel.String() + ")"
 	case OpUnion:
@@ -383,6 +391,8 @@ func (n *Node) SignatureWith(inputSigs []string) string {
 		b.WriteString(n.Group.desc())
 	case OpMergeAgg:
 		fmt.Fprintf(&b, "%s/final=%t", n.Group.desc(), n.Group.Final)
+	case OpDynAlerter:
+		b.WriteString(n.bodySuffix())
 	}
 	b.WriteString("}(")
 	for i, sig := range inputSigs {

@@ -172,13 +172,15 @@ func checkNoIdentityUnderAggregate(t *testing.T, plan *Node) {
 }
 
 // FuzzSubscription: the subscription front end — Parse, Compile,
-// Optimize — never panics on any text, and a plan it accepts has every
-// Π that can move through a ∪ moved and no identity Π left under a γ or
-// a δ; neither the compiled nor the optimized plan has a ∪ directly
-// under a ∪. Optimize, with and without pushdown, keeps the compiled plan's
-// results on alert traces drawn from the subscription's own constants
-// (checkSameResults), and no Π it put below a ∪ copies its whole input
-// tree (checkPushedProjectionsCut).
+// Optimize, MarkBodyReaders — never panics on any text, and a plan it
+// accepts has every Π that can move through a ∪ moved and no identity Π
+// left under a γ or a δ; neither the compiled nor the optimized plan has
+// a ∪ directly under a ∪. Optimize, with and without pushdown, and the
+// marks keep the compiled plan's results, every alerter of which carries
+// its envelope, on alert traces drawn from the subscription's own
+// constants and paths (checkSameResults); marking is idempotent; and no
+// Π Optimize put below a ∪ copies its whole input tree
+// (checkPushedProjectionsCut).
 func FuzzSubscription(f *testing.F) {
 	for _, src := range []string{
 		figure1,
@@ -203,7 +205,8 @@ func FuzzSubscription(f *testing.F) {
 		if err != nil {
 			return
 		}
-		plan := Optimize(naive.Clone(), DefaultOptions("mgr"))
+		plan := MarkBodyReaders(Optimize(naive.Clone(), DefaultOptions("mgr")))
+		checkMarksIdempotent(t, plan)
 		checkNoPushableProjection(t, plan)
 		checkNoIdentityUnderAggregate(t, plan)
 		checkNoNestedUnion(t, naive)
@@ -213,7 +216,7 @@ func FuzzSubscription(f *testing.F) {
 		}
 		traces := alertTraces(src, naive)
 		checkSameResults(t, naive, plan, traces)
-		checkSameResults(t, naive, Optimize(naive.Clone(), Options{SubscriberPeer: "mgr"}), traces)
+		checkSameResults(t, naive, MarkBodyReaders(Optimize(naive.Clone(), Options{SubscriberPeer: "mgr"})), traces)
 		checkPushedProjectionsCut(t, plan, traces)
 	})
 }
@@ -222,6 +225,7 @@ var (
 	comparedConst = regexp.MustCompile(`\$\w+\.(\w+)\s*(?:!=|<=|>=|=|<|>)\s*(?:"([^"]*)"|(-?[0-9]+(?:\.[0-9]+)?))`)
 	numberConst   = regexp.MustCompile(`-?[0-9]+(?:\.[0-9]+)?`)
 	attrName      = regexp.MustCompile(`\$\w+\.(\w+)`)
+	pathStep      = regexp.MustCompile(`\$\w+((?:/+\w+)+)`)
 )
 
 // alertTraces builds a few seeded inputs for plan's alerters. Every
@@ -230,6 +234,9 @@ var (
 // of them; any other takes "0" or "100", so joins find partners and
 // differences have a sign. Every other trace widens both pools with "x"
 // and the numbers the subscription mentions, so conditions fail too.
+// Below its root every alert has an envelope, <Envelope><Body>, holding
+// one param per name a path of the subscription steps through, its text
+// drawn from the same pools: what a bare alerter leaves out.
 func alertTraces(src string, plan *Node) []map[string][]*xmltree.Node {
 	narrow := []string{"0", "100"}
 	wide := append([]string{"0", "100", "x"}, numberConst.FindAllString(src, -1)...)
@@ -240,6 +247,10 @@ func alertTraces(src string, plan *Node) []map[string][]*xmltree.Node {
 	attrs := []string{"callId", "callMethod", "callee", "caller", "callTimestamp", "responseTimestamp"}
 	for _, m := range attrName.FindAllStringSubmatch(src, -1) {
 		attrs = append(attrs, m[1])
+	}
+	var params []string
+	for _, m := range pathStep.FindAllStringSubmatch(src, -1) {
+		params = append(params, strings.FieldsFunc(m[1], func(r rune) bool { return r == '/' })...)
 	}
 	var sources []string
 	plan.Walk(func(n *Node) {
@@ -255,22 +266,40 @@ func alertTraces(src string, plan *Node) []map[string][]*xmltree.Node {
 		traces[i] = map[string][]*xmltree.Node{}
 		for _, key := range sources {
 			for j := rnd.Intn(7); j > 0; j-- {
+				pick := func(values []string) string {
+					if i%2 == 1 {
+						values = append(values[:len(values):len(values)], wide...)
+					}
+					return values[rnd.Intn(len(values))]
+				}
 				n := xmltree.Elem("alert")
 				for _, a := range attrs {
 					values := narrow
 					if c := compared[a]; len(c) > 0 {
 						values = c
 					}
-					if i%2 == 1 {
-						values = append(values[:len(values):len(values)], wide...)
-					}
-					n.SetAttr(a, values[rnd.Intn(len(values))])
+					n.SetAttr(a, pick(values))
 				}
+				body := xmltree.Elem("Body")
+				for _, p := range params {
+					body.Append(xmltree.ElemText(p, pick(narrow)))
+				}
+				n.Append(xmltree.Elem("Envelope", body))
 				traces[i][key] = append(traces[i][key], n)
 			}
 		}
 	}
 	return traces
+}
+
+// checkMarksIdempotent fails when marking a marked plan again moves a
+// mark.
+func checkMarksIdempotent(t *testing.T, plan *Node) {
+	t.Helper()
+	again := MarkBodyReaders(plan.Clone())
+	if got, want := again.Tree(), plan.Tree(); got != want {
+		t.Fatalf("marking again moved a mark:\n%s\nwas\n%s", got, want)
+	}
 }
 
 // checkNoNestedUnion fails when a ∪ sits directly under a ∪. Compile

@@ -16,9 +16,10 @@ import (
 //	  <tstamp>{$c2.callTimestamp}</tstamp>
 //	</incident>
 type Template struct {
-	src  string
-	root *tplNode
-	vars []string
+	src   string
+	root  *tplNode
+	vars  []string
+	exprs []Expr
 	// What one instance takes of an xmltree.Builder, spliced trees aside.
 	nodes, attrs int
 }
@@ -89,6 +90,7 @@ func (t *Template) collectVars(segs []segment) {
 	for _, s := range segs {
 		if s.expr != nil {
 			t.vars = append(t.vars, s.expr.Vars()...)
+			t.exprs = append(t.exprs, s.expr)
 		}
 	}
 }
@@ -100,6 +102,15 @@ func (t *Template) Vars() []string {
 		return nil
 	}
 	return t.vars
+}
+
+// Exprs returns the template's {…} expressions in document order; a nil
+// template has none.
+func (t *Template) Exprs() []Expr {
+	if t == nil {
+		return nil
+	}
+	return t.exprs
 }
 
 // String returns the template source.

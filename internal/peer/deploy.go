@@ -248,7 +248,7 @@ func (p *Peer) deployAlerter(task *Task, n *algebra.Node, out *stream.Channel) e
 		if n.Alerter.Kind == "ws-out" {
 			dir = alerters.Outbound
 		}
-		detach := p.sys.tap(n.Alerter.Peer, dir).Attach(name, includeEnvelopes, out.Publish)
+		detach := p.sys.tap(n.Alerter.Peer, dir).Attach(name, n.Envelope(), out.Publish)
 		task.closers = append(task.closers, func() {
 			detach()
 			out.Close()
@@ -327,7 +327,8 @@ func argAttr(n *algebra.Node, elem, attr string) string {
 // driver. The manager has no checkpoint: its handle is the task's to
 // await, not an instance to snapshot.
 func (p *Peer) runDynAlerter(task *Task, n *algebra.Node, driver *stream.Queue, out *stream.Channel) *operators.Handle {
-	d := &dynAlerter{sys: p.sys, task: task, fn: n.Alerter.Func, dir: alerters.Inbound, out: out, active: make(map[string]func())}
+	d := &dynAlerter{sys: p.sys, task: task, fn: n.Alerter.Func, dir: alerters.Inbound, envelope: n.Envelope(),
+		out: out, active: make(map[string]func())}
 	if d.fn == "outCOM" {
 		d.dir = alerters.Outbound
 	}
@@ -340,12 +341,13 @@ func (p *Peer) runDynAlerter(task *Task, n *algebra.Node, driver *stream.Queue, 
 // alerters on the joined peers, all publishing into the same output
 // channel, which the handle's eos closes once Flush detached the rest.
 type dynAlerter struct {
-	sys    *System
-	task   *Task
-	fn     string
-	dir    alerters.Direction
-	out    *stream.Channel
-	active map[string]func() // monitored peer → detach
+	sys      *System
+	task     *Task
+	fn       string
+	dir      alerters.Direction
+	envelope bool // the plan reads below the alerts' root (algebra.MarkBodyReaders)
+	out      *stream.Channel
+	active   map[string]func() // monitored peer → detach
 }
 
 func (d *dynAlerter) Name() string { return "DynAlerter" }
@@ -355,7 +357,7 @@ func (d *dynAlerter) Accept(_ int, it stream.Item, _ operators.Emit) {
 	switch it.Tree.Label {
 	case "p-join":
 		if _, dup := d.active[peerName]; !dup {
-			d.active[peerName] = d.sys.tap(peerName, d.dir).Attach(d.fn+"@"+peerName, includeEnvelopes, d.out.Publish)
+			d.active[peerName] = d.sys.tap(peerName, d.dir).Attach(d.fn+"@"+peerName, d.envelope, d.out.Publish)
 		}
 	case "p-leave":
 		// "inCOM removes peers from the collection of monitored peers"
@@ -373,11 +375,6 @@ func (d *dynAlerter) Flush(operators.Emit) {
 		detach()
 	}
 }
-
-// includeEnvelopes: the runtime's WS alerts embed the intercepted SOAP
-// envelopes. They dominate alert size (docs/DATAPATH.md hop 2), and no
-// deployment ever ran without them.
-const includeEnvelopes = true
 
 // executor returns the event loop of one peer: every operator the peer
 // hosts and its endpoint's taps are stepped there, one at a time.
@@ -416,6 +413,9 @@ func (s *System) tap(peer string, dir alerters.Direction) *alerters.Tap {
 	if t == nil {
 		t = alerters.NewTap(peer, dir, s.clock.Now)
 		t.RunOn(ex)
+		if s.tele != nil {
+			t.Instrument(s.tele.reg, telemetry.L("peer", peer), telemetry.L("dir", dir.String()))
+		}
 		if ep := s.Fabric.Endpoint(peer); dir == alerters.Inbound {
 			ep.OnInbound(t.Hook())
 		} else {

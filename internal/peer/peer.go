@@ -168,7 +168,9 @@ func (p *Peer) start(task *Task) (*Task, error) {
 // DeployPlan deploys a programmatically built monitoring plan. The plan
 // must be rooted at a Publish node and fully placed (no @any operators) —
 // run algebra.Optimize first for placement. It serves plan shapes P2PML
-// cannot state, such as a Group over a union of Groups.
+// cannot state, such as a Group over a union of Groups. The deployed copy
+// has its WS alerters marked (algebra.MarkBodyReaders); the input plan is
+// not modified.
 func (p *Peer) DeployPlan(plan *algebra.Node) (*Task, error) {
 	if plan == nil || plan.Op != algebra.OpPublish {
 		return nil, fmt.Errorf("peer: plan must be rooted at a Publish node")
@@ -182,7 +184,7 @@ func (p *Peer) DeployPlan(plan *algebra.Node) (*Task, error) {
 	if anyErr != nil {
 		return nil, anyErr
 	}
-	return p.start(&Task{Plan: plan.Clone()})
+	return p.start(&Task{Plan: algebra.MarkBodyReaders(plan.Clone())})
 }
 
 // DeployPlanShared is DeployPlan preceded by the pipeline's reuse
@@ -197,7 +199,7 @@ func (p *Peer) DeployPlanShared(plan *algebra.Node) (*Task, error) {
 	if plan == nil || plan.Op != algebra.OpPublish {
 		return nil, fmt.Errorf("peer: plan must be rooted at a Publish node")
 	}
-	ex := Explanation{Optimized: plan}
+	ex := Explanation{Optimized: plan.Clone()}
 	shared, err := pipeline{sys: p.sys, subscriber: p.name, reuse: true}.run(&ex)
 	if err != nil {
 		return nil, err

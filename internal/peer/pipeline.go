@@ -41,11 +41,13 @@ func (s *System) pipeline(subscriber string) pipeline {
 // run takes ex from the stage it holds to the plan that deploys, and
 // returns that plan. With only a Subscription it compiles it and
 // optimizes the plan (pushdown as set, then placement). With Optimized
-// already set, a built and placed plan, it enters at the reuse stage,
-// which leaves Optimized untouched: the plan is covered with existing
-// streams, preferring a live provider that is close and unloaded, then
-// re-placed so fresh operators follow their reused inputs (a residual σ
-// runs at the chosen provider, not where the original plan put it).
+// already set, a built and placed plan, it enters at the reuse stage.
+// There Optimized's WS alerters are marked as body readers or bare, in
+// place, and nothing else of it changes: the plan is covered with
+// existing streams, preferring a live provider that is close and
+// unloaded, then re-placed so fresh operators follow their reused
+// inputs (a residual σ runs at the chosen provider, not where the
+// original plan put it).
 func (pl pipeline) run(ex *Explanation) (*algebra.Node, error) {
 	if ex.Optimized == nil {
 		plan, err := algebra.Compile(ex.Subscription)
@@ -57,6 +59,9 @@ func (pl pipeline) run(ex *Explanation) (*algebra.Node, error) {
 		}
 		ex.Optimized = algebra.Optimize(plan, algebra.Options{SubscriberPeer: pl.subscriber, Pushdown: pl.pushdown})
 	}
+	// The envelope is part of an alerter's stream identity, so the marks
+	// come before reuse, which hands a body reader no bare alerter.
+	algebra.MarkBodyReaders(ex.Optimized)
 	if !pl.reuse {
 		return ex.Optimized, nil
 	}

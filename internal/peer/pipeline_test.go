@@ -84,8 +84,10 @@ func TestSystemExplainReuseDisabled(t *testing.T) {
 // deploys, in every combination of pushdown and reuse: after a first
 // selection and a first group are running, a narrower selection (a
 // residual σ over a reused stream) and a group over a subset of the
-// first group's sources each explain to exactly the plan they then
-// deploy. Agg.Degree stays 0, so deploy applies no tree rewrite.
+// first group's sources and a subscription that returns whole alerts
+// each explain to exactly the plan they then deploy, the last with its
+// alerters marked as body readers. Agg.Degree stays 0, so deploy applies
+// no tree rewrite.
 func TestExplainIsWhatDeploys(t *testing.T) {
 	sub := func(sources, where, ret, channel string) string {
 		return fmt.Sprintf(`for $e in inCOM(%s) %s return %s by publish as channel "%s"`, sources, where, ret, channel)
@@ -100,9 +102,13 @@ func TestExplainIsWhatDeploys(t *testing.T) {
 		sub(pair, `where $e.callMethod = "Q"`, `<r c="{$e.caller}"/>`, "all"),
 		sub(six, "", group, "wide"),
 	}
-	second := []struct{ name, src string }{
-		{"narrower σ", sub(pair, `where $e.callMethod = "Q" and $e.caller = "client"`, `<r c="{$e.callId}"/>`, "narrow")},
-		{"group graft", sub(inner, "", group, "inner")},
+	second := []struct {
+		name, src string
+		body      bool // reads below the alerts' root: its alerters carry the envelope
+	}{
+		{"narrower σ", sub(pair, `where $e.callMethod = "Q" and $e.caller = "client"`, `<r c="{$e.callId}"/>`, "narrow"), false},
+		{"group graft", sub(inner, "", group, "inner"), false},
+		{"body reader", sub(pair, `where $e.callMethod = "Q"`, `$e`, "whole"), true},
 	}
 	for _, pushdown := range []bool{true, false} {
 		for _, reuse := range []bool{true, false} {
@@ -145,6 +151,9 @@ func TestExplainIsWhatDeploys(t *testing.T) {
 					}
 					if got, want := last.String(), task.Plan.String(); got != want {
 						t.Errorf("%s: explained\n  %s\nbut deployed\n  %s", name, got, want)
+					}
+					if marked := strings.Contains(last.String(), "+body@"); marked != c.body {
+						t.Errorf("%s: explained plan marks a body reader = %v, want %v:\n  %s", name, marked, c.body, last)
 					}
 				}
 			})

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"p2pm/internal/alerters"
 	"p2pm/internal/dht"
 	"p2pm/internal/operators"
 	"p2pm/internal/stream"
@@ -86,7 +87,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	// The exported series of this run — name, kind, label keys — as a
 	// build of PR 21 (before the registry attached to the layers' own
 	// counters) lists them, plus the per-peer loop and per-tap ring series
-	// of PR 24: a renamed, re-kinded or vanished series fails here.
+	// of PR 24 and the per-flavour tap alert count: a renamed, re-kinded
+	// or vanished series fails here.
 	want := []string{
 		"agg_ingest_items gauge peer",
 		"agg_interior_ingest_max gauge",
@@ -111,6 +113,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"stream_replayed_items gauge",
 		"system_step_ns histogram",
 		"system_steps_total counter",
+		"tap_alerts_total counter body,dir,peer",
 		"tap_ring_depth gauge dir,peer",
 		"tap_ring_high_water gauge dir,peer",
 	}
@@ -150,7 +153,7 @@ func catalogKinds(t *testing.T) map[string]string {
 // TestRegistryReadsTheLayersOwnCounters drives every layer that keeps
 // counters — transport sends and a frame lost on a crashed link, DHT
 // puts, gets, cache hits and a join's handoffs, an operator stepped
-// and woken on a peer's loop, gossip probes through to a declared death — and then walks the docs/TELEMETRY.md catalog:
+// and woken on a peer's loop, a tap's alert of each flavour, gossip probes through to a declared death — and then walks the docs/TELEMETRY.md catalog:
 // every counter a layer owns is exported under its documented name,
 // kind and label keys, and reads exactly what the layer's own accessor
 // reads, because it is the same variable. (The wire_* pair and the tcp
@@ -211,6 +214,23 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 	<-out // eos
 	h.Wait()
 
+	// A tap on p0's endpoint with a bare alerter and a body reader: the
+	// call builds one alert of each flavour.
+	sys.Peer("p0").Endpoint().Register("Q", func(*xmltree.Node) (*xmltree.Node, error) {
+		return xmltree.Elem("ok"), nil
+	}, nil)
+	tap := sys.tap("p0", alerters.Inbound)
+	for _, body := range []bool{false, true} {
+		defer tap.Attach("inCOM@p0", body, func(stream.Item) {})()
+	}
+	if _, err := sys.Peer("p1").Endpoint().Invoke("p0", "Q", nil); err != nil {
+		t.Fatal(err)
+	}
+	sys.Quiesce()
+	if bare, body := tap.Built(); bare != 1 || body != 1 {
+		t.Errorf("one call built %d bare and %d body-carrying alerts, want 1 and 1", bare, body)
+	}
+
 	sys.Net.Crash("p3")
 	send("p0", "p3") // lost on the link
 	for i := 0; i < 25 && det.deaths.Value() == 0; i++ {
@@ -244,6 +264,15 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 			return n
 		}
 	}
+	taps := func() (n uint64) {
+		sys.loopMu.Lock()
+		defer sys.loopMu.Unlock()
+		for _, tap := range sys.taps {
+			bare, body := tap.Built()
+			n += bare + body
+		}
+		return n
+	}
 	probes, indirect, _ := det.ProtocolCounters()
 	lookups, hops := sys.Ring.Stats()
 	totals := sys.Net.Totals()
@@ -265,6 +294,7 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 		"loop_steps_total":             loops(func(l operators.LoopStats) uint64 { return l.Steps }),
 		"loop_items_total":             loops(func(l operators.LoopStats) uint64 { return l.Items }),
 		"loop_wakes_total":             loops(func(l operators.LoopStats) uint64 { return l.Wakes }),
+		"tap_alerts_total":             taps,
 		"gossip_probes_total":          func() uint64 { return probes },
 		"gossip_indirect_probes_total": func() uint64 { return indirect },
 		"gossip_suspicions_total":      det.suspicions.Value,
@@ -274,17 +304,22 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 	perPeer := func(name string) bool {
 		return strings.HasPrefix(name, "transport_") || strings.HasPrefix(name, "wire_")
 	}
-	// get sums a series over the endpoints, or the loops, when it is
-	// per-peer.
+	// get sums a series over the endpoints, the loops or the taps, when
+	// it is per-peer.
 	get := func(name string) (v uint64, ok bool) {
-		if strings.HasPrefix(name, "loop_") {
+		if keys := map[string]string{"loop_": "peer", "tap_": "body,dir,peer"}[name[:strings.IndexByte(name, '_')+1]]; keys != "" {
 			for _, m := range snap.Metrics {
-				if m.Name == name {
-					if m.Kind != telemetry.KindCounter || len(m.Labels) != 1 || m.Labels[0].Key != "peer" {
-						return 0, false
-					}
-					v, ok = v+uint64(m.Value), true
+				if m.Name != name {
+					continue
 				}
+				var got []string
+				for _, l := range m.Labels {
+					got = append(got, l.Key)
+				}
+				if m.Kind != telemetry.KindCounter || strings.Join(got, ",") != keys {
+					return 0, false
+				}
+				v, ok = v+uint64(m.Value), true
 			}
 			return v, ok
 		}

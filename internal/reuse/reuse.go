@@ -183,11 +183,11 @@ func (o Options) matchNode(n *algebra.Node, db *kadop.DB, st *matchState, r *Res
 		if err != nil {
 			return "", fmt.Errorf("reuse: alerter discovery: %w", err)
 		}
-		if len(defs) > 0 {
-			if defs[0].Signature != "" {
-				sig = defs[0].Signature
+		if def := alerterFlavour(n, sig, defs); def != nil {
+			if def.Signature != "" {
+				sig = def.Signature
 			}
-			st.matched[n] = matchInfo{ref: defs[0].Ref, sig: sig}
+			st.matched[n] = matchInfo{ref: def.Ref, sig: sig}
 		}
 		return sig, nil
 	default:
@@ -327,6 +327,24 @@ func (o Options) channelNode(n *algebra.Node, m matchInfo, db *kadop.DB, r *Resu
 		Channel: provider,
 		Origin:  m.ref,
 	}
+}
+
+// alerterFlavour picks the published alerter an alerter node signed sig
+// reuses: a body reader only one signed as it is, any other node one
+// signed as it is first and, failing that, one of the other flavour —
+// body-carrying, an envelope it never reads. nil when none fits.
+func alerterFlavour(n *algebra.Node, sig string, defs []*kadop.StreamDef) *kadop.StreamDef {
+	reader := n.Body == algebra.BodyRead
+	var other *kadop.StreamDef
+	for _, d := range defs {
+		if d.Signature == sig || (d.Signature == "" && !reader) {
+			return d
+		}
+		if other == nil && !reader {
+			other = d
+		}
+	}
+	return other
 }
 
 // allIn reports whether every node is matched.
