@@ -306,8 +306,10 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 	}
 	// get sums a series over the endpoints, the loops or the taps, when
 	// it is per-peer.
+	summed := map[string]string{"loop": "peer", "tap": "body,dir,peer"} // family → label keys
 	get := func(name string) (v uint64, ok bool) {
-		if keys := map[string]string{"loop_": "peer", "tap_": "body,dir,peer"}[name[:strings.IndexByte(name, '_')+1]]; keys != "" {
+		family, _, _ := strings.Cut(name, "_")
+		if keys, sum := summed[family]; sum {
 			for _, m := range snap.Metrics {
 				if m.Name != name {
 					continue
