@@ -87,8 +87,9 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	// The exported series of this run — name, kind, label keys — as a
 	// build of PR 21 (before the registry attached to the layers' own
 	// counters) lists them, plus the per-peer loop and per-tap ring series
-	// of PR 24 and the per-flavour tap alert count: a renamed, re-kinded
-	// or vanished series fails here.
+	// of PR 24: a renamed, re-kinded or vanished series fails here.
+	// tap_alerts_total, the tap's alert count per envelope flavour,
+	// joined them later.
 	want := []string{
 		"agg_ingest_items gauge peer",
 		"agg_interior_ingest_max gauge",
