@@ -2,7 +2,6 @@ package monoid
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/bits"
 	"strconv"
@@ -41,20 +40,20 @@ func (hllMonoid) Decode(enc string) (State, error) {
 	}
 	switch enc[0] {
 	case 's':
-		body := enc[1:]
-		if body == "" {
-			return s, nil
-		}
-		for _, part := range strings.Split(body, ",") {
-			iv := strings.SplitN(part, ":", 2)
-			if len(iv) != 2 {
+		// Walked like strings.Split walks it: an empty element, trailing
+		// ',' included, is a bad cell.
+		for body, more := enc[1:], len(enc) > 1; more; {
+			var part string
+			part, body, more = strings.Cut(body, ",")
+			is, vs, ok := strings.Cut(part, ":")
+			if !ok {
 				return nil, fmt.Errorf("distinct: bad sparse cell %q", part)
 			}
-			i, err := strconv.Atoi(iv[0])
+			i, err := strconv.Atoi(is)
 			if err != nil || i < 0 || i >= hllM {
 				return nil, fmt.Errorf("distinct: bad register index %q", part)
 			}
-			v, err := strconv.Atoi(iv[1])
+			v, err := strconv.Atoi(vs)
 			if err != nil || v < 1 || v > 64-hllP+1 {
 				return nil, fmt.Errorf("distinct: bad register value %q", part)
 			}
@@ -98,10 +97,24 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// FNV-1a, 64-bit: the bits of hash/fnv's New64a, with no hasher to
+// allocate and no []byte copy of the value.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnv64a(s string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
 func hllHash(val string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(val))
-	return mix64(h.Sum64())
+	return mix64(fnv64a(val))
 }
 
 func (s *hllState) Absorb(val string) error {
@@ -158,10 +171,11 @@ func (s *hllState) Estimate() int64 {
 }
 
 func (s *hllState) Encode() string {
-	nonzero := 0
-	for _, r := range s.reg {
+	nonzero, sparseLen := 0, 1 // 's'
+	for i, r := range s.reg {
 		if r != 0 {
 			nonzero++
+			sparseLen += decLen(int64(i)) + decLen(int64(r)) + 2 // "i:v,"
 		}
 	}
 	if nonzero == 0 {
@@ -169,7 +183,9 @@ func (s *hllState) Encode() string {
 	}
 	var b strings.Builder
 	if nonzero <= hllSparseMax {
+		b.Grow(sparseLen)
 		b.WriteByte('s')
+		var num [20]byte
 		first := true
 		for i, r := range s.reg {
 			if r == 0 {
@@ -179,12 +195,13 @@ func (s *hllState) Encode() string {
 				b.WriteByte(',')
 			}
 			first = false
-			b.WriteString(strconv.Itoa(i))
+			b.Write(strconv.AppendInt(num[:0], int64(i), 10))
 			b.WriteByte(':')
-			b.WriteString(strconv.Itoa(int(r)))
+			b.Write(strconv.AppendInt(num[:0], int64(r), 10))
 		}
 		return b.String()
 	}
+	b.Grow(1 + 2*hllM)
 	b.WriteByte('d')
 	const hex = "0123456789abcdef"
 	for _, r := range s.reg {

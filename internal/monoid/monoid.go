@@ -24,6 +24,7 @@ package monoid
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"sort"
 	"strconv"
@@ -131,11 +132,20 @@ func (countMonoid) Decode(enc string) (State, error) {
 
 type countState struct{ n int64 }
 
-func (s *countState) Absorb(string) error { s.n++; return nil }
+func (s *countState) Absorb(string) error {
+	if s.n == math.MaxInt64 {
+		return fmt.Errorf("count: overflows")
+	}
+	s.n++
+	return nil
+}
 func (s *countState) Merge(other State) error {
 	o, ok := other.(*countState)
 	if !ok {
 		return mismatch("count", other)
+	}
+	if o.n > math.MaxInt64-s.n {
+		return fmt.Errorf("count: merging %d into %d overflows", o.n, s.n)
 	}
 	s.n += o.n
 	return nil
@@ -149,6 +159,19 @@ func (s *countState) Final(set func(attr, val string)) {
 // sum / min / max / avg — exact numeric aggregates over int64 values.
 // Integer arithmetic keeps Merge exactly associative (float addition is
 // not), which the byte-identity gate across churn schedules depends on.
+
+// addSum adds (dsum, dn) to (sum, n), counts being non-negative. A sum
+// or count that would wrap past int64 is refused and nothing changes: a
+// wrapped count encodes negative, which Decode rejects one hop later,
+// and a wrapped sum is a wrong answer.
+func addSum(sum, n *int64, dsum, dn int64, fn string) error {
+	if s := *sum + dsum; (s > *sum) != (dsum > 0) || dn > math.MaxInt64-*n {
+		return fmt.Errorf("%s: sum or count overflows", fn)
+	}
+	*sum += dsum
+	*n += dn
+	return nil
+}
 
 func parseValue(val string) (int64, error) {
 	v, err := strconv.ParseInt(strings.TrimSpace(val), 10, 64)
@@ -195,18 +218,14 @@ func (s *sumState) Absorb(val string) error {
 	if err != nil {
 		return err
 	}
-	s.sum += v
-	s.n++
-	return nil
+	return addSum(&s.sum, &s.n, v, 1, "sum")
 }
 func (s *sumState) Merge(other State) error {
 	o, ok := other.(*sumState)
 	if !ok {
 		return mismatch("sum", other)
 	}
-	s.sum += o.sum
-	s.n += o.n
-	return nil
+	return addSum(&s.sum, &s.n, o.sum, o.n, "sum")
 }
 func (s *sumState) Encode() string {
 	if s.n == 0 {
@@ -308,18 +327,14 @@ func (s *avgState) Absorb(val string) error {
 	if err != nil {
 		return err
 	}
-	s.sum += v
-	s.n++
-	return nil
+	return addSum(&s.sum, &s.n, v, 1, "avg")
 }
 func (s *avgState) Merge(other State) error {
 	o, ok := other.(*avgState)
 	if !ok {
 		return mismatch("avg", other)
 	}
-	s.sum += o.sum
-	s.n += o.n
-	return nil
+	return addSum(&s.sum, &s.n, o.sum, o.n, "avg")
 }
 func (s *avgState) Encode() string {
 	if s.n == 0 {

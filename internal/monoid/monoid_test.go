@@ -2,6 +2,7 @@ package monoid
 
 import (
 	"fmt"
+	"math/rand"
 	"strconv"
 	"testing"
 )
@@ -145,9 +146,9 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		"min":      {"1x", "0.5", " 3"},
 		"max":      {"1x", "--2", "3 "},
 		"set":      {"%zz", "a,%"},
-		"distinct": {"q", "sX:1", "s4096:3", "s1:0", "s1:65", "d1234", "s1:2,", "dzz"},
+		"distinct": {"q", "sX:1", "s4096:3", "s1:0", "s1:65", "d1234", "s1:2,", "s,1:2", "s1:2,,3:4", "dzz"},
 		"freq": {"junk", "9.0:1|", "0.512:1|", "0.1:-3|", "0.1:x|a", "|" + tooManyCandidates(),
-			"0.1:2;0.1:3|", "0.0:9223372036854775807;0.0:1|"},
+			"0.1:2;0.1:3|", "0.0:9223372036854775807;0.0:1|", "0.0:1;|", ";0.0:1|", "|a,", "|,a"},
 	}
 	for name, bads := range cases {
 		m, ok := Lookup(name)
@@ -250,5 +251,119 @@ func TestFreqExactWithinCapacity(t *testing.T) {
 	want := "10:10 9:9 8:8 7:7 6:6 5:5 4:4 3:3"
 	if top != want {
 		t.Errorf("top = %q, want %q", top, want)
+	}
+}
+
+// TestSketchMatchesReference: agg-sketch's shape through the rewritten
+// sketches and their pre-rewrite reference (reference_test.go). Sixteen
+// leaf states absorb 1 000 Zipf(1.2) values each over a 512-value
+// universe, cross the wire, merge into four interiors and those into a
+// root; every state encodes and reports alike on both sides.
+func TestSketchMatchesReference(t *testing.T) {
+	for _, k := range sketchKinds {
+		z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.2, 1, 511)
+		root := newSketchPair(k)
+		for interior := 0; interior < 4; interior++ {
+			acc := newSketchPair(k)
+			for leaf := 0; leaf < 4; leaf++ {
+				p := newSketchPair(k)
+				for i := 0; i < 1000; i++ {
+					v := strconv.FormatUint(z.Uint64()+1, 10)
+					if err := p.got.Absorb(v); err != nil {
+						t.Fatal(err)
+					}
+					p.want.Absorb(v) //nolint:errcheck // checked on the rewrite
+					if i%100 == 99 {
+						p.check(t, "Absorb")
+					}
+				}
+				p.decode(t, "a leaf's partial", p.enc)
+				acc.merge(t, p)
+			}
+			acc.decode(t, "an interior's partial", acc.enc)
+			root.merge(t, acc)
+		}
+	}
+}
+
+// TestSketchAllocs pins the sketch hot path: a freq Absorb at the
+// candidate cap and a distinct Absorb allocate nothing, and an Encode
+// builds its string in one allocation however many cells are set.
+func TestSketchAllocs(t *testing.T) {
+	fresh := make([]string, 4096)
+	for i := range fresh {
+		// Decreasing, so on a tied estimate the new value stays and a
+		// candidate is evicted.
+		fresh[i] = fmt.Sprintf("k%05d", len(fresh)-i)
+	}
+	freq := newFreqState()
+	for i := 0; i < cmCandidates; i++ {
+		freq.Absorb("z" + strconv.Itoa(i)) //nolint:errcheck // non-empty
+	}
+	hll := &hllState{}
+	n := 0
+	if a := testing.AllocsPerRun(1000, func() { freq.Absorb(fresh[n%len(fresh)]); n++ }); a != 0 { //nolint:errcheck // non-empty
+		t.Errorf("freq Absorb of a new value at the cap: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() { hll.Absorb(fresh[n%len(fresh)]); n++ }); a != 0 { //nolint:errcheck // non-empty
+		t.Errorf("distinct Absorb: %v allocs, want 0", a)
+	}
+
+	for _, values := range []int{1, 100, 4096} {
+		freq, hll := newFreqState(), &hllState{}
+		for _, v := range fresh[:values] {
+			freq.Absorb(v) //nolint:errcheck // non-empty
+			hll.Absorb(v)  //nolint:errcheck // non-empty
+		}
+		if a := testing.AllocsPerRun(100, func() { freq.Encode() }); a != 1 {
+			t.Errorf("freq Encode after %d values: %v allocs, want 1", values, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { hll.Encode() }); a != 1 {
+			t.Errorf("distinct Encode (%q form) after %d values: %v allocs, want 1", hll.Encode()[:1], values, a)
+		}
+	}
+}
+
+// TestCountersRefuseOverflow: a counter or sum that would wrap past
+// int64 refuses the Absorb or Merge and keeps its state. A wrapped count
+// encodes negative, which Decode rejects, so an interior that forwarded
+// it would lose the window at the root.
+func TestCountersRefuseOverflow(t *testing.T) {
+	cases := []struct{ fn, full, one, val string }{
+		{"count", "9223372036854775807", "1", "x"},
+		{"sum", "9223372036854775807/1", "1/1", "1"},
+		{"sum", "-9223372036854775808/1", "-1/1", "-1"},
+		{"avg", "0/9223372036854775807", "0/1", "0"},
+		{"freq", "0.0:9223372036854775807|", "0.0:1|", ""},
+	}
+	for _, c := range cases {
+		m, _ := Lookup(c.fn)
+		full, err := m.Decode(c.full)
+		if err != nil {
+			t.Fatalf("%s: Decode(%q): %v", c.fn, c.full, err)
+		}
+		one, err := m.Decode(c.one)
+		if err != nil {
+			t.Fatalf("%s: Decode(%q): %v", c.fn, c.one, err)
+		}
+		if err := full.Merge(one); err == nil {
+			t.Errorf("%s: %s ⊕ %s merged to %q", c.fn, c.full, c.one, full.Encode())
+		} else if full.Encode() != c.full {
+			t.Errorf("%s: refused merge changed %q to %q", c.fn, c.full, full.Encode())
+		}
+		if c.fn == "freq" {
+			// The value whose first-row bucket is the full cell 0.0.
+			for i := 0; ; i++ {
+				if v := strconv.Itoa(i); cmHash(v)[0] == 0 {
+					c.val = v
+					break
+				}
+			}
+		}
+		if err := full.Absorb(c.val); err == nil {
+			t.Errorf("%s: absorbing %q into %s gave %q", c.fn, c.val, c.full, full.Encode())
+		} else if full.Encode() != c.full {
+			t.Errorf("%s: refused Absorb changed %q to %q", c.fn, c.full, full.Encode())
+		}
 	}
 }
