@@ -312,6 +312,14 @@ func (r *Ring) Size() int {
 	return len(r.nodes)
 }
 
+// Member reports whether name is on the ring.
+func (r *Ring) Member(name string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, ok := r.byKey[name]
+	return ok
+}
+
 // Nodes returns member names in base-token ring order.
 func (r *Ring) Nodes() []string {
 	r.mu.RLock()

@@ -29,6 +29,12 @@ func TestJoinLeaveBasics(t *testing.T) {
 	if r.Size() != 1 {
 		t.Errorf("size = %d", r.Size())
 	}
+	if !r.Member("a") || r.Member("ghost") {
+		t.Errorf("Member(a), Member(ghost) = %v, %v", r.Member("a"), r.Member("ghost"))
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Member("a") }); n != 0 {
+		t.Errorf("Member allocates %v times", n)
+	}
 	if err := r.Leave("ghost"); err == nil {
 		t.Error("leaving a non-member accepted")
 	}
@@ -37,6 +43,9 @@ func TestJoinLeaveBasics(t *testing.T) {
 	}
 	if r.Size() != 0 {
 		t.Errorf("size = %d", r.Size())
+	}
+	if r.Member("a") {
+		t.Error("a is still a member after leaving")
 	}
 }
 

@@ -185,7 +185,7 @@ func (s *System) rechunkTask(p *Peer, t *Task, st *rechunkState, now time.Durati
 		over := mean > 0 &&
 			float64(c.delta) > cfg.SplitRatio*mean &&
 			len(c.n.Inputs) >= splitMinFanIn &&
-			s.Net.Alive(c.n.Peer)
+			s.member(c.n.Peer)
 		if over {
 			st.overCount[c.n.AggKey]++
 		} else {

@@ -300,7 +300,8 @@ func TestFailoverChainAfterRecovery(t *testing.T) {
 }
 
 // TestFailPeerSourceDeathDegrades: when the monitored peer itself dies,
-// its alerter has no replacement — the task reports itself degraded.
+// its alerter has no replacement — the task reports itself degraded,
+// until the peer rejoins the ring.
 func TestFailPeerSourceDeathDegrades(t *testing.T) {
 	sys := MustSystem(DefaultConfig())
 	mgr := sys.MustAddPeer("mgr")
@@ -317,6 +318,10 @@ func TestFailPeerSourceDeathDegrades(t *testing.T) {
 	}
 	if len(task.Degraded()) != 1 {
 		t.Errorf("degraded = %v, want the alerter", task.Degraded())
+	}
+	sys.RejoinPeer("src.com")
+	if got := task.Degraded(); len(got) != 0 {
+		t.Errorf("degraded after the source rejoined = %v, want none", got)
 	}
 	task.Stop()
 }

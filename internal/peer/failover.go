@@ -64,10 +64,23 @@ func (s *System) isStale(ref stream.Ref) bool {
 	return s.stale[ref]
 }
 
-// usable reports whether a channel is a viable provider: host alive and
-// producer still attached.
+// member is the runtime's one liveness belief: whether name is on the
+// DHT ring. FailPeer and LeavePeer take a peer off it, RejoinPeer and
+// JoinPeer put it back, and the supervisor's quorum drives those calls.
+// Placement and repair decide from it, and nothing in this package
+// crashes or recovers a node: a process stopping or restarting is the
+// harness's action. The reads of the simulated world that remain
+// (docs/DETECTOR.md "What the runtime reads of the world") are of two
+// kinds. Whether a peer's own process runs: the gossip round and the
+// suspicion sweep (gossip.go), checkpointTask and LeavePeer. Whether a
+// message would arrive: edge.deliverable, JoinPeer's seed contact,
+// joinPrecheck's partition check and splitInterior's live capture.
+func (s *System) member(name string) bool { return s.Ring.Member(name) }
+
+// usable reports whether a channel is a viable provider: host on the
+// ring and producer still attached.
 func (s *System) usable(ref stream.Ref) bool {
-	return s.Net.Alive(ref.PeerID) && !s.isStale(ref)
+	return s.member(ref.PeerID) && !s.isStale(ref)
 }
 
 // aliveOnly wraps a reuse chooser so it never selects a provider hosted
@@ -89,9 +102,11 @@ func aliveOnly(s *System, inner reuse.Chooser) reuse.Chooser {
 }
 
 // Supervisor couples the gossip failure detector with self-healing: a
-// quorum-confirmed death triggers FailPeer (crash the substrate links,
+// quorum-confirmed death triggers FailPeer (take the peer off the ring,
 // re-replicate DHT keys, migrate the dead peer's operators), a recovery
-// rejoins the peer.
+// rejoins the peer to the ring. It acts on beliefs only: a death
+// confirmed in error moves work off a peer that still runs, and never
+// stops it.
 type Supervisor struct {
 	det *GossipDetector
 
@@ -144,24 +159,23 @@ func (sup *Supervisor) Deaths() []string {
 	return append([]string(nil), sup.deaths...)
 }
 
-// FailPeer processes a confirmed-dead peer: its substrate links go down,
-// the DHT drops it and re-replicates the keys it held, and every live
-// task with operators or consumed channels on it is repaired — operators
-// are re-deployed onto live peers (preferring hosts that announced a
-// replica of the affected stream) and consumers are re-bound end-to-end.
-// It returns the repair actions taken. FailPeer is what the Supervisor
-// calls on detection; tests and harnesses may call it directly, never
-// from a peer's loop. It quiesces the loops first: an item the dead
-// peer's operators were already handed is then processed before the
-// teardown, not raced by it, so a run does not depend on the goroutine
-// schedule (FuzzFaultSchedule found a death confirmed after the peer's
-// recovery whose teardown raced the revived relay).
+// FailPeer processes a confirmed-dead peer: the DHT drops it and
+// re-replicates the keys it held, and every live task with operators or
+// consumed channels on it is repaired — operators are re-deployed onto
+// ring members (preferring hosts that announced a replica of the
+// affected stream) and consumers are re-bound end-to-end. It returns the
+// repair actions taken. FailPeer changes the runtime's belief, not the
+// world: it does not stop the peer's node, so a death confirmed in error
+// (FuzzFaultSchedule found a live source declared dead, and deaths
+// confirmed after the recovery) costs a migration, never an outage.
+// FailPeer is what the Supervisor calls on detection; tests and
+// harnesses may call it directly, never from a peer's loop. It quiesces
+// the loops first: an item the dead peer's operators were already handed
+// is then processed before the teardown, not raced by it, so a run does
+// not depend on the goroutine schedule.
 func (s *System) FailPeer(dead string, at time.Duration) []FailoverEvent {
 	s.Quiesce()
-	s.Net.Crash(dead) //nolint:errcheck // unknown nodes have no links to cut
-	if s.Peer(dead) != nil {
-		s.Ring.Fail(dead) //nolint:errcheck // double-fail is a no-op
-	}
+	s.Ring.Fail(dead) //nolint:errcheck // failing a non-member is a no-op
 	return s.repairDeparted(dead, at)
 }
 
@@ -172,15 +186,18 @@ func (s *System) FailPeer(dead string, at time.Duration) []FailoverEvent {
 // disseminates it, no suspicion window ever opens, no death event
 // fires), the peer's DHT keys migrate to their new owners with the store
 // intact (Ring.Leave, not Fail — replication never thins), and its
-// hosted operators and managed tasks move to live peers immediately
+// hosted operators and managed tasks move to ring members immediately
 // through the ordinary repair phases. With the replay layer on, a
 // checkpoint sweep runs first while the leaver is still up, so the
 // migrations restore warm state and the handoff is lossless — zero
 // detection latency, zero outage window. The repair actions taken are
 // returned; leave events reach membership alerters through the ring's
-// leave hooks as usual.
+// leave hooks as usual. LeavePeer does not stop the leaver's process:
+// that is its host's action (the lab harness crashes the node right
+// after). A leaver that keeps running answers the detector's probes,
+// refutes its departure and rejoins the ring like any recovered peer.
 func (s *System) LeavePeer(name string) ([]FailoverEvent, error) {
-	if s.Peer(name) == nil {
+	if !s.member(name) {
 		return nil, fmt.Errorf("peer: %s is not a member", name)
 	}
 	if !s.Net.Alive(name) {
@@ -204,7 +221,6 @@ func (s *System) LeavePeer(name string) ([]FailoverEvent, error) {
 	// Graceful ring departure: the leaver's stored copies migrate to the
 	// new owners (unlike Fail, where they die with it).
 	s.Ring.Leave(name) //nolint:errcheck // membership was checked above
-	s.Net.Crash(name)  //nolint:errcheck // the peer is gone; links go down
 	events := s.repairDeparted(name, at)
 	// Ring ownership changed: re-parent any aggregation-tree interiors
 	// whose DHT-derived host moved with the departure.
@@ -212,8 +228,8 @@ func (s *System) LeavePeer(name string) ([]FailoverEvent, error) {
 }
 
 // repairDeparted runs the repair phases over a peer that is gone —
-// crashed (FailPeer) or gracefully left (LeavePeer); its links are
-// already down and the ring no longer holds it.
+// confirmed dead (FailPeer) or gracefully left (LeavePeer); the ring no
+// longer holds it.
 func (s *System) repairDeparted(dead string, at time.Duration) []FailoverEvent {
 	var events []FailoverEvent
 	// Phase 0: re-home orphaned tasks. A task whose subscription manager
@@ -286,8 +302,9 @@ func (s *System) rehomeTask(old *Peer, t *Task, newMgr string, at time.Duration)
 	return FailoverEvent{TaskID: t.ID, Operator: "manager", From: old.name, To: newMgr, At: at}
 }
 
-// RejoinPeer brings a recovered peer back: its links come up and it
-// rejoins the DHT ring (which rebalances key placement). Tasks migrated
+// RejoinPeer brings a recovered peer back: it rejoins the DHT ring
+// (which rebalances key placement). The peer's node is already up — the
+// detector saw it answer — and RejoinPeer does not touch it. Tasks migrated
 // away during the outage stay where they are — the peer simply becomes
 // eligible for new work. Aggregation-tree interiors ARE re-placed,
 // though: rejoining moves ring ownership, and leaving the interiors
@@ -296,7 +313,6 @@ func (s *System) rehomeTask(old *Peer, t *Task, newMgr string, at time.Duration)
 // re-derive (System.AggPlacements) — the same rebalance every other
 // membership change performs.
 func (s *System) RejoinPeer(name string) []FailoverEvent {
-	s.Net.Recover(name) //nolint:errcheck // unknown nodes have no links
 	if s.Peer(name) == nil {
 		return nil
 	}
@@ -326,8 +342,8 @@ func (s *System) RebalanceAggTrees() []FailoverEvent {
 		for _, t := range sortedTasks(p) {
 			desired := s.AggPlacements(t.Plan)
 			postorder(t.Plan, func(n *algebra.Node) {
-				if n.AggKey == "" || !s.Net.Alive(n.Peer) {
-					return // crashed hosts are the failover path's job
+				if n.AggKey == "" || !s.member(n.Peer) {
+					return // departed hosts are the failover path's job
 				}
 				want := desired[n.AggKey]
 				if want == "" || want == n.Peer {
@@ -347,20 +363,15 @@ func (s *System) RebalanceAggTrees() []FailoverEvent {
 	return events
 }
 
-// livePeers returns the registered peers whose node is up, sorted by
-// name for deterministic repair order.
+// livePeers returns the peers on the ring, sorted by name for
+// deterministic repair order.
 func (s *System) livePeers() []*Peer {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.peers))
-	for n := range s.peers {
-		names = append(names, n)
-	}
-	s.mu.Unlock()
+	names := s.Ring.Nodes()
 	sort.Strings(names)
-	var out []*Peer
+	out := make([]*Peer, 0, len(names))
 	for _, n := range names {
-		if s.Net.Alive(n) {
-			out = append(out, s.Peer(n))
+		if p := s.Peer(n); p != nil {
+			out = append(out, p)
 		}
 	}
 	return out
@@ -382,18 +393,19 @@ func (p *Peer) repairOperators(t *Task, dead string, at time.Duration) []Failove
 		if n.Peer != dead || n.Op == algebra.OpChannelIn {
 			return // consumed channels are re-bound in phase 2
 		}
+		loss := FailoverEvent{TaskID: t.ID, Operator: n.Label(), From: dead, At: at}
 		lost := func(why string) {
 			t.degraded = append(t.degraded, n.Label()+why)
-			events = append(events, FailoverEvent{TaskID: t.ID, Operator: n.Label(), From: dead, At: at})
+			events = append(events, loss)
 		}
 		var mv move
 		var err error
 		switch n.Op {
 		case algebra.OpAlerter:
-			// The event source itself died: its events originate at the
-			// dead peer, so no live peer can produce them. The task is
-			// degraded until the peer returns.
-			lost("")
+			// The event source itself departed: its events originate
+			// there, so no other peer can produce them. The task is
+			// degraded until the peer returns (Task.Degraded).
+			events = append(events, loss)
 			return
 		case algebra.OpDynAlerter:
 			// The *manager* of the dynamic alerter set died, not the
@@ -565,7 +577,7 @@ func (p *Peer) repairChannelIns(t *Task, dead string, at time.Duration) []Failov
 		}
 		repl, viaReplica := p.sys.liveProvider(p.name, origin, dead)
 		if repl == nil {
-			t.degraded = append(t.degraded, "channel "+n.Channel.String())
+			// Degraded until the peer returns (Task.Degraded).
 			events = append(events, FailoverEvent{
 				TaskID: t.ID, Operator: "∈" + n.Channel.String(), From: dead, At: at,
 			})

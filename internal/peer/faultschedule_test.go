@@ -126,10 +126,23 @@ type faultRun struct {
 // runSchedule drives scheduleEvents events through a fresh relay rig
 // while ops strike, undoes every fault, steps until the task has every
 // result, and checks that each event arrived exactly once and the task
-// is not degraded.
+// is not degraded. After every event it also checks that the runtime
+// never changed a peer's liveness in the world: a worker is down exactly
+// when the schedule crashed it and has not recovered it, and src and
+// mgr are always up.
 func runSchedule(t *testing.T, ops []faultOp) faultRun {
 	t.Helper()
 	r := newRelayRig(t, replayOptions())
+	down := map[string]bool{}
+	checkWorld := func(after string) {
+		t.Helper()
+		for _, name := range []string{"src", "mgr", "w1", "w2"} {
+			if alive := r.sys.Net.Alive(name); alive == down[name] {
+				t.Errorf("%s: %s is alive=%v in the world, the schedule alone implies alive=%v",
+					after, name, alive, !down[name])
+			}
+		}
+	}
 	for i := 0; i <= scheduleEvents; i++ {
 		if i > 0 {
 			r.emit()
@@ -138,18 +151,24 @@ func runSchedule(t *testing.T, ops []faultOp) faultRun {
 		for _, op := range ops {
 			if op.at == i {
 				op.strike(r)
+				if op.kind <= faultRecover {
+					down[faultWorkers[op.arg]] = op.kind == faultCrash
+				}
 			}
 		}
+		checkWorld(fmt.Sprintf("after event %d", i))
 	}
 	r.sys.Net.Heal()
 	for _, w := range faultWorkers {
 		r.sys.Net.Recover(w) //nolint:errcheck // known node
+		down[w] = false
 	}
 	for _, link := range faultLinks {
 		r.sys.Net.SetDrop(link[0], link[1], 0)
 		r.sys.Net.SetExtraDelay(link[0], link[1], 0)
 	}
 	r.syncUntil(t, scheduleEvents)
+	checkWorld("at the end")
 	if got := r.task.Degraded(); len(got) != 0 {
 		t.Errorf("task degraded: %v", got)
 	}
@@ -259,7 +278,7 @@ func corpusEntry(t *testing.T, name string) []byte {
 	return []byte(data)
 }
 
-// TestFaultScheduleRunsTwiceAlike runs two committed schedules 200
+// TestFaultScheduleRunsTwiceAlike runs three committed schedules 200
 // times each at GOMAXPROCS=2; every pair of runs must agree.
 //   - x0xXx.00 (named in the encoding of the prototype that found it)
 //     crashes w1 and makes src→w2 and w2→mgr lossy after event 1, then
@@ -270,13 +289,21 @@ func corpusEntry(t *testing.T, name string) []byte {
 //     36 of 400 pairs differed.
 //   - confirmed-after-recovery makes src→w1 lossy after event 1, crashes
 //     w1 after event 7 and recovers it after event 11. The death is
-//     confirmed after the recovery, and FailPeer tears down the revived
-//     relay; when it did not quiesce the loops first, whether the relay
-//     had passed on the latest event decided the run: 7 of 400 pairs
-//     differed.
+//     confirmed after the recovery, and FailPeer moves the relay off the
+//     revived w1; when it did not quiesce the loops first, whether the
+//     relay had passed on the latest event decided the run: 7 of 400
+//     pairs differed. While FailPeer also crashed the peer it failed, w1
+//     stayed down from event 13.
+//   - live-source-declared-dead crashes w1 before event 1, partitions
+//     src→w1 and delays w1→mgr by 600 ms after event 2, recovers w1 and
+//     crashes w2 after event 3, and crashes w1 after event 4 and
+//     recovers it after event 6. The detector confirms w2, then src,
+//     which only lost w1. While FailPeer crashed the peer it failed, the
+//     live source went down and the task ended with 0 of 20 events; now
+//     the alerter is lost only until src rejoins the ring.
 func TestFaultScheduleRunsTwiceAlike(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	for _, name := range []string{"x0xXx.00", "confirmed-after-recovery"} {
+	for _, name := range []string{"x0xXx.00", "confirmed-after-recovery", "live-source-declared-dead"} {
 		t.Run(name, func(t *testing.T) {
 			data := corpusEntry(t, name)
 			for i := 0; i < 200 && !t.Failed(); i++ {

@@ -202,12 +202,10 @@ func (s *System) StartGossipDetector(opts GossipOptions) *GossipDetector {
 }
 
 // joinPrecheck validates a join without changing any state: the seed
-// must be a live gossip member the joiner can talk to. System.JoinPeer
-// runs it before admitting the peer anywhere, so a rejected join never
-// leaves half-registered membership behind. The partition check stands
-// in for reachability: a rejoining (still-down) peer's node comes up
-// between this check and the Join itself, but its partition group does
-// not change.
+// must be a gossip member the joiner is not partitioned from.
+// System.JoinPeer checks that the seed is up, then runs this before
+// admitting the peer anywhere, so a rejected join never leaves
+// half-registered membership behind.
 func (g *GossipDetector) joinPrecheck(name, seed string) error {
 	if name == seed {
 		return fmt.Errorf("peer: %s cannot seed its own join", name)
@@ -217,7 +215,7 @@ func (g *GossipDetector) joinPrecheck(name, seed string) error {
 	if g.views[seed] == nil {
 		return fmt.Errorf("peer: join seed %s is not a gossip member", seed)
 	}
-	if !g.sys.Net.Alive(seed) || g.sys.Net.Partitioned(name, seed) {
+	if g.sys.Net.Partitioned(name, seed) {
 		return fmt.Errorf("peer: join seed %s is unreachable from %s", seed, name)
 	}
 	return nil

@@ -151,7 +151,8 @@ func TestJoinDuringPartitionThenHeal(t *testing.T) {
 // comes back through the join protocol adopts an incarnation above the
 // death rumor, so the stale declarations cannot re-kill it; the
 // supervisor sees the recovery and the peer is placement-eligible
-// again.
+// again. The harness restarts the node before the join: JoinPeer does
+// not revive it.
 func TestDeadPeerRejoinsWithHigherIncarnation(t *testing.T) {
 	sys, det := gossipLab(t, 5, GossipOptions{Seed: 17, ProbeInterval: time.Second, Suspicion: 2 * time.Second})
 	for i := 0; i < 3; i++ {
@@ -166,6 +167,7 @@ func TestDeadPeerRejoinsWithHigherIncarnation(t *testing.T) {
 	}
 	_, incBefore, _ := det.ViewOf("p0", "p3")
 
+	sys.Net.Recover("p3")
 	if _, err := sys.JoinPeer("p3", "p0"); err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +190,8 @@ func TestDeadPeerRejoinsWithHigherIncarnation(t *testing.T) {
 			t.Errorf("%s holds incarnation %d for the rejoined peer, want > %d (the dead declaration's)", owner, inc, incBefore)
 		}
 	}
-	if !sys.Net.Alive("p3") {
-		t.Error("rejoined peer's node is still down")
+	if !sys.Ring.Member("p3") {
+		t.Error("rejoined peer is not a ring member")
 	}
 }
 

@@ -108,7 +108,7 @@ func (p *Peer) relocate(t *Task, n *algebra.Node, mv move) error {
 		switch {
 		case e.rep != nil:
 			e.sever(out.Ref())
-		case s.Net.Alive(e.task.Manager):
+		case s.member(e.task.Manager):
 			e.rebind(out)
 			if e.task == t {
 				continue

@@ -154,7 +154,7 @@ func (p *Peer) SubscribeParsed(sub *p2pml.Subscription) (*Task, error) {
 // its id, its plan is deployed (and torn down again if any part of the
 // deployment fails), and it enters the subscription database.
 func (p *Peer) start(task *Task) (*Task, error) {
-	task.ID, task.Manager = p.sys.nextTaskID(), p.name
+	task.ID, task.Manager, task.sys = p.sys.nextTaskID(), p.name, p.sys
 	if err := p.deploy(task); err != nil {
 		task.Stop()
 		return nil, err

@@ -41,7 +41,7 @@ func (s *System) SplitInterior(t *Task, aggKey string) (SplitEvent, error) {
 		return SplitEvent{}, fmt.Errorf("peer: only key-routed interiors split (the Final root stays put)")
 	}
 	p := s.Peer(t.Manager)
-	if p == nil || !s.Net.Alive(t.Manager) {
+	if p == nil || !s.member(t.Manager) {
 		return SplitEvent{}, fmt.Errorf("peer: task %s has no live manager", t.ID)
 	}
 	var target *algebra.Node

@@ -190,9 +190,10 @@ func (s *System) AddPeer(name string) (*Peer, error) {
 // through the gossip join protocol (seed contact, bootstrap,
 // piggybacked dissemination with incarnation numbers). The peer is
 // immediately eligible for operator placement and failover targeting.
-// Re-joining a dead peer revives it: its links come up, it re-enters
-// the ring, and its gossip incarnation is bumped above every death
-// rumor so the stale declarations cannot kill it again.
+// A departed peer re-joins the same way: it re-enters the ring, and its
+// gossip incarnation is bumped above every death rumor so the stale
+// declarations cannot kill it again. JoinPeer does not start a stopped
+// node: restarting the process is its host's action, before the join.
 func (s *System) JoinPeer(name, seed string) (*Peer, error) {
 	if name == seed {
 		return nil, fmt.Errorf("peer: %s cannot seed its own join", name)
@@ -200,6 +201,7 @@ func (s *System) JoinPeer(name, seed string) (*Peer, error) {
 	if s.Peer(seed) == nil {
 		return nil, fmt.Errorf("peer: join seed %q is not a member", seed)
 	}
+	// The seed contact: the one check that the seed answers.
 	if !s.Net.Alive(seed) {
 		return nil, fmt.Errorf("peer: join seed %q is down", seed)
 	}
@@ -213,15 +215,12 @@ func (s *System) JoinPeer(name, seed string) (*Peer, error) {
 			return nil, err
 		}
 	}
-	rejoining := s.Peer(name) != nil
 	p, err := s.AddPeer(name)
 	if err != nil {
 		return nil, err
 	}
-	if rejoining {
-		s.Net.Recover(name) //nolint:errcheck // known node
-		s.Ring.Join(name)   //nolint:errcheck // already-joined is fine
-	}
+	// AddPeer put a new peer on the ring; a returning one re-enters here.
+	s.Ring.Join(name) //nolint:errcheck // already-joined is fine
 	if g == nil {
 		// No detector to account the seed contact and bootstrap transfer
 		// (Join does): the join is one control message on the
@@ -297,7 +296,7 @@ func (s *System) SetAggHosts(filter func(name string) bool) {
 }
 
 // newAggPlacer returns a stateful bounded placer for aggregation-tree
-// interiors: each key offered lands on the first live, eligible ring
+// interiors: each key offered lands on the first eligible ring
 // successor of its hash that is below the running per-host cap
 // ⌈placed/eligible⌉ — consistent hashing with bounded loads, the PR 4
 // checkpoint-spreading guarantee applied to operator placement, so no
@@ -305,7 +304,8 @@ func (s *System) SetAggHosts(filter func(name string) bool) {
 // Offering the keys in sorted order makes the placement a deterministic
 // function of ring membership: repair and membership rebalancing
 // re-derive identical hosts by replaying the walk (AggPlacements).
-// Empty when no eligible member is alive.
+// Every candidate is a ring member, which is what the runtime believes
+// alive (System.member). Empty when no member is eligible.
 func (s *System) newAggPlacer() func(key string) string {
 	used := map[string]int{}
 	placed := 0
@@ -318,7 +318,7 @@ func (s *System) newAggPlacer() func(key string) string {
 		}
 		s.mu.Unlock()
 		eligible := func(name string) bool {
-			return s.Net.Alive(name) && !quarantined[name] && (filter == nil || filter(name))
+			return !quarantined[name] && (filter == nil || filter(name))
 		}
 		pool := 0
 		for _, m := range s.Ring.Nodes() {

@@ -21,6 +21,7 @@ type Task struct {
 	Plan    *algebra.Node
 	Reuse   *reuse.Result // nil when reuse was disabled
 
+	sys      *System
 	refs     map[*algebra.Node]stream.Ref // current stream identity per operator
 	origRefs map[*algebra.Node]stream.Ref // first-deployment identity (replica records chain to it)
 	channels []*stream.Channel
@@ -30,7 +31,7 @@ type Task struct {
 	// Stop closes them.
 	edges    []*edge
 	procs    map[*algebra.Node]*procInstance
-	degraded []string // operators lost without a repair path
+	degraded []string // losses that outlast the peer's return (Degraded)
 	handles  []*operators.Handle
 	closers  []func()
 	pollers  []func() (int, error)
@@ -55,11 +56,25 @@ type procInstance struct {
 	handle *operators.Handle
 }
 
-// Degraded lists operators this task lost without a repair path (e.g. an
-// alerter whose monitored peer crashed: its events originate there, so
-// nothing can take over). Empty for fully healthy or fully repaired
-// tasks.
-func (t *Task) Degraded() []string { return append([]string(nil), t.degraded...) }
+// Degraded lists what this task lost without a repair path. Two kinds
+// last exactly while their peer is off the ring, so they are read from
+// the plan and the ring: an alerter whose monitored peer departed (its
+// events originate there, so nothing can take over), and a consumed
+// channel whose host departed with no other provider. The others — a
+// move that failed, a dynamic alerter set without the replay layer, a
+// truncated membership history — are recorded when they happen. Empty
+// for fully healthy or fully repaired tasks.
+func (t *Task) Degraded() []string {
+	out := append([]string(nil), t.degraded...)
+	t.Plan.Walk(func(n *algebra.Node) {
+		if n.Op == algebra.OpAlerter && !t.sys.member(n.Peer) {
+			out = append(out, n.Label())
+		} else if n.Op == algebra.OpChannelIn && !t.sys.member(n.Channel.PeerID) {
+			out = append(out, "channel "+n.Channel.String())
+		}
+	})
+	return out
+}
 
 // DynEventsProcessed counts membership events the task's dynamic alerter
 // managers have fully applied; callers can synchronize on it before

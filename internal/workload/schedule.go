@@ -152,6 +152,8 @@ func (r *schedRunner) run(s schedule) error {
 			delete(r.recoverAt, peerName)
 		}
 		for _, peerName := range sortedDue(r.rejoinAt, now) {
+			// The leaver's process restarts, then asks to rejoin.
+			r.sys.Net.Recover(peerName) //nolint:errcheck // known node
 			if _, err := r.sys.JoinPeer(peerName, "mgr"); err != nil {
 				return fmt.Errorf("workload: re-admitting %s after its leave: %w", peerName, err)
 			}
@@ -169,6 +171,8 @@ func (r *schedRunner) run(s schedule) error {
 				if err != nil {
 					return fmt.Errorf("workload: %s leaving gracefully: %w", leaver, err)
 				}
+				// Having handed off, the leaver's process stops.
+				r.sys.Net.Crash(leaver) //nolint:errcheck // known node
 				for _, ev := range evs {
 					if ev.Repaired() {
 						r.leaveRepairs++
