@@ -84,8 +84,8 @@ func (s *System) usable(ref stream.Ref) bool {
 }
 
 // aliveOnly wraps a reuse chooser so it never selects a provider hosted
-// on a crashed peer, or one whose producer migrated away, when a viable
-// alternative exists.
+// on a peer off the ring, or one whose producer migrated away, when a
+// viable alternative exists.
 func aliveOnly(s *System, inner reuse.Chooser) reuse.Chooser {
 	return func(consumer string, original stream.Ref, replicas []stream.Ref) stream.Ref {
 		var ok []stream.Ref
