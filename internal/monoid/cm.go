@@ -35,14 +35,29 @@ func (freqMonoid) Exact() bool      { return false }
 func (freqMonoid) NeedsValue() bool { return true }
 func (freqMonoid) Zero() State      { return newFreqState() }
 
-func (freqMonoid) Decode(enc string) (State, error) {
-	s := newFreqState()
+func (m freqMonoid) Decode(enc string) (State, error) { return decode(m, enc) }
+
+func (s *freqState) Reset() {
+	s.cells = [cmDepth][cmWidth]int64{}
+	clear(s.cands)
+}
+
+func (s *freqState) Load(enc string) error {
+	s.Reset()
+	if err := s.load(enc); err != nil {
+		s.Reset()
+		return err
+	}
+	return nil
+}
+
+func (s *freqState) load(enc string) error {
 	if enc == "" {
-		return s, nil
+		return nil
 	}
 	sketch, cands, ok := strings.Cut(enc, "|")
 	if !ok {
-		return nil, fmt.Errorf("freq: bad state %q", enc)
+		return fmt.Errorf("freq: bad state %q", enc)
 	}
 	// Both lists are walked like strings.Split walks them: an empty
 	// element, trailing separator included, is a bad element.
@@ -55,11 +70,11 @@ func (freqMonoid) Decode(enc string) (State, error) {
 		c, err2 := strconv.Atoi(cs)
 		v, err3 := strconv.ParseInt(count, 10, 64)
 		if !ok || !ok2 || err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("freq: bad sketch cell %q", part)
+			return fmt.Errorf("freq: bad sketch cell %q", part)
 		}
 		// Encode writes each cell once, so a repeat is corrupt input.
 		if r < 0 || r >= cmDepth || c < 0 || c >= cmWidth || v < 1 || s.cells[r][c] != 0 {
-			return nil, fmt.Errorf("freq: out-of-range or repeated sketch cell %q", part)
+			return fmt.Errorf("freq: out-of-range or repeated sketch cell %q", part)
 		}
 		s.cells[r][c] = v
 	}
@@ -68,14 +83,14 @@ func (freqMonoid) Decode(enc string) (State, error) {
 		part, cands, more = strings.Cut(cands, ",")
 		v, err := url.QueryUnescape(part)
 		if err != nil || v == "" {
-			return nil, fmt.Errorf("freq: bad candidate %q", part)
+			return fmt.Errorf("freq: bad candidate %q", part)
 		}
 		s.cands[v] = cmHash(v)
 	}
 	if len(s.cands) > cmCandidates {
-		return nil, fmt.Errorf("freq: %d candidates exceeds cap %d", len(s.cands), cmCandidates)
+		return fmt.Errorf("freq: %d candidates exceeds cap %d", len(s.cands), cmCandidates)
 	}
-	return s, nil
+	return nil
 }
 
 // freqState caches each candidate's bucket per row, so a value is

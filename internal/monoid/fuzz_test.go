@@ -7,7 +7,10 @@ import (
 
 // FuzzMonoidDecode: partials and checkpoints arrive as untrusted text, so
 // Decode must never panic, and a state it accepts must survive its own
-// encoding: Encode, Decode and Encode again give the same bytes. When
+// encoding: Encode, Decode and Encode again give the same bytes, and the
+// round trip reports the same Final (a sum with no count once decoded,
+// re-encoded as "" and lost its sum). Load into a used state must give
+// Decode's verdict and encoding, and leave Zero when it refuses. When
 // both inputs decode, their merge must survive its encoding too (a
 // counter that wraps encodes negative, which Decode rejects), and a
 // merge that is refused must leave the receiver as it was.
@@ -41,7 +44,19 @@ func FuzzMonoidDecode(f *testing.F) {
 			return
 		}
 		first := roundTrip(t, m, enc, s)
+		used, _ := m.Decode(enc)
+		loadErr := used.Load(other)
 		o, err := m.Decode(other)
+		if (loadErr == nil) != (err == nil) {
+			t.Fatalf("%s: Load(%q) into %q gives %v, Decode %v", m.Name(), other, enc, loadErr, err)
+		}
+		want := m.Zero().Encode()
+		if err == nil {
+			want = o.Encode()
+		}
+		if got := used.Encode(); got != want {
+			t.Fatalf("%s: Load(%q) into %q leaves %q, want %q", m.Name(), other, enc, got, want)
+		}
 		if err != nil {
 			return
 		}
@@ -67,6 +82,9 @@ func roundTrip(t *testing.T, m Monoid, what string, s State) string {
 	if second := back.Encode(); second != first {
 		t.Fatalf("%s: %s re-encodes to %q, then to %q", m.Name(), what, first, second)
 	}
+	if got, want := finals(back), finals(s); got != want {
+		t.Fatalf("%s: %s reports %q, its round trip %q", m.Name(), what, want, got)
+	}
 	return first
 }
 
@@ -74,15 +92,18 @@ func roundTrip(t *testing.T, m Monoid, what string, s State) string {
 // their pre-rewrite copies (reference_test.go) on a program the fuzz
 // bytes spell: absorbs over a 40-value alphabet (past the 32-candidate
 // cap, with tied estimates), merges between two slots, round trips
-// through both decoders and decodes of raw bytes. After every step each
-// slot must encode and report the same on both sides, and the two
-// decoders must accept and reject the same inputs.
+// through both decoders and decodes of raw bytes, each also as a Load
+// into the used state, and resets, fresh or in place. After every step
+// each slot must encode and report the same on both sides, the two
+// decoders must accept and reject the same inputs, and a Load must give
+// a fresh Decode's verdict and encoding.
 func FuzzSketchMatchesReference(f *testing.F) {
 	f.Add([]byte{7, 0, 33})                                             // v0..v32 once each: the cap is crossed on a tie
 	f.Add([]byte{7, 0, 40, 0x17, 10, 30, 3, 4, 2, 9})                   // both slots over the cap, merged, round-tripped
 	f.Add([]byte("\x05\x180.0:9223372036854775807|\x15\x060.0:1|\x13")) // a refused overflow
 	f.Add([]byte("\x05\x05s1:2,\x05\x04s1:2\x05\x02|a"))                // a trailing separator
 	f.Add([]byte("\x05\x070.0:1;|\x05\x03|a,\x05\x05|a,,b"))
+	f.Add([]byte("\x07\x00\x28\x17\x05\x21\x0c\x0e\x02\x0c\x13\x0d\x04|a,b\x1d\x03|a,")) // Load and Reset in place
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 256 {
 			return
@@ -189,6 +210,27 @@ func (p *sketchPair) decode(t *testing.T, what, enc string) {
 	p.checkFinal(t, what)
 }
 
+// load is decode by Load into the rewrite's used state, which must give
+// a fresh Decode's verdict and encoding. A refused Load leaves Zero, so
+// the reference side restarts from Zero too.
+func (p *sketchPair) load(t *testing.T, what, enc string) {
+	t.Helper()
+	fresh, freshErr := p.kind.m.Decode(enc)
+	want, wantErr := p.kind.refDecode(enc)
+	err := p.got.Load(enc)
+	if (err == nil) != (freshErr == nil) || (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s: %s: Load(%q) into a used state gives %v, Decode %v, the reference %v", p.kind.m.Name(), what, enc, err, freshErr, wantErr)
+	}
+	if err != nil {
+		want = p.kind.refZero()
+	} else if got := p.got.Encode(); got != fresh.Encode() {
+		t.Fatalf("%s: %s: Load(%q) encodes as\n%q\nDecode as\n%q", p.kind.m.Name(), what, enc, got, fresh.Encode())
+	}
+	p.want = want
+	p.check(t, what)
+	p.checkFinal(t, what)
+}
+
 // check requires both sides to encode alike. Encodings are lossless, so
 // this covers the whole abstract state.
 func (p *sketchPair) check(t *testing.T, what string) {
@@ -225,8 +267,9 @@ func (p *sketchPair) merge(t *testing.T, o *sketchPair) {
 }
 
 // runSketchProgram interprets prog, one operation per byte: the low
-// three bits pick it, bit 4 the slot it acts on, and some take operand
-// bytes. Every operation runs on both sketches.
+// three bits pick it, bit 3 a variant of a decode or a reset, bit 4 the
+// slot it acts on, and some take operand bytes. Every operation runs on
+// both sketches.
 func runSketchProgram(t *testing.T, prog []byte) {
 	var slots [2][]*sketchPair
 	for i := range slots {
@@ -255,9 +298,13 @@ func runSketchProgram(t *testing.T, prog []byte) {
 			for i, p := range dst {
 				p.merge(t, src[i])
 			}
-		case 4: // round trip through both decoders
+		case 4: // round trip through both decoders, or Load into the used state
 			for _, p := range dst {
-				p.decode(t, "a round trip", p.enc)
+				if op&8 == 0 {
+					p.decode(t, "a round trip", p.enc)
+				} else {
+					p.load(t, "a Load round trip", p.enc)
+				}
 			}
 		case 5: // decode raw bytes
 			n := next() % 48
@@ -267,11 +314,22 @@ func runSketchProgram(t *testing.T, prog []byte) {
 			raw := string(prog[:n])
 			prog = prog[n:]
 			for _, p := range dst {
-				p.decode(t, "a raw decode", raw)
+				if op&8 == 0 {
+					p.decode(t, "a raw decode", raw)
+				} else {
+					p.load(t, "a raw Load", raw)
+				}
 			}
-		case 6: // reset
+		case 6: // a fresh state, or Reset in place
 			for i, p := range dst {
-				dst[i] = newSketchPair(p.kind)
+				if op&8 == 0 {
+					dst[i] = newSketchPair(p.kind)
+					continue
+				}
+				p.got.Reset()
+				p.want = p.kind.refZero()
+				p.check(t, "Reset")
+				p.checkFinal(t, "Reset")
 			}
 		case 7: // absorb a run of consecutive alphabet values
 			start, n := next(), next()%48

@@ -33,10 +33,22 @@ func (hllMonoid) Exact() bool      { return false }
 func (hllMonoid) NeedsValue() bool { return true }
 func (hllMonoid) Zero() State      { return &hllState{} }
 
-func (hllMonoid) Decode(enc string) (State, error) {
-	s := &hllState{}
+func (m hllMonoid) Decode(enc string) (State, error) { return decode(m, enc) }
+
+func (s *hllState) Reset() { s.reg = [hllM]byte{} }
+
+func (s *hllState) Load(enc string) error {
+	s.Reset()
+	if err := s.load(enc); err != nil {
+		s.Reset()
+		return err
+	}
+	return nil
+}
+
+func (s *hllState) load(enc string) error {
 	if enc == "" {
-		return s, nil
+		return nil
 	}
 	switch enc[0] {
 	case 's':
@@ -47,36 +59,36 @@ func (hllMonoid) Decode(enc string) (State, error) {
 			part, body, more = strings.Cut(body, ",")
 			is, vs, ok := strings.Cut(part, ":")
 			if !ok {
-				return nil, fmt.Errorf("distinct: bad sparse cell %q", part)
+				return fmt.Errorf("distinct: bad sparse cell %q", part)
 			}
 			i, err := strconv.Atoi(is)
 			if err != nil || i < 0 || i >= hllM {
-				return nil, fmt.Errorf("distinct: bad register index %q", part)
+				return fmt.Errorf("distinct: bad register index %q", part)
 			}
 			v, err := strconv.Atoi(vs)
 			if err != nil || v < 1 || v > 64-hllP+1 {
-				return nil, fmt.Errorf("distinct: bad register value %q", part)
+				return fmt.Errorf("distinct: bad register value %q", part)
 			}
 			if byte(v) > s.reg[i] {
 				s.reg[i] = byte(v)
 			}
 		}
-		return s, nil
+		return nil
 	case 'd':
 		body := enc[1:]
 		if len(body) != 2*hllM {
-			return nil, fmt.Errorf("distinct: dense state has %d hex chars, want %d", len(body), 2*hllM)
+			return fmt.Errorf("distinct: dense state has %d hex chars, want %d", len(body), 2*hllM)
 		}
 		for i := 0; i < hllM; i++ {
 			v, err := strconv.ParseUint(body[2*i:2*i+2], 16, 8)
 			if err != nil || v > 64-hllP+1 {
-				return nil, fmt.Errorf("distinct: bad dense register %d", i)
+				return fmt.Errorf("distinct: bad dense register %d", i)
 			}
 			s.reg[i] = byte(v)
 		}
-		return s, nil
+		return nil
 	}
-	return nil, fmt.Errorf("distinct: bad state prefix %q", enc[:1])
+	return fmt.Errorf("distinct: bad state prefix %q", enc[:1])
 }
 
 type hllState struct {

@@ -48,6 +48,14 @@ type State interface {
 	Encode() string
 	// Final emits the aggregate result as record attributes via set.
 	Final(set func(attr, val string))
+	// Reset returns the state to Zero, keeping its storage: an operator
+	// recycles the states of the windows it has closed.
+	Reset()
+	// Load replaces the state with the decoding of enc, a wire encoding
+	// produced by Encode, rejecting malformed or out-of-domain input
+	// (negative counts, bad lengths). It is all or nothing: on error the
+	// state is left at Zero.
+	Load(enc string) error
 }
 
 // Monoid names an aggregate function and constructs/decodes its states.
@@ -55,8 +63,7 @@ type Monoid interface {
 	Name() string
 	// Zero returns a fresh identity state.
 	Zero() State
-	// Decode parses a wire encoding produced by Encode, rejecting
-	// malformed or out-of-domain input (negative counts, bad lengths).
+	// Decode is Zero followed by Load: a fresh state holding enc.
 	Decode(enc string) (State, error)
 	// Exact reports whether the aggregate is exact (true) or a bounded
 	// -error sketch (false).
@@ -103,6 +110,16 @@ func init() {
 	register(freqMonoid{})
 }
 
+// decode is every monoid's Decode, so each keeps one parser: its
+// state's Load.
+func decode(m Monoid, enc string) (State, error) {
+	s := m.Zero()
+	if err := s.Load(enc); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 func mismatch(want string, got State) error {
 	return fmt.Errorf("monoid: cannot merge %T into %s state", got, want)
 }
@@ -115,22 +132,27 @@ func mismatch(want string, got State) error {
 
 type countMonoid struct{}
 
-func (countMonoid) Name() string     { return "count" }
-func (countMonoid) Exact() bool      { return true }
-func (countMonoid) NeedsValue() bool { return false }
-func (countMonoid) Zero() State      { return &countState{} }
-func (countMonoid) Decode(enc string) (State, error) {
-	n, err := strconv.ParseInt(enc, 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("count: bad state %q: %w", enc, err)
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("count: negative state %q", enc)
-	}
-	return &countState{n: n}, nil
-}
+func (countMonoid) Name() string                       { return "count" }
+func (countMonoid) Exact() bool                        { return true }
+func (countMonoid) NeedsValue() bool                   { return false }
+func (countMonoid) Zero() State                        { return &countState{} }
+func (m countMonoid) Decode(enc string) (State, error) { return decode(m, enc) }
 
 type countState struct{ n int64 }
+
+func (s *countState) Reset() { s.n = 0 }
+func (s *countState) Load(enc string) error {
+	s.n = 0
+	n, err := strconv.ParseInt(enc, 10, 64)
+	if err != nil {
+		return fmt.Errorf("count: bad state %q: %w", enc, err)
+	}
+	if n < 0 {
+		return fmt.Errorf("count: negative state %q", enc)
+	}
+	s.n = n
+	return nil
+}
 
 func (s *countState) Absorb(string) error {
 	if s.n == math.MaxInt64 {
@@ -173,6 +195,26 @@ func addSum(sum, n *int64, dsum, dn int64, fn string) error {
 	return nil
 }
 
+// parseSum reads the "S/n" encoding sum and avg share; "" is the empty
+// state. Encode writes a state with no contributions as "", never as
+// "S/0", so "S/0" is corrupt: it would re-encode as "" and lose S.
+func parseSum(fn, enc string) (sum, n int64, err error) {
+	if enc == "" {
+		return 0, 0, nil
+	}
+	ss, ns, ok := strings.Cut(enc, "/")
+	if !ok {
+		return 0, 0, fmt.Errorf("%s: bad state %q", fn, enc)
+	}
+	if sum, err = strconv.ParseInt(ss, 10, 64); err != nil {
+		return 0, 0, fmt.Errorf("%s: bad state %q: %w", fn, enc, err)
+	}
+	if n, err = strconv.ParseInt(ns, 10, 64); err != nil || n < 1 {
+		return 0, 0, fmt.Errorf("%s: bad state %q", fn, enc)
+	}
+	return sum, n, nil
+}
+
 func parseValue(val string) (int64, error) {
 	v, err := strconv.ParseInt(strings.TrimSpace(val), 10, 64)
 	if err != nil {
@@ -183,28 +225,11 @@ func parseValue(val string) (int64, error) {
 
 type sumMonoid struct{}
 
-func (sumMonoid) Name() string     { return "sum" }
-func (sumMonoid) Exact() bool      { return true }
-func (sumMonoid) NeedsValue() bool { return true }
-func (sumMonoid) Zero() State      { return &sumState{} }
-func (sumMonoid) Decode(enc string) (State, error) {
-	if enc == "" {
-		return &sumState{}, nil
-	}
-	parts := strings.SplitN(enc, "/", 2)
-	if len(parts) != 2 {
-		return nil, fmt.Errorf("sum: bad state %q", enc)
-	}
-	sum, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("sum: bad state %q: %w", enc, err)
-	}
-	n, err := strconv.ParseInt(parts[1], 10, 64)
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("sum: bad state %q", enc)
-	}
-	return &sumState{sum: sum, n: n}, nil
-}
+func (sumMonoid) Name() string                       { return "sum" }
+func (sumMonoid) Exact() bool                        { return true }
+func (sumMonoid) NeedsValue() bool                   { return true }
+func (sumMonoid) Zero() State                        { return &sumState{} }
+func (m sumMonoid) Decode(enc string) (State, error) { return decode(m, enc) }
 
 // sumState carries the contribution count alongside the running sum so
 // the empty state ("" on the wire) is distinguishable from a sum of 0.
@@ -213,6 +238,11 @@ type sumState struct {
 	n   int64
 }
 
+func (s *sumState) Reset() { *s = sumState{} }
+func (s *sumState) Load(enc string) (err error) {
+	s.sum, s.n, err = parseSum("sum", enc)
+	return err
+}
 func (s *sumState) Absorb(val string) error {
 	v, err := parseValue(val)
 	if err != nil {
@@ -239,28 +269,31 @@ func (s *sumState) Final(set func(attr, val string)) {
 
 type extremumMonoid struct{ name string }
 
-func (m extremumMonoid) Name() string   { return m.name }
-func (extremumMonoid) Exact() bool      { return true }
-func (extremumMonoid) NeedsValue() bool { return true }
-func (m extremumMonoid) Zero() State    { return &extremumState{attr: m.name, max: m.name == "max"} }
-func (m extremumMonoid) Decode(enc string) (State, error) {
-	s := m.Zero().(*extremumState)
-	if enc == "" {
-		return s, nil
-	}
-	v, err := strconv.ParseInt(enc, 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("%s: bad state %q: %w", m.name, enc, err)
-	}
-	s.set, s.v = true, v
-	return s, nil
-}
+func (m extremumMonoid) Name() string                     { return m.name }
+func (extremumMonoid) Exact() bool                        { return true }
+func (extremumMonoid) NeedsValue() bool                   { return true }
+func (m extremumMonoid) Zero() State                      { return &extremumState{attr: m.name, max: m.name == "max"} }
+func (m extremumMonoid) Decode(enc string) (State, error) { return decode(m, enc) }
 
 type extremumState struct {
 	attr string
 	max  bool
 	set  bool
 	v    int64
+}
+
+func (s *extremumState) Reset() { s.set, s.v = false, 0 }
+func (s *extremumState) Load(enc string) error {
+	s.Reset()
+	if enc == "" {
+		return nil
+	}
+	v, err := strconv.ParseInt(enc, 10, 64)
+	if err != nil {
+		return fmt.Errorf("%s: bad state %q: %w", s.attr, enc, err)
+	}
+	s.set, s.v = true, v
+	return nil
 }
 
 func (s *extremumState) take(v int64) {
@@ -302,18 +335,11 @@ func (s *extremumState) Final(set func(attr, val string)) {
 
 type avgMonoid struct{}
 
-func (avgMonoid) Name() string     { return "avg" }
-func (avgMonoid) Exact() bool      { return true }
-func (avgMonoid) NeedsValue() bool { return true }
-func (avgMonoid) Zero() State      { return &avgState{} }
-func (avgMonoid) Decode(enc string) (State, error) {
-	st, err := sumMonoid{}.Decode(enc)
-	if err != nil {
-		return nil, fmt.Errorf("avg: %w", err)
-	}
-	s := st.(*sumState)
-	return &avgState{sum: s.sum, n: s.n}, nil
-}
+func (avgMonoid) Name() string                       { return "avg" }
+func (avgMonoid) Exact() bool                        { return true }
+func (avgMonoid) NeedsValue() bool                   { return true }
+func (avgMonoid) Zero() State                        { return &avgState{} }
+func (m avgMonoid) Decode(enc string) (State, error) { return decode(m, enc) }
 
 // avgState is {sum, n}; the division happens only at Final, rendered
 // with a fixed format so equal states always print identical bytes.
@@ -322,6 +348,11 @@ type avgState struct {
 	n   int64
 }
 
+func (s *avgState) Reset() { *s = avgState{} }
+func (s *avgState) Load(enc string) (err error) {
+	s.sum, s.n, err = parseSum("avg", enc)
+	return err
+}
 func (s *avgState) Absorb(val string) error {
 	v, err := parseValue(val)
 	if err != nil {
@@ -359,26 +390,30 @@ func (s *avgState) Final(set func(attr, val string)) {
 
 type setMonoid struct{}
 
-func (setMonoid) Name() string     { return "set" }
-func (setMonoid) Exact() bool      { return true }
-func (setMonoid) NeedsValue() bool { return true }
-func (setMonoid) Zero() State      { return &setState{vals: map[string]struct{}{}} }
-func (setMonoid) Decode(enc string) (State, error) {
-	s := &setState{vals: map[string]struct{}{}}
+func (setMonoid) Name() string                       { return "set" }
+func (setMonoid) Exact() bool                        { return true }
+func (setMonoid) NeedsValue() bool                   { return true }
+func (setMonoid) Zero() State                        { return &setState{vals: map[string]struct{}{}} }
+func (m setMonoid) Decode(enc string) (State, error) { return decode(m, enc) }
+
+type setState struct{ vals map[string]struct{} }
+
+func (s *setState) Reset() { clear(s.vals) }
+func (s *setState) Load(enc string) error {
+	s.Reset()
 	if enc == "" {
-		return s, nil
+		return nil
 	}
 	for _, part := range strings.Split(enc, ",") {
 		v, err := url.QueryUnescape(part)
 		if err != nil || v == "" {
-			return nil, fmt.Errorf("set: bad state element %q", part)
+			s.Reset()
+			return fmt.Errorf("set: bad state element %q", part)
 		}
 		s.vals[v] = struct{}{}
 	}
-	return s, nil
+	return nil
 }
-
-type setState struct{ vals map[string]struct{} }
 
 func (s *setState) Absorb(val string) error {
 	if val == "" {

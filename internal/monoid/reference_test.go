@@ -68,6 +68,19 @@ func newRefFreqState() *refFreqState {
 	return &refFreqState{cands: map[string]struct{}{}}
 }
 
+// Reset and Load complete State the simplest way: a fresh state, and a
+// copy of refFreqDecode's.
+func (s *refFreqState) Reset() { *s = *newRefFreqState() }
+func (s *refFreqState) Load(enc string) error {
+	d, err := refFreqDecode(enc)
+	if err != nil {
+		s.Reset()
+		return err
+	}
+	*s = *d.(*refFreqState)
+	return nil
+}
+
 // refCMHash derives the per-row bucket indexes from two independent FNV
 // hashes (Kirsch–Mitzenmacher double hashing).
 func refCMHash(val string) (rows [cmDepth]int) {
@@ -270,6 +283,17 @@ func refHLLDecode(enc string) (State, error) {
 
 type refHLLState struct {
 	reg [hllM]byte
+}
+
+func (s *refHLLState) Reset() { *s = refHLLState{} }
+func (s *refHLLState) Load(enc string) error {
+	d, err := refHLLDecode(enc)
+	if err != nil {
+		s.Reset()
+		return err
+	}
+	*s = *d.(*refHLLState)
+	return nil
 }
 
 func refHLLHash(val string) uint64 {

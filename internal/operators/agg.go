@@ -39,18 +39,61 @@ func aggOf(m monoid.Monoid) monoid.Monoid {
 type windowStates map[int64]map[string]monoid.State
 
 // put merges st into the (idx, key) slot, installing it directly when
-// the slot is empty.
-func (w windowStates) put(idx int64, key string, st monoid.State) error {
+// the slot is empty. A state merged into the slot goes back to pool.
+func (w windowStates) put(idx int64, key string, st monoid.State, pool *statePool) error {
 	m := w[idx]
 	if m == nil {
 		m = make(map[string]monoid.State)
 		w[idx] = m
 	}
 	if cur := m[key]; cur != nil {
-		return cur.Merge(st)
+		err := cur.Merge(st)
+		pool.put(st)
+		return err
 	}
 	m[key] = st
 	return nil
+}
+
+// statePool is an operator's free list of the monoid states its closed
+// windows and its incoming partials released. A new window's state and
+// each incoming partial's scratch state are taken from it, so a steady
+// stream of windows and partials allocates no state (docs/AGGREGATION.md
+// "Where a window's state comes from"). It holds only Zero states, never
+// more than the widest window the operator has closed or the most keys
+// in one partial (limit), and Flush drops it.
+type statePool struct {
+	free  []monoid.State
+	limit int
+}
+
+// get returns a Zero state: a recycled one, or a fresh agg.Zero().
+func (p *statePool) get(agg monoid.Monoid) monoid.State {
+	n := len(p.free)
+	if n == 0 {
+		return agg.Zero()
+	}
+	st := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return st
+}
+
+// put resets st and keeps it, unless the pool is full. The caller holds
+// no other reference to st.
+func (p *statePool) put(st monoid.State) {
+	if len(p.free) < p.limit {
+		st.Reset()
+		p.free = append(p.free, st)
+	}
+}
+
+// release recycles the states of a closed window or a rejected partial.
+func (p *statePool) release(states map[string]monoid.State) {
+	p.limit = max(p.limit, len(states))
+	for _, st := range states {
+		p.put(st)
+	}
 }
 
 func (w windowStates) sortedWindows() []int64 {
@@ -109,12 +152,14 @@ func partialTree(agg monoid.Monoid, idx int64, states map[string]monoid.State, m
 }
 
 // parsePartial reads a <partial> back: window index, high-water mark,
-// decoded states. Non-partial trees, partials of a different aggregate
-// function, and corrupt states (negative counts, malformed sketches —
-// e.g. a replayed or tampered partial) report ok=false: the merge input
-// is rejected whole and surfaces via the dropped counter rather than
+// and each key's state, loaded into a scratch state from pool.
+// Non-partial trees, partials of a different aggregate function, and
+// corrupt states (negative counts, malformed sketches — e.g. a replayed
+// or tampered partial) report ok=false. Every key is loaded before any
+// window is touched, so the merge input is rejected whole, its scratch
+// states back in pool, and surfaces via the dropped counter rather than
 // corrupting merged windows.
-func parsePartial(agg monoid.Monoid, t *xmltree.Node) (idx int64, max time.Duration, states map[string]monoid.State, ok bool) {
+func parsePartial(agg monoid.Monoid, t *xmltree.Node, pool *statePool) (idx int64, hw time.Duration, states map[string]monoid.State, ok bool) {
 	if t == nil || t.Label != "partial" {
 		return 0, 0, nil, false
 	}
@@ -129,15 +174,22 @@ func parsePartial(agg monoid.Monoid, t *xmltree.Node) (idx int64, max time.Durat
 	if err != nil {
 		return 0, 0, nil, false
 	}
+	kids := t.ChildrenByLabel("k")
+	pool.limit = max(pool.limit, len(kids))
 	states = make(map[string]monoid.State)
-	for _, kn := range t.ChildrenByLabel("k") {
-		st, err := agg.Decode(kn.AttrOr("n", ""))
-		if err != nil {
+	for _, kn := range kids {
+		st := pool.get(agg)
+		if err := st.Load(kn.AttrOr("n", "")); err != nil {
+			pool.put(st)
+			pool.release(states)
 			return 0, 0, nil, false
 		}
 		key := kn.AttrOr("key", "")
 		if cur := states[key]; cur != nil {
-			if cur.Merge(st) != nil {
+			err := cur.Merge(st)
+			pool.put(st)
+			if err != nil {
+				pool.release(states)
 				return 0, 0, nil, false
 			}
 		} else {
@@ -165,6 +217,7 @@ type PartialAgg struct {
 	Agg monoid.Monoid
 
 	wins    windowStates
+	pool    statePool
 	maxSeen time.Duration
 	emitted uint64 // partial states emitted (diagnostics)
 	dropped uint64 // items whose value the aggregate rejected
@@ -191,7 +244,7 @@ func (p *PartialAgg) Accept(_ int, it stream.Item, emit Emit) {
 	if p.Value != nil {
 		val = p.Value(it.Tree)
 	}
-	if !absorb(p.wins, agg, idx, key, val) {
+	if !absorb(p.wins, &p.pool, agg, idx, key, val) {
 		p.dropped++
 		return
 	}
@@ -200,22 +253,25 @@ func (p *PartialAgg) Accept(_ int, it stream.Item, emit Emit) {
 	}
 	if p.Window > 0 {
 		for _, w := range p.wins.closable(p.Window, p.maxSeen) {
-			p.emitWindow(w, emit)
+			p.pool.release(p.emitWindow(w, emit))
 		}
 	}
 }
 
-// absorb folds one value into the (idx, key) state, creating it when
-// absent. A value the aggregate rejects leaves the window map untouched
-// and reports false.
-func absorb(wins windowStates, agg monoid.Monoid, idx int64, key, val string) bool {
+// absorb folds one value into the (idx, key) state, taking it from pool
+// when absent. A value the aggregate rejects leaves the window map
+// untouched and reports false.
+func absorb(wins windowStates, pool *statePool, agg monoid.Monoid, idx int64, key, val string) bool {
 	m := wins[idx]
 	st := m[key]
 	fresh := st == nil
 	if fresh {
-		st = agg.Zero()
+		st = pool.get(agg)
 	}
 	if st.Absorb(val) != nil {
+		if fresh {
+			pool.put(st)
+		}
 		return false
 	}
 	if fresh {
@@ -228,11 +284,13 @@ func absorb(wins windowStates, agg monoid.Monoid, idx int64, key, val string) bo
 	return true
 }
 
-// Flush implements Proc.
+// Flush implements Proc. It drops the closed windows' states instead of
+// recycling them, so a stopped task pins none.
 func (p *PartialAgg) Flush(emit Emit) {
 	for _, w := range p.wins.sortedWindows() {
 		p.emitWindow(w, emit)
 	}
+	p.pool = statePool{}
 }
 
 // PartialsEmitted reports how many partial states left this leaf.
@@ -242,14 +300,17 @@ func (p *PartialAgg) PartialsEmitted() uint64 { return p.emitted }
 // (e.g. a non-numeric input to sum).
 func (p *PartialAgg) Dropped() uint64 { return p.dropped }
 
-func (p *PartialAgg) emitWindow(idx int64, emit Emit) {
+// emitWindow emits window idx's partial and removes the window,
+// returning its states for the caller to recycle or drop.
+func (p *PartialAgg) emitWindow(idx int64, emit Emit) map[string]monoid.State {
 	states := p.wins[idx]
 	if len(states) == 0 {
-		return
+		return nil
 	}
 	emit(stream.Item{Tree: partialTree(aggOf(p.Agg), idx, states, p.maxSeen), Time: p.maxSeen})
 	delete(p.wins, idx)
 	p.emitted++
+	return states
 }
 
 // Snapshot implements Snapshotter: the open windows and the watermark.
@@ -282,7 +343,7 @@ func (p *PartialAgg) Restore(n *xmltree.Node) error {
 	if p.dropped, err = strconv.ParseUint(n.AttrOr("dropped", "0"), 10, 64); err != nil {
 		return fmt.Errorf("operators: bad dropped count in snapshot: %w", err)
 	}
-	p.wins, err = parseWindows(agg, n)
+	p.wins, err = parseWindows(agg, n, &p.pool)
 	return err
 }
 
@@ -303,6 +364,7 @@ type MergeAgg struct {
 	Agg monoid.Monoid
 
 	wins    windowStates
+	pool    statePool
 	maxSeen time.Duration
 	dropped uint64 // rejected inputs (non-partials, corrupt states)
 }
@@ -312,7 +374,7 @@ func (m *MergeAgg) Name() string { return "MergeAgg" }
 
 // Accept implements Proc.
 func (m *MergeAgg) Accept(_ int, it stream.Item, emit Emit) {
-	idx, max, states, ok := parsePartial(aggOf(m.Agg), it.Tree)
+	idx, max, states, ok := parsePartial(aggOf(m.Agg), it.Tree, &m.pool)
 	if !ok {
 		m.dropped++
 		return
@@ -321,7 +383,7 @@ func (m *MergeAgg) Accept(_ int, it stream.Item, emit Emit) {
 		m.wins = make(windowStates)
 	}
 	for _, k := range sortedKeys(states) {
-		if m.wins.put(idx, k, states[k]) != nil {
+		if m.wins.put(idx, k, states[k], &m.pool) != nil {
 			m.dropped++
 		}
 	}
@@ -330,7 +392,7 @@ func (m *MergeAgg) Accept(_ int, it stream.Item, emit Emit) {
 	}
 }
 
-// Flush implements Proc.
+// Flush implements Proc. Like PartialAgg's, it recycles no state.
 func (m *MergeAgg) Flush(emit Emit) {
 	agg := aggOf(m.Agg)
 	for _, w := range m.wins.sortedWindows() {
@@ -351,6 +413,7 @@ func (m *MergeAgg) Flush(emit Emit) {
 		}
 		delete(m.wins, w)
 	}
+	m.pool = statePool{}
 }
 
 // Dropped reports inputs that were not valid partial states (zero in a
@@ -380,7 +443,7 @@ func (m *MergeAgg) Restore(n *xmltree.Node) error {
 	if m.maxSeen, err = attrDur(n, "maxSeen"); err != nil {
 		return err
 	}
-	m.wins, err = parseWindows(agg, n)
+	m.wins, err = parseWindows(agg, n, &m.pool)
 	return err
 }
 
@@ -402,7 +465,7 @@ func appendWindows(n *xmltree.Node, wins windowStates) {
 	}
 }
 
-func parseWindows(agg monoid.Monoid, n *xmltree.Node) (windowStates, error) {
+func parseWindows(agg monoid.Monoid, n *xmltree.Node, pool *statePool) (windowStates, error) {
 	wins := make(windowStates)
 	for _, wn := range n.ChildrenByLabel("w") {
 		idx, err := strconv.ParseInt(wn.AttrOr("idx", "0"), 10, 64)
@@ -414,7 +477,7 @@ func parseWindows(agg monoid.Monoid, n *xmltree.Node) (windowStates, error) {
 			if err != nil {
 				return nil, fmt.Errorf("operators: bad %s state in snapshot: %w", agg.Name(), err)
 			}
-			if err := wins.put(idx, kn.AttrOr("key", ""), st); err != nil {
+			if err := wins.put(idx, kn.AttrOr("key", ""), st, pool); err != nil {
 				return nil, err
 			}
 		}

@@ -2,10 +2,12 @@ package operators
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
 
+	"p2pm/internal/monoid"
 	"p2pm/internal/stream"
 	"p2pm/internal/xmltree"
 )
@@ -27,6 +29,12 @@ func driveInline(p Proc, items []stream.Item) []stream.Item {
 	}
 	p.Flush(emit)
 	return out
+}
+
+// readPartial reads a count <partial> into fresh states.
+func readPartial(t *xmltree.Node) (int64, map[string]monoid.State, bool) {
+	idx, _, states, ok := parsePartial(aggOf(nil), t, &statePool{})
+	return idx, states, ok
 }
 
 func renderAll(items []stream.Item) []string {
@@ -107,7 +115,7 @@ func TestPartialAggWatermark(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("watermark emission = %d items, want 1", len(out))
 	}
-	idx, _, counts, ok := parsePartial(aggOf(nil), out[0].Tree)
+	idx, counts, ok := readPartial(out[0].Tree)
 	if !ok || idx != 0 || counts["a"] == nil || counts["a"].Encode() != "2" {
 		t.Fatalf("bad partial: %s", out[0].Tree)
 	}
@@ -116,7 +124,7 @@ func TestPartialAggWatermark(t *testing.T) {
 	p.Flush(emit)
 	total := 0
 	for _, it := range out {
-		if i, _, c, ok := parsePartial(aggOf(nil), it.Tree); ok && i == 0 && c["a"] != nil {
+		if i, c, ok := readPartial(it.Tree); ok && i == 0 && c["a"] != nil {
 			n, err := strconv.Atoi(c["a"].Encode())
 			if err != nil {
 				t.Fatalf("bad count state %q", c["a"].Encode())
@@ -208,7 +216,7 @@ func oldPartialAccept(p *PartialAgg, it stream.Item, emit Emit) {
 	if p.Window > 0 {
 		idx = int64(it.Time / p.Window)
 	}
-	if !absorb(p.wins, aggOf(p.Agg), idx, p.Key(it.Tree), "") {
+	if !absorb(p.wins, &p.pool, aggOf(p.Agg), idx, p.Key(it.Tree), "") {
 		p.dropped++
 		return
 	}
@@ -290,9 +298,11 @@ func TestPartialAggSteadyStateAllocs(t *testing.T) {
 // TestAggTreeIngestAllocs pins what an event costs a tree on average,
 // the partials of the windows it closes included: a PartialAgg leaf over
 // 8 keys, a watermark that closes a window every 64 events, feeding one
-// Final MergeAgg — or four tenants' roots at once, which costs no more.
+// Final MergeAgg — or four tenants' roots at once. The leaf recycles its
+// closed windows' states; each root opens a window per partial and, not
+// flushed, keeps it, so tenants cost more.
 func TestAggTreeIngestAllocs(t *testing.T) {
-	for _, tenants := range []int{1, 4} {
+	for tenants, want := range map[int]float64{1: 0, 4: 1} {
 		roots := make([]*MergeAgg, tenants)
 		for i := range roots {
 			roots[i] = &MergeAgg{Final: true}
@@ -315,8 +325,82 @@ func TestAggTreeIngestAllocs(t *testing.T) {
 			leaf.Accept(0, it, forward)
 			i++
 		}
-		if got := testing.AllocsPerRun(64*50, ingest); got != 1 {
-			t.Errorf("%d tenants: %v allocs per event, want 1", tenants, got)
+		if got := testing.AllocsPerRun(64*50, ingest); got != want {
+			t.Errorf("%d tenants: %v allocs per event, want %v", tenants, got, want)
+		}
+	}
+}
+
+// sketchPartial is a leaf's <partial> of one window and the given
+// number of keys, each of which absorbed v0..v39 (past freq's cap).
+func sketchPartial(t *testing.T, agg monoid.Monoid, keys int) stream.Item {
+	t.Helper()
+	leaf := &PartialAgg{Key: keyAttr, Value: func(n *xmltree.Node) string { return n.AttrOr("v", "") }, Window: time.Minute, Agg: agg}
+	var out []stream.Item
+	for i := 0; i < 40*keys; i++ {
+		it := aggItem(fmt.Sprintf("key-%d", i%keys), time.Second)
+		it.Tree.SetAttr("v", fmt.Sprintf("v%d", i/keys))
+		leaf.Accept(0, it, func(it stream.Item) { out = append(out, it) })
+	}
+	leaf.Flush(func(it stream.Item) { out = append(out, it) })
+	if len(out) != 1 {
+		t.Fatalf("%s leaf emitted %d partials, want 1", agg.Name(), len(out))
+	}
+	return out[0]
+}
+
+// allocsAndBytes is testing.AllocsPerRun with the bytes a run allocates.
+func allocsAndBytes(runs int, f func()) (allocs float64, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, f)
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / uint64(runs+1)
+}
+
+// TestMergeAggFoldAllocs: a freq or distinct interior folding a partial
+// into an open window loads each key into a recycled scratch state, so
+// what it allocates is the partial's key list and map, never a 16 KB or
+// 4 KB state.
+func TestMergeAggFoldAllocs(t *testing.T) {
+	for _, fn := range []string{"freq", "distinct"} {
+		agg, _ := monoid.Lookup(fn)
+		part := sketchPartial(t, agg, 4)
+		m := &MergeAgg{Agg: agg}
+		sink := func(stream.Item) {}
+		m.Accept(0, part, sink) // opens the window
+		m.Accept(0, part, sink) // fills the pool
+		allocs, bytes := allocsAndBytes(100, func() { m.Accept(0, part, sink) })
+		if allocs != 6 || bytes >= 4096 {
+			t.Errorf("%s: folding a partial into an open window allocates %v times, %d bytes; want 6 and no state", fn, allocs, bytes)
+		}
+		if m.Dropped() != 0 {
+			t.Errorf("%s: %d partials dropped", fn, m.Dropped())
+		}
+	}
+}
+
+// TestPartialAggWindowTurnoverAllocs: a freq or distinct leaf whose item
+// closes one window and opens the next takes the new window's state from
+// the closed one's, so what it allocates is the window's map and the
+// emitted <partial>, never a 16 KB or 4 KB state.
+func TestPartialAggWindowTurnoverAllocs(t *testing.T) {
+	for _, fn := range []string{"freq", "distinct"} {
+		agg, _ := monoid.Lookup(fn)
+		p := &PartialAgg{Key: keyAttr, Value: keyAttr, Window: time.Minute, Agg: agg}
+		sink := func(stream.Item) {}
+		k := int64(0)
+		turnover := func() {
+			// Window k opens; window k-2 falls behind the watermark.
+			p.Accept(0, aggItem("a", time.Duration(k)*time.Minute), sink)
+			k++
+		}
+		turnover()
+		turnover()
+		turnover()
+		allocs, bytes := allocsAndBytes(100, turnover)
+		if allocs != 16 || bytes >= 4096 {
+			t.Errorf("%s: a window turnover allocates %v times, %d bytes; want 16 and no state", fn, allocs, bytes)
 		}
 	}
 }

@@ -158,6 +158,7 @@ type Group struct {
 	Agg monoid.Monoid
 
 	wins    windowStates
+	pool    statePool
 	emitted map[int64]bool
 	maxSeen time.Duration
 	late    uint64
@@ -185,7 +186,7 @@ func (g *Group) Accept(_ int, it stream.Item, emit Emit) {
 	if g.Value != nil {
 		val = g.Value(it.Tree)
 	}
-	if !absorb(g.wins, aggOf(g.Agg), idx, key, val) {
+	if !absorb(g.wins, &g.pool, aggOf(g.Agg), idx, key, val) {
 		g.dropped++
 		return
 	}
@@ -202,16 +203,17 @@ func (g *Group) Accept(_ int, it stream.Item, emit Emit) {
 		// Watermark: emit windows whose end lies a full window behind the
 		// newest timestamp seen.
 		for _, w := range g.wins.closable(g.Window, g.maxSeen) {
-			g.emitWindow(w, emit)
+			g.pool.release(g.emitWindow(w, emit))
 		}
 	}
 }
 
-// Flush implements Proc.
+// Flush implements Proc. Like PartialAgg's, it recycles no state.
 func (g *Group) Flush(emit Emit) {
 	for _, w := range g.sortedWindows() {
 		g.emitWindow(w, emit)
 	}
+	g.pool = statePool{}
 }
 
 // Late reports stragglers that arrived after their window was emitted.
@@ -223,10 +225,12 @@ func (g *Group) Dropped() uint64 { return g.dropped }
 
 func (g *Group) sortedWindows() []int64 { return g.wins.sortedWindows() }
 
-func (g *Group) emitWindow(idx int64, emit Emit) {
+// emitWindow emits window idx's records and removes the window,
+// returning its states for the caller to recycle or drop.
+func (g *Group) emitWindow(idx int64, emit Emit) map[string]monoid.State {
 	states := g.wins[idx]
 	if len(states) == 0 {
-		return
+		return nil
 	}
 	for _, k := range sortedKeys(states) {
 		n := xmltree.Elem("group")
@@ -237,4 +241,5 @@ func (g *Group) emitWindow(idx int64, emit Emit) {
 	}
 	delete(g.wins, idx)
 	g.emitted[idx] = true
+	return states
 }

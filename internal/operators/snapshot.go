@@ -183,7 +183,7 @@ func (g *Group) Restore(n *xmltree.Node) error {
 	if g.dropped, err = strconv.ParseUint(n.AttrOr("dropped", "0"), 10, 64); err != nil {
 		return fmt.Errorf("operators: bad dropped count in snapshot: %w", err)
 	}
-	if g.wins, err = parseWindows(agg, n); err != nil {
+	if g.wins, err = parseWindows(agg, n, &g.pool); err != nil {
 		return err
 	}
 	g.emitted = make(map[int64]bool)
