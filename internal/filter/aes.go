@@ -114,14 +114,16 @@ func (a *AES) Delete(seq []int, subHandle int) bool {
 
 // Match feeds the ordered satisfied-condition list through the hash-tree
 // and returns the handles of all matched subscriptions (those whose whole
-// simple-condition sequence is satisfied), ascending, plus the number of
-// hash probes performed (for the C3 benchmark).
+// simple-condition sequence is satisfied), ascending and each once, plus
+// the number of hash probes performed (for the C3 benchmark). The handles
+// are collected and ordered in a pooled scratch; the result is the one
+// allocation.
 func (a *AES) Match(satisfied []int) (handles []int, probes int) {
 	sc := getScratch()
 	defer putScratch(sc)
-	handles, probes = a.match(satisfied, &sc.frontier, nil)
-	sort.Ints(handles)
-	return handles, probes
+	sc.handles, probes = a.match(satisfied, &sc.frontier, sc.handles)
+	sc.handles = ascending(sc.handles, &sc.bits)
+	return append([]int(nil), sc.handles...), probes
 }
 
 // match is Match over caller-owned scratch: the frontier is rebuilt in

@@ -2,6 +2,8 @@ package filter
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -122,8 +124,12 @@ func TestAESProbesBounded(t *testing.T) {
 	}
 }
 
-// Property: brute-force subset check agrees with the hash-tree.
+// Property: brute-force subset check agrees with the hash-tree. The
+// draws span few and many matches (up to a few hundred, past sortMax, so
+// both of ascending's paths run), dense and spread-out handles, and
+// handle ranges with gaps left by Delete.
 func TestQuickAESMatchesBruteForce(t *testing.T) {
+	bitmapped := 0 // draws whose matches ascending orders by bitmap
 	f := func(seed int64) bool {
 		rnd := newRand(seed)
 		a := NewAES()
@@ -133,7 +139,8 @@ func TestQuickAESMatchesBruteForce(t *testing.T) {
 		}
 		var subs []entry
 		nconds := 8
-		for i := 0; i < 12; i++ {
+		n, stride, base := 12+rnd.Intn(400), 1+rnd.Intn(3)*rnd.Intn(100), rnd.Intn(1000)-500
+		for i := 0; i < n; i++ {
 			var seq []int
 			for c := 0; c < nconds; c++ {
 				if rnd.Intn(3) == 0 {
@@ -143,14 +150,25 @@ func TestQuickAESMatchesBruteForce(t *testing.T) {
 			if len(seq) == 0 {
 				continue
 			}
-			if err := a.Insert(seq, i); err != nil {
+			id := base + i*stride
+			if err := a.Insert(seq, id); err != nil {
 				return false
 			}
-			subs = append(subs, entry{seq, i})
+			subs = append(subs, entry{seq, id})
+		}
+		kept := subs[:0]
+		for _, s := range subs {
+			if rnd.Intn(4) == 0 {
+				if !a.Delete(s.seq, s.id) {
+					return false
+				}
+				continue
+			}
+			kept = append(kept, s)
 		}
 		var satisfied []int
 		for c := 0; c < nconds; c++ {
-			if rnd.Intn(2) == 0 {
+			if rnd.Intn(4) != 0 {
 				satisfied = append(satisfied, c)
 			}
 		}
@@ -160,7 +178,7 @@ func TestQuickAESMatchesBruteForce(t *testing.T) {
 			sat[c] = true
 		}
 		var want []int
-		for _, s := range subs {
+		for _, s := range kept {
 			all := true
 			for _, c := range s.seq {
 				if !sat[c] {
@@ -173,10 +191,73 @@ func TestQuickAESMatchesBruteForce(t *testing.T) {
 			}
 		}
 		sort.Ints(want)
+		if n := len(want); n > sortMax && (want[n-1]-want[0])/64 < n {
+			bitmapped++
+		}
 		return fmt.Sprint(got) == fmt.Sprint(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+	if bitmapped < 30 {
+		t.Errorf("only %d of 300 draws ordered their matches by bitmap", bitmapped)
+	}
+}
+
+// TestAscending holds ascending to a sort and compaction on lists short
+// and long, dense and sparse, with duplicates and negative handles, and
+// requires it to leave the bitmap zeroed.
+func TestAscending(t *testing.T) {
+	rnd := newRand(7)
+	var bitmap []uint64
+	for i := 0; i < 2000; i++ {
+		n, span := rnd.Intn(300), 1+rnd.Intn(1+rnd.Intn(4)*rnd.Intn(5000))
+		hs := make([]int, n)
+		for j := range hs {
+			hs[j] = rnd.Intn(span) - span/3
+		}
+		want := slices.Compact(slices.Sorted(slices.Values(hs)))
+		if got := ascending(hs, &bitmap); !slices.Equal(got, want) {
+			t.Fatalf("ascending of %d handles over %d: %v, want %v", n, span, got, want)
+		}
+		if slices.ContainsFunc(bitmap, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("ascending of %d handles over %d left marks in the bitmap", n, span)
+		}
+	}
+}
+
+// TestAESMatchAllocs pins AES.Match at its result: the handles are
+// collected and ordered in the pooled scratch, so no size of tree costs a
+// growing slice or a sort.
+func TestAESMatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops entries at random, so the scratch is rebuilt")
+	}
+	satisfied := []int{3, 7, 12, 25, 31, 44, 58}
+	for _, n := range []int{1000, 10000, 100000} {
+		a := NewAES()
+		rnd := newRand(1)
+		for i := 0; i < n; i++ {
+			var seq []int
+			for c := 0; c < 60; c++ {
+				if rnd.Intn(20) == 0 {
+					seq = append(seq, c)
+				}
+			}
+			if len(seq) == 0 {
+				seq = []int{i % 60}
+			}
+			if err := a.Insert(seq, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, _ := a.Match(satisfied); len(got) == 0 {
+			t.Fatalf("%d subscriptions: no match, the pin would measure nothing", n)
+		}
+		runtime.GC() // one due inside the measurement would empty the pool
+		if allocs := testing.AllocsPerRun(100, func() { a.Match(satisfied) }); allocs != 1 {
+			t.Errorf("%d subscriptions: AES.Match allocates %v times, want 1", n, allocs)
+		}
 	}
 }
 

@@ -27,9 +27,10 @@ func serializedWorld(t *testing.T, complexFrac float64) (*filter.Filter, []filte
 
 // TestMatchSerializedAtScaleAllocs pins the filter's allocations per
 // document at 10k subscriptions, averaged over 256 generated alerts: a
-// match with tree patterns active (parse and result), a match with none
-// (the result, when there is one, is all), and one subscription change
-// beside matching — Remove, Add and the match that follows.
+// match with tree patterns active and one with none (either way the
+// result is all: the body is parsed into the pooled scratch), and one
+// subscription change beside matching — Remove, Add and the match that
+// follows.
 func TestMatchSerializedAtScaleAllocs(t *testing.T) {
 	if filter.RaceEnabled() {
 		t.Skip("under -race sync.Pool drops entries at random, so the scratch is rebuilt")
@@ -48,7 +49,7 @@ func TestMatchSerializedAtScaleAllocs(t *testing.T) {
 	check("match, complex subscriptions active", 1024, func() {
 		f.MatchSerialized(raws[i%len(raws)]) //nolint:errcheck // generated alerts parse
 		i++
-	}, 3)
+	}, 1)
 	i = 0
 	check("remove, add and match", 1024, func() {
 		s := subs[i%len(subs)]
@@ -58,7 +59,7 @@ func TestMatchSerializedAtScaleAllocs(t *testing.T) {
 		}
 		f.MatchSerialized(raws[i%len(raws)]) //nolint:errcheck // generated alerts parse
 		i++
-	}, 10)
+	}, 7)
 
 	f, _, raws = serializedWorld(t, 0)
 	i = 0

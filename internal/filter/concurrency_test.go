@@ -34,8 +34,14 @@ func TestFilterConcurrentMatchAndAdjust(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				if _, err := f.Match(docs[(w+i)%len(docs)]); err != nil {
+				doc := docs[(w+i)%len(docs)]
+				if _, err := f.Match(doc); err != nil {
 					t.Errorf("match: %v", err)
+					return
+				}
+				// Parsed into the pooled scratch: each match its own.
+				if _, err := f.MatchSerialized(doc.String()); err != nil {
+					t.Errorf("match serialized: %v", err)
 					return
 				}
 			}

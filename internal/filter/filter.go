@@ -2,7 +2,6 @@ package filter
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -55,7 +54,9 @@ func (m Mode) String() string {
 // complex matching; it returns the number of calls performed. It is
 // invoked only when some complex subscription is still active — this is
 // the lazy strategy of Section 4 that "avoids the unnecessary call to
-// service storage@site".
+// service storage@site". The document belongs to the filter only for the
+// call and must not be kept: MatchSerialized parses it into memory that
+// the next match reuses.
 type Materializer func(*xmltree.Node) (int, error)
 
 // Stats are cumulative counters over all matched documents.
@@ -313,7 +314,7 @@ func (f *Filter) MatchSerialized(raw string) ([]string, error) {
 // matchTwoStage is the paper's pipeline: preFilter and AES over the root
 // attributes, then the complex stage over the subscriptions still active.
 // A document that arrives serialized (doc nil) is parsed from raw only
-// when that last stage runs.
+// when that last stage runs, into the scratch's chunks.
 func (f *Filter) matchTwoStage(sc *scratch, attrs []xmltree.Attr, doc *xmltree.Node, raw string) ([]string, error) {
 	var evals, probes int
 	sc.satisfied, evals = f.reg.preFilter(attrs, sc.satisfied)
@@ -341,7 +342,7 @@ func (f *Filter) matchTwoStage(sc *scratch, attrs []xmltree.Attr, doc *xmltree.N
 	}
 	if doc == nil {
 		var err error
-		if doc, err = xmltree.Parse(raw); err != nil {
+		if doc, err = sc.tree.Parse(raw); err != nil {
 			return nil, err
 		}
 		f.stats.parsed.Add(1)
@@ -483,8 +484,7 @@ func (f *Filter) simpleHold(s *sub, doc *xmltree.Node) bool {
 // report turns the matched handles in sc.out into subscription IDs, in
 // registration order, each once.
 func (f *Filter) report(sc *scratch) []string {
-	sort.Ints(sc.out)
-	sc.out = dedupSorted(sc.out)
+	sc.out = ascending(sc.out, &sc.bits)
 	ids := make([]string, len(sc.out))
 	for i, h := range sc.out {
 		ids[i] = f.byHandle[h].ID

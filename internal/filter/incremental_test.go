@@ -3,6 +3,8 @@ package filter
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -221,11 +223,11 @@ func TestIncrementalEqualsFresh(t *testing.T) {
 // raceEnabled is set by race_test.go in builds with the race detector.
 var raceEnabled bool
 
-// TestMatchSerializedAllocs pins what a match may allocate: its result
-// and what reading the document takes, nothing per condition, table or
-// query. On the first-tag-only path that is the result alone (the first
-// tag is read into the scratch); on the parsed path the parse — three
-// chunks — plus the result.
+// TestMatchSerializedAllocs pins what a match may allocate: its result,
+// nothing per condition, table or query, and nothing to read the
+// document. On the first-tag-only path the first tag is read into the
+// scratch; on the parsed path the body is parsed into the scratch's
+// chunks too, which the pooled scratch keeps between matches.
 func TestMatchSerializedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops entries at random, so the scratch is rebuilt")
@@ -256,8 +258,56 @@ func TestMatchSerializedAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { f.MatchSerialized(firstTagOnly) }); n != 1 {
 		t.Errorf("first-tag-only match: %v allocs, want 1", n)
 	}
-	parse := testing.AllocsPerRun(200, func() { xmltree.Parse(parsed) })
-	if n := testing.AllocsPerRun(200, func() { f.MatchSerialized(parsed) }); n != parse+1 {
-		t.Errorf("parsed match: %v allocs, want parse (%v) + 1", n, parse)
+	if n := testing.AllocsPerRun(200, func() { f.MatchSerialized(parsed) }); n != 1 {
+		t.Errorf("parsed match: %v allocs, want 1", n)
+	}
+}
+
+// TestPooledScratchHoldsNoDocument: once MatchSerialized returns, the
+// scratch it gives back to the pool keeps the chunks its body was parsed
+// into, for the next match, but no pointer into the document: no node,
+// attribute or child in its Builder and no first-tag attribute.
+func TestPooledScratchHoldsNoDocument(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops entries at random")
+	}
+	f := New()
+	mustAdd(t, f, Subscription{ID: "s",
+		Simple:  []Cond{{Attr: "city", Op: xpath.OpEq, Value: "c0"}},
+		Complex: []*xpath.Path{xpath.MustCompile(`//body/op0`)},
+	})
+	const raw = `<alert city="c0" src="http://meteo.com"><body><op0 p="x"/><op3>t</op3></body></alert>`
+	runtime.GC() // one inside the loop below would empty the pool
+	for i := 0; i < 4; i++ {
+		if ids, err := f.MatchSerialized(raw); err != nil || len(ids) != 1 {
+			t.Fatalf("MatchSerialized = %v, %v", ids, err)
+		}
+	}
+	parsed := 0 // pooled scratches whose Builder has chunks
+	for i := 0; i < 64; i++ {
+		sc := getScratch() // drains the pool; fresh ones come last
+		b := reflect.ValueOf(sc.tree)
+		chunks := 0
+		for k := 0; k < b.NumField(); k++ {
+			chunk := b.Field(k)
+			chunks += chunk.Cap()
+			whole := chunk.Slice(0, chunk.Cap())
+			for j := 0; j < whole.Len(); j++ {
+				if !whole.Index(j).IsZero() {
+					t.Fatalf("pooled scratch: Builder.%s[%d] = %v, want zero", b.Type().Field(k).Name, j, whole.Index(j))
+				}
+			}
+		}
+		for j, a := range sc.attrs[:cap(sc.attrs)] {
+			if a != (xmltree.Attr{}) {
+				t.Fatalf("pooled scratch: attrs[%d] = %v, want zero", j, a)
+			}
+		}
+		if chunks > 0 {
+			parsed++
+		}
+	}
+	if parsed == 0 {
+		t.Fatal("no pooled scratch had parsed a document: the test measured nothing")
 	}
 }

@@ -7,6 +7,7 @@ package xmltree
 // A chunk that runs out is replaced, never grown: nodes already handed
 // out do not move. A retained node keeps its builder's chunks — one
 // tree's worth — reachable, nothing else. The zero value is ready to use.
+// A Builder that parses again reuses its chunks (see Parse).
 type Builder struct {
 	nodes []Node
 	attrs []Attr
@@ -29,6 +30,16 @@ func NewBuilder(nodes, attrs int) Builder {
 		attrs: make([]Attr, 0, attrs),
 		kids:  make([]*Node, 0, max(nodes-1, 0)),
 	}
+}
+
+// Reset zeroes what the trees carved from b used of its chunks, so that
+// b keeps no pointer into them, and keeps the chunks for the next tree.
+// Those trees must not be used afterwards.
+func (b *Builder) Reset() {
+	clear(b.nodes)
+	clear(b.attrs)
+	clear(b.kids)
+	b.nodes, b.attrs, b.kids = b.nodes[:0], b.attrs[:0], b.kids[:0]
 }
 
 // carve cuts n elements off the unused tail of *chunk, first replacing

@@ -23,16 +23,42 @@ const MaxDepth = 10000
 // Leading/trailing whitespace, an optional <?xml?> prolog, comments and
 // CDATA sections are accepted. The parser is hand written: the encoding/xml
 // token stream drops attribute order guarantees we rely on and is far
-// slower than needed for the filter benchmarks. The tree is carved from a
-// Builder whose first chunks are sized to the document by measure.
+// slower than needed for the filter benchmarks. Parse is (*Builder).Parse
+// on a fresh Builder, so the tree is carved from chunks sized to the
+// document by measure.
 func Parse(s string) (*Node, error) {
-	p := parser{src: s, b: NewBuilder(measure(s))}
+	var b Builder
+	return b.Parse(s)
+}
+
+// Parse parses a single XML document, as the function Parse does, into
+// b's chunks. It zeroes what the last tree used of them (Reset) and
+// reuses each chunk that holds what measure finds in s, replacing only
+// those that do not with chunks sized to s; so a Builder that parses a
+// stream of documents keeps chunks as large as the largest it has seen
+// and soon allocates nothing. Every tree carved from b, by an earlier
+// Parse or by Elem, Text and Clone, stays valid only until b parses
+// again: its nodes are then overwritten.
+func (b *Builder) Parse(s string) (*Node, error) {
+	nodes, attrs := measure(s)
+	b.Reset()
+	if cap(b.nodes) < nodes {
+		b.nodes = make([]Node, 0, nodes)
+	}
+	if cap(b.attrs) < attrs {
+		b.attrs = make([]Attr, 0, attrs)
+	}
+	if cap(b.kids) < nodes-1 {
+		b.kids = make([]*Node, 0, nodes-1)
+	}
+	p := parser{src: s, b: *b}
 	// The children of the open elements, youngest last. Kept out of the
 	// parser struct, whose pointers escape with the tree, so that the
 	// array stays on the goroutine stack.
 	var stack [32]*Node
 	p.skipMisc()
 	root, _, err := p.parseElement(stack[:0], 1)
+	*b = p.b
 	if err != nil {
 		return nil, err
 	}

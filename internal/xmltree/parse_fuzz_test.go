@@ -37,11 +37,12 @@ func envelopeAlert() *xmltree.Node {
 // checkAgainstRef holds Parse to the reference parser on one input: the
 // same verdict, on failure the same offset and message, on success an
 // Equal tree that serializes to the same bytes and whose root tag is what
-// ReadFirstTag reads.
+// ReadFirstTag reads. It also holds a reused Builder to Parse.
 func checkAgainstRef(t *testing.T, s string) {
 	t.Helper()
 	want, werr := refParse(s)
 	got, gerr := xmltree.Parse(s)
+	checkReparse(t, s, got, gerr)
 	if werr != nil || gerr != nil {
 		var we, ge *xmltree.ParseError
 		if errors.As(gerr, &ge) && werr == nil && strings.Contains(ge.Msg, "nested deeper") {
@@ -61,6 +62,28 @@ func checkAgainstRef(t *testing.T, s string) {
 	label, attrs, err := xmltree.ReadFirstTag(s)
 	if err != nil || label != got.Label || !slices.Equal(attrs, got.Attrs) {
 		t.Fatalf("ReadFirstTag(%q) = %q %v %v, root is %q %v", s, label, attrs, err, got.Label, got.Attrs)
+	}
+}
+
+// checkReparse parses s into a Builder that has just parsed a different
+// document built from s — one its chunks hold, so they are reused — and
+// requires what Parse gave: the same error and offset, or a tree with
+// the same rendering and size. A reused chunk that still holds an
+// earlier node's attribute, child or text fails here.
+func checkReparse(t *testing.T, s string, want *xmltree.Node, werr error) {
+	t.Helper()
+	var b xmltree.Builder
+	b.Parse(`<w k="v">` + s + `<x>t</x>` + s + `</w>`) //nolint:errcheck // valid or not, it fills the chunks
+	got, gerr := b.Parse(s)
+	if werr != nil || gerr != nil {
+		var we, ge *xmltree.ParseError
+		if !errors.As(werr, &we) || !errors.As(gerr, &ge) || *we != *ge {
+			t.Fatalf("reused Builder.Parse(%q): error %v, Parse %v", s, gerr, werr)
+		}
+		return
+	}
+	if g, w := got.String(), want.String(); g != w || got.SerializedSize() != want.SerializedSize() {
+		t.Fatalf("reused Builder.Parse(%q) = %q (size %d), Parse %q (size %d)", s, g, got.SerializedSize(), w, want.SerializedSize())
 	}
 }
 
@@ -118,11 +141,11 @@ func nodesOf(root *xmltree.Node) (all []*xmltree.Node) {
 	return all
 }
 
-// TestParsedNodesDoNotAlias: the lists of a parsed, a Builder-built and a
-// cloned tree are carved from shared chunks, so mutating any one node —
-// SetAttr, Append, RemoveAttr, each past and within its list — must leave
-// every other node's Attrs and Children as they were, and mutating a
-// clone must never show in the original.
+// TestParsedNodesDoNotAlias: the lists of a parsed, a reparsed, a
+// Builder-built and a cloned tree are carved from shared chunks, so
+// mutating any one node — SetAttr, Append, RemoveAttr, each past and
+// within its list — must leave every other node's Attrs and Children as
+// they were, and mutating a clone must never show in the original.
 func TestParsedNodesDoNotAlias(t *testing.T) {
 	built := func() *xmltree.Node {
 		b := xmltree.NewBuilder(4, 2) // under-sized: the clone spills into later chunks
@@ -134,6 +157,17 @@ func TestParsedNodesDoNotAlias(t *testing.T) {
 		"alert":  envelopeAlert,
 		"built":  built,
 		"cloned": func() *xmltree.Node { return xmltree.MustParse(benchDoc).Clone() },
+		"reparsed": func() *xmltree.Node { // into chunks another shape used
+			var b xmltree.Builder
+			if _, err := b.Parse(`<a ` + strings.Repeat(`k="v" `, 40) + `>` + strings.Repeat(`<b i="1">t</b>`, 40) + `</a>`); err != nil {
+				t.Fatal(err)
+			}
+			root, err := b.Parse(benchDoc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return root
+		},
 	} {
 		want := build().String()
 		for k := range nodesOf(build()) {
@@ -188,7 +222,8 @@ var sinkNode *xmltree.Node
 
 // TestParseAllocs pins where a tree's memory comes from: the Builder's
 // three sized chunks per document (71 allocations for benchDoc when every
-// node and every list growth was its own), nothing for a first tag read
+// node and every list growth was its own), nothing for a parse into a
+// Builder whose chunks hold the document, nothing for a first tag read
 // into a reused slice, and for a two-node literal no more than the two
 // nodes and one pointer it consists of.
 func TestParseAllocs(t *testing.T) {
@@ -199,6 +234,10 @@ func TestParseAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(20, func() { sinkNode, _ = xmltree.Parse(doc) }); a != 3 {
 			t.Errorf("Parse allocates %v times, want 3, for %s", a, doc)
 		}
+	}
+	var b xmltree.Builder
+	if a := testing.AllocsPerRun(200, func() { sinkNode, _ = b.Parse(benchDoc) }); a != 0 {
+		t.Errorf("Parse(benchDoc) into a Builder whose chunks hold it allocates %v times, want 0", a)
 	}
 	attrs := make([]xmltree.Attr, 0, 32)
 	if a := testing.AllocsPerRun(200, func() { _, attrs, _ = xmltree.AppendFirstTag(attrs[:0], benchDoc) }); a != 0 {
