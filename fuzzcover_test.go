@@ -11,24 +11,62 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // fuzzExempt lists the exported decoders no fuzz target calls by name,
 // each with the target that reaches it through its caller.
 var fuzzExempt = map[string]string{
-	"xpath.ParseNumber": "FuzzCompare: xpath.Compare parses both operands with it",
-	"xpath.ParseOp":     "FuzzCompile and FuzzSubscription: every comparison in an xpath or a WHERE clause goes through it",
-	"p2pml.ParseExpr":   "FuzzSubscription: p2pml.Parse parses every template expression with it",
+	"xpath.ParseNumber":     "FuzzCompare: xpath.Compare parses both operands with it",
+	"xpath.ParseOp":         "FuzzCompile and FuzzSubscription: every comparison in an xpath or a WHERE clause goes through it",
+	"p2pml.ParseExpr":       "FuzzSubscription: p2pml.Parse parses every template expression with it",
+	"xmltree.Builder.Parse": "FuzzParse: its checker parses every input again into a reused Builder and compares with Parse",
 }
 
-// TestEveryDecoderIsFuzzed lists every exported Decode*/Parse* function
-// in the non-test files under internal/ and fails for one that no Fuzz*
-// target calls: by its bare name from a test of its own package, or
-// qualified from a test of any other. Everything that decodes bytes or
-// text from outside the process gets a fuzz target.
+// isDecoder reports whether a function or method name is Decode or Parse,
+// alone or followed by a word (DecodeItem, ParseExpr): not Decoded.
+func isDecoder(name string) bool {
+	for _, verb := range []string{"Decode", "Parse"} {
+		if rest, ok := strings.CutPrefix(name, verb); ok && (rest == "" || unicode.IsUpper(rune(rest[0]))) {
+			return true
+		}
+	}
+	return false
+}
+
+// recvType names a method's receiver type, "" for a function.
+func recvType(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return ""
+	}
+	typ := fn.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	switch x := typ.(type) {
+	case *ast.IndexExpr:
+		typ = x.X
+	case *ast.IndexListExpr:
+		typ = x.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// TestEveryDecoderIsFuzzed lists every exported Decode*/Parse* function,
+// and every such method of an exported type, in the non-test files under
+// internal/, and fails for one that no Fuzz* target calls. A function
+// counts when called by its bare name from a test of its own package, or
+// qualified from a test of any other; a method, when called by name
+// (x.Decode) from a test of its own package or of one importing it.
+// Everything that decodes bytes or text from outside the process gets a
+// fuzz target.
 func TestEveryDecoderIsFuzzed(t *testing.T) {
-	decoders := map[string]bool{} // "pkg.Name"
+	decoders := map[string]bool{} // "pkg.Name" or "pkg.Type.Name"
 	fuzzed := map[string]bool{}
+	methodCalls := map[string]bool{} // "pkg.Name": x.Name called where pkg is visible
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("internal", func(p string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") {
@@ -42,9 +80,14 @@ func TestEveryDecoderIsFuzzed(t *testing.T) {
 		if !strings.HasSuffix(p, "_test.go") {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
-				if ok && fn.Recv == nil && fn.Name.IsExported() &&
-					(strings.HasPrefix(fn.Name.Name, "Decode") || strings.HasPrefix(fn.Name.Name, "Parse")) {
+				if !ok || !fn.Name.IsExported() || !isDecoder(fn.Name.Name) {
+					continue
+				}
+				switch recv := recvType(fn); {
+				case fn.Recv == nil:
 					decoders[pkg+"."+fn.Name.Name] = true
+				case ast.IsExported(recv):
+					decoders[pkg+"."+recv+"."+fn.Name.Name] = true
 				}
 			}
 			return nil
@@ -75,6 +118,11 @@ func TestEveryDecoderIsFuzzed(t *testing.T) {
 				case *ast.SelectorExpr:
 					if x, ok := fun.X.(*ast.Ident); ok && imports[x.Name] != "" {
 						fuzzed[imports[x.Name]+"."+fun.Sel.Name] = true
+						break
+					}
+					methodCalls[pkg+"."+fun.Sel.Name] = true
+					for _, imported := range imports {
+						methodCalls[imported+"."+fun.Sel.Name] = true
 					}
 				}
 				return true
@@ -84,6 +132,11 @@ func TestEveryDecoderIsFuzzed(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for name := range decoders {
+		if parts := strings.Split(name, "."); len(parts) == 3 && methodCalls[parts[0]+"."+parts[2]] {
+			fuzzed[name] = true
+		}
 	}
 	var missing []string
 	for name := range decoders {

@@ -3,13 +3,16 @@
 // this file is its one implementation. An operator input, the manager's
 // result reader, a BY subscribe target, an announced replica's forwarder
 // and an outside reader (System.SubscribeChannel) are all an edge: they
-// differ only in where delivered items land. One closure carries items
-// across the link, one sweep refills what the link lost, one index says
-// who consumes a channel. See docs/REPLAY.md "The consumer edge".
+// differ only in where delivered items land. One link per channel and
+// consumer peer carries items across the network, however many of that
+// peer's edges read them; one sweep refills what the link lost, edge by
+// edge; one index says who consumes a channel. See docs/REPLAY.md "The
+// consumer edge".
 package peer
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"p2pm/internal/algebra"
 	"p2pm/internal/stream"
@@ -36,8 +39,8 @@ type edge struct {
 
 	// Where delivered items land: queue for an operator input, the result
 	// reader and a BY subscribe target (the target's Incoming queue), rep
-	// for a replica forwarder; sink pushes into whichever it is. An outside
-	// reader has none of the three: it reads the subscription's own queue.
+	// for a replica forwarder, an outside reader's own queue; sink pushes
+	// into whichever it is.
 	queue *stream.Queue
 	rep   *stream.Channel
 	sink  func(stream.Item)
@@ -46,11 +49,14 @@ type edge struct {
 	// layer off, which is the plain lossy delivery path.
 	cur *stream.Cursor
 
-	// The live subscription, guarded by sys.mu together with the index. src
-	// stays set after detach (the next attach replaces it); sub is nil while
-	// detached.
-	src *stream.Channel
-	sub *stream.Subscription
+	// The live attachment, guarded by sys.mu together with the index: a
+	// subscription of the edge's own (a producer on the consumer's peer, or
+	// the manager's local reader) or the link it shares (a remote
+	// producer). src stays set after detach (the next attach replaces it);
+	// sub and link are nil while detached.
+	src  *stream.Channel
+	sub  *stream.Subscription
+	link *link
 	// owned is set when the task owns src: end-of-stream will come down the
 	// edge, so Stop closes it only after the operators drained. An edge on a
 	// shared channel (a reused stream, a repository's event channel) is
@@ -80,70 +86,236 @@ func (e *edge) into(q *stream.Queue, after uint64, gated bool) {
 	}
 }
 
-// attach subscribes the edge to ch and indexes it under ch's ref. Items
-// cross the simulated link when the producer lives elsewhere (accounting,
-// latency, faults), then the cursor deduplicates and orders them into the
-// sink; a consumer that takes them as calls (direct) is offered them
-// instead. fromSeq > 0 resumes from the retained history, counting
-// retransmissions and releasing the cursor past any trimmed prefix;
-// fromSeq 0 attaches at "now" with the cursor floored at the attach point.
+// attach subscribes the edge to ch and indexes it under ch's ref. When
+// the producer lives on another peer the edge joins the link that carries
+// ch to its consumer's peer; otherwise it holds a subscription of its
+// own, which crosses no link. fromSeq > 0 resumes from the retained
+// history, counting retransmissions and releasing the cursor past any
+// trimmed prefix; fromSeq 0 attaches at "now" with the cursor floored at
+// the attach point.
 func (e *edge) attach(ch *stream.Channel, fromSeq uint64) {
-	s, cur, sink, q := e.sys, e.cur, e.sink, e.queue
+	s := e.sys
 	from, to := ch.Ref().PeerID, e.peer
-	remote := from != to && !e.local
-	direct := from == to && cur == nil && e.direct()
-	deliver := func(it stream.Item, own *stream.Queue) {
-		if remote {
-			var ok bool
-			if it, ok = s.Net.Deliver(from, to, it); !ok {
-				return
-			}
-		}
-		switch {
-		case cur != nil && it.EOS():
-			cur.Terminate(it) // flush parked items before the terminator
-		case cur != nil:
-			cur.Offer(it)
-		case direct:
-			q.Offer(it)
-		case sink != nil:
-			sink(it)
-		default:
-			own.Push(it)
-		}
-		if it.EOS() {
-			if q != nil {
-				q.Close()
-			}
-			if e.rep != nil {
-				s.unindex(e, true)
-			}
-		}
+	d := landing{e: e, cur: e.cur, sink: e.sink, q: e.queue,
+		direct: from == to && e.cur == nil && e.direct()}
+	if !ch.ReplayEnabled() {
+		fromSeq = 0
 	}
 	var sub *stream.Subscription
-	if fromSeq > 0 && ch.ReplayEnabled() {
-		sub = ch.SubscribeFrom(to, fromSeq, deliver)
-		if sub.Replayed > 0 {
-			s.replayed.Add(uint64(sub.Replayed))
-		}
-		if cur != nil && sub.ReplayFrom > fromSeq {
-			// The retention buffer already trimmed the prefix: those
-			// sequences are unrecoverable, release anything parked behind
-			// them.
-			cur.SkipTo(sub.ReplayFrom)
-		}
-	} else {
-		sub = ch.Subscribe(to, deliver)
-		if cur != nil {
-			cur.AdvanceTo(sub.StartSeq)
+	var l *link
+	switch {
+	case from != to && !e.local:
+		l = s.join(ch, to, d, fromSeq)
+	case fromSeq > 0:
+		sub = ch.SubscribeFrom(to, fromSeq, d.hook)
+		s.resumed(d.cur, fromSeq, sub.Replayed, sub.ReplayFrom)
+	default:
+		sub = ch.Subscribe(to, d.hook)
+		if d.cur != nil {
+			d.cur.AdvanceTo(sub.StartSeq)
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e.src, e.sub = ch, sub
+	e.src, e.sub, e.link = ch, sub, l
 	e.owned = e.task != nil && e.task.owns(ch)
 	if (e.task != nil || e.rep != nil) && !e.ended {
 		s.edges[ch.Ref()] = append(s.edges[ch.Ref()], e)
+	}
+}
+
+// resumed accounts for an attach that resumed from fromSeq: replayed
+// retained items were retransmitted, the first of them numbered first.
+// When the retention buffer already trimmed the prefix below first, those
+// sequences are unrecoverable: the cursor releases anything parked behind
+// them.
+func (s *System) resumed(cur *stream.Cursor, fromSeq uint64, replayed int, first uint64) {
+	if replayed > 0 {
+		s.replayed.Add(uint64(replayed))
+	}
+	if cur != nil && replayed > 0 && first > fromSeq {
+		cur.SkipTo(first)
+	}
+}
+
+// landing is where an attachment of an edge puts what arrives, fixed when
+// it attaches: a later attach builds a new one, so a delivery still in
+// flight on the old subscription never reads fields being rewritten. The
+// cursor deduplicates and orders items into the sink; a consumer that
+// takes them as calls (direct) is offered them instead.
+type landing struct {
+	e    *edge
+	cur  *stream.Cursor
+	sink func(stream.Item)
+	q    *stream.Queue
+	// direct is set for a same-peer consumer that takes items as calls.
+	direct bool
+	// after is, for an ungated edge on a link, the channel's sequence when
+	// it joined: a publication numbered at or below it predates the edge.
+	// A cursor drops those itself, so a gated edge keeps 0.
+	after uint64
+}
+
+// hook is the channel delivery hook of an edge with a subscription of its
+// own.
+func (d landing) hook(it stream.Item, _ *stream.Queue) { d.land(it) }
+
+// owes reports whether an item that reached the edge's link is the edge's.
+func (d landing) owes(it stream.Item) bool { return it.EOS() || it.Seq > d.after }
+
+// land hands one arrived item to the consumer. End-of-stream closes the
+// consumer's queue and takes a replica forwarder out of the index.
+func (d landing) land(it stream.Item) {
+	switch {
+	case d.cur != nil && it.EOS():
+		d.cur.Terminate(it) // flush parked items before the terminator
+	case d.cur != nil:
+		d.cur.Offer(it)
+	case d.direct:
+		d.q.Offer(it)
+	default:
+		d.sink(it)
+	}
+	if it.EOS() {
+		if d.q != nil {
+			d.q.Close()
+		}
+		if d.e.rep != nil {
+			d.e.sys.unindex(d.e, true)
+		}
+	}
+}
+
+// link is the remote half of delivery for one channel and one consumer
+// peer: a single subscription whose hook carries each item across the
+// network once and lands it at every edge of that peer on the channel —
+// Section 5's reuse saving traffic as well as operators. Every edge with
+// a producer on another peer delivers through one, alone or not; the
+// sweep still repairs each edge on its own (edge.repair).
+type link struct {
+	sys      *System
+	ch       *stream.Channel
+	from, to string
+	sub      *stream.Subscription
+	// ends are the landings of the link's edges. Joins and leaves store a
+	// new slice under sys.linkMu; the hook reads whichever is current
+	// without a lock, like stream.Channel's subscribers.
+	ends atomic.Pointer[[]*landing]
+}
+
+// noEnds is the edge list of a link that has none; joins never append to
+// it in place.
+var noEnds []*landing
+
+// linkKey names a link: the channel and the consumer peer.
+type linkKey struct {
+	ch *stream.Channel
+	to string
+}
+
+// deliver is the link's channel hook.
+func (l *link) deliver(it stream.Item, _ *stream.Queue) { l.carry(it, *l.ends.Load()) }
+
+// carry is the link's one crossing: when any of ends is owed the item, it
+// crosses the network once and lands at each that is.
+func (l *link) carry(it stream.Item, ends []*landing) {
+	i := 0
+	for i < len(ends) && !ends[i].owes(it) {
+		i++
+	}
+	if i == len(ends) {
+		return
+	}
+	it, ok := l.sys.Net.Deliver(l.from, l.to, it)
+	if !ok {
+		return
+	}
+	for _, d := range ends[i:] {
+		if d.owes(it) {
+			d.land(it)
+		}
+	}
+}
+
+// join attaches landing d to the link carrying ch to peer to, creating the
+// link on the first edge. fromSeq > 0 first sends d alone the retained
+// items from fromSeq, each crossing the network again, and, on a closed
+// channel, end-of-stream; d then shares the link's deliveries from the
+// join on. It returns the link, or nil when the channel has closed and
+// there is nothing left to share.
+func (s *System) join(ch *stream.Channel, to string, d landing, fromSeq uint64) *link {
+	s.linkMu.Lock()
+	defer s.linkMu.Unlock()
+	key := linkKey{ch, to}
+	l := s.links[key]
+	if l == nil {
+		l = &link{sys: s, ch: ch, from: ch.Ref().PeerID, to: to}
+		l.ends.Store(&noEnds)
+		l.sub = ch.Subscribe(to, l.deliver)
+		s.links[key] = l
+	}
+	joined, alone := false, []*landing{&d}
+	ch.Join(fromSeq, func(at uint64, replay []stream.Item, closed bool) {
+		for _, it := range replay {
+			l.carry(it, alone)
+		}
+		switch {
+		case fromSeq > 0:
+			var first uint64
+			if len(replay) > 0 {
+				first = replay[0].Seq
+			}
+			s.resumed(d.cur, fromSeq, len(replay), first)
+			if closed {
+				l.carry(stream.EOSItem(ch.Ref().String()), alone)
+			}
+		case d.cur != nil:
+			d.cur.AdvanceTo(at)
+		}
+		if d.cur == nil {
+			d.after = at
+		}
+		if !closed {
+			ends := append(*l.ends.Load(), &d)
+			l.ends.Store(&ends)
+			joined = true
+		}
+	})
+	if !joined {
+		s.dropIfIdle(l)
+		return nil
+	}
+	return l
+}
+
+// leave takes edge e off link l; the last edge to leave unsubscribes it.
+func (s *System) leave(l *link, e *edge) {
+	s.linkMu.Lock()
+	defer s.linkMu.Unlock()
+	old := *l.ends.Load()
+	if len(old) == 1 && old[0].e == e {
+		l.ends.Store(&noEnds)
+	} else {
+		ends := make([]*landing, 0, len(old))
+		for _, d := range old {
+			if d.e != e {
+				ends = append(ends, d)
+			}
+		}
+		l.ends.Store(&ends)
+	}
+	s.dropIfIdle(l)
+}
+
+// dropIfIdle unsubscribes a link no edge uses and forgets it. The caller
+// holds linkMu.
+func (s *System) dropIfIdle(l *link) {
+	if len(*l.ends.Load()) > 0 {
+		return
+	}
+	l.sub.Unsubscribe()
+	if key := (linkKey{l.ch, l.to}); s.links[key] == l {
+		delete(s.links, key)
 	}
 }
 
@@ -179,20 +351,31 @@ func (e *edge) direct() bool {
 // closing the consumer's queue: whoever reads it never observes the swap
 // that follows.
 func (e *edge) detach() {
-	if sub := e.sys.unindex(e, false); sub != nil {
+	sub, l := e.sys.unindex(e, false)
+	if sub != nil {
 		sub.Detach()
+	}
+	if l != nil {
+		e.sys.leave(l, e)
 	}
 }
 
-// unindex removes the edge from the index and hands back its subscription
-// for the caller to detach. ended records that end-of-stream went through.
-func (s *System) unindex(e *edge, ended bool) *stream.Subscription {
+// unindex removes the edge from the index. ended records that
+// end-of-stream went through, which leaves the edge on its channel;
+// otherwise the edge gives up its subscription or link, handed back for
+// the caller to leave.
+func (s *System) unindex(e *edge, ended bool) (*stream.Subscription, *link) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sub := e.sub
-	e.sub, e.ended = nil, e.ended || ended
+	var sub *stream.Subscription
+	var l *link
+	if ended {
+		e.ended = true
+	} else {
+		sub, l, e.sub, e.link = e.sub, e.link, nil, nil
+	}
 	if e.src == nil {
-		return sub
+		return sub, l
 	}
 	ref := e.src.Ref()
 	es := s.edges[ref]
@@ -205,7 +388,7 @@ func (s *System) unindex(e *edge, ended bool) *stream.Subscription {
 	if s.edges[ref] = es; len(es) == 0 {
 		delete(s.edges, ref)
 	}
-	return sub
+	return sub, l
 }
 
 // rebind swaps the producer feeding the edge: the consumer keeps its

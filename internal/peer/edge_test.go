@@ -17,8 +17,11 @@ import (
 // at once — operator input, result reader, BY subscribe target, replica
 // forwarder:
 //
-//   - every indexed edge sits under its source's ref, holds a live
-//     subscription, and its consumer is among that channel's subscribers;
+//   - every indexed edge sits under its source's ref and holds a live
+//     subscription of its own or a place on a link; each subscription
+//     and each link is one of that channel's subscribers;
+//   - a link is the one subscription of its channel and consumer peer,
+//     holds at least one edge and every edge on it names it;
 //   - no task's edge reads a channel that lost its producer, and every
 //     ChannelIn of a live manager's task names a usable channel;
 //   - every attached edge of a running task is indexed;
@@ -37,15 +40,22 @@ func assertEdges(t *testing.T, sys *System, stopped ...*Task) {
 			t.Errorf("index keeps an empty entry for %s", ref)
 		}
 		names := sys.channels[ref].Subscribers()
+		counted := make(map[*link]bool)
 		for _, e := range es {
 			indexed[e] = true
 			switch {
 			case e.src == nil || e.src.Ref() != ref:
 				t.Errorf("edge %d indexed under %s but reads %v", e.id, ref, e.src)
-			case e.sub == nil:
+			case e.sub == nil && e.link == nil:
 				t.Errorf("edge %d indexed under %s holds no subscription", e.id, ref)
 			case e.task != nil && gone[e.task]:
 				t.Errorf("%s: edge %d still indexed under %s after Stop", e.task.ID, e.id, ref)
+			}
+			if e.link != nil {
+				if counted[e.link] {
+					continue
+				}
+				counted[e.link] = true
 			}
 			if i := sort.SearchStrings(names, e.peer); i < len(names) && names[i] == e.peer {
 				names = append(names[:i:i], names[i+1:]...)
@@ -59,12 +69,13 @@ func assertEdges(t *testing.T, sys *System, stopped ...*Task) {
 		peers = append(peers, p)
 	}
 	sys.mu.Unlock()
+	assertLinks(t, sys)
 
 	for _, p := range peers {
 		for _, task := range p.Tasks() {
 			for _, e := range task.edges {
 				sys.mu.Lock()
-				attached, src := e.sub != nil, e.src
+				attached, src := e.sub != nil || e.link != nil, e.src
 				sys.mu.Unlock()
 				switch {
 				case gone[task]:
@@ -88,6 +99,37 @@ func assertEdges(t *testing.T, sys *System, stopped ...*Task) {
 					t.Errorf("%s: ChannelIn %s is not usable", task.ID, n.Channel)
 				}
 			})
+		}
+	}
+}
+
+// assertLinks checks the links on their own: each is filed under its
+// channel and consumer peer, not empty, and each of its edges is attached
+// through it to that channel, at most once.
+func assertLinks(t *testing.T, sys *System) {
+	t.Helper()
+	sys.linkMu.Lock()
+	defer sys.linkMu.Unlock()
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	for key, l := range sys.links {
+		ends := *l.ends.Load()
+		switch {
+		case l.ch != key.ch || l.to != key.to:
+			t.Errorf("link %s→%s filed under %s→%s", l.ch.Ref(), l.to, key.ch.Ref(), key.to)
+		case len(ends) == 0:
+			t.Errorf("link %s→%s has no edge left", l.ch.Ref(), l.to)
+		}
+		seen := make(map[*edge]bool)
+		for _, d := range ends {
+			e := d.e
+			switch {
+			case seen[e]:
+				t.Errorf("edge %d twice on link %s→%s", e.id, l.ch.Ref(), l.to)
+			case e.link != l || e.src != l.ch || e.peer != l.to:
+				t.Errorf("edge %d on link %s→%s is attached elsewhere", e.id, l.ch.Ref(), l.to)
+			}
+			seen[e] = true
 		}
 	}
 }

@@ -114,19 +114,21 @@ func (op faultOp) strike(r *relayRig) {
 	}
 }
 
-// faultRun is what a schedule's run is compared on: the results in
-// arrival order, the retransmissions, the deaths and the relay's host.
+// faultRun is what a schedule's run is compared on: the results of both
+// subscriptions in arrival order, the retransmissions, the deaths and
+// the relay's host.
 type faultRun struct {
 	Results  []string
+	Copies   []string
 	Replayed uint64
 	Deaths   []string
 	Host     string
 }
 
 // runSchedule drives scheduleEvents events through a fresh relay rig
-// while ops strike, undoes every fault, steps until the task has every
-// result, and checks that each event arrived exactly once and the task
-// is not degraded. After every event it also checks that the runtime
+// while ops strike, undoes every fault, steps until both subscriptions
+// have every result, and checks that each event arrived exactly once at
+// each and neither is degraded. After every event it also checks that the runtime
 // never changed a peer's liveness in the world: a worker is down exactly
 // when the schedule crashed it and has not recovered it, and src and
 // mgr are always up.
@@ -169,16 +171,24 @@ func runSchedule(t *testing.T, ops []faultOp) faultRun {
 	}
 	r.syncUntil(t, scheduleEvents)
 	checkWorld("at the end")
-	if got := r.task.Degraded(); len(got) != 0 {
-		t.Errorf("task degraded: %v", got)
+	for _, task := range []*Task{r.task, r.reader} {
+		if got := task.Degraded(); len(got) != 0 {
+			t.Errorf("%s degraded: %v", task.ID, got)
+		}
 	}
 	r.task.Stop()
+	r.reader.Stop()
 	run := faultRun{Replayed: r.sys.ReplayedItems(), Deaths: r.sup.Deaths(), Host: relayHost(r.task)}
-	items := r.task.Results().Drain()
-	for _, it := range items {
-		run.Results = append(run.Results, fmt.Sprintf("%s@%v", it.Tree, it.Time))
+	for _, out := range []struct {
+		task *Task
+		to   *[]string
+	}{{r.task, &run.Results}, {r.reader, &run.Copies}} {
+		items := out.task.Results().Drain()
+		for _, it := range items {
+			*out.to = append(*out.to, fmt.Sprintf("%s@%v", it.Tree, it.Time))
+		}
+		assertItemsExactlyOnce(t, out.task.ID+" results", items, scheduleEvents)
 	}
-	assertItemsExactlyOnce(t, r.task.ID+" results", items, scheduleEvents)
 	return run
 }
 
@@ -278,7 +288,7 @@ func corpusEntry(t *testing.T, name string) []byte {
 	return []byte(data)
 }
 
-// TestFaultScheduleRunsTwiceAlike runs three committed schedules 200
+// TestFaultScheduleRunsTwiceAlike runs four committed schedules 200
 // times each at GOMAXPROCS=2; every pair of runs must agree.
 //   - x0xXx.00 (named in the encoding of the prototype that found it)
 //     crashes w1 and makes src→w2 and w2→mgr lossy after event 1, then
@@ -301,9 +311,14 @@ func corpusEntry(t *testing.T, name string) []byte {
 //     which only lost w1. While FailPeer crashed the peer it failed, the
 //     live source went down and the task ended with 0 of 20 events; now
 //     the alerter is lost only until src rejoins the ring.
+//   - shared-link-drops makes w1→mgr lossy (p=0.5) after event 1,
+//     crashes w1 after event 8, makes w2→mgr lossy after event 9 and
+//     recovers w1 after event 16. Both links carry the relay's stream to
+//     mgr's two subscriptions at once: one drop strikes both, the sweep
+//     repairs each edge on its own, and the move re-binds both.
 func TestFaultScheduleRunsTwiceAlike(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	for _, name := range []string{"x0xXx.00", "confirmed-after-recovery", "live-source-declared-dead"} {
+	for _, name := range []string{"x0xXx.00", "confirmed-after-recovery", "live-source-declared-dead", "shared-link-drops"} {
 		t.Run(name, func(t *testing.T) {
 			data := corpusEntry(t, name)
 			for i := 0; i < 200 && !t.Failed(); i++ {

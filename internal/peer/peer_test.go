@@ -494,7 +494,7 @@ func TestChannelSubscriptionFromOutside(t *testing.T) {
 	}
 	// Another peer subscribes to the published alertQoS channel directly.
 	watcher := sys.MustAddPeer("watcher")
-	sub, err := sys.SubscribeChannel(stream.Ref{StreamID: "alertQoS", PeerID: "p"}, watcher.Name())
+	q, stop, err := sys.SubscribeChannel(stream.Ref{StreamID: "alertQoS", PeerID: "p"}, watcher.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,10 +502,11 @@ func TestChannelSubscriptionFromOutside(t *testing.T) {
 		t.Fatal(err)
 	}
 	task.Stop()
-	if got := len(sub.Queue.Drain()); got != 1 {
+	stop()
+	if got := len(q.Drain()); got != 1 {
 		t.Errorf("watcher got %d items", got)
 	}
-	if _, err := sys.SubscribeChannel(stream.Ref{StreamID: "nope", PeerID: "p"}, "watcher"); err == nil {
+	if _, _, err := sys.SubscribeChannel(stream.Ref{StreamID: "nope", PeerID: "p"}, "watcher"); err == nil {
 		t.Error("unknown channel accepted")
 	}
 }

@@ -22,13 +22,16 @@ func replayOptions() Config {
 
 // relayRig is the canonical exactly-once topology: a hand-fed source
 // channel at src, a relay operator at w1 (the peer the tests kill),
-// publishing at mgr, supervised from mon.
+// publishing at mgr, supervised from mon. A second subscription at mgr,
+// reader, republishes the relay's stream as it is: the relay's link to
+// mgr carries two consumers, and a move re-binds both.
 type relayRig struct {
-	sys   *System
-	srcCh *stream.Channel
-	task  *Task
-	sup   *Supervisor
-	next  int
+	sys    *System
+	srcCh  *stream.Channel
+	task   *Task
+	reader *Task
+	sup    *Supervisor
+	next   int
 }
 
 func newRelayRig(t testing.TB, opts Config) *relayRig {
@@ -48,12 +51,29 @@ func newRelayRig(t testing.TB, opts Config) *relayRig {
 		Op: algebra.OpPublish, Peer: "mgr", Inputs: []*algebra.Node{relay},
 		Schema: []string{"e"}, Publish: &algebra.PublishSpec{ChannelID: "out"},
 	}
-	task, err := sys.Peer("mgr").DeployPlan(plan)
+	mgr := sys.Peer("mgr")
+	task, err := mgr.DeployPlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var relayRef stream.Ref
+	for n, ref := range task.StreamRefs() {
+		if n.Op == algebra.OpUnion {
+			relayRef = ref
+		}
+	}
+	reader, err := mgr.DeployPlan(&algebra.Node{
+		Op: algebra.OpPublish, Peer: "mgr", Schema: []string{"e"},
+		Publish: &algebra.PublishSpec{ChannelID: "copy"},
+		Inputs: []*algebra.Node{{
+			Op: algebra.OpChannelIn, Peer: relayRef.PeerID, Schema: []string{"e"}, Channel: relayRef,
+		}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sup := startTestSupervisor(sys, 2*time.Second)
-	return &relayRig{sys: sys, srcCh: srcCh, task: task, sup: sup}
+	return &relayRig{sys: sys, srcCh: srcCh, task: task, reader: reader, sup: sup}
 }
 
 // emit publishes the next uniquely-identified event into the source.
@@ -65,10 +85,11 @@ func (r *relayRig) emit() {
 }
 
 // syncUntil steps the system (letting anti-entropy sweeps and pending
-// detections run) until the task has settled at least want results.
+// detections run) until both subscriptions have settled at least want
+// results.
 func (r *relayRig) syncUntil(t *testing.T, want int) {
 	t.Helper()
-	stepUntil(r.sys, func() bool { return r.task.Results().Len() >= want })
+	stepUntil(r.sys, func() bool { return r.task.Results().Len() >= want && r.reader.Results().Len() >= want })
 }
 
 // stepUntil quiesces the peers' loops, then steps the system a virtual

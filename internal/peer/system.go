@@ -50,6 +50,14 @@ type System struct {
 	taps   map[tapKey]*alerters.Tap
 	idle   *operators.Loops
 
+	// linkMu guards links, the one subscription per channel and consumer
+	// peer that remote edges share (edge.go), and every link's edge list.
+	// It is taken before a channel's lock, which is taken before mu: a
+	// replayed end-of-stream takes a replica forwarder out of the index
+	// while the channel is held.
+	linkMu sync.Mutex
+	links  map[linkKey]*link
+
 	// admitMu serializes AddPeer: two concurrent admissions of one name
 	// must resolve to one node, one ring member and one Peer.
 	admitMu sync.Mutex
@@ -126,6 +134,7 @@ func NewSystem(cfg Config) (*System, error) {
 		peers:       make(map[string]*Peer),
 		channels:    make(map[stream.Ref]*stream.Channel),
 		edges:       make(map[stream.Ref][]*edge),
+		links:       make(map[linkKey]*link),
 		stale:       make(map[stream.Ref]bool),
 		sidSeq:      make(map[string]int),
 		quarantined: make(map[string]bool),
@@ -446,17 +455,19 @@ func (s *System) Channel(ref stream.Ref) (*stream.Channel, bool) {
 
 // SubscribeChannel subscribes consumerPeer to a registered channel,
 // routing deliveries over the simulated network (bytes counted, latency
-// applied). This is the paper's "subscribing to a channel".
-func (s *System) SubscribeChannel(ref stream.Ref, consumerPeer string) (*stream.Subscription, error) {
+// applied). This is the paper's "subscribing to a channel". Items arrive
+// in the returned queue until stop ends the subscription.
+func (s *System) SubscribeChannel(ref stream.Ref, consumerPeer string) (q *stream.Queue, stop func(), err error) {
 	ch, ok := s.Channel(ref)
 	if !ok {
-		return nil, fmt.Errorf("peer: unknown channel %s", ref)
+		return nil, nil, fmt.Errorf("peer: unknown channel %s", ref)
 	}
 	// An outside reader's edge belongs to no task and is not indexed: the
-	// caller holds the subscription and ends it.
+	// caller holds it and ends it.
 	e := s.newEdge(nil, consumerPeer)
+	e.into(stream.NewQueue(), 0, false)
 	e.attach(ch, 0)
-	return e.sub, nil
+	return e.queue, e.close, nil
 }
 
 // AnnounceReplica makes consumerPeer a re-publisher of a channel: it

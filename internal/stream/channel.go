@@ -326,6 +326,26 @@ func (c *Channel) SubscribeFrom(name string, fromSeq uint64, deliver func(Item, 
 	return sub
 }
 
+// Join runs join under the channel lock with the channel's sequence at
+// that moment (at), the retained items from fromSeq through at (none for
+// fromSeq 0 or without the replay layer) and whether the channel has
+// closed. It is how a consumer starts sharing a subscription that is
+// already attached — the peer package's link carries one stream to every
+// consumer on one peer — with no gap and no duplicate: a publication
+// after join is numbered above at, one before it is in replay or not
+// owed. One numbered at or below at may still be on its way through the
+// shared subscription's hook; the joiner drops it. join must not call
+// back into the channel.
+func (c *Channel) Join(fromSeq uint64, join func(at uint64, replay []Item, closed bool)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var items []Item
+	if c.replay != nil && fromSeq > 0 && fromSeq <= c.seq {
+		items, _ = c.replay.slice(fromSeq, c.seq)
+	}
+	join(c.seq, items, c.closed)
+}
+
 // Unsubscribe removes the subscription and closes its queue.
 func (s *Subscription) Unsubscribe() {
 	s.ch.remove(s.id)
