@@ -2,11 +2,16 @@ package algebra
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"p2pm/internal/monoid"
 	"p2pm/internal/p2pml"
+	"p2pm/internal/stream"
 	"p2pm/internal/xmltree"
 )
 
@@ -15,14 +20,28 @@ import (
 // optimization (canonicalization, selection pushdown, placement) never
 // changes a plan's results.
 
+// traceStep spaces an alerter's inputs in time: its j-th input happens
+// at j·traceStep, so a γ's window decides which records share a window.
+const traceStep = 11 * time.Second
+
+// alerterKey names an alerter's inputs: function, monitored peer and
+// non-<p> arguments, what tells two alerters' streams apart.
+func alerterKey(a *AlerterSpec, peer string) string {
+	return a.Func + "@" + peer + signedArgs(a.Args)
+}
+
 // evalPlan evaluates a plan over fixed per-alerter inputs, ignoring
 // placement. An alerter MarkBodyReaders called bare emits its inputs
 // without their children, as the tap builds its alerts without the
-// envelope. Joins are evaluated as full cross-products filtered by their
-// predicates, so the result is order-insensitive. It fails on an
-// operator it does not evaluate (see evaluable) and on a Π that errs.
-func evalPlan(n *Node, inputs map[string][]*xmltree.Node) ([]*xmltree.Node, error) {
-	var ins [][]*xmltree.Node
+// envelope. A dynamic alerter set is one alerter per member a p-join of
+// its driver names. Joins are evaluated as full cross-products filtered
+// by their predicates, stamped with the later partner's time, so the
+// result is order-insensitive; a δ keeps the earliest of equal items and
+// a γ folds its input in time order, so neither depends on the order of
+// a ∪'s inputs. It fails on an operator it does not evaluate (see
+// evaluable) and on a Π that errs.
+func evalPlan(n *Node, inputs map[string][]*xmltree.Node) ([]stream.Item, error) {
+	var ins [][]stream.Item
 	for _, in := range n.Inputs {
 		items, err := evalPlan(in, inputs)
 		if err != nil {
@@ -30,20 +49,24 @@ func evalPlan(n *Node, inputs map[string][]*xmltree.Node) ([]*xmltree.Node, erro
 		}
 		ins = append(ins, items)
 	}
-	var out []*xmltree.Node
+	var out []stream.Item
 	switch n.Op {
 	case OpAlerter:
-		items := inputs[n.Alerter.Func+"@"+n.Alerter.Peer]
-		if n.Envelope() {
-			return items, nil
+		out = alerterItems(n, inputs[alerterKey(n.Alerter, n.Alerter.Peer)])
+	case OpDynAlerter:
+		members := map[string]bool{}
+		for _, it := range ins[0] {
+			if it.Tree.Label == "p-join" {
+				members[it.Tree.InnerText()] = true
+			}
 		}
-		for _, it := range items {
-			out = append(out, &xmltree.Node{Label: it.Label, Attrs: it.Attrs})
+		for _, m := range slices.Sorted(maps.Keys(members)) {
+			out = append(out, alerterItems(n, inputs[alerterKey(n.Alerter, m)])...)
 		}
 	case OpSelect:
 		pred := SelectPred(n.Inputs[0].Schema, n.Select)
 		for _, it := range ins[0] {
-			if pred(it) {
+			if pred(it.Tree) {
 				out = append(out, it)
 			}
 		}
@@ -57,59 +80,124 @@ func evalPlan(n *Node, inputs map[string][]*xmltree.Node) ([]*xmltree.Node, erro
 		combine := JoinCombine(n.Inputs[0].Schema, n.Inputs[1].Schema)
 		for _, l := range ins[0] {
 			for _, r := range ins[1] {
-				k1, ok1 := lk(l)
-				k2, ok2 := rk(r)
+				k1, ok1 := lk(l.Tree)
+				k2, ok2 := rk(r.Tree)
 				if !ok1 || !ok2 || k1 != k2 {
 					continue
 				}
-				if res != nil && !res(l, r) {
+				if res != nil && !res(l.Tree, r.Tree) {
 					continue
 				}
-				out = append(out, combine(l, r))
+				out = append(out, stream.Item{Tree: combine(l.Tree, r.Tree), Time: max(l.Time, r.Time)})
 			}
 		}
 	case OpRestruct:
 		apply := RestructApply(n.Inputs[0].Schema, n.Restruct)
 		for _, it := range ins[0] {
-			tree, err := apply(it)
+			tree, err := apply(it.Tree)
 			if err != nil {
 				return nil, fmt.Errorf("restructure: %w", err)
 			}
 			if tree != nil {
-				out = append(out, tree)
+				out = append(out, stream.Item{Tree: tree, Time: it.Time})
 			}
 		}
 	case OpDistinct:
 		seen := map[string]bool{}
-		for _, it := range ins[0] {
-			key := it.Canonical()
+		for _, it := range timeOrder(ins[0]) {
+			key := it.Tree.Canonical()
 			if !seen[key] {
 				seen[key] = true
 				out = append(out, it)
 			}
 		}
 	case OpGroup:
-		// One window over all inputs: a <group key count/> per key, in
-		// first-seen order.
-		counts := map[string]int{}
-		var keys []string
-		for _, it := range ins[0] {
-			key := it.AttrOr(n.Group.KeyAttr, "")
-			if counts[key] == 0 {
-				keys = append(keys, key)
-			}
-			counts[key]++
-		}
-		for _, key := range keys {
-			g := xmltree.Elem("group")
-			g.SetAttr("key", key)
-			g.SetAttr("count", fmt.Sprint(counts[key]))
-			out = append(out, g)
-		}
+		return evalGroup(n.Group, ins[0])
 	case OpPublish:
 		return ins[0], nil
 	default:
 		return nil, fmt.Errorf("interpreter: unsupported op %v", n.Op)
+	}
+	return out, nil
+}
+
+// alerterItems stamps an alerter's inputs with their times, bare unless
+// the alerter carries the envelope.
+func alerterItems(n *Node, trees []*xmltree.Node) []stream.Item {
+	out := make([]stream.Item, len(trees))
+	for j, it := range trees {
+		if !n.Envelope() {
+			it = &xmltree.Node{Label: it.Label, Attrs: it.Attrs}
+		}
+		out[j] = stream.Item{Tree: it, Time: time.Duration(j) * traceStep}
+	}
+	return out
+}
+
+// timeOrder sorts items by time, then by content.
+func timeOrder(items []stream.Item) []stream.Item {
+	items = slices.Clone(items)
+	sort.SliceStable(items, func(i, j int) bool {
+		if items[i].Time != items[j].Time {
+			return items[i].Time < items[j].Time
+		}
+		return items[i].Tree.Canonical() < items[j].Tree.Canonical()
+	})
+	return items
+}
+
+// evalGroup folds items as a flushed operators.Group does: one state per
+// (window, key) of the spec's aggregate, a value the aggregate rejects
+// dropped, one <group key window …/> record per state, stamped with the
+// latest input time.
+func evalGroup(g *GroupSpec, items []stream.Item) ([]stream.Item, error) {
+	var window time.Duration
+	if g.Window != "" {
+		var err error
+		if window, err = time.ParseDuration(g.Window); err != nil {
+			return nil, err
+		}
+	}
+	agg, ok := monoid.Lookup(g.Fn)
+	if !ok {
+		return nil, fmt.Errorf("interpreter: unknown aggregate %q", g.Fn)
+	}
+	type cell struct {
+		idx int64
+		key string
+	}
+	states := map[cell]monoid.State{}
+	var cells []cell
+	var last time.Duration
+	for _, it := range timeOrder(items) {
+		c := cell{key: it.Tree.AttrOr(g.KeyAttr, "")}
+		if window > 0 {
+			c.idx = int64(it.Time / window)
+		}
+		st := states[c]
+		if st == nil {
+			st = agg.Zero()
+		}
+		var val string
+		if g.ValueAttr != "" {
+			val = it.Tree.AttrOr(g.ValueAttr, "")
+		}
+		if st.Absorb(val) != nil {
+			continue
+		}
+		if states[c] == nil {
+			states[c] = st
+			cells = append(cells, c)
+		}
+		last = max(last, it.Time)
+	}
+	out := make([]stream.Item, len(cells))
+	for i, c := range cells {
+		rec := xmltree.Elem("group")
+		rec.SetAttr("key", c.key)
+		states[c].Final(func(a, v string) { rec.SetAttr(a, v) })
+		rec.SetAttr("window", fmt.Sprint(c.idx))
+		out[i] = stream.Item{Tree: rec, Time: last}
 	}
 	return out, nil
 }
@@ -119,7 +207,7 @@ func evaluable(plan *Node) bool {
 	ok := true
 	plan.Walk(func(n *Node) {
 		switch n.Op {
-		case OpAlerter, OpSelect, OpUnion, OpJoin, OpRestruct, OpDistinct, OpGroup, OpPublish:
+		case OpAlerter, OpDynAlerter, OpSelect, OpUnion, OpJoin, OpRestruct, OpDistinct, OpGroup, OpPublish:
 		default:
 			ok = false
 		}
@@ -127,10 +215,10 @@ func evaluable(plan *Node) bool {
 	return ok
 }
 
-func canonSet(items []*xmltree.Node) string {
+func canonSet(items []stream.Item) string {
 	keys := make([]string, len(items))
 	for i, it := range items {
-		keys[i] = it.Canonical()
+		keys[i] = it.Tree.Canonical()
 	}
 	sort.Strings(keys)
 	return fmt.Sprint(keys)

@@ -44,6 +44,13 @@ var opNames = map[OpKind]string{
 
 func (k OpKind) String() string { return opNames[k] }
 
+// opSymbols are the operators' symbols in String's algebra notation.
+var opSymbols = map[OpKind]string{
+	OpSelect: "σ", OpRestruct: "Π", OpUnion: "∪", OpJoin: "⋈",
+	OpDistinct: "δ", OpGroup: "γ", OpPublish: "publisher", OpDynAlerter: "dyn",
+	OpPartialAgg: "γp", OpMergeAgg: "γm",
+}
+
 // AnyPeer marks a generic (not yet placed) operator — the paper's s@any.
 const AnyPeer = "any"
 
@@ -132,21 +139,18 @@ type GroupSpec struct {
 	Final bool
 }
 
-// desc renders the spec for labels and signatures: "key/window" for
-// count (keeping the historical rendering stable) and
-// "fn(value):key/window" otherwise.
-func (g *GroupSpec) desc() string {
+// Ident renders the aggregate's identity — function, value, key and
+// window, independent of which sources feed it: "key/window" for count
+// (keeping the historical rendering stable) and "fn(value):key/window"
+// otherwise. Labels and signatures show it, and partial-aggregation
+// streams of the same logical aggregate are indexed under it so
+// containment queries (aggregate-tree sharing) find them in one lookup.
+func (g *GroupSpec) Ident() string {
 	if g.Fn == "" || g.Fn == "count" {
 		return g.KeyAttr + "/" + g.Window
 	}
 	return g.Fn + "(" + g.ValueAttr + "):" + g.KeyAttr + "/" + g.Window
 }
-
-// Ident renders the aggregate's identity — function, value, key and
-// window, independent of which sources feed it. Partial-aggregation
-// streams of the same logical aggregate are indexed under this label so
-// containment queries (aggregate-tree sharing) find them in one lookup.
-func (g *GroupSpec) Ident() string { return g.desc() }
 
 // FlatGroupSignature is the signature of a flat Group over a union of
 // the given source streams. The Final root of a decomposed aggregation
@@ -202,15 +206,11 @@ func (n *Node) Label() string {
 		return "⋈[" + condString(n.Join.Residual) + "]"
 	case OpDistinct:
 		return "Distinct"
-	case OpGroup:
-		return "γ[" + n.Group.desc() + "]"
-	case OpPartialAgg:
-		return "γp[" + n.Group.desc() + "]"
-	case OpMergeAgg:
-		if n.Group.Final {
-			return "γm![" + n.Group.desc() + "]"
+	case OpGroup, OpPartialAgg, OpMergeAgg:
+		if n.Op == OpMergeAgg && n.Group.Final {
+			return "γm![" + n.Group.Ident() + "]"
 		}
-		return "γm[" + n.Group.desc() + "]"
+		return opSymbols[n.Op] + "[" + n.Group.Ident() + "]"
 	case OpPublish:
 		parts := make([]string, len(n.Publish.Targets))
 		for i, t := range n.Publish.Targets {
@@ -258,18 +258,13 @@ func (n *Node) String() string {
 func (n *Node) render(b *strings.Builder) {
 	switch n.Op {
 	case OpAlerter:
-		fmt.Fprintf(b, "%s%s@%s", alerterShort(n.Alerter), n.bodySuffix(), n.Alerter.Peer)
+		b.WriteString(n.Label())
 		return
 	case OpChannelIn:
-		fmt.Fprintf(b, "chan(%s)", n.Channel.String())
+		b.WriteString("chan(" + n.Channel.String() + ")")
 		return
 	}
-	sym := map[OpKind]string{
-		OpSelect: "σ", OpRestruct: "Π", OpUnion: "∪", OpJoin: "⋈",
-		OpDistinct: "δ", OpGroup: "γ", OpPublish: "publisher", OpDynAlerter: "dyn",
-		OpPartialAgg: "γp", OpMergeAgg: "γm",
-	}[n.Op]
-	b.WriteString(sym)
+	b.WriteString(opSymbols[n.Op])
 	if n.Op == OpDynAlerter {
 		b.WriteString(n.bodySuffix())
 	}
@@ -323,19 +318,11 @@ func (n *Node) Count() int {
 // Two nodes with equal signatures compute equivalent streams over the
 // same sources, which is what the stream-reuse algorithm matches on.
 func (n *Node) Signature() string {
-	var b strings.Builder
-	n.signature(&b)
-	return b.String()
-}
-
-func (n *Node) signature(b *strings.Builder) {
 	sigs := make([]string, len(n.Inputs))
 	for i, in := range n.Inputs {
-		var sb strings.Builder
-		in.signature(&sb)
-		sigs[i] = sb.String()
+		sigs[i] = in.Signature()
 	}
-	b.WriteString(n.SignatureWith(sigs))
+	return n.SignatureWith(sigs)
 }
 
 // SignatureWith renders the node's own operator description composed with
@@ -344,16 +331,21 @@ func (n *Node) signature(b *strings.Builder) {
 // reused channel gets the same signature as one derived from the original
 // computation.
 //
-// Signatures normalize the algebraic equivalences the system recognizes
-// (a first answer to the paper's open "issue of stream equivalence"):
-// condition order within σ and ⋈ residuals, and input order of ∪, do not
-// affect a stream's identity.
+// A signature names everything the node's evaluator reads (docs/REUSE.md
+// "What a signature names"): σ conditions and ⋈ keys and residuals with
+// their LETs inlined (canon.go), a Π's template or expression with the
+// LETs it evaluates, a ⋈'s output variables, an alerter's function,
+// peer, envelope and non-<p> arguments, and a dynamic alerter set's
+// function, envelope and arguments. It normalizes the algebraic
+// equivalences the system recognizes (a first answer to the paper's open
+// "issue of stream equivalence"): condition order within σ and ⋈
+// residuals, and input order of ∪, do not affect a stream's identity.
 func (n *Node) SignatureWith(inputSigs []string) string {
 	switch n.Op {
 	case OpAlerter:
 		// Alerters are bound to their monitored peer: the peer is part of
 		// the identity of the source stream, and so is the envelope.
-		return n.Alerter.Func + n.bodySuffix() + "(" + n.Alerter.Peer + ")"
+		return n.Alerter.Func + n.bodySuffix() + "(" + n.Alerter.Peer + signedArgs(n.Alerter.Args) + ")"
 	case OpChannelIn:
 		return "chan(" + n.Channel.String() + ")"
 	case OpUnion:
@@ -372,14 +364,16 @@ func (n *Node) SignatureWith(inputSigs []string) string {
 	b.WriteString("{")
 	switch n.Op {
 	case OpSelect:
-		b.WriteString(normalizedConds(n.Select.Conds))
+		b.WriteString(signedConds(n.Select.Conds, n.Select.Lets))
 	case OpJoin:
+		// The output variables name the tuples' bindings.
+		b.WriteString(strings.Join(n.Schema, " ") + ":")
 		if n.Join.LeftKey != nil {
-			fmt.Fprintf(&b, "%s=%s", n.Join.LeftKey.String(), n.Join.RightKey.String())
+			b.WriteString(canonExpr(n.Join.LeftKey, n.Join.Lets, "") + "=" + canonExpr(n.Join.RightKey, n.Join.Lets, ""))
 		}
 		if len(n.Join.Residual) > 0 {
 			b.WriteString(";")
-			b.WriteString(normalizedConds(n.Join.Residual))
+			b.WriteString(signedConds(n.Join.Residual, n.Join.Lets))
 		}
 	case OpRestruct:
 		if n.Restruct.Expr != nil {
@@ -387,12 +381,15 @@ func (n *Node) SignatureWith(inputSigs []string) string {
 		} else {
 			b.WriteString(n.Restruct.Template.String())
 		}
+		for i, l := range n.Restruct.Lets { // each evaluated, read or not
+			b.WriteString(" let $" + l.Var + " := " + canonExpr(l.Expr, n.Restruct.Lets[:i], ""))
+		}
 	case OpGroup, OpPartialAgg:
-		b.WriteString(n.Group.desc())
+		b.WriteString(n.Group.Ident())
 	case OpMergeAgg:
-		fmt.Fprintf(&b, "%s/final=%t", n.Group.desc(), n.Group.Final)
+		fmt.Fprintf(&b, "%s/final=%t", n.Group.Ident(), n.Group.Final)
 	case OpDynAlerter:
-		b.WriteString(n.bodySuffix())
+		b.WriteString(n.Alerter.Func + n.bodySuffix() + signedArgs(n.Alerter.Args))
 	}
 	b.WriteString("}(")
 	for i, sig := range inputSigs {
@@ -403,17 +400,6 @@ func (n *Node) SignatureWith(inputSigs []string) string {
 	}
 	b.WriteString(")")
 	return b.String()
-}
-
-// normalizedConds renders conditions sorted so that condition order does
-// not affect signatures.
-func normalizedConds(conds []p2pml.Condition) string {
-	parts := make([]string, len(conds))
-	for i, c := range conds {
-		parts[i] = c.String()
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, " and ")
 }
 
 // Clone deep-copies the plan structure (specs are shared: they are

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -171,6 +172,20 @@ func checkNoIdentityUnderAggregate(t *testing.T, plan *Node) {
 	})
 }
 
+// subscriptionSeeds seed FuzzSubscription, and FuzzSignature pairwise.
+var subscriptionSeeds = []string{
+	figure1,
+	`for $e in ` + inPeers(8) + ` where $e.callMethod = "Q" return <hit id="{$e.callId}"/> by publish as channel "hits"`,
+	`for $e in ` + inPeers(2) + ` return $e group on "callee" window "10s" by channel G`,
+	`for $e in ` + inPeers(2) + ` return <x>{$e}</x> by channel X`,
+	`for $x in (for $y in ` + inPeers(2) + ` return <q c="{$y.caller}"/>) where $x/q return $x by channel C`,
+	`for $j in areRegistered(<p>s.com</p>) for $c in inCOM($j) return $c by channel W`,
+	`for $x in channel("a@p") return distinct <a>{$x.k}</a> by file "f"`,
+	`for $e in outCOM(<p>a</p><p>b</p>) let $d := $e.responseTimestamp - $e.callTimestamp where $d > 1 return <s d="{$d}"/> by email "x"`,
+	`for $e in ` + inPeers(3) + ` return distinct $e group on "callee" window "10s" by channel G`,
+	`for $e in ` + inPeers(2) + ` let $d := $e.responseTimestamp - $e.callTimestamp where $d > 1 return $e group on "callee" window "10s" by channel G`,
+}
+
 // FuzzSubscription: the subscription front end — Parse, Compile,
 // Optimize, MarkBodyReaders — never panics on any text, and a plan it
 // accepts has every Π that can move through a ∪ moved and no identity Π
@@ -182,18 +197,7 @@ func checkNoIdentityUnderAggregate(t *testing.T, plan *Node) {
 // Π Optimize put below a ∪ copies its whole input tree
 // (checkPushedProjectionsCut).
 func FuzzSubscription(f *testing.F) {
-	for _, src := range []string{
-		figure1,
-		`for $e in ` + inPeers(8) + ` where $e.callMethod = "Q" return <hit id="{$e.callId}"/> by publish as channel "hits"`,
-		`for $e in ` + inPeers(2) + ` return $e group on "callee" window "10s" by channel G`,
-		`for $e in ` + inPeers(2) + ` return <x>{$e}</x> by channel X`,
-		`for $x in (for $y in ` + inPeers(2) + ` return <q c="{$y.caller}"/>) where $x/q return $x by channel C`,
-		`for $j in areRegistered(<p>s.com</p>) for $c in inCOM($j) return $c by channel W`,
-		`for $x in channel("a@p") return distinct <a>{$x.k}</a> by file "f"`,
-		`for $e in outCOM(<p>a</p><p>b</p>) let $d := $e.responseTimestamp - $e.callTimestamp where $d > 1 return <s d="{$d}"/> by email "x"`,
-		`for $e in ` + inPeers(3) + ` return distinct $e group on "callee" window "10s" by channel G`,
-		`for $e in ` + inPeers(2) + ` let $d := $e.responseTimestamp - $e.callTimestamp where $d > 1 return $e group on "callee" window "10s" by channel G`,
-	} {
+	for _, src := range subscriptionSeeds {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -228,16 +232,22 @@ var (
 	pathStep      = regexp.MustCompile(`\$\w+((?:/+\w+)+)`)
 )
 
-// alertTraces builds a few seeded inputs for plan's alerters. Every
-// alert carries the WS attributes and every attribute the subscription
-// names. An attribute the subscription compares with constants takes one
-// of them; any other takes "0" or "100", so joins find partners and
-// differences have a sign. Every other trace widens both pools with "x"
-// and the numbers the subscription mentions, so conditions fail too.
-// Below its root every alert has an envelope, <Envelope><Body>, holding
-// one param per name a path of the subscription steps through, its text
-// drawn from the same pools: what a bare alerter leaves out.
-func alertTraces(src string, plan *Node) []map[string][]*xmltree.Node {
+// traceMembers are the peers a membership driver's p-joins name.
+var traceMembers = []string{"m0", "m1", "m2"}
+
+// alertTraces builds a few seeded inputs for the plans' alerters, one
+// list per alerterKey, shared by every plan. Every alert carries the WS
+// attributes and every attribute the subscription names. An attribute
+// the subscription compares with constants takes one of them; any other
+// takes "0" or "100", so joins find partners and differences have a
+// sign. Every other trace widens both pools with "x" and the numbers the
+// subscription mentions, so conditions fail too. Below its root every
+// alert has an envelope, <Envelope><Body>, holding one param per name a
+// path of the subscription steps through, its text drawn from the same
+// pools: what a bare alerter leaves out. A membership alerter's inputs
+// are p-joins of traceMembers instead, and a dynamic alerter set gets an
+// input list for each of them.
+func alertTraces(src string, plans ...*Node) []map[string][]*xmltree.Node {
 	narrow := []string{"0", "100"}
 	wide := append([]string{"0", "100", "x"}, numberConst.FindAllString(src, -1)...)
 	compared := map[string][]string{}
@@ -253,11 +263,26 @@ func alertTraces(src string, plan *Node) []map[string][]*xmltree.Node {
 		params = append(params, strings.FieldsFunc(m[1], func(r rune) bool { return r == '/' })...)
 	}
 	var sources []string
-	plan.Walk(func(n *Node) {
-		if n.Op == OpAlerter {
-			sources = append(sources, n.Alerter.Func+"@"+n.Alerter.Peer)
+	drivers := map[string]bool{}
+	add := func(key string) {
+		if !slices.Contains(sources, key) {
+			sources = append(sources, key)
 		}
-	})
+	}
+	for _, plan := range plans {
+		plan.Walk(func(n *Node) {
+			switch n.Op {
+			case OpAlerter:
+				key := alerterKey(n.Alerter, n.Alerter.Peer)
+				drivers[key] = n.Alerter.Kind == "membership"
+				add(key)
+			case OpDynAlerter:
+				for _, m := range traceMembers {
+					add(alerterKey(n.Alerter, m))
+				}
+			}
+		})
+	}
 	h := fnv.New64a()
 	h.Write([]byte(src))
 	rnd := newRand2(int64(h.Sum64()))
@@ -266,6 +291,10 @@ func alertTraces(src string, plan *Node) []map[string][]*xmltree.Node {
 		traces[i] = map[string][]*xmltree.Node{}
 		for _, key := range sources {
 			for j := rnd.Intn(7); j > 0; j-- {
+				if drivers[key] {
+					traces[i][key] = append(traces[i][key], xmltree.ElemText("p-join", traceMembers[rnd.Intn(len(traceMembers))]))
+					continue
+				}
 				pick := func(values []string) string {
 					if i%2 == 1 {
 						values = append(values[:len(values):len(values)], wide...)
@@ -354,8 +383,8 @@ func checkPushedProjectionsCut(t *testing.T, plan *Node, traces []map[string][]*
 					return
 				}
 				for _, it := range items {
-					if out, err := apply(it); err == nil && out != nil && strings.Contains(out.Canonical(), it.Canonical()) {
-						t.Fatalf("%s @%s under a ∪ copies its whole input %s:\n%s", b.Label(), b.Peer, it.Canonical(), plan.Tree())
+					if out, err := apply(it.Tree); err == nil && out != nil && strings.Contains(out.Canonical(), it.Tree.Canonical()) {
+						t.Fatalf("%s @%s under a ∪ copies its whole input %s:\n%s", b.Label(), b.Peer, it.Tree.Canonical(), plan.Tree())
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package p2pml
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"p2pm/internal/xmltree"
 	"p2pm/internal/xpath"
@@ -245,8 +246,28 @@ func (b *Binary) Eval(env *Env) (Value, error) {
 	return Value{Num: n, IsNum: true}, nil
 }
 
-func (b *Binary) String() string {
-	return fmt.Sprintf("%s %c %s", b.L.String(), b.Op, b.R.String())
+func (b *Binary) String() string { return b.Render(b.L.String(), b.R.String()) }
+
+// Render renders b with its operands rendered as l and r, each in
+// parentheses where the tree needs them to parse back to b: * and / bind
+// tighter than + and -, and all four associate to the left.
+func (b *Binary) Render(l, r string) string {
+	if prec(b.L) < prec(b) {
+		l = "(" + l + ")"
+	}
+	if prec(b.R) <= prec(b) {
+		r = "(" + r + ")"
+	}
+	return l + " " + string(b.Op) + " " + r
+}
+
+// prec ranks + and - 1, * and / 2, and any operand that is no arithmetic
+// 3.
+func prec(e Expr) int {
+	if b, ok := e.(*Binary); ok {
+		return strings.IndexByte("+-*/", b.Op)/2 + 1
+	}
+	return 3
 }
 
 // Vars implements Expr.

@@ -1,6 +1,7 @@
 package p2pml
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -512,6 +513,38 @@ func TestSourceStringForms(t *testing.T) {
 		// inCOM($j) must render with its stream variable
 		if !strings.Contains(s, "inCOM($j)") {
 			t.Errorf("rendered = %s", s)
+		}
+	}
+}
+
+// TestBinaryStringKeepsParentheses: an arithmetic expression renders
+// with the parentheses its tree needs and no others, and the rendering
+// parses back to the same tree.
+func TestBinaryStringKeepsParentheses(t *testing.T) {
+	for src, want := range map[string]string{
+		"($e.a - $e.b) * 2":                         "($e.a - $e.b) * 2",
+		"$e.a - $e.b * 2":                           "$e.a - $e.b * 2",
+		"$e.a - ($e.b - $e.c)":                      "$e.a - ($e.b - $e.c)",
+		"($e.a - $e.b) - $e.c":                      "$e.a - $e.b - $e.c",
+		"$e.a / ($e.b * 2)":                         "$e.a / ($e.b * 2)",
+		"(($e.a))":                                  "$e.a",
+		"$c1.responseTimestamp - $c1.callTimestamp": "$c1.responseTimestamp - $c1.callTimestamp",
+		"2 * ($e.a + -1) / (3 - $e.b)":              "2 * ($e.a + -1) / (3 - $e.b)",
+	} {
+		e, err := ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := e.String()
+		if got != want {
+			t.Errorf("%s renders %q, want %q", src, got, want)
+		}
+		again, err := ParseExpr(got)
+		if err != nil {
+			t.Fatalf("re-parse of %q: %v", got, err)
+		}
+		if !reflect.DeepEqual(again, e) {
+			t.Errorf("%s: %q parses to another tree", src, got)
 		}
 	}
 }

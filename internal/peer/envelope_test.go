@@ -7,6 +7,7 @@ import (
 	"p2pm/internal/alerters"
 	"p2pm/internal/algebra"
 	"p2pm/internal/p2pml"
+	"p2pm/internal/rss"
 	"p2pm/internal/xmltree"
 )
 
@@ -122,6 +123,71 @@ func TestEnvelopeFlavoursAndReuse(t *testing.T) {
 			if bare, body := tap.Built(); bare != c.bare*calls || body != c.body*calls {
 				t.Errorf("the tap built %d bare and %d body-carrying alerts for %d calls, want %d and %d",
 					bare, body, calls, c.bare*calls, c.body*calls)
+			}
+		})
+	}
+}
+
+// TestReuseHandsEachSubscriptionItsOwnStream: two subscriptions whose
+// plans differ only in what a signature must name — a LET's definition,
+// a cross product's variables, an RSS alerter's feed — each get the
+// results they get alone when the other deployed first, instead of the
+// other's stream under an equal signature.
+func TestReuseHandsEachSubscriptionItsOwnStream(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		first, then string
+		want        [2]int    // results of first and then
+		prefix      [2]string // of every result's id
+	}{
+		{"a LET's definition",
+			`for $e in inCOM(<p>src</p>) let $d := $e.callee where $d = "ping" return <a id="{$e.callId}"/> by channel A`,
+			`for $e in inCOM(<p>src</p>) let $d := $e.callMethod where $d = "ping" return <b id="{$e.callId}"/> by channel B`,
+			[2]int{0, 3}, [2]string{}},
+		{"a cross product's variables",
+			`for $a in outCOM(<p>caller</p>), $b in inCOM(<p>src</p>) return <p id="{$a.callId}"/> by channel A`,
+			`for $c in outCOM(<p>caller</p>), $d in inCOM(<p>src</p>) return <p id="{$c.callId}"/> by channel B`,
+			[2]int{9, 9}, [2]string{}},
+		{"an RSS alerter's feed",
+			`for $r in rssCOM(<p>src</p><feed url="x"/>) return <e id="{$r.entryId}"/> by channel A`,
+			`for $r in rssCOM(<p>src</p><feed url="y"/>) return <e id="{$r.entryId}"/> by channel B`,
+			[2]int{1, 2}, [2]string{"x", "y"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys, mon, call := envelopeWorld(t)
+			feeds := map[string]*rss.Feed{"x": {Title: "x"}, "y": {Title: "y"}}
+			for url, f := range feeds {
+				sys.Peer("src").RegisterFeed(url, func() (*rss.Feed, error) { return f.Clone(), nil })
+			}
+			var tasks [2]*Task
+			for i, src := range []string{c.first, c.then} {
+				task, err := mon.Subscribe(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tasks[i] = task
+			}
+			for i := 0; i < 3; i++ {
+				call()
+			}
+			feeds["x"].Entries = []rss.Entry{{ID: "x1"}}
+			feeds["y"].Entries = []rss.Entry{{ID: "y1"}, {ID: "y2"}}
+			if _, err := sys.Poll(); err != nil {
+				t.Fatal(err)
+			}
+			sys.Quiesce()
+			tasks[1].Stop()
+			tasks[0].Stop()
+			for i, task := range tasks {
+				got := task.Results().Drain()
+				if len(got) != c.want[i] {
+					t.Errorf("task %d: %d results, want %d:\n%s", i, len(got), c.want[i], task.Plan.Tree())
+				}
+				for _, it := range got {
+					if id := it.Tree.AttrOr("id", ""); !strings.HasPrefix(id, c.prefix[i]) {
+						t.Errorf("task %d reads the other feed's entry %s", i, id)
+					}
+				}
 			}
 		})
 	}

@@ -294,26 +294,3 @@ func TestResidualLetsKeepTransitiveDeps(t *testing.T) {
 		t.Errorf("residual Lets = %v, want the $d and $dd chain", sigma.Select.Lets)
 	}
 }
-
-// TestReplaceVarWordBoundaries pins the word-boundary contract of
-// replaceVar: `$x` must not fire inside `$xy`, and a needle in suffix
-// position substitutes cleanly.
-func TestReplaceVarWordBoundaries(t *testing.T) {
-	cases := []struct{ in, name, repl, want string }{
-		{"$xy > 1", "x", "$_", "$xy > 1"},               // longer var untouched
-		{"$x > $xy", "x", "$_", "$_ > $xy"},             // both in one string
-		{"$a = $x", "x", "$_", "$a = $_"},               // suffix position
-		{"$x", "x", "$_", "$_"},                         // whole string
-		{"$x_tail > 1", "x", "$_", "$x_tail > 1"},       // underscore continues the word
-		{"$x9 > 1", "x", "$_", "$x9 > 1"},               // digit continues the word
-		{"($x) + $x.attr", "x", "$_", "($_) + $_.attr"}, // punctuation ends the word
-		{"$x and $X", "x", "$_", "$_ and $X"},           // case-sensitive
-		{"$lag > 10", "lag", "(a - b)", "(a - b) > 10"}, // inline form
-		{"$lagging > 10", "lag", "(a - b)", "$lagging > 10"},
-	}
-	for _, c := range cases {
-		if got := replaceVar(c.in, c.name, c.repl); got != c.want {
-			t.Errorf("replaceVar(%q, %q, %q) = %q, want %q", c.in, c.name, c.repl, got, c.want)
-		}
-	}
-}

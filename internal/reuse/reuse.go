@@ -10,6 +10,8 @@ package reuse
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"p2pm/internal/algebra"
@@ -154,8 +156,10 @@ func (o Options) matchNode(n *algebra.Node, db *kadop.DB, st *matchState, r *Res
 	sig := n.SignatureWith(childSigs)
 	switch n.Op {
 	case algebra.OpPublish, algebra.OpDynAlerter:
-		// Sinks are never reused; dynamic alerter sets have no static
-		// stream identity.
+		// Sinks are never reused. A dynamic alerter set signs its
+		// function, arguments and driver, so it could be matched, but
+		// nothing yet deploys a reused set: it deploys fresh
+		// (docs/REUSE.md "What a signature names").
 		return sig, nil
 	case algebra.OpChannelIn:
 		// An explicit channel subscription: resolve its published
@@ -331,8 +335,11 @@ func (o Options) channelNode(n *algebra.Node, m matchInfo, db *kadop.DB, r *Resu
 
 // alerterFlavour picks the published alerter an alerter node signed sig
 // reuses: a body reader only one signed as it is, any other node one
-// signed as it is first and, failing that, one of the other flavour —
-// body-carrying, an envelope it never reads. nil when none fits.
+// signed as it is first and, failing that, the same alerter's other
+// flavour — body-carrying, an envelope it never reads. nil when none
+// fits. The lookup returns every alerter of the function at the peer, so
+// the other flavour is told by its signature too: an alerter watching
+// another feed is not one.
 func alerterFlavour(n *algebra.Node, sig string, defs []*kadop.StreamDef) *kadop.StreamDef {
 	reader := n.Body == algebra.BodyRead
 	var other *kadop.StreamDef
@@ -341,7 +348,11 @@ func alerterFlavour(n *algebra.Node, sig string, defs []*kadop.StreamDef) *kadop
 			return d
 		}
 		if other == nil && !reader {
-			other = d
+			body := *n
+			body.Body = algebra.BodyRead
+			if d.Signature == body.SignatureWith(nil) {
+				other = d
+			}
 		}
 	}
 	return other
@@ -423,8 +434,8 @@ func PublishPlan(db *kadop.DB, plan *algebra.Node, nextID func(peer string) stri
 			Signature: sigs[n],
 			Stats:     map[string]string{},
 		}
-		if conds, ok := CanonConds(n); ok {
-			def.Conds = conds
+		if conds, ok := algebra.CanonConds(n); ok {
+			def.Conds = slices.Sorted(maps.Keys(conds))
 		}
 		switch {
 		case n.Op == algebra.OpPartialAgg || (n.Op == algebra.OpMergeAgg && !n.Group.Final):

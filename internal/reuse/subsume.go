@@ -1,8 +1,7 @@
 package reuse
 
 import (
-	"sort"
-	"strings"
+	"slices"
 
 	"p2pm/internal/algebra"
 	"p2pm/internal/kadop"
@@ -18,76 +17,6 @@ import (
 // σ_A(s) is itself published, a third σ_{A∧B}(s) subscription reuses the
 // chain fully and deploys nothing.
 
-// canonCondStrings renders a σ's conditions canonically for subsumption
-// comparison: LET definitions are inlined and the (single) stream
-// variable is renamed to "_" so textual variable choices don't matter.
-// ok is false when the node is not eligible (multi-variable schema, or a
-// condition that cannot be canonicalized).
-func canonCondStrings(spec *algebra.SelectSpec, schema []string) (map[string]p2pml.Condition, bool) {
-	if len(schema) != 1 {
-		return nil, false
-	}
-	out := make(map[string]p2pml.Condition, len(spec.Conds))
-	for _, cond := range spec.Conds {
-		s := cond.String()
-		// Inline LETs, last-defined first so chained LETs resolve.
-		for i := len(spec.Lets) - 1; i >= 0; i-- {
-			l := spec.Lets[i]
-			s = replaceVar(s, l.Var, "("+l.Expr.String()+")")
-		}
-		s = replaceVar(s, schema[0], "$_")
-		if strings.Contains(s, "$"+schema[0]) {
-			return nil, false
-		}
-		out[s] = cond
-	}
-	return out, true
-}
-
-// replaceVar substitutes $name by repl at word boundaries.
-func replaceVar(s, name, repl string) string {
-	needle := "$" + name
-	var b strings.Builder
-	for {
-		i := strings.Index(s, needle)
-		if i < 0 {
-			b.WriteString(s)
-			return b.String()
-		}
-		end := i + len(needle)
-		boundary := end >= len(s) || !isWordByte(s[end])
-		b.WriteString(s[:i])
-		if boundary {
-			b.WriteString(repl)
-		} else {
-			b.WriteString(needle)
-		}
-		s = s[end:]
-	}
-}
-
-func isWordByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_'
-}
-
-// CanonConds exposes the canonical condition strings of a σ node for
-// descriptor publication; ok is false for ineligible nodes.
-func CanonConds(n *algebra.Node) ([]string, bool) {
-	if n.Op != algebra.OpSelect || len(n.Inputs) != 1 {
-		return nil, false
-	}
-	m, ok := canonCondStrings(n.Select, n.Inputs[0].Schema)
-	if !ok {
-		return nil, false
-	}
-	out := make([]string, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out, true
-}
-
 // partialMatch records a σ node whose conditions are partially covered by
 // a chain of published filter streams.
 type partialMatch struct {
@@ -101,13 +30,11 @@ type partialMatch struct {
 // childRef, chaining through derived filters. It returns either a full
 // matchInfo (all conditions covered) or a partialMatch (some covered).
 func (o Options) subsume(n *algebra.Node, childRef stream.Ref, db *kadop.DB, r *Result) (*matchInfo, *partialMatch, error) {
-	mine, ok := canonCondStrings(n.Select, n.Inputs[0].Schema)
-	if !ok || len(mine) == 0 {
+	// Covers compare in algebra's canonical form: LETs inlined, the
+	// stream variable written $_.
+	remaining, ok := algebra.CanonConds(n)
+	if !ok || len(remaining) == 0 {
 		return nil, nil, nil
-	}
-	remaining := make(map[string]p2pml.Condition, len(mine))
-	for s, c := range mine {
-		remaining[s] = c
 	}
 	cur := childRef
 	curSig := ""
@@ -121,7 +48,8 @@ func (o Options) subsume(n *algebra.Node, childRef stream.Ref, db *kadop.DB, r *
 		}
 		var best *kadop.StreamDef
 		for _, c := range candidates {
-			if len(c.Conds) == 0 || !condsSubset(c.Conds, remaining) {
+			// A cover filters on remaining conditions only.
+			if len(c.Conds) == 0 || slices.ContainsFunc(c.Conds, func(k string) bool { return remaining[k] == nil }) {
 				continue
 			}
 			if best == nil || len(c.Conds) > len(best.Conds) ||
@@ -160,13 +88,4 @@ func (o Options) subsume(n *algebra.Node, childRef stream.Ref, db *kadop.DB, r *
 		}
 	}
 	return nil, &partialMatch{ref: cur, sig: curSig, residual: residual}, nil
-}
-
-func condsSubset(conds []string, remaining map[string]p2pml.Condition) bool {
-	for _, c := range conds {
-		if _, ok := remaining[c]; !ok {
-			return false
-		}
-	}
-	return true
 }

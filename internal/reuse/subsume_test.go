@@ -1,11 +1,11 @@
 package reuse
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"p2pm/internal/algebra"
-	"p2pm/internal/p2pml"
 )
 
 // TestSubsumptionPartialReuse: sub2's conditions are a strict superset of
@@ -176,30 +176,39 @@ func TestSubsumptionWithLets(t *testing.T) {
 	}
 }
 
+// TestCanonCondHelpers: a filter's descriptor publishes its conditions
+// as algebra.CanonConds renders them — sorted, LETs inlined, the stream
+// variable renamed by name and never inside a literal — and a filter
+// over a multi-variable input publishes none.
 func TestCanonCondHelpers(t *testing.T) {
-	if got := replaceVar("$e.a = $early", "e", "$_"); got != "$_.a = $early" {
-		t.Errorf("replaceVar word boundary broken: %q", got)
+	db := newDB(t)
+	plan := compile(t, `for $e in inCOM(<p>m</p>)
+	let $d := $e.r - $e.c
+	where $d > 10 and $e.a = "$e"
+	return $e by channel C`, "p")
+	three := compile(t, `for $a in outCOM(<p>x</p>), $b in inCOM(<p>y</p>), $c in inCOM(<p>z</p>)
+	where $a.callId = $b.callId and $b.callId = $c.callId and $a.n + $b.n < $c.n
+	return <r/> by channel D`, "p")
+	want := map[string][]string{
+		`σ[$d > 10 and $e.a = "$e"]`: {`$_.a = "$e"`, `($_.r - $_.c) > 10`},
+		`σ[$a.n + $b.n < $c.n]`:      nil,
 	}
-	if got := replaceVar("$d > 10", "d", "(x)"); got != "(x) > 10" {
-		t.Errorf("replaceVar basic: %q", got)
-	}
-	// Multi-variable σ specs are ineligible.
-	sub := p2pml.MustParse(`for $a in inCOM(<p>m</p>), $b in inCOM(<p>n</p>)
-	where $a.x = $b.x and $a.y = "1"
-	return <r/> by channel C`)
-	plan, err := algebra.Compile(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sigma *algebra.Node
-	plan.Walk(func(n *algebra.Node) {
-		if n.Op == algebra.OpSelect && len(n.Schema) > 1 {
-			sigma = n
+	for _, p := range []*algebra.Node{plan, three} {
+		refs, err := PublishPlan(db, p, idGen())
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if sigma != nil {
-		if _, ok := canonCondStrings(sigma.Select, sigma.Inputs[0].Schema); ok {
-			t.Error("multi-var σ should be ineligible")
-		}
+		p.Walk(func(n *algebra.Node) {
+			if n.Op != algebra.OpSelect {
+				return
+			}
+			def, _, err := db.FindByRef("", refs[n])
+			if err != nil || def == nil {
+				t.Fatalf("%s: no descriptor (%v)", n.Label(), err)
+			}
+			if w, ok := want[n.Label()]; !ok || !slices.Equal(def.Conds, w) {
+				t.Errorf("%s publishes Conds %q, want %q", n.Label(), def.Conds, w)
+			}
+		})
 	}
 }

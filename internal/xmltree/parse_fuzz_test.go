@@ -103,6 +103,9 @@ func parseSeeds() []string {
 	)
 }
 
+// FuzzParse: Parse must agree with the one-allocation-per-node parser it
+// replaced (checkAgainstRef) on any input — verdict, error offset, tree
+// and bytes — and so must a reused Builder's Parse.
 func FuzzParse(f *testing.F) {
 	for _, s := range parseSeeds() {
 		f.Add(s)

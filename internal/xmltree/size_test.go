@@ -103,6 +103,9 @@ func checkSize(t *testing.T, n *Node) {
 	}
 }
 
+// FuzzSerializedSize: the byte accounting rests on SerializedSize, so on
+// every tree it must equal len(String()), and String must equal the
+// reference serializer.
 func FuzzSerializedSize(f *testing.F) {
 	for _, s := range []string{
 		"",                      // empty text

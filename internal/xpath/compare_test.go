@@ -91,6 +91,8 @@ func TestParseNumberRejectsWithoutAllocating(t *testing.T) {
 	}
 }
 
+// FuzzCompare: Compare must give its reference's verdict on any pair of
+// values, under every operator.
 func FuzzCompare(f *testing.F) {
 	for i, s := range compareZoo {
 		f.Add(s, compareZoo[(i+1)%len(compareZoo)])
