@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"slices"
+
 	"p2pm/internal/p2pml"
 )
 
@@ -32,7 +34,7 @@ func Optimize(plan *Node, opts Options) *Node {
 	if opts.Pushdown {
 		plan = pushProjections(pushdown(plan))
 	}
-	place(plan, opts.SubscriberPeer)
+	place(plan, opts.SubscriberPeer, false)
 	return plan
 }
 
@@ -140,7 +142,7 @@ func tryPush(parent *Node, idx int, cond p2pml.Condition, lets []p2pml.LetBindin
 		// Merge into the existing σ rather than stacking single-condition
 		// selections.
 		child.Select.Conds = append(child.Select.Conds, cond)
-		child.Select.Lets = mergeLets(child.Select.Lets, letsNeeded(cond, lets))
+		child.Select.Lets = mergeLets(child.Select.Lets, NeededLets(lets, cond))
 		return true
 	case OpJoin:
 		switch {
@@ -181,42 +183,20 @@ func wrapSelect(parent *Node, idx int, cond p2pml.Condition, lets []p2pml.LetBin
 		Peer:   AnyPeer,
 		Inputs: []*Node{child},
 		Schema: child.Schema,
-		Select: &SelectSpec{Conds: []p2pml.Condition{cond}, Lets: letsNeeded(cond, lets)},
+		Select: &SelectSpec{Conds: []p2pml.Condition{cond}, Lets: NeededLets(lets, cond)},
 	}
 }
 
 // condStreamVars expands a condition's variables through the given LET
 // bindings down to stream variables.
 func condStreamVars(cond p2pml.Condition, lets []p2pml.LetBinding) []string {
-	byVar := make(map[string]p2pml.LetBinding, len(lets))
-	for _, l := range lets {
-		byVar[l.Var] = l
+	vars := cond.Vars()
+	for _, l := range NeededLets(lets, cond) {
+		vars = append(vars, l.Expr.Vars()...)
 	}
-	seen := make(map[string]bool)
-	var out []string
-	var expand func(v string)
-	expand = func(v string) {
-		if l, ok := byVar[v]; ok {
-			for _, inner := range l.Expr.Vars() {
-				expand(inner)
-			}
-			return
-		}
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	for _, v := range cond.Vars() {
-		expand(v)
-	}
-	return out
-}
-
-// letsNeeded filters lets to those a condition references (transitively),
-// preserving declaration order.
-func letsNeeded(cond p2pml.Condition, lets []p2pml.LetBinding) []p2pml.LetBinding {
-	return NeededLets(lets, cond)
+	return slices.DeleteFunc(vars, func(v string) bool {
+		return slices.ContainsFunc(lets, func(l p2pml.LetBinding) bool { return l.Var == v })
+	})
 }
 
 // NeededLets filters lets to those any of the conditions references
@@ -288,13 +268,20 @@ func subset(vars, schema []string) bool {
 //   - alerters stay at their monitored peer (by definition);
 //   - channel inputs are attributed to the publishing peer;
 //   - unary processors run where their input runs (no extra transfer);
-//   - ∪ and ⋈ run at their last input's peer — matching Figure 4, where
-//     the union of a.com/b.com filters runs at b.com and the join at
-//     meteo.com;
+//   - a ∪ whose output reaches the publisher, directly or through Π's
+//     alone, runs at the subscriber: it only passes items through, so
+//     each item crosses the network once, from its branch to the reader,
+//     and the Π's above it follow it there;
+//   - every other ∪, and every ⋈, runs at its last input's peer —
+//     matching Figure 4, where the union of a.com/b.com filters, which
+//     feeds the join, runs at b.com and the join at meteo.com;
 //   - publishers and dynamic alerter managers run at the subscriber.
-func place(n *Node, subscriber string) {
+//
+// toPublisher reports that n's output reaches the publisher through Π's
+// alone; Optimize places the root with false.
+func place(n *Node, subscriber string, toPublisher bool) {
 	for _, in := range n.Inputs {
-		place(in, subscriber)
+		place(in, subscriber, n.Op == OpPublish || toPublisher && n.Op == OpRestruct)
 	}
 	switch n.Op {
 	case OpAlerter:
@@ -305,6 +292,9 @@ func place(n *Node, subscriber string) {
 		n.Peer = subscriber
 	case OpUnion, OpJoin:
 		n.Peer = n.Inputs[len(n.Inputs)-1].Peer
+		if n.Op == OpUnion && toPublisher {
+			n.Peer = subscriber
+		}
 	case OpMergeAgg:
 		// Tree roots and key-routed interiors carry deliberate placements
 		// (the planner's Group peer, DHT routing); re-placement must not

@@ -36,16 +36,16 @@ func TestOptimizePushesProjectionThroughUnion(t *testing.T) {
 	}{
 		{"hits: Π into all 8 branches",
 			`for $e in ` + inPeers(8) + ` where $e.callMethod = "Q" return <hit id="{$e.callId}"/> by publish as channel "hits"`,
-			"publisher@mgr(∪@s7(" + strings.Join(hits, ", ") + "))"},
+			"publisher@mgr(∪@mgr(" + strings.Join(hits, ", ") + "))"},
 		{"identity stays",
 			`for $e in ` + inPeers(2) + ` where $e.callMethod = "Q" return $e by channel X`,
-			"publisher@mgr(Π@s1(∪@s1(σ@s0(in@s0), σ@s1(in@s1))))"},
+			"publisher@mgr(Π@mgr(∪@mgr(σ@s0(in@s0), σ@s1(in@s1))))"},
 		{"a spliced tree stays",
 			`for $e in ` + inPeers(2) + ` where $e.callMethod = "Q" return <x>{$e}</x> by channel X`,
-			"publisher@mgr(Π@s1(∪@s1(σ@s0(in@s0), σ@s1(in@s1))))"},
+			"publisher@mgr(Π@mgr(∪@mgr(σ@s0(in@s0), σ@s1(in@s1))))"},
 		{"an expression that is not the identity moves",
 			`for $e in ` + inPeers(2) + ` return $e.callId by channel X`,
-			"publisher@mgr(∪@s1(Π@s0(in@s0), Π@s1(in@s1)))"},
+			"publisher@mgr(∪@mgr(Π@s0(in@s0), Π@s1(in@s1)))"},
 		{"Π over a join stays", figure1,
 			"publisher@mgr(Π@meteo.com(⋈@meteo.com(∪@b.com(σ@a.com(out@a.com), σ@b.com(out@b.com)), in@meteo.com)))"},
 		{"γ over a template Π over ∪",
@@ -56,7 +56,7 @@ func TestOptimizePushesProjectionThroughUnion(t *testing.T) {
 			"publisher@mgr(δ@s1(∪@s1(Π@s0(in@s0), Π@s1(in@s1))))"},
 		{"a nested template moves, the outer identity stays",
 			`for $x in (for $y in ` + inPeers(2) + ` return <q c="{$y.caller}"/>) return $x by channel C`,
-			"publisher@mgr(Π@s1(∪@s1(Π@s0(in@s0), Π@s1(in@s1))))"},
+			"publisher@mgr(Π@mgr(∪@mgr(Π@s0(in@s0), Π@s1(in@s1))))"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,7 +128,7 @@ func TestOptimizeDropsIdentityUnderAggregate(t *testing.T) {
 			"publisher@mgr(δ@s1(∪@s1(in@s0, in@s1)))"},
 		{"identity under the publisher stays",
 			`for $e in ` + inPeers(2) + ` return $e by channel X`,
-			"publisher@mgr(Π@s1(∪@s1(in@s0, in@s1)))"},
+			"publisher@mgr(Π@mgr(∪@mgr(in@s0, in@s1)))"},
 		{"a variable of a join tuple stays",
 			`for $a in inCOM(<p>s0</p>), $b in inCOM(<p>s1</p>) where $a.callId = $b.callId return $a group on "callee" window "10s" by channel G`,
 			"publisher@mgr(γ@s1(Π@s1(⋈@s1(in@s0, in@s1))))"},
@@ -187,10 +187,12 @@ var subscriptionSeeds = []string{
 }
 
 // FuzzSubscription: the subscription front end — Parse, Compile,
-// Optimize, MarkBodyReaders — never panics on any text, and a plan it
-// accepts has every Π that can move through a ∪ moved and no identity Π
-// left under a γ or a δ; neither the compiled nor the optimized plan has
-// a ∪ directly under a ∪. Optimize, with and without pushdown, and the
+// Optimize, MarkBodyReaders — never panics on any text; a subscription
+// it parses renders to text that parses back to the same rendering; and
+// a plan it accepts is placed as place says (checkPlacement), has every
+// Π that can move through a ∪ moved and no identity Π left under a γ or
+// a δ; neither the compiled nor the optimized plan has a ∪ directly
+// under a ∪. Optimize, with and without pushdown, and the
 // marks keep the compiled plan's results, every alerter of which carries
 // its envelope, on alert traces drawn from the subscription's own
 // constants and paths (checkSameResults); marking is idempotent; and no
@@ -205,11 +207,15 @@ func FuzzSubscription(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if again, err := p2pml.Parse(sub.String()); err != nil || again.String() != sub.String() {
+			t.Fatalf("%q does not parse back to itself: %v", sub.String(), err)
+		}
 		naive, err := Compile(sub)
 		if err != nil {
 			return
 		}
 		plan := MarkBodyReaders(Optimize(naive.Clone(), DefaultOptions("mgr")))
+		checkPlacement(t, plan, "mgr")
 		checkMarksIdempotent(t, plan)
 		checkNoPushableProjection(t, plan)
 		checkNoIdentityUnderAggregate(t, plan)
@@ -319,6 +325,32 @@ func alertTraces(src string, plans ...*Node) []map[string][]*xmltree.Node {
 		}
 	}
 	return traces
+}
+
+// checkPlacement fails unless the ∪ that the publisher reads through Π's
+// alone, if there is one, runs at the subscriber with those Π's, and
+// every other ∪ and every ⋈ runs at its last input's peer.
+func checkPlacement(t *testing.T, plan *Node, subscriber string) {
+	t.Helper()
+	top := plan.Inputs[0]
+	var above []*Node
+	for top.Op == OpRestruct {
+		above, top = append(above, top), top.Inputs[0]
+	}
+	plan.Walk(func(n *Node) {
+		want := ""
+		switch {
+		case top.Op == OpUnion && (n == top || slices.Contains(above, n)):
+			want = subscriber
+		case n.Op == OpUnion || n.Op == OpJoin:
+			want = n.Inputs[len(n.Inputs)-1].Peer
+		default:
+			return
+		}
+		if n.Peer != want {
+			t.Fatalf("%s runs @%s, want @%s:\n%s", n.Label(), n.Peer, want, plan.Tree())
+		}
+	})
 }
 
 // checkMarksIdempotent fails when marking a marked plan again moves a

@@ -48,11 +48,11 @@ type GroupClause struct {
 func (g *GroupClause) String() string {
 	switch {
 	case g.Fn == "":
-		return fmt.Sprintf("group on %q window %q", g.Attr, g.Window)
+		return fmt.Sprintf("group on %s window %s", quote(g.Attr), quote(g.Window))
 	case g.ValueAttr == "":
-		return fmt.Sprintf("group %s on %q window %q", g.Fn, g.Attr, g.Window)
+		return fmt.Sprintf("group %s on %s window %s", g.Fn, quote(g.Attr), quote(g.Window))
 	}
-	return fmt.Sprintf("group %s of %q on %q window %q", g.Fn, g.ValueAttr, g.Attr, g.Window)
+	return fmt.Sprintf("group %s of %s on %s window %s", g.Fn, quote(g.ValueAttr), quote(g.Attr), quote(g.Window))
 }
 
 // ForBinding binds a variable to a stream source.
@@ -115,7 +115,7 @@ type ChannelSource struct {
 
 func (*ChannelSource) isSource() {}
 
-func (s *ChannelSource) String() string { return fmt.Sprintf("channel(%q)", s.Ref) }
+func (s *ChannelSource) String() string { return "channel(" + quote(s.Ref) + ")" }
 
 // LetBinding defines a derived variable.
 type LetBinding struct {
@@ -217,17 +217,17 @@ type ByTarget struct {
 func (t ByTarget) String() string {
 	switch t.Kind {
 	case ByPublishChannel:
-		return fmt.Sprintf("publish as channel %q", t.Name)
+		return "publish as channel " + quote(t.Name)
 	case ByChannel:
 		return "channel " + t.Name
 	case BySubscribe:
 		return fmt.Sprintf("subscribe(%s, #%s, %s)", t.Peer, t.ChannelID, t.Name)
 	case ByEmail:
-		return fmt.Sprintf("email %q", t.Name)
+		return "email " + quote(t.Name)
 	case ByFile:
-		return fmt.Sprintf("file %q", t.Name)
+		return "file " + quote(t.Name)
 	case ByRSS:
-		return fmt.Sprintf("rss %q", t.Name)
+		return "rss " + quote(t.Name)
 	}
 	return "?"
 }

@@ -198,11 +198,22 @@ type Lit struct {
 // Eval implements Expr.
 func (l *Lit) Eval(*Env) (Value, error) { return l.Val, nil }
 
+// String writes a number in plain decimal, never with an exponent, which
+// the parser does not read.
 func (l *Lit) String() string {
 	if l.Val.IsNum {
-		return strconv.FormatFloat(l.Val.Num, 'g', -1, 64)
+		return strconv.FormatFloat(l.Val.Num, 'f', -1, 64)
 	}
-	return strconv.Quote(l.Val.Str)
+	return quote(l.Val.Str)
+}
+
+// quote writes s as the parser reads a string: it knows no escapes, so s
+// goes in as it is, between double quotes unless it holds one.
+func quote(s string) string {
+	if strings.Contains(s, `"`) {
+		return "'" + s + "'"
+	}
+	return `"` + s + `"`
 }
 
 // Vars implements Expr.

@@ -401,11 +401,13 @@ func (p *parser) parseSource() (Source, error) {
 	}
 }
 
+// stripScheme drops spaces and an http(s):// scheme with one trailing
+// slash, until none is left, so a peer name parses back to itself.
 func stripScheme(s string) string {
 	s = strings.TrimSpace(s)
 	for _, scheme := range []string{"http://", "https://"} {
 		if strings.HasPrefix(s, scheme) {
-			return strings.TrimSuffix(s[len(scheme):], "/")
+			return stripScheme(strings.TrimSuffix(s[len(scheme):], "/"))
 		}
 	}
 	return s

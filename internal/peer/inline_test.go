@@ -97,7 +97,7 @@ func TestPushedProjectionMatchesUnpushedPlan(t *testing.T) {
 			Inputs: []*algebra.Node{{Op: algebra.OpUnion, Peer: algebra.AnyPeer, Schema: sigmas[0].Schema, Inputs: sigmas}},
 		}},
 	}, algebra.Options{SubscriberPeer: "mgr"})
-	if got, want := unpushed.String(), "publisher@mgr(Π@s3(∪@s3(σ@s0(in@s0), σ@s1(in@s1), σ@s2(in@s2), σ@s3(in@s3))))"; got != want {
+	if got, want := unpushed.String(), "publisher@mgr(Π@mgr(∪@mgr(σ@s0(in@s0), σ@s1(in@s1), σ@s2(in@s2), σ@s3(in@s3))))"; got != want {
 		t.Fatalf("hand-built plan %s, want %s", got, want)
 	}
 	run := func(plan *algebra.Node) (results string, bytes uint64) {
@@ -136,5 +136,51 @@ func TestPushedProjectionMatchesUnpushedPlan(t *testing.T) {
 	}
 	if gotBytes >= wantBytes {
 		t.Errorf("network bytes %d with Π at the sources, %d with Π above the ∪: want fewer", gotBytes, wantBytes)
+	}
+}
+
+// TestHitsCrossOnceAndOutliveAnotherSource: the hits subscription's ∪
+// feeds its publisher, so it runs at the subscriber. A hit crosses one
+// link, from its source to mgr; no source relays another's hits, so
+// with s3 crashed (and no supervisor to repair anything) the hits of
+// s0–s2 all still arrive.
+func TestHitsCrossOnceAndOutliveAnotherSource(t *testing.T) {
+	const sources = 4
+	sys := MustSystem(DefaultConfig())
+	mgr := sys.MustAddPeer("mgr")
+	client := sys.MustAddPeer("client").Endpoint()
+	for i := 0; i < sources; i++ {
+		sys.MustAddPeer(fmt.Sprintf("s%d", i)).Endpoint().Register("Q", func(*xmltree.Node) (*xmltree.Node, error) {
+			return xmltree.Elem("ok"), nil
+		}, nil)
+	}
+	hits, err := mgr.Subscribe(hitsSub(sources))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hits.Stop()
+	calls := func(n, sources int) {
+		for i := 0; i < n; i++ {
+			if _, err := client.Invoke(fmt.Sprintf("s%d", i%sources), "Q", nil); err != nil {
+				t.Fatal(err)
+			}
+			sys.Quiesce()
+		}
+	}
+	calls(40, sources)
+	for a := 0; a < sources; a++ {
+		for b := 0; b < sources; b++ {
+			if l := sys.Net.Link(fmt.Sprintf("s%d", a), fmt.Sprintf("s%d", b)); a != b && l.Messages != 0 {
+				t.Errorf("s%d→s%d carried %d messages, %d bytes; want none", a, b, l.Messages, l.Bytes)
+			}
+		}
+	}
+	if got := hits.Results().Len(); got != 40 {
+		t.Fatalf("%d hits for 40 calls", got)
+	}
+	sys.Net.Crash("s3") //nolint:errcheck // known node
+	calls(30, sources-1)
+	if got := hits.Results().Len() - 40; got != 30 {
+		t.Errorf("%d hits for 30 calls to s0–s2 after s3 crashed", got)
 	}
 }
