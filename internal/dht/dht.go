@@ -721,6 +721,32 @@ func (r *Ring) Set(key, value string) error {
 	return nil
 }
 
+// Remove deletes value from the values stored under key, at the primary,
+// the replicas and any other member still holding a copy. A key left
+// without values is forgotten, its bounded-load placement with it.
+func (r *Ring) Remove(key, value string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	held := false
+	for _, n := range r.nodes {
+		vs, ok := n.store[key]
+		if !ok {
+			continue
+		}
+		if vs = slices.DeleteFunc(vs, func(v string) bool { return v == value }); len(vs) > 0 {
+			n.store[key] = vs
+			held = true
+		} else {
+			delete(n.store, key)
+		}
+	}
+	if p, ok := r.primary[key]; ok && !held {
+		delete(r.primary, key)
+		p.primaries[keyClass(key)]--
+		r.classKeys[keyClass(key)]--
+	}
+}
+
 // Holders returns the names of the nodes whose store currently holds the
 // key, in base-token ring order — the replica-placement introspection
 // the re-replication tests use.

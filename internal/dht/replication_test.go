@@ -211,3 +211,38 @@ func TestSetReplicationClampsAndRebalances(t *testing.T) {
 		t.Errorf("copies = %d, want one per node", total)
 	}
 }
+
+// TestRemoveClearsEveryCopy: Remove takes one value off a key at the
+// primary and every replica, leaves the key's other values, and forgets
+// a key it empties — with bounded-load placement, its primary count too.
+func TestRemoveClearsEveryCopy(t *testing.T) {
+	for _, bound := range []float64{0, 1.25} {
+		r := ringWith(t, 3, "a", "b", "c", "d", "e")
+		r.SetLoadBound(bound)
+		r.Put("k", "v1")
+		r.Put("k", "v2")
+		r.Put("other", "v1")
+		holders := r.Holders("k")
+		owner, _ := r.Owner("k")
+		primaries := r.PrimaryKeys(owner)
+		r.Remove("k", "v1")
+		for _, from := range []string{"a", "c", "e"} {
+			if vals, _, _ := r.Get(from, "k"); len(vals) != 1 || vals[0] != "v2" {
+				t.Errorf("bound %v: Get(%s) after removing v1 = %v, want [v2]", bound, from, vals)
+			}
+		}
+		if got := r.Holders("k"); fmt.Sprint(got) != fmt.Sprint(holders) {
+			t.Errorf("bound %v: holders %v, want %v", bound, got, holders)
+		}
+		r.Remove("k", "v2")
+		if got := r.Holders("k"); len(got) != 0 {
+			t.Errorf("bound %v: an emptied key is still held at %v", bound, got)
+		}
+		if bound > 0 && r.PrimaryKeys(owner) != primaries-1 {
+			t.Errorf("bound %v: %s holds %d primaries, want %d", bound, owner, r.PrimaryKeys(owner), primaries-1)
+		}
+		if vals, _, _ := r.Get("a", "other"); len(vals) != 1 {
+			t.Errorf("bound %v: another key lost its value: %v", bound, vals)
+		}
+	}
+}

@@ -185,7 +185,8 @@ type DB struct {
 	defs uint64
 	// memo maps a record's text to its decoding. Records are immutable
 	// and the key is the content itself, so an entry can never be stale;
-	// it holds at most one entry per distinct descriptor ever published.
+	// it holds at most one entry per descriptor published and not
+	// retracted.
 	// Only a successful decode fills it, so a corrupt record fails every
 	// lookup that meets it.
 	memo map[string]decoded
@@ -225,6 +226,19 @@ func (db *DB) publish(def *StreamDef) (string, error) {
 		return "", fmt.Errorf("kadop: descriptor needs an operator")
 	}
 	xml := def.ToXML().String()
+	for _, k := range indexKeys(def) {
+		if err := db.ring.Put(k, xml); err != nil {
+			return "", err
+		}
+	}
+	db.mu.Lock()
+	db.defs++
+	db.mu.Unlock()
+	return xml, nil
+}
+
+// indexKeys lists the keys a descriptor is published under.
+func indexKeys(def *StreamDef) []string {
 	keys := []string{refKey(def.Ref)}
 	if def.IsSource() {
 		keys = append(keys, alerterKey(def.Ref.PeerID, def.Operator))
@@ -238,15 +252,36 @@ func (db *DB) publish(def *StreamDef) (string, error) {
 	if def.Group != "" && len(def.Sources) > 0 {
 		keys = append(keys, aggKey(def.Group))
 	}
-	for _, k := range keys {
-		if err := db.ring.Put(k, xml); err != nil {
-			return "", err
+	return keys
+}
+
+// Retract withdraws a stream that stopped running: its descriptor from
+// every key it was published under, the enumeration index included, and
+// every replica record announced for it. No lookup finds it afterwards,
+// and the memo forgets its decoding. from names the retracting peer, for
+// hop accounting.
+func (db *DB) Retract(from string, ref stream.Ref) error {
+	texts, _, err := db.ring.Get(from, refKey(ref))
+	if err != nil {
+		return err
+	}
+	for _, text := range texts {
+		db.mu.Lock()
+		rec, err := db.decodeLocked(text)
+		delete(db.memo, text)
+		db.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		for _, k := range append(indexKeys(rec.def), identityIndexKey) {
+			db.ring.Remove(k, text)
 		}
 	}
-	db.mu.Lock()
-	db.defs++
-	db.mu.Unlock()
-	return xml, nil
+	replicas, _, err := db.ring.Get(from, replicaKey(ref))
+	for _, v := range replicas {
+		db.ring.Remove(replicaKey(ref), v)
+	}
+	return err
 }
 
 // Defs returns the number of descriptors published.

@@ -388,3 +388,53 @@ func TestCheckpointSurvivesElasticHandoff(t *testing.T) {
 		}
 	}
 }
+
+// TestRetractWithdrawsEveryIndexEntry: a retracted stream leaves every
+// discovery query, the enumeration index, its replica records and the
+// memo; the streams published beside it stay.
+func TestRetractWithdrawsEveryIndexEntry(t *testing.T) {
+	d := db(t, 6)
+	src, other := alerterDef("s1@p1", "inCOM"), alerterDef("s1@p2", "inCOM")
+	filter := &StreamDef{Ref: ref("f1@p1"), Operator: "Filter", IsChannel: true, Signature: "Filter{x}(inCOM(p1))",
+		Operands: []stream.Ref{src.Ref}, Conds: []string{"x"}, Group: "count", Sources: []string{"inCOM(p1)"}}
+	for _, def := range []*StreamDef{src, other, filter} {
+		if err := d.PublishIndexed(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.PublishReplica(filter.Ref, ref("r1@p3")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.FindBySignature("peer-0", filter.Signature); err != nil {
+		t.Fatal(err) // fills the memo
+	}
+	if err := d.Retract("peer-0", filter.Ref); err != nil {
+		t.Fatal(err)
+	}
+	for what, found := range map[string]func() (int, error){
+		"FindBySignature": func() (int, error) { ds, _, err := d.FindBySignature("peer-1", filter.Signature); return len(ds), err },
+		"FindByOperand":   func() (int, error) { ds, _, err := d.FindByOperand("peer-1", "Filter", src.Ref); return len(ds), err },
+		"FindAggParts":    func() (int, error) { ds, _, err := d.FindAggParts("peer-1", "count"); return len(ds), err },
+		"Replicas":        func() (int, error) { rs, _, err := d.Replicas("peer-1", filter.Ref); return len(rs), err },
+		"FindByRef": func() (int, error) {
+			def, _, err := d.FindByRef("peer-1", filter.Ref)
+			if def == nil {
+				return 0, err
+			}
+			return 1, err
+		},
+	} {
+		if n, err := found(); n != 0 || err != nil {
+			t.Errorf("%s still finds the retracted stream (%d, %v)", what, n, err)
+		}
+	}
+	if got := len(d.Document().Children); got != 2 {
+		t.Errorf("the enumeration index lists %d streams, want the 2 not retracted", got)
+	}
+	if ds, _, _ := d.FindAlerters("peer-1", "p1", "inCOM"); len(ds) != 1 {
+		t.Errorf("the filter's operand went with it: %v", ds)
+	}
+	if n, err := d.VerifyMemo(); err != nil || n != 1 {
+		t.Errorf("memo holds %d descriptors (%v), want the operand's alone", n, err)
+	}
+}

@@ -159,7 +159,12 @@ func TestLookupSharesButNeverMutates(t *testing.T) {
 		verifyMemo(t, sys.DB, sources)
 		for _, task := range tasks {
 			task.Stop()
+			verifyMemo(t, sys.DB, 0)
 		}
-		verifyMemo(t, sys.DB, sources)
+		// Stop retracts what its task published, so the memo holds the
+		// descriptors of live streams only.
+		if n, _ := sys.DB.VerifyMemo(); n != 0 {
+			t.Errorf("memo holds %d descriptors after every task stopped", n)
+		}
 	})
 }

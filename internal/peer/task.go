@@ -176,7 +176,8 @@ func (t *Task) ItemsProcessed() uint64 {
 	return total
 }
 
-// Stop tears the task down in two phases. First the task's own alerters
+// Stop tears the task down in two phases, after retracting the streams it
+// published from the stream definition database. First the task's own alerters
 // emit eos and edges on *shared* channels (reused streams, which will
 // never close on our account) are closed; that guarantees every
 // operator's inputs terminate, so eos cascades cleanly through the
@@ -188,6 +189,7 @@ func (t *Task) ItemsProcessed() uint64 {
 // — is closed.
 func (t *Task) Stop() {
 	t.stopOnce.Do(func() {
+		t.retract()
 		for _, c := range t.closers {
 			c()
 		}
@@ -206,6 +208,22 @@ func (t *Task) Stop() {
 			e.close()
 		}
 	})
+}
+
+// retract withdraws the streams the task published, under their first
+// and their current identities, from the stream definition database, so
+// no later subscription reuses a channel Stop closes. A reused input is
+// another task's stream and stays.
+func (t *Task) retract() {
+	seen := make(map[stream.Ref]bool)
+	for _, refs := range []map[*algebra.Node]stream.Ref{t.origRefs, t.refs} {
+		for n, ref := range refs {
+			if n.Op != algebra.OpChannelIn && !seen[ref] {
+				seen[ref] = true
+				t.sys.DB.Retract(t.Manager, ref) //nolint:errcheck // an unreadable record stays, as it did before Stop retracted any
+			}
+		}
+	}
 }
 
 // SafeBuffer is a mutex-guarded bytes.Buffer usable as an io.Writer sink

@@ -2,10 +2,13 @@
 // a new subscription arrives, the Subscription Manager searches the
 // Stream Definition Database for existing streams that already compute
 // sub-plans of the new monitoring plan, "to save CPU consumption and
-// network traffic". The algorithm proceeds from the leaves: operators
-// whose operands are all matched generate discovery queries; matched
-// nodes are substituted by channel subscriptions, preferring a replica
-// that is close (networkwise) and not overloaded.
+// network traffic". One query first asks for the stream the publisher
+// reads, by the plan's own signature: when it already runs, the plan is a
+// subscription to it and nothing else is discovered. Otherwise the
+// algorithm proceeds from the leaves: operators whose operands are all
+// matched generate discovery queries; matched nodes are substituted by
+// channel subscriptions, preferring a replica that is close (networkwise)
+// and not overloaded.
 package reuse
 
 import (
@@ -94,15 +97,22 @@ type matchInfo struct {
 // rewritten plan in which every topmost covered node is replaced by a
 // channel subscription (and every partially covered σ by a residual
 // filter over one). The input plan is not modified.
+//
+// The commonest cover is the whole plan: the stream the publisher reads
+// already runs. One query for that stream's signature answers it before
+// anything is cloned; only when it misses does the bottom-up pass run,
+// and that pass reads the miss back instead of asking again.
 func (o Options) Apply(plan *algebra.Node, db *kadop.DB) (*Result, error) {
 	r := &Result{}
-	work := plan.Clone()
-	st := &matchState{
-		matched:   make(map[*algebra.Node]matchInfo),
-		partials:  make(map[*algebra.Node]*partialMatch),
-		aggCovers: make(map[*algebra.Node]*aggCover),
-		sigs:      make(map[*algebra.Node]string),
+	st := &matchState{}
+	if o.probe(plan, db, st, r) {
+		return r, nil
 	}
+	work := plan.Clone()
+	st.matched = make(map[*algebra.Node]matchInfo)
+	st.partials = make(map[*algebra.Node]*partialMatch)
+	st.aggCovers = make(map[*algebra.Node]*aggCover)
+	st.sigs = make(map[*algebra.Node]string)
 	if _, err := o.match(work, db, st, r); err != nil {
 		return nil, err
 	}
@@ -118,6 +128,46 @@ func (o Options) Apply(plan *algebra.Node, db *kadop.DB) (*Result, error) {
 	return r, nil
 }
 
+// probe looks up the stream a publisher reads by the signature the plan
+// states for it, and on a hit sets r to what the bottom-up pass would
+// return: the publisher over a subscription to that stream. It probes
+// only a plan the pass would sign the same way — no channel or dynamic
+// alerter set anywhere, and not a bare alerter on top, whose discovery
+// weighs both envelope flavours. A miss is remembered in st.
+func (o Options) probe(plan *algebra.Node, db *kadop.DB, st *matchState, r *Result) bool {
+	if plan.Op != algebra.OpPublish || len(plan.Inputs) != 1 || plan.Inputs[0].Op == algebra.OpAlerter {
+		return false
+	}
+	top := plan.Inputs[0]
+	signable := true
+	top.Walk(func(n *algebra.Node) {
+		switch n.Op {
+		case algebra.OpChannelIn, algebra.OpDynAlerter:
+			signable = false
+		}
+	})
+	if !signable {
+		return false
+	}
+	sig := top.Signature()
+	defs, hops, err := db.FindBySignature(o.From, sig)
+	r.Lookups++
+	r.Hops += hops
+	if err != nil {
+		return false // the bottom-up pass asks again and reports it
+	}
+	if len(defs) == 0 {
+		st.missed = sig
+		return false
+	}
+	pub := *plan
+	pub.Schema = append([]string(nil), plan.Schema...)
+	pub.Inputs = []*algebra.Node{o.channelNode(top, matchInfo{ref: defs[0].Ref, sig: sig}, db, r)}
+	r.Plan = &pub
+	r.ReusedOps = top.Count()
+	return true
+}
+
 // matchState carries the bottom-up cover computed by match.
 type matchState struct {
 	matched   map[*algebra.Node]matchInfo
@@ -127,6 +177,23 @@ type matchState struct {
 	// containment compares a union's branch identities against published
 	// partial streams' source sets.
 	sigs map[*algebra.Node]string
+	// missed is the signature the probe found no stream for.
+	missed string
+}
+
+// findBySignature is db.FindBySignature, answered from the probe's miss
+// when it asks for the same signature.
+func (o Options) findBySignature(sig string, db *kadop.DB, st *matchState, r *Result) ([]*kadop.StreamDef, error) {
+	if sig == st.missed {
+		return nil, nil
+	}
+	defs, hops, err := db.FindBySignature(o.From, sig)
+	r.Lookups++
+	r.Hops += hops
+	if err != nil {
+		return nil, fmt.Errorf("reuse: signature discovery: %w", err)
+	}
+	return defs, nil
 }
 
 // match fills the state bottom-up and returns the node's compositional
@@ -207,11 +274,9 @@ func (o Options) matchNode(n *algebra.Node, db *kadop.DB, st *matchState, r *Res
 			if n.Op == algebra.OpGroup && n.Group != nil &&
 				len(n.Inputs) == 1 && n.Inputs[0].Op == algebra.OpUnion &&
 				allIn(st.matched, n.Inputs[0].Inputs) {
-				defs, hops, err := db.FindBySignature(o.From, sig)
-				r.Lookups++
-				r.Hops += hops
+				defs, err := o.findBySignature(sig, db, st, r)
 				if err != nil {
-					return "", fmt.Errorf("reuse: signature discovery: %w", err)
+					return "", err
 				}
 				if len(defs) > 0 {
 					st.matched[n] = matchInfo{ref: defs[0].Ref, sig: sig}
@@ -225,11 +290,9 @@ func (o Options) matchNode(n *algebra.Node, db *kadop.DB, st *matchState, r *Res
 			}
 			return sig, nil
 		}
-		defs, hops, err := db.FindBySignature(o.From, sig)
-		r.Lookups++
-		r.Hops += hops
+		defs, err := o.findBySignature(sig, db, st, r)
 		if err != nil {
-			return "", fmt.Errorf("reuse: signature discovery: %w", err)
+			return "", err
 		}
 		if len(defs) > 0 {
 			st.matched[n] = matchInfo{ref: defs[0].Ref, sig: sig}
