@@ -195,9 +195,10 @@ var subscriptionSeeds = []string{
 // under a ∪. Optimize, with and without pushdown, and the
 // marks keep the compiled plan's results, every alerter of which carries
 // its envelope, on alert traces drawn from the subscription's own
-// constants and paths (checkSameResults); marking is idempotent; and no
+// constants and paths (checkSameResults); marking is idempotent; no
 // Π Optimize put below a ∪ copies its whole input tree
-// (checkPushedProjectionsCut).
+// (checkPushedProjectionsCut); and no result writes a number with an
+// exponent (checkNoNewExponent).
 func FuzzSubscription(f *testing.F) {
 	for _, src := range subscriptionSeeds {
 		f.Add(src)
@@ -228,6 +229,7 @@ func FuzzSubscription(f *testing.F) {
 		checkSameResults(t, naive, plan, traces)
 		checkSameResults(t, naive, MarkBodyReaders(Optimize(naive.Clone(), Options{SubscriberPeer: "mgr"})), traces)
 		checkPushedProjectionsCut(t, plan, traces)
+		checkNoNewExponent(t, src, naive, traces)
 	})
 }
 
@@ -236,6 +238,9 @@ var (
 	numberConst   = regexp.MustCompile(`-?[0-9]+(?:\.[0-9]+)?`)
 	attrName      = regexp.MustCompile(`\$\w+\.(\w+)`)
 	pathStep      = regexp.MustCompile(`\$\w+((?:/+\w+)+)`)
+	// exponent is a number written with an exponent, as strconv's 'g'
+	// writes one and XPath's string() never does.
+	exponent = regexp.MustCompile(`[0-9]e[+-][0-9][0-9]`)
 )
 
 // traceMembers are the peers a membership driver's p-joins name.
@@ -390,6 +395,27 @@ func checkSameResults(t *testing.T, naive, optimized *Node, traces []map[string]
 		}
 		if w, g := canonSet(want), canonSet(got); w != g {
 			t.Fatalf("optimization changed the results:\n compiled  %s\n optimized %s\n%s", w, g, optimized.Tree())
+		}
+	}
+}
+
+// checkNoNewExponent fails when a result of plan holds a number in the
+// exponent form strconv's 'g' writes ("2.5e+06"): every number the
+// monitor computes or reads from a literal is written as XPath's
+// string() writes it. An alert of the traces holds an "e+" or "e-" only
+// when the subscription's text does, and that text may spell one next
+// to a number itself, so such a subscription is not checked for it.
+func checkNoNewExponent(t *testing.T, src string, plan *Node, traces []map[string][]*xmltree.Node) {
+	t.Helper()
+	for _, in := range traces {
+		items, err := evalPlan(plan, in)
+		if err != nil {
+			continue
+		}
+		for _, it := range items {
+			if e := exponent.FindString(it.Tree.Canonical()); e != "" && !strings.Contains(src, e[1:3]) {
+				t.Fatalf("result %s writes a number with the exponent %q:\n%s", it.Tree.Canonical(), e, plan.Tree())
+			}
 		}
 	}
 }

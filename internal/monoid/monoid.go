@@ -29,6 +29,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"p2pm/internal/xpath"
 )
 
 // State is one aggregate accumulator. Implementations are NOT
@@ -378,7 +380,7 @@ func (s *avgState) Final(set func(attr, val string)) {
 		set("avg", "")
 		return
 	}
-	set("avg", strconv.FormatFloat(float64(s.sum)/float64(s.n), 'g', -1, 64))
+	set("avg", xpath.FormatNumber(float64(s.sum)/float64(s.n)))
 	set("n", strconv.FormatInt(s.n, 10))
 }
 

@@ -367,3 +367,13 @@ func TestCountersRefuseOverflow(t *testing.T) {
 		}
 	}
 }
+
+// TestAvgWritesPlainDecimal: the avg record attribute is written as
+// XPath's string() writes a number, never with an exponent.
+func TestAvgWritesPlainDecimal(t *testing.T) {
+	m, _ := Lookup("avg")
+	s := absorbAll(t, m, []string{"2000000", "3000001"})
+	if got, want := finals(s), "avg=2500000.5 n=2 "; got != want {
+		t.Errorf("avg of 2000000 and 3000001 = %q, want %q", got, want)
+	}
+}

@@ -48,11 +48,11 @@ type GroupClause struct {
 func (g *GroupClause) String() string {
 	switch {
 	case g.Fn == "":
-		return fmt.Sprintf("group on %s window %s", quote(g.Attr), quote(g.Window))
+		return fmt.Sprintf("group on %s window %s", xpath.Quote(g.Attr), xpath.Quote(g.Window))
 	case g.ValueAttr == "":
-		return fmt.Sprintf("group %s on %s window %s", g.Fn, quote(g.Attr), quote(g.Window))
+		return fmt.Sprintf("group %s on %s window %s", g.Fn, xpath.Quote(g.Attr), xpath.Quote(g.Window))
 	}
-	return fmt.Sprintf("group %s of %s on %s window %s", g.Fn, quote(g.ValueAttr), quote(g.Attr), quote(g.Window))
+	return fmt.Sprintf("group %s of %s on %s window %s", g.Fn, xpath.Quote(g.ValueAttr), xpath.Quote(g.Attr), xpath.Quote(g.Window))
 }
 
 // ForBinding binds a variable to a stream source.
@@ -115,7 +115,7 @@ type ChannelSource struct {
 
 func (*ChannelSource) isSource() {}
 
-func (s *ChannelSource) String() string { return "channel(" + quote(s.Ref) + ")" }
+func (s *ChannelSource) String() string { return "channel(" + xpath.Quote(s.Ref) + ")" }
 
 // LetBinding defines a derived variable.
 type LetBinding struct {
@@ -217,17 +217,17 @@ type ByTarget struct {
 func (t ByTarget) String() string {
 	switch t.Kind {
 	case ByPublishChannel:
-		return "publish as channel " + quote(t.Name)
+		return "publish as channel " + xpath.Quote(t.Name)
 	case ByChannel:
 		return "channel " + t.Name
 	case BySubscribe:
 		return fmt.Sprintf("subscribe(%s, #%s, %s)", t.Peer, t.ChannelID, t.Name)
 	case ByEmail:
-		return "email " + quote(t.Name)
+		return "email " + xpath.Quote(t.Name)
 	case ByFile:
-		return "file " + quote(t.Name)
+		return "file " + xpath.Quote(t.Name)
 	case ByRSS:
-		return "rss " + quote(t.Name)
+		return "rss " + xpath.Quote(t.Name)
 	}
 	return "?"
 }

@@ -2,7 +2,6 @@ package p2pml
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"p2pm/internal/xmltree"
@@ -35,8 +34,7 @@ func (v Value) Text() string {
 	case v.Node != nil:
 		return v.Node.InnerText()
 	case v.IsNum && v.Str == "":
-		var buf [32]byte // what FormatFloat takes, without its scratch allocation
-		return string(strconv.AppendFloat(buf[:0], v.Num, 'g', -1, 64))
+		return xpath.FormatNumber(v.Num)
 	}
 	return v.Str
 }
@@ -198,22 +196,12 @@ type Lit struct {
 // Eval implements Expr.
 func (l *Lit) Eval(*Env) (Value, error) { return l.Val, nil }
 
-// String writes a number in plain decimal, never with an exponent, which
-// the parser does not read.
+// String writes the literal as the parser reads it.
 func (l *Lit) String() string {
 	if l.Val.IsNum {
-		return strconv.FormatFloat(l.Val.Num, 'f', -1, 64)
+		return l.Val.Text()
 	}
-	return quote(l.Val.Str)
-}
-
-// quote writes s as the parser reads a string: it knows no escapes, so s
-// goes in as it is, between double quotes unless it holds one.
-func quote(s string) string {
-	if strings.Contains(s, `"`) {
-		return "'" + s + "'"
-	}
-	return `"` + s + `"`
+	return xpath.Quote(l.Val.Str)
 }
 
 // Vars implements Expr.

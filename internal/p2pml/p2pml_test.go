@@ -395,7 +395,7 @@ func TestTemplateMixedTextSegments(t *testing.T) {
 // that is one expression takes the evaluated string itself — for an
 // attribute reference, the input tree's own bytes — and one that is one
 // literal takes the template's; only a mix of segments builds a string.
-// Computed numbers render as FormatFloat's shortest form when emitted.
+// Computed numbers render as FormatNumber writes them when emitted.
 func TestTemplateOneExpressionPositionShares(t *testing.T) {
 	tpl, err := CompileTemplate(`<hit id="{$x.k}" kind="slow" at="t={$x.k}" d="{$x.b - $x.a}">{$x.k}</hit>`)
 	if err != nil {
@@ -423,6 +423,36 @@ func TestTemplateOneExpressionPositionShares(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { tpl.Instantiate(env) }); a != 5 { //nolint:errcheck // bound above
 		t.Errorf("Instantiate allocates %.0f, want 5 (three chunks, the mixed string, the number)", a)
+	}
+}
+
+// TestResultNumbersHaveNoExponent: a LET's computed number and a number
+// literal reach a result as XPath's string() writes them, in plain
+// decimal however large or small.
+func TestResultNumbersHaveNoExponent(t *testing.T) {
+	const head = `for $e in inCOM(<p>s</p>) let $d := $e.responseTimestamp - $e.callTimestamp return `
+	for _, c := range []struct{ ret, want string }{
+		{`<s d="{$d}"/>`, `<s d="2500000"/>`},
+		{`<s d="{$d / 100000000000}"/>`, `<s d="0.000025"/>`},
+		{`<s>{1000000}</s>`, `<s>1000000</s>`},
+		{`<s>{0.00001}</s>`, `<s>0.00001</s>`},
+	} {
+		sub := MustParse(head + c.ret + ` by channel C`)
+		alert := xmltree.Elem("alert")
+		alert.SetAttr("callTimestamp", "0")
+		alert.SetAttr("responseTimestamp", "2500000")
+		env := NewEnv()
+		env.Bind("e", alert)
+		if err := EvalLets(sub.Let, env); err != nil {
+			t.Fatal(err)
+		}
+		out, err := sub.Return.Template.Instantiate(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.String(); got != c.want {
+			t.Errorf("return %s gives %s, want %s", c.ret, got, c.want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package p2pml
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"p2pm/internal/monoid"
@@ -122,25 +121,13 @@ func (p *parser) keyword(kw string) bool {
 	return true
 }
 
-// nameChar admits identifier characters for peer names, channel ids and
-// attribute names (dots and dashes appear in DNS-style peer names).
-func nameChar(b byte, first bool) bool {
-	switch {
-	case b >= 'a' && b <= 'z', b >= 'A' && b <= 'Z', b == '_':
-		return true
-	case !first && (b >= '0' && b <= '9' || b == '-' || b == '.' || b == ':'):
-		return true
-	}
-	return false
-}
-
+// name reads a peer name, channel id or attribute name (dots and dashes
+// appear in DNS-style peer names).
 func (p *parser) name() string {
 	p.skipSpace()
-	start := p.pos
-	for p.pos < len(p.src) && nameChar(p.src[p.pos], p.pos == start) {
-		p.pos++
-	}
-	return p.src[start:p.pos]
+	n := xpath.LexName(p.src[p.pos:])
+	p.pos += n
+	return p.src[p.pos-n : p.pos]
 }
 
 // word reads a bare identifier without dots (for attribute names after
@@ -155,20 +142,14 @@ func (p *parser) word() string {
 
 func (p *parser) stringLit() (string, error) {
 	p.skipSpace()
-	quote := p.peek()
-	if quote != '"' && quote != '\'' {
+	s, n, ok := xpath.LexString(p.src[p.pos:])
+	if n == 0 {
 		return "", p.errf("expected string literal")
 	}
-	p.pos++
-	start := p.pos
-	for p.pos < len(p.src) && p.src[p.pos] != quote {
-		p.pos++
-	}
-	if p.pos >= len(p.src) {
+	p.pos += n
+	if !ok {
 		return "", p.errf("unterminated string literal")
 	}
-	s := p.src[start:p.pos]
-	p.pos++
 	return s, nil
 }
 
@@ -502,17 +483,12 @@ func (p *parser) parseFactor() (Expr, error) {
 		return p.parseVarExpr()
 	case b >= '0' && b <= '9' || b == '-':
 		start := p.pos
-		if b == '-' {
-			p.pos++
-		}
-		for p.pos < len(p.src) && (p.src[p.pos] >= '0' && p.src[p.pos] <= '9' || p.src[p.pos] == '.') {
-			p.pos++
-		}
-		n, err := strconv.ParseFloat(p.src[start:p.pos], 64)
-		if err != nil {
+		n, size, ok := xpath.LexNumber(p.src[p.pos:])
+		p.pos += size
+		if !ok {
 			return nil, p.errf("bad number %q", p.src[start:p.pos])
 		}
-		return &Lit{Val: Value{Str: strconv.FormatFloat(n, 'g', -1, 64), Num: n, IsNum: true}}, nil
+		return &Lit{Val: Value{Str: xpath.FormatNumber(n), Num: n, IsNum: true}}, nil
 	}
 	return nil, p.errf("expected expression")
 }
@@ -687,19 +663,9 @@ func (p *parser) scanXML() (string, error) {
 		default:
 			// Start tag: scan to '>' honoring quoted attribute values.
 			i := p.pos + 1
-			var quote byte
-			for i < len(p.src) {
-				c := p.src[i]
-				if quote != 0 {
-					if c == quote {
-						quote = 0
-					}
-				} else if c == '"' || c == '\'' {
-					quote = c
-				} else if c == '>' {
-					break
-				}
-				i++
+			for i < len(p.src) && p.src[i] != '>' {
+				_, n, _ := xpath.LexString(p.src[i:])
+				i += max(n, 1)
 			}
 			if i >= len(p.src) {
 				return "", p.errf("unterminated start tag")

@@ -2,7 +2,6 @@ package xpath
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -76,22 +75,10 @@ func (c *compiler) consume(s string) bool {
 	return false
 }
 
-func identChar(b byte, first bool) bool {
-	switch {
-	case b >= 'a' && b <= 'z', b >= 'A' && b <= 'Z', b == '_':
-		return true
-	case !first && (b >= '0' && b <= '9' || b == '-' || b == '.' || b == ':'):
-		return true
-	}
-	return false
-}
-
 func (c *compiler) readIdent() string {
-	start := c.pos
-	for c.pos < len(c.src) && identChar(c.src[c.pos], c.pos == start) {
-		c.pos++
-	}
-	return c.src[start:c.pos]
+	n := LexName(c.src[c.pos:])
+	c.pos += n
+	return c.src[c.pos-n : c.pos]
 }
 
 // parsePath parses a path; topLevel controls the error message only.
@@ -227,31 +214,20 @@ func (c *compiler) parseValue() (Value, error) {
 		}
 		return Value{Var: name}, nil
 	case b == '"' || b == '\'':
-		quote := b
-		c.pos++
-		start := c.pos
-		for c.pos < len(c.src) && c.src[c.pos] != quote {
-			c.pos++
-		}
-		if c.pos >= len(c.src) {
+		lit, n, ok := LexString(c.src[c.pos:])
+		c.pos += n
+		if !ok {
 			return Value{}, c.errf("unterminated string literal")
 		}
-		lit := c.src[start:c.pos]
-		c.pos++
 		return Value{Literal: lit}, nil
 	case b == '-' || (b >= '0' && b <= '9'):
 		start := c.pos
-		if b == '-' {
-			c.pos++
-		}
-		for c.pos < len(c.src) && (c.src[c.pos] >= '0' && c.src[c.pos] <= '9' || c.src[c.pos] == '.') {
-			c.pos++
-		}
-		num, err := strconv.ParseFloat(c.src[start:c.pos], 64)
-		if err != nil {
+		num, n, ok := LexNumber(c.src[c.pos:])
+		c.pos += n
+		if !ok {
 			return Value{}, c.errf("bad number %q", c.src[start:c.pos])
 		}
-		return Value{Num: num, IsNum: true, Literal: c.src[start:c.pos]}, nil
+		return Value{Num: num, IsNum: true, Literal: FormatNumber(num)}, nil
 	}
 	return Value{}, c.errf("expected value")
 }

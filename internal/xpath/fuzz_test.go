@@ -8,7 +8,8 @@ import (
 // FuzzCompile: subscriptions embed paths that CompilePrefix cuts out of
 // P2PML text, so neither compiler may panic, the prefix must be a cut of
 // the input that compiles on its own to the same path, and a path
-// Compile accepts whole is that prefix followed by blanks only.
+// Compile accepts whole is that prefix followed by blanks only. A path
+// renders to text that compiles back to the same rendering.
 func FuzzCompile(f *testing.F) {
 	for _, src := range []string{
 		`//a//b`,
@@ -42,6 +43,9 @@ func FuzzCompile(f *testing.F) {
 			if whole.relString() != p.relString() {
 				t.Fatalf("Compile(%q) = %s, its prefix %s", src, whole.relString(), p.relString())
 			}
+		}
+		if again, err := Compile(p.relString()); err != nil || again.relString() != p.relString() {
+			t.Fatalf("%q renders as %q, which does not compile back to itself: %v", src[:n], p.relString(), err)
 		}
 		alone, err := Compile(src[:n])
 		if err != nil {

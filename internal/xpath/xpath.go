@@ -17,7 +17,6 @@ package xpath
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"p2pm/internal/xmltree"
@@ -76,20 +75,22 @@ func (o CmpOp) String() string { return opNames[o] }
 // Value is the right-hand side of a comparison: a literal string, a number
 // or a variable reference.
 type Value struct {
-	Var     string // non-empty for $var references
+	Var string // non-empty for $var references
+	// Literal is a string literal's content, or a number's canonical
+	// text (FormatNumber of Num), which the comparison reads.
 	Literal string
 	Num     float64
 	IsNum   bool
 }
 
 func (v Value) String() string {
-	if v.Var != "" {
+	switch {
+	case v.Var != "":
 		return "$" + v.Var
+	case v.IsNum:
+		return v.Literal
 	}
-	if v.IsNum {
-		return strconv.FormatFloat(v.Num, 'g', -1, 64)
-	}
-	return strconv.Quote(v.Literal)
+	return Quote(v.Literal)
 }
 
 // Bindings resolves variables referenced in comparisons.
@@ -381,32 +382,7 @@ func (v Value) resolve(binds Bindings) (string, bool) {
 		got, ok := binds[v.Var]
 		return got, ok
 	}
-	if v.IsNum {
-		return strconv.FormatFloat(v.Num, 'g', -1, 64), true
-	}
 	return v.Literal, true
-}
-
-// ParseNumber reports the numeric reading of s under the condition
-// language: surrounding blanks trimmed, then anything strconv.ParseFloat
-// accepts without error ("1e3", ".5", "+5", "Inf", "NaN"; not "0x10",
-// not an out-of-range "1e999"). It is the one numeric detector of the
-// system. Values that cannot be numbers — nearly every attribute a
-// monitor sees — are rejected on their first byte, before ParseFloat
-// would build an error for them.
-func ParseNumber(s string) (float64, bool) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, false
-	}
-	switch c := s[0]; {
-	case c >= '0' && c <= '9', c == '+', c == '-', c == '.':
-	case c == 'i', c == 'I', c == 'n', c == 'N': // Inf, Infinity, NaN
-	default:
-		return 0, false
-	}
-	n, err := strconv.ParseFloat(s, 64)
-	return n, err == nil
 }
 
 // Holds applies op between two operands of one kind. Floats compare with
