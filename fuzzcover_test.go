@@ -17,7 +17,6 @@ import (
 // fuzzExempt lists the exported decoders no fuzz target calls by name,
 // each with the target that reaches it through its caller.
 var fuzzExempt = map[string]string{
-	"xpath.ParseOp":         "FuzzCompile and FuzzSubscription: every comparison in an xpath or a WHERE clause goes through it",
 	"p2pml.ParseExpr":       "FuzzSubscription: p2pml.Parse parses every template expression with it",
 	"xmltree.Builder.Parse": "FuzzParse: its checker parses every input again into a reused Builder and compares with Parse",
 }

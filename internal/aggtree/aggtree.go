@@ -111,7 +111,7 @@ func widen(root *algebra.Node, id string, cfg Config) {
 			next = append(next, &algebra.Node{
 				Op: algebra.OpMergeAgg, Peer: peer, AggKey: key, Inputs: chunk,
 				Schema: append([]string(nil), root.Schema...),
-				Group:  derivedSpec(root.Group, false),
+				Group:  root.Group.WithFinal(false),
 			})
 		}
 		nodes = next
@@ -153,7 +153,7 @@ func Split(n *algebra.Node, id string, cfg Config) []*algebra.Node {
 		m := &algebra.Node{
 			Op: algebra.OpMergeAgg, Peer: peer, AggKey: key, Inputs: chunk,
 			Schema: append([]string(nil), n.Schema...),
-			Group:  derivedSpec(n.Group, false),
+			Group:  n.Group.WithFinal(false),
 		}
 		next = append(next, m)
 		created = append(created, m)
@@ -164,15 +164,6 @@ func Split(n *algebra.Node, id string, cfg Config) []*algebra.Node {
 
 // build decomposes one Group node, or returns nil when it should stay
 // flat.
-// derivedSpec copies the flat Group's spec for a tree node, carrying the
-// aggregate function and value attribute so every leaf and interior
-// accumulates the same monoid the flat operator would have.
-func derivedSpec(g *algebra.GroupSpec, final bool) *algebra.GroupSpec {
-	spec := *g
-	spec.Final = final
-	return &spec
-}
-
 func build(g *algebra.Node, id string, cfg Config) *algebra.Node {
 	if len(g.Inputs) != 1 || g.Inputs[0].Op != algebra.OpUnion {
 		return nil
@@ -185,7 +176,7 @@ func build(g *algebra.Node, id string, cfg Config) *algebra.Node {
 	// Leaves: one PartialAgg per union branch, co-located with the
 	// branch's output so raw events never cross the network — the union
 	// (and its fan-in) disappears entirely.
-	spec := derivedSpec(g.Group, false)
+	spec := g.Group.WithFinal(false)
 	nodes := make([]*algebra.Node, len(branches))
 	for i, c := range branches {
 		nodes[i] = &algebra.Node{
@@ -232,7 +223,7 @@ func build(g *algebra.Node, id string, cfg Config) *algebra.Node {
 			next = append(next, &algebra.Node{
 				Op: algebra.OpMergeAgg, Peer: peer, AggKey: key, Inputs: chunk,
 				Schema: append([]string(nil), g.Schema...),
-				Group:  derivedSpec(g.Group, false),
+				Group:  g.Group.WithFinal(false),
 			})
 		}
 		nodes = next
@@ -244,7 +235,7 @@ func build(g *algebra.Node, id string, cfg Config) *algebra.Node {
 	root := nodes[0]
 	root.Peer = g.Peer
 	root.AggKey = ""
-	root.Group = derivedSpec(g.Group, true)
+	root.Group = g.Group.WithFinal(true)
 	return root
 }
 

@@ -139,6 +139,15 @@ type GroupSpec struct {
 	Final bool
 }
 
+// WithFinal returns a copy of g with Final set to final: the spec of a
+// partial, interior or root node of g's aggregation tree, which folds the
+// same monoid over the same function, value, key and window.
+func (g *GroupSpec) WithFinal(final bool) *GroupSpec {
+	c := *g
+	c.Final = final
+	return &c
+}
+
 // Ident renders the aggregate's identity — function, value, key and
 // window, independent of which sources feed it: "key/window" for count
 // (keeping the historical rendering stable) and "fn(value):key/window"

@@ -11,9 +11,9 @@ import (
 )
 
 func simpleCond(attr, op, val string) Cond {
-	o, err := xpath.ParseOp(op)
-	if err != nil {
-		panic(err)
+	o, n, ok := xpath.LexOp(op)
+	if !ok || n != len(op) {
+		panic("not a comparison operator: " + op)
 	}
 	return Cond{Attr: attr, Op: o, Value: val}
 }

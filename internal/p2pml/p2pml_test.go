@@ -244,6 +244,36 @@ return $c by email "ops@m"`)
 	}
 }
 
+// TestComparisonTokens: a path predicate and a WHERE clause read each
+// comparison token as the same operator, and neither reads "==".
+func TestComparisonTokens(t *testing.T) {
+	for tok, want := range map[string]xpath.CmpOp{
+		"=": xpath.OpEq, "!=": xpath.OpNe, "<>": xpath.OpNe,
+		"<": xpath.OpLt, "<=": xpath.OpLe, ">": xpath.OpGt, ">=": xpath.OpGe,
+	} {
+		path, err := xpath.Compile("a[@x " + tok + " 1]")
+		if err != nil {
+			t.Fatalf("%s: %v", tok, err)
+		}
+		sub, err := Parse(`for $e in inCOM(<p>m</p>) where $e.x ` + tok + ` 1 return $e by channel C`)
+		if err != nil {
+			t.Fatalf("%s: %v", tok, err)
+		}
+		if got := path.Steps[0].Preds[0].Op; got != want {
+			t.Errorf("path predicate %s reads %v, want %v", tok, got, want)
+		}
+		if got := sub.Where[0].(*CmpCond).Op; got != want {
+			t.Errorf("WHERE %s reads %v, want %v", tok, got, want)
+		}
+	}
+	if _, err := xpath.Compile("a[@x == 1]"); err == nil {
+		t.Error(`the path parser reads "=="`)
+	}
+	if _, err := Parse(`for $e in inCOM(<p>m</p>) where $e.x == 1 return $e by channel C`); err == nil {
+		t.Error(`the subscription parser reads "=="`)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		``,

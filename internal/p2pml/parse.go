@@ -523,15 +523,13 @@ func (p *parser) parseCondition() (Condition, error) {
 		return nil, err
 	}
 	p.skipSpace()
-	for _, tok := range []string{"!=", "<>", "<=", ">=", "=", "<", ">"} {
-		if p.consume(tok) {
-			op, _ := xpath.ParseOp(tok)
-			right, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &CmpCond{Left: left, Op: op, Right: right}, nil
+	if op, n, ok := xpath.LexOp(p.src[p.pos:]); ok {
+		p.pos += n
+		right, err := p.parseExpr()
+		if err != nil {
+			return nil, err
 		}
+		return &CmpCond{Left: left, Op: op, Right: right}, nil
 	}
 	// No comparison: must be an existence tree pattern on a variable.
 	if pr, ok := left.(*PathRef); ok {

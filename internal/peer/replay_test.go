@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"p2pm/internal/alerters"
 	"p2pm/internal/algebra"
 	"p2pm/internal/p2pml"
 	"p2pm/internal/stream"
@@ -641,5 +642,98 @@ func TestDynAlerterManagerRedeploysOnHostDeath(t *testing.T) {
 	task.Stop()
 	if got := len(task.Results().Drain()); got != 2 {
 		t.Fatalf("results = %d, want 2 (one call per epoch, no duplicates)", got)
+	}
+}
+
+// TestIdenticalDynamicSetsShareOneSet: a second inCOM($j) subscription
+// identical to a running one reads the first one's stream instead of
+// deploying a second alerter set, so every peer that joins carries one
+// alerter for both. Both tasks see the same calls before and after the
+// set's host dies.
+func TestIdenticalDynamicSetsShareOneSet(t *testing.T) {
+	sys := MustSystem(replayOptions())
+	for _, name := range []string{"mgr", "mon", "w1", "w2"} {
+		sys.MustAddPeer(name)
+	}
+	for _, busy := range []string{"mgr", "mon"} {
+		sys.Net.AddLoad(busy, 100)
+	}
+	const src = `for $j in areRegistered(<p>mgr</p>) for $c in inCOM($j) return $c by publish as channel "watch"`
+	a, err := sys.Peer("w1").Subscribe(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sys.Peer("w1").Subscribe(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aOut stream.Ref // the stream A's publisher reads
+	for n, ref := range a.StreamRefs() {
+		if n == a.Plan.Inputs[0] {
+			aOut = ref
+		}
+	}
+	if m := b.Reuse.Mappings; len(m) != 1 || m[0].Original != aOut || b.Reuse.NewOps != 0 {
+		t.Errorf("B's reuse: mappings %+v, %d new operators; want one mapping onto %v and none", m, b.Reuse.NewOps, aOut)
+	}
+	b.Plan.Walk(func(n *algebra.Node) {
+		if n.Op != algebra.OpPublish && n.Op != algebra.OpChannelIn {
+			t.Errorf("B deploys %s", n.Label())
+		}
+	})
+
+	svc := sys.MustAddPeer("svc")
+	svc.Endpoint().Register("ping", func(*xmltree.Node) (*xmltree.Node, error) {
+		return xmltree.Elem("pong"), nil
+	}, nil)
+	caller := sys.MustAddPeer("caller")
+	attachedOnce := func(when string) {
+		t.Helper()
+		sys.Quiesce()
+		for _, p := range []string{"svc", "caller"} {
+			if n := attachedAt(sys, p, alerters.Inbound); n != 1 {
+				t.Errorf("%s: %s carries %d inCOM alerters, want 1", when, p, n)
+			}
+		}
+	}
+	attachedOnce("after the joins")
+	if _, err := caller.Endpoint().Invoke("svc", "ping", nil); err != nil {
+		t.Fatal(err)
+	}
+	waitResults(t, sys, a, 1)
+	waitResults(t, sys, b, 1)
+
+	// The Π over the set restarts from its checkpoint. A cold restart
+	// resumes the set's new channel from a sequence that channel never
+	// retained and waits there, losing every call after the repair.
+	a.Plan.Walk(func(n *algebra.Node) {
+		if n.Op == algebra.OpDynAlerter && n.Peer != "w1" {
+			t.Fatalf("the set runs at %s, not at its subscriber w1", n.Peer)
+		}
+	})
+	sys.CheckpointNow()
+	sys.FailPeer("w1", 0)
+	if da, db := a.Degraded(), b.Degraded(); len(da)+len(db) != 0 {
+		t.Fatalf("degraded: A %v, B %v", da, db)
+	}
+	attachedOnce("after the failover")
+	if _, err := caller.Endpoint().Invoke("svc", "ping", nil); err != nil {
+		t.Fatal(err)
+	}
+	waitResults(t, sys, a, 2)
+	waitResults(t, sys, b, 2)
+
+	// B first: stopping A would close the stream B reads (docs/REUSE.md
+	// "Known gap").
+	b.Stop()
+	a.Stop()
+	got, want := b.Results().Drain(), a.Results().Drain()
+	if len(want) != 2 || len(got) != len(want) {
+		t.Fatalf("A got %d results, B %d; want 2 each", len(want), len(got))
+	}
+	for i := range want {
+		if got[i].Tree.String() != want[i].Tree.String() {
+			t.Errorf("result %d: A %s, B %s", i, want[i].Tree, got[i].Tree)
+		}
 	}
 }

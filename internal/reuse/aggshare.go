@@ -111,7 +111,7 @@ func (o Options) graftNode(n *algebra.Node, c *aggCover, db *kadop.DB, st *match
 	for _, p := range c.parts {
 		inputs = append(inputs, o.channelNode(n, matchInfo{ref: p.ref, sig: p.sig}, db, r))
 	}
-	leafSpec := derivedGroupSpec(n.Group, false)
+	leafSpec := n.Group.WithFinal(false)
 	for _, b := range union.Inputs {
 		if c.covered[st.sigs[b]] {
 			r.ReusedOps += b.Count()
@@ -130,14 +130,6 @@ func (o Options) graftNode(n *algebra.Node, c *aggCover, db *kadop.DB, st *match
 		Peer:   n.Peer,
 		Inputs: inputs,
 		Schema: append([]string(nil), n.Schema...),
-		Group:  derivedGroupSpec(n.Group, true),
+		Group:  n.Group.WithFinal(true),
 	}
-}
-
-// derivedGroupSpec copies the flat Group's spec for a graft node,
-// mirroring the aggregation-tree rewrite's spec derivation.
-func derivedGroupSpec(g *algebra.GroupSpec, final bool) *algebra.GroupSpec {
-	c := *g
-	c.Final = final
-	return &c
 }

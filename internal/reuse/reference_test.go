@@ -91,7 +91,7 @@ func exactlyCovered(plan *algebra.Node, ref *Result) bool {
 	}
 	plain := true
 	plan.Inputs[0].Walk(func(n *algebra.Node) {
-		plain = plain && n.Op != algebra.OpChannelIn && n.Op != algebra.OpDynAlerter
+		plain = plain && n.Op != algebra.OpChannelIn
 	})
 	return plain && ref.Mappings[0].Signature == plan.Inputs[0].Signature()
 }
@@ -128,9 +128,10 @@ func publishTree(t *testing.T, db *kadop.DB, plan *algebra.Node, id string, next
 
 // TestApplyMatchesReference: on every kind of cover the bottom-up pass
 // finds — none, an exact match over a join, over a tree-deployed
-// aggregate, a subsumption partial cover and chain, a graft, the body
-// flavour of an alerter, a replica — Apply returns what the reference
-// returns, and an exact match costs two discovery queries.
+// aggregate, over a dynamic alerter set, a subsumption partial cover and
+// chain, a graft, the body flavour of an alerter, a replica — Apply
+// returns what the reference returns, and an exact match costs two
+// discovery queries.
 func TestApplyMatchesReference(t *testing.T) {
 	const (
 		base   = `for $e in inCOM(<p>m.com</p>) where $e.callMethod = "Q" return $e by publish as channel "base"`
@@ -138,6 +139,8 @@ func TestApplyMatchesReference(t *testing.T) {
 		chain  = `for $z in inCOM(<p>m.com</p>) where $z.callMethod = "Q" and $z.caller = "x" and $z.fault != "" return $z by publish as channel "chain"`
 		reader = `for $e in inCOM(<p>src</p>) where $e.callMethod = "ping" return $e by channel R`
 		bare   = `for $e in inCOM(<p>src</p>) where $e.callMethod = "ping" return <r id="{$e.callId}"/> by channel B`
+		dynIn  = `for $j in areRegistered(<p>s.com</p>) for $c in inCOM($j) return $c by publish as channel "in"`
+		dynOut = `for $j in areRegistered(<p>s.com</p>) for $c in outCOM($j) return $c by publish as channel "out"`
 	)
 	for _, c := range []struct {
 		name     string
@@ -169,6 +172,10 @@ func TestApplyMatchesReference(t *testing.T) {
 			plan: func(t *testing.T) *algebra.Node { return deployed(t, bare, "q") }},
 		{name: "bare flavour withheld from a reader", earlier: []string{bare},
 			plan: func(t *testing.T) *algebra.Node { return deployed(t, reader, "q") }},
+		{name: "exact dynamic set", earlier: []string{dynIn}, exact: true, reused: 3,
+			plan: func(t *testing.T) *algebra.Node { return deployed(t, dynIn, "q") }},
+		{name: "dynamic set of another function", earlier: []string{dynIn}, reused: 1,
+			plan: func(t *testing.T) *algebra.Node { return deployed(t, dynOut, "q") }},
 		{name: "replica", earlier: []string{qosSub}, exact: true, reused: 8, replicas: true,
 			choose: PreferClose(func(a, b string) float64 {
 				if b == "near" {

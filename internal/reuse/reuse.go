@@ -131,9 +131,9 @@ func (o Options) Apply(plan *algebra.Node, db *kadop.DB) (*Result, error) {
 // probe looks up the stream a publisher reads by the signature the plan
 // states for it, and on a hit sets r to what the bottom-up pass would
 // return: the publisher over a subscription to that stream. It probes
-// only a plan the pass would sign the same way — no channel or dynamic
-// alerter set anywhere, and not a bare alerter on top, whose discovery
-// weighs both envelope flavours. A miss is remembered in st.
+// only a plan the pass would sign the same way — no channel anywhere, and
+// not a bare alerter on top, whose discovery weighs both envelope
+// flavours. A miss is remembered in st.
 func (o Options) probe(plan *algebra.Node, db *kadop.DB, st *matchState, r *Result) bool {
 	if plan.Op != algebra.OpPublish || len(plan.Inputs) != 1 || plan.Inputs[0].Op == algebra.OpAlerter {
 		return false
@@ -141,10 +141,7 @@ func (o Options) probe(plan *algebra.Node, db *kadop.DB, st *matchState, r *Resu
 	top := plan.Inputs[0]
 	signable := true
 	top.Walk(func(n *algebra.Node) {
-		switch n.Op {
-		case algebra.OpChannelIn, algebra.OpDynAlerter:
-			signable = false
-		}
+		signable = signable && n.Op != algebra.OpChannelIn
 	})
 	if !signable {
 		return false
@@ -222,12 +219,8 @@ func (o Options) matchNode(n *algebra.Node, db *kadop.DB, st *matchState, r *Res
 	}
 	sig := n.SignatureWith(childSigs)
 	switch n.Op {
-	case algebra.OpPublish, algebra.OpDynAlerter:
-		// Sinks are never reused. A dynamic alerter set signs its
-		// function, arguments and driver, so it could be matched, but
-		// nothing yet deploys a reused set: it deploys fresh
-		// (docs/REUSE.md "What a signature names").
-		return sig, nil
+	case algebra.OpPublish:
+		return sig, nil // a sink is never reused
 	case algebra.OpChannelIn:
 		// An explicit channel subscription: resolve its published
 		// signature so operators above it can match streams derived from

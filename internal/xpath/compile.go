@@ -176,10 +176,11 @@ func (c *compiler) parsePred() (Pred, error) {
 		pr.Op = OpExists
 		return pr, nil
 	}
-	op, err := c.parseOpToken()
-	if err != nil {
-		return pr, err
+	op, n, ok := LexOp(c.src[c.pos:])
+	if !ok {
+		return pr, c.errf("expected comparison operator")
 	}
+	c.pos += n
 	pr.Op = op
 	c.skipSpace()
 	val, err := c.parseValue()
@@ -192,15 +193,6 @@ func (c *compiler) parsePred() (Pred, error) {
 		return pr, c.errf("expected ']'")
 	}
 	return pr, nil
-}
-
-func (c *compiler) parseOpToken() (CmpOp, error) {
-	for _, tok := range []string{"!=", "<>", "<=", ">=", "=", "<", ">"} {
-		if c.consume(tok) {
-			return ParseOp(tok)
-		}
-	}
-	return OpExists, c.errf("expected comparison operator")
 }
 
 func (c *compiler) parseValue() (Value, error) {

@@ -7,7 +7,8 @@ import (
 )
 
 // The literal syntax of paths and subscriptions. Every number and string
-// the monitor writes or reads as a literal goes through these functions.
+// the monitor writes or reads as a literal, and every comparison operator
+// it reads or writes, goes through these functions and cmpTokens.
 
 // FormatNumber writes f as XPath 1.0's string() does
 // (https://www.w3.org/TR/xpath-10/#function-string): an integer without
@@ -79,6 +80,24 @@ func LexString(s string) (lit string, n int, ok bool) {
 		return "", len(s), false
 	}
 	return s[1 : 1+end], end + 2, true
+}
+
+// cmpTokens are the comparison operators, longest first, so that "<="
+// is not read as "<".
+var cmpTokens = [...]struct {
+	tok string
+	op  CmpOp
+}{{"!=", OpNe}, {"<>", OpNe}, {"<=", OpLe}, {">=", OpGe}, {"=", OpEq}, {"<", OpLt}, {">", OpGt}}
+
+// LexOp reads the comparison operator at the start of s. It returns the
+// operator, the bytes read and whether s starts with one.
+func LexOp(s string) (CmpOp, int, bool) {
+	for _, c := range cmpTokens {
+		if strings.HasPrefix(s, c.tok) {
+			return c.op, len(c.tok), true
+		}
+	}
+	return OpExists, 0, false
 }
 
 // Quote writes s as LexString reads it: as it is, between double quotes

@@ -16,7 +16,6 @@
 package xpath
 
 import (
-	"fmt"
 	"strings"
 
 	"p2pm/internal/xmltree"
@@ -66,11 +65,16 @@ const (
 	OpGe
 )
 
-var opNames = map[CmpOp]string{
-	OpExists: "", OpEq: "=", OpNe: "!=", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=",
+// String writes the operator as LexOp reads it: "" for OpExists, "!="
+// for OpNe.
+func (o CmpOp) String() string {
+	for _, c := range cmpTokens {
+		if c.op == o {
+			return c.tok
+		}
+	}
+	return ""
 }
-
-func (o CmpOp) String() string { return opNames[o] }
 
 // Value is the right-hand side of a comparison: a literal string, a number
 // or a variable reference.
@@ -415,23 +419,4 @@ func Compare(got string, op CmpOp, want string) bool {
 		}
 	}
 	return Holds(got, op, want)
-}
-
-// ParseOp parses a comparison operator token.
-func ParseOp(s string) (CmpOp, error) {
-	switch s {
-	case "=", "==":
-		return OpEq, nil
-	case "!=", "<>":
-		return OpNe, nil
-	case "<":
-		return OpLt, nil
-	case "<=":
-		return OpLe, nil
-	case ">":
-		return OpGt, nil
-	case ">=":
-		return OpGe, nil
-	}
-	return OpExists, fmt.Errorf("xpath: unknown operator %q", s)
 }
