@@ -24,7 +24,6 @@ func Compile(sub *p2pml.Subscription) (*Node, error) {
 type compiler struct {
 	sub      *p2pml.Subscription
 	letByVar map[string]p2pml.LetBinding
-	chanSeq  int
 }
 
 // streamVarsOf expands LET variables to the underlying stream variables.
@@ -189,20 +188,21 @@ func (c *compiler) compile() (*Node, error) {
 	}
 
 	// 5. Publisher from the BY clause.
-	pub := &PublishSpec{Targets: c.sub.By, ChannelID: c.channelID()}
-	plan = &Node{Op: OpPublish, Peer: AnyPeer, Inputs: []*Node{plan}, Publish: pub}
-	return plan, nil
+	return NewPublisher(c.sub.By, plan, AnyPeer), nil
 }
 
-func (c *compiler) channelID() string {
-	for _, t := range c.sub.By {
-		switch t.Kind {
-		case p2pml.ByPublishChannel, p2pml.ByChannel:
-			return t.Name
+// NewPublisher builds the publisher of a subscription's BY targets over
+// in, at peer. Its result channel is the first one BY names, "result1"
+// when it names none.
+func NewPublisher(by []p2pml.ByTarget, in *Node, peer string) *Node {
+	pub := &PublishSpec{Targets: by, ChannelID: "result1"}
+	for _, t := range by {
+		if t.Kind == p2pml.ByPublishChannel || t.Kind == p2pml.ByChannel {
+			pub.ChannelID = t.Name
+			break
 		}
 	}
-	c.chanSeq++
-	return fmt.Sprintf("result%d", c.chanSeq)
+	return &Node{Op: OpPublish, Peer: peer, Inputs: []*Node{in}, Publish: pub}
 }
 
 func (c *compiler) compileSource(f p2pml.ForBinding) (*Node, error) {

@@ -215,6 +215,7 @@ func FuzzSubscription(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkBody(t, sub, naive)
 		plan := MarkBodyReaders(Optimize(naive.Clone(), DefaultOptions("mgr")))
 		checkPlacement(t, plan, "mgr")
 		checkMarksIdempotent(t, plan)
@@ -231,6 +232,32 @@ func FuzzSubscription(f *testing.F) {
 		checkPushedProjectionsCut(t, plan, traces)
 		checkNoNewExponent(t, src, naive, traces)
 	})
+}
+
+// checkBody holds Body to its contract: a prefix of Source that, given
+// another BY clause, parses to a subscription with the same body and the
+// same compiled plan below the publisher — what a manager's plan memo
+// keys on.
+func checkBody(t *testing.T, sub *p2pml.Subscription, naive *Node) {
+	t.Helper()
+	body := sub.Body()
+	if !strings.HasPrefix(sub.Source, body) {
+		t.Fatalf("Body %q is not a prefix of %q", body, sub.Source)
+	}
+	other, err := p2pml.Parse(body + ` by publish as channel "other"`)
+	if err != nil {
+		t.Fatalf("%q with another BY does not parse: %v", body, err)
+	}
+	if other.Body() != body {
+		t.Fatalf("%q with another BY has body %q", body, other.Body())
+	}
+	plan, err := Compile(other)
+	if err != nil {
+		t.Fatalf("%q with another BY does not compile: %v", body, err)
+	}
+	if got, want := plan.Inputs[0].Tree(), naive.Inputs[0].Tree(); got != want {
+		t.Fatalf("%q with another BY compiles below its publisher to\n%s\nnot\n%s", body, got, want)
+	}
 }
 
 var (

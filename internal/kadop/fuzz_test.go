@@ -29,7 +29,7 @@ func publishedDescriptors(f *testing.F) []string {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if _, err := reuse.PublishPlan(db, algebra.Optimize(plan, algebra.DefaultOptions("p")), nextID); err != nil {
+		if _, err := reuse.PublishPlan(db, algebra.Optimize(plan, algebra.DefaultOptions("p")), nil, nextID); err != nil {
 			f.Fatal(err)
 		}
 	}

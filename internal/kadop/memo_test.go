@@ -78,7 +78,7 @@ func TestLookupSharesButNeverMutates(t *testing.T) {
 			if i > 0 && i != fresh && res.ReusedOps == 0 {
 				t.Errorf("subscription %d reused nothing:\n%s", i, res.Plan.Tree())
 			}
-			if _, err := reuse.PublishPlan(db, res.Plan, nextID); err != nil {
+			if _, err := reuse.PublishPlan(db, res.Plan, nil, nextID); err != nil {
 				t.Fatal(err)
 			}
 			verifyMemo(t, db, 0)

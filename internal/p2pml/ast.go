@@ -27,6 +27,21 @@ type Subscription struct {
 	By    []ByTarget
 	// Source preserves the original text for explain output.
 	Source string
+	// bodyEnd is where Body ends in Source: after the last token before
+	// the BY clause, or before the closing ";" when there is none.
+	bodyEnd int
+}
+
+// Body returns the subscription's text before its BY clause, without the
+// blanks and comments that precede BY: everything the plan below the
+// publisher is compiled from. Two subscriptions that differ only in BY
+// share it. It is a prefix of Source, empty for a Subscription Parse did
+// not return.
+func (s *Subscription) Body() string {
+	if s.bodyEnd > len(s.Source) {
+		return ""
+	}
+	return s.Source[:s.bodyEnd]
 }
 
 // GroupClause is the extension "group [fn [of "value"]] on "attr"

@@ -218,6 +218,37 @@ by publish as channel "c"`
 	}
 }
 
+// TestSubscriptionBody: Body is the text before BY, up to the last token,
+// so subscriptions that differ only in their BY clause, or in the blanks
+// and comments before it, share it. It is a substring of Source and
+// costs no allocation.
+func TestSubscriptionBody(t *testing.T) {
+	const body = `for $x in ( for $y in inCOM(<p>m.com</p>) return $y )
+where $x.callMethod = "Q"
+return distinct <a>{$x.caller}</a> group on "caller" window "1m"`
+	for _, tail := range []string{
+		``,
+		`;`,
+		` by publish as channel "c"`,
+		"\n  % alerts go to ops\nby email \"ops\" and file \"f\";",
+		` by subscribe(b.com, #X, X)`,
+	} {
+		sub := MustParse(body + tail)
+		if got := sub.Body(); got != body {
+			t.Errorf("Body of %q = %q", body+tail, got)
+		}
+		if !strings.HasPrefix(sub.Source, sub.Body()) || unsafe.StringData(sub.Body()) != unsafe.StringData(sub.Source) {
+			t.Errorf("Body of %q is not a substring of Source", body+tail)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = sub.Body() }); n != 0 {
+			t.Errorf("Body allocates %v times", n)
+		}
+	}
+	if got := (&Subscription{Source: body}).Body(); got != "" {
+		t.Errorf("Body of a Subscription Parse did not return = %q, want empty", got)
+	}
+}
+
 func TestParseChannelSource(t *testing.T) {
 	sub := MustParse(`for $x in channel("alertQoS@meteo.com") return $x by file "out.xml"`)
 	cs := sub.For[0].Source.(*ChannelSource)

@@ -62,6 +62,8 @@ func snippet(s string) string {
 type parser struct {
 	src string
 	pos int
+	// blank is the last run of blanks and comments skipSpace skipped.
+	blank struct{ from, to int }
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -71,6 +73,8 @@ func (p *parser) errf(format string, args ...any) error {
 
 // skipSpace skips whitespace and %-to-end-of-line comments.
 func (p *parser) skipSpace() {
+	start := p.pos
+skip:
 	for p.pos < len(p.src) {
 		switch p.src[p.pos] {
 		case ' ', '\t', '\n', '\r':
@@ -80,9 +84,21 @@ func (p *parser) skipSpace() {
 				p.pos++
 			}
 		default:
-			return
+			break skip
 		}
 	}
+	if p.pos > start {
+		p.blank.from, p.blank.to = start, p.pos
+	}
+}
+
+// tokenEnd returns where the last token read ends: before the blanks and
+// comments skipped since.
+func (p *parser) tokenEnd() int {
+	if p.blank.to == p.pos {
+		return p.blank.from
+	}
+	return p.pos
 }
 
 func (p *parser) peek() byte {
@@ -298,6 +314,8 @@ func (p *parser) parseSubscription() (*Subscription, error) {
 		}
 		sub.Group = &GroupClause{Attr: attr, Window: window, Fn: fn, ValueAttr: valueAttr}
 	}
+	p.skipSpace()
+	sub.bodyEnd = p.tokenEnd()
 	if p.keyword("by") {
 		for {
 			t, err := p.parseByTarget()

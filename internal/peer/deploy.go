@@ -7,6 +7,7 @@ import (
 	"p2pm/internal/aggtree"
 	"p2pm/internal/alerters"
 	"p2pm/internal/algebra"
+	"p2pm/internal/kadop"
 	"p2pm/internal/monoid"
 	"p2pm/internal/operators"
 	"p2pm/internal/p2pml"
@@ -31,7 +32,11 @@ func (p *Peer) deploy(task *Task) error {
 			n.Peer = p.name
 		}
 		if n.Op == algebra.OpAlerter && n.Alerter.Peer == "local" {
-			n.Alerter.Peer = p.name
+			// A copy: a cloned plan shares its specs with the plan it was
+			// cloned from, which a manager's plan memo may hold.
+			spec := *n.Alerter
+			spec.Peer = p.name
+			n.Alerter = &spec
 		}
 	})
 	// Tree-vs-flat aggregation decision: with AggDegree set, wide
@@ -43,7 +48,11 @@ func (p *Peer) deploy(task *Task) error {
 		task.Plan = plan
 	}
 
-	refs, err := reuse.PublishPlan(p.sys.DB, plan, p.sys.nextStreamID)
+	var known []*kadop.StreamDef
+	if task.Reuse != nil {
+		known = task.Reuse.Defs
+	}
+	refs, err := reuse.PublishPlan(p.sys.DB, plan, known, p.sys.nextStreamID)
 	if err != nil {
 		return err
 	}

@@ -125,15 +125,17 @@ func (e *edge) attach(ch *stream.Channel, fromSeq uint64) {
 }
 
 // resumed accounts for an attach that resumed from fromSeq: replayed
-// retained items were retransmitted, the first of them numbered first.
-// When the retention buffer already trimmed the prefix below first, those
-// sequences are unrecoverable: the cursor releases anything parked behind
-// them.
+// retained items were retransmitted, and first is the first sequence the
+// channel delivers. When the channel no longer holds the sequences below
+// first — its retention buffer trimmed them, or it never held them, as a
+// replacement seeded past its predecessor's numbering (coldSeed) — they
+// are unrecoverable: the cursor skips them, counting them
+// (Cursor.Skipped), and releases anything parked behind them.
 func (s *System) resumed(cur *stream.Cursor, fromSeq uint64, replayed int, first uint64) {
 	if replayed > 0 {
 		s.replayed.Add(uint64(replayed))
 	}
-	if cur != nil && replayed > 0 && first > fromSeq {
+	if cur != nil && first > fromSeq {
 		cur.SkipTo(first)
 	}
 }
@@ -261,7 +263,7 @@ func (s *System) join(ch *stream.Channel, to string, d landing, fromSeq uint64) 
 		}
 		switch {
 		case fromSeq > 0:
-			var first uint64
+			first := at + 1 // nothing retained: the next publication
 			if len(replay) > 0 {
 				first = replay[0].Seq
 			}

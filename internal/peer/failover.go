@@ -281,6 +281,8 @@ func (s *System) rehomeTask(old *Peer, t *Task, newMgr string, at time.Duration)
 	np.tasks[t.ID] = t
 	np.mu.Unlock()
 	t.Manager = newMgr
+	// The dead manager will not subscribe this body for the task again.
+	t.releaseBody()
 
 	// The result reader moves to the new manager. When the named channel
 	// itself sat on the dead peer the publisher is about to be re-deployed

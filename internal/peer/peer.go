@@ -31,6 +31,9 @@ type Peer struct {
 	feeds    map[string]func() (*rss.Feed, error)
 	pages    map[string]func() (*xmltree.Node, error)
 	incoming map[string]*stream.Queue
+	// memo holds the compiled bodies of the tasks this manager subscribed
+	// and that still run (pipeline.go): at most one entry per live task.
+	memo map[string]*planMemo
 
 	// channels counts the channels ever allocated on this peer
 	// (System.load).
@@ -143,11 +146,16 @@ func (p *Peer) Subscribe(src string) (*Task, error) {
 // deploys the last stage of the system's pipeline, which Explain shows.
 func (p *Peer) SubscribeParsed(sub *p2pml.Subscription) (*Task, error) {
 	ex := Explanation{Subscription: sub}
-	plan, err := p.sys.pipeline(p.name).run(&ex)
+	pl := p.subscribeChain(sub)
+	plan, err := pl.run(&ex)
 	if err != nil {
 		return nil, err
 	}
-	return p.start(&Task{Sub: sub, Plan: plan, Reuse: ex.Reuse})
+	task := &Task{Sub: sub, Plan: plan, Reuse: ex.Reuse}
+	if pl.memo != nil {
+		task.memo.Store(p)
+	}
+	return p.start(task)
 }
 
 // start is the one way a task comes to run under this manager: it gets

@@ -29,13 +29,81 @@ type pipeline struct {
 	subscriber string
 	pushdown   bool
 	reuse      bool
-	keepNaive  bool // keep a copy of the compiled plan (Explain)
+	keepNaive  bool  // keep a copy of the compiled plan (Explain)
+	memo       *Peer // the manager whose plan memo the chain reads and fills; Subscribe's only
 }
 
 // pipeline is this system's chain for a subscription managed at
 // subscriber, as configured.
 func (s *System) pipeline(subscriber string) pipeline {
 	return pipeline{sys: s, subscriber: subscriber, pushdown: s.cfg.Pushdown, reuse: s.cfg.Reuse}
+}
+
+// subscribeChain is the chain Subscribe runs for sub at manager p: the
+// system's, with p's plan memo when the reuse pass runs and sub has a
+// body. The memo is a cache of the compile and optimize stages: their
+// result depends only on the body, the subscriber and the system's fixed
+// Pushdown. Without reuse the optimized plan itself deploys, so it cannot
+// be shared; Explain, System.Explain and DeployPlanShared never read it,
+// so System.Explain stays the uncached reference.
+func (p *Peer) subscribeChain(sub *p2pml.Subscription) pipeline {
+	pl := p.sys.pipeline(p.name)
+	if pl.reuse && sub.Body() != "" {
+		pl.memo = p
+	}
+	return pl
+}
+
+// planMemo is one entry of a manager's plan memo, keyed by a subscription
+// body: the optimized, body-marked plan below the publisher, which
+// nothing writes once it is in the memo, and the signature the reuse
+// probe asks for. It lives while a live task the manager subscribed was
+// compiled from it: tasks counts them, and Task.Stop and a re-homing hand
+// theirs back (releaseBody).
+type planMemo struct {
+	body  *algebra.Node
+	sig   string
+	tasks int
+}
+
+// memoized returns p's entry for body, nil when there is none.
+func (p *Peer) memoized(body string) *planMemo {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.memo[body]
+}
+
+// hold counts one more task compiled from body, entering e when p has no
+// entry for it (a concurrent miss may have entered its own first).
+func (p *Peer) hold(body string, e *planMemo) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if held := p.memo[body]; held != nil {
+		e = held
+	} else {
+		if p.memo == nil {
+			p.memo = make(map[string]*planMemo)
+		}
+		p.memo[body] = e
+	}
+	e.tasks++
+}
+
+// releaseBody hands back the task's count on its body's entry in its
+// manager's plan memo, once; the last task out removes the entry.
+func (t *Task) releaseBody() {
+	p := t.memo.Swap(nil)
+	if p == nil {
+		return
+	}
+	body := t.Sub.Body()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e := p.memo[body]; e != nil {
+		if e.tasks--; e.tasks == 0 {
+			delete(p.memo, body)
+		}
+	}
 }
 
 // run takes ex from the stage it holds to the plan that deploys, and
@@ -48,11 +116,59 @@ func (s *System) pipeline(subscriber string) pipeline {
 // unloaded, then re-placed so fresh operators follow their reused
 // inputs (a residual σ runs at the chosen provider, not where the
 // original plan put it).
+//
+// With a plan memo, a body the manager compiled for a live task skips
+// compiling, optimizing and marking: Optimized is a fresh publisher for
+// this subscription's BY over the memoized plan, and the probe asks for
+// the memoized signature. The reuse pass never writes its input, so the
+// memoized plan stays as it was entered. A successful run counts the
+// subscription on the body's entry; the task that deploys the plan hands
+// the count back.
 func (pl pipeline) run(ex *Explanation) (*algebra.Node, error) {
+	var memo *planMemo
+	if pl.memo != nil {
+		memo = pl.memo.memoized(ex.Subscription.Body())
+	}
+	if memo != nil {
+		pl.sys.memoHits.Inc()
+		ex.Optimized = algebra.NewPublisher(ex.Subscription.By, memo.body, pl.subscriber)
+	} else if err := pl.optimize(ex); err != nil {
+		return nil, err
+	}
+	if !pl.reuse {
+		return ex.Optimized, nil
+	}
+	var sig string
+	if memo != nil {
+		sig = memo.sig
+	} else {
+		sig = reuse.ProbeSignature(ex.Optimized)
+	}
+	s := pl.sys
+	ro := reuse.Options{From: pl.subscriber, Consumer: pl.subscriber,
+		Choose: aliveOnly(s, reuse.PreferClose(s.Net.Distance, s.load))}
+	res, err := ro.ApplySigned(ex.Optimized, sig, s.DB)
+	if err != nil {
+		return nil, err
+	}
+	res.Plan = algebra.Optimize(res.Plan, algebra.Options{SubscriberPeer: pl.subscriber})
+	ex.Reuse = res
+	if pl.memo != nil {
+		if memo == nil {
+			memo = &planMemo{body: ex.Optimized.Inputs[0], sig: sig}
+		}
+		pl.memo.hold(ex.Subscription.Body(), memo)
+	}
+	return res.Plan, nil
+}
+
+// optimize brings ex to its optimized plan, compiling and optimizing the
+// Subscription unless Optimized is set, and marks the plan's WS alerters.
+func (pl pipeline) optimize(ex *Explanation) error {
 	if ex.Optimized == nil {
 		plan, err := algebra.Compile(ex.Subscription)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if pl.keepNaive {
 			ex.NaivePlan = plan.Clone()
@@ -62,19 +178,7 @@ func (pl pipeline) run(ex *Explanation) (*algebra.Node, error) {
 	// The envelope is part of an alerter's stream identity, so the marks
 	// come before reuse, which hands a body reader no bare alerter.
 	algebra.MarkBodyReaders(ex.Optimized)
-	if !pl.reuse {
-		return ex.Optimized, nil
-	}
-	s := pl.sys
-	ro := reuse.Options{From: pl.subscriber, Consumer: pl.subscriber,
-		Choose: aliveOnly(s, reuse.PreferClose(s.Net.Distance, s.load))}
-	res, err := ro.Apply(ex.Optimized, s.DB)
-	if err != nil {
-		return nil, err
-	}
-	res.Plan = algebra.Optimize(res.Plan, algebra.Options{SubscriberPeer: pl.subscriber})
-	ex.Reuse = res
-	return res.Plan, nil
+	return nil
 }
 
 // Explain runs the chain without a system: it compiles and optimizes,

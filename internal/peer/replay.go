@@ -24,17 +24,19 @@ import (
 // re-emission reproduces the original numbering exactly — rewind to 0 so
 // downstream cursors deduplicate the overlap. When nothing re-emits — the
 // replay layer is off, the stream is live alerts (a dynamic alerter's
-// output cannot be replayed), or an input has trimmed its buffer, so
-// re-emission would renumber and collide with sequences consumers
-// already hold, silently swallowing new data — continue above the old
-// channel's high-water mark instead (the stream statistics a real
-// deployment publishes; here, the abandoned channel object), trading
-// bounded content duplicates (a retained window re-emitted under fresh
-// numbers) for monotonic numbering and zero silent loss.
+// output cannot be replayed), or an input no longer holds its whole
+// history (its buffer trimmed, or it is itself a replacement numbered on
+// from its predecessor), so re-emission would renumber and collide with
+// sequences consumers already hold, silently swallowing new data —
+// continue above the old channel's high-water mark instead (the stream
+// statistics a real deployment publishes; here, the abandoned channel
+// object), trading bounded content duplicates (a retained window
+// re-emitted under fresh numbers) for monotonic numbering and zero
+// silent loss.
 func (s *System) coldSeed(t *Task, n *algebra.Node, out *stream.Channel, oldSeq uint64) {
 	reemits := s.replayOn() && n.Op != algebra.OpDynAlerter
 	for _, in := range n.Inputs {
-		if ch, ok := s.nodeChannel(t, in); ok && ch.ReplayTrimmed() > 0 {
+		if ch, ok := s.nodeChannel(t, in); ok && ch.ReplayStart() > 1 {
 			reemits = false
 		}
 	}

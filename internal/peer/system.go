@@ -94,11 +94,12 @@ type System struct {
 	// and checkpoints) — the seam per-Step adaptive controllers hang off.
 	onStep []func(now time.Duration)
 
-	lastCkpt time.Duration // virtual time of the last checkpoint sweep
-	replayed atomic.Uint64 // items retransmitted from replay buffers
-	edgeSeq  atomic.Uint64 // edge ids, in creation order
-	splitSeq int           // fresh ids for re-chunked interiors
-	splitLog []SplitEvent  // audit log of completed splits
+	lastCkpt time.Duration     // virtual time of the last checkpoint sweep
+	replayed atomic.Uint64     // items retransmitted from replay buffers
+	memoHits telemetry.Counter // subscriptions a manager's plan memo spared compiling (pipeline.go)
+	edgeSeq  atomic.Uint64     // edge ids, in creation order
+	splitSeq int               // fresh ids for re-chunked interiors
+	splitLog []SplitEvent      // audit log of completed splits
 
 	// tele and teleSrv are set once at construction when
 	// Config.Telemetry opts in (docs/TELEMETRY.md); nil otherwise.

@@ -45,6 +45,9 @@ type Task struct {
 
 	dynEvents atomic.Uint64
 	stopOnce  sync.Once
+	// memo is the manager whose plan memo counts this task on its body's
+	// entry (pipeline.go); nil once handed back, or when none does.
+	memo atomic.Pointer[Peer]
 }
 
 // procInstance tracks one deployed processor (or publisher fan-out): the
@@ -189,6 +192,7 @@ func (t *Task) ItemsProcessed() uint64 {
 // — is closed.
 func (t *Task) Stop() {
 	t.stopOnce.Do(func() {
+		t.releaseBody()
 		t.retract()
 		for _, c := range t.closers {
 			c()

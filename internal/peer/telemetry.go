@@ -28,6 +28,10 @@ type sysMetrics struct {
 	replayTrimmed  *telemetry.Gauge
 	replayedItems  *telemetry.Gauge
 
+	// Plan memos (pipeline.go): entries over all managers, pull-style;
+	// the hits are System.memoHits.
+	memoEntries *telemetry.Gauge
+
 	// Aggregation-tree ingest, folded from AggLoad (the programmatic
 	// snapshot keeps its API; this is the same data on the registry).
 	aggMax       *telemetry.Gauge
@@ -57,10 +61,12 @@ func (s *System) instrumentTelemetry() error {
 		replayBuffered: reg.Gauge("stream_replay_buffered"),
 		replayTrimmed:  reg.Gauge("stream_replay_trimmed"),
 		replayedItems:  reg.Gauge("stream_replayed_items"),
+		memoEntries:    reg.Gauge("plan_memo_entries"),
 
 		aggMax:       reg.Gauge("agg_interior_ingest_max"),
 		aggMeanMilli: reg.Gauge("agg_interior_ingest_mean_milli"),
 	}
+	reg.Attach("plan_memo_hits_total", &s.memoHits)
 	reg.OnCollect(s.collectTelemetry)
 	if tc.Addr != "" {
 		srv, err := telemetry.Serve(tc.Addr, reg)
@@ -82,6 +88,10 @@ func (s *System) collectTelemetry() {
 	chans := make([]*stream.Channel, 0, len(s.channels))
 	for _, c := range s.channels {
 		chans = append(chans, c)
+	}
+	peers := make([]*Peer, 0, len(s.peers))
+	for _, p := range s.peers {
+		peers = append(peers, p)
 	}
 	// What waits for a consumer waits in the queue its edge delivers into:
 	// an operator input, a result reader, a BY subscribe target's Incoming
@@ -108,6 +118,13 @@ func (s *System) collectTelemetry() {
 	t.replayBuffered.Set(int64(buffered))
 	t.replayTrimmed.Set(int64(trimmed))
 	t.replayedItems.Set(int64(s.ReplayedItems()))
+	entries := 0
+	for _, p := range peers {
+		p.mu.Lock()
+		entries += len(p.memo)
+		p.mu.Unlock()
+	}
+	t.memoEntries.Set(int64(entries))
 
 	// Per-peer loops and per-endpoint taps: the two buffers the data path
 	// grew with the event loops, read where they live.

@@ -89,7 +89,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	// counters) lists them, plus the per-peer loop and per-tap ring series
 	// of PR 24: a renamed, re-kinded or vanished series fails here.
 	// tap_alerts_total, the tap's alert count per envelope flavour,
-	// joined them later.
+	// joined them later, and the plan memo's two series after it.
 	want := []string{
 		"agg_ingest_items gauge peer",
 		"agg_interior_ingest_max gauge",
@@ -104,6 +104,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"loop_runq_high_water gauge peer",
 		"loop_steps_total counter peer",
 		"loop_wakes_total counter peer",
+		"plan_memo_entries gauge",
+		"plan_memo_hits_total counter",
 		"simnet_bytes_total counter",
 		"simnet_dropped_total counter",
 		"simnet_messages_total counter",
@@ -154,7 +156,9 @@ func catalogKinds(t *testing.T) map[string]string {
 // TestRegistryReadsTheLayersOwnCounters drives every layer that keeps
 // counters — transport sends and a frame lost on a crashed link, DHT
 // puts, gets, cache hits and a join's handoffs, an operator stepped
-// and woken on a peer's loop, a tap's alert of each flavour, gossip probes through to a declared death — and then walks the docs/TELEMETRY.md catalog:
+// and woken on a peer's loop, a tap's alert of each flavour, a plan-memo
+// hit, gossip probes through to a declared death — and then walks the
+// docs/TELEMETRY.md catalog:
 // every counter a layer owns is exported under its documented name,
 // kind and label keys, and reads exactly what the layer's own accessor
 // reads, because it is the same variable. (The wire_* pair and the tcp
@@ -232,6 +236,16 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 		t.Errorf("one call built %d bare and %d body-carrying alerts, want 1 and 1", bare, body)
 	}
 
+	// Two subscriptions at p1 with one body: the second is a plan-memo
+	// hit.
+	for _, ch := range []string{"A", "B"} {
+		task, err := sys.Peer("p1").Subscribe(`for $e in inCOM(<p>p2</p>) return <x c="{$e.caller}"/> by channel ` + ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer task.Stop()
+	}
+
 	sys.Net.Crash("p3")
 	send("p0", "p3") // lost on the link
 	for i := 0; i < 25 && det.deaths.Value() == 0; i++ {
@@ -249,8 +263,12 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 	}
 	served := func(f func(dht.Load) uint64) func() uint64 {
 		return func() (n uint64) {
-			for _, l := range sys.Ring.ServiceLoad("k") { // the script's only key class
-				n += f(l)
+			// The script's own key class and those of the stream
+			// definitions the subscriptions publish and look up.
+			for _, class := range []string{"k", "def", "alerter", "op", "sig", "replica", "kadop"} {
+				for _, l := range sys.Ring.ServiceLoad(class) {
+					n += f(l)
+				}
 			}
 			return n
 		}
@@ -300,6 +318,7 @@ func TestRegistryReadsTheLayersOwnCounters(t *testing.T) {
 		"gossip_indirect_probes_total": func() uint64 { return indirect },
 		"gossip_suspicions_total":      det.suspicions.Value,
 		"gossip_deaths_total":          det.deaths.Value,
+		"plan_memo_hits_total":         sys.memoHits.Value,
 	}
 	snap := reg.Snapshot()
 	perPeer := func(name string) bool {

@@ -5,7 +5,6 @@ import (
 
 	"p2pm/internal/algebra"
 	"p2pm/internal/kadop"
-	"p2pm/internal/stream"
 )
 
 // This file implements aggregate-tree sharing: the containment analogue
@@ -21,18 +20,11 @@ import (
 // instead (it publishes under the flat Group alias), so grafting only
 // handles the strictly-contained case.
 
-// aggPart is one published partial stream chosen to cover part of a new
-// aggregate's source set.
-type aggPart struct {
-	ref     stream.Ref
-	sig     string
-	sources []string
-}
-
 // aggCover is a disjoint cover of (part of) a Group-over-union's
-// branches by published partial streams.
+// branches by published partial streams, each chosen to cover part of
+// the aggregate's source set.
 type aggCover struct {
-	parts   []aggPart
+	parts   []*kadop.StreamDef
 	covered map[string]bool // branch signatures absorbed by parts
 }
 
@@ -73,7 +65,7 @@ func (o Options) coverAgg(n *algebra.Node, db *kadop.DB, st *matchState, r *Resu
 		return cands[i].Ref.String() < cands[j].Ref.String()
 	})
 	covered := make(map[string]bool)
-	var parts []aggPart
+	var parts []*kadop.StreamDef
 	for _, c := range cands {
 		if len(c.Sources) == 0 {
 			continue
@@ -91,7 +83,7 @@ func (o Options) coverAgg(n *algebra.Node, db *kadop.DB, st *matchState, r *Resu
 		for _, s := range c.Sources {
 			covered[s] = true
 		}
-		parts = append(parts, aggPart{ref: c.Ref, sig: c.Signature, sources: c.Sources})
+		parts = append(parts, c)
 	}
 	if len(parts) == 0 {
 		return nil, nil
@@ -109,7 +101,7 @@ func (o Options) graftNode(n *algebra.Node, c *aggCover, db *kadop.DB, st *match
 	union := n.Inputs[0]
 	inputs := make([]*algebra.Node, 0, len(c.parts)+len(union.Inputs))
 	for _, p := range c.parts {
-		inputs = append(inputs, o.channelNode(n, matchInfo{ref: p.ref, sig: p.sig}, db, r))
+		inputs = append(inputs, o.channelNode(n, matchOf(p), db, r))
 	}
 	leafSpec := n.Group.WithFinal(false)
 	for _, b := range union.Inputs {

@@ -21,7 +21,7 @@ func TestChannelNodeKeepsOriginalForUnknownConsumer(t *testing.T) {
 	first := compile(t, `for $e in inCOM(<p>m.com</p>)
 	where $e.callMethod = "Q"
 	return $e by publish as channel "base"`, "p1")
-	refs, err := PublishPlan(db, first, idGen())
+	refs, err := PublishPlan(db, first, nil, idGen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFailedReplicaLookupRecordedNotFatal(t *testing.T) {
 	first := compile(t, `for $e in inCOM(<p>m.com</p>)
 	where $e.callMethod = "Q"
 	return $e by publish as channel "base"`, "p1")
-	refs, err := PublishPlan(db, first, idGen())
+	refs, err := PublishPlan(db, first, nil, idGen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSubsumeProviderChoiceDeterministic(t *testing.T) {
 	seed := newDB(t)
 	gen := idGen()
 	for _, src := range []string{baseSrc, altSrc} {
-		if _, err := PublishPlan(seed, compile(t, src, "p1"), gen); err != nil {
+		if _, err := PublishPlan(seed, compile(t, src, "p1"), nil, gen); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestResidualLetsPrunedToResidualConds(t *testing.T) {
 	let $d := $e.responseTimestamp - $e.callTimestamp
 	where $d > 10
 	return $e by publish as channel "slow"`, "p1")
-	if _, err := PublishPlan(db, first, idGen()); err != nil {
+	if _, err := PublishPlan(db, first, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 	narrowSrc := `for $e in inCOM(<p>m.com</p>)
@@ -249,7 +249,7 @@ func TestResidualLetsPrunedToResidualConds(t *testing.T) {
 	if len(sigma.Select.Lets) != 0 {
 		t.Errorf("residual Lets = %v, want none", sigma.Select.Lets)
 	}
-	if _, err := PublishPlan(db, res2.Plan, idGen()); err != nil {
+	if _, err := PublishPlan(db, res2.Plan, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 	third := compile(t, narrowSrc, "p3")
@@ -270,7 +270,7 @@ func TestResidualLetsKeepTransitiveDeps(t *testing.T) {
 	first := compile(t, `for $e in inCOM(<p>m.com</p>)
 	where $e.callMethod = "Q"
 	return $e by publish as channel "q"`, "p1")
-	if _, err := PublishPlan(db, first, idGen()); err != nil {
+	if _, err := PublishPlan(db, first, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 	second := compile(t, `for $e in inCOM(<p>m.com</p>)

@@ -119,6 +119,36 @@ func TestApplyMatchesReferenceOnSubscriptionMix(t *testing.T) {
 // query, however many sources it spans. The bottom-up pass asked k + 3
 // (one per alerter, the union, the group, the replicas): 3, 7 and 19
 // here, one source having no union.
+// TestExactHitCostsTwoRingLookups: an exact hit's deployment asks the
+// ring only the reuse pass's two queries — the signature probe and the
+// replica lookup. Publishing the task's descriptors adopts the definition
+// the probe read instead of looking it up a third time.
+func TestExactHitCostsTwoRingLookups(t *testing.T) {
+	for _, k := range []int{1, 4, 16} {
+		t.Run(fmt.Sprint(k), func(t *testing.T) {
+			sys, mgr := mixWorld(t, k)
+			sub := `for $e in ` + inCOM(0, k) + ` return $e group on "callee" window "24s" by publish as channel "g%d"`
+			first, err := mgr.Subscribe(fmt.Sprintf(sub, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer first.Stop()
+			for i := 1; i <= 3; i++ {
+				before, _ := sys.Ring.Stats()
+				again, err := mgr.Subscribe(fmt.Sprintf(sub, i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer again.Stop()
+				after, _ := sys.Ring.Stats()
+				if got := after - before; got != 2 || again.Reuse.Lookups != 2 {
+					t.Errorf("k = %d, hit %d: %d ring lookups for %d discovery queries, want 2 and 2", k, i, got, again.Reuse.Lookups)
+				}
+			}
+		})
+	}
+}
+
 func TestExactGroupCostsTwoQueries(t *testing.T) {
 	for _, k := range []int{1, 4, 16} {
 		t.Run(fmt.Sprint(k), func(t *testing.T) {

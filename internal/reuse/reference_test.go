@@ -121,7 +121,7 @@ func groupOver(lo, hi int, channel string) *algebra.Node {
 func publishTree(t *testing.T, db *kadop.DB, plan *algebra.Node, id string, nextID func(string) string) {
 	t.Helper()
 	tree, _ := aggtree.Rewrite(plan.Clone(), id, aggtree.Config{Degree: 3, Place: func(string) string { return "w1" }})
-	if _, err := PublishPlan(db, tree, nextID); err != nil {
+	if _, err := PublishPlan(db, tree, nil, nextID); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -195,7 +195,7 @@ func TestApplyMatchesReference(t *testing.T) {
 					continue
 				}
 				res := CheckAgainstReference(t, o, deployed(t, src, "p"), db)
-				refs, err := PublishPlan(db, res.Plan, nextID)
+				refs, err := PublishPlan(db, res.Plan, nil, nextID)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -247,7 +247,7 @@ func TestApplyMatchesReferenceOnSignatureSeeds(t *testing.T) {
 		}
 		for _, p := range plans {
 			res := CheckAgainstReference(t, o, p, db)
-			if _, err := PublishPlan(db, res.Plan, nextID); err != nil {
+			if _, err := PublishPlan(db, res.Plan, nil, nextID); err != nil {
 				t.Fatal(err)
 			}
 			for _, q := range plans {

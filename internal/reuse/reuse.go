@@ -82,15 +82,34 @@ type Result struct {
 	// original provider was kept). Nonzero values flag DHT trouble the
 	// rewrite papered over.
 	FailedLookups int
+	// Defs are the definitions the pass read of the streams Plan
+	// subscribes to, at most one per stream Ref: PublishPlan declares
+	// the new streams over them without asking the database again.
+	Defs []*kadop.StreamDef
+}
+
+// read records a definition the pass read of a stream Plan subscribes
+// to, once per stream.
+func (r *Result) read(def *kadop.StreamDef) {
+	if def != nil && knownDef(r.Defs, def.Ref) == nil {
+		r.Defs = append(r.Defs, def)
+	}
 }
 
 // matchInfo records a covered plan node: the original stream computing it
 // and that stream's published signature (signatures compose over
 // *published* definitions, so a plan built on reused channels matches
-// streams built on the original computations).
+// streams built on the original computations), and the definition it was
+// read from, nil when none was.
 type matchInfo struct {
 	ref stream.Ref
 	sig string
+	def *kadop.StreamDef
+}
+
+// matchOf is the cover by a stream the pass found by its definition.
+func matchOf(def *kadop.StreamDef) matchInfo {
+	return matchInfo{ref: def.Ref, sig: def.Signature, def: def}
 }
 
 // Apply searches db for streams covering sub-plans of plan and returns a
@@ -103,9 +122,16 @@ type matchInfo struct {
 // anything is cloned; only when it misses does the bottom-up pass run,
 // and that pass reads the miss back instead of asking again.
 func (o Options) Apply(plan *algebra.Node, db *kadop.DB) (*Result, error) {
+	return o.ApplySigned(plan, ProbeSignature(plan), db)
+}
+
+// ApplySigned is Apply with the probe's signature given: sig must be
+// ProbeSignature(plan), which a caller deploying the same plan below a
+// publisher again computes once.
+func (o Options) ApplySigned(plan *algebra.Node, sig string, db *kadop.DB) (*Result, error) {
 	r := &Result{}
 	st := &matchState{}
-	if o.probe(plan, db, st, r) {
+	if o.probe(plan, sig, db, st, r) {
 		return r, nil
 	}
 	work := plan.Clone()
@@ -128,15 +154,14 @@ func (o Options) Apply(plan *algebra.Node, db *kadop.DB) (*Result, error) {
 	return r, nil
 }
 
-// probe looks up the stream a publisher reads by the signature the plan
-// states for it, and on a hit sets r to what the bottom-up pass would
-// return: the publisher over a subscription to that stream. It probes
-// only a plan the pass would sign the same way — no channel anywhere, and
-// not a bare alerter on top, whose discovery weighs both envelope
-// flavours. A miss is remembered in st.
-func (o Options) probe(plan *algebra.Node, db *kadop.DB, st *matchState, r *Result) bool {
+// ProbeSignature returns the signature of the stream plan's publisher
+// reads, which the probe asks the database for. It is empty for a plan
+// the pass would not sign the same way — one with a channel anywhere, or
+// a bare alerter on top, whose discovery weighs both envelope flavours —
+// and for a plan that is not a publisher over one input.
+func ProbeSignature(plan *algebra.Node) string {
 	if plan.Op != algebra.OpPublish || len(plan.Inputs) != 1 || plan.Inputs[0].Op == algebra.OpAlerter {
-		return false
+		return ""
 	}
 	top := plan.Inputs[0]
 	signable := true
@@ -144,9 +169,20 @@ func (o Options) probe(plan *algebra.Node, db *kadop.DB, st *matchState, r *Resu
 		signable = signable && n.Op != algebra.OpChannelIn
 	})
 	if !signable {
+		return ""
+	}
+	return top.Signature()
+}
+
+// probe looks up the stream a publisher reads by sig, its
+// ProbeSignature, and on a hit sets r to what the bottom-up pass would
+// return: the publisher over a subscription to that stream. An empty sig
+// is not probed. A miss is remembered in st.
+func (o Options) probe(plan *algebra.Node, sig string, db *kadop.DB, st *matchState, r *Result) bool {
+	if sig == "" {
 		return false
 	}
-	sig := top.Signature()
+	top := plan.Inputs[0]
 	defs, hops, err := db.FindBySignature(o.From, sig)
 	r.Lookups++
 	r.Hops += hops
@@ -159,7 +195,8 @@ func (o Options) probe(plan *algebra.Node, db *kadop.DB, st *matchState, r *Resu
 	}
 	pub := *plan
 	pub.Schema = append([]string(nil), plan.Schema...)
-	pub.Inputs = []*algebra.Node{o.channelNode(top, matchInfo{ref: defs[0].Ref, sig: sig}, db, r)}
+	r.Defs = defs[:1:1] // the lookup's own slice, so reading it back allocates nothing
+	pub.Inputs = []*algebra.Node{o.channelNode(top, matchOf(defs[0]), db, r)}
 	r.Plan = &pub
 	r.ReusedOps = top.Count()
 	return true
@@ -238,6 +275,7 @@ func (o Options) matchNode(n *algebra.Node, db *kadop.DB, st *matchState, r *Res
 		if def != nil && def.Signature != "" {
 			sig = def.Signature
 		}
+		r.read(def)
 		st.matched[n] = matchInfo{ref: orig, sig: sig}
 		return sig, nil
 	case algebra.OpAlerter:
@@ -251,7 +289,7 @@ func (o Options) matchNode(n *algebra.Node, db *kadop.DB, st *matchState, r *Res
 			if def.Signature != "" {
 				sig = def.Signature
 			}
-			st.matched[n] = matchInfo{ref: def.Ref, sig: sig}
+			st.matched[n] = matchInfo{ref: def.Ref, sig: sig, def: def}
 		}
 		return sig, nil
 	default:
@@ -272,7 +310,7 @@ func (o Options) matchNode(n *algebra.Node, db *kadop.DB, st *matchState, r *Res
 					return "", err
 				}
 				if len(defs) > 0 {
-					st.matched[n] = matchInfo{ref: defs[0].Ref, sig: sig}
+					st.matched[n] = matchOf(defs[0])
 					return sig, nil
 				}
 			}
@@ -288,7 +326,7 @@ func (o Options) matchNode(n *algebra.Node, db *kadop.DB, st *matchState, r *Res
 			return "", err
 		}
 		if len(defs) > 0 {
-			st.matched[n] = matchInfo{ref: defs[0].Ref, sig: sig}
+			st.matched[n] = matchOf(defs[0])
 			return sig, nil
 		}
 		// No exact match. For σ over a matched input, look for streams
@@ -329,8 +367,7 @@ func (o Options) rewrite(n *algebra.Node, db *kadop.DB, st *matchState, r *Resul
 		return o.channelNode(n, m, db, r)
 	}
 	if p, ok := st.partials[n]; ok && n.Op == algebra.OpSelect {
-		m := matchInfo{ref: p.ref, sig: p.sig}
-		chIn := o.channelNode(n, m, db, r)
+		chIn := o.channelNode(n, matchOf(p.def), db, r)
 		r.ReusedOps += n.Inputs[0].Count()
 		return &algebra.Node{
 			Op:     algebra.OpSelect,
@@ -380,6 +417,7 @@ func (o Options) channelNode(n *algebra.Node, m matchInfo, db *kadop.DB, r *Resu
 	r.Mappings = append(r.Mappings, Mapping{
 		Signature: m.sig, Original: m.ref, Provider: provider, IsReplica: isReplica,
 	})
+	r.read(m.def)
 	return &algebra.Node{
 		Op:      algebra.OpChannelIn,
 		Peer:    provider.PeerID,
@@ -437,9 +475,10 @@ func consumerPeer(n *algebra.Node) string {
 // deployed plan and publishes the corresponding descriptors — the "derived
 // streams are declared with respect to original streams" bookkeeping that
 // deployment performs so later subscriptions can reuse this work.
-// nextID generates fresh stream IDs per peer. It returns the per-node
-// references.
-func PublishPlan(db *kadop.DB, plan *algebra.Node, nextID func(peer string) string) (map[*algebra.Node]stream.Ref, error) {
+// nextID generates fresh stream IDs per peer. known holds definitions
+// already read, such as a reuse pass's Result.Defs: a reused stream
+// among them is not looked up again. It returns the per-node references.
+func PublishPlan(db *kadop.DB, plan *algebra.Node, known []*kadop.StreamDef, nextID func(peer string) string) (map[*algebra.Node]stream.Ref, error) {
 	refs := make(map[*algebra.Node]stream.Ref)
 	sigs := make(map[*algebra.Node]string)
 	srcs := make(map[*algebra.Node][]string)
@@ -462,7 +501,11 @@ func PublishPlan(db *kadop.DB, plan *algebra.Node, nextID func(peer string) stri
 			}
 			refs[n] = orig
 			sigs[n] = "chan(" + orig.String() + ")"
-			if def, _, e := db.FindByRef("", orig); e == nil && def != nil {
+			def, e := knownDef(known, orig), error(nil)
+			if def == nil {
+				def, _, e = db.FindByRef("", orig)
+			}
+			if e == nil && def != nil {
 				if def.Signature != "" {
 					sigs[n] = def.Signature
 				}
@@ -520,6 +563,16 @@ func PublishPlan(db *kadop.DB, plan *algebra.Node, nextID func(peer string) stri
 		}
 	})
 	return refs, err
+}
+
+// knownDef returns the definition of ref among defs, nil when none is.
+func knownDef(defs []*kadop.StreamDef, ref stream.Ref) *kadop.StreamDef {
+	for _, d := range defs {
+		if d.Ref == ref {
+			return d
+		}
+	}
+	return nil
 }
 
 // mergedSources unions the source sets of a merge node's inputs, sorted

@@ -70,7 +70,7 @@ func TestNoReuseOnEmptyDatabase(t *testing.T) {
 func TestFullReuseOfIdenticalSubscription(t *testing.T) {
 	db := newDB(t)
 	first := compile(t, qosSub, "p")
-	if _, err := PublishPlan(db, first, idGen()); err != nil {
+	if _, err := PublishPlan(db, first, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 	second := compile(t, qosSub, "q") // different subscriber, same task
@@ -97,7 +97,7 @@ func TestFullReuseOfIdenticalSubscription(t *testing.T) {
 func TestPartialReuseSharesSourcesAndFilters(t *testing.T) {
 	db := newDB(t)
 	first := compile(t, qosSub, "p")
-	if _, err := PublishPlan(db, first, idGen()); err != nil {
+	if _, err := PublishPlan(db, first, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 	// Same sources and filter conditions, different output template →
@@ -132,7 +132,7 @@ func TestLeafOnlyReuseWhenFiltersDiffer(t *testing.T) {
 	first := compile(t, `for $e in inCOM(<p>meteo.com</p>)
 	where $e.callMethod = "GetTemperature"
 	return $e by publish as channel "temps"`, "p")
-	if _, err := PublishPlan(db, first, idGen()); err != nil {
+	if _, err := PublishPlan(db, first, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 	second := compile(t, `for $e in inCOM(<p>meteo.com</p>)
@@ -163,7 +163,7 @@ func TestLeafOnlyReuseWhenFiltersDiffer(t *testing.T) {
 func TestReplicaSelectionPrefersClose(t *testing.T) {
 	db := newDB(t)
 	first := compile(t, `for $e in inCOM(<p>meteo.com</p>) return $e by publish as channel "raw"`, "p")
-	refs, err := PublishPlan(db, first, idGen())
+	refs, err := PublishPlan(db, first, nil, idGen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestPreferCloseTieBreaksOnLoad(t *testing.T) {
 func TestPublishedDescriptorsReferenceOriginals(t *testing.T) {
 	db := newDB(t)
 	first := compile(t, `for $e in inCOM(<p>meteo.com</p>) return $e by publish as channel "raw"`, "p")
-	refs, err := PublishPlan(db, first, idGen())
+	refs, err := PublishPlan(db, first, nil, idGen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestPublishedDescriptorsReferenceOriginals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PublishPlan(db, res.Plan, idGen()); err != nil {
+	if _, err := PublishPlan(db, res.Plan, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 	// The new σ's descriptor must name the original alerter stream as its
@@ -266,7 +266,7 @@ func TestReuseChainAcrossThreeSubscriptions(t *testing.T) {
 	// StreamGlobe's unary-only sharing.
 	db := newDB(t)
 	plan1 := compile(t, `for $e in inCOM(<p>m.com</p>) return $e by publish as channel "raw"`, "p1")
-	if _, err := PublishPlan(db, plan1, idGen()); err != nil {
+	if _, err := PublishPlan(db, plan1, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 	subSrc := `for $e in inCOM(<p>m.com</p>)
@@ -276,7 +276,7 @@ func TestReuseChainAcrossThreeSubscriptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PublishPlan(db, res2.Plan, idGen()); err != nil {
+	if _, err := PublishPlan(db, res2.Plan, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 	plan3 := compile(t, subSrc, "p3")

@@ -20,8 +20,7 @@ import (
 // partialMatch records a σ node whose conditions are partially covered by
 // a chain of published filter streams.
 type partialMatch struct {
-	ref      stream.Ref // the deepest covering stream
-	sig      string     // its published signature
+	def      *kadop.StreamDef // the deepest covering stream
 	residual []p2pml.Condition
 }
 
@@ -37,8 +36,7 @@ func (o Options) subsume(n *algebra.Node, childRef stream.Ref, db *kadop.DB, r *
 		return nil, nil, nil
 	}
 	cur := childRef
-	curSig := ""
-	progress := false
+	var deepest *kadop.StreamDef
 	for len(remaining) > 0 {
 		candidates, hops, err := db.FindByOperand(o.From, "Filter", cur)
 		r.Lookups++
@@ -68,14 +66,14 @@ func (o Options) subsume(n *algebra.Node, childRef stream.Ref, db *kadop.DB, r *
 			delete(remaining, covered)
 		}
 		cur = best.Ref
-		curSig = best.Signature
-		progress = true
+		deepest = best
 	}
-	if !progress {
+	if deepest == nil {
 		return nil, nil, nil
 	}
 	if len(remaining) == 0 {
-		return &matchInfo{ref: cur, sig: curSig}, nil, nil
+		m := matchOf(deepest)
+		return &m, nil, nil
 	}
 	// Keep declaration order of the residual conditions for determinism.
 	var residual []p2pml.Condition
@@ -87,5 +85,5 @@ func (o Options) subsume(n *algebra.Node, childRef stream.Ref, db *kadop.DB, r *
 			}
 		}
 	}
-	return nil, &partialMatch{ref: cur, sig: curSig, residual: residual}, nil
+	return nil, &partialMatch{def: deepest, residual: residual}, nil
 }

@@ -16,7 +16,7 @@ func TestSubsumptionPartialReuse(t *testing.T) {
 	first := compile(t, `for $e in inCOM(<p>m.com</p>)
 	where $e.callMethod = "Q"
 	return $e by publish as channel "base"`, "p1")
-	if _, err := PublishPlan(db, first, idGen()); err != nil {
+	if _, err := PublishPlan(db, first, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,7 +56,7 @@ func TestSubsumptionVarNameIndependent(t *testing.T) {
 	first := compile(t, `for $a in inCOM(<p>m.com</p>)
 	where $a.callMethod = "Q"
 	return $a by publish as channel "c1"`, "p1")
-	if _, err := PublishPlan(db, first, idGen()); err != nil {
+	if _, err := PublishPlan(db, first, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 	second := compile(t, `for $zz in inCOM(<p>m.com</p>)
@@ -85,7 +85,7 @@ func TestSubsumptionChainBecomesFullReuse(t *testing.T) {
 	first := compile(t, `for $e in inCOM(<p>m.com</p>)
 	where $e.callMethod = "Q"
 	return $e by publish as channel "c1"`, "p1")
-	if _, err := PublishPlan(db, first, idGen()); err != nil {
+	if _, err := PublishPlan(db, first, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 	narrowSrc := `for $e in inCOM(<p>m.com</p>)
@@ -96,7 +96,7 @@ func TestSubsumptionChainBecomesFullReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PublishPlan(db, res2.Plan, idGen()); err != nil {
+	if _, err := PublishPlan(db, res2.Plan, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -119,7 +119,7 @@ func TestSubsumptionRequiresSubset(t *testing.T) {
 	first := compile(t, `for $e in inCOM(<p>m.com</p>)
 	where $e.callMethod = "Q" and $e.fault != ""
 	return $e by publish as channel "c1"`, "p1")
-	if _, err := PublishPlan(db, first, idGen()); err != nil {
+	if _, err := PublishPlan(db, first, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 	// Shares callMethod="Q" but lacks the fault condition: σ1 filters
@@ -151,7 +151,7 @@ func TestSubsumptionWithLets(t *testing.T) {
 	let $d := $e.responseTimestamp - $e.callTimestamp
 	where $d > 10
 	return $e by publish as channel "slow"`, "p1")
-	if _, err := PublishPlan(db, first, idGen()); err != nil {
+	if _, err := PublishPlan(db, first, nil, idGen()); err != nil {
 		t.Fatal(err)
 	}
 	second := compile(t, `for $x in inCOM(<p>m.com</p>)
@@ -194,7 +194,7 @@ func TestCanonCondHelpers(t *testing.T) {
 		`σ[$a.n + $b.n < $c.n]`:      nil,
 	}
 	for _, p := range []*algebra.Node{plan, three} {
-		refs, err := PublishPlan(db, p, idGen())
+		refs, err := PublishPlan(db, p, nil, idGen())
 		if err != nil {
 			t.Fatal(err)
 		}

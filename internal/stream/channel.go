@@ -52,9 +52,10 @@ type Subscription struct {
 	// Replayed counts retained items retransmitted at attach time
 	// (SubscribeFrom).
 	Replayed int
-	// ReplayFrom is the first sequence actually retransmitted by
-	// SubscribeFrom — greater than the requested start when the bounded
-	// retention buffer already trimmed the prefix.
+	// ReplayFrom is the first sequence SubscribeFrom delivers from the
+	// requested start on — greater than the start when the channel no
+	// longer holds the prefix: the bounded retention buffer trimmed it,
+	// or the channel never held it (a replacement seeded past it).
 	ReplayFrom uint64
 }
 
@@ -270,6 +271,19 @@ func (c *Channel) ReplayTrimmed() uint64 {
 	return c.replay.trimmed
 }
 
+// ReplayStart returns the first sequence number the channel can still
+// retransmit: its oldest retained item, or the next it will publish when
+// it retains none. It is 1 exactly while the channel holds its whole
+// history: nothing trimmed, and no numbering seeded past what it holds.
+func (c *Channel) ReplayStart() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.replay != nil && c.replay.ring.Len() > 0 {
+		return c.replay.lo
+	}
+	return c.seq + 1
+}
+
 // ReplayLen returns how many items the retention buffer currently
 // holds (0 without the replay layer) — the occupancy the telemetry
 // collector exports.
@@ -306,8 +320,11 @@ func (c *Channel) SubscribeFrom(name string, fromSeq uint64, deliver func(Item, 
 		sub.StartSeq = fromSeq - 1
 	}
 	sub.Replayed = len(items)
+	sub.ReplayFrom = fromSeq
 	if len(items) > 0 {
 		sub.ReplayFrom = first
+	} else if fromSeq <= c.seq {
+		sub.ReplayFrom = c.seq + 1 // nothing retained: the next publication
 	}
 	for _, it := range items {
 		if deliver != nil {
