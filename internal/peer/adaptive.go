@@ -83,19 +83,17 @@ func (l AggLoad) MaxMean() (max uint64, mean float64) {
 // live-managed tasks.
 func (s *System) AggLoad() AggLoad {
 	var out AggLoad
-	for _, p := range s.livePeers() {
-		for _, t := range sortedTasks(p) {
-			for n, inst := range t.procs {
-				out = append(out, AggLoadEntry{
-					Task:  t.ID,
-					Peer:  n.Peer,
-					Op:    n.Op.String(),
-					Key:   n.AggKey,
-					Items: inst.handle.ItemsIn(),
-				})
-			}
+	s.eachTask(func(_ *Peer, t *Task) {
+		for n, inst := range t.procs {
+			out = append(out, AggLoadEntry{
+				Task:  t.ID,
+				Peer:  n.Peer,
+				Op:    n.Op.String(),
+				Key:   n.AggKey,
+				Items: inst.handle.ItemsIn(),
+			})
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Task != b.Task {
@@ -128,16 +126,17 @@ type rechunkState struct {
 func (s *System) startRechunkController() {
 	states := make(map[string]*rechunkState)
 	s.OnStep(func(now time.Duration) {
-		for _, p := range s.livePeers() {
-			for _, t := range sortedTasks(p) {
-				st := states[t.ID]
-				if st == nil {
-					st = &rechunkState{lastItems: map[string]uint64{}, overCount: map[string]int{}}
-					states[t.ID] = st
-				}
-				s.rechunkTask(p, t, st, now)
+		// A task the walk no longer yields has stopped: its state goes.
+		next := make(map[string]*rechunkState, len(states))
+		s.eachTask(func(p *Peer, t *Task) {
+			st := states[t.ID]
+			if st == nil {
+				st = &rechunkState{lastItems: map[string]uint64{}, overCount: map[string]int{}}
 			}
-		}
+			next[t.ID] = st
+			s.rechunkTask(p, t, st, now)
+		})
+		states = next
 	})
 }
 

@@ -195,16 +195,18 @@ func TestFailoverPrefersAnnouncedReplica(t *testing.T) {
 		client.Endpoint().Invoke("src.com", "Q", nil)
 		sys.Step(time.Second)
 	}
+	// The task adopted the replica channel, so Stop unregisters it: the
+	// handle is taken first.
+	repCh, ok := sys.Channel(repRef)
+	if !ok {
+		t.Fatal("replica channel vanished")
+	}
 	task.Stop()
 	if got := len(task.Results().Drain()); got != 4 {
 		t.Fatalf("results = %d, want 4", got)
 	}
 	// The replica channel carried both the forwarded pre-crash items and
 	// the re-deployed operator's post-crash output.
-	repCh, ok := sys.Channel(repRef)
-	if !ok {
-		t.Fatal("replica channel vanished")
-	}
 	if got := repCh.Published(); got != 4 {
 		t.Errorf("replica channel published %d items, want 4", got)
 	}

@@ -1,7 +1,9 @@
 package peer
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"p2pm/internal/aggtree"
@@ -48,30 +50,31 @@ func (p *Peer) deploy(task *Task) error {
 		task.Plan = plan
 	}
 
-	var known []*kadop.StreamDef
-	if task.Reuse != nil {
-		known = task.Reuse.Defs
-	}
-	refs, err := reuse.PublishPlan(p.sys.DB, plan, known, p.sys.nextStreamID)
-	if err != nil {
-		return err
-	}
-	task.refs = refs
-	task.origRefs = make(map[*algebra.Node]stream.Ref, len(refs))
-	for n, ref := range refs {
-		task.origRefs[n] = ref
-	}
+	// Every operator's stream id, drawn in the order PublishPlan walks the
+	// plan. The channels are built and registered first and the plan's
+	// descriptors published after, so no probe finds a stream whose
+	// channel does not exist yet.
+	var ids []string
+	sids := make(map[*algebra.Node]string)
+	plan.Walk(func(n *algebra.Node) {
+		if n.Op != algebra.OpPublish && n.Op != algebra.OpChannelIn {
+			sids[n] = p.sys.nextStreamID(n.Peer)
+			ids = append(ids, sids[n])
+		}
+	})
 	task.procs = make(map[*algebra.Node]*procInstance)
 
 	var build func(n *algebra.Node) (*stream.Channel, error)
 	build = func(n *algebra.Node) (*stream.Channel, error) {
 		switch n.Op {
 		case algebra.OpChannelIn:
-			ch, ok := p.sys.Channel(n.Channel)
-			if !ok {
-				return nil, fmt.Errorf("peer: channel %s not found (reuse of a stopped task?)", n.Channel)
+			if ch, ok := p.sys.Channel(n.Channel); ok {
+				return ch, nil
 			}
-			return ch, nil
+			if n.Origin != (stream.Ref{}) {
+				return nil, errReuseGone
+			}
+			return nil, fmt.Errorf("peer: channel %s not found", n.Channel)
 		case algebra.OpPublish:
 			child, err := build(n.Inputs[0])
 			if err != nil {
@@ -79,7 +82,7 @@ func (p *Peer) deploy(task *Task) error {
 			}
 			return p.deployPublisher(task, n, p.subscribeInput(task, n, n.Inputs[0], child))
 		}
-		out := p.sys.allocChannel(task, n.Peer, refs[n].StreamID)
+		out := p.sys.allocChannel(task, n.Peer, sids[n])
 
 		switch n.Op {
 		case algebra.OpAlerter:
@@ -121,8 +124,24 @@ func (p *Peer) deploy(task *Task) error {
 	e.local = true
 	e.into(stream.NewQueue(), 0, true)
 	e.attach(resultCh, 0)
-	return nil
+
+	var known []*kadop.StreamDef
+	if task.Reuse != nil {
+		known = task.Reuse.Defs
+	}
+	refs, err := reuse.PublishPlan(p.sys.DB, plan, known, func(string) (id string) {
+		id, ids = ids[0], ids[1:]
+		return id
+	})
+	// Kept on error too: what was published is what a failed deploy's
+	// Stop retracts.
+	task.refs, task.origRefs = refs, maps.Clone(refs)
+	return err
 }
+
+// errReuseGone is deploy's answer when a stream the reuse pass chose has
+// stopped since: its channel is no longer registered.
+var errReuseGone = errors.New("peer: a reused stream stopped before deploy subscribed to it")
 
 // subscribeInput wires one plan-internal input edge: the consumer
 // operator reads the returned queue, fed from ch through a cursor gate

@@ -550,15 +550,13 @@ func (s *System) syncEdges() {
 		}
 	}
 	var resends []func()
-	for _, p := range s.livePeers() {
-		for _, t := range sortedTasks(p) {
-			for _, e := range t.edges {
-				if resend := e.repair(); resend != nil {
-					resends = append(resends, resend)
-				}
+	s.eachTask(func(_ *Peer, t *Task) {
+		for _, e := range t.edges {
+			if resend := e.repair(); resend != nil {
+				resends = append(resends, resend)
 			}
 		}
-	}
+	})
 	for _, resend := range resends {
 		resend()
 	}

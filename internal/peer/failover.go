@@ -239,50 +239,47 @@ func (s *System) repairDeparted(dead string, at time.Duration) []FailoverEvent {
 	// peer, which then owns the repair of whatever the dead peer also
 	// hosted (phases 1–2 find the task in its new home).
 	if mgrPeer := s.Peer(dead); mgrPeer != nil {
-		for _, t := range sortedTasks(mgrPeer) {
+		for _, t := range mgrPeer.Tasks() {
 			newMgr := s.leastLoadedLive(dead)
 			if newMgr == "" {
 				continue // nobody left to adopt it; the task stays orphaned
 			}
-			events = append(events, s.rehomeTask(mgrPeer, t, newMgr, at))
+			if ev, ok := s.rehomeTask(mgrPeer, t, newMgr, at); ok {
+				events = append(events, ev)
+			}
 		}
 	}
 	// Phase 1: re-deploy the operators the dead peer hosted. This runs
 	// before consumer re-binding so replacement providers exist (and are
 	// announced as replicas) by the time consumers look for one.
-	for _, p := range s.livePeers() {
-		for _, t := range sortedTasks(p) {
-			events = append(events, p.repairOperators(t, dead, at)...)
-		}
-	}
+	s.eachTask(func(p *Peer, t *Task) {
+		events = append(events, p.repairOperators(t, dead, at)...)
+	})
 	// Phase 2: re-bind subscriptions that consumed channels hosted on
 	// the dead peer (reused streams, replicas).
-	for _, p := range s.livePeers() {
-		for _, t := range sortedTasks(p) {
-			events = append(events, p.repairChannelIns(t, dead, at)...)
-		}
-	}
+	s.eachTask(func(p *Peer, t *Task) {
+		events = append(events, p.repairChannelIns(t, dead, at)...)
+	})
 	return events
 }
 
 // rehomeTask moves a task's subscription-manager role off a dead peer:
-// the task record migrates to newMgr's subscription database and the
-// result reader re-binds there, resuming from the result cursor when
-// the replay layer is on. Operators the dead peer hosted (often
+// the dead manager dismisses the task (handing back its plan memo count:
+// it will not subscribe the body for the task again), newMgr admits it
+// and the result reader re-binds there, resuming from the result cursor
+// when the replay layer is on. Operators the dead peer hosted (often
 // including the publisher, when the manager ran it locally) are NOT
 // handled here — the task now lives in a live peer's database, so the
-// ordinary repair phases find and migrate them.
-func (s *System) rehomeTask(old *Peer, t *Task, newMgr string, at time.Duration) FailoverEvent {
-	np := s.Peer(newMgr)
-	old.mu.Lock()
-	delete(old.tasks, t.ID)
-	old.mu.Unlock()
-	np.mu.Lock()
-	np.tasks[t.ID] = t
-	np.mu.Unlock()
+// ordinary repair phases find and migrate them. A task stopped since the
+// dead manager's database was read stays stopped: false, no event.
+func (s *System) rehomeTask(old *Peer, t *Task, newMgr string, at time.Duration) (FailoverEvent, bool) {
+	t.life.Lock()
+	defer t.life.Unlock()
+	if !old.dismiss(t) {
+		return FailoverEvent{}, false
+	}
 	t.Manager = newMgr
-	// The dead manager will not subscribe this body for the task again.
-	t.releaseBody()
+	s.Peer(newMgr).admit(t)
 
 	// The result reader moves to the new manager. When the named channel
 	// itself sat on the dead peer the publisher is about to be re-deployed
@@ -301,7 +298,7 @@ func (s *System) rehomeTask(old *Peer, t *Task, newMgr string, at time.Duration)
 	if owner, err := s.Ring.Owner(t.ID); err == nil {
 		s.Net.CountTransfer(owner, newMgr, ctrlMsgBytes)
 	}
-	return FailoverEvent{TaskID: t.ID, Operator: "manager", From: old.name, To: newMgr, At: at}
+	return FailoverEvent{TaskID: t.ID, Operator: "manager", From: old.name, To: newMgr, At: at}, true
 }
 
 // RejoinPeer brings a recovered peer back: it rejoins the DHT ring
@@ -340,28 +337,26 @@ func (s *System) RebalanceAggTrees() []FailoverEvent {
 	}
 	at := s.clock.Now()
 	var events []FailoverEvent
-	for _, p := range s.livePeers() {
-		for _, t := range sortedTasks(p) {
-			desired := s.AggPlacements(t.Plan)
-			postorder(t.Plan, func(n *algebra.Node) {
-				if n.AggKey == "" || !s.member(n.Peer) {
-					return // departed hosts are the failover path's job
+	s.eachTask(func(p *Peer, t *Task) {
+		desired := s.AggPlacements(t.Plan)
+		postorder(t.Plan, func(n *algebra.Node) {
+			if n.AggKey == "" || !s.member(n.Peer) {
+				return // departed hosts are the failover path's job
+			}
+			want := desired[n.AggKey]
+			if want == "" || want == n.Peer {
+				return
+			}
+			// A failed planned move is not a loss: relocate checks
+			// before it mutates, so the operator keeps running where
+			// it is and the next membership change retries.
+			if mv, err := p.processorMove(t, n, want, nil); err == nil {
+				if ev, err := p.migrate(t, n, mv, at); err == nil {
+					events = append(events, ev)
 				}
-				want := desired[n.AggKey]
-				if want == "" || want == n.Peer {
-					return
-				}
-				// A failed planned move is not a loss: relocate checks
-				// before it mutates, so the operator keeps running where
-				// it is and the next membership change retries.
-				if mv, err := p.processorMove(t, n, want, nil); err == nil {
-					if ev, err := p.migrate(t, n, mv, at); err == nil {
-						events = append(events, ev)
-					}
-				}
-			})
-		}
-	}
+			}
+		})
+	})
 	return events
 }
 
@@ -379,10 +374,24 @@ func (s *System) livePeers() []*Peer {
 	return out
 }
 
-func sortedTasks(p *Peer) []*Task {
-	ts := p.Tasks()
-	sort.Slice(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
-	return ts
+// eachTask is the one walk over the running tasks: the live peers'
+// subscription databases, peers by name and tasks in ID order — the
+// order every repair, sweep, checkpoint and rebalance visits them in.
+// A visit shares the task's lifetime lock, so Stop waits for it; a task
+// that Stop (or a re-homing) holds, or that stopped since its database
+// was read, is not visited. Visits nest: a split's checkpoint sweep walks
+// again.
+func (s *System) eachTask(visit func(p *Peer, t *Task)) {
+	for _, p := range s.livePeers() {
+		for _, t := range p.Tasks() {
+			if t.life.TryRLock() {
+				if !t.stopped {
+					visit(p, t)
+				}
+				t.life.RUnlock()
+			}
+		}
+	}
 }
 
 // repairOperators migrates every operator of t hosted on the dead peer.

@@ -1,7 +1,10 @@
 package peer
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -24,8 +27,10 @@ type Peer struct {
 	name     string
 	endpoint *soap.Endpoint
 
-	mu       sync.Mutex
-	tasks    map[string]*Task // the subscription database
+	mu sync.Mutex
+	// tasks is the subscription database, in ID order: the tasks this
+	// manager runs. Only admit and dismiss write it.
+	tasks    []*Task
 	repo     *alerters.AXMLRepo
 	repoCh   *stream.Channel
 	feeds    map[string]func() (*rss.Feed, error)
@@ -145,33 +150,77 @@ func (p *Peer) Subscribe(src string) (*Task, error) {
 // SubscribeParsed is Subscribe for an already-parsed subscription. It
 // deploys the last stage of the system's pipeline, which Explain shows.
 func (p *Peer) SubscribeParsed(sub *p2pml.Subscription) (*Task, error) {
-	ex := Explanation{Subscription: sub}
-	pl := p.subscribeChain(sub)
-	plan, err := pl.run(&ex)
-	if err != nil {
-		return nil, err
-	}
-	task := &Task{Sub: sub, Plan: plan, Reuse: ex.Reuse}
-	if pl.memo != nil {
-		task.memo.Store(p)
-	}
-	return p.start(task)
+	return p.start(func() (*Task, error) {
+		ex := Explanation{Subscription: sub}
+		plan, err := p.subscribeChain(sub).run(&ex)
+		return &Task{Sub: sub, Plan: plan, Reuse: ex.Reuse, memo: ex.memo}, err
+	})
 }
 
-// start is the one way a task comes to run under this manager: it gets
-// its id, its plan is deployed (and torn down again if any part of the
-// deployment fails), and it enters the subscription database.
-func (p *Peer) start(task *Task) (*Task, error) {
-	task.ID, task.Manager, task.sys = p.sys.nextTaskID(), p.name, p.sys
-	if err := p.deploy(task); err != nil {
+// start is the one way a task comes to run under this manager: chain
+// makes it, it gets its id, its plan is deployed (and torn down again if
+// any part of the deployment fails), and it enters the subscription
+// database. A stream the reuse pass chose can stop before deploy
+// subscribes to it; Stop retracts a stream before it unregisters its
+// channel, so the chain, run again, does not choose that stream twice.
+func (p *Peer) start(chain func() (*Task, error)) (*Task, error) {
+	for {
+		task, err := chain()
+		if err != nil {
+			return nil, err
+		}
+		task.ID, task.Manager, task.sys = p.sys.nextTaskID(), p.name, p.sys
+		if err = p.deploy(task); err == nil {
+			p.admit(task)
+			return task, nil
+		}
 		task.Stop()
-		return nil, err
+		if !errors.Is(err, errReuseGone) {
+			return nil, err
+		}
 	}
-	p.mu.Lock()
-	p.tasks[task.ID] = task
-	p.mu.Unlock()
-	return task, nil
 }
+
+// admit enters t in the subscription database, at its place in ID
+// order. A task whose plan came from the plan memo takes its count on
+// the body's entry here, entering the entry when the manager has none.
+func (p *Peer) admit(t *Task) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	i, _ := slices.BinarySearchFunc(p.tasks, t.ID, byID)
+	p.tasks = slices.Insert(p.tasks, i, t)
+	if t.memo == nil {
+		return
+	}
+	body := t.Sub.Body()
+	if held := p.memo[body]; held != nil {
+		t.memo = held // the held entry wins: a concurrent miss may have made another
+	}
+	p.memo[body] = t.memo
+	t.memo.tasks++
+}
+
+// dismiss takes t out of the subscription database and hands its count
+// on its body's memo entry back; the last task out removes the entry. It
+// reports whether t was there: a task leaves once.
+func (p *Peer) dismiss(t *Task) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	i, ok := slices.BinarySearchFunc(p.tasks, t.ID, byID)
+	if !ok {
+		return false
+	}
+	p.tasks = slices.Delete(p.tasks, i, i+1)
+	if e := t.memo; e != nil {
+		if e.tasks--; e.tasks == 0 {
+			delete(p.memo, t.Sub.Body())
+		}
+		t.memo = nil
+	}
+	return true
+}
+
+func byID(t *Task, id string) int { return strings.Compare(t.ID, id) }
 
 // DeployPlan deploys a programmatically built monitoring plan. The plan
 // must be rooted at a Publish node and fully placed (no @any operators) —
@@ -192,7 +241,9 @@ func (p *Peer) DeployPlan(plan *algebra.Node) (*Task, error) {
 	if anyErr != nil {
 		return nil, anyErr
 	}
-	return p.start(&Task{Plan: algebra.MarkBodyReaders(plan.Clone())})
+	return p.start(func() (*Task, error) {
+		return &Task{Plan: algebra.MarkBodyReaders(plan.Clone())}, nil
+	})
 }
 
 // DeployPlanShared is DeployPlan preceded by the pipeline's reuse
@@ -207,43 +258,18 @@ func (p *Peer) DeployPlanShared(plan *algebra.Node) (*Task, error) {
 	if plan == nil || plan.Op != algebra.OpPublish {
 		return nil, fmt.Errorf("peer: plan must be rooted at a Publish node")
 	}
-	ex := Explanation{Optimized: plan.Clone()}
-	shared, err := pipeline{sys: p.sys, subscriber: p.name, reuse: true}.run(&ex)
-	if err != nil {
-		return nil, err
-	}
-	return p.start(&Task{Plan: shared, Reuse: ex.Reuse})
+	return p.start(func() (*Task, error) {
+		ex := Explanation{Optimized: plan.Clone()}
+		shared, err := pipeline{sys: p.sys, subscriber: p.name, reuse: true}.run(&ex)
+		return &Task{Plan: shared, Reuse: ex.Reuse}, err
+	})
 }
 
-// Tasks lists the subscription database contents.
+// Tasks lists the subscription database contents, in ID order.
 func (p *Peer) Tasks() []*Task {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]*Task, 0, len(p.tasks))
-	for _, t := range p.tasks {
-		out = append(out, t)
-	}
-	return out
-}
-
-// pollTasks drives all polling alerters of this peer's tasks once.
-func (p *Peer) pollTasks() (int, error) {
-	p.mu.Lock()
-	tasks := make([]*Task, 0, len(p.tasks))
-	for _, t := range p.tasks {
-		tasks = append(tasks, t)
-	}
-	p.mu.Unlock()
-	total := 0
-	var firstErr error
-	for _, t := range tasks {
-		n, err := t.Poll()
-		total += n
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return total, firstErr
+	return slices.Clone(p.tasks)
 }
 
 // Components reports which module kinds this peer currently hosts —

@@ -20,6 +20,8 @@ type Explanation struct {
 	NaivePlan    *algebra.Node // kept by Explain only
 	Optimized    *algebra.Node
 	Reuse        *reuse.Result // nil when the reuse pass did not run
+
+	memo *planMemo // the plan memo entry the chain read or made; nil without a memo
 }
 
 // pipeline is the one Figure 3 chain. Subscribe, DeployPlanShared and
@@ -58,52 +60,12 @@ func (p *Peer) subscribeChain(sub *p2pml.Subscription) pipeline {
 // body: the optimized, body-marked plan below the publisher, which
 // nothing writes once it is in the memo, and the signature the reuse
 // probe asks for. It lives while a live task the manager subscribed was
-// compiled from it: tasks counts them, and Task.Stop and a re-homing hand
-// theirs back (releaseBody).
+// compiled from it: tasks counts them, taken by Peer.admit and handed
+// back by Peer.dismiss.
 type planMemo struct {
 	body  *algebra.Node
 	sig   string
 	tasks int
-}
-
-// memoized returns p's entry for body, nil when there is none.
-func (p *Peer) memoized(body string) *planMemo {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.memo[body]
-}
-
-// hold counts one more task compiled from body, entering e when p has no
-// entry for it (a concurrent miss may have entered its own first).
-func (p *Peer) hold(body string, e *planMemo) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if held := p.memo[body]; held != nil {
-		e = held
-	} else {
-		if p.memo == nil {
-			p.memo = make(map[string]*planMemo)
-		}
-		p.memo[body] = e
-	}
-	e.tasks++
-}
-
-// releaseBody hands back the task's count on its body's entry in its
-// manager's plan memo, once; the last task out removes the entry.
-func (t *Task) releaseBody() {
-	p := t.memo.Swap(nil)
-	if p == nil {
-		return
-	}
-	body := t.Sub.Body()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if e := p.memo[body]; e != nil {
-		if e.tasks--; e.tasks == 0 {
-			delete(p.memo, body)
-		}
-	}
 }
 
 // run takes ex from the stage it holds to the plan that deploys, and
@@ -121,13 +83,15 @@ func (t *Task) releaseBody() {
 // compiling, optimizing and marking: Optimized is a fresh publisher for
 // this subscription's BY over the memoized plan, and the probe asks for
 // the memoized signature. The reuse pass never writes its input, so the
-// memoized plan stays as it was entered. A successful run counts the
-// subscription on the body's entry; the task that deploys the plan hands
-// the count back.
+// memoized plan stays as it was entered. A successful run leaves the
+// entry, read or made, in ex; the task that deploys the plan is counted
+// on it when it enters its manager's subscription database.
 func (pl pipeline) run(ex *Explanation) (*algebra.Node, error) {
 	var memo *planMemo
 	if pl.memo != nil {
-		memo = pl.memo.memoized(ex.Subscription.Body())
+		pl.memo.mu.Lock()
+		memo = pl.memo.memo[ex.Subscription.Body()]
+		pl.memo.mu.Unlock()
 	}
 	if memo != nil {
 		pl.sys.memoHits.Inc()
@@ -157,7 +121,7 @@ func (pl pipeline) run(ex *Explanation) (*algebra.Node, error) {
 		if memo == nil {
 			memo = &planMemo{body: ex.Optimized.Inputs[0], sig: sig}
 		}
-		pl.memo.hold(ex.Subscription.Body(), memo)
+		ex.memo = memo
 	}
 	return res.Plan, nil
 }

@@ -2,20 +2,24 @@ package peer
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"p2pm/internal/p2pml"
+	"p2pm/internal/stream"
 )
 
 // memoWorld is a manager with every peer the plan-memo tests' sources
 // name: the p2pmlc examples' a.com, b.com and meteo.com, and s0..s15.
-func memoWorld(t *testing.T) (*System, *Peer) {
+func memoWorld(t *testing.T, cfg Config) (*System, *Peer) {
 	t.Helper()
-	sys := MustSystem(DefaultConfig())
+	sys := MustSystem(cfg)
 	mgr := sys.MustAddPeer("mgr")
 	for _, name := range []string{"a.com", "b.com", "meteo.com"} {
 		sys.MustAddPeer(name)
@@ -70,7 +74,7 @@ func TestPlanMemoMatchesExplain(t *testing.T) {
 		example{"control-plane select m1", `for $e in inCOM(<p>s7</p>) where $e.callMethod = "m1" return <hit id="{$e.callId}"/> by publish as channel "t1"`},
 		example{"control-plane select m2", `for $e in inCOM(<p>s7</p>) where $e.callMethod = "m2" return <hit id="{$e.callId}"/> by publish as channel "t2"`},
 	)
-	sys, mgr := memoWorld(t)
+	sys, mgr := memoWorld(t, DefaultConfig())
 	for i, c := range cases {
 		x, err := mgr.Subscribe(c.src)
 		if err != nil {
@@ -121,7 +125,7 @@ func sameAsExplained(t *testing.T, name string, ex *Explanation, task *Task) {
 // body, misses at the probe and the bottom-up pass covers it from what
 // still runs, as System.Explain(Z) does.
 func TestPlanMemoProbeStillAsks(t *testing.T) {
-	sys, mgr := memoWorld(t)
+	sys, mgr := memoWorld(t, DefaultConfig())
 	const x = `for $e in inCOM(<p>s0</p><p>s1</p>) where $e.callMethod = "m1" return <hit id="{$e.callId}"/> by publish as channel "x"`
 	first, err := mgr.Subscribe(x)
 	if err != nil {
@@ -162,7 +166,7 @@ func TestPlanMemoProbeStillAsks(t *testing.T) {
 // hold one entry, and a failed deploy and a re-homed task hand theirs
 // back.
 func TestPlanMemoBound(t *testing.T) {
-	sys, mgr := memoWorld(t)
+	sys, mgr := memoWorld(t, DefaultConfig())
 	body := func(i int) string {
 		return fmt.Sprintf(`for $e in inCOM(<p>s%d</p>) where $e.callMethod = "m%d" return <hit id="{$e.callId}"/>`, i%50%16, i%50)
 	}
@@ -183,6 +187,25 @@ func TestPlanMemoBound(t *testing.T) {
 	}
 	if n := memoEntries(mgr); n != 50 {
 		t.Errorf("%d entries for 60 live tasks over 50 bodies, want 50", n)
+	}
+	// The subscription database holds the live tasks, in ID order, and
+	// the channel registry their channels: nothing of the stopped ones.
+	byID := slices.Clone(live)
+	slices.SortFunc(byID, func(a, b *Task) int { return strings.Compare(a.ID, b.ID) })
+	if got := mgr.Tasks(); !slices.Equal(got, byID) {
+		t.Errorf("the database lists %d tasks, want the %d live ones in ID order", len(got), len(byID))
+	}
+	want := make(map[stream.Ref]*stream.Channel)
+	for _, task := range live {
+		for _, ch := range task.channels {
+			want[ch.Ref()] = ch
+		}
+	}
+	sys.mu.Lock()
+	registered := maps.Clone(sys.channels)
+	sys.mu.Unlock()
+	if !maps.Equal(registered, want) {
+		t.Errorf("%d channels registered, want the live tasks' %d", len(registered), len(want))
 	}
 	for _, task := range live {
 		task.Stop()
@@ -239,12 +262,12 @@ func TestPlanMemoBound(t *testing.T) {
 }
 
 // TestPlanMemoRace: eight goroutines subscribe one body at one manager
-// while another stops the tasks as they come; the memo ends empty. Run
-// it under -race. A subscription may fail to deploy: the stream it found
-// can stop before it subscribes (docs/REUSE.md "Known gap"), and a failed
-// deploy hands its count back too.
+// while another stops the tasks as they come; every subscription
+// deploys and the memo ends empty. Run it under -race. The stream a
+// subscription's reuse pass found can stop before deploy subscribes to
+// it; the subscription then covers its plan again from what still runs.
 func TestPlanMemoRace(t *testing.T) {
-	_, mgr := memoWorld(t)
+	_, mgr := memoWorld(t, DefaultConfig())
 	const body = `for $e in inCOM(<p>s3</p><p>s4</p>) where $e.callMethod = "m3" return <hit id="{$e.callId}"/>`
 	tasks := make(chan *Task, 16)
 	stopped := make(chan struct{})
@@ -261,9 +284,11 @@ func TestPlanMemoRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				task, err := mgr.Subscribe(fmt.Sprintf(`%s by publish as channel "r%d_%d"`, body, g, i))
-				if err == nil {
-					tasks <- task
+				if err != nil {
+					t.Errorf("subscription %d of goroutine %d: %v", i, g, err)
+					continue
 				}
+				tasks <- task
 			}
 		}(g)
 	}

@@ -154,11 +154,7 @@ func ckptOpID(t *Task, n *algebra.Node) string {
 // consistent cut. Step drives this on the CheckpointInterval cadence;
 // tests may call it directly.
 func (s *System) CheckpointNow() {
-	for _, p := range s.livePeers() {
-		for _, t := range sortedTasks(p) {
-			p.checkpointTask(t)
-		}
-	}
+	s.eachTask((*Peer).checkpointTask)
 }
 
 func (p *Peer) checkpointTask(t *Task) {

@@ -115,8 +115,10 @@ func TestRefreshStreamStats(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Endpoint().Invoke("m.com", "Q", nil)
 	}
-	task.Stop()
-	task.Results().Drain()
+	// The stats are refreshed while the task runs: Stop unregisters its
+	// channels, and RefreshStreamStats reads the registered ones.
+	sys.Quiesce()
+	defer task.Stop()
 	if err := sys.RefreshStreamStats(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ package peer
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,6 +67,7 @@ type System struct {
 	mu       sync.Mutex
 	peers    map[string]*Peer
 	channels map[stream.Ref]*stream.Channel
+	trimmed  uint64 // replay items trimmed by channels no longer registered
 	sidSeq   map[string]int
 	taskSeq  int
 	// detector is the System's one gossip failure detector (nil until
@@ -182,10 +185,10 @@ func (s *System) AddPeer(name string) (*Peer, error) {
 		sys:      s,
 		name:     name,
 		endpoint: s.Fabric.Endpoint(name),
-		tasks:    make(map[string]*Task),
 		feeds:    make(map[string]func() (*rss.Feed, error)),
 		pages:    make(map[string]func() (*xmltree.Node, error)),
 		incoming: make(map[string]*stream.Queue),
+		memo:     make(map[string]*planMemo),
 	}
 	s.mu.Lock()
 	s.peers[name] = p
@@ -439,6 +442,22 @@ func (s *System) registerChannel(ch *stream.Channel) {
 	s.channels[ch.Ref()] = ch
 }
 
+// unregister takes a stopped task's channels out of the registry. Their
+// trimmed replay counts move into the registry's running total, so the
+// stream_replay_trimmed gauge never goes down. The guard spares a
+// channel registered since under the same ref (a named result channel).
+func (s *System) unregister(chs []*stream.Channel) {
+	for _, ch := range chs {
+		n := ch.ReplayTrimmed() // the channel's lock comes before mu
+		s.mu.Lock()
+		if s.channels[ch.Ref()] == ch {
+			delete(s.channels, ch.Ref())
+			s.trimmed += n
+		}
+		s.mu.Unlock()
+	}
+}
+
 // replayOn reports whether the lossless-failover layer is enabled.
 func (s *System) replayOn() bool { return s.cfg.Replay.Buffer > 0 }
 
@@ -483,11 +502,14 @@ func (s *System) AnnounceReplica(orig stream.Ref, consumerPeer string) (stream.R
 	if !ok {
 		return stream.Ref{}, fmt.Errorf("peer: unknown channel %s", orig)
 	}
+	// Registered before it is announced, like every channel: a probe
+	// that finds the replica finds its channel.
 	rep := stream.NewChannel(consumerPeer, s.nextStreamID(consumerPeer))
+	s.registerChannel(rep)
 	if err := s.DB.PublishReplica(orig, rep.Ref()); err != nil {
+		s.unregister([]*stream.Channel{rep})
 		return stream.Ref{}, err
 	}
-	s.registerChannel(rep)
 	s.charge(consumerPeer)
 	// The forwarder is an edge whose sink publishes into the replica,
 	// synchronously from inside the original's delivery fan-out: an item
@@ -516,10 +538,7 @@ func (s *System) AnnounceReplica(orig stream.Ref, consumerPeer string) (stream.R
 // of the paper's descriptors).
 func (s *System) RefreshStreamStats() error {
 	s.mu.Lock()
-	chans := make([]*stream.Channel, 0, len(s.channels))
-	for _, ch := range s.channels {
-		chans = append(chans, ch)
-	}
+	chans := slices.Collect(maps.Values(s.channels))
 	s.mu.Unlock()
 	for _, ch := range chans {
 		items := ch.Published()
@@ -593,20 +612,14 @@ func (s *System) Quiesce() { s.idle.Quiesce() }
 // tasks once, returning the number of alerts produced. Simulation
 // harnesses call it between workload steps.
 func (s *System) Poll() (int, error) {
-	s.mu.Lock()
-	peers := make([]*Peer, 0, len(s.peers))
-	for _, p := range s.peers {
-		peers = append(peers, p)
-	}
-	s.mu.Unlock()
 	total := 0
 	var firstErr error
-	for _, p := range peers {
-		n, err := p.pollTasks()
+	s.eachTask(func(_ *Peer, t *Task) {
+		n, err := t.Poll()
 		total += n
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-	}
+	})
 	return total, firstErr
 }

@@ -44,10 +44,16 @@ type Task struct {
 	RSSOut  *operators.RSSPublisher
 
 	dynEvents atomic.Uint64
-	stopOnce  sync.Once
-	// memo is the manager whose plan memo counts this task on its body's
-	// entry (pipeline.go); nil once handed back, or when none does.
-	memo atomic.Pointer[Peer]
+	// memo is the plan memo entry the task's plan came from
+	// (pipeline.go): its manager counts the task on it from admit to
+	// dismiss. nil when the plan did not come through a memo, and once
+	// handed back.
+	memo *planMemo
+	// life is held by Stop and a re-homing, and shared by every System
+	// walk's visit of the task (eachTask): no walk works on a task Stop
+	// is tearing down. stopped is set under it.
+	life    sync.RWMutex
+	stopped bool
 }
 
 // procInstance tracks one deployed processor (or publisher fan-out): the
@@ -179,39 +185,46 @@ func (t *Task) ItemsProcessed() uint64 {
 	return total
 }
 
-// Stop tears the task down in two phases, after retracting the streams it
-// published from the stream definition database. First the task's own alerters
-// emit eos and edges on *shared* channels (reused streams, which will
-// never close on our account) are closed; that guarantees every
+// Stop takes the task out of its manager's subscription database,
+// retracts the streams it published from the stream definition database
+// and unregisters its channels, so nothing finds the task afterwards;
+// then it tears the task down in two phases. First the task's own
+// alerters emit eos and edges on *shared* channels (reused streams,
+// which will never close on our account) are closed; that guarantees every
 // operator's inputs terminate, so eos cascades cleanly through the
 // task's own channels without losing buffered items. (Detaching a WS
 // alerter is a barrier: every call that returned before Stop is fired
 // first.) Then the operators are awaited and everything remaining is
 // closed: when Stop returns no edge of the task is attached anywhere and
 // every queue it fed — Results(), a BY subscribe target's Incoming queue
-// — is closed.
+// — is closed. A second Stop does nothing.
 func (t *Task) Stop() {
-	t.stopOnce.Do(func() {
-		t.releaseBody()
-		t.retract()
-		for _, c := range t.closers {
-			c()
-		}
-		for _, e := range t.edges {
-			if !e.owned {
-				e.close()
-			}
-		}
-		for _, h := range t.handles {
-			h.Wait()
-		}
-		for _, ch := range t.channels {
-			ch.Close()
-		}
-		for _, e := range t.edges {
+	t.life.Lock()
+	defer t.life.Unlock()
+	if t.stopped {
+		return
+	}
+	t.stopped = true
+	t.sys.Peer(t.Manager).dismiss(t)
+	t.retract()
+	t.sys.unregister(t.channels)
+	for _, c := range t.closers {
+		c()
+	}
+	for _, e := range t.edges {
+		if !e.owned {
 			e.close()
 		}
-	})
+	}
+	for _, h := range t.handles {
+		h.Wait()
+	}
+	for _, ch := range t.channels {
+		ch.Close()
+	}
+	for _, e := range t.edges {
+		e.close()
+	}
 }
 
 // retract withdraws the streams the task published, under their first

@@ -1,6 +1,8 @@
 package peer
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"p2pm/internal/stream"
@@ -28,8 +30,9 @@ type sysMetrics struct {
 	replayTrimmed  *telemetry.Gauge
 	replayedItems  *telemetry.Gauge
 
-	// Plan memos (pipeline.go): entries over all managers, pull-style;
-	// the hits are System.memoHits.
+	// Subscription databases and plan memos (pipeline.go): tasks and
+	// entries over all managers, pull-style; the hits are System.memoHits.
+	tasks       *telemetry.Gauge
 	memoEntries *telemetry.Gauge
 
 	// Aggregation-tree ingest, folded from AggLoad (the programmatic
@@ -61,6 +64,7 @@ func (s *System) instrumentTelemetry() error {
 		replayBuffered: reg.Gauge("stream_replay_buffered"),
 		replayTrimmed:  reg.Gauge("stream_replay_trimmed"),
 		replayedItems:  reg.Gauge("stream_replayed_items"),
+		tasks:          reg.Gauge("subscription_tasks"),
 		memoEntries:    reg.Gauge("plan_memo_entries"),
 
 		aggMax:       reg.Gauge("agg_interior_ingest_max"),
@@ -85,14 +89,8 @@ func (s *System) instrumentTelemetry() error {
 func (s *System) collectTelemetry() {
 	t := s.tele
 	s.mu.Lock()
-	chans := make([]*stream.Channel, 0, len(s.channels))
-	for _, c := range s.channels {
-		chans = append(chans, c)
-	}
-	peers := make([]*Peer, 0, len(s.peers))
-	for _, p := range s.peers {
-		peers = append(peers, p)
-	}
+	chans := slices.Collect(maps.Values(s.channels))
+	peers := slices.Collect(maps.Values(s.peers))
 	// What waits for a consumer waits in the queue its edge delivers into:
 	// an operator input, a result reader, a BY subscribe target's Incoming
 	// queue (which two edges may share).
@@ -104,8 +102,9 @@ func (s *System) collectTelemetry() {
 			}
 		}
 	}
+	trimmed := s.trimmed
 	s.mu.Unlock()
-	depth, buffered, trimmed := 0, 0, uint64(0)
+	depth, buffered := 0, 0
 	for q := range queues {
 		depth += q.Len()
 	}
@@ -118,12 +117,14 @@ func (s *System) collectTelemetry() {
 	t.replayBuffered.Set(int64(buffered))
 	t.replayTrimmed.Set(int64(trimmed))
 	t.replayedItems.Set(int64(s.ReplayedItems()))
-	entries := 0
+	tasks, entries := 0, 0
 	for _, p := range peers {
 		p.mu.Lock()
+		tasks += len(p.tasks)
 		entries += len(p.memo)
 		p.mu.Unlock()
 	}
+	t.tasks.Set(int64(tasks))
 	t.memoEntries.Set(int64(entries))
 
 	// Per-peer loops and per-endpoint taps: the two buffers the data path

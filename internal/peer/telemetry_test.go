@@ -89,7 +89,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	// counters) lists them, plus the per-peer loop and per-tap ring series
 	// of PR 24: a renamed, re-kinded or vanished series fails here.
 	// tap_alerts_total, the tap's alert count per envelope flavour,
-	// joined them later, and the plan memo's two series after it.
+	// joined them later, the plan memo's two series after it, and the
+	// subscription databases' size after those.
 	want := []string{
 		"agg_ingest_items gauge peer",
 		"agg_interior_ingest_max gauge",
@@ -114,6 +115,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"stream_replay_buffered gauge",
 		"stream_replay_trimmed gauge",
 		"stream_replayed_items gauge",
+		"subscription_tasks gauge",
 		"system_step_ns histogram",
 		"system_steps_total counter",
 		"tap_alerts_total counter body,dir,peer",
