@@ -79,13 +79,14 @@ func BenchmarkStreamPublish(b *testing.B) {
 	nw.AddNode("b")
 	ch := stream.NewChannel("a", "s")
 	local := ch.Subscribe("local", nil)
-	remote := ch.Subscribe("remote", nw.DeliverHook("a", "b"))
+	remote := stream.NewQueue()
+	ch.Subscribe("remote", nw.DeliverHook("a", "b", remote))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch.Publish(stream.Item{Tree: doc})
 		local.Queue.TryPop()
-		remote.Queue.TryPop()
+		remote.TryPop()
 	}
 }
 

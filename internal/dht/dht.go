@@ -725,6 +725,15 @@ func (r *Ring) Set(key, value string) error {
 // the replicas and any other member still holding a copy. A key left
 // without values is forgotten, its bounded-load placement with it.
 func (r *Ring) Remove(key, value string) {
+	r.removeValues(key, func(v string) bool { return v == value })
+}
+
+// Delete is Remove of every value stored under key.
+func (r *Ring) Delete(key string) {
+	r.removeValues(key, func(string) bool { return true })
+}
+
+func (r *Ring) removeValues(key string, drop func(v string) bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	held := false
@@ -733,7 +742,7 @@ func (r *Ring) Remove(key, value string) {
 		if !ok {
 			continue
 		}
-		if vs = slices.DeleteFunc(vs, func(v string) bool { return v == value }); len(vs) > 0 {
+		if vs = slices.DeleteFunc(vs, drop); len(vs) > 0 {
 			n.store[key] = vs
 			held = true
 		} else {

@@ -190,6 +190,11 @@ type DB struct {
 	// Only a successful decode fills it, so a corrupt record fails every
 	// lookup that meets it.
 	memo map[string]decoded
+	// written holds the keys of the records UpdateStats wrote for a
+	// stream (owner: its stats key) and PutCheckpoint for a task (owner:
+	// its id): what DropStats and DropCheckpoints take out of the ring,
+	// so that an owner that wrote none costs them no DHT operation.
+	written map[string][]string
 }
 
 // decoded is one memoized descriptor with its "s@p" sort key.
@@ -199,7 +204,9 @@ type decoded struct {
 }
 
 // New builds a database over a DHT ring.
-func New(ring *dht.Ring) *DB { return &DB{ring: ring, memo: make(map[string]decoded)} }
+func New(ring *dht.Ring) *DB {
+	return &DB{ring: ring, memo: make(map[string]decoded), written: make(map[string][]string)}
+}
 
 // Index keys. Each descriptor is stored under several keys so every
 // discovery query of Section 5 is a single DHT lookup.
@@ -256,11 +263,12 @@ func indexKeys(def *StreamDef) []string {
 }
 
 // Retract withdraws a stream that stopped running: its descriptor from
-// every key it was published under, the enumeration index included, and
-// every replica record announced for it. No lookup finds it afterwards,
-// and the memo forgets its decoding. from names the retracting peer, for
-// hop accounting.
+// every key it was published under, the enumeration index included,
+// every replica record announced for it and its stats records. No lookup
+// finds it afterwards, and the memo forgets its decoding. from names the
+// retracting peer, for hop accounting.
 func (db *DB) Retract(from string, ref stream.Ref) error {
+	db.DropStats(ref)
 	texts, _, err := db.ring.Get(from, refKey(ref))
 	if err != nil {
 		return err
@@ -392,7 +400,36 @@ func (db *DB) UpdateStats(ref stream.Ref, stats map[string]string) error {
 	for _, k := range keys {
 		n.SetAttr(k, stats[k])
 	}
-	return db.ring.Put(statsKey(ref), n.String())
+	key := statsKey(ref)
+	if err := db.ring.Put(key, n.String()); err != nil {
+		return err
+	}
+	db.wrote(key, key)
+	return nil
+}
+
+// DropStats removes the stats records UpdateStats wrote for a stream;
+// for one it wrote none, it does nothing.
+func (db *DB) DropStats(ref stream.Ref) { db.drop(statsKey(ref)) }
+
+// wrote records that the record under key was written for owner.
+func (db *DB) wrote(owner, key string) {
+	db.mu.Lock()
+	if !slices.Contains(db.written[owner], key) {
+		db.written[owner] = append(db.written[owner], key)
+	}
+	db.mu.Unlock()
+}
+
+// drop removes every record written for owner.
+func (db *DB) drop(owner string) {
+	db.mu.Lock()
+	keys := db.written[owner]
+	delete(db.written, owner)
+	db.mu.Unlock()
+	for _, k := range keys {
+		db.ring.Delete(k)
+	}
 }
 
 // StatsFor returns the most recently recorded statistics for a stream.
@@ -424,8 +461,17 @@ func CheckpointKey(task, op string) string { return "ckpt|" + task + "|" + op }
 // count up through churn. Latest wins: each write replaces the previous
 // checkpoint.
 func (db *DB) PutCheckpoint(task, op, xml string) error {
-	return db.ring.Set(CheckpointKey(task, op), xml)
+	key := CheckpointKey(task, op)
+	if err := db.ring.Set(key, xml); err != nil {
+		return err
+	}
+	db.wrote(task, key)
+	return nil
 }
+
+// DropCheckpoints removes every checkpoint PutCheckpoint stored for a
+// task; for one that stored none, it does nothing.
+func (db *DB) DropCheckpoints(task string) { db.drop(task) }
 
 // Checkpoint returns the most recent checkpoint stored for the (task,
 // operator-stream) identity, or ok=false when none survives.

@@ -179,7 +179,9 @@ func TestExecutorSync(t *testing.T) {
 
 // TestExecutorBacklogYieldsAfterOneBudget: two operators on one executor;
 // a 10 000-item backlog on the first delays the second's one item by one
-// step's budget, not by the backlog.
+// step's budget, not by the backlog. The loop runs tasks in the order
+// they were woken, so the second's item arrives before the backlog that
+// wakes the first again.
 func TestExecutorBacklogYieldsAfterOneBudget(t *testing.T) {
 	ex := NewExecutor(nil)
 	busy, quick := stream.NewQueue(), stream.NewQueue()
@@ -200,10 +202,10 @@ func TestExecutorBacklogYieldsAfterOneBudget(t *testing.T) {
 	for h1.ItemsIn() == 0 {
 		runtime.Gosched()
 	}
+	quick.Push(item(1)) // queued behind the running hog
 	for s := 2; s <= 10000; s++ {
 		busy.Push(item(s))
 	}
-	quick.Push(item(1)) // queued behind the running hog
 	close(gate)
 	busy.Close()
 	quick.Close()
@@ -214,6 +216,34 @@ func TestExecutorBacklogYieldsAfterOneBudget(t *testing.T) {
 	}
 	if st := ex.Stats(); st.Items != 10001 || st.Steps < 10000/StepBudget || st.RunQueueHighWater < 1 {
 		t.Errorf("loop stats %+v after 10001 items", st)
+	}
+}
+
+// TestExecutorRunOnIdleInputsStartsNoLoop: Run over inputs that hold
+// nothing wakes nothing, so no loop goroutine starts; the first push
+// steps the operator and closing its inputs flushes it.
+func TestExecutorRunOnIdleInputsStartsNoLoop(t *testing.T) {
+	ex := NewExecutor(nil)
+	in := queues(2)
+	p := &probe{t: t, last: make([]uint64, 2)}
+	out := make(chan stream.Item, 2)
+	h := ex.Run(p, in, func(it stream.Item) { out <- it })
+	ex.mu.Lock()
+	running := ex.running
+	ex.mu.Unlock()
+	if st := ex.Stats(); running || st.Steps != 0 {
+		t.Fatalf("Run over idle inputs: loop running %v, %d steps; want none", running, st.Steps)
+	}
+	in[1].Push(item(1))
+	if it := <-out; it.Seq != 1 {
+		t.Fatalf("first output %+v, want the pushed item", it)
+	}
+	for _, q := range in {
+		q.Close()
+	}
+	h.Wait()
+	if it := <-out; !it.EOS() || len(p.log) != 1 {
+		t.Fatalf("after Close: %+v, flushes %v; want one flush and eos", it, p.log)
 	}
 }
 

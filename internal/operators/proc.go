@@ -35,13 +35,8 @@ type Handle struct {
 	done chan struct{}
 	in   atomic.Uint64
 	out  atomic.Uint64
-	// consumed[i] is the sequence number of the latest item accepted on
-	// input i. Binding cursors deliver each input in sequence order, so
-	// this is also "every sequence <= consumed[i] has been processed" —
-	// the input-side coordinate of a checkpoint.
-	consumed []atomic.Uint64
 
-	task *Task
+	task Task
 	// mu is held by a step, a direct delivery and Sync: whoever holds it
 	// sees the processor between two items.
 	//
@@ -57,11 +52,21 @@ type Handle struct {
 	// under it (Channel.SubscribeFrom) feeds a cursor, which pushes.
 	mu       sync.Mutex
 	p        Proc
-	inputs   []*stream.Queue // nil once the input ended
-	open     int             // inputs that have not ended
-	next     int             // where the next step's round-robin starts
-	emit     Emit            // counts, then sinks
+	inputs   []input
+	open     int  // inputs that have not ended
+	next     int  // where the next step's round-robin starts
+	emit     Emit // counts, then sinks
 	finished bool
+}
+
+// input is one input of a running operator.
+type input struct {
+	q *stream.Queue // nil once the input ended
+	// consumed is the sequence number of the latest item accepted on the
+	// input. Binding cursors deliver each input in sequence order, so
+	// this is also "every sequence <= consumed has been processed" — the
+	// input-side coordinate of a checkpoint.
+	consumed atomic.Uint64
 }
 
 // Name returns the operator name.
@@ -82,10 +87,10 @@ func (h *Handle) ItemsOut() uint64 { return h.out.Load() }
 // Consumed returns the sequence number of the latest item accepted on
 // input idx (0 before any sequenced item arrived).
 func (h *Handle) Consumed(idx int) uint64 {
-	if idx < 0 || idx >= len(h.consumed) {
+	if idx < 0 || idx >= len(h.inputs) {
 		return 0
 	}
-	return h.consumed[idx].Load()
+	return h.inputs[idx].consumed.Load()
 }
 
 // SeedConsumed raises the consumed cursor of input idx to seq — a
@@ -94,12 +99,13 @@ func (h *Handle) Consumed(idx int) uint64 {
 // must not record the cursor as 0 (it would desynchronize input and
 // output positions). Never lowers the cursor.
 func (h *Handle) SeedConsumed(idx int, seq uint64) {
-	if idx < 0 || idx >= len(h.consumed) {
+	if idx < 0 || idx >= len(h.inputs) {
 		return
 	}
+	c := &h.inputs[idx].consumed
 	for {
-		cur := h.consumed[idx].Load()
-		if seq <= cur || h.consumed[idx].CompareAndSwap(cur, seq) {
+		cur := c.Load()
+		if seq <= cur || c.CompareAndSwap(cur, seq) {
 			return
 		}
 	}
@@ -134,17 +140,17 @@ func (h *Handle) step() (more bool) {
 	for quiet := 0; quiet < len(h.inputs) && n < StepBudget; h.next = (h.next + 1) % len(h.inputs) {
 		i := h.next
 		quiet++
-		if h.inputs[i] == nil {
+		if h.inputs[i].q == nil {
 			continue
 		}
-		it, ok, ended := h.inputs[i].Take()
+		it, ok, ended := h.inputs[i].q.Take()
 		switch {
 		case ok && !it.EOS():
 			quiet = 0
 			n++
 			h.accept(i, it)
 		case ok || ended:
-			h.inputs[i] = nil
+			h.inputs[i].q = nil
 			h.open--
 		}
 	}
@@ -166,6 +172,10 @@ func (h *Handle) accept(i int, it stream.Item) {
 	h.p.Accept(i, it, h.emit)
 }
 
+// Ready implements stream.Reader: an input that filled or closed puts
+// the operator on its loop's run-queue.
+func (h *Handle) Ready() { h.task.Wake() }
+
 // Direct implements stream.Reader: an item offered to an empty input
 // queue q is accepted on the producer's goroutine, inside the producer's
 // turn, instead of a push, a wake and a step of its own. It reports false
@@ -173,8 +183,8 @@ func (h *Handle) accept(i int, it stream.Item) {
 func (h *Handle) Direct(q *stream.Queue, it stream.Item) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i, in := range h.inputs {
-		if in == q {
+	for i := range h.inputs {
+		if h.inputs[i].q == q {
 			h.accept(i, it)
 			h.task.Handled(1)
 			return true
@@ -192,15 +202,17 @@ func Run(p Proc, inputs []*stream.Queue, sink Emit) *Handle {
 }
 
 // Run starts the processor on the executor: as Run, with the operator
-// stepped by ex's loop.
+// stepped by ex's loop. The loop is woken only when an input already
+// holds an item or has closed, or when there is no input; otherwise the
+// first push or Close wakes it, so an operator over idle inputs costs its
+// loop nothing.
 func (ex *Executor) Run(p Proc, inputs []*stream.Queue, sink Emit) *Handle {
 	h := &Handle{
-		name:     p.Name(),
-		done:     make(chan struct{}),
-		consumed: make([]atomic.Uint64, len(inputs)),
-		p:        p,
-		inputs:   append([]*stream.Queue(nil), inputs...),
-		open:     len(inputs),
+		name:   p.Name(),
+		done:   make(chan struct{}),
+		p:      p,
+		inputs: make([]input, len(inputs)),
+		open:   len(inputs),
 	}
 	h.emit = func(it stream.Item) {
 		if !it.EOS() {
@@ -208,13 +220,17 @@ func (ex *Executor) Run(p Proc, inputs []*stream.Queue, sink Emit) *Handle {
 		}
 		sink(it)
 	}
-	h.task = ex.NewTask(h.step)
+	h.task = Task{ex: ex, run: h}
 	h.task.Hold()
-	wake := h.task.Wake
-	for _, q := range inputs {
-		q.OnReady(wake, h)
+	ready := len(inputs) == 0
+	for i, q := range inputs {
+		h.inputs[i].q = q
+		q.OnReady(h)
+		ready = ready || q.Len() > 0 || q.Closed() // pushed, or closed, before OnReady
 	}
-	wake() // what was pushed, or closed, before Run
+	if ready {
+		h.task.Wake()
+	}
 	return h
 }
 
@@ -288,15 +304,24 @@ func (l *Loops) add(n int) {
 // Task is one schedulable unit of an executor.
 type Task struct {
 	ex     *Executor
-	step   func() (more bool)
+	run    stepper
 	queued bool // in the run-queue; guarded by ex.mu
 }
+
+// stepper is what a task runs on its loop: an operator's Handle, or a
+// step function (NewTask).
+type stepper interface{ step() (more bool) }
+
+// stepFunc is a step function as a stepper.
+type stepFunc func() (more bool)
+
+func (f stepFunc) step() bool { return f() }
 
 // NewTask registers step with the executor. Each Wake is followed by at
 // least one call of step on the loop; step reports whether it stopped
 // with work left, which queues it again behind the tasks already waiting.
 func (ex *Executor) NewTask(step func() (more bool)) *Task {
-	return &Task{ex: ex, step: step}
+	return &Task{ex: ex, run: stepFunc(step)}
 }
 
 // Handled counts n items a step of the task took.
@@ -366,7 +391,7 @@ func (ex *Executor) loop() {
 		t.queued = false
 		ex.mu.Unlock()
 		ex.steps.Inc()
-		more := t.step()
+		more := t.run.step()
 		ex.mu.Lock()
 		if more && !t.queued {
 			ex.enqueue(t)

@@ -374,14 +374,14 @@ func (p *parser) parseSource() (Source, error) {
 			if err != nil {
 				return nil, err
 			}
-			node, err := xmltree.Parse(frag)
-			if err != nil {
+			peer, node, err := xmlArg(frag)
+			switch {
+			case err != nil:
 				return nil, p.errf("bad XML argument: %v", err)
-			}
-			if node.Label == "p" {
-				src.Peers = append(src.Peers, stripScheme(node.InnerText()))
-			} else {
+			case node != nil:
 				src.Args = append(src.Args, node)
+			default:
+				src.Peers = append(src.Peers, peer)
 			}
 		case p.peek() == '$':
 			v, err := p.varName()
@@ -398,6 +398,23 @@ func (p *parser) parseSource() (Source, error) {
 			return nil, p.errf("unexpected character %q in arguments of %s", string(p.peek()), fn)
 		}
 	}
+}
+
+// xmlArg reads one XML argument of an alerter call: a <p> element names
+// a peer, any other element is an argument tree. A <p> holding plain
+// text, the common case, is read as text; one with attributes, markup or
+// entities goes through the XML parser.
+func xmlArg(frag string) (peer string, arg *xmltree.Node, err error) {
+	if text, ok := strings.CutPrefix(frag, "<p>"); ok {
+		if text, ok = strings.CutSuffix(text, "</p>"); ok && !strings.ContainsAny(text, "<&") {
+			return stripScheme(text), nil, nil
+		}
+	}
+	node, err := xmltree.Parse(frag)
+	if err != nil || node.Label != "p" {
+		return "", node, err
+	}
+	return stripScheme(node.InnerText()), nil, nil
 }
 
 // stripScheme drops spaces and an http(s):// scheme with one trailing

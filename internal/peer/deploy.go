@@ -55,9 +55,12 @@ func (p *Peer) deploy(task *Task) error {
 	// descriptors published after, so no probe finds a stream whose
 	// channel does not exist yet.
 	var ids []string
-	sids := make(map[*algebra.Node]string)
+	var sids map[*algebra.Node]string // nil for a plan with no new operator
 	plan.Walk(func(n *algebra.Node) {
 		if n.Op != algebra.OpPublish && n.Op != algebra.OpChannelIn {
+			if sids == nil {
+				sids = make(map[*algebra.Node]string)
+			}
 			sids[n] = p.sys.nextStreamID(n.Peer)
 			ids = append(ids, sids[n])
 		}
@@ -124,6 +127,9 @@ func (p *Peer) deploy(task *Task) error {
 	e.local = true
 	e.into(stream.NewQueue(), 0, true)
 	e.attach(resultCh, 0)
+	if len(ids) == 0 {
+		return nil // a plan of reused streams publishes no stream of its own
+	}
 
 	var known []*kadop.StreamDef
 	if task.Reuse != nil {

@@ -160,7 +160,7 @@ type landing struct {
 
 // hook is the channel delivery hook of an edge with a subscription of its
 // own.
-func (d landing) hook(it stream.Item, _ *stream.Queue) { d.land(it) }
+func (d landing) hook(it stream.Item) { d.land(it) }
 
 // owes reports whether an item that reached the edge's link is the edge's.
 func (d landing) owes(it stream.Item) bool { return it.EOS() || it.Seq > d.after }
@@ -216,7 +216,7 @@ type linkKey struct {
 }
 
 // deliver is the link's channel hook.
-func (l *link) deliver(it stream.Item, _ *stream.Queue) { l.carry(it, *l.ends.Load()) }
+func (l *link) deliver(it stream.Item) { l.carry(it, *l.ends.Load()) }
 
 // carry is the link's one crossing: when any of ends is owed the item, it
 // crosses the network once and lands at each that is.

@@ -198,3 +198,56 @@ func TestStopRacesStepAndFailPeer(t *testing.T) {
 		}
 	}
 }
+
+// ringKeys counts the keys every member of sys's ring stores.
+func ringKeys(sys *System) int {
+	n := 0
+	for _, name := range sys.Ring.Nodes() {
+		n += sys.Ring.KeysAt(name)
+	}
+	return n
+}
+
+// TestStoppedTaskLeavesNothingInTheDHT: a stopped task takes its records
+// out of the DHT with its descriptors — the checkpoints the sweep wrote
+// for it and the stats records of its streams. 50 cycles of subscribe,
+// Step past a checkpoint, RefreshStreamStats and Stop leave the ring's
+// stores as they found them, and no checkpoint of a stopped task is
+// found.
+func TestStoppedTaskLeavesNothingInTheDHT(t *testing.T) {
+	const sub = `for $e in inCOM(<p>s0</p>) where $e.callMethod = "m1" return <hit id="{$e.callId}"/> by publish as channel "c%d"`
+	sys, mgr := memoWorld(t, replayOptions())
+	before := ringKeys(sys)
+	var last *Task
+	var ops []string
+	for i := 0; i < 50; i++ {
+		task, err := mgr.Subscribe(fmt.Sprintf(sub, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Step(2 * time.Second)
+		if err := sys.RefreshStreamStats(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 49 {
+			for n := range task.procs {
+				ops = append(ops, ckptOpID(task, n))
+			}
+			for _, op := range ops {
+				if _, ok, _ := sys.DB.Checkpoint("mgr", task.ID, op); !ok {
+					t.Fatalf("the sweep wrote no checkpoint for %s", op)
+				}
+			}
+		}
+		task.Stop()
+		last = task
+	}
+	if got := ringKeys(sys); got != before {
+		t.Errorf("the ring stores %d keys after 50 subscribe/stop cycles, %d before", got, before)
+	}
+	for _, op := range ops {
+		if _, ok, _ := sys.DB.Checkpoint("mgr", last.ID, op); ok {
+			t.Errorf("a checkpoint of the stopped task's %s is still found", op)
+		}
+	}
+}

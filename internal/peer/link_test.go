@@ -313,7 +313,7 @@ func TestLinkJoinSkipsAPublicationInFlight(t *testing.T) {
 			ch := stream.NewChannel("src", "ev")
 			sys.registerChannel(ch)
 			entered, release := make(chan struct{}), make(chan struct{})
-			ch.Subscribe("gate", func(it stream.Item, _ *stream.Queue) {
+			ch.Subscribe("gate", func(it stream.Item) {
 				if it.Seq == 2 {
 					close(entered)
 					<-release

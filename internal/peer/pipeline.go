@@ -108,10 +108,8 @@ func (pl pipeline) run(ex *Explanation) (*algebra.Node, error) {
 	} else {
 		sig = reuse.ProbeSignature(ex.Optimized)
 	}
-	s := pl.sys
-	ro := reuse.Options{From: pl.subscriber, Consumer: pl.subscriber,
-		Choose: aliveOnly(s, reuse.PreferClose(s.Net.Distance, s.load))}
-	res, err := ro.ApplySigned(ex.Optimized, sig, s.DB)
+	ro := reuse.Options{From: pl.subscriber, Consumer: pl.subscriber, Choose: pl.sys.choose}
+	res, err := ro.ApplySigned(ex.Optimized, sig, pl.sys.DB)
 	if err != nil {
 		return nil, err
 	}

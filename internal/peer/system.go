@@ -19,6 +19,7 @@ import (
 	"p2pm/internal/dht"
 	"p2pm/internal/kadop"
 	"p2pm/internal/operators"
+	"p2pm/internal/reuse"
 	"p2pm/internal/rss"
 	"p2pm/internal/simnet"
 	"p2pm/internal/soap"
@@ -43,6 +44,9 @@ type System struct {
 	Fabric *soap.Fabric
 	Ring   *dht.Ring
 	DB     *kadop.DB
+	// choose picks a reused stream's provider for every reuse pass: a
+	// live one, close and unloaded (pipeline.go).
+	choose reuse.Chooser
 
 	// loops holds the one event loop per peer (System.executor), taps the
 	// one WS alerter tap per monitored endpoint direction (System.tap);
@@ -146,6 +150,7 @@ func NewSystem(cfg Config) (*System, error) {
 		taps:        make(map[tapKey]*alerters.Tap),
 		idle:        operators.NewLoops(),
 	}
+	s.choose = aliveOnly(s, reuse.PreferClose(s.Net.Distance, s.load))
 	if cfg.Agg.SplitRatio > 0 {
 		s.startRechunkController()
 	}

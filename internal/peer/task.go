@@ -229,9 +229,15 @@ func (t *Task) Stop() {
 
 // retract withdraws the streams the task published, under their first
 // and their current identities, from the stream definition database, so
-// no later subscription reuses a channel Stop closes. A reused input is
-// another task's stream and stays.
+// no later subscription reuses a channel Stop closes, and takes the
+// task's other records out of the DHT: its operators' checkpoints and the
+// stats of its channels, a named result channel's included. A reused
+// input is another task's stream and stays.
 func (t *Task) retract() {
+	t.sys.DB.DropCheckpoints(t.ID)
+	for _, ch := range t.channels {
+		t.sys.DB.DropStats(ch.Ref())
+	}
 	seen := make(map[stream.Ref]bool)
 	for _, refs := range []map[*algebra.Node]stream.Ref{t.origRefs, t.refs} {
 		for n, ref := range refs {

@@ -1,7 +1,8 @@
 package reuse
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"p2pm/internal/algebra"
 	"p2pm/internal/kadop"
@@ -58,11 +59,10 @@ func (o Options) coverAgg(n *algebra.Node, db *kadop.DB, st *matchState, r *Resu
 		r.FailedLookups++
 		return nil, nil
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if len(cands[i].Sources) != len(cands[j].Sources) {
-			return len(cands[i].Sources) > len(cands[j].Sources)
-		}
-		return cands[i].Ref.String() < cands[j].Ref.String()
+	// The lookup returns the candidates in Ref-string order, which a
+	// stable sort by width keeps among equals.
+	slices.SortStableFunc(cands, func(a, b *kadop.StreamDef) int {
+		return cmp.Compare(len(b.Sources), len(a.Sources))
 	})
 	covered := make(map[string]bool)
 	var parts []*kadop.StreamDef

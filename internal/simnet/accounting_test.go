@@ -43,8 +43,8 @@ func TestAccountingMatchesSerializedLength(t *testing.T) {
 	ch := stream.NewChannel("a", "s")
 	ch.EnableReplay(64)
 	ch.Subscribe("local", nil)
-	ch.Subscribe("b", nw.DeliverHook("a", "b"))
-	ch.Subscribe("c", nw.DeliverHook("a", "c"))
+	ch.Subscribe("b", nw.DeliverHook("a", "b", stream.NewQueue()))
+	ch.Subscribe("c", nw.DeliverHook("a", "c", stream.NewQueue()))
 	var serialized uint64
 	for i := 0; i < 1000; i++ {
 		it := accountingItem(i)
@@ -54,7 +54,7 @@ func TestAccountingMatchesSerializedLength(t *testing.T) {
 	if got := ch.Volume(); got != wantVolume || got != serialized {
 		t.Errorf("Volume() = %d, want %d (sum of len(String()) = %d)", got, wantVolume, serialized)
 	}
-	late := ch.SubscribeFrom("d", 901, nw.DeliverHook("a", "d"))
+	late := ch.SubscribeFrom("d", 901, nw.DeliverHook("a", "d", stream.NewQueue()))
 	if got := nw.Link("a", "d").Bytes; got != wantReplayed || late.Replayed != 64 {
 		t.Errorf("replayed %d items, %d bytes on a→d; want 64 items, %d bytes", late.Replayed, got, wantReplayed)
 	}
@@ -73,12 +73,13 @@ func TestDeliverHookAllocs(t *testing.T) {
 	nw.AddNode("b")
 	ch := stream.NewChannel("a", "s")
 	local := ch.Subscribe("local", nil)
-	remote := ch.Subscribe("remote", nw.DeliverHook("a", "b"))
+	remote := stream.NewQueue()
+	ch.Subscribe("remote", nw.DeliverHook("a", "b", remote))
 	tree := accountingItem(1).Tree
 	hop := func() {
 		ch.Publish(stream.Item{Tree: tree})
 		local.Queue.TryPop()
-		remote.Queue.TryPop()
+		remote.TryPop()
 	}
 	hop() // sizes both rings and the link
 	if a := testing.AllocsPerRun(1000, hop); a != 0 {

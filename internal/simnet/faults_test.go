@@ -168,11 +168,11 @@ func TestDeliverHookDropsToQueue(t *testing.T) {
 	nw := New(Options{Seed: 1})
 	nw.AddNode("a")
 	nw.AddNode("b")
-	hook := nw.DeliverHook("a", "b")
 	q := stream.NewQueue()
-	hook(item(), q)
+	hook := nw.DeliverHook("a", "b", q)
+	hook(item())
 	nw.Crash("b")
-	hook(item(), q)
+	hook(item())
 	if q.Len() != 1 {
 		t.Errorf("queue has %d items, want only the pre-crash one", q.Len())
 	}

@@ -292,13 +292,16 @@ func (nw *Network) transfer(from, to, class string, bytes int) (time.Duration, b
 }
 
 // DeliverHook returns a stream.Channel delivery hook that routes items
-// across the from→to link with accounting, latency stamping and fault
-// injection: messages lost to crashes, partitions or injected drop
-// probability never reach the consumer's queue.
-func (nw *Network) DeliverHook(from, to string) func(stream.Item, *stream.Queue) {
-	return func(it stream.Item, q *stream.Queue) {
+// across the from→to link into q with accounting, latency stamping and
+// fault injection: messages lost to crashes, partitions or injected drop
+// probability never reach q. End-of-stream closes q.
+func (nw *Network) DeliverHook(from, to string, q *stream.Queue) func(stream.Item) {
+	return func(it stream.Item) {
 		if out, ok := nw.Deliver(from, to, it); ok {
 			q.Push(out)
+		}
+		if it.EOS() {
+			q.Close()
 		}
 	}
 }

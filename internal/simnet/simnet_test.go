@@ -142,10 +142,14 @@ func TestDeliverHookIntegratesWithChannel(t *testing.T) {
 	nw.AddNode("pub")
 	nw.AddNode("sub")
 	ch := stream.NewChannel("pub", "s")
-	s := ch.Subscribe("sub", nw.DeliverHook("pub", "sub"))
+	q := stream.NewQueue()
+	ch.Subscribe("sub", nw.DeliverHook("pub", "sub", q))
 	ch.Publish(stream.Item{Tree: xmltree.MustParse(`<a/>`)})
 	ch.Close()
-	got := s.Queue.Drain()
+	if !q.Closed() {
+		t.Error("end-of-stream did not close the queue")
+	}
+	got := q.Drain()
 	if len(got) != 1 {
 		t.Fatalf("got %d items", len(got))
 	}

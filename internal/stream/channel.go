@@ -30,12 +30,12 @@ type Channel struct {
 }
 
 type subscriber struct {
-	id    int
-	name  string
-	queue *Queue
-	// deliver, when set, intercepts the delivery (simnet uses it to add
-	// latency and count bytes). It must eventually push to queue.
-	deliver func(Item, *Queue)
+	id   int
+	name string
+	// A subscriber is a queue or a delivery hook, which takes every
+	// item, end-of-stream included, in place of a queue.
+	queue   *Queue
+	deliver func(Item)
 }
 
 // Subscription is a live subscription to a channel.
@@ -43,7 +43,8 @@ type Subscription struct {
 	ch   *Channel
 	id   int
 	Name string
-	// Queue receives the published items.
+	// Queue receives the published items; nil when a delivery hook takes
+	// them.
 	Queue *Queue
 	// StartSeq is the channel's sequence number at the moment the
 	// subscription attached: items up to StartSeq predate it and are not
@@ -113,10 +114,10 @@ func (c *Channel) publish(it Item, preserveSeq bool) {
 	// Deliver outside the lock: deliver hooks may simulate latency.
 	for _, s := range targets {
 		if s.deliver != nil {
-			s.deliver(it, s.queue)
-		} else {
-			s.queue.Push(it)
+			s.deliver(it)
+			continue
 		}
+		s.queue.Push(it)
 		if it.EOS() {
 			s.queue.Close()
 		}
@@ -150,25 +151,31 @@ func (c *Channel) Volume() uint64 {
 }
 
 // Subscribe registers a named subscriber and returns its subscription.
-// deliver may be nil for direct in-memory delivery.
-func (c *Channel) Subscribe(name string, deliver func(Item, *Queue)) *Subscription {
+// With deliver nil the items go into the subscription's Queue; otherwise
+// deliver takes each of them instead, and the subscription has no queue.
+func (c *Channel) Subscribe(name string, deliver func(Item)) *Subscription {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.subscribeLocked(name, deliver)
 }
 
-func (c *Channel) subscribeLocked(name string, deliver func(Item, *Queue)) *Subscription {
-	q := NewQueue()
-	if c.closed {
-		q.Close()
-		return &Subscription{ch: c, id: -1, Name: name, Queue: q, StartSeq: c.seq}
+func (c *Channel) subscribeLocked(name string, deliver func(Item)) *Subscription {
+	sub := &Subscription{ch: c, id: -1, Name: name, StartSeq: c.seq}
+	if deliver == nil {
+		sub.Queue = NewQueue()
 	}
-	id := c.nextSub
+	if c.closed {
+		if sub.Queue != nil {
+			sub.Queue.Close()
+		}
+		return sub
+	}
+	sub.id = c.nextSub
 	c.nextSub++
 	// Appending in place is safe beside a publish in flight: it writes
 	// only beyond the length of the slice that publish read.
-	c.subs = append(c.subs, &subscriber{id: id, name: name, queue: q, deliver: deliver})
-	return &Subscription{ch: c, id: id, Name: name, Queue: q, StartSeq: c.seq}
+	c.subs = append(c.subs, &subscriber{id: sub.id, name: name, queue: sub.Queue, deliver: deliver})
+	return sub
 }
 
 // remove drops the subscriber with the given id, if still attached.
@@ -303,7 +310,7 @@ func (c *Channel) ReplayLen() int {
 // concurrent Publish cannot interleave. This is how a re-bound consumer
 // resumes from its cursor instead of from "now". Delivery hooks must not
 // call back into the channel.
-func (c *Channel) SubscribeFrom(name string, fromSeq uint64, deliver func(Item, *Queue)) *Subscription {
+func (c *Channel) SubscribeFrom(name string, fromSeq uint64, deliver func(Item)) *Subscription {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var items []Item
@@ -328,17 +335,18 @@ func (c *Channel) SubscribeFrom(name string, fromSeq uint64, deliver func(Item, 
 	}
 	for _, it := range items {
 		if deliver != nil {
-			deliver(it, sub.Queue)
+			deliver(it)
 		} else {
 			sub.Queue.Push(it)
 		}
 	}
 	if wasClosed {
-		if deliver != nil {
-			deliver(EOSItem(c.name), sub.Queue)
-		}
 		c.removeLocked(sub.id)
-		sub.Queue.Close()
+		if deliver != nil {
+			deliver(EOSItem(c.name))
+		} else {
+			sub.Queue.Close()
+		}
 	}
 	return sub
 }
@@ -363,10 +371,13 @@ func (c *Channel) Join(fromSeq uint64, join func(at uint64, replay []Item, close
 	join(c.seq, items, c.closed)
 }
 
-// Unsubscribe removes the subscription and closes its queue.
+// Unsubscribe removes the subscription and closes its queue, if it has
+// one.
 func (s *Subscription) Unsubscribe() {
 	s.ch.remove(s.id)
-	s.Queue.Close()
+	if s.Queue != nil {
+		s.Queue.Close()
+	}
 }
 
 // Detach removes the subscription from the channel without closing its

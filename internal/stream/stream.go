@@ -129,13 +129,19 @@ type Queue struct {
 	ring   Ring[Item]
 	closed bool
 	pushed uint64
-	ready  func() // see OnReady
 	reader Reader // see OnReady
 }
 
-// A Reader can take an item its queue is offered (Offer) on the
-// producer's goroutine, instead of the item waiting in the queue.
+// A Reader is the event loop that reads a queue (OnReady). It is told
+// when the queue has something to come back for, and it can take an item
+// the queue is offered (Offer) on the producer's goroutine, instead of
+// the item waiting in the queue.
 type Reader interface {
+	// Ready is the queue's one ready notification, called outside the
+	// queue's lock each time the queue goes from empty to non-empty and
+	// when it closes — the edges at which a reader that found it empty
+	// (Take) has something to come back for.
+	Ready()
 	// Direct processes it as q's next item, after every item already
 	// taken off q, and reports whether it did; false leaves the item to be
 	// pushed. Offer calls it only while q holds nothing.
@@ -149,15 +155,12 @@ func NewQueue() *Queue {
 	return q
 }
 
-// OnReady registers the queue's reader. f is its one ready notification,
-// called outside the queue's lock each time the queue goes from empty to
-// non-empty and when it closes — the edges at which a reader that found
-// it empty (Take) has something to come back for. An event loop reads the
-// queue this way instead of parking a goroutine in Pop. r, when not nil,
-// is handed what the queue is offered.
-func (q *Queue) OnReady(f func(), r Reader) {
+// OnReady registers the queue's reader: an event loop reads the queue
+// this way, told when it is ready and handed what it is offered, instead
+// of parking a goroutine in Pop.
+func (q *Queue) OnReady(r Reader) {
 	q.mu.Lock()
-	q.ready, q.reader = f, r
+	q.reader = r
 	q.mu.Unlock()
 }
 
@@ -189,14 +192,14 @@ func (q *Queue) Push(it Item) {
 	}
 	q.ring.Push(it)
 	q.pushed++
-	var ready func()
+	var r Reader
 	if q.ring.Len() == 1 {
-		ready = q.ready
+		r = q.reader
 	}
 	q.cond.Signal()
 	q.mu.Unlock()
-	if ready != nil {
-		ready()
+	if r != nil {
+		r.Ready()
 	}
 }
 
@@ -237,11 +240,11 @@ func (q *Queue) Close() {
 		return
 	}
 	q.closed = true
-	ready := q.ready
+	r := q.reader
 	q.cond.Broadcast()
 	q.mu.Unlock()
-	if ready != nil {
-		ready()
+	if r != nil {
+		r.Ready()
 	}
 }
 

@@ -219,18 +219,19 @@ func TestChannelSubscribersSorted(t *testing.T) {
 func TestChannelDeliverHook(t *testing.T) {
 	ch := NewChannel("p", "s")
 	var delivered []string
-	s := ch.Subscribe("x", func(it Item, q *Queue) {
-		if !it.EOS() {
+	s := ch.Subscribe("x", func(it Item) {
+		if it.EOS() {
+			delivered = append(delivered, "eos")
+		} else {
 			delivered = append(delivered, it.Tree.Label)
 		}
-		q.Push(it)
 	})
 	ch.Publish(item("a"))
 	ch.Close()
-	got := s.Queue.Drain()
-	if len(got) != 1 || len(delivered) != 1 || delivered[0] != "a" {
-		t.Fatalf("got=%v delivered=%v", got, delivered)
+	if s.Queue != nil || len(delivered) != 2 || delivered[0] != "a" || delivered[1] != "eos" {
+		t.Fatalf("queue %v, delivered %v; want no queue and a, eos", s.Queue, delivered)
 	}
+	s.Unsubscribe() // no queue to close
 }
 
 // Property: for any interleaving of pushes, a single consumer sees exactly
@@ -266,15 +267,15 @@ func TestQuickQueueConservation(t *testing.T) {
 // tells an empty queue from an ended one.
 func TestQueueReadyAndTake(t *testing.T) {
 	q := NewQueue()
-	fired := 0
-	q.OnReady(func() { fired++ }, nil)
+	r := &recorder{}
+	q.OnReady(r)
 	if _, ok, ended := q.Take(); ok || ended {
 		t.Fatalf("Take on an empty open queue = ok %v, ended %v", ok, ended)
 	}
 	q.Push(Item{Tree: xmltree.Elem("a")})
 	q.Push(Item{Tree: xmltree.Elem("b")})
-	if fired != 1 {
-		t.Fatalf("ready fired %d times for two pushes into an empty queue, want 1", fired)
+	if r.ready != 1 {
+		t.Fatalf("ready fired %d times for two pushes into an empty queue, want 1", r.ready)
 	}
 	q.TryPop()
 	q.TryPop()
@@ -282,8 +283,8 @@ func TestQueueReadyAndTake(t *testing.T) {
 	q.Close()
 	q.Close()
 	q.Push(Item{Tree: xmltree.Elem("late")}) // dropped
-	if fired != 3 {
-		t.Fatalf("ready fired %d times, want 3 (two fills, one Close)", fired)
+	if r.ready != 3 {
+		t.Fatalf("ready fired %d times, want 3 (two fills, one Close)", r.ready)
 	}
 	if it, ok, ended := q.Take(); !ok || ended || it.Tree.Label != "c" {
 		t.Fatalf("Take = %v, ok %v, ended %v; want c before the end", it.Tree, ok, ended)
@@ -293,8 +294,14 @@ func TestQueueReadyAndTake(t *testing.T) {
 	}
 }
 
-// recorder is a Reader that takes every item it is handed and records it.
-type recorder struct{ took []string }
+// recorder is a Reader that counts its ready notices and takes every
+// item it is handed, recording it.
+type recorder struct {
+	ready int
+	took  []string
+}
+
+func (r *recorder) Ready() { r.ready++ }
 
 func (r *recorder) Direct(_ *Queue, it Item) bool {
 	r.took = append(r.took, it.Tree.Label)
@@ -308,7 +315,7 @@ func TestQueueOffer(t *testing.T) {
 	q := NewQueue()
 	q.Offer(Item{Tree: xmltree.Elem("a")}) // no reader yet: queued
 	r := &recorder{}
-	q.OnReady(func() {}, r)
+	q.OnReady(r)
 	q.Offer(Item{Tree: xmltree.Elem("b")}) // behind a: queued
 	q.TryPop()
 	q.TryPop()
