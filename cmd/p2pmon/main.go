@@ -583,7 +583,7 @@ func runChurn(out io.Writer, cfg workload.ChurnConfig) error {
 	fmt.Fprintf(out, "drove %d events; %d results arrived (completeness %.0f%%)\n",
 		rep.Driven, rep.Received, rep.Completeness()*100)
 	fmt.Fprintf(out, "crashes: %d, detected: %d, repaired: %d, replayed: %d, mean detection latency %.1fs\n",
-		rep.Crashes, rep.Deaths, rep.Repairs, rep.Replayed, rep.DetectionLatency.Mean())
+		rep.Crashes, rep.Deaths, rep.Repairs, rep.Replayed, rep.DetectionLatency())
 	if rep.Joins > 0 {
 		fmt.Fprintf(out, "joins: %d workers admitted at runtime\n", rep.Joins)
 	}

@@ -704,8 +704,8 @@ func (r *Ring) Put(key, value string) error {
 
 // Set replaces the values stored under a key with the single given
 // value, at the primary and every replica successor — the latest-wins
-// single-record keys (operator checkpoints) that would otherwise grow
-// one appended copy per write.
+// single-record keys (operator checkpoints, stream stats) that would
+// otherwise grow one appended copy per write.
 func (r *Ring) Set(key, value string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

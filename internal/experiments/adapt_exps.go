@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"p2pm/internal/stats"
 	"p2pm/internal/workload"
 )
 
@@ -56,7 +55,7 @@ func runX6(s Scale) (*Result, error) {
 	}
 
 	holds := true
-	detection := stats.NewTable("failure detection under the diurnal profile (same seed, same faults)",
+	detection := NewTable("failure detection under the diurnal profile (same seed, same faults)",
 		"mode", "false kills", "true kills", "repairs", "health peak", "replayed")
 	for _, row := range []*workload.AdaptReport{static, adaptive} {
 		detection.AddRow(row.Mode, row.FalseKills, row.TrueKills, row.Repairs, row.HealthPeak, row.Replayed)
@@ -69,7 +68,7 @@ func runX6(s Scale) (*Result, error) {
 		adaptive.FalseKills == 0 && adaptive.TrueKills >= 1 &&
 		adaptive.HealthPeak > 0 && static.HealthPeak == 0
 
-	load := stats.NewTable("hot-interior load (final-quarter ingest per first-level interior)",
+	load := NewTable("hot-interior load (final-quarter ingest per first-level interior)",
 		"mode", "splits", "max", "mean", "max versus mean")
 	for _, row := range []*workload.AdaptReport{static, adaptive} {
 		load.AddRow(row.Mode, row.Splits, row.PostMax,
@@ -79,7 +78,7 @@ func runX6(s Scale) (*Result, error) {
 	holds = holds && static.Splits == 0 && adaptive.Splits >= 1 &&
 		adaptive.PostRatio() <= static.PostRatio()
 
-	actions := stats.NewTable("control actions from the sysmon subscription",
+	actions := NewTable("control actions from the sysmon subscription",
 		"mode", "quarantine engages", "replication raises", "quarantined at teardown")
 	for _, row := range []*workload.AdaptReport{static, adaptive} {
 		actions.AddRow(row.Mode, row.Quarantines, row.ReplRaises, strings.Join(row.Quarantined, " "))
@@ -92,7 +91,7 @@ func runX6(s Scale) (*Result, error) {
 	holds = holds && adaptive.Quarantines >= 1 && adaptive.ReplRaises >= 1 && quarFlap &&
 		static.Quarantines == 0 && static.ReplRaises == 0
 
-	output := stats.NewTable("output integrity versus the undisturbed flat baseline",
+	output := NewTable("output integrity versus the undisturbed flat baseline",
 		"mode", "records", "completeness", "byte-identical")
 	for _, row := range []*workload.AdaptReport{flat, static, adaptive} {
 		output.AddRow(row.Mode, len(row.Records),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"p2pm/internal/stats"
 	"p2pm/internal/workload"
 )
 
@@ -60,7 +59,7 @@ func runX4(s Scale) (*Result, error) {
 	}
 
 	// Per-peer ingest: flat hotspot vs tree, no churn (clean counters).
-	ingest := stats.NewTable("per-peer operator ingest, flat aggregator vs DHT-routed tree (no churn)",
+	ingest := NewTable("per-peer operator ingest, flat aggregator vs DHT-routed tree (no churn)",
 		"deployment", "events", "windows", "max ingest/peer", "mean/peer", "max versus mean", "completeness")
 	holds := true
 	flatRep, err := run(base("flat"))
@@ -93,7 +92,7 @@ func runX4(s Scale) (*Result, error) {
 
 	// Completeness under churn: tree mode, replay on, byte-identity
 	// against the flat no-churn baseline at the same seed.
-	churn := stats.NewTable("tree-mode windowed-count completeness under churn (replay on)",
+	churn := NewTable("tree-mode windowed-count completeness under churn (replay on)",
 		"scenario", "crashes", "leaves", "joins", "repairs", "replayed", "completeness", "identical to flat")
 	addRow := func(name string, cfg workload.AggConfig, wantCrashes, wantLeaves, wantJoins bool) error {
 		rep, err := run(cfg)
@@ -149,7 +148,7 @@ func runX4(s Scale) (*Result, error) {
 	// The contrast row: replay off, an interior crash destroys its open
 	// windows — the lossless rows above are the PR 2 machinery working,
 	// not the scenario being too gentle.
-	contrast := stats.NewTable("interior crash without the replay layer (the contrast)",
+	contrast := NewTable("interior crash without the replay layer (the contrast)",
 		"scenario", "crashes", "completeness")
 	cfg := base("tree")
 	cfg.CrashEvery = crashRates[len(crashRates)-1]
@@ -170,7 +169,7 @@ func runX4(s Scale) (*Result, error) {
 	// is deterministic — the registers depend only on the value set — so
 	// the ≤2% gate is a reproducible acceptance line, not a coin flip.
 	users := 64
-	sketch := stats.NewTable(fmt.Sprintf("distinct-count over %d users: exact set vs HyperLogLog sketch (tree mode)", users),
+	sketch := NewTable(fmt.Sprintf("distinct-count over %d users: exact set vs HyperLogLog sketch (tree mode)", users),
 		"variant", "groups", "crashes", "completeness", "max rel err", "mean rel err", "bytes on wire")
 	addSketchRow := func(name string, cfg workload.AggConfig) (*workload.AggReport, error) {
 		cfg.Users = users

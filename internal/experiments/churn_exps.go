@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"p2pm/internal/stats"
 	"p2pm/internal/workload"
 )
 
@@ -36,7 +35,7 @@ func runX2(s Scale) (*Result, error) {
 	if s == Quick {
 		events, rates, partRate = 40, []int{0, 12}, 12
 	}
-	table := stats.NewTable("churn rate vs result completeness and failover latency",
+	table := NewTable("churn rate vs result completeness and failover latency",
 		"crash every", "replay", "detector", "crashes", "repairs", "completeness", "replayed", "mean detect (s)", "msgs", "dropped")
 	holds := true
 	for _, k := range rates {
@@ -60,7 +59,7 @@ func runX2(s Scale) (*Result, error) {
 			table.AddRow(label, onOff, "gossip", rep.Crashes, rep.Repairs,
 				fmt.Sprintf("%.0f%%", rep.Completeness()*100),
 				rep.Replayed,
-				fmt.Sprintf("%.1f", rep.DetectionLatency.Mean()),
+				fmt.Sprintf("%.1f", rep.DetectionLatency()),
 				rep.Traffic.Messages, rep.Traffic.Dropped)
 			switch {
 			case k == 0:
@@ -92,7 +91,7 @@ func runX2(s Scale) (*Result, error) {
 	// Detector survivability: the monitor peer is partitioned away early
 	// in the run; the relay crash schedule continues. Replay is on — any
 	// loss is a detection failure, not a transport one.
-	surv := stats.NewTable("detector survivability — home peer partitioned mid-run (replay on)",
+	surv := NewTable("detector survivability — home peer partitioned mid-run (replay on)",
 		"detector", "crashes", "repairs", "completeness", "mean detect (s)", "deaths declared")
 	cfg := workload.DefaultChurn()
 	cfg.Events = events
@@ -105,7 +104,7 @@ func runX2(s Scale) (*Result, error) {
 	}
 	surv.AddRow("gossip", rep.Crashes, rep.Repairs,
 		fmt.Sprintf("%.0f%%", rep.Completeness()*100),
-		fmt.Sprintf("%.1f", rep.DetectionLatency.Mean()),
+		fmt.Sprintf("%.1f", rep.DetectionLatency()),
 		rep.Deaths)
 	// Gossip must still inject, detect and repair relay crashes with the
 	// monitor cut off, ending lossless.

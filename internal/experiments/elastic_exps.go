@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"p2pm/internal/stats"
 	"p2pm/internal/workload"
 )
 
@@ -44,7 +43,7 @@ func runX3(s Scale) (*Result, error) {
 		pipelines, loadEvents, loadWorkers = 5, 40, 6
 	}
 
-	growth := stats.NewTable("growing the pool from 4 workers to full scale under churn (replay on)",
+	growth := NewTable("growing the pool from 4 workers to full scale under churn (replay on)",
 		"join every", "detector", "joins", "crashes", "repairs", "completeness", "replayed", "mean detect (s)")
 	holds := true
 	for _, rate := range joinRates {
@@ -66,7 +65,7 @@ func runX3(s Scale) (*Result, error) {
 		growth.AddRow(label, "gossip", rep.Joins, rep.Crashes, rep.Repairs,
 			fmt.Sprintf("%.0f%%", rep.Completeness()*100),
 			rep.Replayed,
-			fmt.Sprintf("%.1f", rep.DetectionLatency.Mean()))
+			fmt.Sprintf("%.1f", rep.DetectionLatency()))
 		// The pool must actually reach full scale, every crash must be
 		// detected and repaired, and the growth must be invisible to the
 		// consumers: exactly 100% completeness via genuine retransmission.
@@ -82,7 +81,7 @@ func runX3(s Scale) (*Result, error) {
 	// the measurement isolates placement), measured after the last join
 	// so deployment and growth traffic stay out of the steady-state
 	// window.
-	spreadT := stats.NewTable("steady-state per-peer checkpoint put/get load, classic vs spread placement",
+	spreadT := NewTable("steady-state per-peer checkpoint put/get load, classic vs spread placement",
 		"placement", "ckpt ops", "max/peer", "mean/peer", "max versus mean", "handoffs")
 	classicRatio := 0.0
 	for _, spread := range []bool{false, true} {

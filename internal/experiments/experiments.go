@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"p2pm/internal/stats"
 )
 
 // Scale selects experiment sizes.
@@ -29,7 +27,7 @@ const (
 type Result struct {
 	ID     string
 	Claim  string // the paper's claim or figure being regenerated
-	Tables []*stats.Table
+	Tables []*Table
 	Notes  []string
 	// Holds reports whether the claim's *shape* held (who wins, direction
 	// of effect). Absolute numbers are not expected to match the paper's

@@ -11,17 +11,13 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/quick.golden from this run")
 
-// hostTimed experiments are not pinned by the golden: their tables time
-// the host (a µs column). Every other experiment's output is a function
-// of the seed.
-var hostTimed = map[string]bool{"C1": true, "C2": true, "C4": true, "C8": true, "C9": true}
-
 var goldenPath = filepath.Join("testdata", "quick.golden")
 
 // TestAllExperimentsQuick runs every registered experiment at Quick scale,
 // requires each paper claim's shape to hold, and compares each rendering
-// byte for byte with its section of testdata/quick.golden (except the
-// hostTimed ones). This is the repository's continuous reproduction check.
+// byte for byte with its section of testdata/quick.golden: every table
+// counts work, none times the host, so each output is a function of the
+// seed. This is the repository's continuous reproduction check.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: the full reproduction sweep runs in the matrix job")
@@ -47,7 +43,6 @@ func TestAllExperimentsQuick(t *testing.T) {
 			}
 			out := res.String()
 			switch {
-			case hostTimed[r.ID]: // not pinned
 			case *updateGolden:
 				golden[r.ID] = out
 			case out != golden[r.ID]:
@@ -67,17 +62,14 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 }
 
-// TestGoldenX2X6Quick: X2–X6 are pinned whole. None of them is host
-// timed, and their golden sections hold every column that used to be
-// masked as schedule-dependent. TestAllExperimentsQuick runs and compares
-// them, so they run once per go test.
+// TestGoldenX2X6Quick: X2–X6 are pinned whole, and their golden sections
+// hold every column that used to be masked as schedule-dependent.
+// TestAllExperimentsQuick runs and compares them, so they run once per
+// go test.
 func TestGoldenX2X6Quick(t *testing.T) {
 	golden := readGolden(t)
 	var sections strings.Builder
 	for _, id := range []string{"X2", "X3", "X4", "X5", "X6"} {
-		if hostTimed[id] {
-			t.Errorf("%s is exempt from the golden", id)
-		}
 		if !strings.HasPrefix(golden[id], "---- "+id+" ----\n") {
 			t.Errorf("%s has no section in %s", id, goldenPath)
 		}

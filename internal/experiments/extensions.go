@@ -6,7 +6,6 @@ import (
 
 	"p2pm/internal/algebra"
 	"p2pm/internal/peer"
-	"p2pm/internal/stats"
 	"p2pm/internal/xmltree"
 )
 
@@ -28,7 +27,7 @@ func runX1(s Scale) (*Result, error) {
 	if s == Quick {
 		depth, calls = 3, 10
 	}
-	table := stats.NewTable("nested condition chains, subsumption on vs off",
+	table := NewTable("nested condition chains, subsumption on vs off",
 		"chain depth", "ops (subsume)", "ops (no reuse)", "alerters (subsume)", "results equal")
 	holds := true
 	for d := 2; d <= depth; d++ {

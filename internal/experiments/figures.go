@@ -10,7 +10,6 @@ import (
 	"p2pm/internal/kadop"
 	"p2pm/internal/peer"
 	"p2pm/internal/reuse"
-	"p2pm/internal/stats"
 	"p2pm/internal/stream"
 	"p2pm/internal/workload"
 	"p2pm/internal/xpath"
@@ -47,7 +46,7 @@ func runF1(s Scale) (*Result, error) {
 	}
 	task.Stop()
 	incidents := task.Results().Drain()
-	table := stats.NewTable("incidents", "calls", "slow calls", "incidents detected")
+	table := NewTable("incidents", "calls", "slow calls", "incidents detected")
 	table.AddRow(cfg.Calls, slow, len(incidents))
 	res.Tables = append(res.Tables, table)
 	for i, it := range incidents {
@@ -77,7 +76,7 @@ func runF2(Scale) (*Result, error) {
 	task.Plan.Walk(func(n *algebra.Node) {
 		byPeer[n.Peer] = append(byPeer[n.Peer], n.Label())
 	})
-	table := stats.NewTable("module placement", "peer", "modules")
+	table := NewTable("module placement", "peer", "modules")
 	for _, p := range []string{"p", "a.com", "b.com", "meteo.com"} {
 		table.AddRow(p, strings.Join(byPeer[p], " | "))
 	}
@@ -95,7 +94,7 @@ func runF3(Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	table := stats.NewTable("processing chain", "stage", "operators", "rendering")
+	table := NewTable("processing chain", "stage", "operators", "rendering")
 	table.AddRow("compiled (@any)", ex.NaivePlan.Count(), ex.NaivePlan.String())
 	table.AddRow("optimized", ex.Optimized.Count(), ex.Optimized.String())
 	res.Tables = append(res.Tables, table)
@@ -118,7 +117,7 @@ func runF4(Scale) (*Result, error) {
 	}
 	got := ex.Optimized.String()
 	want := "publisher@p(Π@meteo.com(⋈@meteo.com(∪@b.com(σ@a.com(out@a.com), σ@b.com(out@b.com)), in@meteo.com)))"
-	table := stats.NewTable("plan rendering", "which", "plan")
+	table := NewTable("plan rendering", "which", "plan")
 	table.AddRow("produced", got)
 	table.AddRow("figure 4", want)
 	res.Tables = append(res.Tables, table)
@@ -141,7 +140,7 @@ func runF5(s Scale) (*Result, error) {
 		}
 	}
 	st := f.Stats()
-	table := stats.NewTable("pipeline stage activity over serialized documents",
+	table := NewTable("pipeline stage activity over serialized documents",
 		"docs", "preFilter evals", "AES probes", "yfilter runs", "yfilter skips", "bodies parsed", "bodies skipped")
 	table.AddRow(st.Docs, st.PreFilterEvals, st.AESProbes, st.YFilterRuns, st.YFilterSkips, st.BodiesParsed, st.BodiesSkipped)
 	res.Tables = append(res.Tables, table)
@@ -172,7 +171,7 @@ func runF6(Scale) (*Result, error) {
 		}
 	}
 	matched, probes := a.Match([]int{c1, c3})
-	table := stats.NewTable("worked example", "satisfied", "matched/active subscriptions", "probes")
+	table := NewTable("worked example", "satisfied", "matched/active subscriptions", "probes")
 	table.AddRow("C1,C3", fmt.Sprint(matched), probes)
 	res.Tables = append(res.Tables, table)
 	res.Notes = append(res.Notes, "hash-tree structure:\n"+a.Dump(func(id int) string { return fmt.Sprintf("C%d", id) }))
@@ -207,7 +206,7 @@ func runF7(Scale) (*Result, error) {
 		return nil, err
 	}
 
-	table := stats.NewTable("discovery queries (Section 5)", "query", "answer")
+	table := NewTable("discovery queries (Section 5)", "query", "answer")
 	q1, err := db.QueryXPath(`/Stream[@PeerId = $p1][Operator/inCOM]`, map[string]string{"p1": "p1"})
 	if err != nil {
 		return nil, err

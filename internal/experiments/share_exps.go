@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"p2pm/internal/stats"
 	"p2pm/internal/workload"
 )
 
@@ -71,7 +70,7 @@ func runX5(s Scale) (*Result, error) {
 	holds := true
 
 	// Head-to-head at the full population: shared vs unshared.
-	head := stats.NewTable(fmt.Sprintf("%d overlapping subscriptions, shared vs unshared deployment", headSubs),
+	head := NewTable(fmt.Sprintf("%d overlapping subscriptions, shared vs unshared deployment", headSubs),
 		"deployment", "operators", "ops/sub", "reused ops", "lookups", "max ingest/peer", "mean/peer", "byte-identical", "completeness")
 	sharedRep, err := run(base("shared", headSubs))
 	if err != nil {
@@ -107,7 +106,7 @@ func runX5(s Scale) (*Result, error) {
 
 	// Scaling: shared-mode deployment cost must grow sublinearly — once
 	// every distinct range is live, later subscribers are channel taps.
-	scaling := stats.NewTable("shared-mode deployment cost as the population grows",
+	scaling := NewTable("shared-mode deployment cost as the population grows",
 		"subscriptions", "operators", "ops/sub", "reused ops", "byte-identical")
 	var opsPerSub []float64
 	scaleOps := map[int]int{}
@@ -141,7 +140,7 @@ func runX5(s Scale) (*Result, error) {
 
 	// Churn on the shared interiors: one interior feeds many tenants, so
 	// every repair has to make all of them whole (replay on throughout).
-	churn := stats.NewTable(fmt.Sprintf("churn on shared interiors, %d subscriptions (replay on)", churnSubs),
+	churn := NewTable(fmt.Sprintf("churn on shared interiors, %d subscriptions (replay on)", churnSubs),
 		"scenario", "crashes", "leaves", "joins", "repairs", "replayed", "byte-identical", "completeness")
 	churnRow := func(name string, mutate func(*workload.ShareConfig), wantCrashes, wantLeaves, wantJoins bool) error {
 		cfg := base("shared", churnSubs)

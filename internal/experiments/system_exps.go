@@ -8,7 +8,6 @@ import (
 	"p2pm/internal/kadop"
 	"p2pm/internal/operators"
 	"p2pm/internal/peer"
-	"p2pm/internal/stats"
 	"p2pm/internal/stream"
 	"p2pm/internal/workload"
 	"p2pm/internal/xmltree"
@@ -34,7 +33,7 @@ func runC5(s Scale) (*Result, error) {
 	if s == Quick {
 		calls = 20
 	}
-	table := stats.NewTable("bytes on the wire vs selectivity (Figure 4 topology)",
+	table := NewTable("bytes on the wire vs selectivity (Figure 4 topology)",
 		"slow frac", "pushdown bytes", "no-pushdown bytes", "saved %")
 	holds := true
 	for _, slowEvery := range []int{2, 5, 0 /* never slow */} {
@@ -98,7 +97,7 @@ func runC7(s Scale) (*Result, error) {
 		subscribers = []int{1, 2, 4}
 		calls = 15
 	}
-	table := stats.NewTable("k identical subscriptions, reuse on vs off",
+	table := NewTable("k identical subscriptions, reuse on vs off",
 		"k", "ops (reuse)", "ops (no reuse)", "items (reuse)", "items (no reuse)", "bytes (reuse)", "bytes (no reuse)")
 	holds := true
 	for _, k := range subscribers {
@@ -165,11 +164,11 @@ func runC8(s Scale) (*Result, error) {
 	if s == Quick {
 		sizes = []int{1000, 5000}
 	}
-	probesTable := stats.NewTable("probe counts per arriving item",
-		"history size", "indexed probes", "scan probes", "indexed µs/item", "scan µs/item")
+	probesTable := NewTable("probe counts per arriving item",
+		"history size", "indexed probes", "scan probes")
 	holds := true
 	for _, size := range sizes {
-		mkJoin := func(useIndex bool) (uint64, time.Duration) {
+		mkJoin := func(useIndex bool) uint64 {
 			j := &operators.Join{
 				LeftKey:  operators.AttrKey("k"),
 				RightKey: operators.AttrKey("k"),
@@ -182,17 +181,15 @@ func runC8(s Scale) (*Result, error) {
 				j.Accept(0, stream.Item{Tree: tree}, sink)
 			}
 			probes := 50
-			start := time.Now()
 			for i := 0; i < probes; i++ {
 				tree := xmltree.Elem("r")
 				tree.SetAttr("k", fmt.Sprintf("%d", i*7%size))
 				j.Accept(1, stream.Item{Tree: tree}, sink)
 			}
-			return j.Probes() / uint64(probes), time.Since(start) / time.Duration(probes)
+			return j.Probes() / uint64(probes)
 		}
-		ip, it := mkJoin(true)
-		sp, st := mkJoin(false)
-		probesTable.AddRow(size, ip, sp, float64(it.Microseconds()), float64(st.Microseconds()))
+		ip, sp := mkJoin(true), mkJoin(false)
+		probesTable.AddRow(size, ip, sp)
 		if ip >= sp {
 			holds = false
 		}
@@ -216,8 +213,8 @@ func runC9(s Scale) (*Result, error) {
 	if s == Quick {
 		points = []point{{50, 500}, {200, 2000}}
 	}
-	table := stats.NewTable("discovery cost vs scale",
-		"peers", "streams", "avg hops", "log2(peers)", "µs/lookup")
+	table := NewTable("discovery cost vs scale",
+		"peers", "streams", "avg hops", "log2(peers)")
 	holds := true
 	for _, pt := range points {
 		ring := dht.New()
@@ -239,7 +236,6 @@ func runC9(s Scale) (*Result, error) {
 		}
 		lookups := 200
 		totalHops := 0
-		start := time.Now()
 		for i := 0; i < lookups; i++ {
 			defs, hops, err := db.FindAlerters(fmt.Sprintf("peer-%d", i%pt.peers), fmt.Sprintf("peer-%d", (i*13)%pt.peers), "inCOM")
 			if err != nil {
@@ -250,10 +246,9 @@ func runC9(s Scale) (*Result, error) {
 			}
 			totalHops += hops
 		}
-		perLookup := time.Since(start) / time.Duration(lookups)
 		avgHops := float64(totalHops) / float64(lookups)
 		logPeers := log2(float64(pt.peers))
-		table.AddRow(pt.peers, pt.streams, avgHops, logPeers, float64(perLookup.Microseconds()))
+		table.AddRow(pt.peers, pt.streams, avgHops, logPeers)
 		if avgHops > 3*logPeers {
 			holds = false
 		}
@@ -285,7 +280,7 @@ func runC10(s Scale) (*Result, error) {
 	if s == Quick {
 		n = 3000
 	}
-	table := stats.NewTable("join history under a 60s window vs unbounded",
+	table := NewTable("join history under a 60s window vs unbounded",
 		"items", "peak history (gc)", "peak history (unbounded)", "evicted", "matches gc", "matches unbounded")
 	run := func(window time.Duration) (*operators.Join, int) {
 		j := &operators.Join{
@@ -326,7 +321,7 @@ func runC11(s Scale) (*Result, error) {
 		ID:    "C11",
 		Claim: `motivations (§1): telecom workflow surveillance and Edos usage statistics`,
 	}
-	table := stats.NewTable("workload summary",
+	table := NewTable("workload summary",
 		"workload", "events driven", "alerts observed", "net msgs", "net bytes")
 	holds := true
 

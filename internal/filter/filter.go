@@ -67,6 +67,7 @@ type Stats struct {
 	YFilterRuns     uint64 // documents that reached the YFilter stage
 	YFilterSkips    uint64 // documents rejected before the YFilter stage
 	NFATransitions  uint64 // transitions taken inside YFilter
+	DirectEvals     uint64 // conditions and tree patterns evaluated one by one, outside the indexes and the NFA
 	ServiceCalls    uint64 // ActiveXML materialization calls
 	BodiesParsed    uint64 // MatchSerialized: documents fully parsed
 	BodiesSkipped   uint64 // MatchSerialized: first-tag-only documents
@@ -112,9 +113,9 @@ type Filter struct {
 	materializer Materializer
 
 	stats struct {
-		docs, preEvals, aesProbes, yfRuns, yfSkips atomic.Uint64
-		nfaTrans, svcCalls, parsed, skipped, outs  atomic.Uint64
-		compactions                                atomic.Uint64
+		docs, preEvals, aesProbes, yfRuns, yfSkips  atomic.Uint64
+		nfaTrans, direct, svcCalls, parsed, skipped atomic.Uint64
+		outs, compactions                           atomic.Uint64
 	}
 }
 
@@ -347,8 +348,12 @@ func (f *Filter) matchTwoStage(sc *scratch, attrs []xmltree.Attr, doc *xmltree.N
 		}
 		f.stats.parsed.Add(1)
 	}
-	if err := f.runComplex(sc, doc); err != nil {
+	evals, err := f.runComplex(sc, doc)
+	if err != nil {
 		return nil, err
+	}
+	if evals > 0 {
+		f.stats.direct.Add(uint64(evals))
 	}
 	return f.report(sc), nil
 }
@@ -356,16 +361,18 @@ func (f *Filter) matchTwoStage(sc *scratch, attrs []xmltree.Attr, doc *xmltree.N
 // runComplex materializes service calls if needed and evaluates the
 // complex parts of the active subscriptions, sc.active, via YFilterσ
 // (plus direct evaluation for non-linear patterns), appending the
-// handles of those that hold to sc.out.
-func (f *Filter) runComplex(sc *scratch, doc *xmltree.Node) error {
+// handles of those that hold to sc.out. It returns the tree patterns it
+// evaluated directly.
+func (f *Filter) runComplex(sc *scratch, doc *xmltree.Node) (int, error) {
 	if f.materializer != nil {
 		calls, err := f.materializer(doc)
 		f.stats.svcCalls.Add(uint64(calls))
 		if err != nil {
-			return fmt.Errorf("filter: materialization failed: %w", err)
+			return 0, fmt.Errorf("filter: materialization failed: %w", err)
 		}
 	}
 	f.stats.yfRuns.Add(1)
+	evals := 0
 	// Every linked query has its own ID, so the active ones are distinct.
 	sc.qids = sc.qids[:0]
 	for _, s := range sc.active {
@@ -379,6 +386,7 @@ func (f *Filter) runComplex(sc *scratch, doc *xmltree.Node) error {
 		// NFA built for the full workload. MatchesDocument reads a path
 		// as YFilter does: /a tests the root element, //a any element.
 		sc.matchedQ.reset(len(f.pathByQID))
+		evals += n
 		for _, qid := range sc.qids {
 			if f.pathByQID[qid].MatchesDocument(doc, nil) {
 				sc.matchedQ.add(qid)
@@ -401,6 +409,7 @@ func (f *Filter) runComplex(sc *scratch, doc *xmltree.Node) error {
 		}
 		if ok {
 			for _, p := range s.direct {
+				evals++
 				if !p.MatchesDocument(doc, nil) {
 					ok = false
 					break
@@ -411,7 +420,7 @@ func (f *Filter) runComplex(sc *scratch, doc *xmltree.Node) error {
 			sc.out = append(sc.out, s.handle)
 		}
 	}
-	return nil
+	return evals, nil
 }
 
 // live appends the registered subscriptions to dst[:0] in registration
@@ -430,16 +439,20 @@ func (f *Filter) matchYFilterOnly(sc *scratch, doc *xmltree.Node) ([]string, err
 	// Every complex query is active; simple conditions are evaluated per
 	// candidate afterwards — no preFilter, no AES.
 	sc.out, sc.active = sc.out[:0], f.live(sc.active)
-	if err := f.runComplex(sc, doc); err != nil {
+	evals, err := f.runComplex(sc, doc)
+	if err != nil {
 		return nil, err
 	}
 	matched := sc.out
 	sc.out = sc.out[:0] // filtered in place: writes trail reads
 	for _, h := range matched {
-		if f.simpleHold(f.byHandle[h], doc) {
+		checked, ok := f.simpleHold(f.byHandle[h], doc)
+		evals += checked
+		if ok {
 			sc.out = append(sc.out, h)
 		}
 	}
+	f.stats.direct.Add(uint64(evals))
 	return f.report(sc), nil
 }
 
@@ -451,34 +464,34 @@ func (f *Filter) matchNaive(sc *scratch, doc *xmltree.Node) ([]string, error) {
 			return nil, err
 		}
 	}
+	evals := 0
 	sc.out, sc.active = sc.out[:0], f.live(sc.active)
 	for _, s := range sc.active {
-		if !f.simpleHold(s, doc) {
-			continue
-		}
-		ok := true
-		for _, p := range s.Complex {
-			if !p.MatchesDocument(doc, nil) {
-				ok = false
-				break
-			}
+		checked, ok := f.simpleHold(s, doc)
+		evals += checked
+		for i := 0; ok && i < len(s.Complex); i++ {
+			evals++
+			ok = s.Complex[i].MatchesDocument(doc, nil)
 		}
 		if ok {
 			sc.out = append(sc.out, s.handle)
 		}
 	}
+	f.stats.direct.Add(uint64(evals))
 	return f.report(sc), nil
 }
 
-func (f *Filter) simpleHold(s *sub, doc *xmltree.Node) bool {
-	for _, id := range s.seq {
+// simpleHold evaluates s's simple conditions in order, up to the first
+// that fails, and returns how many it evaluated and whether all held.
+func (f *Filter) simpleHold(s *sub, doc *xmltree.Node) (int, bool) {
+	for i, id := range s.seq {
 		c := f.reg.conds[id]
 		v, ok := doc.Attr(c.Attr)
 		if !ok || !c.Eval(v) {
-			return false
+			return i + 1, false
 		}
 	}
-	return true
+	return len(s.seq), true
 }
 
 // report turns the matched handles in sc.out into subscription IDs, in
@@ -502,6 +515,7 @@ func (f *Filter) Stats() Stats {
 		YFilterRuns:     f.stats.yfRuns.Load(),
 		YFilterSkips:    f.stats.yfSkips.Load(),
 		NFATransitions:  f.stats.nfaTrans.Load(),
+		DirectEvals:     f.stats.direct.Load(),
 		ServiceCalls:    f.stats.svcCalls.Load(),
 		BodiesParsed:    f.stats.parsed.Load(),
 		BodiesSkipped:   f.stats.skipped.Load(),

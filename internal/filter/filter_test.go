@@ -313,6 +313,43 @@ func TestFilterStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestDirectEvalsCountsOneByOneWork: DirectEvals counts the conditions
+// and tree patterns a mode evaluates one by one — per subscription up to
+// the first that fails — and nothing the indexes or the NFA do.
+func TestDirectEvalsCountsOneByOneWork(t *testing.T) {
+	f := New()
+	mustAdd(t, f, Subscription{ID: "hot", Simple: []Cond{simpleCond("temp", ">", "30")}})
+	mustAdd(t, f, Subscription{ID: "hot-paris", Simple: []Cond{
+		simpleCond("temp", ">", "30"), simpleCond("city", "=", "paris")}})
+	mustAdd(t, f, Subscription{ID: "deep", Simple: []Cond{simpleCond("city", "=", "paris")},
+		Complex: []*xpath.Path{xpath.MustCompile(`//a/b`)}})
+	for i := 0; i < 8; i++ {
+		mustAdd(t, f, Subscription{ID: fmt.Sprintf("rome%d", i), Simple: []Cond{simpleCond("city", "=", "rome")},
+			Complex: []*xpath.Path{xpath.MustCompile(`//c`)}})
+	}
+	doc := xmltree.MustParse(`<m temp="20" city="paris"><a><b/></a></m>`)
+	for _, c := range []struct {
+		mode Mode
+		want uint64
+	}{
+		{ModeTwoStage, 1},    // deep's path: 1 active query of 9, evaluated directly
+		{ModeYFilterOnly, 3}, // after the NFA, the first condition of hot, hot-paris and deep
+		{ModeNaive, 12},      // the first condition of all 11, and deep's path
+	} {
+		before := f.Stats().DirectEvals
+		got, err := f.MatchMode(doc, c.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != "[deep]" {
+			t.Errorf("%v: matched %v", c.mode, got)
+		}
+		if n := f.Stats().DirectEvals - before; n != c.want {
+			t.Errorf("%v: %d direct evaluations, want %d", c.mode, n, c.want)
+		}
+	}
+}
+
 // Property: on random documents and random subscription sets, the
 // two-stage pipeline agrees exactly with naive per-subscription
 // evaluation. This is the core correctness property of Section 4.

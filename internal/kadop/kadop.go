@@ -386,8 +386,9 @@ func (db *DB) FindByRef(from string, ref stream.Ref) (*StreamDef, int, error) {
 
 func statsKey(ref stream.Ref) string { return "stats|" + ref.String() }
 
-// UpdateStats records the latest statistics for a stream (appended;
-// StatsFor reads the most recent record). The paper's descriptors carry
+// UpdateStats records the latest statistics for a stream. Latest wins:
+// each write replaces the stream's previous record, so a stream holds one
+// however often it is refreshed. The paper's descriptors carry
 // "statistical information maintained for the stream such as the average
 // volume of data".
 func (db *DB) UpdateStats(ref stream.Ref, stats map[string]string) error {
@@ -401,14 +402,14 @@ func (db *DB) UpdateStats(ref stream.Ref, stats map[string]string) error {
 		n.SetAttr(k, stats[k])
 	}
 	key := statsKey(ref)
-	if err := db.ring.Put(key, n.String()); err != nil {
+	if err := db.ring.Set(key, n.String()); err != nil {
 		return err
 	}
 	db.wrote(key, key)
 	return nil
 }
 
-// DropStats removes the stats records UpdateStats wrote for a stream;
+// DropStats removes the stats record UpdateStats wrote for a stream;
 // for one it wrote none, it does nothing.
 func (db *DB) DropStats(ref stream.Ref) { db.drop(statsKey(ref)) }
 

@@ -32,7 +32,7 @@ func PairCombine(left, right *xmltree.Node) *xmltree.Node {
 // right). For each arriving tree, the history of the *other* stream is
 // probed for partners with an equal join key (then the optional Residual
 // predicate). An index over each history accelerates the probe — set
-// UseIndex to false to get the linear-scan baseline measured in bench C8.
+// UseIndex to false to get the linear-scan baseline of experiment C8.
 //
 // Window, when non-zero, bounds each history by virtual time — the
 // time-based storage bound of STREAM adopted in the paper's future-work

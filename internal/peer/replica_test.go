@@ -132,12 +132,27 @@ func TestRefreshStreamStats(t *testing.T) {
 	if stats["volume"] == "" || stats["avgItemSize"] == "" {
 		t.Errorf("volume stats missing: %v", stats)
 	}
-	// A second refresh overwrites (latest wins).
-	if err := sys.RefreshStreamStats(); err != nil {
+	// A refresh replaces the stream's record (latest wins) instead of
+	// appending another: 100 rounds of a call, a Step and a refresh leave
+	// one record under the result channel's stats key, and StatsFor
+	// reads the newest counts.
+	for i := 0; i < 100; i++ {
+		c.Endpoint().Invoke("m.com", "Q", nil)
+		sys.Step(time.Second)
+		sys.Quiesce()
+		if err := sys.RefreshStreamStats(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vals, _, err := sys.Ring.Get("p", "stats|"+task.ResultChannel().String())
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(vals) != 1 {
+		t.Errorf("%d stats records under the result channel after 101 refreshes, want 1", len(vals))
+	}
 	again, _, _ := sys.DB.StatsFor("p", task.ResultChannel())
-	if again["items"] != "4" {
-		t.Errorf("items after second refresh = %q", again["items"])
+	if again["items"] != "104" {
+		t.Errorf("items after 101 refreshes = %q, want the newest count 104", again["items"])
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"p2pm/internal/algebra"
 	"p2pm/internal/peer"
-	"p2pm/internal/stats"
 	"p2pm/internal/stream"
 )
 
@@ -61,8 +60,19 @@ type ChurnReport struct {
 	RunStats
 	Pipelines int // parallel pipelines each event traverses
 	Received  int // results that reached the subscribers (all pipelines)
-	// DetectionLatency summarizes virtual crash→declared-dead time.
-	DetectionLatency *stats.Summary
+	// Detections counts the crashes paired with their declared death,
+	// and DetectionSecs sums their virtual crash→declared-dead times.
+	Detections    int
+	DetectionSecs float64
+}
+
+// DetectionLatency is the mean virtual crash→declared-dead time in
+// seconds (0 when no crash was detected).
+func (r *ChurnReport) DetectionLatency() float64 {
+	if r.Detections == 0 {
+		return 0
+	}
+	return r.DetectionSecs / float64(r.Detections)
 }
 
 // Expected is the number of results a lossless run delivers: every
@@ -178,7 +188,7 @@ func (cfg *ChurnConfig) setup() (*scenarioSpec[*ChurnReport], error) {
 			return got, l.sched.driven * cfg.Pipelines
 		},
 		score: func(l *Lab[*ChurnReport], st RunStats, results [][]stream.Item) *ChurnReport {
-			rep := &ChurnReport{RunStats: st, Pipelines: cfg.Pipelines, DetectionLatency: &stats.Summary{}}
+			rep := &ChurnReport{RunStats: st, Pipelines: cfg.Pipelines}
 			for _, items := range results {
 				rep.Received += len(items)
 			}
@@ -196,7 +206,8 @@ func (cfg *ChurnConfig) setup() (*scenarioSpec[*ChurnReport], error) {
 				for i, ev := range events {
 					if !used[i] && ev.From == c.Peer && ev.At >= c.At {
 						used[i] = true
-						rep.DetectionLatency.Add(float64(ev.At-c.At) / float64(time.Second))
+						rep.Detections++
+						rep.DetectionSecs += float64(ev.At-c.At) / float64(time.Second)
 						break
 					}
 				}

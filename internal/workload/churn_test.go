@@ -56,11 +56,11 @@ func TestChurnMigratesRelayAndSurvives(t *testing.T) {
 	if rep.Completeness() <= 0.4 || rep.Completeness() >= 1 {
 		t.Errorf("completeness = %.2f, want in (0.4, 1): outage loss only (%d/%d)", rep.Completeness(), rep.Received, rep.Driven)
 	}
-	if rep.DetectionLatency.N() != rep.Deaths {
-		t.Errorf("latency samples = %d, want %d", rep.DetectionLatency.N(), rep.Deaths)
+	if rep.Detections != rep.Deaths {
+		t.Errorf("latency samples = %d, want %d", rep.Detections, rep.Deaths)
 	}
-	if rep.DetectionLatency.Mean() <= 0 {
-		t.Errorf("detection latency mean = %v", rep.DetectionLatency.Mean())
+	if rep.DetectionLatency() <= 0 {
+		t.Errorf("detection latency mean = %v", rep.DetectionLatency())
 	}
 	if rep.Traffic.Dropped == 0 {
 		t.Error("churn should drop messages on dead links")

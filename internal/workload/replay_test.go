@@ -96,10 +96,10 @@ func TestChurnDeterministicUnderSeed(t *testing.T) {
 		t.Errorf("failover counts diverged: crashes %d/%d deaths %d/%d repairs %d/%d",
 			a.Crashes, b.Crashes, a.Deaths, b.Deaths, a.Repairs, b.Repairs)
 	}
-	if a.DetectionLatency.N() != b.DetectionLatency.N() || a.DetectionLatency.Mean() != b.DetectionLatency.Mean() {
+	if a.Detections != b.Detections || a.DetectionLatency() != b.DetectionLatency() {
 		t.Errorf("detection latency diverged: n=%d mean=%v vs n=%d mean=%v",
-			a.DetectionLatency.N(), a.DetectionLatency.Mean(),
-			b.DetectionLatency.N(), b.DetectionLatency.Mean())
+			a.Detections, a.DetectionLatency(),
+			b.Detections, b.DetectionLatency())
 	}
 	if a.Completeness() != 1 {
 		t.Errorf("deterministic runs should also be lossless: completeness = %.3f", a.Completeness())
